@@ -10,6 +10,7 @@ parse errors, 3 for internal assertion failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -292,6 +293,7 @@ def _cmd_selfcheck(args) -> Report:
     return Report(status, report, "property suites for the algebra kernel")
 
 
+@functools.cache  # building the parser costs far more than a parse; build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatca",
@@ -377,9 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else 0
     try:

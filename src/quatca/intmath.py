@@ -21,83 +21,12 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _factorint(n: int) -> dict[int, int]:
-    from sympy import factorint  # deliberate lazy import; only needed here
-
-    return {int(p): int(e) for p, e in factorint(n).items()}
-
-
-def _sqrt_minus_one_mod(p: int) -> int:
-    """A square root of -1 modulo a prime p = 1 (mod 4)."""
-    for z in range(2, p):
-        if pow(z, (p - 1) // 2, p) == p - 1:
-            return pow(z, (p - 1) // 4, p)
-    raise ArithmeticError(f"no square root of -1 modulo {p}")  # pragma: no cover
-
-
-def _prime_two_squares(p: int) -> tuple[int, int]:
-    """Write a prime p = 2 or p = 1 (mod 4) as a sum of two squares."""
-    if p == 2:
-        return (1, 1)
-    # Descent: run the Euclidean algorithm on (p, sqrt(-1) mod p) until the
-    # remainders drop below sqrt(p); those two remainders do the job.
-    a, b = p, _sqrt_minus_one_mod(p)
-    bound = isqrt(p)
-    while b > bound:
-        a, b = b, a % b
-    c = isqrt(p - b * b)
-    return (b, c)
-
-
-def two_squares(n: int) -> tuple[int, int] | None:
-    """(a, b) with a^2 + b^2 = n, or None; exact for any nonnegative integer."""
-    if n < 0:
-        return None
-    if n == 0:
-        return (0, 0)
-    factors = _factorint(n)
-    scale = 1
-    for p, e in factors.items():
-        if p % 4 == 3:
-            if e % 2:
-                return None
-            scale *= p ** (e // 2)
-    a, b = 1, 0
-    for p, e in factors.items():
-        if p % 4 == 3:
-            continue
-        pa, pb = _prime_two_squares(p)
-        for _ in range(e):
-            # Brahmagupta-Fibonacci composition.
-            a, b = a * pa - b * pb, a * pb + b * pa
-    return (abs(a) * scale, abs(b) * scale)
-
-
-def is_sum_of_three_squares(n: int) -> bool:
-    """Exact decision: n >= 0 is a sum of three integer squares iff it is
-    not of the form 4^a * (8b + 7)."""
-    if n < 0:
-        return False
-    while n % 4 == 0 and n > 0:
-        n //= 4
-    return n % 8 != 7
-
-
 def three_squares(n: int) -> tuple[int, int, int] | None:
-    """(a, b, c) with a^2 + b^2 + c^2 = n, or None; the None answer is exact."""
-    if not is_sum_of_three_squares(n):
+    """(a, b, c) with a^2 + b^2 + c^2 = n, or None; the None answer is exact
+    (Legendre: the n >= 0 with no such triple are those of the form
+    4^a * (8b + 7))."""
+    if n < 0:
         return None
-    if n == 0:
-        return (0, 0, 0)
-    # Pull out factors of 4 so the search runs on the smallest equivalent n.
-    shift = 0
-    while n % 4 == 0:
-        n //= 4
-        shift += 1
-    for a in range(isqrt(n), -1, -1):
-        pair = two_squares(n - a * a)
-        if pair is not None:
-            b, c = pair
-            m = 1 << shift
-            return (a * m, b * m, c * m)
-    raise ArithmeticError(f"three-square decomposition of {n} not found")  # pragma: no cover
+    from sympy.solvers.diophantine.diophantine import sum_of_three_squares  # deliberate lazy import
+
+    return sum_of_three_squares(n)

@@ -77,11 +77,3 @@ def nullspace(rows: list[Row], ncols: int) -> list[list[Fraction]]:
         basis.append(vec)
     return basis
 
-
-def solve_with_nullspace(
-    rows: list[Row], target: list[Fraction], ncols: int | None = None
-) -> tuple[list[Fraction] | None, list[list[Fraction]]]:
-    """Particular solution (or None) together with a nullspace basis."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return solve(rows, target, ncols), nullspace(rows, ncols)

@@ -1,31 +1,28 @@
-"""Partial factorization of monic rational polynomials.
+"""Factorization of central (rational-coefficient) polynomials.
 
-Root-class extraction only ever needs the rational roots and the monic
-quadratic factors of a central (rational-coefficient) polynomial.  Rational
-roots come from the classical divisor test; quadratic factors come from
-Kronecker interpolation through the values at 0, 1 and -1.  Anything this
-misses is reported honestly via `complete = False` rather than guessed.
+Root-class extraction needs the rational roots and the monic quadratic
+factors of a central polynomial.  Both come from sympy's exact
+factorization over the rationals, which always runs to the end, so
+`complete = False` means only that some factor is irreducible over the
+rationals with degree > 2.  Quadratic factors are reported whatever their
+discriminant; one with real irrational roots cannot be split further
+either, and `upoly.right_roots` counts it as incomplete too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
-# Enumerating more candidate factors than this aborts the search; callers
-# then report a possibly-incomplete answer instead of stalling.
-_MAX_CANDIDATES = 2_000_000
-_MAX_DIVISORS = 6000
 
 
 @dataclass(frozen=True)
 class CentralFactorization:
-    """Outcome of the partial factorization of a monic rational polynomial.
+    """Outcome of the factorization of a monic rational polynomial.
 
     linear: (root, multiplicity) pairs; quadratics: (t, n, multiplicity)
     for irreducible monic factors x^2 - t*x + n; leftover_degree counts
-    whatever was not split into degree <= 2 pieces.
+    the irreducible factors of degree > 2, with multiplicity.  Both tuples
+    are sorted.
     """
 
     linear: tuple[tuple[Fraction, int], ...]
@@ -34,158 +31,23 @@ class CentralFactorization:
     complete: bool
 
 
-class _SearchBudgetExceeded(Exception):
-    pass
-
-
-def _divisors(n: int) -> list[int]:
-    from sympy import factorint  # deliberate lazy import
-
-    divs = [1]
-    for p, e in factorint(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-        if len(divs) > _MAX_DIVISORS:
-            raise _SearchBudgetExceeded
-    return sorted(divs)
-
-
-def _to_primitive_int(coeffs: list[Fraction]) -> list[int]:
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    if content > 1:
-        ints = [v // content for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
-
-
-def _eval_int(coeffs: list[int], at: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * at + c
-    return acc
-
-
-def _eval_frac(coeffs: list[int], at: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * at + c
-    return acc
-
-
-def _divide_exact(coeffs: list[int], divisor: list[Fraction]) -> list[Fraction] | None:
-    """Quotient of coeffs by divisor over the rationals if exact, else None."""
-    rem = [Fraction(c) for c in coeffs]
-    dd = len(divisor) - 1
-    lead = divisor[-1]
-    quot = [Fraction(0)] * (len(rem) - dd)
-    for k in range(len(rem) - 1, dd - 1, -1):
-        if rem[k] == 0:
-            continue
-        factor = rem[k] / lead
-        quot[k - dd] = factor
-        for idx, dcoef in enumerate(divisor):
-            rem[k - dd + idx] -= factor * dcoef
-    if any(rem[:dd]):
-        return None
-    return quot
-
-
-def _rational_roots(ints: list[int]) -> tuple[list[tuple[Fraction, int]], list[int]]:
-    """Extract all rational roots (with multiplicity); returns roots and the
-    deflated polynomial."""
-    roots: list[tuple[Fraction, int]] = []
-    # Zero roots first.
-    mult0 = 0
-    while len(ints) > 1 and ints[0] == 0:
-        ints = ints[1:]
-        mult0 += 1
-    if mult0:
-        roots.append((Fraction(0), mult0))
-    if len(ints) <= 1:
-        return roots, ints
-    num_divs = _divisors(abs(ints[0]))
-    den_divs = _divisors(ints[-1])
-    candidates: set[Fraction] = set()
-    for num in num_divs:
-        for den in den_divs:
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    for cand in sorted(candidates):
-        if len(ints) <= 1:
-            break
-        mult = 0
-        while len(ints) > 1 and _eval_frac(ints, cand) == 0:
-            quot = _divide_exact(ints, [Fraction(-cand.numerator), Fraction(cand.denominator)])
-            assert quot is not None
-            ints = _to_primitive_int(quot)
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-    return roots, ints
-
-
-def _find_quadratic_factor(ints: list[int]) -> tuple[Fraction, Fraction] | None:
-    """One monic quadratic factor x^2 - t*x + n of the (rational-root-free)
-    polynomial, found by Kronecker interpolation, or None."""
-    g0 = _eval_int(ints, 0)
-    g1 = _eval_int(ints, 1)
-    gm1 = _eval_int(ints, -1)
-    lead = ints[-1]
-    # Any integer quadratic factor a*x^2 + b*x + c has a | lead, c | g(0),
-    # and its value at 1 divides g(1); the value at -1 must divide g(-1).
-    lead_divs = _divisors(abs(lead))
-    c_divs = _divisors(abs(g0))
-    v1_divs = _divisors(abs(g1))
-    budget = len(lead_divs) * len(c_divs) * len(v1_divs) * 4
-    if budget > _MAX_CANDIDATES:
-        raise _SearchBudgetExceeded
-    for a in lead_divs:
-        for c_abs in c_divs:
-            for c in (c_abs, -c_abs):
-                for v1_abs in v1_divs:
-                    for v1 in (v1_abs, -v1_abs):
-                        b = v1 - a - c
-                        vm1 = a - b + c
-                        # The candidate's value at -1 must be a nonzero
-                        # divisor of g(-1); cheap filter before division.
-                        if vm1 == 0 or gm1 % vm1 != 0:
-                            continue
-                        quot = _divide_exact(ints, [Fraction(c), Fraction(b), Fraction(a)])
-                        if quot is not None:
-                            return (Fraction(-b, a), Fraction(c, a))
-    return None
-
-
 def factor_central(coeffs: list[Fraction]) -> CentralFactorization:
-    """Split a nonconstant rational polynomial into rational roots, monic
-    irreducible quadratics, and an unfactored remainder."""
+    """Split a nonconstant rational polynomial (coefficients low to high)
+    into rational roots, monic irreducible quadratics and a remainder of
+    irreducible factors of degree > 2."""
     if len(coeffs) < 2:
         raise ValueError("constant polynomial")
-    ints = _to_primitive_int(list(coeffs))
-    complete = True
-    linear: list[tuple[Fraction, int]] = []
-    quad_counts: dict[tuple[Fraction, Fraction], int] = {}
-    try:
-        linear, ints = _rational_roots(ints)
-        while len(ints) - 1 >= 2:
-            found = _find_quadratic_factor(ints)
-            if found is None:
-                break
-            t, n = found
-            quad_counts[(t, n)] = quad_counts.get((t, n), 0) + 1
-            quot = _divide_exact(ints, [Fraction(n), Fraction(-t), Fraction(1)])
-            assert quot is not None
-            ints = _to_primitive_int(quot)
-    except _SearchBudgetExceeded:
-        complete = False
-    quadratics = [(t, n, m) for (t, n), m in quad_counts.items()]
-    leftover = len(ints) - 1
-    if leftover > 0:
-        complete = False
-    return CentralFactorization(tuple(linear), tuple(quadratics), leftover, complete)
+    from sympy import Poly, QQ, Symbol  # deliberate lazy import
+
+    poly = Poly([QQ(c.numerator, c.denominator) for c in reversed(coeffs)], Symbol("x"), domain=QQ)
+    linear, quadratics, leftover = [], [], 0
+    for factor, mult in poly.factor_list()[1]:
+        high_to_low = [Fraction(int(c.numerator), int(c.denominator)) for c in factor.rep.to_list()]
+        monic = [c / high_to_low[0] for c in high_to_low]
+        if len(monic) == 2:
+            linear.append((-monic[1], mult))
+        elif len(monic) == 3:
+            quadratics.append((-monic[1], monic[2], mult))
+        else:
+            leftover += (len(monic) - 1) * mult
+    return CentralFactorization(tuple(sorted(linear)), tuple(sorted(quadratics)), leftover, leftover == 0)

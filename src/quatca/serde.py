@@ -13,7 +13,6 @@ from .errors import InvalidInput
 from .modules import EigenTuple, ModulePresentation, RootNotFound
 from .mpoly import (
     CommutingPoint,
-    LeftIdeal,
     MPoly,
     RabinowitschCertificate,
     grlex_key,
@@ -124,10 +123,6 @@ def root_class_to_json(cls: RootClass) -> dict:
     if isinstance(cls, Isolated):
         return {"kind": "isolated", "a": quat_to_json(cls.a)}
     return {"kind": "sphere", "t": rat_to_json(cls.t), "n": rat_to_json(cls.n)}
-
-
-def ideal_to_json(ideal: LeftIdeal) -> dict:
-    return {"gens": [mpoly_to_json(g) for g in ideal.gens]}
 
 
 def certificate_to_json(cert: RabinowitschCertificate) -> dict:

@@ -369,12 +369,13 @@ def companion(p: UPoly) -> UPoly:
 def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     """All conjugacy classes of right roots discoverable over the rationals.
 
-    The central companion polynomial is split into rational roots and monic
-    quadratic factors; each quadratic with negative discriminant carries at
-    most one candidate class, checked exactly.  Factors that resist this
-    (degree > 2 irreducible, or quadratics with irrational real roots) make
-    the status POSSIBLY_INCOMPLETE: roots may exist in a larger scalar field
-    but have no rational-quaternion representative.
+    The central companion polynomial is factored exactly over the
+    rationals; each rational root and each quadratic factor with negative
+    discriminant carries at most one candidate class, checked exactly.
+    The status is POSSIBLY_INCOMPLETE only when the rationals cannot split
+    a factor: an irreducible factor of degree > 2, or a quadratic with real
+    irrational roots.  Roots there may exist over a larger scalar field but
+    have no rational-quaternion representative.
     """
     if p.degree < 1:
         raise InvalidInput("root search needs a nonconstant polynomial")
@@ -466,57 +467,6 @@ def roots_in_centralizer(p: UPoly, c: Centralizer, side: str = "left") -> tuple[
             if member is not None:
                 found.append(member)
     return found, status
-
-
-def sqrt_in_centralizer(c: Centralizer, delta: Quat) -> Quat | None:
-    """A square root of delta inside a commutative centralizer, or None.
-
-    Only the center and quadratic kinds are supported; used for solving
-    quadratics inside a commutative subfield.
-    """
-    if c.kind == "center":
-        if not delta.is_central():
-            return None
-        s = rational_sqrt(delta.w)
-        return None if s is None else Quat.scalar(s)
-    if c.kind != "quadratic":
-        raise InvalidInput("square roots need a commutative centralizer")
-    coords = c.coords(delta)
-    if coords is None:
-        return None
-    p0, q0 = coords
-    d = c.u.norm()  # u*u = -d
-    if q0 == 0:
-        s = rational_sqrt(p0)
-        if s is not None:
-            return Quat.scalar(s)
-        if p0 < 0:
-            tt = rational_sqrt(-p0 / d)
-            if tt is not None:
-                return c.u * tt
-        return None
-    # (s + t*u)^2 = s^2 - t^2 d + 2 s t u: solve s^2 = (p0 +- sqrt(p0^2 + q0^2 d)) / 2.
-    inner = rational_sqrt(p0 * p0 + q0 * q0 * d)
-    if inner is None:
-        return None
-    for branch in (inner, -inner):
-        s2 = (p0 + branch) / 2
-        s = rational_sqrt(s2)
-        if s is not None and s != 0:
-            tt = q0 / (2 * s)
-            return Quat.scalar(s) + c.u * tt
-    return None
-
-
-def quadratic_roots_in(c: Centralizer, b1: Quat, b0: Quat) -> list[Quat]:
-    """Roots of x^2 + b1*x + b0 inside a commutative centralizer c."""
-    disc = b1 * b1 - Quat.scalar(4) * b0
-    s = sqrt_in_centralizer(c, disc)
-    if s is None:
-        return []
-    half = Fraction(1, 2)
-    roots = [(-b1 + s) * half, (-b1 - s) * half]
-    return list(dict.fromkeys(roots))
 
 
 # ---------------------------------------------------------------------------

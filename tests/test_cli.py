@@ -111,6 +111,17 @@ class TestReports:
         assert code == 0
         assert report["status"] == "not-found"
 
+    def test_generators_do_not_carry_over_between_calls(self, capsys):
+        # The parser is built once per process.  With x - i in the ideal,
+        # j(x - i) is a member at degree bound 0; the next call names only
+        # (x - i)^2, which has no such certificate, so a leftover x - i
+        # from the first call would turn its answer into "ok".
+        common = ("--p", "x-i", "--a", "j", "--degbound", "0")
+        code, report, _ = run_json(capsys, "rabinowitsch", "--ideal", "x-i", "--N", "1", *common)
+        assert code == 0 and report["status"] == "ok"
+        code, report, _ = run_json(capsys, "rabinowitsch", "--ideal", "(x-i)^2", "--N", "2", *common)
+        assert code == 0 and report["status"] == "not-found"
+
 
 class TestEigenCommand:
     def test_module_from_file(self, capsys, tmp_path):

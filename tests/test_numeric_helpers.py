@@ -3,12 +3,7 @@
 from fractions import Fraction as F
 from random import Random
 
-from quatca.intmath import (
-    is_sum_of_three_squares,
-    rational_sqrt,
-    three_squares,
-    two_squares,
-)
+from quatca.intmath import rational_sqrt, three_squares
 from quatca.ratfactor import factor_central
 from quatca.scalars import Centralizer, I, Quat
 from quatca.upoly import Sphere, UPoly, right_roots, sphere_member_in
@@ -26,26 +21,13 @@ class TestRationalSqrt:
 
 
 class TestSquareSums:
-    def test_two_squares(self):
-        assert two_squares(0) == (0, 0)
-        assert two_squares(3) is None
-        a, b = two_squares(5)
-        assert a * a + b * b == 5
-
-    def test_two_squares_randomized(self):
-        rng = Random(1)
-        for _ in range(120):
-            n = rng.randint(1, 10**6)
-            pair = two_squares(n)
-            if pair is not None:
-                a, b = pair
-                assert a * a + b * b == n
-
     def test_three_square_decision_is_exact(self):
-        assert not is_sum_of_three_squares(7)
-        assert not is_sum_of_three_squares(4 * 7)
-        assert not is_sum_of_three_squares(16 * 15 + 16 * 97)  # 4^2 * 112 = 4^3*28 -> 4^a(8b+7)?
-        assert is_sum_of_three_squares(6)
+        assert three_squares(7) is None
+        assert three_squares(4 * 7) is None
+        assert three_squares(16 * 15 + 16 * 97) is None  # 1792 = 4^3 * 28 = 4^4 * 7
+        triple = three_squares(6)
+        assert triple is not None and sum(v * v for v in triple) == 6
+        assert three_squares(-1) is None
 
     def test_three_squares_randomized(self):
         rng = Random(2)

@@ -30,7 +30,6 @@ from quatca.upoly import (
     left_roots,
     minimal_left_poly,
     minimal_right_poly,
-    quadratic_roots_in,
     right_roots,
     root_space,
     root_space_dim,
@@ -210,6 +209,23 @@ class TestRightRoots:
         assert classes == [Isolated(I)]
         assert status == RootSearchStatus.COMPLETE
 
+    def test_planted_root_of_four_factor_product_is_found(self):
+        # The companion of this product is the product of the four class
+        # quadratics x^2 - 2w*x + |a|^2, whose values have many divisors.
+        # Every factor is rational of degree 2, so the search is complete
+        # and the planted right root a4 must be reported.
+        a1 = Quat(-4, -5, F(1, 3), -4)
+        a2 = Quat(4, 5, 5, 2)
+        a3 = Quat(3, -4, 3, -6)
+        a4 = Quat(-6, 1, -1, 5)
+        p = UPoly.constant(ONE)
+        for a in (a1, a2, a3, a4):
+            p = p * UPoly.linear(a)
+        assert p.eval_left(a4) == ZERO
+        classes, status = right_roots(p)
+        assert status == RootSearchStatus.COMPLETE
+        assert Isolated(a4) in classes or Sphere(2 * a4.w, a4.norm()) in classes
+
     def test_constant_rejected(self):
         with pytest.raises(InvalidInput):
             right_roots(UPoly.constant(Quat(5)))
@@ -343,7 +359,7 @@ class TestMinimalPolynomials:
             p = minimal_left_poly(b, c)
             if p.degree != 2:
                 continue
-            roots = quadratic_roots_in(c, p.coeff(1), p.coeff(0))
+            roots, _ = roots_in_centralizer(p, c, side="right")
             if roots:
                 found_reducible += 1
                 for root in roots:
