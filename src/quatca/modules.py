@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import InternalError, InvalidInput
 from .mpoly import CommutingPoint, LeftIdeal, point_ideal
-from .scalars import Centralizer, ONE, Quat, ZERO, centralizer_of_set
+from .scalars import Centralizer, ONE, Quat, ZERO, centralizer_of_set, solve_combination
 from .upoly import UPoly, roots_in_centralizer
 
 Matrix = tuple[tuple[Quat, ...], ...]
@@ -160,46 +160,11 @@ def annihilator_minpoly(module: ModulePresentation, v: Vector, i: int) -> UPoly:
     for degree in range(1, m + 1):
         # Solve sum_{k<degree} c_k * iterates[k] = iterates[degree] over the
         # whole ring, coordinate by coordinate.
-        flat_targets = iterates[degree]
-        sol = _solve_vector_combination(iterates[:degree], flat_targets, full)
+        sol = solve_combination(iterates[:degree], iterates[degree], full)
         if sol is not None:
             coeffs = [-c for c in sol] + [ONE]
             return UPoly(coeffs)
     raise InternalError("no annihilator found within the module dimension")
-
-
-def _solve_vector_combination(
-    vectors: Sequence[Vector], target: Vector, c: Centralizer
-) -> list[Quat] | None:
-    """Coefficients k_t in c with sum_t k_t * vectors[t] = target, across all
-    coordinates simultaneously."""
-    from . import linalg
-
-    if not vectors:
-        return [] if vec_is_zero(target) else None
-    width = len(target)
-    basis = c.basis()
-    columns = []
-    for vec in vectors:
-        for e in basis:
-            columns.append([e * comp for comp in vec])
-    rows = []
-    rhs = []
-    for coord in range(width):
-        for axis in range(4):
-            rows.append([col[coord].coords()[axis] for col in columns])
-            rhs.append(target[coord].coords()[axis])
-    sol = linalg.solve(rows, rhs, len(columns))
-    if sol is None:
-        return None
-    d = len(basis)
-    out = []
-    for t in range(len(vectors)):
-        coeff = ZERO
-        for mth, e in enumerate(basis):
-            coeff = coeff + e * sol[t * d + mth]
-        out.append(coeff)
-    return out
 
 
 def _extract_from_seed(module: ModulePresentation, seed: Vector) -> EigenTuple | RootNotFound:
@@ -251,7 +216,10 @@ def find_eigen_tuple(
     is a genuine limitation of exact rational scalars and is reported as
     RootNotFound with the offending polynomial, never fudged.
 
-    Seeds are tried in order: the caller's, then the standard basis.
+    Seeds are tried in order: the caller's, then the standard basis; the
+    first RootNotFound is returned when no seed yields a tuple.  An
+    InternalError on any seed is a kernel fault and propagates at once,
+    even if a later seed would succeed.
     """
     report = check_presentation(module)
     if not report.ok:
@@ -269,20 +237,13 @@ def find_eigen_tuple(
         if e not in seeds:
             seeds.append(e)
     first_missing: RootNotFound | None = None
-    internal: InternalError | None = None
     for s in seeds:
-        try:
-            outcome = _extract_from_seed(module, s)
-        except InternalError as exc:
-            internal = exc
-            continue
+        outcome = _extract_from_seed(module, s)
         if isinstance(outcome, EigenTuple):
             return outcome
         if first_missing is None:
             first_missing = outcome
-    if first_missing is not None:
-        return first_missing
-    raise internal if internal else InternalError("no usable seed vector")
+    return first_missing
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,11 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from . import linalg
 from .errors import InternalError, InvalidInput
-from .scalars import BASIS, ONE, Quat, ZERO
+from .scalars import Centralizer, ONE, Quat, ZERO, solve_combination
 
 Exponents = tuple[int, ...]
 
@@ -337,18 +335,6 @@ def monomials_upto(nvars: int, degbound: int) -> list[Exponents]:
     return out
 
 
-def _mpoly_to_vector(p: MPoly, index: dict[Exponents, int], width: int) -> list[Fraction]:
-    vec = [Fraction(0)] * (4 * width)
-    for exps, coeff in p.terms.items():
-        base = 4 * index[exps]
-        w, x, y, z = coeff.coords()
-        vec[base] = w
-        vec[base + 1] = x
-        vec[base + 2] = y
-        vec[base + 3] = z
-    return vec
-
-
 def rabinowitsch_check(
     ideal: LeftIdeal, p: MPoly, a: Quat, N: int, degbound: int
 ) -> RabinowitschCertificate | NotFoundWithinBounds:
@@ -369,42 +355,29 @@ def rabinowitsch_check(
     target = ap.pow(N)
     monos = monomials_upto(nvars, degbound)
 
-    # One known polynomial per (k, generator, monomial, basis unit); the
-    # unknown rational multiple of each is what the solver finds.
+    # One known polynomial per (k, generator, monomial); the unknown
+    # quaternion multiple of each is what the solver finds.
     ap_powers = [MPoly.constant(ONE, nvars)]
     for _ in range(N):
         ap_powers.append(ap_powers[-1] * ap)
-    column_polys: list[MPoly] = []
-    column_meta: list[tuple[int, int, Exponents, int]] = []
-    for k in range(N + 1):
-        for j, g in enumerate(ideal.gens):
-            base = g * ap_powers[k]
-            for mu in monos:
-                shifted = base.shift(mu)
-                for m, e in enumerate(BASIS):
-                    column_polys.append(shifted.scale_left(e))
-                    column_meta.append((k, j, mu, m))
+    bases = [g * ap_powers[k] for k in range(N + 1) for g in ideal.gens]
+    column_polys = [base.shift(mu) for base in bases for mu in monos]
 
     support: set[Exponents] = set(target.terms)
     for poly in column_polys:
         support.update(poly.terms)
     ordered = sorted(support, key=grlex_key)
-    index = {exps: i for i, exps in enumerate(ordered)}
-    width = len(ordered)
-
-    columns = [_mpoly_to_vector(poly, index, width) for poly in column_polys]
-    rhs = _mpoly_to_vector(target, index, width)
-    rows = [[col[r] for col in columns] for r in range(4 * width)]
-    sol = linalg.solve(rows, rhs, len(columns))
+    vectors = [[poly.terms.get(exps, ZERO) for exps in ordered] for poly in column_polys]
+    sol = solve_combination(
+        vectors, [target.terms.get(exps, ZERO) for exps in ordered], Centralizer.full()
+    )
     if sol is None:
         return NotFoundWithinBounds(N, degbound)
 
-    cofactors = [
-        [MPoly(nvars, {}) for _ in ideal.gens] for _ in range(N + 1)
-    ]
-    for value, (k, j, mu, m) in zip(sol, column_meta):
-        if value:
-            cofactors[k][j] = cofactors[k][j] + MPoly.monomial(BASIS[m] * value, mu)
+    # The solution runs over (k, generator, monomial) in the order above.
+    ngens, size = len(ideal.gens), len(monos)
+    flat = [MPoly(nvars, dict(zip(monos, sol[i : i + size]))) for i in range(0, len(sol), size)]
+    cofactors = [flat[k * ngens : (k + 1) * ngens] for k in range(N + 1)]
 
     rebuilt = MPoly(nvars, {})
     for k in range(N + 1):

@@ -1,5 +1,9 @@
 """Exact quaternions over the rationals, centralizers, and linear solvers.
 
+This is the one module that turns quaternion-linear problems into rational
+matrices for `linalg`; every other module goes through `rational_solve`,
+`rational_nullspace` or `solve_combination`.
+
 Every value is immutable and every operation is a pure function, so values
 may be shared freely between threads.  Rationals are `fractions.Fraction`
 and are therefore always in lowest terms with a positive denominator.
@@ -309,60 +313,93 @@ def centralizer_of_set(elements: Iterable[Quat]) -> Centralizer:
 
 
 # ---------------------------------------------------------------------------
-# Linear solving with coefficients constrained to a centralizer
+# Quaternion-linear problems as rational matrices
 # ---------------------------------------------------------------------------
 
-def _columns_to_rows(columns: list[Quat]) -> list[list[Fraction]]:
-    return [[col.coords()[r] for col in columns] for r in range(4)]
+def _rows(columns: Sequence[Sequence[Quat]], height: int) -> list[list[Fraction]]:
+    """Rational rows of the columns: entry t, axis m becomes row 4t+m."""
+    coords = [[q.coords() for q in col] for col in columns]
+    return [[cs[t][m] for cs in coords] for t in range(height) for m in range(4)]
+
+
+def rational_solve(
+    columns: Sequence[Sequence[Quat]], target: Sequence[Quat]
+) -> list[Fraction] | None:
+    """Rationals s with sum_c s_c * columns[c] = target entry by entry, or
+    None; free unknowns are zero, so the answer is deterministic."""
+    rhs = [value for q in target for value in q.coords()]
+    return linalg.solve(_rows(columns, len(target)), rhs, len(columns))
+
+
+def rational_nullspace(columns: Sequence[Sequence[Quat]]) -> list[list[Fraction]]:
+    """Basis of the rational s with sum_c s_c * columns[c] = 0."""
+    if not columns:
+        return []
+    return linalg.nullspace(_rows(columns, len(columns[0])), len(columns))
+
+
+def _expand(
+    vectors: Sequence[Sequence[Quat]], c: Centralizer, left: bool
+) -> list[list[Quat]]:
+    # One column per (vector, basis unit e of c): e*v, or v*e on the right.
+    # These are the columns of L(v) or R(v) restricted to the basis of c.
+    # Entries left as the shared ZERO, most of a certificate system, skip
+    # the product; an identity test costs nothing on dense scalar solves.
+    basis = c.basis()
+    return [
+        [ZERO if q is ZERO else (e * q if left else q * e) for q in vec]
+        for vec in vectors
+        for e in basis
+    ]
+
+
+def solve_combination(
+    vectors: Sequence[Sequence[Quat]],
+    target: Sequence[Quat],
+    c: Centralizer,
+    left: bool = True,
+) -> list[Quat] | None:
+    """Coefficients k_t in the subring c with sum_t k_t * vectors[t] = target
+    entry by entry (vectors[t] * k_t when `left` is False), or None.
+
+    Each unknown coefficient is expanded in the rational basis of c.
+    """
+    if not vectors:
+        return [] if not any(target) else None
+    sol = rational_solve(_expand(vectors, c, left), target)
+    if sol is None:
+        return None
+    basis = c.basis()
+    d = len(basis)
+    out = []
+    for t in range(len(vectors)):
+        coeff = ZERO
+        for m, e in enumerate(basis):
+            coeff = coeff + e * sol[t * d + m]
+        out.append(coeff)
+    return out
 
 
 def left_linear_solve(
     vectors: Sequence[Quat], target: Quat, c: Centralizer
 ) -> list[Quat] | None:
-    """Coefficients k_i in the subring c with sum k_i * v_i = target, or None.
-
-    Each unknown coefficient is expanded in the rational basis of c, turning
-    the constraint into a 4-row rational system.
-    """
-    return _linear_solve(vectors, target, c, left=True)
+    """Coefficients k_i in the subring c with sum k_i * v_i = target, or None."""
+    return solve_combination([(v,) for v in vectors], (target,), c)
 
 
 def right_linear_solve(
     vectors: Sequence[Quat], target: Quat, c: Centralizer
 ) -> list[Quat] | None:
     """Coefficients k_i in the subring c with sum v_i * k_i = target, or None."""
-    return _linear_solve(vectors, target, c, left=False)
-
-
-def _linear_solve(vectors, target, c, left):
-    basis = c.basis()
-    if not vectors:
-        return [] if not target else None
-    columns = []
-    for v in vectors:
-        for e in basis:
-            columns.append(e * v if left else v * e)
-    rows = _columns_to_rows(columns)
-    sol = linalg.solve(rows, list(target.coords()), len(columns))
-    if sol is None:
-        return None
-    d = len(basis)
-    out = []
-    for idx in range(len(vectors)):
-        coeff = ZERO
-        for m, e in enumerate(basis):
-            coeff = coeff + e * sol[idx * d + m]
-        out.append(coeff)
-    return out
+    return solve_combination([(v,) for v in vectors], (target,), c, left=False)
 
 
 def left_rank(vectors: Sequence[Quat], c: Centralizer) -> int:
-    """Rank of the vectors as elements of a left vector space over c."""
-    independent: list[Quat] = []
-    for v in vectors:
-        if left_linear_solve(independent, v, c) is None:
-            independent.append(v)
-    return len(independent)
+    """Rank of the vectors as elements of a left vector space over c: the
+    rational rank of their c-multiples, divided by the dimension of c."""
+    columns = _expand([(v,) for v in vectors], c, True)
+    _, pivots = linalg.rref(_rows(columns, 1), len(columns))
+    return len(pivots) // c.dim
 
 
 def find_conjugator(a: Quat, b: Quat) -> Quat | None:
@@ -372,9 +409,7 @@ def find_conjugator(a: Quat, b: Quat) -> Quat | None:
     parts and norms agree; the witness is a nonzero solution of the rational
     linear system r*a = b*r.
     """
-    columns = [e * a - b * e for e in BASIS]
-    basis = linalg.nullspace(_columns_to_rows(columns), 4)
+    basis = rational_nullspace([(e * a - b * e,) for e in BASIS])
     if not basis:
         return None
-    r = Quat.from_coords(basis[0])
-    return r
+    return Quat.from_coords(basis[0])

@@ -28,7 +28,7 @@ def rat_to_json(r: Fraction) -> str:
 def rat_from_json(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"bad rational {text!r}") from exc
 
 
@@ -42,6 +42,8 @@ def quat_to_json(q: Quat) -> dict:
 
 
 def quat_from_json(obj: dict) -> Quat:
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"quaternion must be an object, got {obj!r}")
     try:
         return Quat(*(rat_from_json(obj[key]) for key in ("w", "x", "y", "z")))
     except KeyError as exc:
@@ -94,13 +96,16 @@ def module_to_json(module: ModulePresentation) -> dict:
 
 
 def module_from_json(obj: dict) -> ModulePresentation:
-    return ModulePresentation(
-        int(obj["m"]),
-        [
-            [[quat_from_json(entry) for entry in row] for row in mat]
-            for mat in obj["mats"]
-        ],
-    )
+    try:
+        m, mats = obj["m"], obj["mats"]
+        grid = [[[quat_from_json(entry) for entry in row] for row in mat] for mat in mats]
+    except KeyError as exc:
+        raise InvalidInput(f"module object missing field {exc}") from exc
+    except TypeError as exc:
+        raise InvalidInput(f"module must be an object of nested arrays ({exc})") from exc
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise InvalidInput(f"module dimension must be an integer, got {m!r}")
+    return ModulePresentation(m, grid)
 
 
 def eigen_to_json(tup: EigenTuple) -> dict:

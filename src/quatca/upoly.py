@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import linalg, ratfactor
+from . import ratfactor
 from .errors import InternalError, InvalidInput
 from .intmath import rational_sqrt, three_squares
 from .scalars import (
@@ -26,7 +26,9 @@ from .scalars import (
     ZERO,
     centralizer_of_set,
     left_linear_solve,
+    rational_nullspace,
     right_linear_solve,
+    solve_combination,
 )
 
 
@@ -283,48 +285,22 @@ def lclm(p: UPoly, q: UPoly) -> UPoly:
     if p.is_zero() or q.is_zero():
         raise InvalidInput("lclm requires nonzero polynomials")
     dp, dq = p.degree, q.degree
+    full = Centralizer.full()
     for total in range(max(dp, dq), dp + dq + 1):
         du, dv = total - dp, total - dq
-        # Unknowns: the quaternion coefficients of u (du+1 of them) and of
-        # v (dv+1), expanded over the rational basis.
-        ncols = 4 * (du + dv + 2)
-
-        def column(unknown_index: int) -> UPoly:
-            block, m = divmod(unknown_index, 4)
-            e = BASIS[m]
-            if block <= du:
-                return UPoly.monomial(e, block) * p
-            return UPoly.monomial(e, block - du - 1) * q
-
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        columns = [column(idx) for idx in range(ncols)]
-        for deg in range(total + 1):
-            for coord in range(4):
-                row = []
-                for block_idx, col in enumerate(columns):
-                    sign = 1 if block_idx < 4 * (du + 1) else -1
-                    row.append(sign * col.coeff(deg).coords()[coord])
-                rows.append(row)
-                rhs.append(Fraction(0))
-        # Monic constraint: the x^total coefficient of u*p equals one.
-        for coord in range(4):
-            row = []
-            for block_idx, col in enumerate(columns):
-                if block_idx < 4 * (du + 1):
-                    row.append(col.coeff(total).coords()[coord])
-                else:
-                    row.append(Fraction(0))
-            rows.append(row)
-            rhs.append(Fraction(1) if coord == 0 else Fraction(0))
-        sol = linalg.solve(rows, rhs, ncols)
+        # Unknown quaternions u_k, v_k with sum u_k x^k p - sum v_k x^k q = 0,
+        # plus one entry asking the x^total coefficient of u*p to be one.
+        vectors = [
+            [p.coeff(d - k) for d in range(total + 1)] + [p.coeff(total - k)]
+            for k in range(du + 1)
+        ] + [
+            [-q.coeff(d - k) for d in range(total + 1)] + [ZERO]
+            for k in range(dv + 1)
+        ]
+        sol = solve_combination(vectors, [ZERO] * (total + 1) + [ONE], full)
         if sol is None:
             continue
-        u = UPoly()
-        for block in range(du + 1):
-            coeff = Quat.from_coords(sol[4 * block : 4 * block + 4])
-            u = u + UPoly.monomial(coeff, block)
-        result = u * p
+        result = UPoly(sol[: du + 1]) * p
         if result.degree == total and result.lead == ONE:
             return result
     raise InternalError("least common left multiple search failed")  # pragma: no cover
@@ -495,9 +471,8 @@ def _root_space_rational_basis(p: UPoly, a: Quat) -> list[Quat]:
         img = ZERO
         for c, apow in zip(p.coeffs, powers):
             img = img + c * e * apow
-        columns.append(img)
-    rows = [[col.coords()[r] for col in columns] for r in range(4)]
-    return [Quat.from_coords(v) for v in linalg.nullspace(rows, 4)]
+        columns.append((img,))
+    return [Quat.from_coords(v) for v in rational_nullspace(columns)]
 
 
 def root_space(p: UPoly, a: Quat) -> RootSpaceBasis:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from quatca import serde
 from quatca.cli import main
 from quatca.modules import ModulePresentation
@@ -144,6 +146,24 @@ class TestEigenCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"mats": []}',
+            '{"m": 1, "mats": [[["i"]]]}',
+            "[1,2]",
+            '{"m": "x", "mats": []}',
+            '{"m": 1, "mats": 5}',
+            '{"m": 1, "mats": [[[{"w": null, "x": "0", "y": "0", "z": "0"}]]]}',
+        ],
+    )
+    def test_malformed_module_is_usage(self, capsys, tmp_path, body):
+        path = tmp_path / "module.json"
+        path.write_text(body)
+        code, out, err = run(capsys, "--json", "eigen", "--module", str(path))
+        assert code == 2
+        assert "error:" in err
+
     def test_parse_error_is_usage(self, capsys):
         code, out, err = run(capsys, "eval", "--poly", "x^2 $", "--at", "i")
         assert code == 2

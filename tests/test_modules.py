@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 
-from quatca.errors import InvalidInput
+from quatca import modules
+from quatca.errors import InternalError, InvalidInput
 from quatca.modules import (
     EigenTuple,
     ModulePresentation,
@@ -121,6 +122,23 @@ class TestEigenTuple:
         out = find_eigen_tuple(mixed, (ONE, ZERO, ZERO))
         assert isinstance(out, EigenTuple)
         assert out.point[0] == I
+
+    def test_internal_error_on_a_seed_propagates(self, monkeypatch):
+        # A kernel fault on the first seed must not be hidden by a later
+        # seed that succeeds.
+        original = modules._extract_from_seed
+        seen = []
+
+        def faulty_first_seed(module, seed):
+            seen.append(seed)
+            if len(seen) == 1:
+                raise InternalError("planted fault")
+            return original(module, seed)
+
+        monkeypatch.setattr(modules, "_extract_from_seed", faulty_first_seed)
+        with pytest.raises(InternalError, match="planted fault"):
+            find_eigen_tuple(DIAG_IJ, (ONE, ZERO))
+        assert seen == [(ONE, ZERO)]
 
     def test_noncommuting_presentation_rejected(self):
         with pytest.raises(InvalidInput):

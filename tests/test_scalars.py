@@ -104,13 +104,7 @@ class TestCentralizer:
         # Independent route: the commutation constraints as a raw rational
         # system, solved for its nullspace.
         for elements in ([I], [I, J], [Quat(2, 1, 1)], [Quat(1), Quat(0, 0, 0, 3)]):
-            columns = [commutator(e, s) for s in elements for e in BASIS]
-            rows = []
-            for s_idx in range(len(elements)):
-                block = columns[4 * s_idx : 4 * s_idx + 4]
-                for axis in range(4):
-                    rows.append([q.coords()[axis] for q in block])
-            # rebuild rows so each row spans all four unknowns of r
+            # each row spans all four unknowns of r
             rows = []
             for s in elements:
                 per_basis = [commutator(e, s) for e in BASIS]
@@ -211,6 +205,20 @@ class TestSolveOverCentralizer:
             else:
                 assert sum((k * v for k, v in zip(sol, vectors)), ZERO) == target
                 assert all(c.contains(k) for k in sol)
+
+
+@pytest.mark.parametrize(
+    "vectors, c, rank",
+    [
+        ([], Centralizer.full(), 0),
+        ([ONE, I], Centralizer.quadratic(I), 1),
+        ([ONE, I], Centralizer.center(), 2),
+        ([ONE, J], Centralizer.full(), 1),
+        ([I, Quat(0, 2)], Centralizer.center(), 1),
+    ],
+)
+def test_left_rank(vectors, c, rank):
+    assert left_rank(vectors, c) == rank
 
 
 class TestConjugator:
