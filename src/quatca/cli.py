@@ -219,7 +219,7 @@ def _cmd_witness(args) -> Report:
 
 def _cmd_reduce(args) -> Report:
     point = CommutingPoint([parse_quat(part) for part in args.point.split(";")])
-    nvars = args.nvars or len(point)
+    nvars = len(point) if args.nvars is None else args.nvars
     poly = parse_mpoly(args.poly, nvars)
     remainder, quotients = reduce_mod_point(poly, point)
     return Report(

@@ -10,11 +10,12 @@ one-dimensional submodule, i.e. a point ideal annihilator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from .errors import InternalError, InvalidInput
 from .mpoly import CommutingPoint, LeftIdeal, point_ideal
-from .scalars import Centralizer, ONE, Quat, ZERO, centralizer_of_set, solve_combination
+from .scalars import Centralizer, ONE, Quat, ZERO, centralizer_of_set, first_dependence
 from .upoly import UPoly, roots_in_centralizer
 
 Matrix = tuple[tuple[Quat, ...], ...]
@@ -152,19 +153,11 @@ def annihilator_minpoly(module: ModulePresentation, v: Vector, i: int) -> UPoly:
     """
     if vec_is_zero(v):
         raise InvalidInput("annihilator of the zero vector is everything")
-    m = module.m
-    iterates = [v]
-    for _ in range(m):
-        iterates.append(module.act(i, iterates[-1]))
-    full = Centralizer.full()
-    for degree in range(1, m + 1):
-        # Solve sum_{k<degree} c_k * iterates[k] = iterates[degree] over the
-        # whole ring, coordinate by coordinate.
-        sol = solve_combination(iterates[:degree], iterates[degree], full)
-        if sol is not None:
-            coeffs = [-c for c in sol] + [ONE]
-            return UPoly(coeffs)
-    raise InternalError("no annihilator found within the module dimension")
+    iterates = accumulate(repeat(module.mats[i], module.m), vec_mat, initial=v)
+    sol = first_dependence(iterates, Centralizer.full())
+    if sol is None:
+        raise InternalError("no annihilator found within the module dimension")
+    return UPoly([-c for c in sol] + [ONE])
 
 
 def _extract_from_seed(module: ModulePresentation, seed: Vector) -> EigenTuple | RootNotFound:

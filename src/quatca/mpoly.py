@@ -393,6 +393,10 @@ def find_certificate(
 ) -> tuple[int, RabinowitschCertificate] | NotFoundWithinBounds:
     """Smallest power N <= max_power admitting a certificate, with the
     certificate; the search is a bounded semidecision."""
+    if max_power < 1:
+        raise InvalidInput("the largest power must be at least one")
+    if degbound < 0:
+        raise InvalidInput("negative degree bound")
     for N in range(1, max_power + 1):
         outcome = rabinowitsch_check(ideal, p, a, N, degbound)
         if isinstance(outcome, RabinowitschCertificate):

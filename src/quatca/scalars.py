@@ -2,7 +2,8 @@
 
 This is the one module that turns quaternion-linear problems into rational
 matrices for `linalg`; every other module goes through `rational_solve`,
-`rational_nullspace` or `solve_combination`.
+`rational_nullspace`, `solve_combination`, `first_dependence` or
+`basis_indices`.
 
 Every value is immutable and every operation is a pure function, so values
 may be shared freely between threads.  Rationals are `fractions.Fraction`
@@ -394,12 +395,38 @@ def right_linear_solve(
     return solve_combination([(v,) for v in vectors], (target,), c, left=False)
 
 
+def first_dependence(
+    vectors: Iterable[Sequence[Quat]], c: Centralizer, left: bool = True
+) -> list[Quat] | None:
+    """Coefficients k_t in c with v_n = sum_t k_t * v_t (v_t * k_t when
+    `left` is False) for the first vector v_n that is such a combination of
+    the vectors before it, or None.  The vectors are read one at a time, so
+    a generator is advanced only as far as that v_n."""
+    before: list[Sequence[Quat]] = []
+    for v in vectors:
+        sol = solve_combination(before, v, c, left)
+        if sol is not None:
+            return sol
+        before.append(v)
+    return None
+
+
+def basis_indices(
+    vectors: Sequence[Sequence[Quat]], c: Centralizer, left: bool = True
+) -> list[int]:
+    """Indices of the vectors that are not c-combinations of the vectors
+    before them (a basis of their span over c), from one elimination: v_t
+    is kept when its column 1*v_t is a pivot among the c-multiples."""
+    if not vectors:
+        return []
+    columns = _expand(vectors, c, left)
+    _, pivots = linalg.rref(_rows(columns, len(vectors[0])), len(columns))
+    return [col // c.dim for col in pivots if col % c.dim == 0]
+
+
 def left_rank(vectors: Sequence[Quat], c: Centralizer) -> int:
-    """Rank of the vectors as elements of a left vector space over c: the
-    rational rank of their c-multiples, divided by the dimension of c."""
-    columns = _expand([(v,) for v in vectors], c, True)
-    _, pivots = linalg.rref(_rows(columns, 1), len(columns))
-    return len(pivots) // c.dim
+    """Rank of the vectors as elements of a left vector space over c."""
+    return len(basis_indices([(v,) for v in vectors], c))
 
 
 def find_conjugator(a: Quat, b: Quat) -> Quat | None:

@@ -10,9 +10,11 @@ vanishes, equivalently when x - a divides p on the right.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from . import ratfactor
@@ -24,11 +26,10 @@ from .scalars import (
     ONE,
     Quat,
     ZERO,
+    basis_indices,
     centralizer_of_set,
-    left_linear_solve,
+    first_dependence,
     rational_nullspace,
-    right_linear_solve,
-    solve_combination,
 )
 
 
@@ -278,32 +279,18 @@ def lclm(p: UPoly, q: UPoly) -> UPoly:
     """Least common left multiple: the monic generator of the intersection
     of the left ideals of p and q.
 
-    Found by solving the coefficient system u*p = v*q of minimal degree
-    exactly over rational coordinates rather than by an extended Euclidean
-    scheme; degrees here are small and this avoids one-sided bookkeeping.
+    u*p lies in the left ideal of q exactly when sum_k u_k * r_k = 0, where
+    r_k is the right remainder of x^k * p by q.  The remainders live in a
+    left space of dimension deg q, so the first left dependence among
+    r_0, r_1, ... comes by k = deg q and gives the u of least degree.
     """
     if p.is_zero() or q.is_zero():
         raise InvalidInput("lclm requires nonzero polynomials")
-    dp, dq = p.degree, q.degree
-    full = Centralizer.full()
-    for total in range(max(dp, dq), dp + dq + 1):
-        du, dv = total - dp, total - dq
-        # Unknown quaternions u_k, v_k with sum u_k x^k p - sum v_k x^k q = 0,
-        # plus one entry asking the x^total coefficient of u*p to be one.
-        vectors = [
-            [p.coeff(d - k) for d in range(total + 1)] + [p.coeff(total - k)]
-            for k in range(du + 1)
-        ] + [
-            [-q.coeff(d - k) for d in range(total + 1)] + [ZERO]
-            for k in range(dv + 1)
-        ]
-        sol = solve_combination(vectors, [ZERO] * (total + 1) + [ONE], full)
-        if sol is None:
-            continue
-        result = UPoly(sol[: du + 1]) * p
-        if result.degree == total and result.lead == ONE:
-            return result
-    raise InternalError("least common left multiple search failed")  # pragma: no cover
+    rems = (p.shift(k).divmod_right(q)[1] for k in range(q.degree + 1))
+    sol = first_dependence(([r.coeff(d) for d in range(q.degree)] for r in rems), Centralizer.full())
+    if sol is None:
+        raise InternalError("least common left multiple search failed")  # pragma: no cover
+    return (UPoly([-k for k in sol] + [ONE]) * p).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +471,10 @@ def root_space(p: UPoly, a: Quat) -> RootSpaceBasis:
         raise InvalidInput("the base point must be a right root")
     c = centralizer_of_set([a])
     rational_basis = _root_space_rational_basis(p, a)
-    picked: list[Quat] = []
-    for r in rational_basis:
-        if right_linear_solve(picked, r, c) is None:
-            picked.append(r)
-    if len(picked) * c.dim != len(rational_basis):
+    kept = basis_indices([(r,) for r in rational_basis], c, left=False)
+    if len(kept) * c.dim != len(rational_basis):
         raise InternalError("root space is not a right module over the centralizer")
-    return RootSpaceBasis(tuple(picked), c)
+    return RootSpaceBasis(tuple(rational_basis[t] for t in kept), c)
 
 
 def root_space_dim(p: UPoly, a: Quat) -> int:
@@ -507,33 +491,24 @@ def root_space_dim(p: UPoly, a: Quat) -> int:
 # Minimal one-sided polynomials and Wedderburn polynomials
 # ---------------------------------------------------------------------------
 
+def _minimal_poly(b: Quat, c: Centralizer, left: bool) -> UPoly:
+    # b satisfies x^2 - 2*Re(b)*x + Norm(b), so 1, b, b^2 are dependent.
+    powers = accumulate(repeat(b, 3), operator.mul, initial=ONE)
+    sol = first_dependence(((q,) for q in powers), c, left)
+    if sol is None:
+        raise InternalError("minimal polynomial not found below the degree cap")
+    return UPoly([-s for s in sol] + [ONE])
+
+
 def minimal_left_poly(b: Quat, c: Centralizer) -> UPoly:
     """The monic p with coefficients in c of least degree with p(b) = 0
-    under left evaluation; every annihilator in c[x] is a left multiple.
-
-    The degree never exceeds two here: b always satisfies its central
-    characteristic polynomial x^2 - 2*Re(b)*x + Norm(b).
-    """
-    powers = [ONE]
-    for n in range(1, 4):
-        powers.append(powers[-1] * b)
-        sol = left_linear_solve(powers[:n], powers[n], c)
-        if sol is not None:
-            coeffs = [-s for s in sol] + [ONE]
-            return UPoly(coeffs)
-    raise InternalError("minimal left polynomial not found below the degree cap")
+    under left evaluation; every annihilator in c[x] is a left multiple."""
+    return _minimal_poly(b, c, left=True)
 
 
 def minimal_right_poly(b: Quat, c: Centralizer) -> UPoly:
     """Monic p in c[x] of least degree with zero right evaluation at b."""
-    powers = [ONE]
-    for n in range(1, 4):
-        powers.append(powers[-1] * b)
-        sol = right_linear_solve(powers[:n], powers[n], c)
-        if sol is not None:
-            coeffs = [-s for s in sol] + [ONE]
-            return UPoly(coeffs)
-    raise InternalError("minimal right polynomial not found below the degree cap")
+    return _minimal_poly(b, c, left=False)
 
 
 _WEDDERBURN_DEGREE_CAP = 4

@@ -177,6 +177,19 @@ class TestExitCodes:
         code, out, err = run(capsys, "reduce", "--poly", "x1x2", "--point", "i; j")
         assert code == 2
 
+    def test_zero_variables_is_usage(self, capsys):
+        code, out, err = run(capsys, "reduce", "--poly", "x - i", "--point", "i", "--nvars", "0")
+        assert code == 2
+        assert "error" in err
+
+    @pytest.mark.parametrize("bound", [("--maxN", "0"), ("--degbound", "-3")])
+    def test_invalid_certificate_search_bound_is_usage(self, capsys, bound):
+        code, out, err = run(
+            capsys, "rabinowitsch", "--ideal", "x-i", "--p", "x-i", "--a", "1", *bound
+        )
+        assert code == 2
+        assert "error" in err
+
     def test_unknown_subcommand_is_usage(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -230,3 +230,10 @@ class TestCertificates:
             rabinowitsch_check(LeftIdeal((g,)), g, ONE, 0, 1)
         with pytest.raises(InvalidInput):
             rabinowitsch_check(LeftIdeal((g,)), g, ONE, 1, -1)
+
+    def test_invalid_search_bounds(self):
+        g = x(0, 1) - const(I, 1)
+        with pytest.raises(InvalidInput):
+            find_certificate(LeftIdeal((g,)), g, ONE, 0, 1)
+        with pytest.raises(InvalidInput):
+            find_certificate(LeftIdeal((g,)), g, ONE, 3, -1)

@@ -1,10 +1,16 @@
-"""Design guard: quaternion-linear problems reach the rational eliminator
-only through `scalars`, so `linalg` has exactly one importer."""
+"""Design guards: quaternion-linear problems reach the rational eliminator
+only through `scalars`, so `linalg` has exactly one importer, and the
+systems handed to it stay as small and as few as the algorithms need."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import quatca
+from quatca import linalg
+from quatca.scalars import I, J, K, Quat
+from quatca.upoly import UPoly, lclm, root_space
 
 SOURCE = Path(quatca.__file__).parent
 
@@ -29,3 +35,35 @@ def test_only_scalars_imports_linalg():
         if _imports_linalg(ast.parse(path.read_text()))
     )
     assert importers == ["scalars.py"]
+
+
+@pytest.fixture
+def rref_systems(monkeypatch):
+    """Every (rows, ncols) handed to `linalg.rref` while the test runs."""
+    seen = []
+    original = linalg.rref
+
+    def capture(rows, ncols):
+        seen.append((rows, ncols))
+        return original(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref", capture)
+    return seen
+
+
+def test_lclm_systems_are_no_taller_than_the_remainders(rref_systems):
+    # Remainders modulo q have deg q quaternion coefficients: 4 * deg q rows.
+    p = UPoly([Quat(1, 2), J, Quat(0, 1, 1, 2)])
+    q = UPoly([K, Quat(3, 0, 1), Quat(1, -1)])
+    m = lclm(p, q)
+    assert m.degree == 4
+    assert rref_systems
+    assert max(len(rows) for rows, _ in rref_systems) <= 4 * q.degree
+
+
+def test_root_space_basis_takes_one_elimination(rref_systems):
+    # One elimination for the rational root space, one to pick its basis
+    # over the centralizer.
+    space = root_space(UPoly.from_central([1, 0, 1]), I)
+    assert space.dim == 2
+    assert len(rref_systems) == 2

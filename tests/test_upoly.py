@@ -160,6 +160,22 @@ class TestGcrdLclm:
         with pytest.raises(InvalidInput):
             lclm(UPoly(), X2P1)
 
+    def test_lclm_when_q_right_divides_p(self):
+        p = UPoly([Quat(1, 2), J]) * X2P1
+        assert lclm(p, X2P1) == p.monic()
+        assert lclm(p, UPoly.linear(I)) == p.monic()
+
+    def test_lclm_with_a_constant(self):
+        p = UPoly([I, Quat(2, 0, 1), K])
+        assert lclm(p, UPoly.constant(Quat(3, 1))) == p.monic()
+        assert lclm(UPoly.constant(J), p) == p.monic()
+
+    def test_lclm_of_a_polynomial_with_itself(self):
+        rng = Random(21)
+        for _ in range(10):
+            p = rand_upoly(rng, 3, 3)
+            assert lclm(p, p) == p.monic()
+
 
 class TestCompanion:
     def test_linear(self):
