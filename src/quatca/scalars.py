@@ -3,7 +3,7 @@
 This is the one module that turns quaternion-linear problems into rational
 matrices for `linalg`; every other module goes through `rational_solve`,
 `rational_nullspace`, `solve_combination`, `first_dependence` or
-`basis_indices`.
+`left_rank`.
 
 Every value is immutable and every operation is a pure function, so values
 may be shared freely between threads.  Rationals are `fractions.Fraction`
@@ -411,22 +411,12 @@ def first_dependence(
     return None
 
 
-def basis_indices(
-    vectors: Sequence[Sequence[Quat]], c: Centralizer, left: bool = True
-) -> list[int]:
-    """Indices of the vectors that are not c-combinations of the vectors
-    before them (a basis of their span over c), from one elimination: v_t
-    is kept when its column 1*v_t is a pivot among the c-multiples."""
-    if not vectors:
-        return []
-    columns = _expand(vectors, c, left)
-    _, pivots = linalg.rref(_rows(columns, len(vectors[0])), len(columns))
-    return [col // c.dim for col in pivots if col % c.dim == 0]
-
-
 def left_rank(vectors: Sequence[Quat], c: Centralizer) -> int:
-    """Rank of the vectors as elements of a left vector space over c."""
-    return len(basis_indices([(v,) for v in vectors], c))
+    """Rank of the vectors as elements of a left vector space over c: the
+    rational rank of their c-multiples over dim c, from one elimination."""
+    columns = _expand([(v,) for v in vectors], c, True)
+    _, pivots = linalg.rref(_rows(columns, 1), len(columns))
+    return len(pivots) // c.dim
 
 
 def find_conjugator(a: Quat, b: Quat) -> Quat | None:

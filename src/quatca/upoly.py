@@ -10,11 +10,9 @@ vanishes, equivalently when x - a divides p on the right.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, repeat
 from typing import Iterable, Sequence
 
 from . import ratfactor
@@ -26,10 +24,8 @@ from .scalars import (
     ONE,
     Quat,
     ZERO,
-    basis_indices,
     centralizer_of_set,
     first_dependence,
-    rational_nullspace,
 )
 
 
@@ -329,6 +325,25 @@ def companion(p: UPoly) -> UPoly:
     return p * p.conj_poly()
 
 
+def _class_roots(p: UPoly, t: Fraction, n: Fraction) -> RootClass | None:
+    """The right roots of p in the class {a : a^2 - t*a + n = 0}, t^2 < 4n.
+
+    By Gordon-Motzkin a class holds only roots or at most one.  With
+    p = q*f + alpha*x + beta for the central f = x^2 - t*x + n, every member
+    a has p(a) = alpha*a + beta: zero remainder makes the whole class roots,
+    and otherwise only -alpha^-1*beta can be one, if it lies on the class.
+    """
+    _, rem = p.divmod_right(UPoly.from_central([n, -t, 1]))
+    if not rem:
+        return Sphere(t, n)
+    alpha, beta = rem.coeff(1), rem.coeff(0)
+    if alpha:
+        cand = -(alpha.inverse() * beta)
+        if not (cand * cand - cand * t + Quat.scalar(n)):
+            return Isolated(cand)
+    return None
+
+
 def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     """All conjugacy classes of right roots discoverable over the rationals.
 
@@ -351,21 +366,13 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
         if not p.eval_left(cand):
             classes.append(Isolated(cand))
     for t, n, _mult in fac.quadratics:
-        disc = t * t - 4 * n
-        if disc > 0:
+        if t * t - 4 * n > 0:
             # Real irrational roots: representable only over a larger field.
             incomplete = True
             continue
-        quad = UPoly.from_central([n, -t, Fraction(1)])
-        _, rem = p.divmod_right(quad)
-        alpha, beta = rem.coeff(1), rem.coeff(0)
-        if not alpha and not beta:
-            classes.append(Sphere(t, n))
-        elif alpha:
-            cand = -(alpha.inverse() * beta)
-            on_sphere = not (cand * cand - cand * t + Quat.scalar(n))
-            if on_sphere and not p.eval_left(cand):
-                classes.append(Isolated(cand))
+        cls = _class_roots(p, t, n)
+        if cls is not None:
+            classes.append(cls)
     status = RootSearchStatus.POSSIBLY_INCOMPLETE if incomplete else RootSearchStatus.COMPLETE
     return classes, status
 
@@ -449,66 +456,60 @@ class RootSpaceBasis:
         return len(self.basis)
 
 
-def _root_space_rational_basis(p: UPoly, a: Quat) -> list[Quat]:
-    """Rational basis of {r : sum_k c_k r a^k = 0}; equals the conjugation
-    root space of (p, a) plus zero, for any a whatever."""
-    powers = [a**k for k in range(len(p.coeffs))]
-    columns = []
-    for e in BASIS:
-        img = ZERO
-        for c, apow in zip(p.coeffs, powers):
-            img = img + c * e * apow
-        columns.append((img,))
-    return [Quat.from_coords(v) for v in rational_nullspace(columns)]
-
-
 def root_space(p: UPoly, a: Quat) -> RootSpaceBasis:
     """Basis over the centralizer of a of the conjugators r sending a to a
-    root of p; requires a itself to be a right root."""
+    root of p; requires a itself to be a right root.
+
+    A central a is its own class: the whole ring, basis {1}.  Otherwise, by
+    Gordon-Motzkin, the class of a holds only roots (the whole ring, basis
+    {1, the first of i, j, k outside C(a)}) or no root but a (C(a), {1}).
+    """
     if p.is_zero():
         raise InvalidInput("root space of the zero polynomial")
     if p.eval_left(a):
         raise InvalidInput("the base point must be a right root")
     c = centralizer_of_set([a])
-    rational_basis = _root_space_rational_basis(p, a)
-    kept = basis_indices([(r,) for r in rational_basis], c, left=False)
-    if len(kept) * c.dim != len(rational_basis):
-        raise InternalError("root space is not a right module over the centralizer")
-    return RootSpaceBasis(tuple(rational_basis[t] for t in kept), c)
+    if a.is_central() or isinstance(_class_roots(p, 2 * a.w, a.norm()), Isolated):
+        return RootSpaceBasis((ONE,), c)
+    return RootSpaceBasis((ONE, next(e for e in BASIS[1:] if not c.contains(e))), c)
 
 
 def root_space_dim(p: UPoly, a: Quat) -> int:
     """Dimension of the conjugation root space of (p, a) over the
-    centralizer of a; zero when no conjugate of a is a root."""
-    c = centralizer_of_set([a])
-    rational_dim = len(_root_space_rational_basis(p, a))
-    if rational_dim % c.dim:
-        raise InternalError("root space dimension incompatible with the centralizer")
-    return rational_dim // c.dim
+    centralizer of a; zero when no conjugate of a is a root.
+
+    A central a gives 1 or 0.  Otherwise, by Gordon-Motzkin, the class of a
+    holds only roots (2), exactly one root (1) or none (0).
+    """
+    if a.is_central():
+        return 0 if p.eval_left(a) else 1
+    cls = _class_roots(p, 2 * a.w, a.norm())
+    return 2 if isinstance(cls, Sphere) else 1 if cls else 0
 
 
 # ---------------------------------------------------------------------------
 # Minimal one-sided polynomials and Wedderburn polynomials
 # ---------------------------------------------------------------------------
 
-def _minimal_poly(b: Quat, c: Centralizer, left: bool) -> UPoly:
-    # b satisfies x^2 - 2*Re(b)*x + Norm(b), so 1, b, b^2 are dependent.
-    powers = accumulate(repeat(b, 3), operator.mul, initial=ONE)
-    sol = first_dependence(((q,) for q in powers), c, left)
-    if sol is None:
-        raise InternalError("minimal polynomial not found below the degree cap")
-    return UPoly([-s for s in sol] + [ONE])
-
-
 def minimal_left_poly(b: Quat, c: Centralizer) -> UPoly:
     """The monic p with coefficients in c of least degree with p(b) = 0
-    under left evaluation; every annihilator in c[x] is a left multiple."""
-    return _minimal_poly(b, c, left=True)
+    under left evaluation; every annihilator in c[x] is a left multiple.
+
+    That is x - b when b is in c, and otherwise the class quadratic
+    x^2 - 2Re(b)x + N(b): being central it vanishes on the whole class of b
+    (Gordon-Motzkin), no linear polynomial in c[x] does, and two monic
+    quadratics in c[x] vanishing at b would differ by a linear one.
+    """
+    if c.contains(b):
+        return UPoly.linear(b)
+    return UPoly.from_central([b.norm(), -2 * b.w, 1])
 
 
 def minimal_right_poly(b: Quat, c: Centralizer) -> UPoly:
-    """Monic p in c[x] of least degree with zero right evaluation at b."""
-    return _minimal_poly(b, c, left=False)
+    """Monic p in c[x] of least degree with zero right evaluation at b: the
+    same as `minimal_left_poly`, since x - b and the central class quadratic
+    vanish at b on both sides."""
+    return minimal_left_poly(b, c)
 
 
 _WEDDERBURN_DEGREE_CAP = 4

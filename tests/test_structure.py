@@ -9,8 +9,15 @@ import pytest
 
 import quatca
 from quatca import linalg
-from quatca.scalars import I, J, K, Quat
-from quatca.upoly import UPoly, lclm, root_space
+from quatca.scalars import Centralizer, I, J, K, Quat
+from quatca.upoly import (
+    UPoly,
+    lclm,
+    minimal_left_poly,
+    minimal_right_poly,
+    root_space,
+    root_space_dim,
+)
 
 SOURCE = Path(quatca.__file__).parent
 
@@ -61,9 +68,13 @@ def test_lclm_systems_are_no_taller_than_the_remainders(rref_systems):
     assert max(len(rows) for rows, _ in rref_systems) <= 4 * q.degree
 
 
-def test_root_space_basis_takes_one_elimination(rref_systems):
-    # One elimination for the rational root space, one to pick its basis
-    # over the centralizer.
-    space = root_space(UPoly.from_central([1, 0, 1]), I)
-    assert space.dim == 2
-    assert len(rref_systems) == 2
+def test_closed_forms_hand_no_system_to_rref(rref_systems):
+    # Root spaces and minimal polynomials come from the class quadratic of
+    # the point (Gordon-Motzkin), not from a rational system.
+    sphere = root_space(UPoly.from_central([1, 0, 1]), I)
+    isolated = root_space(UPoly.linear(I) * UPoly.linear(I), I)
+    assert (sphere.dim, isolated.dim) == (2, 1)
+    assert root_space_dim(UPoly.from_central([1, 0, 1]), Quat(1, 1)) == 0
+    assert minimal_left_poly(J, Centralizer.quadratic(I)).degree == 2
+    assert minimal_right_poly(J, Centralizer.quadratic(I)).degree == 2
+    assert rref_systems == []

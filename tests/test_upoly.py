@@ -37,6 +37,7 @@ from quatca.upoly import (
     sphere_member_in,
     wedderburn_lclm,
 )
+from test_acceptance import _class_dimension_by_raw_system
 
 X2P1 = UPoly([ONE, ZERO, ONE])  # x^2 + 1
 
@@ -297,6 +298,40 @@ class TestRootSpace:
         with pytest.raises(InvalidInput):
             root_space(X2P1, J + ONE)
 
+    def test_sphere_pick_is_the_first_unit_outside_the_centralizer(self):
+        basis = root_space(X2P1, J)
+        assert basis.over == Centralizer.quadratic(J)
+        assert basis.basis == (ONE, I)
+
+    def test_central_root(self):
+        p = UPoly.linear(Quat(2)) * X2P1
+        basis = root_space(p, Quat(2))
+        assert basis.over == Centralizer.full()
+        assert basis.basis == (ONE,)
+
+    def test_dimension_matches_raw_system_oracle(self):
+        rng = Random(43)
+        seen = set()
+        for trial in range(150):
+            a = rand_quat(rng, 4)
+            class_quadratic = UPoly.from_central([a.norm(), -2 * a.scalar_part(), 1])
+            kind = trial % 5
+            if kind == 0:  # a is a root
+                p = rand_upoly(rng, 2) * UPoly.linear(a)
+            elif kind == 1:  # the whole class of a is roots
+                p = rand_upoly(rng, 2) * class_quadratic
+            elif kind == 2:  # a central point, a root or not
+                a = Quat(rng.randint(-2, 2))
+                p = rand_upoly(rng, 2) * UPoly.linear(Quat(rng.randint(-2, 2)))
+            elif kind == 3:  # remainder by the class quadratic: alpha = 0, beta != 0
+                p = rand_upoly(rng, 2) * class_quadratic + UPoly.constant(rand_nonzero_quat(rng, 3))
+            else:  # the remainder's candidate is off the class
+                p = rand_upoly(rng, 3)
+            dim = root_space_dim(p, a)
+            assert dim == _class_dimension_by_raw_system(p, a)
+            seen.add((kind, dim))
+        assert {(0, 1), (1, 2), (2, 0), (2, 1), (3, 0), (4, 0)} <= seen
+
     def test_every_basis_conjugate_is_a_root(self):
         rng = Random(19)
         for _ in range(50):
@@ -343,27 +378,40 @@ class TestMinimalPolynomials:
         assert minimal_right_poly(I, Centralizer.quadratic(J)) == X2P1
 
     def test_annihilators_are_left_multiples(self):
+        # Left side: left evaluation and right division; right side: right
+        # evaluation and left division.  Four centralizer kinds each.
+        sides = (
+            (minimal_left_poly, UPoly.eval_left, UPoly.divmod_right),
+            (minimal_right_poly, UPoly.eval_right, UPoly.divmod_left),
+        )
         rng = Random(29)
-        for _ in range(100):
+        for _ in range(50):
             b = rand_quat(rng, 4)
-            u = rand_pure_quat(rng, 4)
-            c = Centralizer.quadratic(u)
-            p = minimal_left_poly(b, c)
-            assert p.eval_left(b) == ZERO
-            assert all(c.contains(co) for co in p.coeffs)
-            # any q in c[x]: q(b) = remainder(q, p)(b); minimality forces
-            # annihilators to reduce to zero
-            coeffs = [
-                sum((e * Quat.scalar(rng.randint(-3, 3)) for e in c.basis()), ZERO)
-                for _ in range(4)
-            ]
-            q = UPoly(coeffs)
-            if q.is_zero():
-                continue
-            _, r = q.divmod_right(p)
-            assert q.eval_left(b) == r.eval_left(b)
-            if q.eval_left(b) == ZERO:
-                assert r.is_zero()
+            kinds = (
+                Centralizer.full(),
+                Centralizer.center(),
+                Centralizer.quadratic(rand_pure_quat(rng, 4)),
+                Centralizer.quadratic(b.pure_part() or I),
+            )
+            for c in kinds:
+                for minimal, evaluate, divide in sides:
+                    p = minimal(b, c)
+                    assert evaluate(p, b) == ZERO
+                    assert all(c.contains(co) for co in p.coeffs)
+                    assert p.degree == (1 if c.contains(b) else 2)
+                    # any q in c[x]: q(b) = remainder(q, p)(b); minimality
+                    # forces annihilators to reduce to zero
+                    coeffs = [
+                        sum((e * Quat.scalar(rng.randint(-3, 3)) for e in c.basis()), ZERO)
+                        for _ in range(4)
+                    ]
+                    q = UPoly(coeffs)
+                    if q.is_zero():
+                        continue
+                    _, r = divide(q, p)
+                    assert evaluate(q, b) == evaluate(r, b)
+                    if evaluate(q, b) == ZERO:
+                        assert r.is_zero()
 
     def test_reducible_minimal_polynomial_forces_conjugate_inside(self):
         rng = Random(31)
