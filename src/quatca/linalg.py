@@ -1,12 +1,19 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact Gauss-Jordan elimination over the rationals, done in integers.
 
-Matrices are lists of rows of `Fraction`; all arithmetic is exact, so a
-pivot is any nonzero entry and no tolerance appears anywhere.
+Matrices come in and go out as lists of rows of `Fraction`.  Inside
+`rref`, each row is scaled by the lcm of its denominators and kept as a
+sparse `{column: int}` dict; rows are combined by cross-multiplication
+and divided by the gcd of their entries, and each pivot row is divided by
+its pivot only at the end.  This is fraction-free elimination (Bareiss
+1968; Nakos, Turner & Williams 1997) with a division by each row's gcd in
+place of Bareiss's division by the previous pivot.  All arithmetic is
+exact, so a pivot is any nonzero entry and no tolerance appears anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Row = list[Fraction]
 
@@ -14,32 +21,70 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _integer_row(row: Row) -> dict[int, int]:
+    """The nonzero entries of a rational row scaled to coprime integers."""
+    nonzero = [(j, v.numerator, v.denominator) for j, v in enumerate(row) if v]
+    scale = lcm(*(d for _, _, d in nonzero))
+    return _primitive({j: n * (scale // d) for j, n, d in nonzero})
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: v // g for j, v in row.items()}
+    return row
+
+
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
+    """p*row - f*pivot_row (p, f the two entries in column c, over their
+    gcd), which is zero in column c, divided by the gcd of its entries."""
+    p, f = pivot_row[c], row[c]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    out = {j: p * v for j, v in row.items()}
+    for j, v in pivot_row.items():
+        value = out.get(j, 0) - f * v
+        if value:
+            out[j] = value
+        else:
+            del out[j]
+    return _primitive(out)
+
+
 def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form restricted to the first `ncols` columns.
 
     Rows may be wider than `ncols` (augmented systems); the extra columns
-    follow the row operations.  Returns the reduced rows and the pivot
-    column indices.
+    follow the row operations.  Returns the reduced rows, pivot rows first
+    in pivot order, and the pivot column indices.  The pivot columns and
+    the reduced first `ncols` columns are unique, and so are the extra
+    columns when every row past the pivots is zero in them (a consistent
+    augmented system).
     """
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
+    width = len(rows[0]) if rows else 0
+    pending = [_integer_row(row) for row in rows]
+    reduced: list[tuple[int, dict[int, int]]] = []
     for c in range(ncols):
-        pivot_row = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
-        if pivot_row is None:
+        candidates = [k for k, row in enumerate(pending) if c in row]
+        if not candidates:
             continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = _ONE / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][c] != 0:
-                factor = mat[k][c]
-                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
+        # Any row nonzero in column c may pivot; the sparsest keeps fill low.
+        pivot_row = pending.pop(min(candidates, key=lambda k: len(pending[k])))
+        pending = [_eliminate(row, pivot_row, c) if c in row else row for row in pending]
+        reduced = [
+            (pc, _eliminate(row, pivot_row, c) if c in row else row) for pc, row in reduced
+        ]
+        reduced.append((c, pivot_row))
+        if not pending:
             break
-    return mat, pivots
+    out = []
+    for c, row in reduced:
+        p = row[c]
+        out.append([Fraction(row[j], p) if j in row else _ZERO for j in range(width)])
+    for row in pending:
+        out.append([Fraction(row[j]) if j in row else _ZERO for j in range(width)])
+    return out, [c for c, _ in reduced]
 
 
 def solve(rows: list[Row], target: list[Fraction], ncols: int | None = None) -> list[Fraction] | None:
@@ -76,4 +121,3 @@ def nullspace(rows: list[Row], ncols: int) -> list[list[Fraction]]:
             vec[c] = -red[i][free]
         basis.append(vec)
     return basis
-

@@ -339,19 +339,34 @@ def rational_nullspace(columns: Sequence[Sequence[Quat]]) -> list[list[Fraction]
     return linalg.nullspace(_rows(columns, len(columns[0])), len(columns))
 
 
+def _unit_multiples(q: Quat, c: Centralizer, left: bool) -> tuple[Quat, ...]:
+    # e*q (q*e when not `left`) for each basis unit e of c.  For e in
+    # 1, i, j, k these are signed permutations of q's coordinates; only a
+    # quadratic generator u takes a product.
+    if c.kind == QUADRATIC:
+        return (q, c.u * q if left else q * c.u)
+    if c.kind == CENTER:
+        return (q,)
+    w, x, y, z = q.w, q.x, q.y, q.z
+    if left:
+        return (q, Quat(-x, w, -z, y), Quat(-y, z, w, -x), Quat(-z, -y, x, w))
+    return (q, Quat(-x, w, z, -y), Quat(-y, -z, w, x), Quat(-z, y, -x, w))
+
+
 def _expand(
     vectors: Sequence[Sequence[Quat]], c: Centralizer, left: bool
 ) -> list[list[Quat]]:
     # One column per (vector, basis unit e of c): e*v, or v*e on the right.
     # These are the columns of L(v) or R(v) restricted to the basis of c.
-    # Entries left as the shared ZERO, most of a certificate system, skip
-    # the product; an identity test costs nothing on dense scalar solves.
-    basis = c.basis()
-    return [
-        [ZERO if q is ZERO else (e * q if left else q * e) for q in vec]
-        for vec in vectors
-        for e in basis
-    ]
+    # Entries left as the shared ZERO, most of a certificate system, stay
+    # ZERO; an identity test costs nothing on dense scalar solves.
+    d = c.dim
+    zeros = (ZERO,) * d
+    columns = []
+    for vec in vectors:
+        multiples = [zeros if q is ZERO else _unit_multiples(q, c, left) for q in vec]
+        columns.extend([m[e] for m in multiples] for e in range(d))
+    return columns
 
 
 def solve_combination(

@@ -149,6 +149,20 @@ class TestPointIdeal:
             LeftIdeal(())
 
 
+def _reconstructs(ideal, p, a, cert):
+    """Whether the cofactors rebuild (ap)^N = sum_k sum_j h[k][j] g_j (ap)^k."""
+    nvars = ideal.nvars
+    ap = p.scale_left(a)
+    powers = [const(ONE, nvars)]
+    for _ in range(cert.N):
+        powers.append(powers[-1] * ap)
+    rebuilt = MPoly(nvars, {})
+    for k, row in enumerate(cert.cofactors):
+        for h, g in zip(row, ideal.gens):
+            rebuilt = rebuilt + h * g * powers[k]
+    return rebuilt == powers[cert.N]
+
+
 class TestMonomials:
     def test_graded_lexicographic_order(self):
         monos = monomials_upto(2, 2)
@@ -195,15 +209,30 @@ class TestCertificates:
             a = rand_nonzero_quat(rng, 2)
             out = rabinowitsch_check(ideal, p, a, rng.randint(1, 2), 1)
             assert isinstance(out, RabinowitschCertificate)
-            ap = p.scale_left(a)
-            powers = [const(ONE, nvars)]
-            for _ in range(out.N):
-                powers.append(powers[-1] * ap)
-            rebuilt = MPoly(nvars, {})
-            for k, row in enumerate(out.cofactors):
-                for h, g in zip(row, ideal.gens):
-                    rebuilt = rebuilt + h * g * powers[k]
-            assert rebuilt == powers[out.N]
+            assert _reconstructs(ideal, p, a, out)
+
+    def test_two_variables_third_power_degree_four_found(self):
+        # p = q1 (x1 - a1) + q2 (x2 - a2) lies in the ideal of the point, so
+        # (ap)^3 = sum_i (a q_i)(x_i - a_i)(ap)^2 is a certificate; the
+        # search runs over the full 2-var N=3 degbound=4 system.
+        pt = CommutingPoint([Quat(1, 2), Quat(-1, 1)])
+        ideal = point_ideal(pt)
+        p = const(Quat(1, 0, 1), 2) * ideal.gens[0] + const(Quat(0, 2, -1, 1), 2) * ideal.gens[1]
+        a = Quat(1, 1, 0, 2)
+        out = rabinowitsch_check(ideal, p, a, 3, 4)
+        assert isinstance(out, RabinowitschCertificate)
+        assert out.N == 3
+        assert _reconstructs(ideal, p, a, out)
+
+    def test_two_variables_third_power_degree_four_not_found(self):
+        # Point, p and a all lie in Q(i) and p(point) = 6i != 0; evaluating
+        # any certificate at the point would give (a p(point))^3 = 0.
+        pt = CommutingPoint([Quat(1, 1), Quat(0, 2)])
+        ideal = point_ideal(pt)
+        p = const(Quat(1, 1), 2) + const(I, 2) * x(0, 2) + const(Quat(2), 2) * x(1, 2)
+        assert eval_at_point(p, pt) == Quat(0, 6)
+        out = rabinowitsch_check(ideal, p, Quat(2, 1), 3, 4)
+        assert out == NotFoundWithinBounds(3, 4)
 
     def test_find_certificate_two_variables(self):
         gens = (

@@ -16,6 +16,7 @@ from quatca.scalars import (
     ONE,
     Quat,
     ZERO,
+    _expand,
     centralizer_of_set,
     commutator,
     find_conjugator,
@@ -168,6 +169,88 @@ class TestLinearSolveRat:
         assert v[0] + v[1] == 0 and any(v)
 
 
+def _rand_matrix(rng, nrows, ncols, rank=None):
+    """Sparse-ish random rational matrix; with `rank`, a product of an
+    nrows x rank and a rank x ncols matrix, so its rank is at most that."""
+    def entry():
+        if rng.random() < 0.4:
+            return F(0)
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    if rank is None:
+        return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rank == 0:
+        return [[F(0)] * ncols for _ in range(nrows)]
+    left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    return [[sum((l * r for l, r in zip(row, col)), F(0)) for col in zip(*right)] for row in left]
+
+
+def _oracle_cases():
+    """(rows, ncols) for tall, wide, square, rank-deficient, repeated-row
+    and zero-row shapes, plain and augmented by one column."""
+    rng = Random(2024)
+    cases = [([], 0), ([], 3), ([[F(0)] * 3] * 2, 3)]
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.choice((None, None, rng.randint(0, min(nrows, ncols))))
+        rows = _rand_matrix(rng, nrows, ncols, rank)
+        if rows and rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), list(rows[rng.randrange(len(rows))]))
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), [F(0)] * ncols)
+        cases.append((rows, ncols))
+        if rng.random() < 0.5:
+            x0 = [F(rng.randint(-3, 3)) for _ in range(ncols)]
+            target = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in rows]
+        else:
+            target = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in rows]
+        cases.append(([row + [t] for row, t in zip(rows, target)], ncols))
+    return cases
+
+
+class TestRrefOracle:
+    """`linalg.rref`, `solve` and `nullspace` against sympy's `Matrix.rref`."""
+
+    @pytest.mark.parametrize("rows, ncols", _oracle_cases())
+    def test_against_sympy(self, rows, ncols):
+        import sympy
+
+        red, pivots = linalg.rref(rows, ncols)
+        assert len(red) == len(rows)
+        width = len(rows[0]) if rows else ncols
+        a_part = sympy.Matrix(len(rows), ncols, [v for row in rows for v in row[:ncols]])
+        expected, expected_pivots = a_part.rref()
+        assert pivots == list(expected_pivots)
+        assert [row[:ncols] for row in red] == expected.tolist()
+        if width == ncols:
+            basis = linalg.nullspace(rows, ncols)
+            assert len(basis) == ncols - len(pivots)
+            assert sympy.Matrix(basis).rank() == len(basis)
+            for vec in basis:
+                assert all(sum((a * x for a, x in zip(row, vec)), F(0)) == 0 for row in rows)
+            return
+        matrix, target = [row[:ncols] for row in rows], [row[ncols] for row in rows]
+        full, full_pivots = sympy.Matrix(rows).rref()
+        consistent = ncols not in full_pivots
+        sol = linalg.solve(matrix, target, ncols)
+        assert (sol is not None) == consistent
+        if consistent:
+            assert [row[ncols] for row in red] == full.col(ncols).T.tolist()[0]
+            assert all(sol[c] == 0 for c in range(ncols) if c not in pivots)
+            for row, t in zip(matrix, target):
+                assert sum((a * x for a, x in zip(row, sol)), F(0)) == t
+
+    def test_row_reducing_to_zero_with_a_nonzero_augmented_entry(self):
+        # x + 2y = 3 and 2x + 4y = 7: the second row's A-part vanishes, 7 - 6 does not.
+        rows = [[F(1), F(2), F(3)], [F(2), F(4), F(7)]]
+        red, pivots = linalg.rref(rows, 2)
+        assert pivots == [0]
+        assert red[0][:2] == [1, 2] and red[1][:2] == [0, 0]
+        assert red[1][2] != 0
+        assert linalg.solve([row[:2] for row in rows], [F(3), F(7)]) is None
+
+
 class TestSolveOverCentralizer:
     def test_j_not_reachable_over_gaussian(self):
         assert left_linear_solve([ONE], J, Centralizer.quadratic(I)) is None
@@ -205,6 +288,37 @@ class TestSolveOverCentralizer:
             else:
                 assert sum((k * v for k, v in zip(sol, vectors)), ZERO) == target
                 assert all(c.contains(k) for k in sol)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        Centralizer.full(),
+        Centralizer.quadratic(Quat(0, 1, -2, 3)),
+        Centralizer.quadratic(I),
+        Centralizer.center(),
+    ],
+)
+@pytest.mark.parametrize("left", [True, False])
+def test_expansion_matches_unit_products(c, left):
+    # The signed-permutation columns equal e*q (q*e on the right) for each
+    # basis unit e of c, and shared ZERO entries stay the shared ZERO.
+    rng = Random(17)
+    vectors = []
+    for _ in range(20):
+        vec = [
+            Quat(*(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)))
+            for _ in range(3)
+        ]
+        vec.insert(rng.randrange(4), ZERO)
+        vectors.append(vec)
+    columns = _expand(vectors, c, left)
+    expected = [
+        [e * q if left else q * e for q in vec] for vec in vectors for e in c.basis()
+    ]
+    assert columns == expected
+    for column, vec in zip(columns, (vec for vec in vectors for _ in c.basis())):
+        assert [q is ZERO for q in column] == [q is ZERO for q in vec]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,10 @@ only through `scalars`, so `linalg` has exactly one importer, and the
 systems handed to it stay as small and as few as the algorithms need."""
 
 import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -78,3 +82,41 @@ def test_closed_forms_hand_no_system_to_rref(rref_systems):
     assert minimal_left_poly(J, Centralizer.quadratic(I)).degree == 2
     assert minimal_right_poly(J, Centralizer.quadratic(I)).degree == 2
     assert rref_systems == []
+
+
+def test_solve_and_nullspace_each_hand_one_system_to_rref(rref_systems):
+    # perfbench times `linalg.rref` by patching the module attribute, so
+    # `solve` and `nullspace` must reach it through that name, once each.
+    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    assert linalg.solve(rows, [Fraction(3), Fraction(6)]) is not None
+    assert len(rref_systems) == 1
+    assert rref_systems[0][1] == 2 and len(rref_systems[0][0]) == 2
+    assert len(linalg.nullspace(rows, 2)) == 1
+    assert len(rref_systems) == 2
+    assert rref_systems[1] == (rows, 2)
+
+
+def test_elimination_imports_no_sympy():
+    # Importing sympy costs tens of MB and a third of a second; the
+    # certificate and linear-algebra paths must not pull it in.
+    code = """
+import sys
+from fractions import Fraction
+from quatca import linalg
+from quatca.mpoly import CommutingPoint, point_ideal, rabinowitsch_check
+from quatca.scalars import Centralizer, I, J, K, Quat, find_conjugator, left_rank
+
+point = CommutingPoint([I, Quat(1, 1)])
+g = point_ideal(point).gens[0]
+rabinowitsch_check(point_ideal(point), g, K, 2, 1)
+left_rank([J, K], Centralizer.quadratic(I))
+find_conjugator(I, J)
+linalg.solve([[Fraction(1), Fraction(2)]], [Fraction(3)])
+print(sorted(name for name in sys.modules if name.split(".")[0] == "sympy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
