@@ -1,13 +1,14 @@
 """Exact Gauss-Jordan elimination over the rationals, done in integers.
 
-Matrices come in and go out as lists of rows of `Fraction`.  Inside
-`rref`, each row is scaled by the lcm of its denominators and kept as a
-sparse `{column: int}` dict; rows are combined by cross-multiplication
-and divided by the gcd of their entries, and each pivot row is divided by
-its pivot only at the end.  This is fraction-free elimination (Bareiss
-1968; Nakos, Turner & Williams 1997) with a division by each row's gcd in
-place of Bareiss's division by the previous pivot.  All arithmetic is
-exact, so a pivot is any nonzero entry and no tolerance appears anywhere.
+Matrices come in as lists of rows of `int` or `Fraction` entries, mixed
+freely, and go out as rows of `Fraction`.  Inside `rref`, each row is
+scaled by the lcm of its denominators and kept as a sparse `{column: int}`
+dict; rows are combined by cross-multiplication and divided by the gcd of
+their entries, and each pivot row is divided by its pivot only at the
+end.  This is fraction-free elimination (Bareiss 1968; Nakos, Turner &
+Williams 1997) with a division by each row's gcd in place of Bareiss's
+division by the previous pivot.  All arithmetic is exact, so a pivot is
+any nonzero entry and no tolerance appears anywhere.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Row = list[Fraction]
+# A matrix row; input entries may be `int` or `Fraction`.
+Row = list[int | Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -55,6 +57,7 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[i
 def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form restricted to the first `ncols` columns.
 
+    Entries may be `int` or `Fraction`; the reduced rows hold `Fraction`.
     Rows may be wider than `ncols` (augmented systems); the extra columns
     follow the row operations.  Returns the reduced rows, pivot rows first
     in pivot order, and the pivot column indices.  The pivot columns and

@@ -6,22 +6,23 @@ matrices for `linalg`; every other module goes through `rational_solve`,
 `left_rank`.
 
 Every value is immutable and every operation is a pure function, so values
-may be shared freely between threads.  Rationals are `fractions.Fraction`
-and are therefore always in lowest terms with a positive denominator.
+may be shared freely between threads.  Rationals at the surface
+(coordinates, norms, solutions) are `fractions.Fraction`, always in lowest
+terms with a positive denominator.  Inside, a `Quat` keeps four integer
+numerators over one denominator, and the rational rows built here for
+`linalg` hold a plain `int` wherever that denominator is 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import InvalidInput
 
 Rat = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _fmt_rat_coeff(r: Fraction, unit: str) -> str:
@@ -36,23 +37,50 @@ class Quat:
     The basis multiplication follows i*j = k, j*k = i, k*i = j and
     i^2 = j^2 = k^2 = -1.  Coordinates are kept in the fixed ordered basis
     (1, i, j, k) everywhere, including serialization.
+
+    A value is stored as four integer numerators `_n` over one common
+    denominator `_d`, in canonical form: `_d > 0` and the gcd of the five
+    integers is 1, so zero is (0, 0, 0, 0)/1 and equal quaternions have
+    equal pairs.  Arithmetic works on the integers and reduces by one
+    five-way gcd at most (the content/primitive-part representation of
+    Knuth, TAOCP vol. 2, 4.5.1).  `.w/.x/.y/.z` and `coords()` give the
+    coordinates as `Fraction`.
     """
 
-    __slots__ = ("w", "x", "y", "z")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, w=0, x=0, y=0, z=0):
-        object.__setattr__(self, "w", w if isinstance(w, Fraction) else Fraction(w))
-        object.__setattr__(self, "x", x if isinstance(x, Fraction) else Fraction(x))
-        object.__setattr__(self, "y", y if isinstance(y, Fraction) else Fraction(y))
-        object.__setattr__(self, "z", z if isinstance(z, Fraction) else Fraction(z))
+        coords = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (w, x, y, z)]
+        # Lowest-terms coordinates over the lcm of their denominators are
+        # already canonical: no prime divides that lcm and every numerator.
+        m = lcm(*(v.denominator for v in coords))
+        object.__setattr__(self, "_n", tuple(v.numerator * (m // v.denominator) for v in coords))
+        object.__setattr__(self, "_d", m)
 
     def __setattr__(self, name, value):
         raise AttributeError("Quat is immutable")
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def w(self) -> Fraction:
+        return Fraction(self._n[0], self._d)
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self._n[1], self._d)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self._n[2], self._d)
+
+    @property
+    def z(self) -> Fraction:
+        return Fraction(self._n[3], self._d)
+
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.w, self.x, self.y, self.z)
+        m = self._d
+        return tuple(Fraction(v, m) for v in self._n)
 
     @classmethod
     def from_coords(cls, coords: Sequence[Fraction]) -> "Quat":
@@ -61,37 +89,36 @@ class Quat:
 
     @classmethod
     def scalar(cls, r) -> "Quat":
-        return cls(r, 0, 0, 0)
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        return _quat((r.numerator, 0, 0, 0), r.denominator)
 
     def scalar_part(self) -> Fraction:
         return self.w
 
     def pure_part(self) -> "Quat":
-        return Quat(0, self.x, self.y, self.z)
+        _, b, c, d = self._n
+        return _reduced(0, b, c, d, self._d)
 
     def is_central(self) -> bool:
-        return self.x == 0 and self.y == 0 and self.z == 0
+        n = self._n
+        return not (n[1] or n[2] or n[3])
 
     def is_pure(self) -> bool:
-        return self.w == 0
+        return not self._n[0]
 
     def __bool__(self) -> bool:
-        return bool(self.w or self.x or self.y or self.z)
+        return self._n != (0, 0, 0, 0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Quat):
-            return (
-                self.w == other.w
-                and self.x == other.x
-                and self.y == other.y
-                and self.z == other.z
-            )
+            return self._n == other._n and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self.is_central() and self.w == other
+            return self._n == (other.numerator, 0, 0, 0) and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.w, self.x, self.y, self.z))
+        return hash((self._n, self._d))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -99,7 +126,11 @@ class Quat:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Quat(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
+        (a, b, c, d), m = self._n, self._d
+        (e, f, g, h), p = other._n, other._d
+        if m == p:
+            return _reduced(a + e, b + f, c + g, d + h, m)
+        return _reduced(a * p + e * m, b * p + f * m, c * p + g * m, d * p + h * m, m * p)
 
     __radd__ = __add__
 
@@ -107,7 +138,11 @@ class Quat:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Quat(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
+        (a, b, c, d), m = self._n, self._d
+        (e, f, g, h), p = other._n, other._d
+        if m == p:
+            return _reduced(a - e, b - f, c - g, d - h, m)
+        return _reduced(a * p - e * m, b * p - f * m, c * p - g * m, d * p - h * m, m * p)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -116,20 +151,22 @@ class Quat:
         return other - self
 
     def __neg__(self):
-        return Quat(-self.w, -self.x, -self.y, -self.z)
+        a, b, c, d = self._n
+        return _quat((-a, -b, -c, -d), self._d)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Quat(self.w * other, self.x * other, self.y * other, self.z * other)
+            (a, b, c, d), r, s = self._n, other.numerator, other.denominator
+            return _reduced(a * r, b * r, c * r, d * r, self._d * s)
         if not isinstance(other, Quat):
             return NotImplemented
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = other.w, other.x, other.y, other.z
-        return Quat(
+        (a, b, c, d), (e, f, g, h) = self._n, other._n
+        return _reduced(
             a * e - b * f - c * g - d * h,
             a * f + b * e + c * h - d * g,
             a * g - b * h + c * e + d * f,
             a * h + b * g - c * f + d * e,
+            self._d * other._d,
         )
 
     def __rmul__(self, other):
@@ -138,17 +175,21 @@ class Quat:
         return NotImplemented
 
     def conjugate(self) -> "Quat":
-        return Quat(self.w, -self.x, -self.y, -self.z)
+        a, b, c, d = self._n
+        return _quat((a, -b, -c, -d), self._d)
 
     def norm(self) -> Fraction:
         """Reduced norm w^2 + x^2 + y^2 + z^2; zero iff the quaternion is zero."""
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        a, b, c, d = self._n
+        return Fraction(a * a + b * b + c * c + d * d, self._d * self._d)
 
     def inverse(self) -> "Quat":
-        n = self.norm()
-        if n == 0:
+        # conj(n/m) / N(n/m) = conj(n) * m / (sum of the squares of n).
+        (a, b, c, d), m = self._n, self._d
+        s = a * a + b * b + c * c + d * d
+        if s == 0:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quat(self.w / n, -self.x / n, -self.y / n, -self.z / n)
+        return _reduced(a * m, -b * m, -c * m, -d * m, s)
 
     def __pow__(self, exp: int) -> "Quat":
         if exp < 0:
@@ -181,6 +222,27 @@ class Quat:
 
     def __repr__(self) -> str:
         return f"Quat({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+
+
+_new_quat = object.__new__
+_set_n = Quat._n.__set__
+_set_d = Quat._d.__set__
+
+
+def _quat(n: tuple[int, int, int, int], m: int) -> Quat:
+    """The Quat with numerators n over m, which must already be canonical."""
+    q = _new_quat(Quat)
+    _set_n(q, n)
+    _set_d(q, m)
+    return q
+
+
+def _reduced(a: int, b: int, c: int, d: int, m: int) -> Quat:
+    """The Quat (a, b, c, d)/m for m > 0, divided by the gcd of all five."""
+    g = gcd(a, b, c, d, m)
+    if g == 1:
+        return _quat((a, b, c, d), m)
+    return _quat((a // g, b // g, c // g, d // g), m // g)
 
 
 def _coerce(value) -> Quat | None:
@@ -278,6 +340,15 @@ class Centralizer:
             return [q.w, s]
         return None
 
+    def element(self, coords: Sequence[Fraction]) -> Quat:
+        """The member of this subring with the given coordinates in its
+        basis; the inverse of `coords`."""
+        if self.kind == FULL:
+            return Quat(*coords)
+        if self.kind == QUADRATIC:
+            return self.u * coords[1] + coords[0]
+        return Quat.scalar(coords[0])
+
     def contains(self, q: Quat) -> bool:
         return self.coords(q) is not None
 
@@ -317,9 +388,18 @@ def centralizer_of_set(elements: Iterable[Quat]) -> Centralizer:
 # Quaternion-linear problems as rational matrices
 # ---------------------------------------------------------------------------
 
-def _rows(columns: Sequence[Sequence[Quat]], height: int) -> list[list[Fraction]]:
+def _rationals(q: Quat) -> tuple:
+    # The coordinates of q for a rational row: ints when q's denominator
+    # is 1, else a Fraction for each nonzero numerator.
+    m = q._d
+    if m == 1:
+        return q._n
+    return tuple(Fraction(v, m) if v else 0 for v in q._n)
+
+
+def _rows(columns: Sequence[Sequence[Quat]], height: int) -> list[list]:
     """Rational rows of the columns: entry t, axis m becomes row 4t+m."""
-    coords = [[q.coords() for q in col] for col in columns]
+    coords = [[_rationals(q) for q in col] for col in columns]
     return [[cs[t][m] for cs in coords] for t in range(height) for m in range(4)]
 
 
@@ -328,7 +408,7 @@ def rational_solve(
 ) -> list[Fraction] | None:
     """Rationals s with sum_c s_c * columns[c] = target entry by entry, or
     None; free unknowns are zero, so the answer is deterministic."""
-    rhs = [value for q in target for value in q.coords()]
+    rhs = [value for q in target for value in _rationals(q)]
     return linalg.solve(_rows(columns, len(target)), rhs, len(columns))
 
 
@@ -341,16 +421,16 @@ def rational_nullspace(columns: Sequence[Sequence[Quat]]) -> list[list[Fraction]
 
 def _unit_multiples(q: Quat, c: Centralizer, left: bool) -> tuple[Quat, ...]:
     # e*q (q*e when not `left`) for each basis unit e of c.  For e in
-    # 1, i, j, k these are signed permutations of q's coordinates; only a
-    # quadratic generator u takes a product.
+    # 1, i, j, k these are signed permutations of q's numerators over the
+    # same denominator; only a quadratic generator u takes a product.
     if c.kind == QUADRATIC:
         return (q, c.u * q if left else q * c.u)
     if c.kind == CENTER:
         return (q,)
-    w, x, y, z = q.w, q.x, q.y, q.z
+    (w, x, y, z), m = q._n, q._d
     if left:
-        return (q, Quat(-x, w, -z, y), Quat(-y, z, w, -x), Quat(-z, -y, x, w))
-    return (q, Quat(-x, w, z, -y), Quat(-y, -z, w, x), Quat(-z, y, -x, w))
+        return (q, _quat((-x, w, -z, y), m), _quat((-y, z, w, -x), m), _quat((-z, -y, x, w), m))
+    return (q, _quat((-x, w, z, -y), m), _quat((-y, -z, w, x), m), _quat((-z, y, -x, w), m))
 
 
 def _expand(
@@ -385,15 +465,8 @@ def solve_combination(
     sol = rational_solve(_expand(vectors, c, left), target)
     if sol is None:
         return None
-    basis = c.basis()
-    d = len(basis)
-    out = []
-    for t in range(len(vectors)):
-        coeff = ZERO
-        for m, e in enumerate(basis):
-            coeff = coeff + e * sol[t * d + m]
-        out.append(coeff)
-    return out
+    d = c.dim
+    return [c.element(sol[t : t + d]) for t in range(0, len(sol), d)]
 
 
 def left_linear_solve(

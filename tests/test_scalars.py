@@ -1,6 +1,7 @@
 """Quaternion arithmetic, centralizers, and constrained linear solving."""
 
 from fractions import Fraction as F
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -74,6 +75,161 @@ class TestQuatArithmetic:
         assert I**3 == -I
         assert Quat(1, 1) ** 0 == ONE
         assert Quat(1, 1) ** -1 == Quat(1, 1).inverse()
+
+
+# An independent reference: quaternions as 4-tuples of Fraction.
+def _ref_add(p, q):
+    return tuple(a + b for a, b in zip(p, q))
+
+
+def _ref_sub(p, q):
+    return tuple(a - b for a, b in zip(p, q))
+
+
+def _ref_scale(p, r):
+    return tuple(a * r for a in p)
+
+
+def _ref_mul(p, q):
+    a, b, c, d = p
+    e, f, g, h = q
+    return (
+        a * e - b * f - c * g - d * h,
+        a * f + b * e + c * h - d * g,
+        a * g - b * h + c * e + d * f,
+        a * h + b * g - c * f + d * e,
+    )
+
+
+def _ref_norm(p):
+    return sum((a * a for a in p), F(0))
+
+
+def _ref_conjugate(p):
+    return (p[0], -p[1], -p[2], -p[3])
+
+
+def _ref_inverse(p):
+    return _ref_scale(_ref_conjugate(p), 1 / _ref_norm(p))
+
+
+def _ref_pow(p, exp):
+    base = _ref_inverse(p) if exp < 0 else p
+    out = (F(1), F(0), F(0), F(0))
+    for _ in range(abs(exp)):
+        out = _ref_mul(out, base)
+    return out
+
+
+def _reference_pairs():
+    """Seeded (p, q, same) coordinate pairs of heights up to 10**12:
+    independent denominators, equal denominators (q = p + an integral
+    quaternion, marked `same`), and zero, integral and central entries."""
+    rng = Random(4242)
+    pairs = []
+    for height in (1, 10, 10**3, 10**6, 10**12):
+        def rat():
+            return F(rng.randint(-height, height), rng.randint(1, height))
+
+        for _ in range(12):
+            p = tuple(rat() for _ in range(4))
+            pairs.append((p, tuple(rat() for _ in range(4)), False))
+            pairs.append((p, tuple(a + rng.randint(-height, height) for a in p), True))
+        pairs.append(((F(0),) * 4, tuple(rat() for _ in range(4)), False))
+        central = (rat(), F(0), F(0), F(0))
+        pairs.append((central, tuple(F(rng.randint(-height, height)) for _ in range(4)), False))
+    return pairs
+
+
+def _assert_canonical(q):
+    n, m = q._n, q._d
+    assert type(m) is int and all(type(v) is int for v in n)
+    assert m > 0 and gcd(*n, m) == 1
+    if not any(n):
+        assert (n, m) == ((0, 0, 0, 0), 1)
+
+
+class TestQuatAgainstFractionReference:
+    @pytest.mark.parametrize("p, q, same", _reference_pairs())
+    def test_operations(self, p, q, same):
+        a, b = Quat(*p), Quat(*q)
+        assert (a._d == b._d) >= same
+        results = [
+            (a + b, _ref_add(p, q)),
+            (a - b, _ref_sub(p, q)),
+            (a * b, _ref_mul(p, q)),
+            (b * a, _ref_mul(q, p)),
+            (-a, _ref_scale(p, -1)),
+            (a.conjugate(), _ref_conjugate(p)),
+        ]
+        for r in (0, 3, -7, F(5, 12), F(-10**12, 7)):
+            results += [(a * r, _ref_scale(p, r)), (r * a, _ref_scale(p, r))]
+            results += [(a + r, _ref_add(p, (r, 0, 0, 0))), (r - a, _ref_sub((r, 0, 0, 0), p))]
+        for exp in range(-3 if any(p) else 0, 4):
+            results.append((a**exp, _ref_pow(p, exp)))
+        if any(p):
+            results.append((a.inverse(), _ref_inverse(p)))
+        for got, expected in results:
+            _assert_canonical(got)
+            assert got.coords() == expected
+        assert a.norm() == _ref_norm(p) and type(a.norm()) is F
+
+    def test_zero_is_canonical(self):
+        a = Quat(F(3, 4), -2, F(1, 6), 5)
+        for zero in (ZERO, Quat(), a - a, a * 0, 0 * a, Quat(F(0, 5)), -ZERO, ZERO.conjugate()):
+            assert (zero._n, zero._d) == ((0, 0, 0, 0), 1)
+
+    def test_equal_values_are_equal_with_equal_hashes(self):
+        groups = [
+            [Quat(F(2, 4)), Quat(F(1, 2)), Quat(2) * F(1, 4), F(1, 4) * Quat(2)],
+            [Quat(F(1, 2)), Quat("1/2"), Quat(0.5), Quat.scalar(F(3, 6))],
+            [Quat(1, F(-2, 6), 0, 3), Quat(F(3, 3), F(-1, 3), 0, F(6, 2))],
+            [Quat(1, F(-1, 3), 0, 3), Quat(3, -1, 0, 9) * F(1, 3)],
+            [Quat(F(1, 3), F(1, 3)) + Quat(F(2, 3), F(-1, 3)), ONE, Quat(1), Quat.scalar(F(7, 7))],
+        ]
+        for group in groups:
+            for q in group:
+                assert q == group[0] and hash(q) == hash(group[0])
+                assert (q._n, q._d) == (group[0]._n, group[0]._d)
+        assert Quat(F(1, 2), 1) != Quat(F(1, 2))
+
+    def test_equality_with_int_and_fraction(self):
+        assert Quat(3) == 3 and 3 == Quat(3)
+        assert Quat(F(6, 4)) == F(3, 2) and F(3, 2) == Quat(F(3, 2))
+        assert ZERO == 0 and ZERO == F(0)
+        assert Quat(F(3, 2), 1) != F(3, 2)
+        assert Quat(2) != F(1, 2) and Quat(F(1, 2)) != 1
+        assert Quat(0, 1) != 0
+
+    def test_surface_is_fraction(self):
+        for q in (Quat(1, 2, 3, 4), Quat(F(1, 2), 0, F(-3, 4), 5), ZERO):
+            assert all(type(v) is F for v in (q.w, q.x, q.y, q.z))
+            assert all(type(v) is F for v in q.coords())
+            assert q.coords() == (q.w, q.x, q.y, q.z)
+            assert type(q.scalar_part()) is F
+
+    @pytest.mark.parametrize(
+        "q, text, rep",
+        [
+            (Quat(1, F(-1, 2), 0, 3), "1 - 1/2i + 3k",
+             "Quat(Fraction(1, 1), Fraction(-1, 2), Fraction(0, 1), Fraction(3, 1))"),
+            (ZERO, "0", "Quat(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))"),
+            (Quat(F(-7, 3), 0, 1, F(-1, 5)), "-7/3 + j - 1/5k",
+             "Quat(Fraction(-7, 3), Fraction(0, 1), Fraction(1, 1), Fraction(-1, 5))"),
+            (Quat(0, 0, 0, -1), "-k",
+             "Quat(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(-1, 1))"),
+        ],
+    )
+    def test_str_and_repr(self, q, text, rep):
+        assert str(q) == text
+        assert repr(q) == rep
+
+    def test_immutable(self):
+        q = Quat(1, 2, 3, 4)
+        for name in ("w", "x", "y", "z", "_n", "_d", "other"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, 0)
+        assert q == Quat(1, 2, 3, 4)
 
 
 class TestCommutator:
@@ -206,7 +362,25 @@ def _oracle_cases():
         else:
             target = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in rows]
         cases.append(([row + [t] for row, t in zip(rows, target)], ncols))
+    # The same shapes with int entries: rows scaled to integers, and rows
+    # with about half of their integral entries given as int.
+    entry_rng = Random(2025)
+    for rows, ncols in cases[3::4]:
+        cases.append((_integral(rows), ncols))
+        cases.append((_mixed(rows, entry_rng), ncols))
     return cases
+
+
+def _integral(rows):
+    """Each row times the lcm of its denominators, as plain ints."""
+    return [[int(v * lcm(*(x.denominator for x in row))) for v in row] for row in rows]
+
+
+def _mixed(rows, rng):
+    """The rows with about half of their integral entries given as int."""
+    return [
+        [int(v) if v.denominator == 1 and rng.random() < 0.5 else v for v in row] for row in rows
+    ]
 
 
 class TestRrefOracle:
@@ -240,6 +414,19 @@ class TestRrefOracle:
             assert all(sol[c] == 0 for c in range(ncols) if c not in pivots)
             for row, t in zip(matrix, target):
                 assert sum((a * x for a, x in zip(row, sol)), F(0)) == t
+
+    @pytest.mark.parametrize("rows, ncols", _oracle_cases())
+    def test_int_fraction_and_mixed_entries_agree(self, rows, ncols):
+        # rref reads each entry's numerator and denominator only, so equal
+        # values give the same pivots and Fraction rows whatever their type.
+        as_fraction = [[F(v) for v in row] for row in rows]
+        expected = linalg.rref(as_fraction, ncols)
+        assert linalg.rref(_mixed(as_fraction, Random(ncols)), ncols) == expected
+        scaled = _integral(as_fraction)
+        scaled_expected = linalg.rref([[F(v) for v in row] for row in scaled], ncols)
+        assert linalg.rref(scaled, ncols) == scaled_expected
+        for red, _ in (expected, scaled_expected):
+            assert all(type(v) is F for row in red for v in row)
 
     def test_row_reducing_to_zero_with_a_nonzero_augmented_entry(self):
         # x + 2y = 3 and 2x + 4y = 7: the second row's A-part vanishes, 7 - 6 does not.

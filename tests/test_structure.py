@@ -13,7 +13,7 @@ import pytest
 
 import quatca
 from quatca import linalg
-from quatca.scalars import Centralizer, I, J, K, Quat
+from quatca.scalars import Centralizer, I, J, K, Quat, left_rank
 from quatca.upoly import (
     UPoly,
     lclm,
@@ -94,6 +94,36 @@ def test_solve_and_nullspace_each_hand_one_system_to_rref(rref_systems):
     assert len(linalg.nullspace(rows, 2)) == 1
     assert len(rref_systems) == 2
     assert rref_systems[1] == (rows, 2)
+
+
+def test_quat_defines_every_method_the_tracer_wraps():
+    # A traced benchmark run rebinds each of these through
+    # Quat.__dict__[name]; an inherited or renamed method would crash it.
+    tracer = ast.parse((SOURCE.parents[1] / "perfbench" / "tracer.py").read_text())
+    methods = next(
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["METHODS"]
+    )
+    wrapped = methods[("scalars", "Quat")]
+    assert set(wrapped) >= {
+        "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+        "__rmul__", "inverse", "norm", "conjugate", "__pow__",
+    }
+    assert all(callable(Quat.__dict__.get(name)) for name in wrapped)
+
+
+def test_rows_hold_ints_where_the_denominator_is_one(rref_systems):
+    # The rows `scalars` hands to `rref` come from the numerators: a plain
+    # int over denominator 1 or for a zero numerator, a Fraction otherwise.
+    mixed = Quat(Fraction(1, 2), 0, Fraction(-3, 4), 1)
+    left_rank([Quat(1, -2, 0, 3), mixed], Centralizer.center())
+    (rows, ncols), = rref_systems
+    assert ncols == 2
+    assert [type(row[0]) for row in rows] == [int] * 4
+    assert [row[1] for row in rows] == [Fraction(1, 2), 0, Fraction(-3, 4), 1]
+    assert [type(row[1]) for row in rows] == [Fraction, int, Fraction, Fraction]
 
 
 def test_elimination_imports_no_sympy():
