@@ -66,7 +66,6 @@ from .scalars import (
     commutator,
     find_conjugator,
     left_linear_solve,
-    right_linear_solve,
 )
 from .upoly import (
     Isolated,

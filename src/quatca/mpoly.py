@@ -73,10 +73,6 @@ class MPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def total_degree(self) -> int:
-        """Total degree, with -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def sorted_terms(self) -> list[tuple[Exponents, Quat]]:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 

@@ -1,9 +1,9 @@
 """Exact quaternions over the rationals, centralizers, and linear solvers.
 
 This is the one module that turns quaternion-linear problems into rational
-matrices for `linalg`; every other module goes through `rational_solve`,
-`rational_nullspace`, `solve_combination`, `first_dependence` or
-`left_rank`.
+matrices for `linalg`; every other module goes through `solve_combination`,
+`first_dependence` or `left_rank`, which call only `linalg.solve` and
+`linalg.rref`.  Right-handed problems are conjugates of left-handed ones.
 
 Every value is immutable and every operation is a pure function, so values
 may be shared freely between threads.  Rationals at the surface
@@ -81,11 +81,6 @@ class Quat:
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         m = self._d
         return tuple(Fraction(v, m) for v in self._n)
-
-    @classmethod
-    def from_coords(cls, coords: Sequence[Fraction]) -> "Quat":
-        w, x, y, z = coords
-        return cls(w, x, y, z)
 
     @classmethod
     def scalar(cls, r) -> "Quat":
@@ -330,15 +325,14 @@ class Centralizer:
             return list(q.coords())
         if self.kind == CENTER:
             return [q.w] if q.is_central() else None
-        u = self.u
-        # q = p + s*u needs the pure part of q to be a rational multiple of u.
-        for uc, qc in ((u.x, q.x), (u.y, q.y), (u.z, q.z)):
-            if uc != 0:
-                s = qc / uc
-                break
-        if Quat.scalar(q.w) + u * s == q:
-            return [q.w, s]
-        return None
+        # q = p + s*u needs the pure part of q to be a rational multiple of
+        # u: every 2x2 minor of the two pure numerator triples vanishes.
+        (_, b, c, d), m = q._n, q._d
+        (_, e, f, g), n = self.u._n, self.u._d
+        if b * f != c * e or b * g != d * e or c * g != d * f:
+            return None
+        t, v = next((t, v) for t, v in ((b, e), (c, f), (d, g)) if v)
+        return [q.w, Fraction(t * n, v * m)]
 
     def element(self, coords: Sequence[Fraction]) -> Quat:
         """The member of this subring with the given coordinates in its
@@ -403,66 +397,46 @@ def _rows(columns: Sequence[Sequence[Quat]], height: int) -> list[list]:
     return [[cs[t][m] for cs in coords] for t in range(height) for m in range(4)]
 
 
-def rational_solve(
-    columns: Sequence[Sequence[Quat]], target: Sequence[Quat]
-) -> list[Fraction] | None:
-    """Rationals s with sum_c s_c * columns[c] = target entry by entry, or
-    None; free unknowns are zero, so the answer is deterministic."""
-    rhs = [value for q in target for value in _rationals(q)]
-    return linalg.solve(_rows(columns, len(target)), rhs, len(columns))
-
-
-def rational_nullspace(columns: Sequence[Sequence[Quat]]) -> list[list[Fraction]]:
-    """Basis of the rational s with sum_c s_c * columns[c] = 0."""
-    if not columns:
-        return []
-    return linalg.nullspace(_rows(columns, len(columns[0])), len(columns))
-
-
-def _unit_multiples(q: Quat, c: Centralizer, left: bool) -> tuple[Quat, ...]:
-    # e*q (q*e when not `left`) for each basis unit e of c.  For e in
-    # 1, i, j, k these are signed permutations of q's numerators over the
-    # same denominator; only a quadratic generator u takes a product.
+def _unit_multiples(q: Quat, c: Centralizer) -> tuple[Quat, ...]:
+    # e*q for each basis unit e of c.  For e in 1, i, j, k these are signed
+    # permutations of q's numerators over the same denominator; only a
+    # quadratic generator u takes a product.
     if c.kind == QUADRATIC:
-        return (q, c.u * q if left else q * c.u)
+        return (q, c.u * q)
     if c.kind == CENTER:
         return (q,)
     (w, x, y, z), m = q._n, q._d
-    if left:
-        return (q, _quat((-x, w, -z, y), m), _quat((-y, z, w, -x), m), _quat((-z, -y, x, w), m))
-    return (q, _quat((-x, w, z, -y), m), _quat((-y, -z, w, x), m), _quat((-z, y, -x, w), m))
+    return (q, _quat((-x, w, -z, y), m), _quat((-y, z, w, -x), m), _quat((-z, -y, x, w), m))
 
 
-def _expand(
-    vectors: Sequence[Sequence[Quat]], c: Centralizer, left: bool
-) -> list[list[Quat]]:
-    # One column per (vector, basis unit e of c): e*v, or v*e on the right.
-    # These are the columns of L(v) or R(v) restricted to the basis of c.
-    # Entries left as the shared ZERO, most of a certificate system, stay
-    # ZERO; an identity test costs nothing on dense scalar solves.
+def _expand(vectors: Sequence[Sequence[Quat]], c: Centralizer) -> list[list[Quat]]:
+    # One column per (vector, basis unit e of c): e*v, the columns of L(v)
+    # restricted to the basis of c.  Entries left as the shared ZERO, most
+    # of a certificate system, stay ZERO; an identity test costs nothing on
+    # dense scalar solves.
     d = c.dim
     zeros = (ZERO,) * d
     columns = []
     for vec in vectors:
-        multiples = [zeros if q is ZERO else _unit_multiples(q, c, left) for q in vec]
+        multiples = [zeros if q is ZERO else _unit_multiples(q, c) for q in vec]
         columns.extend([m[e] for m in multiples] for e in range(d))
     return columns
 
 
 def solve_combination(
-    vectors: Sequence[Sequence[Quat]],
-    target: Sequence[Quat],
-    c: Centralizer,
-    left: bool = True,
+    vectors: Sequence[Sequence[Quat]], target: Sequence[Quat], c: Centralizer
 ) -> list[Quat] | None:
     """Coefficients k_t in the subring c with sum_t k_t * vectors[t] = target
-    entry by entry (vectors[t] * k_t when `left` is False), or None.
+    entry by entry, or None; free unknowns are zero, so the answer is
+    deterministic.
 
     Each unknown coefficient is expanded in the rational basis of c.
     """
     if not vectors:
         return [] if not any(target) else None
-    sol = rational_solve(_expand(vectors, c, left), target)
+    columns = _expand(vectors, c)
+    rhs = [value for q in target for value in _rationals(q)]
+    sol = linalg.solve(_rows(columns, len(target)), rhs, len(columns))
     if sol is None:
         return None
     d = c.dim
@@ -476,23 +450,16 @@ def left_linear_solve(
     return solve_combination([(v,) for v in vectors], (target,), c)
 
 
-def right_linear_solve(
-    vectors: Sequence[Quat], target: Quat, c: Centralizer
-) -> list[Quat] | None:
-    """Coefficients k_i in the subring c with sum v_i * k_i = target, or None."""
-    return solve_combination([(v,) for v in vectors], (target,), c, left=False)
-
-
 def first_dependence(
-    vectors: Iterable[Sequence[Quat]], c: Centralizer, left: bool = True
+    vectors: Iterable[Sequence[Quat]], c: Centralizer
 ) -> list[Quat] | None:
-    """Coefficients k_t in c with v_n = sum_t k_t * v_t (v_t * k_t when
-    `left` is False) for the first vector v_n that is such a combination of
-    the vectors before it, or None.  The vectors are read one at a time, so
-    a generator is advanced only as far as that v_n."""
+    """Coefficients k_t in c with v_n = sum_t k_t * v_t for the first vector
+    v_n that is such a combination of the vectors before it, or None.  The
+    vectors are read one at a time, so a generator is advanced only as far
+    as that v_n."""
     before: list[Sequence[Quat]] = []
     for v in vectors:
-        sol = solve_combination(before, v, c, left)
+        sol = solve_combination(before, v, c)
         if sol is not None:
             return sol
         before.append(v)
@@ -502,7 +469,7 @@ def first_dependence(
 def left_rank(vectors: Sequence[Quat], c: Centralizer) -> int:
     """Rank of the vectors as elements of a left vector space over c: the
     rational rank of their c-multiples over dim c, from one elimination."""
-    columns = _expand([(v,) for v in vectors], c, True)
+    columns = _expand([(v,) for v in vectors], c)
     _, pivots = linalg.rref(_rows(columns, 1), len(columns))
     return len(pivots) // c.dim
 
@@ -510,11 +477,16 @@ def left_rank(vectors: Sequence[Quat], c: Centralizer) -> int:
 def find_conjugator(a: Quat, b: Quat) -> Quat | None:
     """A nonzero r with r*a*r^-1 = b, or None when a and b are not conjugate.
 
-    Conjugacy in the rational quaternions holds exactly when the scalar
-    parts and norms agree; the witness is a nonzero solution of the rational
-    linear system r*a = b*r.
+    Conjugacy holds exactly when the scalar parts and norms agree
+    (Gordon-Motzkin); the pure parts u, v then have u^2 = v^2, so u + v is
+    a witness, (u + v)*u = v*(u + v), unless v = -u: then 1 if u = 0, else
+    the pure part of e*u for a unit e outside C(u), which anticommutes with u.
     """
-    basis = rational_nullspace([(e * a - b * e,) for e in BASIS])
-    if not basis:
+    if a.w != b.w or a.norm() != b.norm():
         return None
-    return Quat.from_coords(basis[0])
+    u, v = a.pure_part(), b.pure_part()
+    if u + v:
+        return u + v
+    if not u:
+        return ONE
+    return next((e * u).pure_part() for e in BASIS[1:] if not e.commutes_with(u))

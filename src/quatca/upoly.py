@@ -5,7 +5,8 @@ everything while the coefficients do not, left evaluation p(a) (coefficients
 kept left of the powers of a) and right evaluation (powers left of the
 coefficients) genuinely differ, and division comes in a right and a left
 flavor.  A value a is a *right root* of p when the left evaluation p(a)
-vanishes, equivalently when x - a divides p on the right.
+vanishes, equivalently when x - a divides p on the right.  Each right-handed
+operation is conj . left . conj, as conjugation reverses products and fixes x.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from . import ratfactor
@@ -135,9 +137,6 @@ class UPoly:
     def scale_left(self, q: Quat) -> "UPoly":
         return UPoly([q * c for c in self.coeffs])
 
-    def scale_right(self, q: Quat) -> "UPoly":
-        return UPoly([c * q for c in self.coeffs])
-
     def monic(self) -> "UPoly":
         """Left-normalize: divide by the leading coefficient on the left,
         which preserves the left ideal generated by the polynomial."""
@@ -155,11 +154,9 @@ class UPoly:
         return acc
 
     def eval_right(self, a: Quat) -> Quat:
-        """Evaluation with the powers of a on the left of the coefficients."""
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = a * acc + c
-        return acc
+        """Evaluation with the powers of a on the left of the coefficients:
+        the conjugate of the left evaluation of conj_poly() at conj(a)."""
+        return self.conj_poly().eval_left(a.conjugate()).conjugate()
 
     def divmod_right(self, d: "UPoly") -> tuple["UPoly", "UPoly"]:
         """(q, r) with self = q*d + r and deg r < deg d.
@@ -184,22 +181,11 @@ class UPoly:
     def divmod_left(self, d: "UPoly") -> tuple["UPoly", "UPoly"]:
         """(q, r) with self = d*q + r and deg r < deg d.
 
-        Dividing by x - a leaves remainder eval_right(self, a).
+        Dividing by x - a leaves remainder eval_right(self, a).  (q, r) is
+        unique, so it is the conjugate of conj_poly().divmod_right(d.conj_poly()).
         """
-        if d.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = d.lead.inverse()
-        dd = d.degree
-        rem = list(self.coeffs)
-        quot = [ZERO] * max(len(rem) - dd, 0)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            if not rem[k]:
-                continue
-            factor = lead_inv * rem[k]
-            quot[k - dd] = factor
-            for idx, dc in enumerate(d.coeffs):
-                rem[k - dd + idx] = rem[k - dd + idx] - dc * factor
-        return UPoly(quot), UPoly(rem[:dd])
+        q, r = self.conj_poly().divmod_right(d.conj_poly())
+        return q.conj_poly(), r.conj_poly()
 
     def conj_poly(self) -> "UPoly":
         """Coefficient-wise quaternion conjugate."""
@@ -276,13 +262,15 @@ def lclm(p: UPoly, q: UPoly) -> UPoly:
     of the left ideals of p and q.
 
     u*p lies in the left ideal of q exactly when sum_k u_k * r_k = 0, where
-    r_k is the right remainder of x^k * p by q.  The remainders live in a
-    left space of dimension deg q, so the first left dependence among
-    r_0, r_1, ... comes by k = deg q and gives the u of least degree.
+    r_k is the right remainder of x^k * p by q; x is central, so r_{k+1} is
+    the remainder of x * r_k.  The remainders live in a left space of
+    dimension deg q, so the first left dependence among r_0, r_1, ... comes
+    by k = deg q and gives the u of least degree.
     """
     if p.is_zero() or q.is_zero():
         raise InvalidInput("lclm requires nonzero polynomials")
-    rems = (p.shift(k).divmod_right(q)[1] for k in range(q.degree + 1))
+    rems = accumulate(range(q.degree), lambda r, _: r.shift(1).divmod_right(q)[1],
+                      initial=p.divmod_right(q)[1])
     sol = first_dependence(([r.coeff(d) for d in range(q.degree)] for r in rems), Centralizer.full())
     if sol is None:
         raise InternalError("least common left multiple search failed")  # pragma: no cover

@@ -23,7 +23,6 @@ from quatca.scalars import (
     find_conjugator,
     left_linear_solve,
     left_rank,
-    right_linear_solve,
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=10)
@@ -271,7 +270,7 @@ class TestCentralizer:
             desc = centralizer_of_set(elements)
             assert len(basis_vecs) == desc.dim
             for vec in basis_vecs:
-                assert desc.contains(Quat.from_coords(vec))
+                assert desc.contains(Quat(*vec))
 
     def test_members_commute_and_outsiders_fail(self):
         rng = Random(7)
@@ -293,6 +292,11 @@ class TestCentralizer:
 class TestCoords:
     def test_quadratic_readout(self):
         assert Centralizer.quadratic(I).coords(Quat(1, 2)) == [1, 2]
+        # Unequal denominators, and a generator with no i part.
+        c = Centralizer.quadratic(Quat(0, 0, F(2, 3), F(-1, 5)))
+        q = Quat(F(1, 2), 0, F(1, 7), F(-3, 70))
+        assert c.coords(q) == [F(1, 2), F(3, 14)]
+        assert c.element(c.coords(q)) == q
 
     def test_outside_quadratic(self):
         assert Centralizer.quadratic(I).coords(J) is None
@@ -450,9 +454,12 @@ class TestSolveOverCentralizer:
         assert left_linear_solve([ONE], ZERO, Centralizer.full()) == [ZERO]
 
     def test_right_version_sides_matter(self):
-        # j * c = k forces c = -i, while c * j = k forces c = i.
-        assert right_linear_solve([J], K, Centralizer.quadratic(I)) == [-I]
-        assert left_linear_solve([J], K, Centralizer.quadratic(I)) == [I]
+        # j * c = k forces c = -i, while c * j = k forces c = i.  The right
+        # solve is the conjugate of the left solve of conj(c) * conj(j) = conj(k).
+        c = Centralizer.quadratic(I)
+        right = left_linear_solve([J.conjugate()], K.conjugate(), c)
+        assert [k.conjugate() for k in right] == [-I]
+        assert left_linear_solve([J], K, c) == [I]
 
     def test_solution_reconstructs_exactly(self):
         rng = Random(11)
@@ -488,8 +495,11 @@ class TestSolveOverCentralizer:
 )
 @pytest.mark.parametrize("left", [True, False])
 def test_expansion_matches_unit_products(c, left):
-    # The signed-permutation columns equal e*q (q*e on the right) for each
-    # basis unit e of c, and shared ZERO entries stay the shared ZERO.
+    # The signed-permutation columns equal e*q for each basis unit e of c,
+    # and shared ZERO entries stay the shared ZERO.  On the right, the
+    # conjugated columns of the conjugated vectors are q*conj(e): c is
+    # closed under conjugation, so a right-handed system is the conjugate
+    # of a left-handed one.
     rng = Random(17)
     vectors = []
     for _ in range(20):
@@ -499,13 +509,17 @@ def test_expansion_matches_unit_products(c, left):
         ]
         vec.insert(rng.randrange(4), ZERO)
         vectors.append(vec)
-    columns = _expand(vectors, c, left)
-    expected = [
-        [e * q if left else q * e for q in vec] for vec in vectors for e in c.basis()
-    ]
-    assert columns == expected
+    columns = _expand(vectors, c)
     for column, vec in zip(columns, (vec for vec in vectors for _ in c.basis())):
         assert [q is ZERO for q in column] == [q is ZERO for q in vec]
+    if left:
+        assert columns == [[e * q for q in vec] for vec in vectors for e in c.basis()]
+    else:
+        conjugated = [[q.conjugate() for q in vec] for vec in vectors]
+        mirrored = [[q.conjugate() for q in col] for col in _expand(conjugated, c)]
+        assert mirrored == [
+            [q * e.conjugate() for q in vec] for vec in vectors for e in c.basis()
+        ]
 
 
 @pytest.mark.parametrize(
@@ -524,12 +538,15 @@ def test_left_rank(vectors, c, rank):
 
 class TestConjugator:
     def test_self_conjugacy(self):
-        r = find_conjugator(I, I)
-        assert r is not None and r and r * I * r.inverse() == I
+        for a in (I, Quat(2, -1, 3, F(1, 2)), ONE, Quat(F(-3, 4)), ZERO):
+            r = find_conjugator(a, a)
+            assert r is not None and r and r * a * r.inverse() == a
 
     def test_i_to_j(self):
-        r = find_conjugator(I, J)
-        assert r is not None and r * I * r.inverse() == J
+        # The last two pairs have opposite pure parts, where u + v vanishes.
+        for a, b in ((I, J), (I, -I), (Quat(1, 1, 2, 3), Quat(1, -1, -2, -3))):
+            r = find_conjugator(a, b)
+            assert r is not None and r * a * r.inverse() == b
 
     def test_distinct_real_parts(self):
         assert find_conjugator(I, Quat(1, 1)) is None

@@ -3,13 +3,17 @@
 import json
 
 from quatca.cli import main
-from quatca.selfcheck import run_all
 
 
-def test_run_all_reports_every_suite():
-    report = run_all(seed=99)
-    assert report["ok"] is True
-    names = {suite["name"] for suite in report["suites"]}
+def test_cli_selfcheck_exit_code_and_shape(capsys):
+    # One run of every suite, through the CLI: exit code, JSON payload and
+    # the per-suite tallies of `selfcheck.run_all`.
+    code = main(["--json", "selfcheck", "--seed", "99"])
+    out = capsys.readouterr().out
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["ok"] is True
+    names = {suite["name"] for suite in payload["suites"]}
     assert {
         "quaternion-ring-laws",
         "product-formula",
@@ -20,15 +24,6 @@ def test_run_all_reports_every_suite():
         "honest-failure-paths",
         "print-parse-round-trip",
     } <= names
-    for suite in report["suites"]:
+    for suite in payload["suites"]:
         assert suite["failed"] == 0
         assert suite["passed"] > 0
-
-
-def test_cli_selfcheck_exit_code_and_shape(capsys):
-    code = main(["--json", "selfcheck", "--seed", "7"])
-    out = capsys.readouterr().out
-    assert code == 0
-    payload = json.loads(out)["payload"]
-    assert payload["ok"] is True
-    assert all(suite["failed"] == 0 for suite in payload["suites"])

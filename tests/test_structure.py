@@ -13,7 +13,8 @@ import pytest
 
 import quatca
 from quatca import linalg
-from quatca.scalars import Centralizer, I, J, K, Quat, left_rank
+from quatca.mpoly import MPoly
+from quatca.scalars import Centralizer, I, J, K, Quat, find_conjugator, left_rank
 from quatca.upoly import (
     UPoly,
     lclm,
@@ -46,6 +47,16 @@ def test_only_scalars_imports_linalg():
         if _imports_linalg(ast.parse(path.read_text()))
     )
     assert importers == ["scalars.py"]
+    # ... and it reaches the eliminator through two entry points only.
+    tree = ast.parse((SOURCE / "scalars.py").read_text())
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "linalg"
+    }
+    assert used == {"solve", "rref"}
 
 
 @pytest.fixture
@@ -73,14 +84,17 @@ def test_lclm_systems_are_no_taller_than_the_remainders(rref_systems):
 
 
 def test_closed_forms_hand_no_system_to_rref(rref_systems):
-    # Root spaces and minimal polynomials come from the class quadratic of
-    # the point (Gordon-Motzkin), not from a rational system.
+    # Root spaces, minimal polynomials and conjugacy witnesses come from the
+    # class quadratic of the point (Gordon-Motzkin), not from a rational
+    # system.
     sphere = root_space(UPoly.from_central([1, 0, 1]), I)
     isolated = root_space(UPoly.linear(I) * UPoly.linear(I), I)
     assert (sphere.dim, isolated.dim) == (2, 1)
     assert root_space_dim(UPoly.from_central([1, 0, 1]), Quat(1, 1)) == 0
     assert minimal_left_poly(J, Centralizer.quadratic(I)).degree == 2
     assert minimal_right_poly(J, Centralizer.quadratic(I)).degree == 2
+    assert find_conjugator(I, J) is not None
+    assert find_conjugator(I, -I) is not None
     assert rref_systems == []
 
 
@@ -98,7 +112,7 @@ def test_solve_and_nullspace_each_hand_one_system_to_rref(rref_systems):
 
 def test_quat_defines_every_method_the_tracer_wraps():
     # A traced benchmark run rebinds each of these through
-    # Quat.__dict__[name]; an inherited or renamed method would crash it.
+    # cls.__dict__[name]; an inherited or renamed method would crash it.
     tracer = ast.parse((SOURCE.parents[1] / "perfbench" / "tracer.py").read_text())
     methods = next(
         ast.literal_eval(node.value)
@@ -106,12 +120,16 @@ def test_quat_defines_every_method_the_tracer_wraps():
         if isinstance(node, ast.Assign)
         and [getattr(t, "id", None) for t in node.targets] == ["METHODS"]
     )
-    wrapped = methods[("scalars", "Quat")]
-    assert set(wrapped) >= {
+    assert set(methods[("scalars", "Quat")]) >= {
         "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
         "__rmul__", "inverse", "norm", "conjugate", "__pow__",
     }
-    assert all(callable(Quat.__dict__.get(name)) for name in wrapped)
+    assert set(methods[("upoly", "UPoly")]) >= {"divmod_right", "divmod_left"}
+    assert set(methods[("mpoly", "MPoly")]) >= {"__mul__"}
+    classes = {("scalars", "Quat"): Quat, ("upoly", "UPoly"): UPoly, ("mpoly", "MPoly"): MPoly}
+    assert set(methods) == set(classes)
+    for key, names in methods.items():
+        assert all(callable(classes[key].__dict__.get(name)) for name in names)
 
 
 def test_rows_hold_ints_where_the_denominator_is_one(rref_systems):

@@ -103,7 +103,7 @@ class TestDivision:
             X2P1.divmod_right(UPoly())
 
     def test_remainder_law_randomized(self):
-        rng = Random(5)
+        rng, divisors = Random(5), Random(55)
         for _ in range(300):
             p = rand_upoly(rng, 6)
             a = rand_quat(rng, 6)
@@ -115,6 +115,12 @@ class TestDivision:
             ql, rl = p.divmod_left(UPoly.linear(a))
             assert UPoly.linear(a) * ql + rl == p
             assert rl.coeff(0) == p.eval_right(a)
+            assert p.eval_right(a) == sum((a**k * c for k, c in enumerate(p.coeffs)), ZERO)
+            dd = divisors.randint(2, 3)
+            d = UPoly([rand_quat(divisors, 6) for _ in range(dd)] + [rand_nonzero_quat(divisors, 6)])
+            ql, rl = p.divmod_left(d)
+            assert d * ql + rl == p
+            assert rl.degree < d.degree
 
     def test_product_formula_randomized(self):
         rng = Random(6)
