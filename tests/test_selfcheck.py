@@ -1,19 +1,28 @@
 """The self-verification runner and its CLI wiring."""
 
+import contextlib
+import io
 import json
+
+import pytest
 
 from quatca.cli import main
 
 
-def test_cli_selfcheck_exit_code_and_shape(capsys):
-    # One run of every suite, through the CLI: exit code, JSON payload and
-    # the per-suite tallies of `selfcheck.run_all`.
-    code = main(["--json", "selfcheck", "--seed", "99"])
-    out = capsys.readouterr().out
-    assert code == 0
-    payload = json.loads(out)["payload"]
-    assert payload["ok"] is True
-    names = {suite["name"] for suite in payload["suites"]}
+@pytest.fixture(scope="module")
+def cli_run():
+    # One run of every suite, through the CLI, shared by the tests below:
+    # the exit code and the JSON payload carrying `selfcheck.run_all`'s report.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--json", "selfcheck", "--seed", "99"])
+    return code, json.loads(out.getvalue())["payload"]
+
+
+def test_run_all_reports_every_suite(cli_run):
+    _, report = cli_run
+    assert report["ok"] is True
+    names = {suite["name"] for suite in report["suites"]}
     assert {
         "quaternion-ring-laws",
         "product-formula",
@@ -24,6 +33,13 @@ def test_cli_selfcheck_exit_code_and_shape(capsys):
         "honest-failure-paths",
         "print-parse-round-trip",
     } <= names
-    for suite in payload["suites"]:
+    for suite in report["suites"]:
         assert suite["failed"] == 0
         assert suite["passed"] > 0
+
+
+def test_cli_selfcheck_exit_code_and_shape(cli_run):
+    code, payload = cli_run
+    assert code == 0
+    assert payload["ok"] is True
+    assert all(suite["failed"] == 0 for suite in payload["suites"])
