@@ -2,10 +2,12 @@
 pairwise-commuting variables; point ideals at commuting points; and the
 certificate search for one-sided ideal membership of powers.
 
-Coefficients collect on the left of monomials.  All linear algebra for the
-certificate search runs over rational coordinates with the graded
-lexicographic monomial order, which is fixed so that certificates are
-reproducible.
+Coefficients collect on the left of monomials.  In one variable every left
+ideal is principal, so certificate membership is one extended gcrd and one
+right division, exact at every degree bound.  Otherwise, and when the gcrd
+cofactors exceed the degree bound, the certificate search runs its linear
+algebra over rational coordinates with the graded lexicographic monomial
+order, which is fixed so that certificates are reproducible.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Iterable, Mapping
 
 from .errors import InternalError, InvalidInput
 from .scalars import Centralizer, ONE, Quat, ZERO, solve_combination
+from .upoly import UPoly, _coeff_text, _gcrd_combination
 
 Exponents = tuple[int, ...]
 
@@ -140,8 +143,6 @@ class MPoly:
 
 
 def format_mpoly(p: MPoly) -> str:
-    from .upoly import _coeff_text  # shared coefficient formatting
-
     if p.is_zero():
         return "0"
     pieces = []
@@ -308,7 +309,11 @@ class RabinowitschCertificate:
 @dataclass(frozen=True)
 class NotFoundWithinBounds:
     """No certificate exists within the given power and degree bounds.
-    This is a bounded-search answer, never a nonexistence claim."""
+
+    In several variables this is a bounded-search answer, never a
+    nonexistence claim.  In one variable a non-member gets it at every
+    degree bound; a member gets it only when no certificate fits within
+    degbound."""
 
     N: int
     degbound: int
@@ -335,7 +340,13 @@ def rabinowitsch_check(
     ideal: LeftIdeal, p: MPoly, a: Quat, N: int, degbound: int
 ) -> RabinowitschCertificate | NotFoundWithinBounds:
     """Decide whether (a*p)^N lies in I + I*(a*p) + ... + I*(a*p)^N with
-    cofactors of total degree at most degbound, by exact linear algebra.
+    cofactors of total degree at most degbound.
+
+    In one variable the sum is the left ideal H[x]*d for the gcrd d of the
+    g_j*(a*p)^k, so membership is one right division by d: a non-member
+    gets NotFoundWithinBounds at every degree bound, and a member whose
+    gcrd cofactors fit within degbound gets them.  Otherwise the cofactors
+    come from exact linear algebra over all monomials up to degbound.
 
     A found certificate is verified by reconstructing the identity before
     it is returned; NotFoundWithinBounds is exact for the given bounds.
@@ -348,15 +359,45 @@ def rabinowitsch_check(
     if p.nvars != nvars:
         raise InvalidInput("polynomial and ideal live in different rings")
     ap = p.scale_left(a)
-    target = ap.pow(N)
-    monos = monomials_upto(nvars, degbound)
-
-    # One known polynomial per (k, generator, monomial); the unknown
-    # quaternion multiple of each is what the solver finds.
     ap_powers = [MPoly.constant(ONE, nvars)]
     for _ in range(N):
         ap_powers.append(ap_powers[-1] * ap)
     bases = [g * ap_powers[k] for k in range(N + 1) for g in ideal.gens]
+    if nvars == 1:
+        # d = sum u_i * bases[i] generates the sum, so target = t*d is a
+        # member exactly when d right-divides it, with cofactors t*u_i.
+        d, u = _gcrd_combination([_to_upoly(base) for base in bases])
+        target = _to_upoly(ap_powers[N])
+        t, r = target.divmod_right(d) if d else (UPoly(), target)
+        if r:
+            return NotFoundWithinBounds(N, degbound)
+        flat = [t * v for v in u]
+        if max(h.degree for h in flat) <= degbound:
+            return _certificate(ideal, ap_powers, [_from_upoly(h) for h in flat])
+    return _bounded_certificate(ideal, bases, ap_powers, degbound)
+
+
+def _to_upoly(p: MPoly) -> UPoly:
+    top = max((e for (e,) in p.terms), default=-1)
+    return UPoly([p.terms.get((e,), ZERO) for e in range(top + 1)])
+
+
+def _from_upoly(p: UPoly) -> MPoly:
+    return MPoly(1, {(e,): c for e, c in enumerate(p.coeffs)})
+
+
+def _bounded_certificate(
+    ideal: LeftIdeal, bases: list[MPoly], ap_powers: list[MPoly], degbound: int
+) -> RabinowitschCertificate | NotFoundWithinBounds:
+    """The certificate for (a*p)^N = ap_powers[N] with cofactors of total
+    degree at most degbound, or NotFoundWithinBounds, from one rational
+    system over the bases g_j*(a*p)^k in (k, generator) order."""
+    nvars, N = ideal.nvars, len(ap_powers) - 1
+    target = ap_powers[N]
+    monos = monomials_upto(nvars, degbound)
+
+    # One known polynomial per (k, generator, monomial); the unknown
+    # quaternion multiple of each is what the solver finds.
     column_polys = [base.shift(mu) for base in bases for mu in monos]
 
     support: set[Exponents] = set(target.terms)
@@ -371,15 +412,24 @@ def rabinowitsch_check(
         return NotFoundWithinBounds(N, degbound)
 
     # The solution runs over (k, generator, monomial) in the order above.
-    ngens, size = len(ideal.gens), len(monos)
+    size = len(monos)
     flat = [MPoly(nvars, dict(zip(monos, sol[i : i + size]))) for i in range(0, len(sol), size)]
+    return _certificate(ideal, ap_powers, flat)
+
+
+def _certificate(
+    ideal: LeftIdeal, ap_powers: list[MPoly], flat: list[MPoly]
+) -> RabinowitschCertificate:
+    """The certificate with cofactors flat in (k, generator) order, once
+    they rebuild (a*p)^N = ap_powers[N]."""
+    nvars, N, ngens = ideal.nvars, len(ap_powers) - 1, len(ideal.gens)
     cofactors = [flat[k * ngens : (k + 1) * ngens] for k in range(N + 1)]
 
     rebuilt = MPoly(nvars, {})
     for k in range(N + 1):
         for j, g in enumerate(ideal.gens):
             rebuilt = rebuilt + cofactors[k][j] * g * ap_powers[k]
-    if rebuilt != target:
+    if rebuilt != ap_powers[N]:
         raise InternalError("certificate failed to reconstruct its identity")
     return RabinowitschCertificate(N, tuple(tuple(row) for row in cofactors))
 

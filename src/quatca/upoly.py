@@ -245,16 +245,32 @@ def format_upoly(p: UPoly, var: str = "x") -> str:
 # One-sided gcd / common multiples
 # ---------------------------------------------------------------------------
 
+def _gcrd_combination(polys: Sequence[UPoly]) -> tuple[UPoly, list[UPoly]]:
+    """(d, u) with d = sum_i u[i] * polys[i], where d is the monic generator
+    of the left ideal the polys generate, or zero if every input is zero.
+
+    The right-division Euclidean algorithm, folded over the inputs, with
+    left Bezout cofactors: a remainder r = a - q*b carries u_a - q*u_b.
+    """
+    zeros = [UPoly()] * len(polys)
+    a, ua = UPoly(), zeros
+    for i, p in enumerate(polys):
+        b, ub = p, zeros[:i] + [UPoly.constant(ONE)] + zeros[i + 1 :]
+        while not b.is_zero():
+            q, r = a.divmod_right(b)
+            a, ua, b, ub = b, ub, r, [x - q * y for x, y in zip(ua, ub)]
+    if a.is_zero():
+        return a, ua
+    inv = a.lead.inverse()
+    return a.scale_left(inv), [u.scale_left(inv) for u in ua]
+
+
 def gcrd(p: UPoly, q: UPoly) -> UPoly:
     """Greatest common right divisor: the monic generator of the left ideal
     generated by p and q, via the right-division Euclidean algorithm."""
     if p.is_zero() and q.is_zero():
         raise InvalidInput("gcrd of two zero polynomials")
-    a, b = p, q
-    while not b.is_zero():
-        _, r = a.divmod_right(b)
-        a, b = b, r
-    return a.monic()
+    return _gcrd_combination([p, q])[0]
 
 
 def lclm(p: UPoly, q: UPoly) -> UPoly:

@@ -12,6 +12,7 @@ from quatca.mpoly import (
     MPoly,
     NotFoundWithinBounds,
     RabinowitschCertificate,
+    _bounded_certificate,
     eval_at_point,
     find_certificate,
     in_point_ideal,
@@ -20,7 +21,14 @@ from quatca.mpoly import (
     rabinowitsch_check,
     reduce_mod_point,
 )
-from quatca.randgen import rand_commuting_point, rand_mpoly, rand_nonzero_quat
+from quatca.randgen import (
+    rand_commuting_point,
+    rand_mpoly,
+    rand_nonzero_quat,
+    rand_pure_quat,
+    rand_quat,
+    rand_upoly,
+)
 from quatca.scalars import I, J, K, ONE, Quat, ZERO
 from quatca.upoly import UPoly
 
@@ -266,3 +274,107 @@ class TestCertificates:
             find_certificate(LeftIdeal((g,)), g, ONE, 0, 1)
         with pytest.raises(InvalidInput):
             find_certificate(LeftIdeal((g,)), g, ONE, 3, -1)
+
+
+def _bounded(ideal, p, a, N, degbound):
+    """The answer of the bounded rational system alone."""
+    ap = p.scale_left(a)
+    powers = [const(ONE, ideal.nvars)]
+    for _ in range(N):
+        powers.append(powers[-1] * ap)
+    bases = [g * powers[k] for k in range(N + 1) for g in ideal.gens]
+    return _bounded_certificate(ideal, bases, powers, degbound)
+
+
+def _mp(p):
+    return MPoly(1, {(e,): c for e, c in enumerate(p.coeffs)})
+
+
+def _one_variable_instance(rng):
+    """Generators sharing the right factor x - b.  Half of the instances
+    lie in one subfield Q(u) with p(b) != 0, so (ap)^N is never a member:
+    its Q(u)-part would be a member in Q(u)[x], where every base vanishes
+    at b and (ap)^N does not."""
+    if rng.random() < 0.5:
+        u = rand_pure_quat(rng, 2)
+
+        def field(height=2):
+            return Quat(rng.randint(-height, height)) + u * rng.randint(-height, height)
+
+        b = field()
+        gens = [UPoly([field(), field() or ONE]) * UPoly.linear(b) for _ in range(rng.randint(1, 2))]
+        while True:
+            p, a = UPoly([field(), field()]), field()
+            if a and p.eval_left(b):
+                break
+    else:
+        shared = UPoly.linear(rand_quat(rng, 2))
+        gens = [rand_upoly(rng, 1, 2) * shared for _ in range(rng.randint(1, 2))]
+        p = rand_upoly(rng, 1, 2) * (shared if rng.random() < 0.5 else UPoly.linear(rand_quat(rng, 2)))
+        a = rand_nonzero_quat(rng, 2)
+    return LeftIdeal(tuple(_mp(g) for g in gens)), _mp(p), a
+
+
+class TestOneVariableMembership:
+    """One variable decides membership by one gcrd; the bounded rational
+    system is the oracle."""
+
+    def test_agrees_with_the_bounded_system(self):
+        rng = Random(13)
+        kinds = set()
+        for _ in range(60):
+            ideal, p, a = _one_variable_instance(rng)
+            N, degbound = rng.randint(1, 3), rng.randint(0, 3)
+            out = rabinowitsch_check(ideal, p, a, N, degbound)
+            oracle = _bounded(ideal, p, a, N, degbound)
+            assert type(out) is type(oracle)
+            if isinstance(out, RabinowitschCertificate):
+                assert out.N == N and _reconstructs(ideal, p, a, out)
+                kinds.add("found")
+            else:
+                assert out == NotFoundWithinBounds(N, degbound)
+                kinds.add("not-found")
+        assert kinds == {"found", "not-found"}
+
+    def test_non_members_are_not_found_at_any_degree(self):
+        rng = Random(14)
+        checked = 0
+        for _ in range(30):
+            ideal, p, a = _one_variable_instance(rng)
+            N = rng.randint(1, 3)
+            if isinstance(rabinowitsch_check(ideal, p, a, N, 6), RabinowitschCertificate):
+                continue
+            checked += 1
+            for degbound in range(7):
+                assert _bounded(ideal, p, a, N, degbound) == NotFoundWithinBounds(N, degbound)
+        assert checked >= 5
+
+    @pytest.mark.parametrize(
+        "gens, p, a, member",
+        [
+            ((x(0, 1) - const(I, 1),), const(ONE, 1), ZERO, True),
+            ((x(0, 1) - const(I, 1),), MPoly(1, {}), J, True),
+            ((MPoly(1, {}), x(0, 1) - const(I, 1)), x(0, 1) - const(I, 1), J, True),
+            ((MPoly(1, {}),), x(0, 1) - const(I, 1), J, False),
+            ((MPoly(1, {}), x(0, 1) - const(I, 1)), x(0, 1) + const(ONE, 1), I, False),
+            ((x(0, 1) - const(I, 1), x(0, 1) - const(J, 1)), const(ONE, 1), K, True),
+            (
+                (x(0, 1) - const(I, 1), x(0, 1) - const(Quat(1, 1), 1)),
+                x(0, 1) * x(0, 1) + const(J, 1),
+                Quat(1, 2, 0, 1),
+                True,
+            ),
+        ],
+        ids=["a=0", "p=0", "zero-gen-member", "only-zero-gen", "zero-gen-non-member", "coprime", "coprime-2"],
+    )
+    def test_edge_cases_keep_the_system_outcome(self, gens, p, a, member):
+        # Two coprime generators give the whole ring; a zero target is a
+        # member of any ideal, and a nonzero one of no zero ideal.
+        ideal = LeftIdeal(gens)
+        for N in (1, 2):
+            for degbound in range(4):
+                out = rabinowitsch_check(ideal, p, a, N, degbound)
+                assert isinstance(out, RabinowitschCertificate) == member
+                assert type(out) is type(_bounded(ideal, p, a, N, degbound))
+                if member:
+                    assert _reconstructs(ideal, p, a, out)

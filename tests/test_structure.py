@@ -13,8 +13,18 @@ import pytest
 
 import quatca
 from quatca import linalg
-from quatca.mpoly import MPoly
-from quatca.scalars import Centralizer, I, J, K, Quat, find_conjugator, left_rank
+from quatca.mpoly import (
+    CommutingPoint,
+    LeftIdeal,
+    MPoly,
+    NotFoundWithinBounds,
+    RabinowitschCertificate,
+    _bounded_certificate,
+    find_certificate,
+    point_ideal,
+    rabinowitsch_check,
+)
+from quatca.scalars import Centralizer, I, J, K, ONE, Quat, find_conjugator, left_rank
 from quatca.upoly import (
     UPoly,
     lclm,
@@ -108,6 +118,42 @@ def test_solve_and_nullspace_each_hand_one_system_to_rref(rref_systems):
     assert len(linalg.nullspace(rows, 2)) == 1
     assert len(rref_systems) == 2
     assert rref_systems[1] == (rows, 2)
+
+
+def test_one_variable_membership_is_one_gcrd(rref_systems):
+    # Left ideals of H[x] are principal, so a point-ideal check in one
+    # variable is decided by one gcrd and one right division.
+    ideal = point_ideal(CommutingPoint([Quat(1, 2)]))
+    found = MPoly.constant(Quat(1, 0, 1), 1) * ideal.gens[0]
+    assert isinstance(rabinowitsch_check(ideal, found, Quat(1, 1, 0, 2), 2, 2), RabinowitschCertificate)
+    ideal = point_ideal(CommutingPoint([Quat(1, 1)]))
+    outside = MPoly.constant(Quat(1, 1), 1) + MPoly.constant(I, 1) * MPoly.variable(0, 1)
+    assert rabinowitsch_check(ideal, outside, Quat(2, 1), 2, 2) == NotFoundWithinBounds(2, 2)
+    g = MPoly.variable(0, 1) - MPoly.constant(I, 1)
+    flagship = LeftIdeal((g * g,))
+    assert find_certificate(flagship, g, J, 5, 2)[0] == 1
+    assert rref_systems == []
+    # At degree 0 the gcrd cofactors do not fit, so the bounded system runs.
+    assert rabinowitsch_check(flagship, g, J, 1, 0) == NotFoundWithinBounds(1, 0)
+    assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(16, 8)]
+
+
+def test_several_variables_hand_the_bounded_system_to_rref(rref_systems):
+    # perfbench's traced run takes the largest system a 2-var check hands
+    # to rref, so nvars >= 2 keeps its one bounded system.
+    gens = (
+        MPoly.variable(0, 2) - MPoly.constant(I, 2),
+        MPoly.variable(1, 2) - MPoly.constant(Quat(1, 1), 2),
+    )
+    ideal = LeftIdeal(gens)
+    assert isinstance(rabinowitsch_check(ideal, gens[0], K, 2, 1), RabinowitschCertificate)
+    assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(48, 72)]
+    powers = [MPoly.constant(ONE, 2), gens[0].scale_left(K)]
+    powers.append(powers[1] * powers[1])
+    bases = [g * powers[k] for k in range(3) for g in gens]
+    checked = list(rref_systems)
+    _bounded_certificate(ideal, bases, powers, 1)
+    assert rref_systems == checked * 2
 
 
 def test_quat_defines_every_method_the_tracer_wraps():

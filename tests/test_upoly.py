@@ -36,6 +36,7 @@ from quatca.upoly import (
     roots_in_centralizer,
     sphere_member_in,
     wedderburn_lclm,
+    _gcrd_combination,
 )
 from test_acceptance import _class_dimension_by_raw_system
 
@@ -160,6 +161,37 @@ class TestGcrdLclm:
             assert m.divmod_right(p)[1].is_zero()
             assert m.divmod_right(q)[1].is_zero()
             assert m.lead == ONE and g.lead == ONE
+
+    def test_combination_is_a_monic_common_right_divisor(self):
+        rng = Random(31)
+        for _ in range(40):
+            shared = rand_upoly(rng, 2, 3)
+            polys = [rand_upoly(rng, 2, 3) * shared for _ in range(rng.randint(1, 4))]
+            polys.insert(rng.randrange(len(polys) + 1), UPoly())
+            d, u = _gcrd_combination(polys)
+            assert len(u) == len(polys)
+            assert sum((v * p for v, p in zip(u, polys)), UPoly()) == d
+            assert d.lead == ONE and d.degree >= shared.degree
+            assert all(p.divmod_right(d)[1].is_zero() for p in polys)
+
+    def test_combination_matches_gcrd_on_pairs(self):
+        rng = Random(32)
+        for _ in range(40):
+            p, q = rand_upoly(rng, 3, 4), rand_upoly(rng, 3, 4)
+            if rng.random() < 0.5:
+                shared = rand_upoly(rng, 2, 4)
+                p, q = p * shared, q * shared
+            assert _gcrd_combination([p, q])[0] == gcrd(p, q)
+
+    def test_combination_of_one_input(self):
+        p = UPoly([Quat(1, 2), J, Quat(0, 3)])
+        d, u = _gcrd_combination([p])
+        assert d == p.monic()
+        assert u == [UPoly.constant(Quat(0, 3).inverse())]
+
+    def test_combination_of_zeros(self):
+        assert _gcrd_combination([UPoly(), UPoly()]) == (UPoly(), [UPoly(), UPoly()])
+        assert _gcrd_combination([]) == (UPoly(), [])
 
     def test_gcrd_requires_a_nonzero_input(self):
         with pytest.raises(InvalidInput):
