@@ -19,11 +19,9 @@ from .modules import (
     ModulePresentation,
     PresentationReport,
     RootNotFound,
-    SimpleModuleReport,
     annihilator_minpoly,
     check_presentation,
     find_eigen_tuple,
-    verify_simple_1dim,
 )
 from .mpoly import (
     CommutingPoint,
@@ -33,7 +31,6 @@ from .mpoly import (
     RabinowitschCertificate,
     eval_at_point,
     find_certificate,
-    in_point_ideal,
     point_ideal,
     rabinowitsch_check,
     reduce_mod_point,
@@ -53,7 +50,6 @@ from .ratexpr import (
     independence_criterion,
     independent_via_criterion,
     independent_via_rank,
-    left_degree,
     left_degree_via_criterion,
     left_degree_via_rank,
     right_degree,
@@ -61,7 +57,6 @@ from .ratexpr import (
 from .scalars import (
     Centralizer,
     Quat,
-    Rat,
     centralizer_of_set,
     commutator,
     find_conjugator,

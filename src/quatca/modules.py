@@ -14,7 +14,7 @@ from itertools import accumulate, repeat
 from typing import Sequence
 
 from .errors import InternalError, InvalidInput
-from .mpoly import CommutingPoint, LeftIdeal, point_ideal
+from .mpoly import CommutingPoint
 from .scalars import Centralizer, ONE, Quat, ZERO, centralizer_of_set, first_dependence
 from .upoly import UPoly, roots_in_centralizer
 
@@ -237,39 +237,3 @@ def find_eigen_tuple(
         if first_missing is None:
             first_missing = outcome
     return first_missing
-
-
-@dataclass(frozen=True)
-class SimpleModuleReport:
-    verdict: str  # "simple" | "non-simple" | "inconclusive"
-    point: CommutingPoint | None
-    ideal: LeftIdeal | None
-    witness: EigenTuple | None
-    detail: str
-
-
-def verify_simple_1dim(module: ModulePresentation) -> SimpleModuleReport:
-    """For a one-dimensional module, recover its point ideal; for larger
-    ones, exhibit a proper one-dimensional submodule (so the module is not
-    simple), or report the root obstruction."""
-    report = check_presentation(module)
-    if not report.ok:
-        raise InvalidInput("; ".join(report.violations))
-    if module.m == 1:
-        entries = [mat[0][0] for mat in module.mats]
-        pt = CommutingPoint(entries)
-        return SimpleModuleReport(
-            "simple", pt, point_ideal(pt), None,
-            "one-dimensional; annihilator is the point ideal of its entries",
-        )
-    outcome = find_eigen_tuple(module)
-    if isinstance(outcome, EigenTuple):
-        return SimpleModuleReport(
-            "non-simple", outcome.point, point_ideal(outcome.point), outcome,
-            "a proper one-dimensional submodule exists",
-        )
-    return SimpleModuleReport(
-        "inconclusive", None, None, None,
-        f"no root of {outcome.poly} in the working field "
-        f"(variable {outcome.var_index + 1})",
-    )

@@ -146,7 +146,7 @@ def format_mpoly(p: MPoly) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for exps, coeff in sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True):
+    for exps, coeff in reversed(p.sorted_terms()):
         sign, body = _coeff_text(coeff)
         mono = "".join(
             f"x{idx + 1}" if e == 1 else f"x{idx + 1}^{e}"
@@ -267,7 +267,7 @@ def reduce_mod_point(p: MPoly, pt: CommutingPoint) -> tuple[Quat, list[MPoly]]:
     for i in range(n - 1, -1, -1):
         a = pt[i]
         reduced: dict[Exponents, Quat] = {}
-        q_i = MPoly(n, {})
+        q_i: dict[Exponents, Quat] = {}
         for exps, coeff in rest.terms.items():
             e = exps[i]
             base = list(exps)
@@ -277,20 +277,17 @@ def reduce_mod_point(p: MPoly, pt: CommutingPoint) -> tuple[Quat, list[MPoly]]:
                 reduced[base_t] = reduced.get(base_t, ZERO) + coeff
                 continue
             # coeff*x^base*(x_i^e - a^e) = (sum_s coeff*a^s shifted) * (x_i - a)
+            power = coeff
             for s in range(e):
-                step = list(base)
-                step[i] = e - 1 - s
-                q_i = q_i + MPoly.monomial(coeff * a**s, tuple(step))
-            reduced[base_t] = reduced.get(base_t, ZERO) + coeff * a**e
-        quotients[i] = q_i
+                base[i] = e - 1 - s
+                step = tuple(base)
+                q_i[step] = q_i.get(step, ZERO) + power
+                power = power * a
+            reduced[base_t] = reduced.get(base_t, ZERO) + power
+        quotients[i] = MPoly(n, q_i)
         rest = MPoly(n, reduced)
     remainder = rest.terms.get((0,) * n, ZERO)
     return remainder, quotients
-
-
-def in_point_ideal(p: MPoly, pt: CommutingPoint) -> bool:
-    remainder, _ = reduce_mod_point(p, pt)
-    return not remainder
 
 
 # ---------------------------------------------------------------------------

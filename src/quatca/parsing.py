@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .mpoly import MPoly, format_mpoly
+from .mpoly import MPoly, _to_upoly, format_mpoly
 from .scalars import I, J, K, Quat
 from .upoly import UPoly, format_upoly
 
@@ -185,12 +185,7 @@ def parse_mpoly(text: str, nvars: int) -> MPoly:
 
 def parse_upoly(text: str) -> UPoly:
     """Parse a one-variable polynomial over the quaternions."""
-    p = parse_mpoly(text, 1)
-    coeffs = {}
-    for (e,), c in p.terms.items():
-        coeffs[e] = c
-    top = max(coeffs, default=-1)
-    return UPoly([coeffs.get(kk, Quat.scalar(0)) for kk in range(top + 1)])
+    return _to_upoly(parse_mpoly(text, 1))
 
 
 def parse_quat(text: str) -> Quat:

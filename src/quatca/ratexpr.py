@@ -116,18 +116,6 @@ def eval_expr(expr: RatExpr, assignment: Sequence[Quat]) -> Quat | None:
     return walk(expr)
 
 
-def to_prefix(expr: RatExpr) -> str:
-    """Parenthesized prefix form, for debugging output."""
-    if isinstance(expr, Var):
-        return f"x{expr.index}"
-    if isinstance(expr, Const):
-        return str(expr.value)
-    if isinstance(expr, Inv):
-        return f"(inv {to_prefix(expr.arg)})"
-    name = {Add: "add", Sub: "sub", Mul: "mul"}[type(expr)]
-    return f"({name} {to_prefix(expr.left)} {to_prefix(expr.right)})"
-
-
 # ---------------------------------------------------------------------------
 # The recursive independence and degree criteria
 # ---------------------------------------------------------------------------
@@ -210,10 +198,6 @@ def left_degree_via_criterion(a: Quat, b: Quat) -> int:
 def left_degree_via_rank(a: Quat, b: Quat) -> int:
     """Degree of the minimal left polynomial of b over the centralizer of a."""
     return minimal_left_poly(b, centralizer_of_set([a])).degree
-
-
-def left_degree(a: Quat, b: Quat) -> int:
-    return left_degree_via_rank(a, b)
 
 
 def right_degree(b: Quat, a: Quat) -> int:

@@ -22,8 +22,6 @@ from typing import Iterable, Sequence
 from . import linalg
 from .errors import InvalidInput
 
-Rat = Fraction
-
 
 def _fmt_rat_coeff(r: Fraction, unit: str) -> str:
     mag = -r if r < 0 else r

@@ -1,7 +1,7 @@
 """Seeded property suites runnable from the CLI.
 
-Each suite runs a fixed number of exact randomized instances and reports a
-pass count; any failure carries a counterexample description.  The pytest
+Each suite runs a fixed number of exact randomized instances and reports
+only its pass and fail counts, not the failing instances.  The pytest
 suite exercises the same properties at the full advertised instance counts;
 this runner exists so a deployed build can re-verify itself.
 """
@@ -56,22 +56,12 @@ class SuiteResult:
     name: str
     passed: int
     failed: int
-    detail: str = ""
 
     @property
     def ok(self) -> bool:
         return self.failed == 0
 
 
-def _suite(name):
-    def wrap(fn):
-        fn.suite_name = name
-        return fn
-
-    return wrap
-
-
-@_suite("quaternion-ring-laws")
 def _quat_laws(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for _ in range(count):
@@ -90,7 +80,6 @@ def _quat_laws(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("quaternion-ring-laws", count - bad, bad)
 
 
-@_suite("centralizer-descriptors")
 def _centralizers(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for _ in range(count):
@@ -109,7 +98,6 @@ def _centralizers(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("centralizer-descriptors", count - bad, bad)
 
 
-@_suite("conjugator-witness")
 def _conjugators(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for _ in range(count):
@@ -129,7 +117,6 @@ def _conjugators(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("conjugator-witness", count - bad, bad)
 
 
-@_suite("product-formula")
 def _product_formula(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for trial in range(count):
@@ -151,7 +138,6 @@ def _product_formula(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("product-formula", count - bad, bad)
 
 
-@_suite("remainder-law")
 def _remainder_law(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for _ in range(count):
@@ -167,7 +153,6 @@ def _remainder_law(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("remainder-law", count - bad, bad)
 
 
-@_suite("gcrd-lclm-degree-identity")
 def _gcrd_lclm(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for trial in range(count):
@@ -189,7 +174,6 @@ def _gcrd_lclm(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("gcrd-lclm-degree-identity", count - bad, bad)
 
 
-@_suite("root-class-inequality")
 def _root_inequality(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for _ in range(count):
@@ -210,7 +194,6 @@ def _root_inequality(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("root-class-inequality", count - bad, bad)
 
 
-@_suite("wedderburn-root-space-equality")
 def _wedderburn_equality(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for _ in range(count):
@@ -225,7 +208,6 @@ def _wedderburn_equality(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("wedderburn-root-space-equality", count - bad, bad)
 
 
-@_suite("independence-criterion-vs-rank")
 def _independence(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for trial in range(count):
@@ -244,7 +226,6 @@ def _independence(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("independence-criterion-vs-rank", count - bad, bad)
 
 
-@_suite("degree-criterion-and-symmetry")
 def _degrees(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for _ in range(count):
@@ -269,7 +250,6 @@ def _degrees(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("degree-criterion-and-symmetry", count - bad, bad)
 
 
-@_suite("point-reduction-reconstruction")
 def _point_reduction(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for _ in range(count):
@@ -285,7 +265,6 @@ def _point_reduction(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("point-reduction-reconstruction", count - bad, bad)
 
 
-@_suite("eigen-tuple-extraction")
 def _eigen(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for _ in range(count):
@@ -303,7 +282,6 @@ def _eigen(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("eigen-tuple-extraction", count - bad, bad)
 
 
-@_suite("membership-certificates")
 def _certificates(rng: Random, count: int) -> SuiteResult:
     from .mpoly import rabinowitsch_check
 
@@ -321,7 +299,6 @@ def _certificates(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("membership-certificates", count - bad, bad)
 
 
-@_suite("honest-failure-paths")
 def _honest_failures(rng: Random, count: int) -> SuiteResult:
     bad = 0
     classes, status = right_roots(UPoly.from_central([-2, 0, 1]))
@@ -334,7 +311,6 @@ def _honest_failures(rng: Random, count: int) -> SuiteResult:
     return SuiteResult("honest-failure-paths", 2 - bad, bad)
 
 
-@_suite("print-parse-round-trip")
 def _round_trip(rng: Random, count: int) -> SuiteResult:
     bad = 0
     for trial in range(count):

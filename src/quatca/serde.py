@@ -11,12 +11,7 @@ from fractions import Fraction
 
 from .errors import InvalidInput
 from .modules import EigenTuple, ModulePresentation, RootNotFound
-from .mpoly import (
-    CommutingPoint,
-    MPoly,
-    RabinowitschCertificate,
-    grlex_key,
-)
+from .mpoly import CommutingPoint, MPoly, RabinowitschCertificate
 from .scalars import Quat
 from .upoly import Isolated, RootClass, UPoly
 
@@ -26,9 +21,11 @@ def rat_to_json(r: Fraction) -> str:
 
 
 def rat_from_json(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise InvalidInput(f"rational must be a string, got {text!r}")
     try:
         return Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"bad rational {text!r}") from exc
 
 
@@ -63,7 +60,7 @@ def mpoly_to_json(p: MPoly) -> dict:
         "nvars": p.nvars,
         "terms": [
             {"exps": list(exps), "coeff": quat_to_json(c)}
-            for exps, c in sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]))
+            for exps, c in p.sorted_terms()
         ],
     }
 
@@ -79,10 +76,6 @@ def mpoly_from_json(obj: dict) -> MPoly:
 
 def point_to_json(pt: CommutingPoint) -> dict:
     return {"components": [quat_to_json(c) for c in pt]}
-
-
-def point_from_json(obj: dict) -> CommutingPoint:
-    return CommutingPoint([quat_from_json(c) for c in obj["components"]])
 
 
 def module_to_json(module: ModulePresentation) -> dict:

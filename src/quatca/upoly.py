@@ -52,14 +52,6 @@ class UPoly:
         return cls([q])
 
     @classmethod
-    def x(cls) -> "UPoly":
-        return cls([ZERO, ONE])
-
-    @classmethod
-    def monomial(cls, coeff: Quat, k: int) -> "UPoly":
-        return cls([ZERO] * k + [coeff])
-
-    @classmethod
     def linear(cls, a: Quat) -> "UPoly":
         """x - a."""
         return cls([-a, ONE])
@@ -222,7 +214,7 @@ def _coeff_text(c: Quat) -> tuple[str, str]:
     return "+", "0"
 
 
-def format_upoly(p: UPoly, var: str = "x") -> str:
+def format_upoly(p: UPoly) -> str:
     if p.is_zero():
         return "0"
     pieces = []
@@ -232,7 +224,7 @@ def format_upoly(p: UPoly, var: str = "x") -> str:
             continue
         sign, body = _coeff_text(c)
         if k > 0:
-            power = var if k == 1 else f"{var}^{k}"
+            power = "x" if k == 1 else f"x^{k}"
             body = power if body == "1" else f"{body}{power}"
         if not pieces:
             pieces.append(body if sign == "+" else f"-{body}")

@@ -155,6 +155,8 @@ class TestExitCodes:
             '{"m": "x", "mats": []}',
             '{"m": 1, "mats": 5}',
             '{"m": 1, "mats": [[[{"w": null, "x": "0", "y": "0", "z": "0"}]]]}',
+            '{"m": 1, "mats": [[[{"w": 0.1, "x": "0", "y": "0", "z": "0"}]]]}',
+            '{"m": 1, "mats": [[[{"w": true, "x": "0", "y": "0", "z": "0"}]]]}',
         ],
     )
     def test_malformed_module_is_usage(self, capsys, tmp_path, body):

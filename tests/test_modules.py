@@ -1,5 +1,5 @@
-"""Module presentations: commutation checks, annihilators, eigen-tuple
-extraction, and the simplicity report."""
+"""Module presentations: commutation checks, annihilators, and eigen-tuple
+extraction, including the honest root-not-found outcome."""
 
 from random import Random
 
@@ -14,7 +14,6 @@ from quatca.modules import (
     annihilator_minpoly,
     check_presentation,
     find_eigen_tuple,
-    verify_simple_1dim,
 )
 from quatca.mpoly import MPoly, point_ideal
 from quatca.randgen import rand_mpoly, rand_module
@@ -160,10 +159,6 @@ class TestEigenTuple:
             out = find_eigen_tuple(module)
             assert isinstance(out, EigenTuple)
             assert out.point == pt
-            report = verify_simple_1dim(module)
-            assert report.verdict == "simple"
-            assert report.ideal is not None
-            assert tuple(report.point) == tuple(pt)
 
     def test_conjugated_direct_sums(self):
         rng = Random(13)
@@ -190,23 +185,3 @@ class TestEigenTuple:
                         current = module.act(i, current)
                 total = tuple(t + coeff * c for t, c in zip(total, current))
             assert not any(total)
-
-
-class TestSimplicityReport:
-    def test_one_dimensional_recovers_point_ideal(self):
-        module = ModulePresentation(1, [[[I]], [[Quat(1, 1)]]])
-        report = verify_simple_1dim(module)
-        assert report.verdict == "simple"
-        assert list(report.point) == [I, Quat(1, 1)]
-        expected = point_ideal(report.point)
-        assert report.ideal.gens == expected.gens
-
-    def test_diagonal_is_not_simple(self):
-        report = verify_simple_1dim(DIAG_IJ)
-        assert report.verdict == "non-simple"
-        assert isinstance(report.witness, EigenTuple)
-
-    def test_stretch_is_inconclusive(self):
-        report = verify_simple_1dim(STRETCH)
-        assert report.verdict == "inconclusive"
-        assert "x^2 - 2" in report.detail

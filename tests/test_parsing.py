@@ -8,7 +8,7 @@ import pytest
 from quatca import serde
 from quatca.errors import ParseError
 from quatca.modules import ModulePresentation
-from quatca.mpoly import CommutingPoint, MPoly
+from quatca.mpoly import MPoly
 from quatca.parsing import (
     mpoly_to_str,
     parse_mpoly,
@@ -88,6 +88,10 @@ class TestMPolyGrammar:
         with pytest.raises(ParseError):
             parse_mpoly("x3", 2)
 
+    def test_prints_in_descending_graded_order(self):
+        p = parse_mpoly("1 + x2 + ix1 - x1x2 + 2x2^2 + x1^2", 2)
+        assert mpoly_to_str(p) == "x1^2 - x1x2 + 2x2^2 + ix1 + x2 + 1"
+
     def test_round_trip_randomized(self):
         rng = Random(22)
         for _ in range(200):
@@ -117,9 +121,10 @@ class TestJsonForms:
         assert blob["mats"][0][0][0] == serde.quat_to_json(I)
         assert serde.module_from_json(blob) == module
 
-    def test_point_round_trip(self):
-        pt = CommutingPoint([I, Quat(1, 1)])
-        assert serde.point_from_json(serde.point_to_json(pt)) == pt
+    def test_mpoly_terms_in_graded_order(self):
+        p = parse_mpoly("1 + x2 + ix1 - x1x2 + 2x2^2 + x1^2", 2)
+        exps = [term["exps"] for term in serde.mpoly_to_json(p)["terms"]]
+        assert exps == [[0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
 
     def test_mpoly_round_trip_randomized(self):
         rng = Random(23)

@@ -23,7 +23,6 @@ from quatca.ratexpr import (
     left_degree_via_criterion,
     left_degree_via_rank,
     right_degree,
-    to_prefix,
 )
 from quatca.scalars import I, J, K, ONE, Quat, ZERO, centralizer_of_set
 
@@ -44,8 +43,8 @@ class TestConstruction:
         # outermost shape: commutator of x0 with c1 * c2^-1 where the c's
         # are commutators from the first unfolding
         assert isinstance(expr, Sub)
-        text = to_prefix(expr)
-        assert text.count("inv") >= 3 and "x3" in text
+        text = repr(expr)
+        assert text.count("Inv(") >= 3 and "Var(index=3)" in text
 
     def test_invalid_sizes(self):
         with pytest.raises(InvalidInput):

@@ -178,6 +178,17 @@ def test_quat_defines_every_method_the_tracer_wraps():
         assert all(callable(classes[key].__dict__.get(name)) for name in names)
 
 
+def test_benchmark_micro_cases_run(monkeypatch):
+    # The traced benchmark run times these cases: they call
+    # `left_linear_solve` and time the systems that `lclm` and a 2-variable
+    # `rabinowitsch_check` hand to `rref`, so each of those must stay.
+    monkeypatch.syspath_prepend(str(SOURCE.parents[1]))
+    from perfbench.micro import micro_metrics
+
+    metrics = micro_metrics(quatca)
+    assert metrics
+    assert all(value > 0 for value, _ in metrics.values())
+
 def test_rows_hold_ints_where_the_denominator_is_one(rref_systems):
     # The rows `scalars` hands to `rref` come from the numerators: a plain
     # int over denominator 1 or for a zero numerator, a Fraction otherwise.
