@@ -1,18 +1,25 @@
 """Factorization of central (rational-coefficient) polynomials.
 
 Root-class extraction needs the rational roots and the monic quadratic
-factors of a central polynomial.  Both come from sympy's exact
-factorization over the rationals, which always runs to the end, so
-`complete = False` means only that some factor is irreducible over the
-rationals with degree > 2.  Quadratic factors are reported whatever their
-discriminant; one with real irrational roots cannot be split further
+factors of a central polynomial.  Degree 1 and 2 take a closed form (the
+discriminant and an exact rational square root); higher degrees take
+sympy's exact factorization over the rationals.  Both always run to the
+end, so `complete = False` means only that some factor is irreducible over
+the rationals with degree > 2.  Quadratic factors are reported whatever
+their discriminant; one with real irrational roots cannot be split further
 either, and `upoly.right_roots` counts it as incomplete too.
+
+`upoly.right_roots` factors the central content c of p and the norm N(q)
+of its cofactor p = q*c, not N(p) = c^2*N(q), so over its calls a
+leftover factor of the content counts once, not squared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .intmath import rational_sqrt
 
 
 @dataclass(frozen=True)
@@ -21,8 +28,9 @@ class CentralFactorization:
 
     linear: (root, multiplicity) pairs; quadratics: (t, n, multiplicity)
     for irreducible monic factors x^2 - t*x + n; leftover_degree counts
-    the irreducible factors of degree > 2, with multiplicity.  Both tuples
-    are sorted.
+    the irreducible factors of degree > 2, with multiplicity in the input
+    (a content factor of a `right_roots` search therefore once, not
+    squared).  Both tuples are sorted.
     """
 
     linear: tuple[tuple[Fraction, int], ...]
@@ -31,12 +39,30 @@ class CentralFactorization:
     complete: bool
 
 
+def _factor_low_degree(coeffs: list[Fraction]) -> CentralFactorization:
+    """The factorization of a rational polynomial of degree 1 or 2, in
+    closed form: a square discriminant splits a quadratic, zero gives a
+    double root."""
+    lead = Fraction(coeffs[-1])
+    if len(coeffs) == 2:
+        return CentralFactorization(((-coeffs[0] / lead, 1),), (), 0, True)
+    t, n = -coeffs[1] / lead, coeffs[0] / lead
+    s = rational_sqrt(t * t - 4 * n)
+    if s is None:
+        return CentralFactorization((), ((t, n, 1),), 0, True)
+    if not s:
+        return CentralFactorization(((t / 2, 2),), (), 0, True)
+    return CentralFactorization((((t - s) / 2, 1), ((t + s) / 2, 1)), (), 0, True)
+
+
 def factor_central(coeffs: list[Fraction]) -> CentralFactorization:
     """Split a nonconstant rational polynomial (coefficients low to high)
     into rational roots, monic irreducible quadratics and a remainder of
-    irreducible factors of degree > 2."""
+    irreducible factors of degree > 2.  Degree <= 2 never imports sympy."""
     if len(coeffs) < 2:
         raise ValueError("constant polynomial")
+    if len(coeffs) <= 3:
+        return _factor_low_degree(coeffs)
     from sympy import Poly, QQ, Symbol  # deliberate lazy import
 
     poly = Poly([QQ(c.numerator, c.denominator) for c in reversed(coeffs)], Symbol("x"), domain=QQ)

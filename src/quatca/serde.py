@@ -7,6 +7,7 @@ are objects over the fixed basis order, `{"w": ..., "x": ..., "y": ...,
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InvalidInput
@@ -20,12 +21,17 @@ def rat_to_json(r: Fraction) -> str:
     return str(r)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def rat_from_json(text: str) -> Fraction:
     if not isinstance(text, str):
         raise InvalidInput(f"rational must be a string, got {text!r}")
+    if not _RATIONAL.fullmatch(text):
+        raise InvalidInput(f"bad rational {text!r}: expected -?digits(/digits)?")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise InvalidInput(f"bad rational {text!r}") from exc
 
 

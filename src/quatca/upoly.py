@@ -340,28 +340,65 @@ def _class_roots(p: UPoly, t: Fraction, n: Fraction) -> RootClass | None:
     return None
 
 
+def _rat_remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a by b, rational coefficients low to high; b nonzero."""
+    a, db = list(a), len(b) - 1
+    for k in range(len(a) - 1, db - 1, -1):
+        factor = a[k] / b[-1]
+        if factor:
+            for idx, bc in enumerate(b):
+                a[k - db + idx] -= factor * bc
+    del a[db:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _central_content(p: UPoly) -> list[Fraction]:
+    """The monic gcd over the rationals of the four coordinate polynomials
+    of a nonzero p, coefficients low to high: the central c of greatest
+    degree with p = q*c.  The Euclidean loop stops once the gcd is 1."""
+    g: list[Fraction] = []
+    for coords in zip(*(c.coords() for c in p.coeffs)):
+        f = list(coords)
+        while f and not f[-1]:
+            f.pop()
+        while f:
+            g, f = f, _rat_remainder(g, f)
+        if len(g) == 1:
+            return [Fraction(1)]
+    return [v / g[-1] for v in g]
+
+
 def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     """All conjugacy classes of right roots discoverable over the rationals.
 
-    The central companion polynomial is factored exactly over the
-    rationals; each rational root and each quadratic factor with negative
-    discriminant carries at most one candidate class, checked exactly.
-    The status is POSSIBLY_INCOMPLETE only when the rationals cannot split
-    a factor: an irreducible factor of degree > 2, or a quadratic with real
-    irrational roots.  Roots there may exist over a larger scalar field but
-    have no rational-quaternion representative.
+    Write p = q*c with c the central content.  The companion N(p) = c^2*N(q)
+    has exactly the irreducible factors of c and of N(q), so those two are
+    factored exactly over the rationals instead; a content of degree <= 2
+    and a linear q take the closed form, without sympy.  Each rational root
+    and each quadratic factor with negative discriminant carries at most
+    one candidate class, checked exactly on p: rational roots ascending,
+    then classes by (t, n) ascending.  The status is POSSIBLY_INCOMPLETE
+    only when the rationals cannot split a factor: an irreducible factor of
+    degree > 2, or a quadratic with real irrational roots.  Roots there may
+    exist over a larger scalar field but have no rational-quaternion
+    representative.  A leftover factor of c enters `leftover_degree` once,
+    not squared as in N(p).
     """
     if p.degree < 1:
         raise InvalidInput("root search needs a nonconstant polynomial")
-    comp = companion(p)
-    fac = ratfactor.factor_central(comp.central_coeffs())
+    content = _central_content(p)
+    q = p.divmod_right(UPoly.from_central(content))[0] if len(content) > 1 else p
+    norm_q = companion(q).central_coeffs()
+    facs = [ratfactor.factor_central(f) for f in (content, norm_q) if len(f) > 1]
     classes: list[RootClass] = []
-    incomplete = not fac.complete
-    for root, _mult in fac.linear:
+    incomplete = not all(fac.complete for fac in facs)
+    for root in sorted({root for fac in facs for root, _mult in fac.linear}):
         cand = Quat.scalar(root)
         if not p.eval_left(cand):
             classes.append(Isolated(cand))
-    for t, n, _mult in fac.quadratics:
+    for t, n in sorted({(t, n) for fac in facs for t, n, _mult in fac.quadratics}):
         if t * t - 4 * n > 0:
             # Real irrational roots: representable only over a larger field.
             incomplete = True

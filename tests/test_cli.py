@@ -54,6 +54,20 @@ class TestReports:
         code, report, _ = run_json(capsys, "roots", "--poly", "x^2 + 1")
         assert report["payload"]["classes"] == [{"kind": "sphere", "t": "0", "n": "1"}]
 
+    def test_roots_class_order(self, capsys):
+        # Rational roots first, ascending, then the classes by (t, n)
+        # ascending whatever their kind: 1/2, the point i + j of the class
+        # x^2 + 2, then the sphere x^2 - 2x + 5.
+        code, report, _ = run_json(
+            capsys, "roots", "--poly", "(x - i - j)(2x - 1)(x^2 - 2x + 5)"
+        )
+        assert code == 0 and report["status"] == "ok"
+        assert report["payload"]["classes"] == [
+            {"kind": "isolated", "a": {"w": "1/2", "x": "0", "y": "0", "z": "0"}},
+            {"kind": "isolated", "a": {"w": "0", "x": "1", "y": "1", "z": "0"}},
+            {"kind": "sphere", "t": "2", "n": "5"},
+        ]
+
     def test_wedderburn(self, capsys):
         code, report, _ = run_json(
             capsys, "wedderburn", "--element", "j", "--generators", "i"
@@ -157,6 +171,10 @@ class TestExitCodes:
             '{"m": 1, "mats": [[[{"w": null, "x": "0", "y": "0", "z": "0"}]]]}',
             '{"m": 1, "mats": [[[{"w": 0.1, "x": "0", "y": "0", "z": "0"}]]]}',
             '{"m": 1, "mats": [[[{"w": true, "x": "0", "y": "0", "z": "0"}]]]}',
+            '{"m": 1, "mats": [[[{"w": "1.5", "x": "0", "y": "0", "z": "0"}]]]}',
+            '{"m": 1, "mats": [[[{"w": "1e1", "x": "0", "y": "0", "z": "0"}]]]}',
+            '{"m": 1, "mats": [[[{"w": " 3", "x": "0", "y": "0", "z": "0"}]]]}',
+            '{"m": 1, "mats": [[[{"w": "1_0", "x": "0", "y": "0", "z": "0"}]]]}',
         ],
     )
     def test_malformed_module_is_usage(self, capsys, tmp_path, body):

@@ -225,3 +225,30 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "sympy"))
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_low_degree_root_searches_import_no_sympy():
+    # A content of degree <= 2 and a linear cofactor take the closed-form
+    # factorization, so a one-shot `quatca roots` on such input never pays
+    # the sympy import.
+    code = """
+import contextlib, io, sys
+from quatca import cli
+from quatca.scalars import J, Quat
+from quatca.upoly import UPoly, left_roots, right_roots
+
+sphere_times_linear = UPoly.from_central([1, 0, 1]) * UPoly.linear(Quat(1, 2, 3))
+right_roots(UPoly.from_central([-2, 0, 1]))
+right_roots(sphere_times_linear)
+right_roots(UPoly([J, Quat(1, 1)]))
+left_roots(sphere_times_linear)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["--json", "roots", "--poly", "x^2 - 2"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "sympy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from quatca.errors import InvalidInput
+from quatca.ratfactor import factor_central
 from quatca.randgen import rand_nonzero_quat, rand_pure_quat, rand_quat, rand_upoly
 from quatca.scalars import (
     Centralizer,
@@ -36,6 +37,7 @@ from quatca.upoly import (
     roots_in_centralizer,
     sphere_member_in,
     wedderburn_lclm,
+    _class_roots,
     _gcrd_combination,
 )
 from test_acceptance import _class_dimension_by_raw_system
@@ -300,6 +302,145 @@ class TestRightRoots:
                     member = sphere_member_in(Centralizer.full(), cls.t, cls.n)
                     if member is not None:
                         assert p.eval_left(member) == ZERO
+
+
+def _sympy_factor(coeffs):
+    """(rational roots, (t, n) of monic quadratics, leftover degree) of a
+    central polynomial, from sympy's `factor_list`."""
+    from sympy import Poly, QQ, Symbol
+
+    poly = Poly([QQ(c.numerator, c.denominator) for c in reversed(coeffs)], Symbol("x"), domain=QQ)
+    linear, quadratics, leftover = [], [], 0
+    for factor, mult in poly.factor_list()[1]:
+        monic = [F(int(c.numerator), int(c.denominator)) for c in factor.monic().rep.to_list()]
+        if len(monic) == 2:
+            linear.append((-monic[1], mult))
+        elif len(monic) == 3:
+            quadratics.append((-monic[1], monic[2], mult))
+        else:
+            leftover += (len(monic) - 1) * mult
+    return tuple(sorted(linear)), tuple(sorted(quadratics)), leftover
+
+
+def _full_companion_right_roots(p):
+    """The right-root search through the full companion N(p), the oracle
+    for the content-first search."""
+    linear, quadratics, leftover = _sympy_factor(companion(p).central_coeffs())
+    classes = [Isolated(Quat(root)) for root, _ in linear if not p.eval_left(Quat(root))]
+    incomplete = leftover > 0
+    for t, n, _ in quadratics:
+        if t * t - 4 * n > 0:
+            incomplete = True
+        elif (cls := _class_roots(p, t, n)) is not None:
+            classes.append(cls)
+    status = RootSearchStatus.POSSIBLY_INCOMPLETE if incomplete else RootSearchStatus.COMPLETE
+    return classes, status
+
+
+def _rand_central(rng, degree):
+    """A central factor of the given degree: random, or a product of rational
+    roots and quadratics with any discriminant."""
+    if degree == 0 or rng.random() < 0.4:
+        return UPoly.from_central(
+            [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(degree)] + [rng.randint(1, 3)]
+        )
+    out = UPoly.constant(ONE)
+    while out.degree < degree:
+        if degree - out.degree >= 2 and rng.random() < 0.5:
+            out = out * UPoly.from_central([rng.randint(-4, 6), rng.randint(-3, 3), 1])
+        else:
+            out = out * UPoly.from_central([F(rng.randint(-4, 4), rng.randint(1, 2)), 1])
+    return out
+
+
+class TestContentFirstAgainstFullCompanion:
+    """`right_roots` factors the central content c and N(q) for p = q*c; the
+    oracle factors N(p) = c^2*N(q) whole.  Classes, their order and the
+    status must agree."""
+
+    def _agree(self, p):
+        assert right_roots(p) == _full_companion_right_roots(p)
+        left_classes, left_status = _full_companion_right_roots(p.conj_poly())
+        expected = [Isolated(c.a.conjugate()) if isinstance(c, Isolated) else c for c in left_classes]
+        assert left_roots(p) == (expected, left_status)
+
+    def test_planted_products_times_central_factors(self):
+        rng = Random(71)
+        for trial in range(48):
+            q = UPoly.constant(rand_nonzero_quat(rng, 3))
+            for _ in range(rng.randint(0, 3)):
+                q = q * UPoly.linear(rand_quat(rng, 3, integer=trial % 2 == 0))
+            p = q * _rand_central(rng, trial % 4)
+            if p.degree >= 1:
+                self._agree(p)
+
+    def test_linear_cofactor_inside_a_sphere_of_the_content(self):
+        rng = Random(72)
+        for _ in range(12):
+            a = rand_quat(rng, 4, integer=True)
+            if a.is_central():
+                continue
+            sphere = UPoly.from_central([a.norm(), -2 * a.w, 1])
+            for p in (UPoly.linear(a) * sphere, UPoly([a, rand_nonzero_quat(rng, 3)]) * sphere):
+                self._agree(p)
+                assert Sphere(2 * a.w, a.norm()) in right_roots(p)[0]
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            [-2, 1, 1],  # (x - 1)(x + 2): square discriminant
+            [-2, 0, 1],  # x^2 - 2: positive non-square discriminant
+            [1, 1, 1],  # x^2 + x + 1: negative discriminant
+            [1, -2, 1],  # (x - 1)^2: zero discriminant
+            [-2, 0, 0, 1],  # x^3 - 2: irreducible cubic
+            [-1, 1, -1, 1],  # (x - 1)(x^2 + 1): split cubic
+        ],
+    )
+    def test_content_discriminants(self, content):
+        cofactors = (
+            UPoly([J, Quat(1, 1)]),
+            UPoly.linear(Quat(1, 0, 2)) * UPoly.linear(K),
+            UPoly.constant(Quat(2, 0, 0, 1)),
+        )
+        for q in cofactors:
+            self._agree(q * UPoly.from_central(content))
+
+    def test_central_polynomials(self):
+        rng = Random(73)
+        for degree in range(1, 6):
+            for _ in range(4):
+                self._agree(_rand_central(rng, degree))
+        sphere = UPoly.from_central([1, 0, 1])
+        self._agree(sphere * sphere * UPoly.from_central([-3, 0, 1]))
+
+    def test_non_monic_lead(self):
+        rng = Random(74)
+        for _ in range(16):
+            p = UPoly.linear(rand_quat(rng, 3)) * _rand_central(rng, rng.randint(1, 3))
+            self._agree(p.scale_left(rand_nonzero_quat(rng, 3)))
+
+
+class TestLowDegreeFactorization:
+    """The closed form for degree <= 2 against sympy's `factor_list`."""
+
+    def test_random_linear_and_quadratic(self):
+        rng = Random(75)
+        for _ in range(120):
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
+            coeffs[-1] = coeffs[-1] or F(1)
+            fac = factor_central(coeffs)
+            assert (fac.linear, fac.quadratics, fac.leftover_degree) == _sympy_factor(coeffs)
+            assert fac.complete
+
+    def test_double_and_split_roots(self):
+        rng = Random(76)
+        for _ in range(40):
+            r, s, lead = (F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
+            lead = lead or F(1)
+            double, split = [lead * r * r, -2 * lead * r, lead], [lead * r * s, -lead * (r + s), lead]
+            for coeffs in (double, split):
+                fac = factor_central(coeffs)
+                assert (fac.linear, fac.quadratics, fac.leftover_degree) == _sympy_factor(coeffs)
 
 
 class TestLeftRoots:
