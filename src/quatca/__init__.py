@@ -36,12 +36,9 @@ from .mpoly import (
     reduce_mod_point,
 )
 from .parsing import (
-    mpoly_to_str,
     parse_mpoly,
     parse_quat,
     parse_upoly,
-    quat_to_str,
-    upoly_to_str,
 )
 from .ratexpr import (
     algebraicity_witness,

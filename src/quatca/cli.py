@@ -28,13 +28,10 @@ from .mpoly import (
     reduce_mod_point,
 )
 from .parsing import (
-    mpoly_to_str,
     parse_mpoly,
     parse_quat,
     parse_quat_list,
     parse_upoly,
-    quat_to_str,
-    upoly_to_str,
 )
 from .ratexpr import (
     algebraicity_witness,
@@ -74,7 +71,7 @@ class Report:
         return {"status": self.status, "payload": self.payload, "provenance": self.provenance}
 
 
-def _emit(report: Report, as_json: bool) -> int:
+def _emit(report: Report, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -85,9 +82,6 @@ def _emit(report: Report, as_json: bool) -> int:
             else:
                 print(f"{key}: {value}")
         print(f"provenance: {report.provenance}")
-    if report.status in (OK, NOT_FOUND, POSSIBLY_INCOMPLETE):
-        return EXIT_DOMAIN
-    return EXIT_USAGE
 
 
 # -- handlers ----------------------------------------------------------------
@@ -98,7 +92,7 @@ def _cmd_eval(args) -> Report:
     value = poly.eval_left(at) if args.side == "left" else poly.eval_right(at)
     return Report(
         OK,
-        {"value": quat_to_str(value), "value_json": serde.quat_to_json(value), "side": args.side},
+        {"value": str(value), "value_json": serde.quat_to_json(value), "side": args.side},
         "one-sided evaluation of a polynomial over a division ring",
     )
 
@@ -130,7 +124,7 @@ def _cmd_minpoly(args) -> Report:
     return Report(
         OK,
         {
-            "poly": upoly_to_str(poly),
+            "poly": str(poly),
             "poly_json": serde.upoly_to_json(poly),
             "degree": poly.degree,
             "over": over.describe(),
@@ -146,7 +140,7 @@ def _cmd_wedderburn(args) -> Report:
     return Report(
         OK,
         {
-            "poly": upoly_to_str(poly),
+            "poly": str(poly),
             "poly_json": serde.upoly_to_json(poly),
             "degree": poly.degree,
         },
@@ -163,7 +157,7 @@ def _cmd_espace(args) -> Report:
         OK,
         {
             "dim": basis.dim,
-            "basis": [quat_to_str(b) for b in basis.basis],
+            "basis": [str(b) for b in basis.basis],
             "basis_json": [serde.quat_to_json(b) for b in basis.basis],
             "over": basis.over.describe(),
         },
@@ -209,7 +203,7 @@ def _cmd_witness(args) -> Report:
     return Report(
         OK,
         {
-            "coefficients": [quat_to_str(c) for c in coeffs],
+            "coefficients": [str(c) for c in coeffs],
             "coefficients_json": [serde.quat_to_json(c) for c in coeffs],
             "degree": len(coeffs),
         },
@@ -225,11 +219,11 @@ def _cmd_reduce(args) -> Report:
     return Report(
         OK,
         {
-            "remainder": quat_to_str(remainder),
+            "remainder": str(remainder),
             "remainder_json": serde.quat_to_json(remainder),
-            "quotients": [mpoly_to_str(q) for q in quotients],
+            "quotients": [str(q) for q in quotients],
             "in_point_ideal": not remainder,
-            "value_at_point": quat_to_str(eval_at_point(poly, point)),
+            "value_at_point": str(eval_at_point(poly, point)),
         },
         "division with exact remainder modulo a point ideal",
     )
@@ -391,10 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidInput, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    code = _emit(report, args.json)
-    if args.command == "selfcheck" and report.status != OK:
-        return EXIT_INTERNAL
-    return code
+    _emit(report, args.json)
+    return EXIT_INTERNAL if report.status == ERROR else EXIT_DOMAIN
 
 
 def entry():  # console-script hook

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .mpoly import MPoly, _to_upoly, format_mpoly
+from .mpoly import MPoly, _to_upoly
 from .scalars import I, J, K, Quat
-from .upoly import UPoly, format_upoly
+from .upoly import UPoly
 
 _UNITS = {"i": I, "j": J, "k": K}
 
@@ -202,15 +202,3 @@ def parse_quat(text: str) -> Quat:
 def parse_quat_list(text: str) -> list[Quat]:
     """Comma-separated quaternion literals."""
     return [parse_quat(part) for part in text.split(",")]
-
-
-def quat_to_str(q: Quat) -> str:
-    return str(q)
-
-
-def upoly_to_str(p: UPoly) -> str:
-    return format_upoly(p)
-
-
-def mpoly_to_str(p: MPoly) -> str:
-    return format_mpoly(p)

@@ -545,36 +545,23 @@ def minimal_right_poly(b: Quat, c: Centralizer) -> UPoly:
     return minimal_left_poly(b, c)
 
 
-_WEDDERBURN_DEGREE_CAP = 4
-
-
 def wedderburn_lclm(b: Quat, generators: Sequence[Quat]) -> UPoly:
     """Monic generator of the intersection of the left ideals (x - r*b*r^-1)
     for r running over the group generated by the given conjugators.
 
-    Computed as a fixpoint: take least common left multiples until the
-    result is stable under conjugation by every generator, at which point
-    its coefficients all commute with the generators.  The result is a
-    Wedderburn polynomial and equals the minimal left polynomial of b over
-    the centralizer of the generator set.
+    The orbit of b under that group is {b} exactly when b commutes with
+    every generator, giving x - b.  Otherwise the orbit holds a second point
+    b' of the class of b, and the lclm of x - b and x - b' is the central
+    class quadratic: it vanishes on the whole class, and no linear
+    polynomial vanishes at two points.  Either way the result is the minimal
+    left polynomial of b over the centralizer of the generator set.
     """
     gens = list(generators)
     for g in gens:
         if not g:
             raise InvalidInput("conjugator generators must be nonzero")
-    p = UPoly.linear(b)
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            ginv = g.inverse()
-            conjugated = UPoly([g * c * ginv for c in p.coeffs])
-            if conjugated != p:
-                p = lclm(p, conjugated)
-                changed = True
-                if p.degree > _WEDDERBURN_DEGREE_CAP:
-                    raise InternalError("Wedderburn fixpoint exceeded the degree cap")
     csub = centralizer_of_set(gens)
+    p = minimal_left_poly(b, csub)
     for coeff in p.coeffs:
         if not csub.contains(coeff):
             raise InternalError("Wedderburn polynomial has a coefficient outside the centralizer")

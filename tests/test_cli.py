@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from quatca import serde
+from quatca import cli, selfcheck, serde
 from quatca.cli import main
+from quatca.errors import InternalError
 from quatca.modules import ModulePresentation
 from quatca.scalars import I, J, ONE, Quat, ZERO
 
@@ -216,6 +217,22 @@ class TestExitCodes:
     def test_missing_file_is_usage(self, capsys):
         code, out, err = run(capsys, "eigen", "--module", "/nonexistent.json")
         assert code == 2
+
+    def test_failing_selfcheck_is_internal(self, capsys, monkeypatch):
+        failing = {"seed": 1, "ok": False, "suites": [{"name": "s", "passed": 0, "failed": 1}]}
+        monkeypatch.setattr(selfcheck, "run_all", lambda seed: failing)
+        code, report, _ = run_json(capsys, "selfcheck")
+        assert code == 3
+        assert report["status"] == "error" and report["payload"] == failing
+
+    def test_internal_error_in_handler_is_internal(self, capsys, monkeypatch):
+        def broken(b, gens):
+            raise InternalError("planted fault")
+
+        monkeypatch.setattr(cli, "wedderburn_lclm", broken)
+        code, out, err = run(capsys, "wedderburn", "--element", "j", "--generators", "i")
+        assert code == 3
+        assert out == "" and "internal error: planted fault" in err
 
     def test_text_mode_default(self, capsys):
         code, out, err = run(capsys, "minpoly", "--element", "j", "--over", "i")

@@ -9,15 +9,7 @@ from quatca import serde
 from quatca.errors import ParseError
 from quatca.modules import ModulePresentation
 from quatca.mpoly import MPoly
-from quatca.parsing import (
-    mpoly_to_str,
-    parse_mpoly,
-    parse_quat,
-    parse_quat_list,
-    parse_upoly,
-    quat_to_str,
-    upoly_to_str,
-)
+from quatca.parsing import parse_mpoly, parse_quat, parse_quat_list, parse_upoly
 from quatca.randgen import rand_mpoly, rand_quat, rand_upoly
 from quatca.scalars import I, J, K, ONE, Quat, ZERO
 from quatca.upoly import UPoly
@@ -71,9 +63,9 @@ class TestUPolyGrammar:
         rng = Random(21)
         for _ in range(300):
             p = rand_upoly(rng, 5)
-            assert parse_upoly(upoly_to_str(p)) == p
+            assert parse_upoly(str(p)) == p
             q = rand_quat(rng)
-            assert parse_quat(quat_to_str(q)) == q
+            assert parse_quat(str(q)) == q
 
 
 class TestMPolyGrammar:
@@ -90,14 +82,14 @@ class TestMPolyGrammar:
 
     def test_prints_in_descending_graded_order(self):
         p = parse_mpoly("1 + x2 + ix1 - x1x2 + 2x2^2 + x1^2", 2)
-        assert mpoly_to_str(p) == "x1^2 - x1x2 + 2x2^2 + ix1 + x2 + 1"
+        assert str(p) == "x1^2 - x1x2 + 2x2^2 + ix1 + x2 + 1"
 
     def test_round_trip_randomized(self):
         rng = Random(22)
         for _ in range(200):
             nvars = rng.randint(1, 3)
             p = rand_mpoly(rng, nvars, 4)
-            assert parse_mpoly(mpoly_to_str(p), nvars) == p
+            assert parse_mpoly(str(p), nvars) == p
 
 
 class TestJsonForms:

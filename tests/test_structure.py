@@ -32,6 +32,7 @@ from quatca.upoly import (
     minimal_right_poly,
     root_space,
     root_space_dim,
+    wedderburn_lclm,
 )
 
 SOURCE = Path(quatca.__file__).parent
@@ -94,9 +95,9 @@ def test_lclm_systems_are_no_taller_than_the_remainders(rref_systems):
 
 
 def test_closed_forms_hand_no_system_to_rref(rref_systems):
-    # Root spaces, minimal polynomials and conjugacy witnesses come from the
-    # class quadratic of the point (Gordon-Motzkin), not from a rational
-    # system.
+    # Root spaces, minimal and Wedderburn polynomials and conjugacy witnesses
+    # come from the class quadratic of the point (Gordon-Motzkin), not from
+    # a rational system.
     sphere = root_space(UPoly.from_central([1, 0, 1]), I)
     isolated = root_space(UPoly.linear(I) * UPoly.linear(I), I)
     assert (sphere.dim, isolated.dim) == (2, 1)
@@ -105,6 +106,8 @@ def test_closed_forms_hand_no_system_to_rref(rref_systems):
     assert minimal_right_poly(J, Centralizer.quadratic(I)).degree == 2
     assert find_conjugator(I, J) is not None
     assert find_conjugator(I, -I) is not None
+    assert wedderburn_lclm(J, [I]).degree == 2
+    assert wedderburn_lclm(I, [I, Quat(2, 3)]) == UPoly.linear(I)
     assert rref_systems == []
 
 

@@ -17,7 +17,6 @@ from quatca.scalars import (
     ONE,
     Quat,
     ZERO,
-    centralizer_of_set,
     find_conjugator,
 )
 from quatca.upoly import (
@@ -625,13 +624,26 @@ class TestWedderburn:
         with pytest.raises(InvalidInput):
             wedderburn_lclm(J, [ZERO])
 
+    def test_no_generators(self):
+        assert wedderburn_lclm(J, []) == UPoly.linear(J)
+
+    def test_only_second_generator_moves(self):
+        # I fixes I, J does not: the orbit holds -i as well as i.
+        assert wedderburn_lclm(I, [I, J]) == X2P1
+        assert wedderburn_lclm(Quat(1, 2), [Quat(3, 1), Quat(1, 0, 1)]) == UPoly.from_central([5, -2, 1])
+
     def test_matches_minimal_left_polynomial(self):
+        # Oracle: the lclm of x - b and x - b' for the first generator g
+        # moving b to b' = g b g^-1, or x - b when every generator fixes b.
         rng = Random(37)
         for _ in range(100):
             b = rand_quat(rng, 4)
             gens = [rand_nonzero_quat(rng, 4) for _ in range(rng.randint(1, 2))]
             p = wedderburn_lclm(b, gens)
-            assert p == minimal_left_poly(b, centralizer_of_set(gens))
+            mover = next((g for g in gens if g * b != b * g), None)
+            expected = UPoly.linear(b) if mover is None else lclm(
+                UPoly.linear(b), UPoly.linear(mover * b * mover.inverse()))
+            assert p == expected
             assert root_space(p, b).dim == p.degree
 
     def test_isolated_roots_conjugate_to_base(self):
