@@ -17,8 +17,8 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import InternalError, InvalidInput
-from .scalars import Centralizer, ONE, Quat, ZERO, solve_combination
-from .upoly import UPoly, _coeff_text, _gcrd_combination
+from .scalars import Centralizer, ONE, Quat, ZERO, _signed_sum, _term_text, solve_combination
+from .upoly import UPoly, _gcrd_combination
 
 Exponents = tuple[int, ...]
 
@@ -143,23 +143,10 @@ class MPoly:
 
 
 def format_mpoly(p: MPoly) -> str:
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for exps, coeff in reversed(p.sorted_terms()):
-        sign, body = _coeff_text(coeff)
-        mono = "".join(
-            f"x{idx + 1}" if e == 1 else f"x{idx + 1}^{e}"
-            for idx, e in enumerate(exps)
-            if e
-        )
-        if mono:
-            body = mono if body == "1" else f"{body}{mono}"
-        if not pieces:
-            pieces.append(body if sign == "+" else f"-{body}")
-        else:
-            pieces.append(f"{sign} {body}")
-    return " ".join(pieces)
+    return _signed_sum(
+        _term_text(c, "".join(f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in enumerate(exps, 1) if e))
+        for exps, c in reversed(p.sorted_terms())
+    )
 
 
 # ---------------------------------------------------------------------------

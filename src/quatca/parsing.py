@@ -2,9 +2,12 @@
 
 Quaternion literals look like `1 - 2/3i + j - k`; polynomials like
 `(1+i)x^2 - 2/3jx + k` with the variable `x`, or `x1x2 - k` in several
-variables.  Whitespace is insignificant.  Adjacent factors multiply in the
-order written, which matters because coefficients do not commute; general
-parenthesized subexpressions and powers such as `(x-i)^2` are allowed.
+variables.  Digits are ASCII 0-9.  Whitespace separates tokens and is
+allowed around the `/` of a rational, so `1 2` is the product 2 while `12`
+is twelve, and `x 2` is 2x1 while `x2` is the second variable.  Adjacent
+factors multiply in the order written, which matters because coefficients
+do not commute; general parenthesized subexpressions and powers such as
+`(x-i)^2` are allowed, with parentheses nested at most 100 deep.
 
 Printing inverts parsing exactly: print(parse(t)) reparses to an equal
 value.
@@ -12,7 +15,7 @@ value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -21,154 +24,116 @@ from .scalars import I, J, K, Quat
 from .upoly import UPoly
 
 _UNITS = {"i": I, "j": J, "k": K}
+_MAX_NESTING = 100
+
+# One token after optional whitespace: a rational `num` or `num/den`, a
+# unit, a variable `x` or `x<index>`, an operator, or any other character.
+_TOKEN = re.compile(r"\s*(([0-9]+)(?:\s*/\s*([0-9]*))?|[ijk]|x([0-9]*)|[-+*^()]|\S)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "rat" | "unit" | "var" | "op" | "end"
-    text: str
-    pos: int
-    value: Fraction | int | None = None
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    n = len(text)
-    pos = 0
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            num = int(text[start:pos])
-            # A slash directly after a number (spaces allowed) makes a rational.
-            look = pos
-            while look < n and text[look].isspace():
-                look += 1
-            if look < n and text[look] == "/":
-                look += 1
-                while look < n and text[look].isspace():
-                    look += 1
-                dstart = look
-                while look < n and text[look].isdigit():
-                    look += 1
-                if dstart == look:
-                    raise ParseError("expected denominator digits after '/'", dstart)
-                den = int(text[dstart:look])
-                if den == 0:
-                    raise ParseError("zero denominator", dstart)
-                tokens.append(_Token("rat", text[start:look], start, Fraction(num, den)))
-                pos = look
-            else:
-                tokens.append(_Token("rat", text[start:pos], start, Fraction(num)))
-            continue
-        if ch in "ijk":
-            tokens.append(_Token("unit", ch, pos))
-            pos += 1
-            continue
-        if ch == "x":
-            start = pos
-            pos += 1
-            digits = ""
-            while pos < n and text[pos].isdigit():
-                digits += text[pos]
-                pos += 1
-            index = int(digits) - 1 if digits else 0
-            if digits and index < 0:
-                raise ParseError("variable indices start at x1", start)
-            tokens.append(_Token("var", text[start:pos], start, index))
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token("op", ch, pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("end", "", n))
+def _tokenize(text: str) -> list[tuple]:
+    """Tokens `(kind, text, pos, value)`, kind one of "rat", "unit", "var",
+    "op" and a closing "end"; a rational's value is a `Fraction` and a
+    variable's its 0-based index."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        tok, num, den, index = m.group(1, 2, 3, 4)
+        pos = m.start(1)
+        if num is not None:
+            if den is None:
+                den = "1"
+            elif not den:
+                raise ParseError("expected denominator digits after '/'", m.start(3))
+            elif not int(den):
+                raise ParseError("zero denominator", m.start(3))
+            tokens.append(("rat", tok, pos, Fraction(int(num), int(den))))
+        elif index is not None:
+            if index and not int(index):
+                raise ParseError("variable indices start at x1", pos)
+            tokens.append(("var", tok, pos, int(index) - 1 if index else 0))
+        elif tok in _UNITS:
+            tokens.append(("unit", tok, pos, None))
+        elif tok in "+-*^()":
+            tokens.append(("op", tok, pos, None))
+        else:
+            raise ParseError(f"unexpected character {tok!r}", pos)
+    tokens.append(("end", "", len(text), None))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], nvars: int):
+    def __init__(self, tokens: list[tuple], nvars: int):
         self.tokens = tokens
         self.at = 0
         self.nvars = nvars
+        self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.at]
 
-    def take(self) -> _Token:
+    def take(self) -> tuple:
         tok = self.tokens[self.at]
         self.at += 1
         return tok
 
-    def expect_op(self, text: str):
-        tok = self.take()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.pos)
+    # Only operator tokens have the texts + - * ^ ( ), so a text names one.
 
     def parse_expression(self) -> MPoly:
-        negate = False
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
+        sign = self.peek()[1]
+        if sign in ("+", "-"):
             self.take()
-            negate = tok.text == "-"
         result = self.parse_term()
-        if negate:
+        if sign == "-":
             result = -result
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.take()
-                term = self.parse_term()
-                result = result - term if tok.text == "-" else result + term
-            else:
+            op = self.peek()[1]
+            if op not in ("+", "-"):
                 return result
+            self.take()
+            term = self.parse_term()
+            result = result - term if op == "-" else result + term
 
     def parse_term(self) -> MPoly:
         result = self.parse_factor()
         while True:
-            tok = self.peek()
-            if tok.kind in ("rat", "unit", "var") or (tok.kind == "op" and tok.text == "("):
-                result = result * self.parse_factor()
-            elif tok.kind == "op" and tok.text == "*":
+            kind, text, _, _ = self.peek()
+            if text == "*":
                 self.take()
-                result = result * self.parse_factor()
-            else:
+            elif kind in ("op", "end") and text != "(":
                 return result
+            result = result * self.parse_factor()
 
     def parse_factor(self) -> MPoly:
         base = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.take()
-            exp_tok = self.take()
-            if exp_tok.kind != "rat" or not isinstance(exp_tok.value, Fraction) or exp_tok.value.denominator != 1 or exp_tok.value < 0:
-                raise ParseError("exponent must be a nonnegative integer", exp_tok.pos)
-            return base.pow(int(exp_tok.value))
-        return base
+        if self.peek()[1] != "^":
+            return base
+        self.take()
+        kind, _, pos, value = self.take()
+        if kind != "rat" or value.denominator != 1:
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        return base.pow(int(value))
 
     def parse_atom(self) -> MPoly:
-        tok = self.take()
-        if tok.kind == "rat":
-            return MPoly.constant(Quat.scalar(tok.value), self.nvars)
-        if tok.kind == "unit":
-            return MPoly.constant(_UNITS[tok.text], self.nvars)
-        if tok.kind == "var":
-            index = tok.value
-            if not 0 <= index < self.nvars:
-                raise ParseError(
-                    f"variable {tok.text} outside the {self.nvars}-variable ring", tok.pos
-                )
-            return MPoly.variable(index, self.nvars)
-        if tok.kind == "op" and tok.text == "(":
+        kind, text, pos, value = self.take()
+        if kind == "rat":
+            return MPoly.constant(Quat.scalar(value), self.nvars)
+        if kind == "unit":
+            return MPoly.constant(_UNITS[text], self.nvars)
+        if kind == "var":
+            if not value < self.nvars:
+                raise ParseError(f"variable {text} outside the {self.nvars}-variable ring", pos)
+            return MPoly.variable(value, self.nvars)
+        if text == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.parse_expression()
-            self.expect_op(")")
+            self.depth -= 1
+            kind, text, pos, _ = self.take()
+            if text != ")":
+                raise ParseError("expected ')'", pos)
             return inner
-        raise ParseError(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.pos)
+        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
 def parse_mpoly(text: str, nvars: int) -> MPoly:
@@ -177,9 +142,9 @@ def parse_mpoly(text: str, nvars: int) -> MPoly:
         raise ParseError("need at least one variable", 0)
     parser = _Parser(_tokenize(text), nvars)
     result = parser.parse_expression()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected trailing {tail.text!r}", tail.pos)
+    kind, text, pos, _ = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing {text!r}", pos)
     return result
 
 

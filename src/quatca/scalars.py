@@ -23,10 +23,33 @@ from . import linalg
 from .errors import InvalidInput
 
 
-def _fmt_rat_coeff(r: Fraction, unit: str) -> str:
-    mag = -r if r < 0 else r
-    body = unit if (mag == 1 and unit) else f"{mag}{unit}"
-    return body
+_UNIT_NAMES = ("", "i", "j", "k")
+
+
+def _signed_sum(pairs) -> str:
+    """The text `a - b + c` of (value, text) terms: zero values are skipped,
+    and a magnitude 1 is dropped before nonempty text."""
+    parts = []
+    for value, text in pairs:
+        if not value:
+            continue
+        mag = -value if value < 0 else value
+        body = text if mag == 1 and text else f"{mag}{text}"
+        if parts:
+            parts.append(f"- {body}" if value < 0 else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if value < 0 else body)
+    return " ".join(parts) if parts else "0"
+
+
+def _term_text(c: Quat, monomial: str) -> tuple:
+    """The (value, text) pair of the nonzero term c*monomial: one coordinate
+    and its unit, or (1, "(c)monomial") for more than one nonzero coordinate."""
+    nonzero = [(v, unit) for v, unit in zip(c._n, _UNIT_NAMES) if v]
+    if len(nonzero) > 1:
+        return 1, f"({c}){monomial}"
+    (v, unit), m = nonzero[0], c._d
+    return (v if m == 1 else Fraction(v, m)), unit + monomial
 
 
 class Quat:
@@ -202,16 +225,11 @@ class Quat:
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        parts = []
-        for value, unit in zip(self.coords(), ("", "i", "j", "k")):
-            if value == 0:
-                continue
-            body = _fmt_rat_coeff(value, unit)
-            if not parts:
-                parts.append(body if value > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if value > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+        m = self._d
+        return _signed_sum(
+            (Fraction(v, m) if v and m != 1 else v, unit)
+            for v, unit in zip(self._n, _UNIT_NAMES)
+        )
 
     def __repr__(self) -> str:
         return f"Quat({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"

@@ -26,6 +26,8 @@ from .scalars import (
     ONE,
     Quat,
     ZERO,
+    _signed_sum,
+    _term_text,
     centralizer_of_set,
     first_dependence,
 )
@@ -199,38 +201,12 @@ class UPoly:
 # Display (shared with the CLI grammar)
 # ---------------------------------------------------------------------------
 
-def _coeff_text(c: Quat) -> tuple[str, str]:
-    """(sign, body) for a coefficient in front of a power of x."""
-    nonzero = [v for v in c.coords() if v != 0]
-    if len(nonzero) > 1:
-        return "+", f"({c})"
-    for value, unit in zip(c.coords(), ("", "i", "j", "k")):
-        if value != 0:
-            sign = "+" if value > 0 else "-"
-            mag = value if value > 0 else -value
-            if mag == 1 and unit:
-                return sign, unit
-            return sign, f"{mag}{unit}"
-    return "+", "0"
-
-
 def format_upoly(p: UPoly) -> str:
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if not c:
-            continue
-        sign, body = _coeff_text(c)
-        if k > 0:
-            power = "x" if k == 1 else f"x^{k}"
-            body = power if body == "1" else f"{body}{power}"
-        if not pieces:
-            pieces.append(body if sign == "+" else f"-{body}")
-        else:
-            pieces.append(f"{sign} {body}")
-    return " ".join(pieces)
+    return _signed_sum(
+        _term_text(c, "" if k == 0 else "x" if k == 1 else f"x^{k}")
+        for k, c in reversed(list(enumerate(p.coeffs)))
+        if c
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,16 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "poly, at",
+        [("x\u00b2", "1"), ("x", "\u0663i"), ("(" * 400 + "x" + ")" * 400, "1")],
+        ids=["superscript-two", "arabic-indic-three", "nested-400-deep"],
+    )
+    def test_non_ascii_digits_and_deep_nesting_are_usage(self, capsys, poly, at):
+        code, out, err = run(capsys, "eval", "--poly", poly, "--at", at)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     def test_precondition_violation_is_usage(self, capsys):
         code, out, err = run(capsys, "espace", "--poly", "x^2 + 1", "--root", "1+j")
         assert code == 2

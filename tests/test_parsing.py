@@ -92,6 +92,89 @@ class TestMPolyGrammar:
             assert parse_mpoly(str(p), nvars) == p
 
 
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "parse, text, message, position",
+        [
+            (parse_upoly, "1/", "expected denominator digits after '/'", 2),
+            (parse_upoly, "1 / x", "expected denominator digits after '/'", 4),
+            (parse_upoly, "1/0", "zero denominator", 2),
+            (parse_upoly, "x0", "variable indices start at x1", 0),
+            (parse_upoly, "x00", "variable indices start at x1", 0),
+            (lambda t: parse_mpoly(t, 2), "x3", "variable x3 outside the 2-variable ring", 0),
+            (parse_upoly, "(1", "expected ')'", 2),
+            (parse_upoly, "1)", "unexpected trailing ')'", 1),
+            (parse_upoly, "x^i", "exponent must be a nonnegative integer", 2),
+            (parse_upoly, "x^1/2", "exponent must be a nonnegative integer", 2),
+            (parse_upoly, "", "unexpected end of input", 0),
+            (parse_upoly, "1 + $", "unexpected character '$'", 4),
+            (parse_quat, "x", "expected a constant quaternion, found a variable", 0),
+            (lambda t: parse_mpoly(t, 0), "1", "need at least one variable", 0),
+        ],
+    )
+    def test_message_and_position(self, parse, text, message, position):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_upoly, "x\u00b2", "unexpected character '\u00b2' (at position 1)"),
+            (parse_quat, "\u0663i", "unexpected character '\u0663' (at position 0)"),
+            (parse_quat, "1/\u0663", "expected denominator digits after '/' (at position 2)"),
+        ],
+        ids=["superscript-two", "arabic-indic-three", "arabic-indic-denominator"],
+    )
+    def test_digits_are_ascii(self, parse, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+    def test_deep_nesting_is_a_parse_error(self):
+        # Parentheses nest at most 100 deep; the 101st is the offending token.
+        with pytest.raises(ParseError) as info:
+            parse_upoly("(" * 400 + "1" + ")" * 400)
+        assert str(info.value) == "parentheses nested deeper than 100 (at position 100)"
+        assert parse_upoly("(" * 100 + "x" + ")" * 100) == UPoly([ZERO, ONE])
+
+    def test_whitespace_separates_tokens(self):
+        assert parse_quat("1 2") == Quat(2) and parse_quat("12") == Quat(12)
+        assert parse_mpoly("x 2", 2) == parse_mpoly("2x1", 2)
+        assert parse_mpoly("x2", 2) == MPoly.variable(1, 2)
+        assert parse_quat("3 / 4 i") == Quat(0, F(3, 4))
+
+
+class TestPrinting:
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (ZERO, "0"),
+            (-I, "-i"),
+            (Quat(1, -1), "1 - i"),
+            (F(2, 3) * J, "2/3j"),
+            (Quat(-1, 0, F(1, 2), -1), "-1 + 1/2j - k"),
+            (ONE, "1"),
+            (-ONE, "-1"),
+            (UPoly(), "0"),
+            (UPoly([ONE]), "1"),
+            (UPoly([-ONE]), "-1"),
+            (UPoly([ONE, -ONE, Quat(1, 1)]), "(1 + i)x^2 - x + 1"),
+            (UPoly([-ONE, F(2, 3) * J, ZERO, -ONE]), "-x^3 + 2/3jx - 1"),
+            (UPoly([Quat(0, 1, 0, -1), Quat(-2)]), "-2x + (i - k)"),
+            (UPoly([ZERO, K]), "kx"),
+            (MPoly(2), "0"),
+            (MPoly(2, {(2, 1): ONE, (1, 3): Quat(-2), (0, 1): Quat(1, 0, -1), (0, 0): -ONE}),
+             "-2x1x2^3 + x1^2x2 + (1 - j)x2 - 1"),
+            (MPoly(3, {(1, 0, 1): -ONE, (0, 2, 0): F(1, 2) * K}), "-x1x3 + 1/2kx2^2"),
+            (MPoly(1, {(2,): ONE, (0,): -ONE}), "x1^2 - 1"),
+        ],
+    )
+    def test_exact_text(self, value, text):
+        assert str(value) == text
+
+
 class TestJsonForms:
     def test_quat_object_shape(self):
         q = Quat(1, F(-2, 3), 1, -1)
