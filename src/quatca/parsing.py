@@ -159,7 +159,10 @@ def parse_quat(text: str) -> Quat:
     constant = Quat.scalar(0)
     for exps, coeff in p.terms.items():
         if any(exps):
-            raise ParseError("expected a constant quaternion, found a variable", 0)
+            # Checked on the value, not the tokens, so variables that
+            # cancel (`x - x`, `x^0`) still give a constant.
+            pos = next(pos for kind, _, pos, _ in _tokenize(text) if kind == "var")
+            raise ParseError("expected a constant quaternion, found a variable", pos)
         constant = constant + coeff
     return constant
 

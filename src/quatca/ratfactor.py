@@ -2,12 +2,24 @@
 
 Root-class extraction needs the rational roots and the monic quadratic
 factors of a central polynomial.  Degree 1 and 2 take a closed form (the
-discriminant and an exact rational square root); higher degrees take
-sympy's exact factorization over the rationals.  Both always run to the
-end, so `complete = False` means only that some factor is irreducible over
-the rationals with degree > 2.  Quadratic factors are reported whatever
-their discriminant; one with real irrational roots cannot be split further
-either, and `upoly.right_roots` counts it as incomplete too.
+discriminant and an exact rational square root).  Above degree 2, floats
+propose and exact division confirms: the polynomial is cleared to a
+primitive integer F with leading coefficient L, its complex roots are
+approximated by Aberth-Ehrlich iteration, and each near-real root and each
+pair with near-real sum and product is rounded to a candidate factor over
+(1/L)Z, which by Gauss's lemma holds the coefficients of every monic
+rational factor of F.  A candidate counts only once it divides exactly, so
+a bad float costs a trial division, never an answer.  Sympy's exact
+`factor_list` sees only the cofactor no confirmed candidate explains, or
+all of F when floats cannot hold it or the iteration does not settle.
+Factorization over the rationals is unique, so the answer is the one
+sympy alone would give.
+
+Every path runs to the end, so `complete = False` means only that some
+factor is irreducible over the rationals with degree > 2.  Quadratic
+factors are reported whatever their discriminant; one with real irrational
+roots cannot be split further either, and `upoly.right_roots` counts it as
+incomplete too.
 
 `upoly.right_roots` factors the central content c of p and the norm N(q)
 of its cofactor p = q*c, not N(p) = c^2*N(q), so over its calls a
@@ -16,10 +28,21 @@ leftover factor of the content counts once, not squared.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import cos, gcd, isfinite, lcm, pi, sin
 
 from .intmath import rational_sqrt
+
+# Aberth-Ehrlich sweeps before the float stage gives up and hands the whole
+# polynomial to sympy; the `roots` benchmark's companions settle in 4 to 18.
+_MAX_SWEEPS = 100
+# A root approximation has settled once |F(z)| is within this many rounding
+# errors of the evaluation, i.e. z is an exact root of a polynomial whose
+# coefficients differ from F's in the last bits.
+_SETTLED_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -55,25 +78,163 @@ def _factor_low_degree(coeffs: list[Fraction]) -> CentralFactorization:
     return CentralFactorization((((t - s) / 2, 1), ((t + s) / 2, 1)), (), 0, True)
 
 
+def _primitive(coeffs: list[Fraction]) -> list[int]:
+    """The primitive integer multiple of a rational polynomial with positive
+    leading coefficient, coefficients high to low."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * den) for c in reversed(coeffs)]
+    content = gcd(*ints)
+    return [v // content for v in ints] if ints[0] > 0 else [-v // content for v in ints]
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
+    """f/g for integer polynomials high to low with g primitive, or None
+    when g does not divide f.  By Gauss's lemma a quotient over the
+    rationals is integral, so the first inexact step rejects."""
+    f = list(f)
+    steps = len(f) - len(g) + 1
+    quotient = []
+    for k in range(steps):
+        q, r = divmod(f[k], g[0])
+        if r:
+            return None
+        quotient.append(q)
+        if q:
+            for idx in range(1, len(g)):
+                f[k + idx] -= q * g[idx]
+    return None if any(f[steps:]) else quotient
+
+
+def _approximate_roots(f: list[int]) -> list[complex] | None:
+    """All complex roots of an integer polynomial of degree >= 1 with
+    nonzero constant term, by Aberth-Ehrlich iteration in floats; None when
+    the coefficients do not fit a float, a value stops being finite or the
+    sweeps run out."""
+    try:
+        a = [c / f[0] for c in f]  # exact int quotients, correctly rounded
+        n = len(a) - 1
+        radius = max(abs(a[k]) ** (1 / k) for k in range(1, n + 1))
+        # Starts on a circle, turned so that none is real and no two conjugate.
+        angles = [2 * pi * k / n + 0.4 for k in range(n)]
+        z = [radius * complex(cos(t), sin(t)) for t in angles]
+        for _ in range(_MAX_SWEEPS):
+            settled = True
+            for i, zi in enumerate(z):
+                value = slope = 0j
+                bound, size = 0.0, abs(zi)
+                for c in a:
+                    slope = slope * zi + value
+                    value = value * zi + c
+                    bound = bound * size + abs(c)
+                if not isfinite(bound):
+                    return None
+                if abs(value) <= _SETTLED_ULPS * sys.float_info.epsilon * bound:
+                    continue
+                settled = False
+                ratio = value / slope
+                repulsion = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+                z[i] = zi - ratio / (1 - ratio * repulsion)
+                if not isfinite(abs(z[i])):
+                    return None
+            if settled:
+                return z
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
+
+
+def _candidates(f: list[int]) -> list[list[int]]:
+    """Primitive integer candidates for the factors of degree 1, then 2, of
+    f, rounded from its approximate roots; empty when floats fail."""
+    roots = _approximate_roots(f)
+    if roots is None:
+        return []
+    lead = f[0]
+
+    def on_grid(v: complex) -> int | None:
+        # v*L rounded, when v lies within 1/(2L) of a point of (1/L)Z.
+        scaled = v * lead
+        m = round(scaled.real)
+        return m if abs(scaled - m) < 0.5 else None
+
+    linear, quadratic = {}, {}
+    try:
+        for r in roots:
+            m = on_grid(r)
+            if m is not None:
+                g = gcd(lead, m)
+                linear[lead // g, -m // g] = None
+        for i, r in enumerate(roots):
+            for s in roots[i + 1:]:
+                t, n = on_grid(r + s), on_grid(r * s)
+                if t is not None and n is not None:
+                    g = gcd(lead, t, n)
+                    quadratic[lead // g, -t // g, n // g] = None
+    except OverflowError:
+        pass  # a root too large to scale; the candidates so far still stand
+    return [list(c) for c in (*linear, *quadratic)]
+
+
+def _sympy_factors(f: list[int]) -> list[tuple[list[int], int]]:
+    """The irreducible factors of an integer polynomial of degree >= 1 with
+    their multiplicities, from sympy's exact factorization."""
+    from sympy import Poly, Symbol, ZZ  # deliberate lazy import
+
+    return [
+        ([int(c) for c in factor.rep.to_list()], mult)
+        for factor, mult in Poly(f, Symbol("x"), domain=ZZ).factor_list()[1]
+    ]
+
+
 def factor_central(coeffs: list[Fraction]) -> CentralFactorization:
     """Split a nonconstant rational polynomial (coefficients low to high)
     into rational roots, monic irreducible quadratics and a remainder of
-    irreducible factors of degree > 2.  Degree <= 2 never imports sympy."""
+    irreducible factors of degree > 2.
+
+    Degree <= 2 takes a closed form.  Above it, candidate factors of degree
+    1 and 2 rounded from floating-point roots are confirmed by exact
+    division, repeatedly for the multiplicity, and only the cofactor they
+    leave reaches sympy.  The floats only choose which trial divisions to
+    make, so the answer is the exact factorization; a product of rational
+    linear and quadratic factors whose roots the floats resolve never
+    imports sympy."""
     if len(coeffs) < 2:
         raise ValueError("constant polynomial")
     if len(coeffs) <= 3:
         return _factor_low_degree(coeffs)
-    from sympy import Poly, QQ, Symbol  # deliberate lazy import
-
-    poly = Poly([QQ(c.numerator, c.denominator) for c in reversed(coeffs)], Symbol("x"), domain=QQ)
-    linear, quadratics, leftover = [], [], 0
-    for factor, mult in poly.factor_list()[1]:
-        high_to_low = [Fraction(int(c.numerator), int(c.denominator)) for c in factor.rep.to_list()]
-        monic = [c / high_to_low[0] for c in high_to_low]
-        if len(monic) == 2:
-            linear.append((-monic[1], mult))
-        elif len(monic) == 3:
-            quadratics.append((-monic[1], monic[2], mult))
-        else:
-            leftover += (len(monic) - 1) * mult
-    return CentralFactorization(tuple(sorted(linear)), tuple(sorted(quadratics)), leftover, leftover == 0)
+    rest = _primitive(coeffs)
+    found = []
+    # Divide out x exactly: the floats' settling test is relative to the
+    # size of F's terms, which all vanish at 0, so approximations of the
+    # root 0 never settle.
+    zeros = 0
+    while not rest[-1]:
+        rest.pop()
+        zeros += 1
+    if zeros:
+        found.append(([1, 0], zeros))
+    candidates = _candidates(rest) if len(rest) > 1 else []
+    for g in candidates:
+        mult = 0
+        while len(rest) >= len(g) and (q := _exact_quotient(rest, g)) is not None:
+            rest, mult = q, mult + 1
+        if mult:
+            found.append((g, mult))
+    if len(rest) > 1:
+        found += _sympy_factors(rest)
+    linear, quadratics, leftover = Counter(), Counter(), 0
+    for g, mult in found:
+        if len(g) > 3:
+            leftover += (len(g) - 1) * mult
+            continue
+        low = _factor_low_degree([Fraction(c) for c in reversed(g)])
+        for root, m in low.linear:
+            linear[root] += m * mult
+        for t, n, m in low.quadratics:
+            quadratics[t, n] += m * mult
+    return CentralFactorization(
+        tuple(sorted(linear.items())),
+        tuple(sorted((t, n, m) for (t, n), m in quadratics.items())),
+        leftover,
+        leftover == 0,
+    )

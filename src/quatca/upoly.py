@@ -351,8 +351,9 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
 
     Write p = q*c with c the central content.  The companion N(p) = c^2*N(q)
     has exactly the irreducible factors of c and of N(q), so those two are
-    factored exactly over the rationals instead; a content of degree <= 2
-    and a linear q take the closed form, without sympy.  Each rational root
+    factored exactly over the rationals instead (`ratfactor.factor_central`:
+    a closed form up to degree 2, then float-proposed factors confirmed by
+    exact division, with sympy only for what they leave).  Each rational root
     and each quadratic factor with negative discriminant carries at most
     one candidate class, checked exactly on p: rational roots ascending,
     then classes by (t, n) ascending.  The status is POSSIBLY_INCOMPLETE

@@ -3,10 +3,14 @@
 from fractions import Fraction as F
 from random import Random
 
+import pytest
+
+from quatca import ratfactor
 from quatca.intmath import rational_sqrt, three_squares
 from quatca.ratfactor import factor_central
 from quatca.scalars import Centralizer, I, Quat
 from quatca.upoly import Sphere, UPoly, right_roots, sphere_member_in
+from test_upoly import _sympy_factor
 
 
 class TestRationalSqrt:
@@ -43,17 +47,32 @@ class TestSquareSums:
                 assert sum(v * v for v in triple) == n
 
 
+def _product(*factors):
+    """Coefficients low to high of a product of polynomials given low to high."""
+    out = [F(1)]
+    for factor in factors:
+        prod = [F(0)] * (len(out) + len(factor) - 1)
+        for a_idx, a in enumerate(out):
+            for b_idx, b in enumerate(factor):
+                prod[a_idx + b_idx] += a * b
+        out = prod
+    return out
+
+
+# Irreducible over the rationals, of degree > 2.
+_IRREDUCIBLE = ([-2, 0, 0, 1], [1, 1, 0, 1], [5, 0, 0, 1, 1], [1, 1, 0, 0, 1], [3, -1, 0, 0, 0, 1])
+
+
+def _agrees_with_sympy(coeffs):
+    fac = factor_central(coeffs)
+    linear, quadratics, leftover = _sympy_factor(coeffs)
+    assert (fac.linear, fac.quadratics, fac.leftover_degree) == (linear, quadratics, leftover)
+    assert fac.complete == (leftover == 0)
+
+
 class TestFactorCentral:
     def test_full_split(self):
-        # x(x - 1/3)(x^2 + x + 1)
-        def mul(p, q):
-            out = [F(0)] * (len(p) + len(q) - 1)
-            for a_idx, a in enumerate(p):
-                for b_idx, b in enumerate(q):
-                    out[a_idx + b_idx] += a * b
-            return out
-
-        poly = mul(mul([F(-1, 3), F(1)], [F(1), F(1), F(1)]), [F(0), F(1)])
+        poly = _product([F(-1, 3), 1], [1, 1, 1], [0, 1])  # x(x - 1/3)(x^2 + x + 1)
         fac = factor_central(poly)
         assert fac.complete
         assert dict(fac.linear) == {F(0): 1, F(1, 3): 1}
@@ -67,6 +86,82 @@ class TestFactorCentral:
         fac = factor_central([F(1), F(1), F(0), F(0), F(1)])
         assert fac.leftover_degree == 4
         assert not fac.complete
+
+    def test_random_products_agree_with_sympy(self):
+        # Linear, quadratic (split, sphere or real irrational) and
+        # irreducible cubic to quintic factors with multiplicities up to 4,
+        # under a leading coefficient of either sign and sometimes a power
+        # of x.
+        rng = Random(77)
+        for _ in range(100):
+            factors = []
+            while sum(len(f) - 1 for f in factors) < rng.randint(3, 14):
+                pick = rng.random()
+                if pick < 0.4:
+                    factor = [F(rng.randint(-12, 12), rng.randint(1, 12)), 1]
+                elif pick < 0.8:
+                    c0, c1 = F(rng.randint(-20, 20), rng.randint(1, 6)), F(rng.randint(-9, 9), rng.randint(1, 4))
+                    factor = [c0, c1, 1]
+                else:
+                    factor = rng.choice(_IRREDUCIBLE)
+                factors += [factor] * rng.choice([1, 1, 1, 2, 3, 4])
+            if rng.random() < 0.2:
+                factors += [[0, 1]] * rng.randint(1, 3)
+            lead = F(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 7))
+            _agrees_with_sympy([lead * c for c in _product(*factors)])
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [[-3, 11]] * 4,  # the float cluster resolves only in pairs: (11x - 3)^2 must split
+            [[F(-1, 3), 1]] * 3 + [[0, 1]] * 2 + [[2, 0, 1]],
+            [[-2, 0, 1], [1, -3, 1], [F(-1, 2), 1]],  # real irrational roots
+            [[-1, 1000], [-1, 1001], [1, 0, 1]],  # nearby rational roots
+            [[-1, 10**20 + 1], [-1, 10**20 + 3], [1, 1, 1]],  # denominators beyond a float
+            [[-(2**60 + 1), 2**60], [-1, 1], [1, 1]],
+            [[-(10**400), 1], [1, 0, 1], [F(-1, 3), 1]],  # root ratios overflow a float
+            [[-1, 10**400], [2, 0, 1], [-1, 1]],  # a leading coefficient beyond a float
+            [[-(10**300), 1], [-1, 1], [1, 0, 1]],  # evaluation overflows
+            [[10**400 * c for c in _IRREDUCIBLE[0]], [-5, 1]],  # content around 10^400
+            [[k * k + 1, -k, 1] for k in range(1, 7)] + [[-1, k] for k in range(1, 7)] + list(_IRREDUCIBLE[:2]),
+        ],
+        ids=[
+            "four-fold-root", "zero-constant-term", "real-irrational", "nearby-roots",
+            "huge-denominators", "root-near-one", "huge-root", "huge-lead", "evaluation-overflow",
+            "huge-content", "degree-24",
+        ],
+    )
+    def test_adversarial_products_agree_with_sympy(self, factors):
+        _agrees_with_sympy(_product(*factors))
+
+    def test_planted_products_never_reach_sympy(self, monkeypatch):
+        # Distinct small-height linear and sphere factors, some squared: the
+        # floats resolve every root, so exact division explains everything.
+        expected = []
+        rng = Random(78)
+        for _ in range(40):
+            factors = []
+            for _ in range(rng.randint(2, 4)):
+                if rng.random() < 0.5:
+                    factor = [F(rng.randint(-6, 6), rng.randint(1, 6)), 1]
+                else:
+                    t = rng.randint(-4, 4)
+                    factor = [rng.randint(t * t // 4 + 1, 12), -t, 1]
+                factors += [factor] * rng.randint(1, 2)
+            coeffs = _product(*factors)
+            expected.append((coeffs, _sympy_factor(coeffs)))
+
+        def no_sympy(f):
+            raise AssertionError(f"sympy reached on {f}")
+
+        monkeypatch.setattr(ratfactor, "_sympy_factors", no_sympy)
+        for coeffs, (linear, quadratics, leftover) in expected:
+            fac = factor_central(coeffs)
+            assert (fac.linear, fac.quadratics, fac.leftover_degree) == (linear, quadratics, leftover)
+
+    def test_iteration_cap_falls_through_to_sympy(self, monkeypatch):
+        monkeypatch.setattr(ratfactor, "_MAX_SWEEPS", 0)
+        _agrees_with_sympy(_product([F(-1, 3), 1], [F(-1, 3), 1], [1, 1, 1], _IRREDUCIBLE[0]))
 
 
 class TestEmptyRationalSpheres:

@@ -35,6 +35,10 @@ class TestQuatGrammar:
         with pytest.raises(ParseError):
             parse_quat("x + 1")
 
+    def test_cancelled_variables_leave_a_constant(self):
+        assert parse_quat("x - x + i") == I
+        assert parse_quat("2x^0") == Quat(2)
+
     def test_error_position(self):
         with pytest.raises(ParseError) as info:
             parse_quat("1 + $")
@@ -109,6 +113,7 @@ class TestParseErrors:
             (parse_upoly, "", "unexpected end of input", 0),
             (parse_upoly, "1 + $", "unexpected character '$'", 4),
             (parse_quat, "x", "expected a constant quaternion, found a variable", 0),
+            (parse_quat, "1 + 2x", "expected a constant quaternion, found a variable", 5),
             (lambda t: parse_mpoly(t, 0), "1", "need at least one variable", 0),
         ],
     )

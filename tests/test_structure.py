@@ -204,6 +204,18 @@ def test_rows_hold_ints_where_the_denominator_is_one(rref_systems):
     assert [type(row[1]) for row in rows] == [Fraction, int, Fraction, Fraction]
 
 
+def _imported_packages(code, packages):
+    """The modules of the given top-level packages loaded after running
+    `code` in a fresh interpreter on this checkout's source."""
+    code += f"\nprint(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))\n"
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_elimination_imports_no_sympy():
     # Importing sympy costs tens of MB and a third of a second; the
     # certificate and linear-algebra paths must not pull it in.
@@ -220,14 +232,8 @@ rabinowitsch_check(point_ideal(point), g, K, 2, 1)
 left_rank([J, K], Centralizer.quadratic(I))
 find_conjugator(I, J)
 linalg.solve([[Fraction(1), Fraction(2)]], [Fraction(3)])
-print(sorted(name for name in sys.modules if name.split(".")[0] == "sympy"))
 """
-    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _imported_packages(code, ("sympy",)) == "[]"
 
 
 def test_low_degree_root_searches_import_no_sympy():
@@ -247,11 +253,23 @@ right_roots(UPoly([J, Quat(1, 1)]))
 left_roots(sphere_times_linear)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["--json", "roots", "--poly", "x^2 - 2"]) == 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "sympy"))
 """
-    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _imported_packages(code, ("sympy",)) == "[]"
+
+
+def test_planted_linear_products_import_neither_sympy_nor_numpy():
+    # Floats propose the factors of the companion and exact division
+    # confirms them, so a planted product of linear factors, a repeated one
+    # included, never reaches sympy, and the floats never need numpy.
+    code = """
+import contextlib, io, sys
+from quatca import cli
+from quatca.scalars import I, Quat
+from quatca.upoly import UPoly, right_roots
+
+right_roots(UPoly.linear(I) * UPoly.linear(Quat(1, 0, 1)) * UPoly.linear(Quat(0, 0, 0, 2)))
+right_roots(UPoly.linear(I) * UPoly.linear(I) * UPoly.linear(Quat(1, 2, 3)))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["--json", "roots", "--poly", "(x - i)(x - 1 - j)(x - 2k)"]) == 0
+"""
+    assert _imported_packages(code, ("sympy", "numpy")) == "[]"
