@@ -10,6 +10,7 @@ parse errors, 3 for internal assertion failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -373,20 +374,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else 0
-    try:
-        report = args.handler(args)
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (InvalidInput, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(report, args.json)
+    with _exact_integers():
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code else 0
+        try:
+            report = args.handler(args)
+        except InternalError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        except (InvalidInput, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        _emit(report, args.json)
     return EXIT_INTERNAL if report.status == ERROR else EXIT_DOMAIN
+
+
+@contextlib.contextmanager
+def _exact_integers():
+    """Lift the interpreter's int<->str digit cap, where it has one, for one
+    call: integers of any length are read and printed exactly, and an
+    in-process caller gets its own cap back afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def entry():  # console-script hook

@@ -60,29 +60,6 @@ def commutator_expr(a: RatExpr, b: RatExpr) -> RatExpr:
     return Sub(Mul(a, b), Mul(b, a))
 
 
-def substitute(expr: RatExpr, mapping: dict[int, RatExpr]) -> RatExpr:
-    """Replace variables by expressions, sharing rewritten subtrees so the
-    result stays a compact DAG under repeated substitution."""
-    cache: dict[int, RatExpr] = {}
-
-    def walk(e: RatExpr) -> RatExpr:
-        key = id(e)
-        if key in cache:
-            return cache[key]
-        if isinstance(e, Var):
-            out = mapping.get(e.index, e)
-        elif isinstance(e, Const):
-            out = e
-        elif isinstance(e, Inv):
-            out = Inv(walk(e.arg))
-        else:
-            out = type(e)(walk(e.left), walk(e.right))
-        cache[key] = out
-        return out
-
-    return walk(expr)
-
-
 def eval_expr(expr: RatExpr, assignment: Sequence[Quat]) -> Quat | None:
     """Strict bottom-up evaluation; None signals an inversion of zero."""
     cache: dict[int, Quat | None] = {}
@@ -131,14 +108,7 @@ def independence_criterion(n: int) -> RatExpr:
     """
     if n < 1:
         raise InvalidInput("the criterion needs at least one vector")
-    if n == 1:
-        return Var(1)
-    inner = independence_criterion(n - 1)
-    last_inv = Inv(Var(n))
-    mapping: dict[int, RatExpr] = {
-        m: commutator_expr(Var(0), Mul(Var(m), last_inv)) for m in range(1, n)
-    }
-    return substitute(inner, mapping)
+    return _commutator_steps([Var(m) for m in range(1, n + 1)])
 
 
 def degree_criterion(n: int) -> RatExpr:
@@ -151,13 +121,19 @@ def degree_criterion(n: int) -> RatExpr:
     """
     if n < 1:
         raise InvalidInput("degrees start at one")
-    shell = independence_criterion(n + 1)
-    mapping: dict[int, RatExpr] = {1: Const(Fraction(1))}
-    power: RatExpr = Var(1)
-    for m in range(2, n + 2):
-        mapping[m] = power
-        power = Mul(power, Var(1))
-    return substitute(shell, mapping)
+    powers: list[RatExpr] = [Const(Fraction(1)), Var(1)]
+    for _ in range(n - 1):
+        powers.append(Mul(powers[-1], Var(1)))
+    return _commutator_steps(powers)
+
+
+def _commutator_steps(exprs: list[RatExpr]) -> RatExpr:
+    """The criterion's step, applied until one expression is left: each
+    expression v but the last becomes [x_0, v * last^-1]."""
+    while len(exprs) > 1:
+        last_inv = Inv(exprs[-1])
+        exprs = [commutator_expr(Var(0), Mul(v, last_inv)) for v in exprs[:-1]]
+    return exprs[0]
 
 
 def independent_via_criterion(a: Quat, bs: Sequence[Quat]) -> bool:

@@ -57,10 +57,6 @@ def upoly_to_json(p: UPoly) -> list:
     return [quat_to_json(c) for c in p.coeffs]
 
 
-def upoly_from_json(items: list) -> UPoly:
-    return UPoly([quat_from_json(o) for o in items])
-
-
 def mpoly_to_json(p: MPoly) -> dict:
     return {
         "nvars": p.nvars,
@@ -69,15 +65,6 @@ def mpoly_to_json(p: MPoly) -> dict:
             for exps, c in p.sorted_terms()
         ],
     }
-
-
-def mpoly_from_json(obj: dict) -> MPoly:
-    nvars = int(obj["nvars"])
-    terms = {}
-    for item in obj["terms"]:
-        exps = tuple(int(e) for e in item["exps"])
-        terms[exps] = terms.get(exps, Quat.scalar(0)) + quat_from_json(item["coeff"])
-    return MPoly(nvars, terms)
 
 
 def point_to_json(pt: CommutingPoint) -> dict:

@@ -1,6 +1,7 @@
 """CLI dispatch, report shapes, and exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -158,6 +159,48 @@ class TestEigenCommand:
         assert code == 0
         assert report["status"] == "not-found"
         assert report["payload"]["root_not_found"]["poly_text"] == "x^2 - 2"
+
+
+class TestLongIntegers:
+    # Integers past the interpreter's default 4,300-digit int<->str cap are
+    # read and printed exactly, and the caller's cap is left as it was.
+
+    @pytest.fixture(autouse=True)
+    def digit_cap_is_restored(self):
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = cap()
+        yield
+        assert cap() == before
+
+    def test_long_literal_is_parsed(self, capsys):
+        big = "7" * 4400
+        code, out, err = run(capsys, "eval", "--poly", "x", "--at", big)
+        assert code == 0 and err == ""
+        assert f"value: {big}\n" in out
+
+    def test_long_option_value_is_parsed(self, capsys):
+        big = "1" * 4400
+        code, out, err = run(capsys, "--json", "selfcheck", "--seed", big)
+        assert code == 0 and err == ""
+        assert f'"seed": {big},' in out
+
+    def test_long_rational_in_module_file(self, capsys, tmp_path):
+        big = "7" * 4400
+        entry = {"w": big, "x": "0", "y": "0", "z": "0"}
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps({"m": 1, "mats": [[[entry]]]}))
+        code, report, _ = run_json(capsys, "eigen", "--module", str(path))
+        assert code == 0 and report["status"] == "ok"
+        assert report["payload"]["eigen"]["point"]["components"] == [entry]
+
+    def test_long_result_is_printed(self, capsys):
+        # (10^2200 + 1)^2 = 10^4400 + 2 * 10^2200 + 1
+        at = "1" + "0" * 2199 + "1"
+        square = "1" + "0" * 2199 + "2" + "0" * 2199 + "1"
+        code, report, _ = run_json(capsys, "eval", "--poly", "x^2", "--at", at)
+        assert code == 0
+        assert report["payload"]["value"] == square
+        assert report["payload"]["value_json"] == {"w": square, "x": "0", "y": "0", "z": "0"}
 
 
 class TestExitCodes:

@@ -15,6 +15,7 @@ from quatca.ratexpr import (
     Sub,
     Var,
     algebraicity_witness,
+    commutator_expr,
     degree_criterion,
     eval_expr,
     independence_criterion,
@@ -51,6 +52,42 @@ class TestConstruction:
             independence_criterion(0)
         with pytest.raises(InvalidInput):
             degree_criterion(0)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_independence_matches_recursive_definition(self, n):
+        assert independence_criterion(n) == _recursive_independence(n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_degree_matches_recursive_definition(self, n):
+        assert degree_criterion(n) == _recursive_degree(n)
+
+
+def _substitute(expr, mapping):
+    if isinstance(expr, Var):
+        return mapping.get(expr.index, expr)
+    if isinstance(expr, Const):
+        return expr
+    if isinstance(expr, Inv):
+        return Inv(_substitute(expr.arg, mapping))
+    return type(expr)(_substitute(expr.left, mapping), _substitute(expr.right, mapping))
+
+
+def _recursive_independence(n):
+    # The criterion as first defined: substitute [x0, x_m * x_n^-1] for each
+    # x_m, m < n, into the criterion for n - 1 vectors.
+    if n == 1:
+        return Var(1)
+    last_inv = Inv(Var(n))
+    step = {m: commutator_expr(Var(0), Mul(Var(m), last_inv)) for m in range(1, n)}
+    return _substitute(_recursive_independence(n - 1), step)
+
+
+def _recursive_degree(n):
+    # The (n+1)-vector criterion instantiated at (1, x1, x1^2, ..., x1^n).
+    powers = {1: Const(F(1)), 2: Var(1)}
+    for m in range(3, n + 2):
+        powers[m] = Mul(powers[m - 1], Var(1))
+    return _substitute(_recursive_independence(n + 1), powers)
 
 
 class TestEvaluation:
