@@ -17,10 +17,8 @@ from .errors import InternalError, InvalidInput, ParseError
 from .modules import (
     EigenTuple,
     ModulePresentation,
-    PresentationReport,
     RootNotFound,
     annihilator_minpoly,
-    check_presentation,
     find_eigen_tuple,
 )
 from .mpoly import (

@@ -231,11 +231,14 @@ def _cmd_reduce(args) -> Report:
 
 
 def _cmd_eigen(args) -> Report:
-    if args.module == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(args.module) as fh:
-            obj = json.load(fh)
+    try:
+        if args.module == "-":
+            obj = json.load(sys.stdin)
+        else:
+            with open(args.module) as fh:
+                obj = json.load(fh)
+    except RecursionError:
+        raise InvalidInput("module file is nested too deeply") from None
     module = serde.module_from_json(obj)
     seed = tuple(parse_quat_list(args.seed)) if args.seed else None
     outcome = find_eigen_tuple(module, seed)

@@ -3,6 +3,8 @@ matrices, and the constructive extraction of common eigenvectors.
 
 A presentation is a left vector space of row vectors over the quaternions,
 with the i-th variable acting by right multiplication with the i-th matrix.
+The actions are checked to commute pairwise at construction, as the
+components of a commuting point are, so every presentation is valid.
 A common eigenvector with pairwise commuting eigenvalues realizes a
 one-dimensional submodule, i.e. a point ideal annihilator.
 """
@@ -10,13 +12,13 @@ one-dimensional submodule, i.e. a point ideal annihilator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations, repeat
 from typing import Sequence
 
 from .errors import InternalError, InvalidInput
 from .mpoly import CommutingPoint
 from .scalars import Centralizer, ONE, Quat, ZERO, centralizer_of_set, first_dependence
-from .upoly import UPoly, roots_in_centralizer
+from .upoly import RootSearchStatus, UPoly, roots_in_centralizer
 
 Matrix = tuple[tuple[Quat, ...], ...]
 Vector = tuple[Quat, ...]
@@ -27,20 +29,11 @@ def _as_matrix(rows) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(
-            sum((a[r][t] * b[t][c] for t in range(n)), ZERO)
-            for c in range(n)
-        )
-        for r in range(n)
-    )
+    return tuple(vec_mat(row, b) for row in a)
 
 
 def mat_identity(n: int) -> Matrix:
-    return tuple(
-        tuple(ONE if r == c else ZERO for c in range(n)) for r in range(n)
-    )
+    return tuple(tuple(ONE if r == c else ZERO for c in range(n)) for r in range(n))
 
 
 def vec_mat(v: Vector, a: Matrix) -> Vector:
@@ -63,7 +56,8 @@ def vec_is_zero(v: Vector) -> bool:
 
 
 class ModulePresentation:
-    """m-dimensional row-vector module with n commuting matrix actions."""
+    """m-dimensional row-vector module with n pairwise-commuting matrix
+    actions; shapes and commutation are validated at construction."""
 
     __slots__ = ("m", "mats")
 
@@ -76,6 +70,13 @@ class ModulePresentation:
         for mat in fixed:
             if len(mat) != m or any(len(row) != m for row in mat):
                 raise InvalidInput(f"action matrices must be {m}x{m}")
+        clashes = [
+            f"actions {i + 1} and {j + 1} do not commute"
+            for (i, a), (j, b) in combinations(enumerate(fixed), 2)
+            if mat_mul(a, b) != mat_mul(b, a)
+        ]
+        if clashes:
+            raise InvalidInput("; ".join(clashes))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "mats", fixed)
 
@@ -107,23 +108,6 @@ class ModulePresentation:
 
     def __repr__(self):
         return f"ModulePresentation(m={self.m}, nvars={self.nvars})"
-
-
-@dataclass(frozen=True)
-class PresentationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def check_presentation(module: ModulePresentation) -> PresentationReport:
-    """Verify that the action matrices pairwise commute, exactly."""
-    violations = []
-    n = module.nvars
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mat_mul(module.mats[i], module.mats[j]) != mat_mul(module.mats[j], module.mats[i]):
-                violations.append(f"actions {i + 1} and {j + 1} do not commute")
-    return PresentationReport(not violations, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -174,8 +158,7 @@ def _extract_from_seed(module: ModulePresentation, seed: Vector) -> EigenTuple |
                 )
         roots, status = roots_in_centralizer(p, c, side="left")
         if not roots:
-            exhaustive = status.value == "complete"
-            return RootNotFound(p, i, exhaustive)
+            return RootNotFound(p, i, status is RootSearchStatus.COMPLETE)
         a = roots[0]
         quotient, rem = p.divmod_left(UPoly.linear(a))
         if not rem.is_zero():
@@ -214,19 +197,15 @@ def find_eigen_tuple(
     InternalError on any seed is a kernel fault and propagates at once,
     even if a later seed would succeed.
     """
-    report = check_presentation(module)
-    if not report.ok:
-        raise InvalidInput("; ".join(report.violations))
     seeds: list[Vector] = []
     if seed is not None:
-        fixed = tuple(c if isinstance(c, Quat) else Quat.scalar(c) for c in seed)
+        (fixed,) = _as_matrix([seed])
         if len(fixed) != module.m:
             raise InvalidInput("seed vector has the wrong length")
         if vec_is_zero(fixed):
             raise InvalidInput("seed vector must be nonzero")
         seeds.append(fixed)
-    for idx in range(module.m):
-        e = tuple(ONE if t == idx else ZERO for t in range(module.m))
+    for e in mat_identity(module.m):
         if e not in seeds:
             seeds.append(e)
     first_missing: RootNotFound | None = None

@@ -86,20 +86,18 @@ def rand_mpoly(rng: Random, nvars: int, max_degree: int, terms: int = 5, height:
 def rand_unimodular(rng: Random, m: int, ops: int = 3, height: int = 1) -> tuple[Matrix, Matrix]:
     """A product of elementary integer-quaternion row operations and its
     exact inverse."""
-    u = mat_identity(m)
-    u_inv = mat_identity(m)
+    u = u_inv = mat_identity(m)
     for _ in range(ops):
         r = rng.randrange(m)
         s = rng.randrange(m)
         if r == s:
             continue
         lam = rand_quat(rng, height, integer=True)
-        e_plus = [[ONE if a == b else ZERO for b in range(m)] for a in range(m)]
-        e_plus[r][s] = lam
-        e_minus = [[ONE if a == b else ZERO for b in range(m)] for a in range(m)]
-        e_minus[r][s] = -lam
-        u = mat_mul(u, tuple(tuple(row) for row in e_plus))
-        u_inv = mat_mul(tuple(tuple(row) for row in e_minus), u_inv)
+        e_plus = [list(row) for row in mat_identity(m)]
+        e_minus = [list(row) for row in mat_identity(m)]
+        e_plus[r][s], e_minus[r][s] = lam, -lam
+        u = mat_mul(u, e_plus)
+        u_inv = mat_mul(e_minus, u_inv)
     return u, u_inv
 
 

@@ -363,12 +363,20 @@ class Centralizer:
         return self.coords(q) is not None
 
     def __eq__(self, other):
+        """Equal as subrings: quadratic ones when their generators are
+        rational multiples of each other."""
         if not isinstance(other, Centralizer):
             return NotImplemented
-        return self.kind == other.kind and self.u == other.u
+        return self.kind == other.kind and (self.kind != QUADRATIC or self.contains(other.u))
 
     def __hash__(self):
-        return hash((self.kind, self.u))
+        if self.kind != QUADRATIC:
+            return hash(self.kind)
+        # The primitive integer direction of u with its first nonzero entry
+        # positive, shared by every rational multiple of u.
+        direction = self.u._n[1:]
+        g = gcd(*direction) * (1 if next(t for t in direction if t) > 0 else -1)
+        return hash((self.kind, *(t // g for t in direction)))
 
     def describe(self) -> str:
         if self.kind == FULL:

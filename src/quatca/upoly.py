@@ -22,8 +22,10 @@ from .errors import InternalError, InvalidInput
 from .intmath import rational_sqrt, three_squares
 from .scalars import (
     BASIS,
+    CENTER,
     Centralizer,
     ONE,
+    QUADRATIC,
     Quat,
     ZERO,
     _signed_sum,
@@ -360,8 +362,11 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     only when the rationals cannot split a factor: an irreducible factor of
     degree > 2, or a quadratic with real irrational roots.  Roots there may
     exist over a larger scalar field but have no rational-quaternion
-    representative.  A leftover factor of c enters `leftover_degree` once,
-    not squared as in N(p).
+    representative.  It never hides a rational-quaternion root: a root a
+    makes x - a a right factor, so N(x - a) divides N(p), and N(x - a) is
+    (x - a)^2 for a central a and the class quadratic otherwise, which
+    `factor_central` reports.  A leftover factor of c enters
+    `leftover_degree` once, not squared as in N(p).
     """
     if p.degree < 1:
         raise InvalidInput("root search needs a nonconstant polynomial")
@@ -414,9 +419,9 @@ def sphere_member_in(c: Centralizer, t: Fraction, n: Fraction) -> Quat | None:
     m = n - t * t / 4
     if m <= 0:
         raise InvalidInput("not a sphere class: nonnegative discriminant")
-    if c.kind == "center":
+    if c.kind == CENTER:
         return None
-    if c.kind == "quadratic":
+    if c.kind == QUADRATIC:
         d = c.u.norm()
         s = rational_sqrt(m / d)
         if s is None:

@@ -1,5 +1,6 @@
 """CLI dispatch, report shapes, and exit codes."""
 
+import io
 import json
 import sys
 
@@ -10,6 +11,13 @@ from quatca.cli import main
 from quatca.errors import InternalError
 from quatca.modules import ModulePresentation
 from quatca.scalars import I, J, ONE, Quat, ZERO
+
+
+NONCOMMUTING_MODULE = (
+    '{"m": 1, "mats": [[[{"w": "0", "x": "1", "y": "0", "z": "0"}]], '
+    '[[{"w": "0", "x": "0", "y": "1", "z": "0"}]]]}'
+)
+DEEP_MODULE = "[" * 100_000
 
 
 def run(capsys, *argv):
@@ -219,6 +227,8 @@ class TestExitCodes:
             '{"m": 1, "mats": [[[{"w": "1e1", "x": "0", "y": "0", "z": "0"}]]]}',
             '{"m": 1, "mats": [[[{"w": " 3", "x": "0", "y": "0", "z": "0"}]]]}',
             '{"m": 1, "mats": [[[{"w": "1_0", "x": "0", "y": "0", "z": "0"}]]]}',
+            NONCOMMUTING_MODULE,
+            pytest.param(DEEP_MODULE, id="nested-100000-deep"),
         ],
     )
     def test_malformed_module_is_usage(self, capsys, tmp_path, body):
@@ -227,6 +237,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "--json", "eigen", "--module", str(path))
         assert code == 2
         assert "error:" in err
+        if body == NONCOMMUTING_MODULE:
+            assert err == "error: actions 1 and 2 do not commute\n"
+
+    def test_deeply_nested_module_on_stdin_is_usage(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(DEEP_MODULE))
+        code, out, err = run(capsys, "--json", "eigen", "--module", "-")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
     def test_parse_error_is_usage(self, capsys):
         code, out, err = run(capsys, "eval", "--poly", "x^2 $", "--at", "i")

@@ -1,5 +1,5 @@
-"""Module presentations: commutation checks, annihilators, and eigen-tuple
-extraction, including the honest root-not-found outcome."""
+"""Module presentations: commutation checked at construction, annihilators,
+and eigen-tuple extraction, including the honest root-not-found outcome."""
 
 from random import Random
 
@@ -12,12 +12,11 @@ from quatca.modules import (
     ModulePresentation,
     RootNotFound,
     annihilator_minpoly,
-    check_presentation,
     find_eigen_tuple,
 )
 from quatca.mpoly import MPoly, point_ideal
 from quatca.randgen import rand_mpoly, rand_module
-from quatca.scalars import I, J, ONE, Quat, ZERO
+from quatca.scalars import I, J, K, ONE, Quat, ZERO
 from quatca.upoly import UPoly
 
 ROTATION = ModulePresentation(2, [[[ZERO, -ONE], [ONE, ZERO]]])  # squares to -1
@@ -34,19 +33,27 @@ class TestPresentation:
                 [[Quat(1, 1), ZERO], [ZERO, Quat(2)]],
             ],
         )
-        assert check_presentation(m).ok
+        assert m.nvars == 2
 
     def test_matrix_with_its_square(self):
         a = ROTATION.mats[0]
         from quatca.modules import mat_mul
 
         m = ModulePresentation(2, [a, mat_mul(a, a)])
-        assert check_presentation(m).ok
+        assert m.mats == (a, ((-ONE, ZERO), (ZERO, -ONE)))
 
     def test_noncommuting_scalars_reported(self):
-        report = check_presentation(ModulePresentation(1, [[[I]], [[J]]]))
-        assert not report.ok
-        assert report.violations
+        with pytest.raises(InvalidInput) as err:
+            ModulePresentation(1, [[[I]], [[J]]])
+        assert str(err.value) == "actions 1 and 2 do not commute"
+
+    def test_every_noncommuting_pair_reported_in_order(self):
+        with pytest.raises(InvalidInput) as err:
+            ModulePresentation(1, [[[I]], [[J]], [[K]]])
+        assert str(err.value) == (
+            "actions 1 and 2 do not commute; actions 1 and 3 do not commute; "
+            "actions 2 and 3 do not commute"
+        )
 
     def test_shape_validation(self):
         with pytest.raises(InvalidInput):

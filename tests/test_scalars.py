@@ -24,6 +24,7 @@ from quatca.scalars import (
     left_linear_solve,
     left_rank,
 )
+from quatca.upoly import UPoly, root_space
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=10)
 quats = st.builds(Quat, rationals, rationals, rationals, rationals)
@@ -271,6 +272,22 @@ class TestCentralizer:
             assert len(basis_vecs) == desc.dim
             for vec in basis_vecs:
                 assert desc.contains(Quat(*vec))
+
+    def test_equal_as_subrings_with_equal_hashes(self):
+        for u in (I, Quat(0, 2, -1, 3), Quat(0, 0, F(2, 3), F(-1, 5))):
+            c = Centralizer.quadratic(u)
+            for v in (u * -2, u * F(1, 3)):
+                assert c == Centralizer.quadratic(v)
+                assert hash(c) == hash(Centralizer.quadratic(v))
+        assert Centralizer.quadratic(I) != Centralizer.quadratic(J)
+        assert Centralizer.quadratic(I) != Centralizer.center()
+        assert Centralizer.full() == Centralizer.full()
+
+    def test_generators_of_one_field_give_equal_centralizers(self):
+        assert Centralizer.quadratic(I) == Centralizer.quadratic(Quat(0, 2))
+        assert centralizer_of_set([I]) == centralizer_of_set([Quat(3, 2)])
+        over_2i = root_space(UPoly.from_central([4, 0, 1]), Quat(0, 2)).over
+        assert over_2i == root_space(UPoly.from_central([1, 0, 1]), I).over
 
     def test_members_commute_and_outsiders_fail(self):
         rng = Random(7)

@@ -6,6 +6,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -273,3 +274,35 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["--json", "roots", "--poly", "(x - i)(x - 1 - j)(x - 2k)"]) == 0
 """
     assert _imported_packages(code, ("sympy", "numpy")) == "[]"
+
+
+def _names_in(node: ast.AST) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # Helpers that only their own tests use are deleted with those tests.
+    # Kept on purpose: `module_to_json` and `rand_pure_quat` are test
+    # fixtures, and `nullspace` is an independent oracle for the tests.
+    kept = {"module_to_json", "rand_pure_quat", "nullspace"}
+    benchmark = SOURCE.parents[1] / "perfbench"
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in [*SOURCE.glob("*.py"), *benchmark.glob("*.py")]
+    }
+    uses = sum((_names_in(tree) for tree in trees.values()), Counter())
+    unused = sorted(
+        node.name
+        for path, tree in trees.items()
+        if path.parent == SOURCE and path.name != "__init__.py"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in kept
+        and uses[node.name] == _names_in(node)[node.name]
+    )
+    assert unused == []

@@ -2,6 +2,7 @@
 multiples, root classes, root spaces, and minimal/Wedderburn polynomials."""
 
 from fractions import Fraction as F
+from itertools import product
 from random import Random
 
 import pytest
@@ -301,6 +302,26 @@ class TestRightRoots:
                     member = sphere_member_in(Centralizer.full(), cls.t, cls.n)
                     if member is not None:
                         assert p.eval_left(member) == ZERO
+
+    def test_incomplete_search_hides_no_rational_root(self):
+        # A root a in H_Q makes x - a a right factor, so N(x - a) divides
+        # N(p) and the rational factorization reports its class, even when
+        # a field-limit factor f makes the status POSSIBLY_INCOMPLETE.
+        rng = Random(19)
+        grid = [Quat(*c) for c in product(range(-2, 3), repeat=4)]
+        limits = ([-2, 0, 0, 1], [-2, 0, 1], [1, 0, 0, 0, 1])  # x^3-2, x^2-2, x^4+1
+        found = 0
+        for trial in range(21):
+            p = UPoly.from_central(limits[trial % 3])
+            for _ in range(rng.randint(1, 3)):
+                p = p * UPoly.linear(rand_quat(rng, 2, integer=True))
+            classes, status = right_roots(p)
+            assert status == RootSearchStatus.POSSIBLY_INCOMPLETE
+            for a in grid:
+                if not p.eval_left(a):
+                    found += 1
+                    assert Isolated(a) in classes or Sphere(2 * a.w, a.norm()) in classes
+        assert found >= 21
 
 
 def _sympy_factor(coeffs):
