@@ -9,11 +9,19 @@ approximated by Aberth-Ehrlich iteration, and each near-real root and each
 pair with near-real sum and product is rounded to a candidate factor over
 (1/L)Z, which by Gauss's lemma holds the coefficients of every monic
 rational factor of F.  A candidate counts only once it divides exactly, so
-a bad float costs a trial division, never an answer.  Sympy's exact
-`factor_list` sees only the cofactor no confirmed candidate explains, or
-all of F when floats cannot hold it or the iteration does not settle.
-Factorization over the rationals is unique, so the answer is the one
-sympy alone would give.
+a bad float costs a trial division, never an answer.
+
+The cofactor C that no confirmed candidate explains is proved rather than
+factored where possible.  Degree <= 2 takes the closed form.  Above it, a
+few small primes p try the distinct-degree stage of Cantor & Zassenhaus
+(1981): if p does not divide L and C mod p is prime to x^(p^2) - x, C has
+no rational factor of degree 1 or 2, since one would keep its degree mod p
+and split there into factors of degree 1 or 2, each dividing x^(p^2) - x.
+C is then left over whole, which is all the factorization reports of it.
+Only a cofactor that no prime proves reaches sympy's exact `factor_list`
+(C is all of F when floats cannot hold it or the iteration does not
+settle); a bad prime costs time, never an answer.  Factorization over the rationals
+is unique, so the answer is the one sympy alone would give.
 
 Every path runs to the end, so `complete = False` means only that some
 factor is irreducible over the rationals with degree > 2.  Quadratic
@@ -36,6 +44,14 @@ from math import cos, gcd, isfinite, lcm, pi, sin
 
 from .intmath import rational_sqrt
 
+# Primes tried, in order, to prove a cofactor free of factors of degree
+# <= 2: the odd primes below 100, those = 1 mod 3 first, since mod a prime
+# = 2 mod 3 every x^3 - d has a root.  Each x^3 - d with d a non-cube up to
+# 50 is proved by 7, 13 or 19.
+_PROOF_PRIMES = (
+    7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97,
+    3, 5, 11, 17, 23, 29, 41, 47, 53, 59, 71, 83, 89,
+)
 # Aberth-Ehrlich sweeps before the float stage gives up and hands the whole
 # polynomial to sympy; the `roots` benchmark's companions settle in 4 to 18.
 _MAX_SWEEPS = 100
@@ -175,6 +191,59 @@ def _candidates(f: list[int]) -> list[list[int]]:
     return [list(c) for c in (*linear, *quadratic)]
 
 
+def _x_power_mod(e: int, g: list[int], p: int) -> list[int]:
+    """x^e mod (g, p) by square-and-multiply, for g monic of degree d >= 2
+    with coefficients low to high; the result has d coefficients."""
+    d = len(g) - 1
+    r = [1] + [0] * (d - 1)
+    for bit in bin(e)[2:]:
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(r):
+            if a:
+                for j, b in enumerate(r):
+                    prod[i + j] += a * b
+        if bit == "1":
+            prod.insert(0, 0)
+        for k in range(len(prod) - 1, d - 1, -1):
+            if c := prod[k] % p:
+                for i in range(d):
+                    prod[k - d + i] -= c * g[i]
+        r = [c % p for c in prod[:d]]
+    return r
+
+
+def _coprime_mod(a: list[int], b: list[int], p: int) -> bool:
+    """Whether gcd(a, b) = 1 mod p, by Euclid, for a of degree >= 1 and
+    greater than b's; coefficients low to high."""
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if len(b) <= 1:
+            return bool(b)
+        a, inv = list(a), pow(b[-1], -1, p)
+        for k in range(len(a) - 1, len(b) - 2, -1):
+            if c := a[k] * inv % p:
+                for i, bi in enumerate(b):
+                    a[k - len(b) + 1 + i] -= c * bi
+        a, b = b, [c % p for c in a[: len(b) - 1]]
+
+
+def _free_of_small_factors(f: list[int]) -> bool:
+    """Whether some prime of `_PROOF_PRIMES` proves that the integer
+    polynomial f (high to low, degree >= 3) has no rational factor of
+    degree 1 or 2: gcd(f mod p, x^(p^2) - x) = 1 for a p not dividing the
+    leading coefficient.  False says nothing."""
+    for p in _PROOF_PRIMES:
+        if f[0] % p:
+            inv = pow(f[0], -1, p)
+            g = [c * inv % p for c in reversed(f)]
+            h = _x_power_mod(p * p, g, p)
+            h[1] = (h[1] - 1) % p
+            if _coprime_mod(g, h, p):
+                return True
+    return False
+
+
 def _sympy_factors(f: list[int]) -> list[tuple[list[int], int]]:
     """The irreducible factors of an integer polynomial of degree >= 1 with
     their multiplicities, from sympy's exact factorization."""
@@ -193,10 +262,13 @@ def factor_central(coeffs: list[Fraction]) -> CentralFactorization:
 
     Degree <= 2 takes a closed form.  Above it, candidate factors of degree
     1 and 2 rounded from floating-point roots are confirmed by exact
-    division, repeatedly for the multiplicity, and only the cofactor they
-    leave reaches sympy.  The floats only choose which trial divisions to
-    make, so the answer is the exact factorization; a product of rational
-    linear and quadratic factors whose roots the floats resolve never
+    division, repeatedly for the multiplicity.  The cofactor they leave is
+    kept whole when it has degree <= 2 (the closed form splits it) or when
+    a small prime proves it free of factors of degree <= 2; only otherwise
+    does sympy factor it.  The floats and primes only choose which exact
+    steps to take, so the answer is the exact factorization; a product of
+    rational linear and quadratic factors whose roots the floats resolve,
+    times irreducible factors of degree > 2 that a prime proves, never
     imports sympy."""
     if len(coeffs) < 2:
         raise ValueError("constant polynomial")
@@ -221,7 +293,10 @@ def factor_central(coeffs: list[Fraction]) -> CentralFactorization:
         if mult:
             found.append((g, mult))
     if len(rest) > 1:
-        found += _sympy_factors(rest)
+        if len(rest) <= 3 or _free_of_small_factors(rest):
+            found.append((rest, 1))
+        else:
+            found += _sympy_factors(rest)
     linear, quadratics, leftover = Counter(), Counter(), 0
     for g, mult in found:
         if len(g) > 3:

@@ -1,11 +1,14 @@
 """Square decompositions and the central-polynomial factorizer."""
 
+import importlib
 from fractions import Fraction as F
+from math import isqrt
 from random import Random
 
 import pytest
+from sympy import Poly, Symbol
 
-from quatca import ratfactor
+from quatca import intmath, ratfactor
 from quatca.intmath import rational_sqrt, three_squares
 from quatca.ratfactor import factor_central
 from quatca.scalars import Centralizer, I, Quat
@@ -45,6 +48,73 @@ class TestSquareSums:
                 assert stripped % 8 == 7
             else:
                 assert sum(v * v for v in triple) == n
+
+
+@pytest.fixture
+def sympy_three_squares(monkeypatch):
+    """sympy's `sum_of_three_squares` as the oracle, and the list of the n
+    that `three_squares` hands it, recorded by a spy put in its place."""
+    module = importlib.import_module("sympy.solvers.diophantine.diophantine")
+    oracle, asked = module.sum_of_three_squares, []
+
+    def spy(n):
+        asked.append(n)
+        return oracle(n)
+
+    monkeypatch.setattr(module, "sum_of_three_squares", spy)
+    return oracle, asked
+
+
+class TestThreeSquaresInIntegers:
+    def test_sympys_triple_without_sympy(self, sympy_three_squares):
+        oracle, asked = sympy_three_squares
+        rng = Random(18)
+        ns = [*range(20000), *(rng.randrange(10**19, 10**20) for _ in range(300))]
+        assert [three_squares(n) for n in ns] == [oracle(n) for n in ns]
+        assert asked == []
+
+    def test_forty_digit_n_agree_with_sympy(self, sympy_three_squares):
+        oracle, _ = sympy_three_squares
+        rng = Random(40)
+        for n in (rng.randrange(10**39, 10**40) for _ in range(300)):
+            assert three_squares(n) == oracle(n)
+
+    def test_legendre_family_is_none_without_sympy(self, sympy_three_squares):
+        _, asked = sympy_three_squares
+        for a in range(6):
+            for b in [*range(0, 400, 7), 10**30 + 3]:
+                assert three_squares(4**a * (8 * b + 7)) is None
+        assert asked == []
+
+    def test_above_the_miller_rabin_bound_sympy_decides(self, sympy_three_squares):
+        oracle, asked = sympy_three_squares
+        n = next(m for m in range(intmath._MR_BOUND, intmath._MR_BOUND + 8) if m % 8 in (1, 2, 3, 5, 6))
+        assert three_squares(n) == oracle(n)
+        assert asked == [n]
+        assert three_squares(4 * n) == oracle(4 * n)
+        assert asked == [n, 4 * n]
+
+    def test_a_composite_called_prime_yields_no_unverified_triple(self, monkeypatch, sympy_three_squares):
+        # Find an n whose descent tests a composite that is no sum of two
+        # squares before it meets a prime, then let the primality test
+        # call that composite prime: its split cannot square back to n.
+        oracle, asked = sympy_three_squares
+        real = intmath._is_prime
+
+        def two_squares(m):
+            return any(isqrt(m - a * a) ** 2 == m - a * a for a in range(isqrt(m) + 1))
+
+        for n in range(10**6, 10**6 + 100):
+            tested = []
+            monkeypatch.setattr(intmath, "_is_prime", lambda m: tested.append(m) or real(m))
+            three_squares(n)
+            bad = next((m for m in tested if not real(m) and not two_squares(m)), None)
+            if bad is not None:
+                break
+        assert bad is not None
+        monkeypatch.setattr(intmath, "_is_prime", lambda m: m == bad or real(m))
+        assert three_squares(n) == oracle(n)
+        assert asked == [n]
 
 
 def _product(*factors):
@@ -162,6 +232,78 @@ class TestFactorCentral:
     def test_iteration_cap_falls_through_to_sympy(self, monkeypatch):
         monkeypatch.setattr(ratfactor, "_MAX_SWEEPS", 0)
         _agrees_with_sympy(_product([F(-1, 3), 1], [F(-1, 3), 1], [1, 1, 1], _IRREDUCIBLE[0]))
+
+
+def _random_irreducible(rng, degree):
+    """A seeded integer polynomial of the given degree, irreducible over
+    the rationals by sympy's test, coefficients low to high."""
+    while True:
+        coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.randint(1, 5)]
+        if coeffs[0] and Poly(coeffs[::-1], Symbol("x")).is_irreducible:
+            return [F(c) for c in coeffs]
+
+
+@pytest.fixture
+def sympy_factors(monkeypatch):
+    """The cofactors that `factor_central` hands sympy, recorded by a spy."""
+    reached, oracle = [], ratfactor._sympy_factors
+
+    def spy(f):
+        reached.append(f)
+        return oracle(f)
+
+    monkeypatch.setattr(ratfactor, "_sympy_factors", spy)
+    return reached
+
+
+_FAMILIES = {
+    "cubic": (3,), "quartic": (4,), "quintic": (5,), "octic": (8,),
+    "cubic-cubic": (3, 3), "cubic-quartic": (3, 4), "cubic-squared": (3,),
+}
+
+
+class TestSmallFactorProof:
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_irreducible_products_agree_with_sympy(self, family):
+        rng = Random(family)
+        for _ in range(30):
+            factors = [_random_irreducible(rng, d) for d in _FAMILIES[family]]
+            if family == "cubic-squared":
+                factors *= 2
+            _agrees_with_sympy(_product(*factors))
+
+    def test_small_factors_are_never_proved_absent(self, monkeypatch):
+        # With the floats off, the proof sees whole products that do have
+        # linear or quadratic factors; every prime must fail on them.
+        monkeypatch.setattr(ratfactor, "_MAX_SWEEPS", 0)
+        rng = Random(79)
+        for _ in range(40):
+            small = [F(rng.randint(-9, 9), rng.randint(1, 4)), 1]
+            if rng.random() < 0.5:
+                small = _product(small, [rng.randint(1, 9), rng.randint(-5, 5), 1])
+            _agrees_with_sympy(_product(_random_irreducible(rng, rng.randint(3, 5)), small))
+
+    @pytest.mark.parametrize("coeffs", [[1, 0, 0, 0, 1], [1, 0, -10, 0, 1]], ids=["x^4+1", "x^4-10x^2+1"])
+    def test_klein_four_quartics_reach_sympy(self, sympy_factors, coeffs):
+        # Galois group V4: every reduction mod p splits into factors of
+        # degree <= 2, so no prime can prove them.
+        _agrees_with_sympy([F(c) for c in coeffs])
+        assert sympy_factors == [coeffs[::-1]]
+
+    def test_pure_cubics_never_reach_sympy(self, sympy_factors):
+        for d in range(-50, 51):
+            if round(abs(d) ** (1 / 3)) ** 3 != abs(d):
+                fac = factor_central([F(-d), F(0), F(0), F(1)])
+                assert (fac.linear, fac.quadratics, fac.leftover_degree) == ((), (), 3)
+        assert sympy_factors == []
+
+    @pytest.mark.parametrize("e", [17, 25])
+    def test_a_cofactor_of_degree_at_most_two_takes_the_closed_form(self, sympy_factors, e):
+        # A root beyond float precision rounds to a wrong candidate, so its
+        # factor is left as the cofactor.
+        _agrees_with_sympy(_product([-(10**e) - 1, 1], [1, 0, 1], [-1, 3]))
+        _agrees_with_sympy(_product([10**e + 1, 1, 1], [-2, 1], [-1, 3]))
+        assert sympy_factors == []
 
 
 class TestEmptyRationalSpheres:

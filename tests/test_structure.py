@@ -276,6 +276,42 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert _imported_packages(code, ("sympy", "numpy")) == "[]"
 
 
+def test_field_limit_and_sphere_searches_import_no_sympy():
+    # A pure cubic is proved free of factors of degree <= 2 modulo a small
+    # prime, and a rational point on a sphere class comes from three
+    # squares computed in integers, so none of these pays the import.
+    code = """
+import contextlib, io, json, sys, tempfile
+from quatca import cli, serde
+from quatca.modules import ModulePresentation
+from quatca.scalars import ONE, ZERO, Centralizer, Quat
+from quatca.upoly import UPoly, roots_in_centralizer
+
+members, _ = roots_in_centralizer(UPoly.from_central([6, 0, 1]), Centralizer.full())
+assert members
+sphere_module = ModulePresentation(2, [[[ZERO, Quat(-6)], [ONE, ZERO]]])  # x^2 + 6
+with tempfile.TemporaryDirectory() as tmp:
+    path = tmp + "/module.json"
+    with open(path, "w") as fh:
+        json.dump(serde.module_to_json(sphere_module), fh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--json", "roots", "--poly", "x^3 - 2"]) == 0
+        assert cli.main(["--json", "eigen", "--module", path]) == 0
+"""
+    assert _imported_packages(code, ("sympy",)) == "[]"
+
+
+def test_factoring_and_square_modules_expose_one_entry_point_each():
+    # The tracer wraps every public function of these modules, so a public
+    # helper would add spans and shift the per-layer metrics.
+    def public(module):
+        tree = ast.parse((SOURCE / f"{module}.py").read_text())
+        return {n.name for n in tree.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+
+    assert public("ratfactor") == {"factor_central"}
+    assert public("intmath") == {"rational_sqrt", "three_squares"}
+
+
 def _names_in(node: ast.AST) -> Counter:
     return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
