@@ -130,9 +130,15 @@ class MPoly:
         )
 
     def pow(self, n: int) -> "MPoly":
+        """self^n by repeated squaring: at most 2 * n.bit_length() products."""
         result = MPoly.constant(ONE, self.nvars)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __str__(self) -> str:

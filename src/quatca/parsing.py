@@ -9,6 +9,16 @@ factors multiply in the order written, which matters because coefficients
 do not commute; general parenthesized subexpressions and powers such as
 `(x-i)^2` are allowed, with parentheses nested at most 100 deep.
 
+A sum collects straight into one {exponents: coefficient} dict.  Rationals
+and variables are central, so a product of rationals, units, variables and
+constant parentheses such as `(1/2 - i)` is one coefficient times one
+monomial: the rationals multiply, the exponents add, and the units and
+constants multiply in the order written.  Only a parenthesized factor that
+is not constant, as in `(x-i)^2` or `(x-i)j`, is multiplied as a polynomial,
+between the factors to its left and those to its right.  A power of a
+rational, unit or constant is a scalar power, and that of a polynomial is
+taken by repeated squaring.
+
 Printing inverts parsing exactly: print(parse(t)) reparses to an equal
 value.
 """
@@ -17,13 +27,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .errors import ParseError
 from .mpoly import MPoly, _to_upoly
-from .scalars import I, J, K, Quat
+from .scalars import I, J, K, Quat, ZERO, _quat
 from .upoly import UPoly
 
 _UNITS = {"i": I, "j": J, "k": K}
+_AXES = {I: 1, J: 2, K: 3}
 _MAX_NESTING = 100
 
 # One token after optional whitespace: a rational `num` or `num/den`, a
@@ -33,20 +45,22 @@ _TOKEN = re.compile(r"\s*(([0-9]+)(?:\s*/\s*([0-9]*))?|[ijk]|x([0-9]*)|[-+*^()]|
 
 def _tokenize(text: str) -> list[tuple]:
     """Tokens `(kind, text, pos, value)`, kind one of "rat", "unit", "var",
-    "op" and a closing "end"; a rational's value is a `Fraction` and a
-    variable's its 0-based index."""
+    "op" and a closing "end"; a rational's value is an `int` for a whole
+    number and a `Fraction` otherwise, and a variable's its 0-based index."""
     tokens = []
     for m in _TOKEN.finditer(text):
-        tok, num, den, index = m.group(1, 2, 3, 4)
+        tok, num, den, index = m.groups()
         pos = m.start(1)
         if num is not None:
             if den is None:
-                den = "1"
+                value = int(num)
             elif not den:
                 raise ParseError("expected denominator digits after '/'", m.start(3))
             elif not int(den):
                 raise ParseError("zero denominator", m.start(3))
-            tokens.append(("rat", tok, pos, Fraction(int(num), int(den))))
+            else:
+                value = Fraction(int(num), int(den))
+            tokens.append(("rat", tok, pos, value))
         elif index is not None:
             if index and not int(index):
                 raise ParseError("variable indices start at x1", pos)
@@ -67,6 +81,7 @@ class _Parser:
         self.at = 0
         self.nvars = nvars
         self.depth = 0
+        self.origin = (0,) * nvars
 
     def peek(self) -> tuple:
         return self.tokens[self.at]
@@ -79,61 +94,90 @@ class _Parser:
     # Only operator tokens have the texts + - * ^ ( ), so a text names one.
 
     def parse_expression(self) -> MPoly:
+        terms: dict = {}
         sign = self.peek()[1]
         if sign in ("+", "-"):
             self.take()
-        result = self.parse_term()
-        if sign == "-":
-            result = -result
         while True:
-            op = self.peek()[1]
-            if op not in ("+", "-"):
-                return result
+            self.parse_term(terms, -1 if sign == "-" else 1)
+            sign = self.peek()[1]
+            if sign not in ("+", "-"):
+                return MPoly(self.nvars, terms)
             self.take()
-            term = self.parse_term()
-            result = result - term if op == "-" else result + term
 
-    def parse_term(self) -> MPoly:
-        result = self.parse_factor()
+    def parse_term(self, terms: dict, r: int) -> None:
+        """Add the product of factors that comes next, times r, into terms.
+
+        Rationals and variables are central, so the product is
+        r * x^alpha * poly * q: `poly` is the product in order of everything
+        up to the last non-constant parenthesized factor (None when there is
+        none) and `q` that of the units and constant parentheses after it."""
+        alpha = [0] * self.nvars
+        q = poly = None
         while True:
+            kind, text, pos, value = self.take()
+            if kind == "rat":
+                r *= value ** self.exponent()
+            elif kind == "unit":
+                n = self.exponent()
+                u = _UNITS[text] if n == 1 else _UNITS[text] ** n
+                q = u if q is None else q * u
+            elif kind == "var":
+                if not value < self.nvars:
+                    raise ParseError(f"variable {text} outside the {self.nvars}-variable ring", pos)
+                alpha[value] += self.exponent()
+            elif text == "(":
+                if self.depth == _MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
+                self.depth += 1
+                inner = self.parse_expression()
+                self.depth -= 1
+                _, text, pos, _ = self.take()
+                if text != ")":
+                    raise ParseError("expected ')'", pos)
+                n = self.exponent()
+                if inner.terms.keys() <= {self.origin}:
+                    c = inner.terms.get(self.origin, ZERO)
+                    c = c if n == 1 else c**n
+                    q = c if q is None else q * c
+                else:
+                    inner = inner.pow(n)
+                    if q is not None:
+                        inner, q = inner.scale_left(q), None
+                    poly = inner if poly is None else poly * inner
+            else:
+                raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
             kind, text, _, _ = self.peek()
             if text == "*":
                 self.take()
             elif kind in ("op", "end") and text != "(":
-                return result
-            result = result * self.parse_factor()
+                break
+        if q is None:
+            c = Quat.scalar(r)
+        elif r == 1:
+            c = q
+        elif q in _AXES:  # r times one unit: one coordinate, no product
+            coords = [0, 0, 0, 0]
+            coords[_AXES[q]] = r.numerator
+            c = _quat(tuple(coords), r.denominator)
+        else:
+            c = q * r
+        if poly is None:
+            pairs = [(tuple(alpha), c)]
+        else:
+            pairs = [(tuple(map(add, e, alpha)), pc * c) for e, pc in poly.terms.items()]
+        for e, term in pairs:
+            terms[e] = terms[e] + term if e in terms else term
 
-    def parse_factor(self) -> MPoly:
-        base = self.parse_atom()
+    def exponent(self) -> int:
+        """The `^n` after a factor, or 1 when there is none."""
         if self.peek()[1] != "^":
-            return base
+            return 1
         self.take()
         kind, _, pos, value = self.take()
         if kind != "rat" or value.denominator != 1:
             raise ParseError("exponent must be a nonnegative integer", pos)
-        return base.pow(int(value))
-
-    def parse_atom(self) -> MPoly:
-        kind, text, pos, value = self.take()
-        if kind == "rat":
-            return MPoly.constant(Quat.scalar(value), self.nvars)
-        if kind == "unit":
-            return MPoly.constant(_UNITS[text], self.nvars)
-        if kind == "var":
-            if not value < self.nvars:
-                raise ParseError(f"variable {text} outside the {self.nvars}-variable ring", pos)
-            return MPoly.variable(value, self.nvars)
-        if text == "(":
-            if self.depth == _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
-            self.depth += 1
-            inner = self.parse_expression()
-            self.depth -= 1
-            kind, text, pos, _ = self.take()
-            if text != ")":
-                raise ParseError("expected ')'", pos)
-            return inner
-        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+        return int(value)
 
 
 def parse_mpoly(text: str, nvars: int) -> MPoly:

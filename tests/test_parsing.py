@@ -1,6 +1,8 @@
 """Grammar round trips and JSON forms."""
 
 from fractions import Fraction as F
+from functools import reduce
+from operator import mul
 from random import Random
 
 import pytest
@@ -55,6 +57,7 @@ class TestUPolyGrammar:
 
     def test_power_of_parenthesized_factor(self):
         assert parse_upoly("(x-i)^2") == UPoly.linear(I) * UPoly.linear(I)
+        assert parse_upoly("(x - i)^5") == reduce(mul, [UPoly.linear(I)] * 5)
 
     def test_order_of_factors_matters(self):
         assert parse_upoly("jx") == UPoly([ZERO, J])
@@ -96,6 +99,68 @@ class TestMPolyGrammar:
             assert parse_mpoly(str(p), nvars) == p
 
 
+def _random_sum(rng, nvars, depth):
+    """The text of a random sum and its value, built from the same choices
+    with `MPoly` operations."""
+    text, value = _random_product(rng, nvars, depth)
+    sign = rng.choice(["", "", "-", "+", " - "])
+    text, value = sign + text, -value if "-" in sign else value
+    for _ in range(rng.randint(0, 2)):
+        term, term_value = _random_product(rng, nvars, depth)
+        op = rng.choice("+-")
+        text += rng.choice(["", " "]) + op + rng.choice(["", " "]) + term
+        value = value - term_value if op == "-" else value + term_value
+    return text, value
+
+
+def _random_product(rng, nvars, depth):
+    text, value = _random_power(rng, nvars, depth)
+    for _ in range(rng.randint(0, 3)):
+        factor, factor_value = _random_power(rng, nvars, depth)
+        sep = rng.choice(["", "", " ", "*", " * "])
+        if not sep and factor[0].isdigit() and (text[-1].isdigit() or text[-1] == "x"):
+            sep = " "  # the digits would join a rational, an index or an exponent
+        text, value = text + sep + factor, value * factor_value
+    return text, value
+
+
+def _random_power(rng, nvars, depth):
+    text, value = _random_atom(rng, nvars, depth)
+    if rng.random() < 0.3:
+        k = rng.randint(0, 3)
+        text, value = f"{text}^{k}", reduce(mul, [value] * k, MPoly.constant(ONE, nvars))
+    return text, value
+
+
+def _random_atom(rng, nvars, depth):
+    roll = rng.randrange(4 if depth else 3)
+    if roll == 0:
+        num, den = rng.randint(0, 6), rng.choice([None, 1, 2, 3, 4])
+        text = str(num) if den is None else f"{num}/{den}"
+        return text, MPoly.constant(Quat(F(num, den or 1)), nvars)
+    if roll == 1:
+        unit = rng.choice("ijk")
+        return unit, MPoly.constant({"i": I, "j": J, "k": K}[unit], nvars)
+    if roll == 2:
+        index = rng.randrange(nvars)
+        text = rng.choice(["x", "x1"]) if index == 0 else f"x{index + 1}"
+        return text, MPoly.variable(index, nvars)
+    text, value = _random_sum(rng, nvars, depth - 1)
+    return f"({text})", value
+
+
+class TestGrammarOracle:
+    def test_parse_agrees_with_polynomial_arithmetic(self):
+        # Units and parenthesized factors, constant or not, in every order:
+        # a product is worth the ordered product of its factors.
+        rng = Random(24)
+        for _ in range(300):
+            nvars = rng.randint(1, 2)
+            text, value = _random_sum(rng, nvars, 2)
+            text = rng.choice(["", " "]) + text
+            assert parse_mpoly(text, nvars) == value, text
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
         "parse, text, message, position",
@@ -115,6 +180,15 @@ class TestParseErrors:
             (parse_quat, "x", "expected a constant quaternion, found a variable", 0),
             (parse_quat, "1 + 2x", "expected a constant quaternion, found a variable", 5),
             (lambda t: parse_mpoly(t, 0), "1", "need at least one variable", 0),
+            (parse_upoly, "i^x", "exponent must be a nonnegative integer", 2),
+            (parse_upoly, "2^-1", "exponent must be a nonnegative integer", 2),
+            (parse_upoly, "(1+i)^", "exponent must be a nonnegative integer", 6),
+            (parse_upoly, "ix2", "variable x2 outside the 1-variable ring", 1),
+            (parse_upoly, "i(x2)", "variable x2 outside the 1-variable ring", 2),
+            (parse_upoly, "i*)", "unexpected ')'", 2),
+            (parse_upoly, "x**2", "unexpected '*'", 2),
+            (parse_upoly, "i^2^2", "unexpected trailing '^'", 3),
+            (parse_upoly, "2*", "unexpected end of input", 2),
         ],
     )
     def test_message_and_position(self, parse, text, message, position):

@@ -25,6 +25,7 @@ from quatca.mpoly import (
     point_ideal,
     rabinowitsch_check,
 )
+from quatca.parsing import parse_mpoly, parse_quat, parse_upoly
 from quatca.scalars import Centralizer, I, J, K, ONE, Quat, find_conjugator, left_rank
 from quatca.upoly import (
     UPoly,
@@ -158,6 +159,45 @@ def test_several_variables_hand_the_bounded_system_to_rref(rref_systems):
     checked = list(rref_systems)
     _bounded_certificate(ideal, bases, powers, 1)
     assert rref_systems == checked * 2
+
+
+@pytest.fixture
+def mpoly_products(monkeypatch):
+    """Every pair of factors multiplied as `MPoly`s while the test runs."""
+    seen = []
+    original = MPoly.__mul__
+
+    def capture(self, other):
+        seen.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", capture)
+    return seen
+
+
+def test_parenthesis_free_terms_make_no_polynomial_products(mpoly_products):
+    # Rationals and variables are central, so a product of atoms and constant
+    # parentheses is one coefficient times one monomial; only a non-constant
+    # parenthesized factor is multiplied as a polynomial.
+    assert parse_quat("-2 + 1/2i - 1/2j - 2k") == Quat(-2, Fraction(1, 2), Fraction(-1, 2), -2)
+    printed = "(1/2 - 1/2i - j + k)x^2 + (1 + i + 2j)x + (-1 + j - 3/2k)"
+    assert str(parse_upoly(printed)) == printed
+    assert parse_mpoly("x^1000000", 1) == MPoly.monomial(ONE, (1000000,))
+    assert mpoly_products == []
+    assert parse_upoly("(x - i)^2") == UPoly.linear(I) * UPoly.linear(I)
+    assert mpoly_products
+
+
+def test_powers_take_logarithmically_many_products(mpoly_products):
+    # A power of a unit or a constant is a quaternion power, and that of a
+    # non-constant polynomial is by repeated squaring, so huge exponents
+    # return at once.
+    n = 1000000000
+    assert parse_upoly(f"i^{n}") == UPoly([ONE])
+    assert parse_mpoly(f"(j)^{n}", 1) == MPoly.constant(ONE, 1)
+    assert mpoly_products == []
+    assert parse_mpoly(f"(jx)^{n}", 1) == MPoly.monomial(ONE, (n,))
+    assert 0 < len(mpoly_products) <= 2 * n.bit_length()
 
 
 def test_quat_defines_every_method_the_tracer_wraps():
