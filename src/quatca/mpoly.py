@@ -8,6 +8,10 @@ right division, exact at every degree bound.  Otherwise, and when the gcrd
 cofactors exceed the degree bound, the certificate search runs its linear
 algebra over rational coordinates with the graded lexicographic monomial
 order, which is fixed so that certificates are reproducible.
+
+A one-variable polynomial passed to `upoly` holds one coefficient per
+degree, so the conversion refuses a degree above 1,000,000 with
+InvalidInput; `x^1000000000` is cheap as a sparse `MPoly` but not dense.
 """
 
 from __future__ import annotations
@@ -367,8 +371,18 @@ def rabinowitsch_check(
     return _bounded_certificate(ideal, bases, ap_powers, degbound)
 
 
+# The dense coefficient list of a one-variable polynomial holds one entry
+# per degree, so a sparse x^1000000000 would take 10^9 of them;
+# parse_upoly("x^1000000") takes 0.20 s.
+_MAX_DENSE_DEGREE = 1_000_000
+
+
 def _to_upoly(p: MPoly) -> UPoly:
     top = max((e for (e,) in p.terms), default=-1)
+    if top > _MAX_DENSE_DEGREE:
+        raise InvalidInput(
+            f"degree {top} above the bound of {_MAX_DENSE_DEGREE} for a one-variable polynomial"
+        )
     return UPoly([p.terms.get((e,), ZERO) for e in range(top + 1)])
 
 

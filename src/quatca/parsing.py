@@ -19,6 +19,14 @@ between the factors to its left and those to its right.  A power of a
 rational, unit or constant is a scalar power, and that of a polynomial is
 taken by repeated squaring.
 
+Powers are bounded before they are taken, and a power past a bound is a
+ParseError at its exponent: the result may have at most 100,000 bits
+(`2^100000`, `(2x)^100000`), and the power of a parenthesized factor of
+several terms at most degree 500 (`(x - i)^500`).  Powers that cannot
+grow, of a unit, a variable, -1 or a one-term factor such as `(jx)`, are
+not bounded.  `parse_upoly` then keeps the degree within the dense bound
+of `mpoly`, 1,000,000.
+
 Printing inverts parsing exactly: print(parse(t)) reparses to an equal
 value.
 """
@@ -27,16 +35,25 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm, log2
 from operator import add
 
 from .errors import ParseError
 from .mpoly import MPoly, _to_upoly
-from .scalars import I, J, K, Quat, ZERO, _quat
+from .scalars import I, J, K, Quat, ZERO
 from .upoly import UPoly
 
 _UNITS = {"i": I, "j": J, "k": K}
-_AXES = {I: 1, J: 2, K: 3}
 _MAX_NESTING = 100
+# Bounds on a power written in the text, so that a short input cannot ask
+# for a value too large to build.  Quaternion powers cost about the square
+# of their size: `(1+2i)^100000` (0.12 million bits) takes 0.15 s and
+# `(1+2i)^1000000` 10.4 s, so a power may have 100,000 bits; the largest
+# accepted powers of `1+2i` and `3/5+4/5i` take 0.15 s.  A power of a sum
+# of terms is taken by repeated squaring of a polynomial: `(x - i)^500`
+# takes 0.53 s and `(x - i)^1000` 2.7 s.
+_MAX_POWER_BITS = 100_000
+_MAX_POWER_DEGREE = 500
 
 # One token after optional whitespace: a rational `num` or `num/den`, a
 # unit, a variable `x` or `x<index>`, an operator, or any other character.
@@ -117,7 +134,7 @@ class _Parser:
         while True:
             kind, text, pos, value = self.take()
             if kind == "rat":
-                r *= value ** self.exponent()
+                r *= value ** self.exponent(value)
             elif kind == "unit":
                 n = self.exponent()
                 u = _UNITS[text] if n == 1 else _UNITS[text] ** n
@@ -135,7 +152,7 @@ class _Parser:
                 _, text, pos, _ = self.take()
                 if text != ")":
                     raise ParseError("expected ')'", pos)
-                n = self.exponent()
+                n = self.exponent(inner)
                 if inner.terms.keys() <= {self.origin}:
                     c = inner.terms.get(self.origin, ZERO)
                     c = c if n == 1 else c**n
@@ -154,14 +171,8 @@ class _Parser:
                 break
         if q is None:
             c = Quat.scalar(r)
-        elif r == 1:
-            c = q
-        elif q in _AXES:  # r times one unit: one coordinate, no product
-            coords = [0, 0, 0, 0]
-            coords[_AXES[q]] = r.numerator
-            c = _quat(tuple(coords), r.denominator)
         else:
-            c = q * r
+            c = q if r == 1 else q * r
         if poly is None:
             pairs = [(tuple(alpha), c)]
         else:
@@ -169,15 +180,45 @@ class _Parser:
         for e, term in pairs:
             terms[e] = terms[e] + term if e in terms else term
 
-    def exponent(self) -> int:
-        """The `^n` after a factor, or 1 when there is none."""
+    def exponent(self, base: MPoly | int | Fraction | None = None) -> int:
+        """The `^n` after a factor, or 1 when there is none.
+
+        A base that can grow under the power, a rational or a parenthesized
+        polynomial, is checked against the size bounds before the power is
+        taken: a ParseError at the exponent when n times the bits one more
+        factor can add to a coefficient exceeds _MAX_POWER_BITS, or when
+        the base has several terms and n times its degree exceeds
+        _MAX_POWER_DEGREE.  Units, variables and one-term bases whose
+        coefficient is 0, -1, 1 or a signed unit, such as `(jx)`, add no
+        bits and stay unbounded."""
         if self.peek()[1] != "^":
             return 1
         self.take()
         kind, _, pos, value = self.take()
         if kind != "rat" or value.denominator != 1:
             raise ParseError("exponent must be a nonnegative integer", pos)
-        return int(value)
+        n = int(value)
+        if base is None:
+            return n
+        coeffs = base.terms.values() if isinstance(base, MPoly) else [Quat.scalar(base)]
+        growth = max(map(_growth, coeffs), default=0)
+        if growth and n > _MAX_POWER_BITS / growth:
+            raise ParseError(f"power of more than the bound of {_MAX_POWER_BITS} bits", pos)
+        if isinstance(base, MPoly) and len(base.terms) > 1:
+            degree = n * max(map(sum, base.terms))
+            if degree > _MAX_POWER_DEGREE:
+                raise ParseError(f"power of degree {degree}, above the bound of {_MAX_POWER_DEGREE}", pos)
+        return n
+
+
+def _growth(c: Quat) -> float:
+    """The bits one more factor of c can add to a power of it: with c = v/m
+    for an integer vector v over the common denominator m, the numerators
+    of c^n are at most |v|^n and its denominator at most m^n."""
+    if not c:
+        return 0.0
+    m = lcm(*(v.denominator for v in c.coords()))
+    return max(log2(int(c.norm() * m * m)) / 2, log2(m))
 
 
 def parse_mpoly(text: str, nvars: int) -> MPoly:

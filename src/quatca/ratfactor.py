@@ -69,13 +69,17 @@ class CentralFactorization:
     for irreducible monic factors x^2 - t*x + n; leftover_degree counts
     the irreducible factors of degree > 2, with multiplicity in the input
     (a content factor of a `right_roots` search therefore once, not
-    squared).  Both tuples are sorted.
+    squared).  Both tuples are sorted.  `complete` is derived: no factor
+    of degree > 2 is left over.
     """
 
     linear: tuple[tuple[Fraction, int], ...]
     quadratics: tuple[tuple[Fraction, Fraction, int], ...]
     leftover_degree: int
-    complete: bool
+
+    @property
+    def complete(self) -> bool:
+        return self.leftover_degree == 0
 
 
 def _factor_low_degree(coeffs: list[Fraction]) -> CentralFactorization:
@@ -84,14 +88,14 @@ def _factor_low_degree(coeffs: list[Fraction]) -> CentralFactorization:
     double root."""
     lead = Fraction(coeffs[-1])
     if len(coeffs) == 2:
-        return CentralFactorization(((-coeffs[0] / lead, 1),), (), 0, True)
+        return CentralFactorization(((-coeffs[0] / lead, 1),), (), 0)
     t, n = -coeffs[1] / lead, coeffs[0] / lead
     s = rational_sqrt(t * t - 4 * n)
     if s is None:
-        return CentralFactorization((), ((t, n, 1),), 0, True)
+        return CentralFactorization((), ((t, n, 1),), 0)
     if not s:
-        return CentralFactorization(((t / 2, 2),), (), 0, True)
-    return CentralFactorization((((t - s) / 2, 1), ((t + s) / 2, 1)), (), 0, True)
+        return CentralFactorization(((t / 2, 2),), (), 0)
+    return CentralFactorization((((t - s) / 2, 1), ((t + s) / 2, 1)), (), 0)
 
 
 def _primitive(coeffs: list[Fraction]) -> list[int]:
@@ -311,5 +315,4 @@ def factor_central(coeffs: list[Fraction]) -> CentralFactorization:
         tuple(sorted(linear.items())),
         tuple(sorted((t, n, m) for (t, n), m in quadratics.items())),
         leftover,
-        leftover == 0,
     )

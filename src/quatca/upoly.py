@@ -478,13 +478,15 @@ def root_space(p: UPoly, a: Quat) -> RootSpaceBasis:
     A central a is its own class: the whole ring, basis {1}.  Otherwise, by
     Gordon-Motzkin, the class of a holds only roots (the whole ring, basis
     {1, the first of i, j, k outside C(a)}) or no root but a (C(a), {1}).
+    The conjugate of a is a second point of its class, so one evaluation
+    there tells the two apart.
     """
     if p.is_zero():
         raise InvalidInput("root space of the zero polynomial")
     if p.eval_left(a):
         raise InvalidInput("the base point must be a right root")
     c = centralizer_of_set([a])
-    if a.is_central() or isinstance(_class_roots(p, 2 * a.w, a.norm()), Isolated):
+    if a.is_central() or p.eval_left(a.conjugate()):
         return RootSpaceBasis((ONE,), c)
     return RootSpaceBasis((ONE, next(e for e in BASIS[1:] if not c.contains(e))), c)
 

@@ -261,6 +261,23 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (("eval", "--poly", "x^1000000000", "--at", "i"), "the bound of 1000000 for"),
+            (("roots", "--poly", "x^1000000000"), "the bound of 1000000 for"),
+            (("espace", "--poly", "x^1000000000", "--root", "0"), "the bound of 1000000 for"),
+            (("rabinowitsch", "--ideal", "x^1000000000", "--p", "x", "--a", "1"), "the bound of 1000000 for"),
+            (("eval", "--poly", "(x - i)^1000000000", "--at", "i"), "the bound of 500 (at"),
+            (("eval", "--poly", "x", "--at", "(1+2i)^1000000000"), "the bound of 100000 bits (at"),
+        ],
+        ids=["eval", "roots", "espace", "rabinowitsch", "polynomial-power", "quaternion-power"],
+    )
+    def test_oversized_input_is_usage(self, capsys, argv, bound):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and bound in err
+
     def test_precondition_violation_is_usage(self, capsys):
         code, out, err = run(capsys, "espace", "--poly", "x^2 + 1", "--root", "1+j")
         assert code == 2

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from quatca import serde
-from quatca.errors import ParseError
+from quatca.errors import InvalidInput, ParseError
 from quatca.modules import ModulePresentation
 from quatca.mpoly import MPoly
 from quatca.parsing import parse_mpoly, parse_quat, parse_quat_list, parse_upoly
@@ -189,6 +189,15 @@ class TestParseErrors:
             (parse_upoly, "x**2", "unexpected '*'", 2),
             (parse_upoly, "i^2^2", "unexpected trailing '^'", 3),
             (parse_upoly, "2*", "unexpected end of input", 2),
+            (parse_quat, "2^100001", "power of more than the bound of 100000 bits", 2),
+            (parse_quat, "(1/2)^100001", "power of more than the bound of 100000 bits", 6),
+            (parse_quat, "(1+2i)^86136", "power of more than the bound of 100000 bits", 7),
+            (parse_quat, "(3^60000)^2", "power of more than the bound of 100000 bits", 10),
+            (parse_upoly, "(2x)^100001", "power of more than the bound of 100000 bits", 5),
+            (parse_upoly, "(x^5 + 1)^101", "power of degree 505, above the bound of 500", 10),
+            (parse_quat, "3^1000000000", "power of more than the bound of 100000 bits", 2),
+            (parse_quat, "(1+2i)^1000000000", "power of more than the bound of 100000 bits", 7),
+            (parse_upoly, "(x - i)^1000000000", "power of degree 1000000000, above the bound of 500", 8),
         ],
     )
     def test_message_and_position(self, parse, text, message, position):
@@ -223,6 +232,32 @@ class TestParseErrors:
         assert parse_mpoly("x 2", 2) == parse_mpoly("2x1", 2)
         assert parse_mpoly("x2", 2) == MPoly.variable(1, 2)
         assert parse_quat("3 / 4 i") == Quat(0, F(3, 4))
+
+
+class TestSizeBounds:
+    def test_powers_at_the_bounds_are_taken(self):
+        # The power bounds, at 100,000 bits and degree 500, are inclusive.
+        assert parse_quat("2^100000") == Quat(2**100000)
+        assert parse_quat("(1/2)^100000") == Quat(F(1, 2**100000))
+        assert parse_quat("(1+2i)^86135").norm() == 5**86135
+        assert parse_mpoly("(2x)^100000", 1) == MPoly.monomial(Quat(2**100000), (100000,))
+        assert parse_upoly("(x^5 + 1)^100").degree == 500
+
+    def test_powers_that_cannot_grow_are_unbounded(self):
+        n = 10**9
+        assert parse_quat(f"(-1)^{n}") == ONE
+        assert parse_quat(f"(-k)^{n + 1}") == -K
+        assert parse_quat(f"(0)^{n}") == ZERO
+        assert parse_mpoly(f"(-jx)^{n}", 1) == MPoly.monomial(ONE, (n,))
+
+    def test_dense_degree_bound(self):
+        # A one-variable polynomial is stored dense, so its degree is
+        # bounded before the coefficient list is built.
+        assert parse_upoly("x^1000000").degree == 10**6
+        with pytest.raises(InvalidInput) as info:
+            parse_upoly("x^1000001")
+        assert str(info.value) == "degree 1000001 above the bound of 1000000 for a one-variable polynomial"
+        assert parse_mpoly("x^1000000000", 1) == MPoly.monomial(ONE, (10**9,))
 
 
 class TestPrinting:

@@ -113,6 +113,26 @@ def test_closed_forms_hand_no_system_to_rref(rref_systems):
     assert rref_systems == []
 
 
+def test_root_spaces_divide_no_polynomial(monkeypatch):
+    # By Gordon-Motzkin the class of a non-central root holds only roots
+    # exactly when its conjugate, a second point of the class, is a root:
+    # one evaluation, no division by the class quadratic.
+    divisions = []
+    original = UPoly.divmod_right
+
+    def capture(self, d):
+        divisions.append(d)
+        return original(self, d)
+
+    monkeypatch.setattr(UPoly, "divmod_right", capture)
+    sphere = UPoly.from_central([1, 0, 1])
+    isolated = UPoly.linear(Quat(1, 2)) * UPoly.linear(I)
+    central = UPoly.linear(Quat(2)) * sphere
+    dims = [root_space(p, a).dim for p, a in [(central, Quat(2)), (isolated, I), (sphere, J)]]
+    assert dims == [1, 1, 2]
+    assert divisions == []
+
+
 def test_solve_and_nullspace_each_hand_one_system_to_rref(rref_systems):
     # perfbench times `linalg.rref` by patching the module attribute, so
     # `solve` and `nullspace` must reach it through that name, once each.

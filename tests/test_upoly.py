@@ -541,6 +541,42 @@ class TestRootSpace:
                 assert r
                 assert p.eval_left(r * a * r.inverse()) == ZERO
 
+    @pytest.mark.parametrize(
+        "planting, dims",
+        [("distinct", {1}), ("repeated", {1}), ("conjugated", {1}), ("conjugate-pair", {2})],
+    )
+    def test_dimension_is_the_class_verdict_on_planted_products(self, planting, dims):
+        # The last factor's point a is a right root; the class reader's
+        # verdict on its class, isolated or sphere, is the dimension.  On
+        # these seeds a second factor from the class of a (a itself, or a
+        # conjugate r*a*r^-1 other than conj(a)) leaves a isolated, while
+        # conj(a) right before a makes the class quadratic
+        # (x - conj(a))(x - a) a right factor: the whole class is roots.
+        rng = Random(f"root-space:{planting}")
+        seen = set()
+        for _ in range(40):
+            factors = [rand_quat(rng, 3, integer=True) for _ in range(rng.randint(1, 3))]
+            a = factors[-1]
+            if a.is_central():
+                continue
+            if planting == "repeated":
+                factors.insert(rng.randrange(len(factors)), a)
+            elif planting == "conjugated":
+                r = rand_nonzero_quat(rng, 2, integer=True)
+                if (r * a * r.inverse()).conjugate() == a:
+                    continue
+                factors.insert(rng.randrange(len(factors)), r * a * r.inverse())
+            elif planting == "conjugate-pair":
+                factors.insert(-1, a.conjugate())
+            p = UPoly.constant(ONE)
+            for b in factors:
+                p = p * UPoly.linear(b)
+            verdict = _class_roots(p, 2 * a.scalar_part(), a.norm())
+            dim = root_space(p, a).dim
+            assert dim == {Isolated: 1, Sphere: 2}[type(verdict)]
+            seen.add(dim)
+        assert seen == dims
+
     def test_inequality_on_products_of_linear_factors(self):
         rng = Random(23)
         for _ in range(100):
