@@ -4,7 +4,10 @@ Every subcommand dispatches to exactly one kernel operation and emits a
 report with three fields: `status` (ok, not-found, possibly-incomplete,
 error), an operation-specific `payload`, and `provenance`, a short label of
 the underlying result.  Exit codes: 0 for any domain answer, 2 for usage or
-parse errors, 3 for internal assertion failures.
+parse errors, 3 for internal assertion failures, and 141 (128 + SIGPIPE, the
+status a shell gives a writer killed by a closed pipe) when the reader closes
+stdout before the report is written, as `quatca ... | head -1` may; that
+case prints no traceback.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -60,6 +64,7 @@ POSSIBLY_INCOMPLETE = "possibly-incomplete"
 EXIT_DOMAIN = 0
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass
@@ -410,5 +415,15 @@ def _exact_integers():
         sys.set_int_max_str_digits(old)
 
 
-def entry():  # console-script hook
-    raise SystemExit(main())
+def entry():
+    """`python -m quatca` and the `quatca` script: `main`, with stdout
+    flushed before the exit.  A reader that closed stdout early ends the
+    run with EXIT_BROKEN_PIPE."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; devnull takes it.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm, log2
 from operator import add
 
 from .errors import ParseError
 from .mpoly import MPoly, _to_upoly
-from .scalars import I, J, K, Quat, ZERO
+from .scalars import I, J, K, Quat, ZERO, _growth
 from .upoly import UPoly
 
 _UNITS = {"i": I, "j": J, "k": K}
@@ -209,16 +208,6 @@ class _Parser:
             if degree > _MAX_POWER_DEGREE:
                 raise ParseError(f"power of degree {degree}, above the bound of {_MAX_POWER_DEGREE}", pos)
         return n
-
-
-def _growth(c: Quat) -> float:
-    """The bits one more factor of c can add to a power of it: with c = v/m
-    for an integer vector v over the common denominator m, the numerators
-    of c^n are at most |v|^n and its denominator at most m^n."""
-    if not c:
-        return 0.0
-    m = lcm(*(v.denominator for v in c.coords()))
-    return max(log2(int(c.norm() * m * m)) / 2, log2(m))
 
 
 def parse_mpoly(text: str, nvars: int) -> MPoly:

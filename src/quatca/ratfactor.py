@@ -1,11 +1,29 @@
-"""Factorization of central (rational-coefficient) polynomials.
+"""Arithmetic on central (rational-coefficient) polynomials: the central
+content of a quaternion polynomial, and factorization.
+
+Every helper here takes and returns one form: a primitive integer
+coefficient list, highest degree first, with a positive leading
+coefficient ([] for zero).  By Gauss's lemma it loses nothing: a nonzero
+rational polynomial is a rational multiple of exactly one such list, and a
+product of primitive lists is primitive.  `factor_central` converts its
+`Fraction` input once (`_primitive`); only the roots and (t, n) pairs it
+reports are `Fraction`s again.
+
+The central content c of a quaternion polynomial p, the gcd over the
+rationals of its four coordinate polynomials and so the central c of
+greatest degree with p = q*c, is computed here too (`_central_content`),
+by a primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1; Collins
+1967): each pseudo-remainder lc(b)^k * a mod b is integral, and dividing
+it by its content keeps the coefficients small.  `upoly.right_roots`
+factors c and the norm N(q), not N(p) = c^2*N(q), so over its calls a
+leftover factor of the content counts once, not squared.
 
 Root-class extraction needs the rational roots and the monic quadratic
 factors of a central polynomial.  Degree 1 and 2 take a closed form (the
 discriminant and an exact rational square root).  Above degree 2, floats
-propose and exact division confirms: the polynomial is cleared to a
-primitive integer F with leading coefficient L, its complex roots are
-approximated by Aberth-Ehrlich iteration, and each near-real root and each
+propose and exact division confirms: the complex roots of the polynomial F
+in the one form, with leading coefficient L, are approximated by
+Aberth-Ehrlich iteration, and each near-real root and each
 pair with near-real sum and product is rounded to a candidate factor over
 (1/L)Z, which by Gauss's lemma holds the coefficients of every monic
 rational factor of F.  A candidate counts only once it divides exactly, so
@@ -28,10 +46,6 @@ factor is irreducible over the rationals with degree > 2.  Quadratic
 factors are reported whatever their discriminant; one with real irrational
 roots cannot be split further either, and `upoly.right_roots` counts it as
 incomplete too.
-
-`upoly.right_roots` factors the central content c of p and the norm N(q)
-of its cofactor p = q*c, not N(p) = c^2*N(q), so over its calls a
-leftover factor of the content counts once, not squared.
 """
 
 from __future__ import annotations
@@ -40,7 +54,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import cos, gcd, isfinite, lcm, pi, sin
+from typing import Iterable, Sequence
 
 from .intmath import rational_sqrt
 
@@ -63,14 +79,12 @@ _SETTLED_ULPS = 8
 
 @dataclass(frozen=True)
 class CentralFactorization:
-    """Outcome of the factorization of a monic rational polynomial.
+    """Outcome of the factorization of a rational polynomial.
 
     linear: (root, multiplicity) pairs; quadratics: (t, n, multiplicity)
     for irreducible monic factors x^2 - t*x + n; leftover_degree counts
-    the irreducible factors of degree > 2, with multiplicity in the input
-    (a content factor of a `right_roots` search therefore once, not
-    squared).  Both tuples are sorted.  `complete` is derived: no factor
-    of degree > 2 is left over.
+    the irreducible factors of degree > 2, with multiplicity in the input.
+    Both tuples are sorted.  `complete`: no factor of degree > 2 is left.
     """
 
     linear: tuple[tuple[Fraction, int], ...]
@@ -82,14 +96,13 @@ class CentralFactorization:
         return self.leftover_degree == 0
 
 
-def _factor_low_degree(coeffs: list[Fraction]) -> CentralFactorization:
-    """The factorization of a rational polynomial of degree 1 or 2, in
+def _factor_low_degree(f: list[int]) -> CentralFactorization:
+    """The factorization of an integer polynomial of degree 1 or 2, in
     closed form: a square discriminant splits a quadratic, zero gives a
     double root."""
-    lead = Fraction(coeffs[-1])
-    if len(coeffs) == 2:
-        return CentralFactorization(((-coeffs[0] / lead, 1),), (), 0)
-    t, n = -coeffs[1] / lead, coeffs[0] / lead
+    if len(f) == 2:
+        return CentralFactorization(((Fraction(-f[1], f[0]), 1),), (), 0)
+    t, n = Fraction(-f[1], f[0]), Fraction(f[2], f[0])
     s = rational_sqrt(t * t - 4 * n)
     if s is None:
         return CentralFactorization((), ((t, n, 1),), 0)
@@ -98,13 +111,41 @@ def _factor_low_degree(coeffs: list[Fraction]) -> CentralFactorization:
     return CentralFactorization((((t - s) / 2, 1), ((t + s) / 2, 1)), (), 0)
 
 
-def _primitive(coeffs: list[Fraction]) -> list[int]:
-    """The primitive integer multiple of a rational polynomial with positive
-    leading coefficient, coefficients high to low."""
-    den = lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(c * den) for c in reversed(coeffs)]
-    content = gcd(*ints)
-    return [v // content for v in ints] if ints[0] > 0 else [-v // content for v in ints]
+def _primitive_part(f: list[int]) -> list[int]:
+    """f without leading zeros, divided by its content and signed so that
+    the leading coefficient is positive; [] for zero."""
+    f = f[next((k for k, c in enumerate(f) if c), len(f)):]
+    content = -gcd(*f) if f and f[0] < 0 else gcd(*f)
+    return [v // content for v in f]
+
+
+def _primitive(coeffs: Sequence[Fraction]) -> list[int]:
+    """The one form of a rational polynomial given low to high: its
+    primitive integer multiple, high to low."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return _primitive_part([c.numerator * (den // c.denominator) for c in reversed(coeffs)])
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^(deg a - deg b + 1) * a mod b with deg b coefficients, leading
+    zeros kept, for lc(b) nonzero; a itself when deg a < deg b."""
+    for _ in range(len(a) - len(b) + 1):
+        c = a[0]
+        a = [b[0] * v - c * w for v, w in zip_longest(a[1:], b[1:], fillvalue=0)]
+    return a
+
+
+def _central_content(coords: Iterable[Sequence[Fraction]]) -> list[int]:
+    """The gcd over the rationals of the coordinate polynomials of a nonzero
+    quaternion polynomial p (each low to high), in the one form: the central
+    c of greatest degree with p = q*c.  The sequence stops at gcd 1."""
+    g: list[int] = []
+    for f in map(_primitive, coords):
+        while f:
+            g, f = f, _primitive_part(_pseudo_remainder(g, f))
+        if len(g) == 1:
+            break
+    return g
 
 
 def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
@@ -196,10 +237,10 @@ def _candidates(f: list[int]) -> list[list[int]]:
 
 
 def _x_power_mod(e: int, g: list[int], p: int) -> list[int]:
-    """x^e mod (g, p) by square-and-multiply, for g monic of degree d >= 2
-    with coefficients low to high; the result has d coefficients."""
+    """x^e mod (g, p) by square-and-multiply, for g monic of degree d >= 2;
+    the result has d coefficients."""
     d = len(g) - 1
-    r = [1] + [0] * (d - 1)
+    r = [0] * (d - 1) + [1]
     for bit in bin(e)[2:]:
         prod = [0] * (2 * d - 1)
         for i, a in enumerate(r):
@@ -207,42 +248,36 @@ def _x_power_mod(e: int, g: list[int], p: int) -> list[int]:
                 for j, b in enumerate(r):
                     prod[i + j] += a * b
         if bit == "1":
-            prod.insert(0, 0)
-        for k in range(len(prod) - 1, d - 1, -1):
+            prod.append(0)
+        for k in range(len(prod) - d):
             if c := prod[k] % p:
-                for i in range(d):
-                    prod[k - d + i] -= c * g[i]
-        r = [c % p for c in prod[:d]]
+                for i in range(1, d + 1):
+                    prod[k + i] -= c * g[i]
+        r = [c % p for c in prod[-d:]]
     return r
 
 
 def _coprime_mod(a: list[int], b: list[int], p: int) -> bool:
-    """Whether gcd(a, b) = 1 mod p, by Euclid, for a of degree >= 1 and
-    greater than b's; coefficients low to high."""
-    while True:
-        while b and not b[-1]:
-            b.pop()
-        if len(b) <= 1:
-            return bool(b)
-        a, inv = list(a), pow(b[-1], -1, p)
-        for k in range(len(a) - 1, len(b) - 2, -1):
-            if c := a[k] * inv % p:
-                for i, bi in enumerate(b):
-                    a[k - len(b) + 1 + i] -= c * bi
-        a, b = b, [c % p for c in a[: len(b) - 1]]
+    """Whether gcd(a, b) = 1 mod p, for a of degree >= 1 and greater than
+    b's, with b's coefficients reduced mod p.  Euclid on pseudo-remainders:
+    every leading coefficient is a unit mod p, and so is the content of a
+    list of residues, so each step keeps the gcd mod p."""
+    while len(b := _primitive_part(b)) > 1:
+        a, b = b, [c % p for c in _pseudo_remainder(a, b)]
+    return bool(b)
 
 
 def _free_of_small_factors(f: list[int]) -> bool:
     """Whether some prime of `_PROOF_PRIMES` proves that the integer
-    polynomial f (high to low, degree >= 3) has no rational factor of
-    degree 1 or 2: gcd(f mod p, x^(p^2) - x) = 1 for a p not dividing the
-    leading coefficient.  False says nothing."""
+    polynomial f (degree >= 3) has no rational factor of degree 1 or 2:
+    gcd(f mod p, x^(p^2) - x) = 1 for a p not dividing the leading
+    coefficient.  False says nothing."""
     for p in _PROOF_PRIMES:
         if f[0] % p:
             inv = pow(f[0], -1, p)
-            g = [c * inv % p for c in reversed(f)]
+            g = [c * inv % p for c in f]
             h = _x_power_mod(p * p, g, p)
-            h[1] = (h[1] - 1) % p
+            h[-2] = (h[-2] - 1) % p
             if _coprime_mod(g, h, p):
                 return True
     return False
@@ -264,21 +299,16 @@ def factor_central(coeffs: list[Fraction]) -> CentralFactorization:
     into rational roots, monic irreducible quadratics and a remainder of
     irreducible factors of degree > 2.
 
-    Degree <= 2 takes a closed form.  Above it, candidate factors of degree
-    1 and 2 rounded from floating-point roots are confirmed by exact
-    division, repeatedly for the multiplicity.  The cofactor they leave is
-    kept whole when it has degree <= 2 (the closed form splits it) or when
-    a small prime proves it free of factors of degree <= 2; only otherwise
-    does sympy factor it.  The floats and primes only choose which exact
-    steps to take, so the answer is the exact factorization; a product of
-    rational linear and quadratic factors whose roots the floats resolve,
-    times irreducible factors of degree > 2 that a prime proves, never
-    imports sympy."""
+    Candidate factors rounded from floating-point roots are confirmed by
+    exact division, repeatedly for the multiplicity, and the cofactor they
+    leave takes the closed form, a small-prime proof or sympy.  The floats
+    and primes only choose which exact steps to take, so the answer is the
+    exact factorization."""
     if len(coeffs) < 2:
         raise ValueError("constant polynomial")
-    if len(coeffs) <= 3:
-        return _factor_low_degree(coeffs)
     rest = _primitive(coeffs)
+    if len(rest) <= 3:
+        return _factor_low_degree(rest)
     found = []
     # Divide out x exactly: the floats' settling test is relative to the
     # size of F's terms, which all vanish at 0, so approximations of the
@@ -289,8 +319,7 @@ def factor_central(coeffs: list[Fraction]) -> CentralFactorization:
         zeros += 1
     if zeros:
         found.append(([1, 0], zeros))
-    candidates = _candidates(rest) if len(rest) > 1 else []
-    for g in candidates:
+    for g in _candidates(rest) if len(rest) > 1 else []:
         mult = 0
         while len(rest) >= len(g) and (q := _exact_quotient(rest, g)) is not None:
             rest, mult = q, mult + 1
@@ -306,7 +335,7 @@ def factor_central(coeffs: list[Fraction]) -> CentralFactorization:
         if len(g) > 3:
             leftover += (len(g) - 1) * mult
             continue
-        low = _factor_low_degree([Fraction(c) for c in reversed(g)])
+        low = _factor_low_degree(g)
         for root, m in low.linear:
             linear[root] += m * mult
         for t, n, m in low.quadratics:

@@ -16,7 +16,7 @@ numerators over one denominator, and the rational rows built here for
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log2
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -215,8 +215,9 @@ class Quat:
         while exp:
             if exp & 1:
                 result = result * base
-            base = base * base
             exp >>= 1
+            if exp:
+                base = base * base
         return result
 
     def commutes_with(self, other: "Quat") -> bool:
@@ -276,6 +277,16 @@ BASIS = (ONE, I, J, K)
 def commutator(a: Quat, b: Quat) -> Quat:
     """a*b - b*a."""
     return a * b - b * a
+
+
+def _growth(c: Quat) -> float:
+    """The bits one more factor of c can add to a power of it: with c = v/m
+    for an integer vector v over the common denominator m, the numerators
+    of c^n are at most |v|^n and its denominator at most m^n."""
+    if not c:
+        return 0.0
+    m = lcm(*(v.denominator for v in c.coords()))
+    return max(log2(int(c.norm() * m * m)) / 2, log2(m))
 
 
 # ---------------------------------------------------------------------------

@@ -318,36 +318,6 @@ def _class_roots(p: UPoly, t: Fraction, n: Fraction) -> RootClass | None:
     return None
 
 
-def _rat_remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a by b, rational coefficients low to high; b nonzero."""
-    a, db = list(a), len(b) - 1
-    for k in range(len(a) - 1, db - 1, -1):
-        factor = a[k] / b[-1]
-        if factor:
-            for idx, bc in enumerate(b):
-                a[k - db + idx] -= factor * bc
-    del a[db:]
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _central_content(p: UPoly) -> list[Fraction]:
-    """The monic gcd over the rationals of the four coordinate polynomials
-    of a nonzero p, coefficients low to high: the central c of greatest
-    degree with p = q*c.  The Euclidean loop stops once the gcd is 1."""
-    g: list[Fraction] = []
-    for coords in zip(*(c.coords() for c in p.coeffs)):
-        f = list(coords)
-        while f and not f[-1]:
-            f.pop()
-        while f:
-            g, f = f, _rat_remainder(g, f)
-        if len(g) == 1:
-            return [Fraction(1)]
-    return [v / g[-1] for v in g]
-
-
 def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     """All conjugacy classes of right roots discoverable over the rationals.
 
@@ -370,7 +340,7 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     """
     if p.degree < 1:
         raise InvalidInput("root search needs a nonconstant polynomial")
-    content = _central_content(p)
+    content = ratfactor._central_content(zip(*(c.coords() for c in p.coeffs)))[::-1]
     q = p.divmod_right(UPoly.from_central(content))[0] if len(content) > 1 else p
     norm_q = companion(q).central_coeffs()
     facs = [ratfactor.factor_central(f) for f in (content, norm_q) if len(f) > 1]

@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,13 +273,36 @@ class TestExitCodes:
             (("rabinowitsch", "--ideal", "x^1000000000", "--p", "x", "--a", "1"), "the bound of 1000000 for"),
             (("eval", "--poly", "(x - i)^1000000000", "--at", "i"), "the bound of 500 (at"),
             (("eval", "--poly", "x", "--at", "(1+2i)^1000000000"), "the bound of 100000 bits (at"),
+            (("reduce", "--poly", "x1^10000", "--point", "1+2i"), "the bound of 2000 bits modulo"),
         ],
-        ids=["eval", "roots", "espace", "rabinowitsch", "polynomial-power", "quaternion-power"],
+        ids=["eval", "roots", "espace", "rabinowitsch", "polynomial-power", "quaternion-power", "reduce"],
     )
     def test_oversized_input_is_usage(self, capsys, argv, bound):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and err.startswith("error:") and bound in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "--poly", "x", "--at", "i"), ("reduce", "--poly", "x1^1000", "--point", "1+2i")],
+        ids=["short-report", "report-past-the-stdout-buffer"],
+    )
+    def test_closed_stdout_exits_without_a_traceback(self, argv):
+        # The reader closes its end before the run starts, so the first write
+        # fails: a short report's at the flush before exit, a long one's
+        # (370 kB) within print.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "quatca", "--json", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert proc.stderr == b""
 
     def test_precondition_violation_is_usage(self, capsys):
         code, out, err = run(capsys, "espace", "--poly", "x^2 + 1", "--root", "1+j")

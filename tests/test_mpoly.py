@@ -140,6 +140,28 @@ class TestReduction:
             assert rebuilt == p
             assert remainder == eval_at_point(p, pt)
 
+    @pytest.mark.parametrize(
+        "exps, point",
+        [
+            ((1722,), [Quat(1, 2)]),  # 1722 * log2(5)/2 = 1999.2 bits
+            ((2000,), [I]),  # a point that adds no bits counts one per unit
+            ((2000,), [Quat(1, 1)]),  # log2(2)/2 < 1 counts one too
+            ((1000, 1000), [Quat(2), Quat(2)]),  # the variables of a term add up
+            ((1000, 1000), [I, Quat(0, 2)]),
+        ],
+    )
+    def test_size_bound(self, exps, point):
+        # The bound on exponent times point growth is inclusive; one more
+        # unit of the last exponent is refused before any work.
+        pt = CommutingPoint(point)
+        p = MPoly.monomial(ONE, exps) + MPoly.constant(ONE, len(exps))
+        remainder, _ = reduce_mod_point(p, pt)
+        assert remainder == eval_at_point(p, pt)
+        over = MPoly.monomial(ONE, exps[:-1] + (exps[-1] + 1,)) + p
+        with pytest.raises(InvalidInput) as info:
+            reduce_mod_point(over, pt)
+        assert str(info.value) == "reduction of a power of more than the bound of 2000 bits modulo the point"
+
 
 class TestPointIdeal:
     def test_univariate(self):

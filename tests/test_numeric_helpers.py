@@ -1,17 +1,18 @@
-"""Square decompositions and the central-polynomial factorizer."""
+"""Square decompositions, the central content and the central-polynomial
+factorizer."""
 
 import importlib
 from fractions import Fraction as F
-from math import isqrt
+from math import gcd, isqrt
 from random import Random
 
 import pytest
-from sympy import Poly, Symbol
+from sympy import QQ, Poly, Symbol
 
 from quatca import intmath, ratfactor
 from quatca.intmath import rational_sqrt, three_squares
 from quatca.ratfactor import factor_central
-from quatca.scalars import Centralizer, I, Quat
+from quatca.scalars import Centralizer, I, Quat, ZERO
 from quatca.upoly import Sphere, UPoly, right_roots, sphere_member_in
 from test_upoly import _sympy_factor
 
@@ -138,6 +139,73 @@ def _agrees_with_sympy(coeffs):
     linear, quadratics, leftover = _sympy_factor(coeffs)
     assert (fac.linear, fac.quadratics, fac.leftover_degree) == (linear, quadratics, leftover)
     assert fac.complete == (leftover == 0)
+
+
+def _sympy_content(p):
+    """sympy's gcd of the four coordinate polynomials of p, made monic,
+    coefficients low to high."""
+    x = Symbol("x")
+    g = Poly(0, x, domain=QQ)
+    for coords in zip(*(c.coords() for c in p.coeffs)):
+        g = g.gcd(Poly(coords[::-1], x, domain=QQ))
+    return [F(int(c.p), int(c.q)) for c in g.monic().all_coeffs()[::-1]]
+
+
+def _content(p):
+    """`ratfactor._central_content` of p: its one form, and made monic."""
+    content = ratfactor._central_content(zip(*(c.coords() for c in p.coeffs)))
+    return content, [F(v, content[0]) for v in reversed(content)]
+
+
+class TestCentralContent:
+    def test_equals_the_sympy_gcd_on_planted_factors(self):
+        # p = q*c for a central c of rational roots, irreducible quadratics,
+        # repeated factors and a cubic, and a q with non-integer
+        # coefficients, sometimes a zero coordinate polynomial and sometimes
+        # a zero coordinate in its leading coefficient.
+        rng = Random(80)
+        shapes = {"zero-coordinate": 0, "top-zero": 0}
+        for _ in range(120):
+            factors = []
+            for _ in range(rng.randint(0, 4)):
+                pick = rng.random()
+                if pick < 0.4:
+                    factor = [F(rng.randint(-9, 9), rng.randint(1, 6)), 1]
+                elif pick < 0.8:
+                    t = F(rng.randint(-6, 6), rng.randint(1, 3))
+                    factor = [t * t / 4 + F(rng.randint(1, 9), rng.randint(1, 4)), -t, 1]
+                else:
+                    factor = rng.choice(_IRREDUCIBLE[:2])
+                factors += [factor] * rng.choice([1, 1, 2, 3])
+            axes = rng.sample(range(4), rng.randint(1, 4))
+            shapes["zero-coordinate"] += len(axes) < 4
+            coeffs = []
+            for _ in range(rng.randint(1, 3)):
+                coords = [F(rng.randint(-9, 9), rng.randint(1, 5)) if a in axes else 0 for a in range(4)]
+                coeffs.append(Quat(*coords))
+            lead = [F(rng.randint(1, 9), rng.randint(1, 5)) if a in axes else 0 for a in range(4)]
+            if len(axes) > 1 and rng.random() < 0.5:
+                lead[rng.choice(axes)] = 0
+                shapes["top-zero"] += 1
+            p = UPoly(coeffs + [Quat(*lead)]) * UPoly.from_central(_product(*factors))
+            content, monic = _content(p)
+            assert monic == _sympy_content(p)
+            assert content[0] > 0 and gcd(*content) == 1
+        assert min(shapes.values()) >= 20
+
+    def test_a_leading_zero_coordinate_is_dropped(self):
+        # The i-part of (x - i)^2 = x^2 - 2ix - 1 is -2x, with top
+        # coefficient 0: a remainder sequence that kept the zero would take
+        # -2x for a quadratic and return x instead of 1.
+        square = UPoly.linear(I) * UPoly.linear(I)
+        assert _content(square) == ([1], [F(1)])
+        planted = square * UPoly.from_central([F(-1, 2), 1])
+        assert _content(planted) == ([2, -1], [F(-1, 2), F(1)])
+        assert _content(planted)[1] == _sympy_content(planted)
+
+    def test_zero_coordinates_and_constants(self):
+        assert _content(UPoly([ZERO, Quat(0, F(1, 3), F(2, 3))])) == ([1, 0], [F(0), F(1)])
+        assert _content(UPoly([Quat(0, 0, 1), I])) == ([1], [F(1)])
 
 
 class TestFactorCentral:

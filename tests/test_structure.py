@@ -208,16 +208,27 @@ def test_parenthesis_free_terms_make_no_polynomial_products(mpoly_products):
     assert mpoly_products
 
 
-def test_powers_take_logarithmically_many_products(mpoly_products):
+def test_powers_take_logarithmically_many_products(mpoly_products, monkeypatch):
     # A power of a unit or a constant is a quaternion power, and that of a
     # non-constant polynomial is by repeated squaring, so huge exponents
-    # return at once.
+    # return at once.  Neither squares again after the last bit.
     n = 1000000000
     assert parse_upoly(f"i^{n}") == UPoly([ONE])
     assert parse_mpoly(f"(j)^{n}", 1) == MPoly.constant(ONE, 1)
     assert mpoly_products == []
     assert parse_mpoly(f"(jx)^{n}", 1) == MPoly.monomial(ONE, (n,))
     assert 0 < len(mpoly_products) <= 2 * n.bit_length()
+    quat_products, quat_mul = [], Quat.__mul__
+
+    def capture(self, other):
+        quat_products.append((self, other))
+        return quat_mul(self, other)
+
+    monkeypatch.setattr(Quat, "__mul__", capture)
+    for base, m in ((J, n), (Quat(1, 2), 1000), (Quat(0, 3, 4), 7), (K, 1)):
+        quat_products.clear()
+        base**m
+        assert len(quat_products) <= bin(m).count("1") + m.bit_length() - 1
 
 
 def test_quat_defines_every_method_the_tracer_wraps():
