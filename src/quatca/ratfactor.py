@@ -1,22 +1,35 @@
 """Arithmetic on central (rational-coefficient) polynomials: the central
-content of a quaternion polynomial, and factorization.
+content, companion and class remainders of a quaternion polynomial, and
+factorization.
 
-Every helper here takes and returns one form: a primitive integer
-coefficient list, highest degree first, with a positive leading
-coefficient ([] for zero).  By Gauss's lemma it loses nothing: a nonzero
-rational polynomial is a rational multiple of exactly one such list, and a
-product of primitive lists is primitive.  `factor_central` converts its
-`Fraction` input once (`_primitive`); only the roots and (t, n) pairs it
-reports are `Fraction`s again.
+A central polynomial here is in one form: a primitive integer coefficient
+list, highest degree first, with a positive leading coefficient ([] for
+zero).  By Gauss's lemma it loses nothing: a nonzero rational polynomial
+is a rational multiple of exactly one such list, and a product of
+primitive lists is primitive.  `factor_central` takes that form; only the
+roots and (t, n) pairs it reports are `Fraction`s.
 
-The central content c of a quaternion polynomial p, the gcd over the
-rationals of its four coordinate polynomials and so the central c of
-greatest degree with p = q*c, is computed here too (`_central_content`),
-by a primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1; Collins
-1967): each pseudo-remainder lc(b)^k * a mod b is integral, and dividing
-it by its content keeps the coefficients small.  `upoly.right_roots`
-factors c and the norm N(q), not N(p) = c^2*N(q), so over its calls a
-leftover factor of the content counts once, not squared.
+A quaternion polynomial p reaches this module as its four coordinate rows
+(`scalars._integer_rows`): integer lists of one length, highest degree
+first, that are the coordinate polynomials of D*p for a positive integer
+D.  Only this module reads them; `upoly` passes them on as they come.  x
+is central, so the rows commute with the units, and each question
+`upoly` asks of p is one on the rows, answered up to a positive scalar
+that does not change it:
+- the companion p * conj(p), the sum of the squares of the rows over D^2
+  (`_companion`, `_sum_of_squares`), since the cross terms cancel;
+- the central content c, the gcd over the rationals of the rows and so
+  the central c of greatest degree with p = q*c (`_central_content`), by a
+  primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1; Collins 1967):
+  each pseudo-remainder lc(b)^k * a mod b is integral, and dividing it by
+  its content keeps the coefficients small;
+- with it N(q) for q = p/c, from q's rows by exact division
+  (`_content_and_norm`, `_exact_quotient`);
+- the remainder alpha*x + beta of p by a class quadratic, one
+  pseudo-remainder per row with one multiplier for all four
+  (`_class_remainder`).
+`upoly.right_roots` factors c and N(q), not N(p) = c^2*N(q), so over its
+calls a leftover factor of the content counts once, not squared.
 
 Root-class extraction needs the rational roots and the monic quadratic
 factors of a central polynomial.  Degree 1 and 2 take a closed form (the
@@ -58,7 +71,9 @@ from itertools import zip_longest
 from math import cos, gcd, isfinite, lcm, pi, sin
 from typing import Iterable, Sequence
 
+from .errors import InternalError
 from .intmath import rational_sqrt
+from .scalars import Quat, _integer_rows
 
 # Primes tried, in order, to prove a cofactor free of factors of degree
 # <= 2: the odd primes below 100, those = 1 mod 3 first, since mod a prime
@@ -119,13 +134,6 @@ def _primitive_part(f: list[int]) -> list[int]:
     return [v // content for v in f]
 
 
-def _primitive(coeffs: Sequence[Fraction]) -> list[int]:
-    """The one form of a rational polynomial given low to high: its
-    primitive integer multiple, high to low."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return _primitive_part([c.numerator * (den // c.denominator) for c in reversed(coeffs)])
-
-
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     """lc(b)^(deg a - deg b + 1) * a mod b with deg b coefficients, leading
     zeros kept, for lc(b) nonzero; a itself when deg a < deg b."""
@@ -135,12 +143,12 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _central_content(coords: Iterable[Sequence[Fraction]]) -> list[int]:
-    """The gcd over the rationals of the coordinate polynomials of a nonzero
-    quaternion polynomial p (each low to high), in the one form: the central
-    c of greatest degree with p = q*c.  The sequence stops at gcd 1."""
+def _central_content(rows: Iterable[list[int]]) -> list[int]:
+    """The gcd over the rationals of the integer coordinate rows of a
+    nonzero quaternion polynomial p (each high to low), in the one form: the
+    central c of greatest degree with p = q*c.  The sequence stops at gcd 1."""
     g: list[int] = []
-    for f in map(_primitive, coords):
+    for f in map(_primitive_part, rows):
         while f:
             g, f = f, _primitive_part(_pseudo_remainder(g, f))
         if len(g) == 1:
@@ -164,6 +172,56 @@ def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
             for idx in range(1, len(g)):
                 f[k + idx] -= q * g[idx]
     return None if any(f[steps:]) else quotient
+
+
+def _sum_of_squares(rows: Sequence[list[int]]) -> list[int]:
+    """The sum of the squares of integer polynomials of one length, high to
+    low.  For the coordinate rows of a quaternion polynomial p that is the
+    companion p * conj(p): x is central, so the rows commute with every
+    unit and the cross terms cancel."""
+    n = len(rows[0])
+    out = [0] * max(2 * n - 1, 0)
+    for row in rows:
+        for i, a in enumerate(row):
+            if a:
+                out[2 * i] += a * a
+                for j in range(i + 1, n):
+                    out[i + j] += 2 * a * row[j]
+    return out
+
+
+def _companion(coeffs: Sequence[Quat]) -> list[Fraction]:
+    """The central coefficients, low to high, of p * conj(p) for the
+    quaternion polynomial p with coefficients `coeffs` (low to high)."""
+    rows, den = _integer_rows(coeffs)
+    square = den * den
+    return [Fraction(v, square) for v in reversed(_sum_of_squares(rows))]
+
+
+def _content_and_norm(rows: Sequence[list[int]]) -> tuple[list[int], list[int]]:
+    """(c, N(q)) in the one form for the coordinate rows of a nonzero
+    quaternion polynomial p = q*c, c its central content: q's rows are
+    p's divided exactly by c, and N(q) is the sum of their squares."""
+    content = _central_content(rows)
+    if len(content) > 1:
+        rows = [_exact_quotient(row, content) for row in rows]
+        if None in rows:
+            raise InternalError("the central content does not divide the polynomial")
+    return content, _primitive_part(_sum_of_squares(rows))
+
+
+def _class_remainder(
+    rows: Iterable[list[int]], t: Fraction, n: Fraction
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(alpha, beta) with alpha_m*x + beta_m the pseudo-remainder of row m
+    (high to low) by the primitive f of x^2 - t*x + n.  Rows of one length
+    take one multiplier lc(f)^k > 0, so for the coordinate rows of a
+    quaternion polynomial p, alpha*x + beta is s times the remainder of p
+    by x^2 - t*x + n for one rational s > 0."""
+    den = lcm(t.denominator, n.denominator)
+    f = [den, -t.numerator * (den // t.denominator), n.numerator * (den // n.denominator)]
+    rems = [([0, 0] + _pseudo_remainder(row, f))[-2:] for row in rows]
+    return tuple(r[0] for r in rems), tuple(r[1] for r in rems)
 
 
 def _approximate_roots(f: list[int]) -> list[complex] | None:
@@ -294,19 +352,20 @@ def _sympy_factors(f: list[int]) -> list[tuple[list[int], int]]:
     ]
 
 
-def factor_central(coeffs: list[Fraction]) -> CentralFactorization:
-    """Split a nonconstant rational polynomial (coefficients low to high)
-    into rational roots, monic irreducible quadratics and a remainder of
-    irreducible factors of degree > 2.
+def factor_central(f: list[int]) -> CentralFactorization:
+    """Split a nonconstant polynomial in the one form (a primitive integer
+    list, high to low, with a positive leading coefficient) into rational
+    roots, monic irreducible quadratics and a remainder of irreducible
+    factors of degree > 2.
 
     Candidate factors rounded from floating-point roots are confirmed by
     exact division, repeatedly for the multiplicity, and the cofactor they
     leave takes the closed form, a small-prime proof or sympy.  The floats
     and primes only choose which exact steps to take, so the answer is the
     exact factorization."""
-    if len(coeffs) < 2:
+    if len(f) < 2:
         raise ValueError("constant polynomial")
-    rest = _primitive(coeffs)
+    rest = list(f)
     if len(rest) <= 3:
         return _factor_low_degree(rest)
     found = []

@@ -274,6 +274,43 @@ K = Quat(0, 0, 0, 1)
 BASIS = (ONE, I, J, K)
 
 
+def _integer_rows(coeffs: Sequence[Quat]) -> tuple[list[list[int]], int]:
+    """(rows, D) for the coefficients of a quaternion polynomial, low to
+    high: D is their least common denominator, and rows[m] lists D times
+    coordinate m of each coefficient, high to low.  These are the four
+    central coordinate polynomials of D times the polynomial."""
+    den = lcm(*(c._d for c in coeffs))
+    scaled = [c._n if c._d == den else tuple(v * (den // c._d) for v in c._n) for c in reversed(coeffs)]
+    return [list(row) for row in zip(*scaled)] or [[], [], [], []], den
+
+
+def _left_horner(coeffs: Sequence[Quat], a: Quat) -> Quat:
+    """sum_k coeffs[k] * a^k, each coefficient left of its power of a, in
+    integers and reduced once.  With a = A/m and coeffs[k] = C_k/D over
+    their least common denominator D, the Horner steps
+    H <- H*A + m^(deg-k)*C_k give H = sum_k C_k A^k m^(deg-k), and the
+    value is H/(D*m^deg)."""
+    if not coeffs:
+        return ZERO
+    den = lcm(*(c._d for c in coeffs))
+    (e, f, g, h), m = a._n, a._d
+    w = x = y = z = 0
+    scale = den  # D*m^(deg-k), over which C_k/D_k becomes an integer
+    for c in reversed(coeffs):
+        w, x, y, z = (
+            w * e - x * f - y * g - z * h,
+            w * f + x * e + y * h - z * g,
+            w * g - x * h + y * e + z * f,
+            w * h + x * g - y * f + z * e,
+        )
+        (n0, n1, n2, n3), d = c._n, c._d
+        if n0 or n1 or n2 or n3:
+            s = scale // d
+            w, x, y, z = w + n0 * s, x + n1 * s, y + n2 * s, z + n3 * s
+        scale *= m
+    return _reduced(w, x, y, z, scale // m)
+
+
 def commutator(a: Quat, b: Quat) -> Quat:
     """a*b - b*a."""
     return a * b - b * a

@@ -7,6 +7,15 @@ coefficients) genuinely differ, and division comes in a right and a left
 flavor.  A value a is a *right root* of p when the left evaluation p(a)
 vanishes, equivalently when x - a divides p on the right.  Each right-handed
 operation is conj . left . conj, as conjugation reverses products and fixes x.
+
+The root search and the companion do no quaternion polynomial arithmetic.
+Over the common denominator D of its coefficients, D*p = P0 + P1*i + P2*j
++ P3*k for four central integer polynomials, its rows
+(`scalars._integer_rows`), which this module hands to `ratfactor` as they
+come: there the companion p * conj(p) is the sum of their squares over
+D^2, and a class remainder is one pseudo-remainder per row.  Left
+evaluation is one Horner sum in integers, reduced once
+(`scalars._left_horner`).
 """
 
 from __future__ import annotations
@@ -28,6 +37,8 @@ from .scalars import (
     QUADRATIC,
     Quat,
     ZERO,
+    _integer_rows,
+    _left_horner,
     _signed_sum,
     _term_text,
     centralizer_of_set,
@@ -86,11 +97,6 @@ class UPoly:
     def is_central(self) -> bool:
         return all(c.is_central() for c in self.coeffs)
 
-    def central_coeffs(self) -> list[Fraction]:
-        if not self.is_central():
-            raise InternalError("polynomial has noncentral coefficients")
-        return [c.w for c in self.coeffs]
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -143,11 +149,9 @@ class UPoly:
     # -- evaluation and division ------------------------------------------------
 
     def eval_left(self, a: Quat) -> Quat:
-        """Evaluation with coefficients kept on the left of the powers of a."""
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        """Evaluation with coefficients kept on the left of the powers of a,
+        by a Horner sum in integers reduced once (`scalars._left_horner`)."""
+        return _left_horner(self.coeffs, a)
 
     def eval_right(self, a: Quat) -> Quat:
         """Evaluation with the powers of a on the left of the coefficients:
@@ -295,22 +299,25 @@ RootClass = Isolated | Sphere
 
 
 def companion(p: UPoly) -> UPoly:
-    """p times its coefficient-conjugate; always has central coefficients."""
-    return p * p.conj_poly()
+    """p times its coefficient-conjugate, which is central: the sum of the
+    squares of p's four coordinate polynomials."""
+    return UPoly.from_central(ratfactor._companion(p.coeffs))
 
 
-def _class_roots(p: UPoly, t: Fraction, n: Fraction) -> RootClass | None:
-    """The right roots of p in the class {a : a^2 - t*a + n = 0}, t^2 < 4n.
+def _class_roots(rows: list[list[int]], t: Fraction, n: Fraction) -> RootClass | None:
+    """The right roots in the class {a : a^2 - t*a + n = 0}, t^2 < 4n, of
+    the polynomial p with coordinate rows `rows` (`scalars._integer_rows`).
 
     By Gordon-Motzkin a class holds only roots or at most one.  With
     p = q*f + alpha*x + beta for the central f = x^2 - t*x + n, every member
     a has p(a) = alpha*a + beta: zero remainder makes the whole class roots,
     and otherwise only -alpha^-1*beta can be one, if it lies on the class.
+    The remainder is taken row by row, up to one positive scalar, which
+    cancels in the candidate.
     """
-    _, rem = p.divmod_right(UPoly.from_central([n, -t, 1]))
-    if not rem:
+    alpha, beta = (Quat(*v) for v in ratfactor._class_remainder(rows, t, n))
+    if not alpha and not beta:
         return Sphere(t, n)
-    alpha, beta = rem.coeff(1), rem.coeff(0)
     if alpha:
         cand = -(alpha.inverse() * beta)
         if not (cand * cand - cand * t + Quat.scalar(n)):
@@ -323,12 +330,14 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
 
     Write p = q*c with c the central content.  The companion N(p) = c^2*N(q)
     has exactly the irreducible factors of c and of N(q), so those two are
-    factored exactly over the rationals instead (`ratfactor.factor_central`:
-    a closed form up to degree 2, then float-proposed factors confirmed by
-    exact division, with sympy only for what they leave).  Each rational root
-    and each quadratic factor with negative discriminant carries at most
-    one candidate class, checked exactly on p: rational roots ascending,
-    then classes by (t, n) ascending.  The status is POSSIBLY_INCOMPLETE
+    factored exactly over the rationals instead.  Both come from p's
+    integer coordinate rows (`ratfactor._content_and_norm`).  They are
+    factored by `ratfactor.factor_central` (a closed form up to degree 2,
+    then float-proposed factors confirmed by exact division, with sympy
+    only for what they leave).  Each rational root and each quadratic
+    factor with negative discriminant carries at most one candidate class,
+    checked exactly on p: rational roots ascending by left evaluation,
+    then classes by (t, n) ascending on p's rows.  The status is POSSIBLY_INCOMPLETE
     only when the rationals cannot split a factor: an irreducible factor of
     degree > 2, or a quadratic with real irrational roots.  Roots there may
     exist over a larger scalar field but have no rational-quaternion
@@ -340,9 +349,8 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     """
     if p.degree < 1:
         raise InvalidInput("root search needs a nonconstant polynomial")
-    content = ratfactor._central_content(zip(*(c.coords() for c in p.coeffs)))[::-1]
-    q = p.divmod_right(UPoly.from_central(content))[0] if len(content) > 1 else p
-    norm_q = companion(q).central_coeffs()
+    rows = _integer_rows(p.coeffs)[0]
+    content, norm_q = ratfactor._content_and_norm(rows)
     facs = [ratfactor.factor_central(f) for f in (content, norm_q) if len(f) > 1]
     classes: list[RootClass] = []
     incomplete = not all(fac.complete for fac in facs)
@@ -355,7 +363,7 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
             # Real irrational roots: representable only over a larger field.
             incomplete = True
             continue
-        cls = _class_roots(p, t, n)
+        cls = _class_roots(rows, t, n)
         if cls is not None:
             classes.append(cls)
     status = RootSearchStatus.POSSIBLY_INCOMPLETE if incomplete else RootSearchStatus.COMPLETE
@@ -470,7 +478,7 @@ def root_space_dim(p: UPoly, a: Quat) -> int:
     """
     if a.is_central():
         return 0 if p.eval_left(a) else 1
-    cls = _class_roots(p, 2 * a.w, a.norm())
+    cls = _class_roots(_integer_rows(p.coeffs)[0], 2 * a.w, a.norm())
     return 2 if isinstance(cls, Sphere) else 1 if cls else 0
 
 

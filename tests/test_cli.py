@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -212,6 +214,20 @@ class TestLongIntegers:
         assert code == 0
         assert report["payload"]["value"] == square
         assert report["payload"]["value_json"] == {"w": square, "x": "0", "y": "0", "z": "0"}
+
+    def test_high_degree_evaluation_reduces_once(self, capsys):
+        # The numerators of a^k grow with k at a = (3 + 4j)/5.  Reducing
+        # after every Horner step made N = 20,000 take about a minute; one
+        # integer Horner sum reduced at the end takes under a second.
+        start = time.perf_counter()
+        code, report, _ = run_json(capsys, "eval", "--poly", "x^20000 + x - 3", "--at", "3/5 + 4/5j")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        a = Quat(Fraction(3, 5), 0, Fraction(4, 5))
+        with cli._exact_integers():
+            expected = serde.quat_to_json(a**20000 + a - 3)
+        assert report["payload"]["value_json"] == expected
+        assert elapsed < 10
 
 
 class TestExitCodes:

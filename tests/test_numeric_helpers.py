@@ -12,9 +12,9 @@ from sympy import QQ, Poly, Symbol
 from quatca import intmath, ratfactor
 from quatca.intmath import rational_sqrt, three_squares
 from quatca.ratfactor import factor_central
-from quatca.scalars import Centralizer, I, Quat, ZERO
+from quatca.scalars import Centralizer, I, Quat, ZERO, _integer_rows
 from quatca.upoly import Sphere, UPoly, right_roots, sphere_member_in
-from test_upoly import _sympy_factor
+from test_upoly import _one_form, _sympy_factor
 
 
 class TestRationalSqrt:
@@ -135,7 +135,7 @@ _IRREDUCIBLE = ([-2, 0, 0, 1], [1, 1, 0, 1], [5, 0, 0, 1, 1], [1, 1, 0, 0, 1], [
 
 
 def _agrees_with_sympy(coeffs):
-    fac = factor_central(coeffs)
+    fac = factor_central(_one_form(coeffs))
     linear, quadratics, leftover = _sympy_factor(coeffs)
     assert (fac.linear, fac.quadratics, fac.leftover_degree) == (linear, quadratics, leftover)
     assert fac.complete == (leftover == 0)
@@ -153,7 +153,7 @@ def _sympy_content(p):
 
 def _content(p):
     """`ratfactor._central_content` of p: its one form, and made monic."""
-    content = ratfactor._central_content(zip(*(c.coords() for c in p.coeffs)))
+    content = ratfactor._central_content(_integer_rows(p.coeffs)[0])
     return content, [F(v, content[0]) for v in reversed(content)]
 
 
@@ -211,17 +211,17 @@ class TestCentralContent:
 class TestFactorCentral:
     def test_full_split(self):
         poly = _product([F(-1, 3), 1], [1, 1, 1], [0, 1])  # x(x - 1/3)(x^2 + x + 1)
-        fac = factor_central(poly)
+        fac = factor_central(_one_form(poly))
         assert fac.complete
         assert dict(fac.linear) == {F(0): 1, F(1, 3): 1}
         assert fac.quadratics == ((F(-1), F(1), 1),)
 
     def test_multiplicity(self):
-        fac = factor_central([F(1), F(0), F(2), F(0), F(1)])  # (x^2+1)^2
+        fac = factor_central([1, 0, 2, 0, 1])  # (x^2+1)^2
         assert fac.quadratics == ((F(0), F(1), 2),)
 
     def test_irreducible_quartic_is_left_over(self):
-        fac = factor_central([F(1), F(1), F(0), F(0), F(1)])
+        fac = factor_central([1, 0, 0, 1, 1])
         assert fac.leftover_degree == 4
         assert not fac.complete
 
@@ -294,7 +294,7 @@ class TestFactorCentral:
 
         monkeypatch.setattr(ratfactor, "_sympy_factors", no_sympy)
         for coeffs, (linear, quadratics, leftover) in expected:
-            fac = factor_central(coeffs)
+            fac = factor_central(_one_form(coeffs))
             assert (fac.linear, fac.quadratics, fac.leftover_degree) == (linear, quadratics, leftover)
 
     def test_iteration_cap_falls_through_to_sympy(self, monkeypatch):
@@ -361,7 +361,7 @@ class TestSmallFactorProof:
     def test_pure_cubics_never_reach_sympy(self, sympy_factors):
         for d in range(-50, 51):
             if round(abs(d) ** (1 / 3)) ** 3 != abs(d):
-                fac = factor_central([F(-d), F(0), F(0), F(1)])
+                fac = factor_central([1, 0, 0, -d])
                 assert (fac.linear, fac.quadratics, fac.leftover_degree) == ((), (), 3)
         assert sympy_factors == []
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import quatca
-from quatca import linalg
+from quatca import linalg, scalars
 from quatca.mpoly import (
     CommutingPoint,
     LeftIdeal,
@@ -26,14 +26,17 @@ from quatca.mpoly import (
     rabinowitsch_check,
 )
 from quatca.parsing import parse_mpoly, parse_quat, parse_upoly
-from quatca.scalars import Centralizer, I, J, K, ONE, Quat, find_conjugator, left_rank
+from quatca.scalars import Centralizer, I, J, K, ONE, Quat, ZERO, find_conjugator, left_rank
 from quatca.upoly import (
+    Isolated,
+    RootSearchStatus,
     UPoly,
     lclm,
     minimal_left_poly,
     minimal_right_poly,
     root_space,
     root_space_dim,
+    right_roots,
     wedderburn_lclm,
 )
 
@@ -113,24 +116,60 @@ def test_closed_forms_hand_no_system_to_rref(rref_systems):
     assert rref_systems == []
 
 
-def test_root_spaces_divide_no_polynomial(monkeypatch):
-    # By Gordon-Motzkin the class of a non-central root holds only roots
-    # exactly when its conjugate, a second point of the class, is a root:
-    # one evaluation, no division by the class quadratic.
-    divisions = []
-    original = UPoly.divmod_right
+@pytest.fixture
+def divisions(monkeypatch):
+    """The divisors handed to `UPoly.divmod_right`, recorded by a spy."""
+    seen, original = [], UPoly.divmod_right
 
     def capture(self, d):
-        divisions.append(d)
+        seen.append(d)
         return original(self, d)
 
     monkeypatch.setattr(UPoly, "divmod_right", capture)
+    return seen
+
+
+def test_root_spaces_divide_no_polynomial(divisions):
+    # By Gordon-Motzkin the class of a non-central root holds only roots
+    # exactly when its conjugate, a second point of the class, is a root:
+    # one evaluation, no division by the class quadratic.
     sphere = UPoly.from_central([1, 0, 1])
     isolated = UPoly.linear(Quat(1, 2)) * UPoly.linear(I)
     central = UPoly.linear(Quat(2)) * sphere
     dims = [root_space(p, a).dim for p, a in [(central, Quat(2)), (isolated, I), (sphere, J)]]
     assert dims == [1, 1, 2]
     assert divisions == []
+
+
+def test_root_search_divides_no_polynomial(divisions):
+    # The content, the cofactor, the companion and every class remainder
+    # are computed on the four integer coordinate rows of p, so a planted
+    # degree-4 product takes no quaternion polynomial division.
+    roots = [Quat(-4, -5, Fraction(1, 3), -4), Quat(4, 5, 5, 2), Quat(3, -4, 3, -6), Quat(-6, 1, -1, 5)]
+    p = UPoly.constant(ONE)
+    for a in roots:
+        p = p * UPoly.linear(a)
+    classes, status = right_roots(p)
+    assert status == RootSearchStatus.COMPLETE
+    assert Isolated(roots[-1]) in classes
+    assert divisions == []
+
+
+def test_left_evaluation_reduces_once(monkeypatch):
+    # A Horner sum in integers over one denominator: the value is the only
+    # reduced quaternion built, with no quaternion product on the way.
+    p = UPoly([Quat(1, Fraction(1, 2)), ZERO, Quat(Fraction(2, 3), 0, 1), Quat(3, 1, Fraction(-1, 7), 1)])
+    a = Quat(Fraction(1, 2), 1, Fraction(-1, 3), 2)
+    expected = sum((c * a**k for k, c in enumerate(p.coeffs)), ZERO)
+    reductions, original = [], scalars._reduced
+
+    def capture(*args):
+        reductions.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scalars, "_reduced", capture)
+    assert p.eval_left(a) == expected
+    assert len(reductions) == 1
 
 
 def test_solve_and_nullspace_each_hand_one_system_to_rref(rref_systems):

@@ -3,10 +3,12 @@ multiples, root classes, root spaces, and minimal/Wedderburn polynomials."""
 
 from fractions import Fraction as F
 from itertools import product
+from math import gcd, lcm
 from random import Random
 
 import pytest
 
+from quatca import ratfactor
 from quatca.errors import InvalidInput
 from quatca.ratfactor import factor_central
 from quatca.randgen import rand_nonzero_quat, rand_pure_quat, rand_quat, rand_upoly
@@ -18,6 +20,7 @@ from quatca.scalars import (
     ONE,
     Quat,
     ZERO,
+    _integer_rows,
     find_conjugator,
 )
 from quatca.upoly import (
@@ -236,6 +239,64 @@ class TestCompanion:
             assert companion(p).is_central()
 
 
+def _shapes(rng):
+    """Seeded polynomials with zero coefficients, mixed denominators and
+    zero coordinate rows, then a constant and the zero polynomial."""
+    for trial in range(40):
+        p = rand_upoly(rng, 5, 6)
+        coeffs = [ZERO if rng.random() < 0.3 else c for c in p.coeffs]
+        if trial % 4 == 0:
+            coeffs = [Quat(c.w, c.x, 0, c.z) for c in coeffs]  # a zero j row
+        yield UPoly(coeffs)
+    yield UPoly.constant(Quat(F(2, 3), 0, F(-1, 5)))
+    yield UPoly()
+
+
+class TestIntegerRowsAgainstQuatArithmetic:
+    """`companion`, `eval_left` and the class remainders work on integer
+    coordinate rows or an integer Horner sum; plain `Quat` arithmetic is
+    the reference."""
+
+    def test_companion_is_the_product_with_the_conjugate(self):
+        for p in _shapes(Random(14)):
+            assert companion(p) == p * p.conj_poly()
+
+    def test_eval_left_matches_the_quat_horner(self):
+        rng = Random(15)
+        for p in _shapes(rng):
+            central = Quat(F(rng.randint(-5, 5), rng.randint(1, 4)))
+            for a in (rand_quat(rng, 5), rand_quat(rng, 5, integer=True), central, ZERO, ONE):
+                assert p.eval_left(a) == _quat_horner(p, a)
+                assert p.eval_right(a) == sum((a**k * c for k, c in enumerate(p.coeffs)), ZERO)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            UPoly([Quat(1, 2, 0, 3), Quat(F(1, 2), -1, 0, 2), Quat(2, 1, 0, F(1, 3))]),
+            UPoly.linear(I) * UPoly.linear(I),
+            UPoly([J, Quat(1, 1)]) * UPoly.from_central([0, 1, 1, 1]),
+            UPoly([J, Quat(1, 1)]) * UPoly.from_central([3]),
+            UPoly([Quat(F(1, 2), 0, 0, 1)]),
+        ],
+        ids=["zero-row", "leading-zero-entry", "content-divisible-by-x", "constant-content", "constant"],
+    )
+    def test_class_remainder_is_the_right_division_remainder(self, p):
+        # Rows D*p of length l and the primitive f = L*(x^2 - t*x + n):
+        # the pseudo-remainders are L^(l - 2) * D times the remainder of p
+        # by the class quadratic (L^0 * D below degree 2).
+        rng = Random(16)
+        classes = [(F(0), F(1)), (F(-1), F(1)), (F(1, 2), F(3, 4))]
+        for _ in range(8):
+            k = rng.randint(-6, 6)
+            classes.append((F(k, rng.randint(1, 3)), F(k * k + rng.randint(1, 9), 2)))
+        rows, den = _integer_rows(p.coeffs)
+        for t, n in classes:
+            alpha, beta = ratfactor._class_remainder(rows, t, n)
+            rem = p.divmod_right(UPoly.from_central([n, -t, 1]))[1]
+            scale = lcm(t.denominator, n.denominator) ** max(len(rows[0]) - 2, 0) * den
+            assert (Quat(*alpha), Quat(*beta)) == (rem.coeff(1) * scale, rem.coeff(0) * scale)
+
+
 class TestRightRoots:
     def test_sphere(self):
         classes, status = right_roots(X2P1)
@@ -342,17 +403,47 @@ def _sympy_factor(coeffs):
     return tuple(sorted(linear)), tuple(sorted(quadratics)), leftover
 
 
+def _one_form(coeffs):
+    """A rational polynomial given low to high in `factor_central`'s input
+    form: its primitive integer multiple, high to low, with a positive
+    leading coefficient."""
+    coeffs = [F(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in reversed(coeffs)]
+    content = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+    return [v // content for v in ints]
+
+
+def _quat_horner(p, a):
+    """The left evaluation p(a) by `Quat` products and sums, one step at a
+    time: the reference for `UPoly.eval_left`."""
+    acc = ZERO
+    for c in reversed(p.coeffs):
+        acc = acc * a + c
+    return acc
+
+
 def _full_companion_right_roots(p):
-    """The right-root search through the full companion N(p), the oracle
-    for the content-first search."""
-    linear, quadratics, leftover = _sympy_factor(companion(p).central_coeffs())
-    classes = [Isolated(Quat(root)) for root, _ in linear if not p.eval_left(Quat(root))]
+    """The right-root search through the full companion N(p) = p*conj(p),
+    in plain `Quat` arithmetic: the oracle for the content-first search in
+    integer rows.  Each class is read from one right division by its
+    quadratic, and each rational root from a `Quat` Horner sum."""
+    norm = p * p.conj_poly()
+    assert norm.is_central()
+    linear, quadratics, leftover = _sympy_factor([c.w for c in norm.coeffs])
+    classes = [Isolated(Quat(root)) for root, _ in linear if not _quat_horner(p, Quat(root))]
     incomplete = leftover > 0
     for t, n, _ in quadratics:
         if t * t - 4 * n > 0:
             incomplete = True
-        elif (cls := _class_roots(p, t, n)) is not None:
-            classes.append(cls)
+            continue
+        rem = p.divmod_right(UPoly.from_central([n, -t, 1]))[1]
+        if not rem:
+            classes.append(Sphere(t, n))
+        elif alpha := rem.coeff(1):
+            cand = -(alpha.inverse() * rem.coeff(0))
+            if cand * cand - cand * t + n == ZERO:
+                classes.append(Isolated(cand))
     status = RootSearchStatus.POSSIBLY_INCOMPLETE if incomplete else RootSearchStatus.COMPLETE
     return classes, status
 
@@ -414,6 +505,7 @@ class TestContentFirstAgainstFullCompanion:
             [1, -2, 1],  # (x - 1)^2: zero discriminant
             [-2, 0, 0, 1],  # x^3 - 2: irreducible cubic
             [-1, 1, -1, 1],  # (x - 1)(x^2 + 1): split cubic
+            [0, 1, 1, 1],  # x(x^2 + x + 1): divisible by x
         ],
     )
     def test_content_discriminants(self, content):
@@ -424,6 +516,10 @@ class TestContentFirstAgainstFullCompanion:
         )
         for q in cofactors:
             self._agree(q * UPoly.from_central(content))
+
+    def test_constant_content(self):
+        for q in (UPoly([J, Quat(1, 1)]), UPoly.linear(Quat(1, 0, 2)) * UPoly.linear(K)):
+            self._agree(q * UPoly.from_central([F(3, 2)]))
 
     def test_central_polynomials(self):
         rng = Random(73)
@@ -448,7 +544,7 @@ class TestLowDegreeFactorization:
         for _ in range(120):
             coeffs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
             coeffs[-1] = coeffs[-1] or F(1)
-            fac = factor_central(coeffs)
+            fac = factor_central(_one_form(coeffs))
             assert (fac.linear, fac.quadratics, fac.leftover_degree) == _sympy_factor(coeffs)
             assert fac.complete
 
@@ -459,7 +555,7 @@ class TestLowDegreeFactorization:
             lead = lead or F(1)
             double, split = [lead * r * r, -2 * lead * r, lead], [lead * r * s, -lead * (r + s), lead]
             for coeffs in (double, split):
-                fac = factor_central(coeffs)
+                fac = factor_central(_one_form(coeffs))
                 assert (fac.linear, fac.quadratics, fac.leftover_degree) == _sympy_factor(coeffs)
 
 
@@ -571,7 +667,7 @@ class TestRootSpace:
             p = UPoly.constant(ONE)
             for b in factors:
                 p = p * UPoly.linear(b)
-            verdict = _class_roots(p, 2 * a.scalar_part(), a.norm())
+            verdict = _class_roots(_integer_rows(p.coeffs)[0], 2 * a.scalar_part(), a.norm())
             dim = root_space(p, a).dim
             assert dim == {Isolated: 1, Sphere: 2}[type(verdict)]
             seen.add(dim)
