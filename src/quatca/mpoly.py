@@ -4,10 +4,14 @@ certificate search for one-sided ideal membership of powers.
 
 Coefficients collect on the left of monomials.  In one variable every left
 ideal is principal, so certificate membership is one extended gcrd and one
-right division, exact at every degree bound.  Otherwise, and when the gcrd
-cofactors exceed the degree bound, the certificate search runs its linear
-algebra over rational coordinates with the graded lexicographic monomial
-order, which is fixed so that certificates are reproducible.
+right division, exact at every degree bound.  In several variables a left
+Groebner basis (Buchberger's algorithm in the solvable ring H[X]) decides
+membership, exact at every degree bound when it finishes within a budget
+of coefficient products no larger than the system it replaces.  Cofactors
+come from the gcrd when they fit within the degree bound, and otherwise
+from linear algebra over rational coordinates with the graded
+lexicographic monomial order, which is fixed so that certificates are
+reproducible.
 
 A one-variable polynomial passed to `upoly` holds one coefficient per
 degree, so the conversion refuses a degree above 1,000,000 with
@@ -20,11 +24,16 @@ bits, also with InvalidInput.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
+from math import comb
+from operator import add, sub
 from typing import Iterable, Mapping
 
 from .errors import InternalError, InvalidInput
-from .scalars import Centralizer, ONE, Quat, ZERO, _growth, _signed_sum, _term_text, solve_combination
+from .scalars import (
+    Centralizer, ONE, Quat, ZERO, _growth, _signed_sum, _term_text, _words, solve_combination,
+)
 from .upoly import UPoly, _gcrd_combination
 
 Exponents = tuple[int, ...]
@@ -323,10 +332,11 @@ class RabinowitschCertificate:
 class NotFoundWithinBounds:
     """No certificate exists within the given power and degree bounds.
 
-    In several variables this is a bounded-search answer, never a
-    nonexistence claim.  In one variable a non-member gets it at every
-    degree bound; a member gets it only when no certificate fits within
-    degbound."""
+    A non-member gets it at every degree bound: in one variable always, in
+    several variables when the left Groebner basis finished within its
+    budget.  A member gets it only when no certificate fits within
+    degbound, and so does a non-member whose basis ran past the budget; in
+    several variables the two cannot yet be told apart from outside."""
 
     N: int
     degbound: int
@@ -352,17 +362,28 @@ def monomials_upto(nvars: int, degbound: int) -> list[Exponents]:
 def rabinowitsch_check(
     ideal: LeftIdeal, p: MPoly, a: Quat, N: int, degbound: int
 ) -> RabinowitschCertificate | NotFoundWithinBounds:
-    """Decide whether (a*p)^N lies in I + I*(a*p) + ... + I*(a*p)^N with
-    cofactors of total degree at most degbound.
+    """Decide whether (a*p)^N lies in J_N = I + I*(a*p) + ... + I*(a*p)^N
+    with cofactors of total degree at most degbound.
 
-    In one variable the sum is the left ideal H[x]*d for the gcrd d of the
+    In one variable J_N is the left ideal H[x]*d for the gcrd d of the
     g_j*(a*p)^k, so membership is one right division by d: a non-member
     gets NotFoundWithinBounds at every degree bound, and a member whose
     gcrd cofactors fit within degbound gets them.  Otherwise the cofactors
     come from exact linear algebra over all monomials up to degbound.
 
+    In several variables a left Groebner basis first decides membership
+    in I and, when that fails, in J_N.  A non-member of J_N gets
+    NotFoundWithinBounds at every degree bound and no system is built.  A
+    member of I takes its cofactors from the system over the generators
+    alone, with zero cofactors for k >= 1; a member of J_N only, or a
+    member of I whose cofactors do not fit that smaller system, takes
+    them from the system over every g_j*(a*p)^k.  The basis may make at
+    most as many coefficient products as that system has quaternion
+    entries (`_groebner_budget`); past that the system alone decides, and
+    its NotFoundWithinBounds is exact only for the given degree bound.
+
     A found certificate is verified by reconstructing the identity before
-    it is returned; NotFoundWithinBounds is exact for the given bounds.
+    it is returned.
     """
     if N < 1:
         raise InvalidInput("the power must be at least one")
@@ -387,7 +408,139 @@ def rabinowitsch_check(
         flat = [t * v for v in u]
         if max(h.degree for h in flat) <= degbound:
             return _certificate(ideal, ap_powers, [_from_upoly(h) for h in flat])
+        return _bounded_certificate(ideal, bases, ap_powers, degbound)
+    held = _holding_prefix(
+        bases, len(ideal.gens), ap_powers[N], _groebner_budget(bases, nvars, degbound)
+    )
+    if held == 0:
+        return NotFoundWithinBounds(N, degbound)
+    if held is not None and held < len(bases):
+        found = _bounded_certificate(ideal, bases[:held], ap_powers, degbound)
+        if isinstance(found, RabinowitschCertificate):
+            return found
     return _bounded_certificate(ideal, bases, ap_powers, degbound)
+
+
+def _groebner_budget(bases: list[MPoly], nvars: int, degbound: int) -> int:
+    """An upper bound on the quaternion entries of the system over all
+    bases: one column per (base, monomial up to degbound) and at most one
+    row per monomial up to degbound plus the largest base degree."""
+    top = max((sum(e) for base in bases for e in base.terms), default=0)
+    return len(bases) * comb(nvars + degbound, nvars) * comb(nvars + degbound + top, nvars)
+
+
+class _OverBudget(Exception):
+    """The Groebner pass made more coefficient products than its budget."""
+
+
+class _LeftBasis:
+    """A left Groebner basis, in graded lexicographic order, of a left
+    ideal of H[X] that grows by `add`.
+
+    H[X] with central variables is a solvable polynomial ring
+    (Kandri-Rody & Weispfenning, 1990), so Buchberger's algorithm holds
+    with coefficients kept on the left.  Every element is made monic by
+    left multiplication with the inverse of its leading coefficient; the
+    S-polynomial of f and g with leading monomials x^alpha and x^beta and
+    lcm x^L is x^(L-alpha)*f - x^(L-beta)*g; a reduction step subtracts
+    c*x^gamma*g.  Buchberger's product criterion is not used, since its
+    proof commutes the coefficients.  Pairs are taken smallest lcm first,
+    and a constant in the basis ends the pass: the ideal is the whole ring.
+
+    Polynomials are {exponents: coefficient} dicts.  Every coefficient
+    product counts against the budget, times the 64-bit words of each of
+    its two factors (`scalars._words`), since coefficients can grow far
+    beyond those of the inputs; _OverBudget is raised once it is spent."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        # (monic element, its leading monomial, its coefficients' words)
+        self.elements: list[tuple[dict[Exponents, Quat], Exponents, int]] = []
+        self.pairs: list[tuple] = []
+        self.whole = False
+
+    def _spend(self, products: int) -> None:
+        self.budget -= products
+        if self.budget < 0:
+            raise _OverBudget
+
+    def reduce(self, terms: Mapping[Exponents, Quat]) -> dict[Exponents, Quat]:
+        """terms less left multiples of the basis until no leading monomial
+        of the basis divides its leading monomial; empty exactly when
+        terms lies in the ideal."""
+        if self.whole:
+            return {}
+        f = dict(terms)
+        while f:
+            lead = max(f, key=grlex_key)
+            for g, beta, words in self.elements:
+                if all(e >= b for e, b in zip(lead, beta)):
+                    break
+            else:
+                return f
+            c = f[lead]
+            self._spend(len(g) * words * _words(c))
+            _subtract(f, tuple(map(sub, lead, beta)), g, c)
+        return f
+
+    def add(self, polys: Iterable[Mapping[Exponents, Quat]]) -> None:
+        """Extend the basis to one of the ideal with polys added."""
+        for f in polys:
+            self._insert(self.reduce(f))
+        while self.pairs and not self.whole:
+            _, i, j = heappop(self.pairs)
+            (f, alpha, _), (g, beta, _) = self.elements[i], self.elements[j]
+            lcm = tuple(map(max, alpha, beta))
+            gamma = tuple(map(sub, lcm, alpha))
+            s = {tuple(map(add, e, gamma)): c for e, c in f.items()}
+            _subtract(s, tuple(map(sub, lcm, beta)), g)
+            self._insert(self.reduce(s))
+
+    def _insert(self, f: dict[Exponents, Quat]) -> None:
+        if not f:
+            return
+        lead = max(f, key=grlex_key)
+        if not any(lead):
+            self.elements, self.pairs, self.whole = [({lead: ONE}, lead, 1)], [], True
+            return
+        inv = f[lead].inverse()
+        self._spend(len(f) * _words(inv) * max(map(_words, f.values())))
+        for i, (_, beta, _) in enumerate(self.elements):
+            heappush(self.pairs, (grlex_key(tuple(map(max, beta, lead))), i, len(self.elements)))
+        monic = {e: inv * c for e, c in f.items()}
+        self.elements.append((monic, lead, max(map(_words, monic.values()))))
+
+
+def _subtract(
+    f: dict[Exponents, Quat], gamma: Exponents, g: Mapping[Exponents, Quat], c: Quat | None = None
+) -> None:
+    """f -= c * x^gamma * g in place, with c = 1 when None."""
+    for e, q in g.items():
+        key = tuple(map(add, e, gamma))
+        term = q if c is None else c * q
+        value = f[key] - term if key in f else -term
+        if value:
+            f[key] = value
+        else:
+            del f[key]
+
+
+def _holding_prefix(bases: list[MPoly], ngens: int, target: MPoly, budget: int) -> int | None:
+    """How many leading bases a left Groebner basis shows to hold target:
+    ngens when the generators' left ideal I does, len(bases) when only
+    the whole sum J_N does, and 0 when J_N does not; None when the pass
+    would spend more than budget coefficient products."""
+    basis = _LeftBasis(budget)
+    start = 0
+    try:
+        for count in (ngens, len(bases)):
+            basis.add(base.terms for base in bases[start:count])
+            if not basis.reduce(target.terms):
+                return count
+            start = count
+    except _OverBudget:
+        return None
+    return 0
 
 
 # The dense coefficient list of a one-variable polynomial holds one entry
@@ -414,7 +567,8 @@ def _bounded_certificate(
 ) -> RabinowitschCertificate | NotFoundWithinBounds:
     """The certificate for (a*p)^N = ap_powers[N] with cofactors of total
     degree at most degbound, or NotFoundWithinBounds, from one rational
-    system over the bases g_j*(a*p)^k in (k, generator) order."""
+    system over leading bases g_j*(a*p)^k in (k, generator) order; the
+    cofactors of the bases left out are zero."""
     nvars, N = ideal.nvars, len(ap_powers) - 1
     target = ap_powers[N]
     monos = monomials_upto(nvars, degbound)
@@ -437,6 +591,7 @@ def _bounded_certificate(
     # The solution runs over (k, generator, monomial) in the order above.
     size = len(monos)
     flat = [MPoly(nvars, dict(zip(monos, sol[i : i + size]))) for i in range(0, len(sol), size)]
+    flat += [MPoly(nvars, {})] * ((N + 1) * len(ideal.gens) - len(flat))
     return _certificate(ideal, ap_powers, flat)
 
 

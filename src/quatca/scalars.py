@@ -326,6 +326,12 @@ def _growth(c: Quat) -> float:
     return max(log2(int(c.norm() * m * m)) / 2, log2(m))
 
 
+def _words(c: Quat) -> int:
+    """The 64-bit words of the largest of c's five integers: about the
+    factor by which a product with c costs more than one of small ones."""
+    return 1 + max(c._d.bit_length(), *(v.bit_length() for v in c._n)) // 64
+
+
 # ---------------------------------------------------------------------------
 # Centralizers
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from quatca import cli, selfcheck, serde
+from quatca import cli, linalg, selfcheck, serde
 from quatca.cli import main
 from quatca.errors import InternalError
 from quatca.modules import ModulePresentation
@@ -153,6 +153,26 @@ class TestReports:
         code, report, _ = run_json(capsys, "rabinowitsch", "--ideal", "(x-i)^2", "--N", "2", *common)
         assert code == 0 and report["status"] == "not-found"
 
+    @pytest.mark.parametrize(
+        "a, degbound, status",
+        [("1", "0", "not-found"), ("1", "1", "not-found"), ("1", "8", "not-found"),
+         ("j", "0", "not-found"), ("j", "1", "ok"), ("j", "8", "ok")],
+    )
+    def test_two_variable_membership_at_a_commuting_point(self, capsys, monkeypatch, a, degbound, status):
+        # p(i, 2i) = 1 + i, yet a = j makes I + I*j(x1 + 1) the whole ring.
+        # With a = 1 every g_j*(x1 + 1) lies in I, so the left Groebner basis
+        # shows (x1 + 1) outside the sum at every degree bound, and no
+        # rational system is built.
+        systems = []
+        rref = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda rows, ncols: systems.append(ncols) or rref(rows, ncols))
+        code, report, _ = run_json(
+            capsys, "rabinowitsch", "--nvars", "2", "--ideal", "x1 - i", "--ideal", "x2 - 2i",
+            "--p", "x1 + 1", "--N", "1", "--a", a, "--degbound", degbound,
+        )
+        assert code == 0 and report["status"] == status
+        assert bool(systems) == (a == "j")
+
 
 class TestEigenCommand:
     def test_module_from_file(self, capsys, tmp_path):
@@ -290,8 +310,9 @@ class TestExitCodes:
             (("eval", "--poly", "(x - i)^1000000000", "--at", "i"), "the bound of 500 (at"),
             (("eval", "--poly", "x", "--at", "(1+2i)^1000000000"), "the bound of 100000 bits (at"),
             (("reduce", "--poly", "x1^10000", "--point", "1+2i"), "the bound of 2000 bits modulo"),
+            (("reduce", "--poly", "(x1+x2+x3)^160", "--point", "i; i; i"), "the bound of 1000 (at"),
         ],
-        ids=["eval", "roots", "espace", "rabinowitsch", "polynomial-power", "quaternion-power", "reduce"],
+        ids=["eval", "roots", "espace", "rabinowitsch", "polynomial-power", "quaternion-power", "reduce", "terms"],
     )
     def test_oversized_input_is_usage(self, capsys, argv, bound):
         code, out, err = run(capsys, *argv)

@@ -1,9 +1,14 @@
 """Multivariate ring, commuting points, point-ideal reduction, and
 membership certificates."""
 
+from collections import Counter
+from fractions import Fraction
+from math import prod
 from random import Random
+import time
 
 import pytest
+from sympy import QQ, Poly, Rational, symbols
 
 from quatca.errors import InvalidInput
 from quatca.mpoly import (
@@ -13,6 +18,8 @@ from quatca.mpoly import (
     NotFoundWithinBounds,
     RabinowitschCertificate,
     _bounded_certificate,
+    _groebner_budget,
+    _holding_prefix,
     eval_at_point,
     find_certificate,
     monomials_upto,
@@ -296,13 +303,17 @@ class TestCertificates:
             find_certificate(LeftIdeal((g,)), g, ONE, 3, -1)
 
 
-def _bounded(ideal, p, a, N, degbound):
-    """The answer of the bounded rational system alone."""
+def _powers_and_bases(ideal, p, a, N):
     ap = p.scale_left(a)
     powers = [const(ONE, ideal.nvars)]
     for _ in range(N):
         powers.append(powers[-1] * ap)
-    bases = [g * powers[k] for k in range(N + 1) for g in ideal.gens]
+    return powers, [g * powers[k] for k in range(N + 1) for g in ideal.gens]
+
+
+def _bounded(ideal, p, a, N, degbound):
+    """The answer of the bounded rational system alone."""
+    powers, bases = _powers_and_bases(ideal, p, a, N)
     return _bounded_certificate(ideal, bases, powers, degbound)
 
 
@@ -398,3 +409,123 @@ class TestOneVariableMembership:
                 assert type(out) is type(_bounded(ideal, p, a, N, degbound))
                 if member:
                     assert _reconstructs(ideal, p, a, out)
+
+
+def _coefficients(rng):
+    """Small random quaternions, or small elements of one subfield Q(u).
+    In Q(u) the variables and coefficients commute, so every g*(ap)^k lies
+    in I, J_N is I, and non-members are common."""
+    if rng.random() < 0.5:
+        return lambda: rand_quat(rng, 2)
+    u = rand_pure_quat(rng, 2)
+    return lambda: Quat(rng.randint(-2, 2)) + u * rng.randint(-2, 2)
+
+
+def _random_mpoly(rng, coeff, nvars, degree, nterms):
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(nvars)] += 1
+        terms[tuple(exps)] = coeff()
+    return MPoly(nvars, terms)
+
+
+def _module(polys, ring):
+    """The left ideal of polys as the Q[X]-submodule of Q[X]^4 spanned by
+    the unit multiples e*f, e in 1, i, j, k."""
+    return ring.free_module(4).submodule(
+        *(_vector(f.scale_left(e), ring) for f in polys for e in (ONE, I, J, K) if f)
+    )
+
+
+def _vector(f, ring):
+    monomials = {e: prod(s**n for s, n in zip(ring.symbols, e)) for e in f.terms}
+    return [
+        sum((Rational(c.coords()[m]) * monomials[e] for e, c in f.terms.items()), Rational(0))
+        for m in range(4)
+    ]
+
+
+def _from_vector(vector, ring):
+    terms = {}
+    for m, entry in enumerate(vector):
+        for e, c in Poly(ring.to_sympy(entry), *ring.symbols).terms():
+            unit = [0, 0, 0, 0]
+            unit[m] = Fraction(int(c.p), int(c.q))
+            terms[e] = terms.get(e, ZERO) + Quat(*unit)
+    return MPoly(len(ring.symbols), terms)
+
+
+def _non_point_instance(rng, family, ring):
+    """A seeded ideal that is not a point ideal, with p, a and N: a product
+    g1*g2 beside a linear generator, a linear and a quadratic generator,
+    or the intersection of two point ideals (generators from sympy)."""
+    nvars = len(ring.symbols)
+    coeff = _coefficients(rng)
+    linear = lambda: _random_mpoly(rng, coeff, nvars, 1, 3)  # noqa: E731
+    if family == "product":
+        gens = (linear() * linear(), linear())
+    elif family == "linear-quadratic":
+        gens = (linear(), _random_mpoly(rng, coeff, nvars, 2, 3))
+    else:
+        u = rand_pure_quat(rng, 2)
+        points = [[Quat(rng.randint(-2, 2)) + u * rng.randint(-2, 2) for _ in range(nvars)] for _ in range(2)]
+        meet = _module(point_ideal(CommutingPoint(points[0])).gens, ring).intersect(
+            _module(point_ideal(CommutingPoint(points[1])).gens, ring)
+        )
+        gens = tuple(_from_vector(g, ring) for g in meet.gens)
+    p = linear() if rng.random() < 0.7 else linear() * gens[0]
+    a = rng.choice((ONE, coeff()))
+    return LeftIdeal(gens), p, a, rng.randint(1, 2) if len(gens) <= 2 else 1
+
+
+class TestGroebnerMembership:
+    """Several variables decide membership by a left Groebner basis.  The
+    oracle is sympy's membership in the Q[X]-submodule of Q[X]^4 spanned by
+    the unit multiples of the bases, which is the left ideal they generate."""
+
+    def test_agrees_with_submodule_membership(self):
+        rng = Random(41)
+        held_by = Counter()
+        for family in ("product", "linear-quadratic", "intersection") * 6:
+            nvars = 2 if family == "intersection" else rng.choice((2, 3))
+            ring = QQ.old_poly_ring(*symbols(f"x1:{nvars + 1}"))
+            ideal, p, a, N = _non_point_instance(rng, family, ring)
+            powers, bases = _powers_and_bases(ideal, p, a, N)
+            ngens = len(ideal.gens)
+            held = _holding_prefix(bases, ngens, powers[N], 10**9)
+            target = _vector(powers[N], ring)
+            if _module(ideal.gens, ring).contains(target):
+                assert held == ngens
+            elif _module(bases, ring).contains(target):
+                assert held == len(bases)
+            else:
+                assert held == 0
+            held_by["I" if held == ngens else "J_N" if held else "none"] += 1
+            # A certificate from the system always means a member.
+            if not held:
+                for degbound in range(3):
+                    found = _bounded_certificate(ideal, bases, powers, degbound)
+                    assert isinstance(found, NotFoundWithinBounds)
+        assert set(held_by) == {"I", "J_N", "none"}
+
+    @pytest.mark.parametrize("seed, degbound", [(0, 0), (1, 0), (2, 0), (3, 0), (0, 3)])
+    def test_a_pass_past_its_budget_gives_the_system_outcome(self, seed, degbound):
+        # Two random generators of degree <= 4 in three variables: without a
+        # budget the pass on seed 0 was still running after 20 s, its
+        # coefficients growing fast, while the degree-0 system answers in
+        # milliseconds.  The budget stops the pass, and the system's answer
+        # stands.  At degree bound 3 the system takes about 0.3 s, and a
+        # budget of products not weighted by their size let the pass run
+        # for 17.6 s.
+        rng = Random(seed)
+        coeff = lambda: rand_nonzero_quat(rng, 2)  # noqa: E731
+        ideal = LeftIdeal(tuple(_random_mpoly(rng, coeff, 3, 4, 4) for _ in range(2)))
+        p, a = _random_mpoly(rng, coeff, 3, 1, 2), rand_nonzero_quat(rng, 2)
+        powers, bases = _powers_and_bases(ideal, p, a, 1)
+        start = time.perf_counter()
+        assert _holding_prefix(bases, 2, powers[1], _groebner_budget(bases, 3, degbound)) is None
+        out = rabinowitsch_check(ideal, p, a, 1, degbound)
+        assert time.perf_counter() - start < 5
+        assert type(out) is type(_bounded_certificate(ideal, bases, powers, degbound))

@@ -198,6 +198,9 @@ class TestParseErrors:
             (parse_quat, "3^1000000000", "power of more than the bound of 100000 bits", 2),
             (parse_quat, "(1+2i)^1000000000", "power of more than the bound of 100000 bits", 7),
             (parse_upoly, "(x - i)^1000000000", "power of degree 1000000000, above the bound of 500", 8),
+            (lambda t: parse_mpoly(t, 3), "(x1+x2+x3)^44", "power of up to 1035 terms, above the bound of 1000", 11),
+            (lambda t: parse_mpoly(t, 3), "(x1+x2+x3)^160", "power of up to 13041 terms, above the bound of 1000", 11),
+            (lambda t: parse_mpoly(t, 4), "(x1+x2+x3+x4)^17", "power of up to 1140 terms, above the bound of 1000", 14),
         ],
     )
     def test_message_and_position(self, parse, text, message, position):
@@ -242,6 +245,16 @@ class TestSizeBounds:
         assert parse_quat("(1+2i)^86135").norm() == 5**86135
         assert parse_mpoly("(2x)^100000", 1) == MPoly.monomial(Quat(2**100000), (100000,))
         assert parse_upoly("(x^5 + 1)^100").degree == 500
+
+    def test_term_bound_of_a_power_of_a_sum(self):
+        # At most C(n + t - 1, t - 1) terms for t terms, inclusive at 1,000;
+        # 990 and 969 terms are taken, 1,035 and 1,140 refused above.
+        assert len(parse_mpoly("(x1+x2+x3)^43", 3).terms) == 990
+        assert len(parse_mpoly("(x1+x2+x3+x4)^16", 4).terms) == 969
+        # It is also at most the number of monomials up to the degree in the
+        # variables the sum uses, so one variable keeps the degree bound alone.
+        assert parse_upoly("(x+x^2+x^3+x^4+x^5+x^6+x^7+x^8+x^9+x^10)^50").degree == 500
+        assert len(parse_mpoly("(x1+x1^2+x1^3)^100", 3).terms) == 201
 
     def test_powers_that_cannot_grow_are_unbounded(self):
         n = 10**9

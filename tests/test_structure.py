@@ -202,22 +202,30 @@ def test_one_variable_membership_is_one_gcrd(rref_systems):
     assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(16, 8)]
 
 
-def test_several_variables_hand_the_bounded_system_to_rref(rref_systems):
-    # perfbench's traced run takes the largest system a 2-var check hands
-    # to rref, so nvars >= 2 keeps its one bounded system.
+def test_several_variables_hand_rref_only_the_system_that_holds_the_member(rref_systems):
+    # A left Groebner basis decides membership first.  This member of the
+    # generators' ideal I hands rref the system over the generators alone;
+    # the system over every g_j*(ap)^k is still what a direct call builds.
     gens = (
         MPoly.variable(0, 2) - MPoly.constant(I, 2),
         MPoly.variable(1, 2) - MPoly.constant(Quat(1, 1), 2),
     )
     ideal = LeftIdeal(gens)
-    assert isinstance(rabinowitsch_check(ideal, gens[0], K, 2, 1), RabinowitschCertificate)
-    assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(48, 72)]
+    out = rabinowitsch_check(ideal, gens[0], K, 2, 1)
+    assert isinstance(out, RabinowitschCertificate)
+    assert not any(h for row in out.cofactors[1:] for h in row)
+    assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(24, 24)]
     powers = [MPoly.constant(ONE, 2), gens[0].scale_left(K)]
     powers.append(powers[1] * powers[1])
     bases = [g * powers[k] for k in range(3) for g in gens]
-    checked = list(rref_systems)
+    rref_systems.clear()
     _bounded_certificate(ideal, bases, powers, 1)
-    assert rref_systems == checked * 2
+    assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(48, 72)]
+    # p = 1 is a non-member at every degree bound, decided without a system.
+    rref_systems.clear()
+    one = MPoly.constant(ONE, 2)
+    assert rabinowitsch_check(ideal, one, ONE, 2, 1) == NotFoundWithinBounds(2, 1)
+    assert rref_systems == []
 
 
 @pytest.fixture
