@@ -11,7 +11,11 @@ of coefficient products no larger than the system it replaces.  Cofactors
 come from the gcrd when they fit within the degree bound, and otherwise
 from linear algebra over rational coordinates with the graded
 lexicographic monomial order, which is fixed so that certificates are
-reproducible.
+reproducible.  In several variables, when the basis shows a*p itself in
+I, the system lifts a*p over the generators alone, whatever the power N:
+(a*p)^N = (sum_j h_j*g_j)*(a*p)^(N-1).  Any such lift also solves the
+larger system at the same degree bound, and when none fits the larger
+systems still run, so the lift changes no outcome.
 
 A one-variable polynomial passed to `upoly` holds one coefficient per
 degree, so the conversion refuses a degree above 1,000,000 with
@@ -372,15 +376,22 @@ def rabinowitsch_check(
     come from exact linear algebra over all monomials up to degbound.
 
     In several variables a left Groebner basis first decides membership
-    in I and, when that fails, in J_N.  A non-member of J_N gets
-    NotFoundWithinBounds at every degree bound and no system is built.  A
-    member of I takes its cofactors from the system over the generators
-    alone, with zero cofactors for k >= 1; a member of J_N only, or a
-    member of I whose cofactors do not fit that smaller system, takes
-    them from the system over every g_j*(a*p)^k.  The basis may make at
-    most as many coefficient products as that system has quaternion
-    entries (`_groebner_budget`); past that the system alone decides, and
-    its NotFoundWithinBounds is exact only for the given degree bound.
+    of a*p in I, then of (a*p)^N in I and, when that fails, in J_N.  A
+    non-member of J_N gets NotFoundWithinBounds at every degree bound and
+    no system is built.  When I holds a*p, one system over the generators
+    alone lifts it, a*p = sum_j h_j*g_j with deg h_j <= degbound, and the
+    certificate is h in row k = N-1 and zeros elsewhere, since
+    sum_j h_j*g_j*(a*p)^(N-1) = (a*p)^N.  Its size does not grow with N,
+    and it cannot change an outcome: the same cofactors solve the system
+    over every g_j*(a*p)^k at the same degree bound, and at N = 1 it is
+    the system over the generators alone.  Otherwise a member of I takes
+    its cofactors from the system over the generators alone, with zero
+    cofactors for k >= 1; a member of J_N only, or a member of I whose
+    cofactors fit neither smaller system, takes them from the system over
+    every g_j*(a*p)^k.  The basis may make at most as many coefficient
+    products as that system has quaternion entries (`_groebner_budget`);
+    past that the system alone decides, and its NotFoundWithinBounds is
+    exact only for the given degree bound.
 
     A found certificate is verified by reconstructing the identity before
     it is returned.
@@ -409,12 +420,21 @@ def rabinowitsch_check(
         if max(h.degree for h in flat) <= degbound:
             return _certificate(ideal, ap_powers, [_from_upoly(h) for h in flat])
         return _bounded_certificate(ideal, bases, ap_powers, degbound)
-    held = _holding_prefix(
-        bases, len(ideal.gens), ap_powers[N], _groebner_budget(bases, nvars, degbound)
-    )
+    ngens = len(ideal.gens)
+    decided = _membership(bases, ngens, ap, ap_powers[N], _groebner_budget(bases, nvars, degbound))
+    if decided is None:
+        return _bounded_certificate(ideal, bases, ap_powers, degbound)
+    lifted, held = decided
     if held == 0:
         return NotFoundWithinBounds(N, degbound)
-    if held is not None and held < len(bases):
+    if lifted:
+        # (ap)^N = sum_j h_j*g_j*(ap)^(N-1) for any lift ap = sum_j h_j*g_j.
+        lift = _bounded_cofactors(nvars, ideal.gens, ap, degbound)
+        if lift is not None:
+            zeros = [MPoly(nvars, {})] * ngens
+            return _certificate(ideal, ap_powers, zeros * (N - 1) + lift + zeros)
+    # At N = 1 the lift system is the system over the generators alone.
+    if held == ngens and not (lifted and N == 1):
         found = _bounded_certificate(ideal, bases[:held], ap_powers, degbound)
         if isinstance(found, RabinowitschCertificate):
             return found
@@ -530,17 +550,28 @@ def _holding_prefix(bases: list[MPoly], ngens: int, target: MPoly, budget: int) 
     ngens when the generators' left ideal I does, len(bases) when only
     the whole sum J_N does, and 0 when J_N does not; None when the pass
     would spend more than budget coefficient products."""
+    held = _membership(bases, ngens, None, target, budget)
+    return None if held is None else held[1]
+
+
+def _membership(
+    bases: list[MPoly], ngens: int, lift: MPoly | None, target: MPoly, budget: int
+) -> tuple[bool, int] | None:
+    """Whether I holds lift, a right factor of target, and how many
+    leading bases hold target (as `_holding_prefix`), from one left
+    Groebner basis; None past the budget.  Once I's basis is finished lift
+    is reduced first: when I holds it, it holds its left multiple target."""
     basis = _LeftBasis(budget)
-    start = 0
     try:
-        for count in (ngens, len(bases)):
-            basis.add(base.terms for base in bases[start:count])
-            if not basis.reduce(target.terms):
-                return count
-            start = count
+        basis.add(base.terms for base in bases[:ngens])
+        if lift is not None and not basis.reduce(lift.terms):
+            return True, ngens
+        if not basis.reduce(target.terms):
+            return False, ngens
+        basis.add(base.terms for base in bases[ngens:])
+        return False, 0 if basis.reduce(target.terms) else len(bases)
     except _OverBudget:
         return None
-    return 0
 
 
 # The dense coefficient list of a one-variable polynomial holds one entry
@@ -570,11 +601,28 @@ def _bounded_certificate(
     system over leading bases g_j*(a*p)^k in (k, generator) order; the
     cofactors of the bases left out are zero."""
     nvars, N = ideal.nvars, len(ap_powers) - 1
-    target = ap_powers[N]
+    flat = _bounded_cofactors(nvars, bases, ap_powers[N], degbound)
+    if flat is None:
+        return NotFoundWithinBounds(N, degbound)
+    flat += [MPoly(nvars, {})] * ((N + 1) * len(ideal.gens) - len(flat))
+    return _certificate(ideal, ap_powers, flat)
+
+
+def _bounded_cofactors(
+    nvars: int, bases: list[MPoly], target: MPoly, degbound: int
+) -> list[MPoly] | None:
+    """Cofactors h_i of total degree at most degbound, one per base, with
+    target = sum_i h_i*bases[i], from one rational system; None when there
+    are none.  No column reaches a degree above degbound plus the largest
+    base degree, so a target term past it builds no system."""
+    degrees = [sum(e) for base in bases for e in base.terms]
+    reach = degbound + max(degrees) if degrees else -1
+    if any(sum(e) > reach for e in target.terms):
+        return None
     monos = monomials_upto(nvars, degbound)
 
-    # One known polynomial per (k, generator, monomial); the unknown
-    # quaternion multiple of each is what the solver finds.
+    # One known polynomial per (base, monomial); the unknown quaternion
+    # multiple of each is what the solver finds.
     column_polys = [base.shift(mu) for base in bases for mu in monos]
 
     support: set[Exponents] = set(target.terms)
@@ -586,13 +634,9 @@ def _bounded_certificate(
         vectors, [target.terms.get(exps, ZERO) for exps in ordered], Centralizer.full()
     )
     if sol is None:
-        return NotFoundWithinBounds(N, degbound)
-
-    # The solution runs over (k, generator, monomial) in the order above.
+        return None
     size = len(monos)
-    flat = [MPoly(nvars, dict(zip(monos, sol[i : i + size]))) for i in range(0, len(sol), size)]
-    flat += [MPoly(nvars, {})] * ((N + 1) * len(ideal.gens) - len(flat))
-    return _certificate(ideal, ap_powers, flat)
+    return [MPoly(nvars, dict(zip(monos, sol[i : i + size]))) for i in range(0, len(sol), size)]
 
 
 def _certificate(
@@ -605,8 +649,9 @@ def _certificate(
 
     rebuilt = MPoly(nvars, {})
     for k in range(N + 1):
-        for j, g in enumerate(ideal.gens):
-            rebuilt = rebuilt + cofactors[k][j] * g * ap_powers[k]
+        for h, g in zip(cofactors[k], ideal.gens):
+            if h:
+                rebuilt = rebuilt + h * g * ap_powers[k]
     if rebuilt != ap_powers[N]:
         raise InternalError("certificate failed to reconstruct its identity")
     return RabinowitschCertificate(N, tuple(tuple(row) for row in cofactors))

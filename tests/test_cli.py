@@ -311,8 +311,12 @@ class TestExitCodes:
             (("eval", "--poly", "x", "--at", "(1+2i)^1000000000"), "the bound of 100000 bits (at"),
             (("reduce", "--poly", "x1^10000", "--point", "1+2i"), "the bound of 2000 bits modulo"),
             (("reduce", "--poly", "(x1+x2+x3)^160", "--point", "i; i; i"), "the bound of 1000 (at"),
+            (("reduce", "--poly", "(x1+x2+x3+x4)^16(x1+x2+x3+x4)^16", "--point", "i; i; i; i"), "the bound of 1000 (at"),
         ],
-        ids=["eval", "roots", "espace", "rabinowitsch", "polynomial-power", "quaternion-power", "reduce", "terms"],
+        ids=[
+            "eval", "roots", "espace", "rabinowitsch", "polynomial-power", "quaternion-power", "reduce", "terms",
+            "product-terms",
+        ],
     )
     def test_oversized_input_is_usage(self, capsys, argv, bound):
         code, out, err = run(capsys, *argv)

@@ -10,6 +10,7 @@ import time
 import pytest
 from sympy import QQ, Poly, Rational, symbols
 
+from quatca import linalg
 from quatca.errors import InvalidInput
 from quatca.mpoly import (
     CommutingPoint,
@@ -18,6 +19,7 @@ from quatca.mpoly import (
     NotFoundWithinBounds,
     RabinowitschCertificate,
     _bounded_certificate,
+    _bounded_cofactors,
     _groebner_budget,
     _holding_prefix,
     eval_at_point,
@@ -35,6 +37,7 @@ from quatca.randgen import (
     rand_quat,
     rand_upoly,
 )
+from quatca.parsing import parse_mpoly, parse_quat
 from quatca.scalars import I, J, K, ONE, Quat, ZERO
 from quatca.upoly import UPoly
 
@@ -248,8 +251,8 @@ class TestCertificates:
 
     def test_two_variables_third_power_degree_four_found(self):
         # p = q1 (x1 - a1) + q2 (x2 - a2) lies in the ideal of the point, so
-        # (ap)^3 = sum_i (a q_i)(x_i - a_i)(ap)^2 is a certificate; the
-        # search runs over the full 2-var N=3 degbound=4 system.
+        # (ap)^3 = sum_i (a q_i)(x_i - a_i)(ap)^2 is a certificate; it comes
+        # from the one system that lifts ap over the generators.
         pt = CommutingPoint([Quat(1, 2), Quat(-1, 1)])
         ideal = point_ideal(pt)
         p = const(Quat(1, 0, 1), 2) * ideal.gens[0] + const(Quat(0, 2, -1, 1), 2) * ideal.gens[1]
@@ -529,3 +532,93 @@ class TestGroebnerMembership:
         out = rabinowitsch_check(ideal, p, a, 1, degbound)
         assert time.perf_counter() - start < 5
         assert type(out) is type(_bounded_certificate(ideal, bases, powers, degbound))
+
+
+def _point_instance(rng, nvars, degree):
+    """A point ideal with p and a.  For a degree >= 0, p = sum_i q_i*(x_i - a_i)
+    with deg q_i <= degree, so ap lies in the ideal I; for degree -1 the
+    point, p and a lie in one subfield Q(u) and p does not vanish at the
+    point."""
+    u = rand_pure_quat(rng, 2)
+    field = lambda: Quat(rng.randint(-2, 2)) + u * rng.randint(-2, 2)  # noqa: E731
+    point = CommutingPoint([field() for _ in range(nvars)])
+    ideal = point_ideal(point)
+    if degree >= 0:
+        quat = lambda: rand_quat(rng, 2)  # noqa: E731
+        p = MPoly(nvars, {})
+        for g in ideal.gens:
+            p = p + _random_mpoly(rng, quat, nvars, degree, 2) * g
+        return ideal, p, rand_nonzero_quat(rng, 2)
+    while True:
+        p, a = _random_mpoly(rng, field, nvars, 1, 3), field()
+        if a and eval_at_point(p, point):
+            return ideal, p, a
+
+
+class TestLiftedCertificates:
+    """When I holds ap, one system lifts ap = sum_j h_j*g_j over the
+    generators, and h in row N-1 certifies every power N.  The oracle is
+    the bounded system over every base g_j*(ap)^k."""
+
+    def test_outcomes_agree_with_the_system_over_every_base(self):
+        rng = Random(43)
+        # Powers up to 4 in two variables, 2 in three and for the ideals
+        # that are not point ideals, and 1 for intersections of up to 10
+        # generators keep the oracle's systems small: at N = 3 and degree 2
+        # an intersection's took 6 s on a shared 2-core host.
+        instances = [(_point_instance(rng, 2, degree), 4) for degree in (-1, -1, 0, 1)]
+        instances += [(_point_instance(rng, 3, degree), 2) for degree in (-1, 0)]
+        for family in ("product", "linear-quadratic", "intersection"):
+            ring = QQ.old_poly_ring(*symbols(f"x1:{3 if family == 'intersection' else rng.choice((3, 4))}"))
+            instances.append((_non_point_instance(rng, family, ring)[:3], 1 if family == "intersection" else 2))
+        seen = Counter()
+        for (ideal, p, a), top in instances:
+            ngens = len(ideal.gens)
+            lifted = _holding_prefix(list(ideal.gens), ngens, p.scale_left(a), 10**9) == ngens
+            for N in range(1, top + 1):
+                powers, bases = _powers_and_bases(ideal, p, a, N)
+                for degbound in range(3):
+                    out = rabinowitsch_check(ideal, p, a, N, degbound)
+                    assert type(out) is type(_bounded_certificate(ideal, bases, powers, degbound))
+                    if isinstance(out, NotFoundWithinBounds):
+                        seen["not-found"] += 1
+                        continue
+                    assert out.N == N and _reconstructs(ideal, p, a, out)
+                    lift = _bounded_certificate(ideal, bases[:ngens], powers[:2], degbound)
+                    if lifted and isinstance(lift, RabinowitschCertificate):
+                        assert not any(h for k, row in enumerate(out.cofactors) if k != N - 1 for h in row)
+                        seen["lifted"] += 1
+                    else:
+                        seen["found"] += 1
+        assert set(seen) == {"lifted", "found", "not-found"}
+
+    def test_a_lift_that_does_not_fit_falls_through(self, monkeypatch):
+        # I holds ap, but its lift needs cofactors of degree 3; at degree
+        # bounds 1 and 2 the system over every g_j*(ap)^k certifies every
+        # power instead (a seeded `product` instance).
+        gens = tuple(
+            parse_mpoly(text, 2)
+            for text in (
+                "(i - k)x1 + (1 + 2i + 2j + 2k)x2 + (-2 - 2i + j - k)",
+                "(1 - 2i - j)x1x2 + (2 - i - 1/2j + 2k)x1 + (1 + 2i - j)",
+            )
+        )
+        ideal = LeftIdeal(gens)
+        p = parse_mpoly("(-1/2 - 1/2i - 1/2j - k)x1 + (2 + i + 2j + k)x2", 2)
+        a = parse_quat("1/2 - i - 1/2j + k")
+        ap = p.scale_left(a)
+        assert _holding_prefix(list(gens), 2, ap, 10**9) == 2
+        assert [_bounded_cofactors(2, list(gens), ap, d) is None for d in range(4)] == [True] * 3 + [False]
+        # At N = 1 the lift system is the system over the generators alone,
+        # so rref gets it once and then the system over every base.
+        shapes = []
+        rref = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda rows, ncols: shapes.append(len(rows)) or rref(rows, ncols))
+        assert isinstance(rabinowitsch_check(ideal, p, a, 1, 1), RabinowitschCertificate)
+        assert len(shapes) == 2 and shapes[0] < shapes[1]
+        for N in (1, 2, 3):
+            assert isinstance(rabinowitsch_check(ideal, p, a, N, 0), NotFoundWithinBounds)
+            for degbound in (1, 2):
+                out = rabinowitsch_check(ideal, p, a, N, degbound)
+                assert isinstance(out, RabinowitschCertificate) and _reconstructs(ideal, p, a, out)
+                assert any(h for h in out.cofactors[0])

@@ -256,6 +256,28 @@ class TestSizeBounds:
         assert parse_upoly("(x+x^2+x^3+x^4+x^5+x^6+x^7+x^8+x^9+x^10)^50").degree == 500
         assert len(parse_mpoly("(x1+x1^2+x1^3)^100", 3).terms) == 201
 
+    def test_term_bound_of_a_product_of_factors(self):
+        # A product of parenthesized factors is bounded before it is taken,
+        # by at most t1 * t2 terms and the monomials up to the summed degree
+        # in the variables used, inclusive at 1,000.
+        assert len(parse_mpoly("(x1+1)^30(x2+1)^31", 2).terms) == 31 * 32
+        with pytest.raises(ParseError) as info:
+            parse_mpoly("(x1+1)^30(x2+1)^32", 2)
+        assert str(info.value) == "product of up to 1023 terms, above the bound of 1000 (at position 9)"
+        # Degree 43 in two variables: up to 990 monomials (759 are reached);
+        # degree 44: 1,035.
+        assert len(parse_mpoly("(x1+x2)^21(x1+x2+1)^22", 2).terms) == 759
+        with pytest.raises(ParseError) as info:
+            parse_mpoly("(x1+x2)^22*(x1+x2+1)^22", 3)
+        assert str(info.value) == "product of up to 1035 terms, above the bound of 1000 (at position 11)"
+        # Each power alone is within its bounds; the product is not.
+        with pytest.raises(ParseError) as info:
+            parse_upoly("(x - i)^500(x - i)^500")
+        assert str(info.value) == "product of up to 1001 terms, above the bound of 1000 (at position 11)"
+        with pytest.raises(ParseError) as info:
+            parse_mpoly("(x1+x2+x3+x4)^16(x1+x2+x3+x4)^16", 4)
+        assert str(info.value) == "product of up to 58905 terms, above the bound of 1000 (at position 16)"
+
     def test_powers_that_cannot_grow_are_unbounded(self):
         n = 10**9
         assert parse_quat(f"(-1)^{n}") == ONE

@@ -203,9 +203,10 @@ def test_one_variable_membership_is_one_gcrd(rref_systems):
 
 
 def test_several_variables_hand_rref_only_the_system_that_holds_the_member(rref_systems):
-    # A left Groebner basis decides membership first.  This member of the
-    # generators' ideal I hands rref the system over the generators alone;
-    # the system over every g_j*(ap)^k is still what a direct call builds.
+    # A left Groebner basis decides membership first.  Here ap itself lies
+    # in the generators' ideal I, so rref gets one system over the
+    # generators alone, which lifts ap, at every power; the system over
+    # every g_j*(ap)^k is still what a direct call builds.
     gens = (
         MPoly.variable(0, 2) - MPoly.constant(I, 2),
         MPoly.variable(1, 2) - MPoly.constant(Quat(1, 1), 2),
@@ -213,7 +214,10 @@ def test_several_variables_hand_rref_only_the_system_that_holds_the_member(rref_
     ideal = LeftIdeal(gens)
     out = rabinowitsch_check(ideal, gens[0], K, 2, 1)
     assert isinstance(out, RabinowitschCertificate)
-    assert not any(h for row in out.cofactors[1:] for h in row)
+    assert not any(h for k, row in enumerate(out.cofactors) if k != out.N - 1 for h in row)
+    assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(24, 24)]
+    rref_systems.clear()
+    assert isinstance(rabinowitsch_check(ideal, gens[0], K, 5, 1), RabinowitschCertificate)
     assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(24, 24)]
     powers = [MPoly.constant(ONE, 2), gens[0].scale_left(K)]
     powers.append(powers[1] * powers[1])
@@ -226,6 +230,30 @@ def test_several_variables_hand_rref_only_the_system_that_holds_the_member(rref_
     one = MPoly.constant(ONE, 2)
     assert rabinowitsch_check(ideal, one, ONE, 2, 1) == NotFoundWithinBounds(2, 1)
     assert rref_systems == []
+
+
+def test_a_target_of_too_high_degree_builds_no_system(rref_systems):
+    # No column polynomial of the bounded system passes degbound plus the
+    # largest base degree, so a target term above it is refused unbuilt.
+    gens = (
+        MPoly.variable(0, 2) - MPoly.constant(I, 2),
+        MPoly.variable(1, 2) - MPoly.constant(Quat(1, 1), 2),
+    )
+    ideal = LeftIdeal(gens)
+    ap = (gens[0] + gens[1]).scale_left(J)
+    powers = [MPoly.constant(ONE, 2)]
+    for _ in range(3):
+        powers.append(powers[-1] * ap)
+    assert _bounded_certificate(ideal, list(gens), powers, 1) == NotFoundWithinBounds(3, 1)
+    assert rref_systems == []
+    # (ap)^2 reaches exactly degbound + 1 and is built: (ap)^2 = (apJ)*(g1 + g2).
+    assert isinstance(_bounded_certificate(ideal, list(gens), powers[:3], 1), RabinowitschCertificate)
+    assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(24, 24)]
+    rref_systems.clear()
+    # The one-variable flagship at degree 0 stays within reach: one system.
+    g = MPoly.variable(0, 1) - MPoly.constant(I, 1)
+    assert rabinowitsch_check(LeftIdeal((g * g,)), g, J, 1, 0) == NotFoundWithinBounds(1, 0)
+    assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(16, 8)]
 
 
 @pytest.fixture
@@ -303,7 +331,9 @@ def test_quat_defines_every_method_the_tracer_wraps():
 def test_benchmark_micro_cases_run(monkeypatch):
     # The traced benchmark run times these cases: they call
     # `left_linear_solve` and time the systems that `lclm` and a 2-variable
-    # `rabinowitsch_check` hand to `rref`, so each of those must stay.
+    # `rabinowitsch_check` hand to `rref`, so each of those must stay.  The
+    # 2-variable case still hands one: at N = 1 the system that lifts ap
+    # over the generators is the system over the generators alone.
     monkeypatch.syspath_prepend(str(SOURCE.parents[1]))
     from perfbench.micro import micro_metrics
 
