@@ -63,7 +63,6 @@ from .upoly import (
     RootSpaceBasis,
     Sphere,
     UPoly,
-    companion,
     gcrd,
     lclm,
     left_roots,

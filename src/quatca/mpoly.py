@@ -11,11 +11,12 @@ of coefficient products no larger than the system it replaces.  Cofactors
 come from the gcrd when they fit within the degree bound, and otherwise
 from linear algebra over rational coordinates with the graded
 lexicographic monomial order, which is fixed so that certificates are
-reproducible.  In several variables, when the basis shows a*p itself in
-I, the system lifts a*p over the generators alone, whatever the power N:
-(a*p)^N = (sum_j h_j*g_j)*(a*p)^(N-1).  Any such lift also solves the
-larger system at the same degree bound, and when none fits the larger
-systems still run, so the lift changes no outcome.
+reproducible.  In several variables, when the basis shows some power
+(a*p)^k with k <= N in I, the least such power is lifted over the
+generators alone: (a*p)^N = (sum_j h_j*g_j)*(a*p)^(N-k).  Any such lift
+also solves the system over every g_j*(a*p)^k at the same degree bound,
+and when none fits that system still runs, so the lift changes no
+outcome.
 
 A one-variable polynomial passed to `upoly` holds one coefficient per
 degree, so the conversion refuses a degree above 1,000,000 with
@@ -375,23 +376,19 @@ def rabinowitsch_check(
     gcrd cofactors fit within degbound gets them.  Otherwise the cofactors
     come from exact linear algebra over all monomials up to degbound.
 
-    In several variables a left Groebner basis first decides membership
-    of a*p in I, then of (a*p)^N in I and, when that fails, in J_N.  A
-    non-member of J_N gets NotFoundWithinBounds at every degree bound and
-    no system is built.  When I holds a*p, one system over the generators
-    alone lifts it, a*p = sum_j h_j*g_j with deg h_j <= degbound, and the
-    certificate is h in row k = N-1 and zeros elsewhere, since
-    sum_j h_j*g_j*(a*p)^(N-1) = (a*p)^N.  Its size does not grow with N,
-    and it cannot change an outcome: the same cofactors solve the system
-    over every g_j*(a*p)^k at the same degree bound, and at N = 1 it is
-    the system over the generators alone.  Otherwise a member of I takes
-    its cofactors from the system over the generators alone, with zero
-    cofactors for k >= 1; a member of J_N only, or a member of I whose
-    cofactors fit neither smaller system, takes them from the system over
-    every g_j*(a*p)^k.  The basis may make at most as many coefficient
-    products as that system has quaternion entries (`_groebner_budget`);
-    past that the system alone decides, and its NotFoundWithinBounds is
-    exact only for the given degree bound.
+    In several variables a left Groebner basis decides membership first.
+    A non-member of J_N gets NotFoundWithinBounds at every degree bound
+    and no system is built.  When I holds a power (a*p)^k with k <= N, one
+    system over the generators alone lifts the least such power,
+    (a*p)^k = sum_j h_j*g_j with deg h_j <= degbound, and the certificate
+    is h in row N-k and zeros elsewhere, since
+    sum_j h_j*g_j*(a*p)^(N-k) = (a*p)^N.  It cannot change an outcome: the
+    same cofactors solve the system over every g_j*(a*p)^k at the same
+    degree bound.  A member of J_N only, or one whose lift does not fit,
+    takes its cofactors from that system.  The basis may make at most as
+    many coefficient products as that system has quaternion entries
+    (`_groebner_budget`); past that the system alone decides, and its
+    NotFoundWithinBounds is exact only for the given degree bound.
 
     A found certificate is verified by reconstructing the identity before
     it is returned.
@@ -421,23 +418,14 @@ def rabinowitsch_check(
             return _certificate(ideal, ap_powers, [_from_upoly(h) for h in flat])
         return _bounded_certificate(ideal, bases, ap_powers, degbound)
     ngens = len(ideal.gens)
-    decided = _membership(bases, ngens, ap, ap_powers[N], _groebner_budget(bases, nvars, degbound))
-    if decided is None:
-        return _bounded_certificate(ideal, bases, ap_powers, degbound)
-    lifted, held = decided
-    if held == 0:
+    k = _membership(bases, ngens, ap_powers, _groebner_budget(bases, nvars, degbound))
+    if k == 0:
         return NotFoundWithinBounds(N, degbound)
-    if lifted:
-        # (ap)^N = sum_j h_j*g_j*(ap)^(N-1) for any lift ap = sum_j h_j*g_j.
-        lift = _bounded_cofactors(nvars, ideal.gens, ap, degbound)
+    if k is not None and k <= N:
+        lift = _bounded_cofactors(nvars, ideal.gens, ap_powers[k], degbound)
         if lift is not None:
             zeros = [MPoly(nvars, {})] * ngens
-            return _certificate(ideal, ap_powers, zeros * (N - 1) + lift + zeros)
-    # At N = 1 the lift system is the system over the generators alone.
-    if held == ngens and not (lifted and N == 1):
-        found = _bounded_certificate(ideal, bases[:held], ap_powers, degbound)
-        if isinstance(found, RabinowitschCertificate):
-            return found
+            return _certificate(ideal, ap_powers, zeros * (N - k) + lift + zeros * k)
     return _bounded_certificate(ideal, bases, ap_powers, degbound)
 
 
@@ -545,31 +533,23 @@ def _subtract(
             del f[key]
 
 
-def _holding_prefix(bases: list[MPoly], ngens: int, target: MPoly, budget: int) -> int | None:
-    """How many leading bases a left Groebner basis shows to hold target:
-    ngens when the generators' left ideal I does, len(bases) when only
-    the whole sum J_N does, and 0 when J_N does not; None when the pass
-    would spend more than budget coefficient products."""
-    held = _membership(bases, ngens, None, target, budget)
-    return None if held is None else held[1]
-
-
-def _membership(
-    bases: list[MPoly], ngens: int, lift: MPoly | None, target: MPoly, budget: int
-) -> tuple[bool, int] | None:
-    """Whether I holds lift, a right factor of target, and how many
-    leading bases hold target (as `_holding_prefix`), from one left
-    Groebner basis; None past the budget.  Once I's basis is finished lift
-    is reduced first: when I holds it, it holds its left multiple target."""
+def _membership(bases: list[MPoly], ngens: int, ap_powers: list[MPoly], budget: int) -> int | None:
+    """From one left Groebner basis: the least k <= N with (a*p)^k =
+    ap_powers[k] in the generators' left ideal I, else N + 1 when the sum
+    J_N of all bases holds (a*p)^N and 0 when it does not; None past the
+    budget.  I holds every left multiple of a member, so it holds every
+    power from the least one on: a*p and (a*p)^N are reduced first, and
+    the powers between only when I holds (a*p)^N but not a*p."""
+    N = len(ap_powers) - 1
     basis = _LeftBasis(budget)
     try:
         basis.add(base.terms for base in bases[:ngens])
-        if lift is not None and not basis.reduce(lift.terms):
-            return True, ngens
-        if not basis.reduce(target.terms):
-            return False, ngens
+        if not basis.reduce(ap_powers[1].terms):
+            return 1
+        if not basis.reduce(ap_powers[N].terms):
+            return next((k for k in range(2, N) if not basis.reduce(ap_powers[k].terms)), N)
         basis.add(base.terms for base in bases[ngens:])
-        return False, 0 if basis.reduce(target.terms) else len(bases)
+        return 0 if basis.reduce(ap_powers[N].terms) else N + 1
     except _OverBudget:
         return None
 
@@ -598,13 +578,11 @@ def _bounded_certificate(
 ) -> RabinowitschCertificate | NotFoundWithinBounds:
     """The certificate for (a*p)^N = ap_powers[N] with cofactors of total
     degree at most degbound, or NotFoundWithinBounds, from one rational
-    system over leading bases g_j*(a*p)^k in (k, generator) order; the
-    cofactors of the bases left out are zero."""
-    nvars, N = ideal.nvars, len(ap_powers) - 1
-    flat = _bounded_cofactors(nvars, bases, ap_powers[N], degbound)
+    system over every base g_j*(a*p)^k in (k, generator) order."""
+    N = len(ap_powers) - 1
+    flat = _bounded_cofactors(ideal.nvars, bases, ap_powers[N], degbound)
     if flat is None:
         return NotFoundWithinBounds(N, degbound)
-    flat += [MPoly(nvars, {})] * ((N + 1) * len(ideal.gens) - len(flat))
     return _certificate(ideal, ap_powers, flat)
 
 
@@ -643,8 +621,11 @@ def _certificate(
     ideal: LeftIdeal, ap_powers: list[MPoly], flat: list[MPoly]
 ) -> RabinowitschCertificate:
     """The certificate with cofactors flat in (k, generator) order, once
-    they rebuild (a*p)^N = ap_powers[N]."""
+    they fill N + 1 rows of one cofactor per generator and rebuild
+    (a*p)^N = ap_powers[N]."""
     nvars, N, ngens = ideal.nvars, len(ap_powers) - 1, len(ideal.gens)
+    if len(flat) != (N + 1) * ngens:
+        raise InternalError(f"{len(flat)} cofactors for {N + 1} rows of {ngens} generators")
     cofactors = [flat[k * ngens : (k + 1) * ngens] for k in range(N + 1)]
 
     rebuilt = MPoly(nvars, {})

@@ -25,9 +25,10 @@ ParseError at its exponent: the result may have at most 100,000 bits
 several terms at most degree 500 (`(x - i)^500`) and at most 1,000 terms
 (`(x1 + x2 + x3)^43`).  Powers that cannot grow, of a unit, a variable,
 -1 or a one-term factor such as `(jx)`, are not bounded.  The product of
-two parenthesized factors may have at most 1,000 terms too, a ParseError
-at the second factor's `(`, so `(x - i)^500(x - i)^499` is read and
-`(x - i)^500(x - i)^500` is not.  `parse_upoly` then keeps the degree
+two parenthesized factors of t1 and t2 terms may have at most 1,000 terms
+too and may take at most 65,536 coefficient products t1*t2, a ParseError
+at the second factor's `(`, so `(x - i)^250(x - i)^250` is read and
+`(x - i)^500(x - i)^499` is not.  `parse_upoly` then keeps the degree
 within the dense bound of `mpoly`, 1,000,000.
 
 Printing inverts parsing exactly: print(parse(t)) reparses to an equal
@@ -63,10 +64,15 @@ _MAX_NESTING = 100
 # tighter one.  A product of two such factors is bounded the same way, by
 # at most t1 * t2 terms and the monomials up to the summed degree:
 # `(x1+x2+x3)^43*(x1+x2+x3)^43` took 4.6 s and
-# `(x1+x2+x3+x4)^16(x1+x2+x3+x4)^16` 5.5 s.
+# `(x1+x2+x3+x4)^16(x1+x2+x3+x4)^16` 5.5 s.  Its work is t1 * t2
+# coefficient products whatever the terms of the result: the largest
+# product inside `(x - i)^500` makes 62,965, `(x - i)^250(x - i)^250`
+# (63,001) takes 0.54 s, and `(x - i)^500(x - i)^499` (250,500) took 2.3 s
+# on a shared 2-core host, so a product may make at most 65,536.
 _MAX_POWER_BITS = 100_000
 _MAX_POWER_DEGREE = 500
 _MAX_TERMS = 1_000
+_MAX_PRODUCTS = 65_536
 
 # One token after optional whitespace: a rational `num` or `num/den`, a
 # unit, a variable `x` or `x<index>`, an operator, or any other character.
@@ -177,10 +183,16 @@ class _Parser:
                     if poly is None:
                         poly = inner
                     else:
+                        products = len(poly.terms) * len(inner.terms)
                         _bound_terms(
-                            "product", len(poly.terms) * len(inner.terms),
-                            _degree(poly) + _degree(inner), [*poly.terms, *inner.terms], pos,
+                            "product", products, _degree(poly) + _degree(inner),
+                            [*poly.terms, *inner.terms], pos,
                         )
+                        if products > _MAX_PRODUCTS:
+                            raise ParseError(
+                                f"product of {products} coefficient products, above the bound of {_MAX_PRODUCTS}",
+                                pos,
+                            )
                         poly = poly * inner
             else:
                 raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)

@@ -17,7 +17,7 @@ is central, so the rows commute with the units, and each question
 `upoly` asks of p is one on the rows, answered up to a positive scalar
 that does not change it:
 - the companion p * conj(p), the sum of the squares of the rows over D^2
-  (`_companion`, `_sum_of_squares`), since the cross terms cancel;
+  (`_sum_of_squares`), since the cross terms cancel;
 - the central content c, the gcd over the rationals of the rows and so
   the central c of greatest degree with p = q*c (`_central_content`), by a
   primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1; Collins 1967):
@@ -73,7 +73,6 @@ from typing import Iterable, Sequence
 
 from .errors import InternalError
 from .intmath import rational_sqrt
-from .scalars import Quat, _integer_rows
 
 # Primes tried, in order, to prove a cofactor free of factors of degree
 # <= 2: the odd primes below 100, those = 1 mod 3 first, since mod a prime
@@ -188,14 +187,6 @@ def _sum_of_squares(rows: Sequence[list[int]]) -> list[int]:
                 for j in range(i + 1, n):
                     out[i + j] += 2 * a * row[j]
     return out
-
-
-def _companion(coeffs: Sequence[Quat]) -> list[Fraction]:
-    """The central coefficients, low to high, of p * conj(p) for the
-    quaternion polynomial p with coefficients `coeffs` (low to high)."""
-    rows, den = _integer_rows(coeffs)
-    square = den * den
-    return [Fraction(v, square) for v in reversed(_sum_of_squares(rows))]
 
 
 def _content_and_norm(rows: Sequence[list[int]]) -> tuple[list[int], list[int]]:

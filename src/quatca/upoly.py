@@ -298,12 +298,6 @@ class Sphere:
 RootClass = Isolated | Sphere
 
 
-def companion(p: UPoly) -> UPoly:
-    """p times its coefficient-conjugate, which is central: the sum of the
-    squares of p's four coordinate polynomials."""
-    return UPoly.from_central(ratfactor._companion(p.coeffs))
-
-
 def _class_roots(rows: list[list[int]], t: Fraction, n: Fraction) -> RootClass | None:
     """The right roots in the class {a : a^2 - t*a + n = 0}, t^2 < 4n, of
     the polynomial p with coordinate rows `rows` (`scalars._integer_rows`).

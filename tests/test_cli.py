@@ -142,6 +142,16 @@ class TestReports:
         assert code == 0
         assert report["status"] == "not-found"
 
+    def test_rabinowitsch_lifts_a_lower_power_in_two_variables(self, capsys):
+        # The two-variable flagship analog: ((x1 - i)^2, x2) holds (j(x1 - i))^3,
+        # whose lift certifies the fifth power.
+        code, report, _ = run_json(
+            capsys, "rabinowitsch", "--nvars", "2", "--ideal", "(x1 - i)^2", "--ideal", "x2",
+            "--p", "x1 - i", "--a", "j", "--N", "5", "--degbound", "2",
+        )
+        assert code == 0 and report["status"] == "ok"
+        assert report["payload"]["N"] == 5
+
     def test_generators_do_not_carry_over_between_calls(self, capsys):
         # The parser is built once per process.  With x - i in the ideal,
         # j(x - i) is a member at degree bound 0; the next call names only

@@ -21,7 +21,7 @@ from quatca.mpoly import (
     _bounded_certificate,
     _bounded_cofactors,
     _groebner_budget,
-    _holding_prefix,
+    _membership,
     eval_at_point,
     find_certificate,
     monomials_upto,
@@ -188,8 +188,11 @@ class TestPointIdeal:
 
 
 def _reconstructs(ideal, p, a, cert):
-    """Whether the cofactors rebuild (ap)^N = sum_k sum_j h[k][j] g_j (ap)^k."""
+    """Whether the cofactors fill N + 1 rows of one per generator and
+    rebuild (ap)^N = sum_k sum_j h[k][j] g_j (ap)^k."""
     nvars = ideal.nvars
+    if len(cert.cofactors) != cert.N + 1 or any(len(row) != len(ideal.gens) for row in cert.cofactors):
+        return False
     ap = p.scale_left(a)
     powers = [const(ONE, nvars)]
     for _ in range(cert.N):
@@ -496,18 +499,18 @@ class TestGroebnerMembership:
             ring = QQ.old_poly_ring(*symbols(f"x1:{nvars + 1}"))
             ideal, p, a, N = _non_point_instance(rng, family, ring)
             powers, bases = _powers_and_bases(ideal, p, a, N)
-            ngens = len(ideal.gens)
-            held = _holding_prefix(bases, ngens, powers[N], 10**9)
-            target = _vector(powers[N], ring)
-            if _module(ideal.gens, ring).contains(target):
-                assert held == ngens
-            elif _module(bases, ring).contains(target):
-                assert held == len(bases)
+            k = _membership(bases, len(ideal.gens), powers, 10**9)
+            module = _module(ideal.gens, ring)
+            in_ideal = [module.contains(_vector(power, ring)) for power in powers[1:]]
+            if any(in_ideal):
+                assert k == in_ideal.index(True) + 1
+            elif _module(bases, ring).contains(_vector(powers[N], ring)):
+                assert k == N + 1
             else:
-                assert held == 0
-            held_by["I" if held == ngens else "J_N" if held else "none"] += 1
+                assert k == 0
+            held_by["I" if 1 <= k <= N else "J_N" if k else "none"] += 1
             # A certificate from the system always means a member.
-            if not held:
+            if not k:
                 for degbound in range(3):
                     found = _bounded_certificate(ideal, bases, powers, degbound)
                     assert isinstance(found, NotFoundWithinBounds)
@@ -528,7 +531,7 @@ class TestGroebnerMembership:
         p, a = _random_mpoly(rng, coeff, 3, 1, 2), rand_nonzero_quat(rng, 2)
         powers, bases = _powers_and_bases(ideal, p, a, 1)
         start = time.perf_counter()
-        assert _holding_prefix(bases, 2, powers[1], _groebner_budget(bases, 3, degbound)) is None
+        assert _membership(bases, 2, powers, _groebner_budget(bases, 3, degbound)) is None
         out = rabinowitsch_check(ideal, p, a, 1, degbound)
         assert time.perf_counter() - start < 5
         assert type(out) is type(_bounded_certificate(ideal, bases, powers, degbound))
@@ -556,9 +559,10 @@ def _point_instance(rng, nvars, degree):
 
 
 class TestLiftedCertificates:
-    """When I holds ap, one system lifts ap = sum_j h_j*g_j over the
-    generators, and h in row N-1 certifies every power N.  The oracle is
-    the bounded system over every base g_j*(ap)^k."""
+    """When I holds (ap)^k for some k <= N, one system lifts the least such
+    power, (ap)^k = sum_j h_j*g_j, over the generators, and h in row N-k
+    certifies (ap)^N.  The oracle is the bounded system over every base
+    g_j*(ap)^k."""
 
     def test_outcomes_agree_with_the_system_over_every_base(self):
         rng = Random(43)
@@ -571,12 +575,15 @@ class TestLiftedCertificates:
         for family in ("product", "linear-quadratic", "intersection"):
             ring = QQ.old_poly_ring(*symbols(f"x1:{3 if family == 'intersection' else rng.choice((3, 4))}"))
             instances.append((_non_point_instance(rng, family, ring)[:3], 1 if family == "intersection" else 2))
+        # The two-variable flagship analog: I holds (ap)^3 but not (ap)^2.
+        analog = LeftIdeal((parse_mpoly("(x1 - i)^2", 2), parse_mpoly("x2", 2)))
+        instances.append(((analog, parse_mpoly("x1 - i", 2), J), 5))
         seen = Counter()
         for (ideal, p, a), top in instances:
             ngens = len(ideal.gens)
-            lifted = _holding_prefix(list(ideal.gens), ngens, p.scale_left(a), 10**9) == ngens
             for N in range(1, top + 1):
                 powers, bases = _powers_and_bases(ideal, p, a, N)
+                k = _membership(bases, ngens, powers, 10**9)
                 for degbound in range(3):
                     out = rabinowitsch_check(ideal, p, a, N, degbound)
                     assert type(out) is type(_bounded_certificate(ideal, bases, powers, degbound))
@@ -584,13 +591,13 @@ class TestLiftedCertificates:
                         seen["not-found"] += 1
                         continue
                     assert out.N == N and _reconstructs(ideal, p, a, out)
-                    lift = _bounded_certificate(ideal, bases[:ngens], powers[:2], degbound)
-                    if lifted and isinstance(lift, RabinowitschCertificate):
-                        assert not any(h for k, row in enumerate(out.cofactors) if k != N - 1 for h in row)
-                        seen["lifted"] += 1
+                    lifted = 1 <= k <= N and _bounded_cofactors(ideal.nvars, list(ideal.gens), powers[k], degbound)
+                    if lifted:
+                        assert not any(h for row, hs in enumerate(out.cofactors) if row != N - k for h in hs)
+                        seen["lifted" if k == 1 else "lifted from a higher power"] += 1
                     else:
                         seen["found"] += 1
-        assert set(seen) == {"lifted", "found", "not-found"}
+        assert set(seen) == {"lifted", "lifted from a higher power", "found", "not-found"}
 
     def test_a_lift_that_does_not_fit_falls_through(self, monkeypatch):
         # I holds ap, but its lift needs cofactors of degree 3; at degree
@@ -607,7 +614,7 @@ class TestLiftedCertificates:
         p = parse_mpoly("(-1/2 - 1/2i - 1/2j - k)x1 + (2 + i + 2j + k)x2", 2)
         a = parse_quat("1/2 - i - 1/2j + k")
         ap = p.scale_left(a)
-        assert _holding_prefix(list(gens), 2, ap, 10**9) == 2
+        assert _membership(list(gens), 2, [MPoly.constant(ONE, 2), ap], 10**9) == 1
         assert [_bounded_cofactors(2, list(gens), ap, d) is None for d in range(4)] == [True] * 3 + [False]
         # At N = 1 the lift system is the system over the generators alone,
         # so rref gets it once and then the system over every base.

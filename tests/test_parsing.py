@@ -278,6 +278,24 @@ class TestSizeBounds:
             parse_mpoly("(x1+x2+x3+x4)^16(x1+x2+x3+x4)^16", 4)
         assert str(info.value) == "product of up to 58905 terms, above the bound of 1000 (at position 16)"
 
+    def test_work_bound_of_a_product_of_factors(self):
+        # The work of a product is t1 * t2 coefficient products, inclusive at
+        # 65,536, checked after the term bound: 251 * 251 = 63,001 is taken,
+        # and 501 * 500 = 250,500 is refused though the result has 1,000 terms.
+        assert parse_upoly("(x - i)^250(x - i)^250").degree == 500
+        with pytest.raises(ParseError) as info:
+            parse_upoly("(x - i)^500(x - i)^499")
+        assert str(info.value) == "product of 250500 coefficient products, above the bound of 65536 (at position 11)"
+        # 257 * 257 = 66,049 products for a result of 513 terms.
+        with pytest.raises(ParseError) as info:
+            parse_upoly("(x - i)^256(x - i)^256")
+        assert str(info.value) == "product of 66049 coefficient products, above the bound of 65536 (at position 11)"
+        # Each factor past the first is bounded against the product so far:
+        # 251 * 101 products are taken, then 351 * 201 = 70,551 refused.
+        with pytest.raises(ParseError) as info:
+            parse_upoly("(x - i)^250(x - i)^100(x - i)^200")
+        assert str(info.value) == "product of 70551 coefficient products, above the bound of 65536 (at position 22)"
+
     def test_powers_that_cannot_grow_are_unbounded(self):
         n = 10**9
         assert parse_quat(f"(-1)^{n}") == ONE

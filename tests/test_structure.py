@@ -21,6 +21,7 @@ from quatca.mpoly import (
     NotFoundWithinBounds,
     RabinowitschCertificate,
     _bounded_certificate,
+    _bounded_cofactors,
     find_certificate,
     point_ideal,
     rabinowitsch_check,
@@ -232,6 +233,20 @@ def test_several_variables_hand_rref_only_the_system_that_holds_the_member(rref_
     assert rref_systems == []
 
 
+def test_the_least_power_in_the_ideal_is_lifted_whatever_the_power(rref_systems):
+    # I = ((x1 - i)^2, x2) holds (ap)^3 for p = x1 - i and a = j, but not
+    # (ap)^2.  One system over the generators lifts (ap)^3 at every power
+    # N >= 3; the system over every g_j*(ap)^k is (132, 288) at N = 5.
+    g = MPoly.variable(0, 2) - MPoly.constant(I, 2)
+    ideal = LeftIdeal((g * g, MPoly.variable(1, 2)))
+    for N in (3, 5):
+        rref_systems.clear()
+        out = rabinowitsch_check(ideal, g, J, N, 2)
+        assert isinstance(out, RabinowitschCertificate)
+        assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(52, 48)]
+        assert [k for k, row in enumerate(out.cofactors) if any(row)] == [N - 3]
+
+
 def test_a_target_of_too_high_degree_builds_no_system(rref_systems):
     # No column polynomial of the bounded system passes degbound plus the
     # largest base degree, so a target term above it is refused unbuilt.
@@ -244,10 +259,11 @@ def test_a_target_of_too_high_degree_builds_no_system(rref_systems):
     powers = [MPoly.constant(ONE, 2)]
     for _ in range(3):
         powers.append(powers[-1] * ap)
-    assert _bounded_certificate(ideal, list(gens), powers, 1) == NotFoundWithinBounds(3, 1)
+    assert _bounded_cofactors(2, list(gens), powers[3], 1) is None
     assert rref_systems == []
     # (ap)^2 reaches exactly degbound + 1 and is built: (ap)^2 = (apJ)*(g1 + g2).
-    assert isinstance(_bounded_certificate(ideal, list(gens), powers[:3], 1), RabinowitschCertificate)
+    lift = _bounded_cofactors(2, list(gens), powers[2], 1)
+    assert lift[0] * gens[0] + lift[1] * gens[1] == powers[2]
     assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(24, 24)]
     rref_systems.clear()
     # The one-variable flagship at degree 0 stays within reach: one system.
@@ -468,21 +484,34 @@ def _names_in(node: ast.AST) -> Counter:
     )
 
 
+def _kernel_names_in(tree: ast.AST) -> Counter:
+    """The names a benchmark file reaches in the kernel: attributes on a
+    chain through `qc` or `quatca` (`qc.f`, `self.qc.f`, `quatca.cli.f`)
+    and names imported from quatca.  A benchmark helper of the same name
+    as a kernel definition is not a use of it."""
+    kernel = {"qc", "quatca"}
+    names = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "quatca":
+            names.update(alias.name for alias in n.names)
+        elif isinstance(n, ast.Attribute) and kernel & set(ast.unparse(n.value).split(".")):
+            names[n.attr] += 1
+    return names
+
+
 def test_every_public_definition_is_used_outside_the_tests():
     # Helpers that only their own tests use are deleted with those tests.
     # Kept on purpose: `module_to_json` and `rand_pure_quat` are test
     # fixtures, and `nullspace` is an independent oracle for the tests.
     kept = {"module_to_json", "rand_pure_quat", "nullspace"}
-    benchmark = SOURCE.parents[1] / "perfbench"
-    trees = {
-        path: ast.parse(path.read_text())
-        for path in [*SOURCE.glob("*.py"), *benchmark.glob("*.py")]
-    }
+    trees = {path: ast.parse(path.read_text()) for path in SOURCE.glob("*.py")}
     uses = sum((_names_in(tree) for tree in trees.values()), Counter())
+    for path in (SOURCE.parents[1] / "perfbench").glob("*.py"):
+        uses += _kernel_names_in(ast.parse(path.read_text()))
     unused = sorted(
         node.name
         for path, tree in trees.items()
-        if path.parent == SOURCE and path.name != "__init__.py"
+        if path.name != "__init__.py"
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")

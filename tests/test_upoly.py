@@ -28,7 +28,6 @@ from quatca.upoly import (
     RootSearchStatus,
     Sphere,
     UPoly,
-    companion,
     gcrd,
     lclm,
     left_roots,
@@ -221,22 +220,37 @@ class TestGcrdLclm:
             assert lclm(p, p) == p.monic()
 
 
+def _companion(p):
+    """The companion p*conj(p) as the root search computes it, the sum of
+    the squares of p's integer rows, high to low, over D^2."""
+    rows, den = _integer_rows(p.coeffs)
+    return ratfactor._sum_of_squares(rows), den
+
+
+def _scaled_product_with_conjugate(p, den):
+    """D^2*p*conj(p), high to low, from plain `UPoly` arithmetic."""
+    product = p * p.conj_poly()
+    assert product.is_central()
+    return [c.w * den * den for c in reversed(product.coeffs)]
+
+
 class TestCompanion:
     def test_linear(self):
-        assert companion(UPoly.linear(I)) == X2P1
+        assert _companion(UPoly.linear(I)) == ([1, 0, 1], 1)
 
     def test_real_coefficient(self):
         two = UPoly.linear(Quat(2))
-        assert companion(two) == two * two
+        assert _companion(two) == ([1, -4, 4], 1)
 
     def test_already_central(self):
-        assert companion(X2P1) == X2P1 * X2P1
+        assert _companion(X2P1) == ([1, 0, 2, 0, 1], 1)
 
     def test_always_central_randomized(self):
         rng = Random(13)
         for _ in range(100):
             p = rand_upoly(rng, 4)
-            assert companion(p).is_central()
+            squares, den = _companion(p)
+            assert squares == _scaled_product_with_conjugate(p, den)
 
 
 def _shapes(rng):
@@ -253,13 +267,14 @@ def _shapes(rng):
 
 
 class TestIntegerRowsAgainstQuatArithmetic:
-    """`companion`, `eval_left` and the class remainders work on integer
+    """The companion, `eval_left` and the class remainders work on integer
     coordinate rows or an integer Horner sum; plain `Quat` arithmetic is
     the reference."""
 
     def test_companion_is_the_product_with_the_conjugate(self):
         for p in _shapes(Random(14)):
-            assert companion(p) == p * p.conj_poly()
+            squares, den = _companion(p)
+            assert squares == _scaled_product_with_conjugate(p, den)
 
     def test_eval_left_matches_the_quat_horner(self):
         rng = Random(15)
