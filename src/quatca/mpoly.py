@@ -11,12 +11,15 @@ of coefficient products no larger than the system it replaces.  Cofactors
 come from the gcrd when they fit within the degree bound, and otherwise
 from linear algebra over rational coordinates with the graded
 lexicographic monomial order, which is fixed so that certificates are
-reproducible.  In several variables, when the basis shows some power
-(a*p)^k with k <= N in I, the least such power is lifted over the
-generators alone: (a*p)^N = (sum_j h_j*g_j)*(a*p)^(N-k).  Any such lift
-also solves the system over every g_j*(a*p)^k at the same degree bound,
-and when none fits that system still runs, so the lift changes no
-outcome.
+reproducible.  Each such system is solved from the least degree that can
+reach its target up to the degree bound, so its cofactors have the least
+largest degree it admits, and a member with low-degree cofactors never
+builds the system at the full bound.  In several variables, when the
+basis shows some power (a*p)^k with k <= N in I, the least such power is
+lifted over the generators alone: (a*p)^N = (sum_j h_j*g_j)*(a*p)^(N-k).
+Any such lift also solves the system over every g_j*(a*p)^k at the same
+degree bound, and when none fits that system still runs, so the lift
+changes no outcome.
 
 A one-variable polynomial passed to `upoly` holds one coefficient per
 degree, so the conversion refuses a degree above 1,000,000 with
@@ -374,7 +377,9 @@ def rabinowitsch_check(
     g_j*(a*p)^k, so membership is one right division by d: a non-member
     gets NotFoundWithinBounds at every degree bound, and a member whose
     gcrd cofactors fit within degbound gets them.  Otherwise the cofactors
-    come from exact linear algebra over all monomials up to degbound.
+    come from exact linear algebra over all monomials up to a degree d,
+    solved for d from the least that can reach (a*p)^N up to degbound:
+    the first consistent system answers, with least-degree cofactors.
 
     In several variables a left Groebner basis decides membership first.
     A non-member of J_N gets NotFoundWithinBounds at every degree bound
@@ -385,10 +390,13 @@ def rabinowitsch_check(
     sum_j h_j*g_j*(a*p)^(N-k) = (a*p)^N.  It cannot change an outcome: the
     same cofactors solve the system over every g_j*(a*p)^k at the same
     degree bound.  A member of J_N only, or one whose lift does not fit,
-    takes its cofactors from that system.  The basis may make at most as
-    many coefficient products as that system has quaternion entries
-    (`_groebner_budget`); past that the system alone decides, and its
-    NotFoundWithinBounds is exact only for the given degree bound.
+    takes its cofactors from that system.  Both systems are solved from
+    their least degree up, as in one variable, so each answers with the
+    least-degree cofactors it admits.  The basis may make at most as many
+    coefficient products as that system has quaternion entries at
+    degbound (`_groebner_budget`); past that the system alone decides,
+    and its NotFoundWithinBounds is exact only for the given degree
+    bound.
 
     A found certificate is verified by reconstructing the identity before
     it is returned.
@@ -538,15 +546,15 @@ def _membership(bases: list[MPoly], ngens: int, ap_powers: list[MPoly], budget: 
     ap_powers[k] in the generators' left ideal I, else N + 1 when the sum
     J_N of all bases holds (a*p)^N and 0 when it does not; None past the
     budget.  I holds every left multiple of a member, so it holds every
-    power from the least one on: a*p and (a*p)^N are reduced first, and
-    the powers between only when I holds (a*p)^N but not a*p."""
+    power from the least one on: a*p and, when N > 1, (a*p)^N are reduced
+    first, and the powers between only when I holds (a*p)^N but not a*p."""
     N = len(ap_powers) - 1
     basis = _LeftBasis(budget)
     try:
         basis.add(base.terms for base in bases[:ngens])
         if not basis.reduce(ap_powers[1].terms):
             return 1
-        if not basis.reduce(ap_powers[N].terms):
+        if N > 1 and not basis.reduce(ap_powers[N].terms):
             return next((k for k in range(2, N) if not basis.reduce(ap_powers[k].terms)), N)
         basis.add(base.terms for base in bases[ngens:])
         return 0 if basis.reduce(ap_powers[N].terms) else N + 1
@@ -589,32 +597,36 @@ def _bounded_certificate(
 def _bounded_cofactors(
     nvars: int, bases: list[MPoly], target: MPoly, degbound: int
 ) -> list[MPoly] | None:
-    """Cofactors h_i of total degree at most degbound, one per base, with
-    target = sum_i h_i*bases[i], from one rational system; None when there
-    are none.  No column reaches a degree above degbound plus the largest
-    base degree, so a target term past it builds no system."""
-    degrees = [sum(e) for base in bases for e in base.terms]
-    reach = degbound + max(degrees) if degrees else -1
-    if any(sum(e) > reach for e in target.terms):
-        return None
-    monos = monomials_upto(nvars, degbound)
+    """Cofactors h_i of least largest total degree, at most degbound, one
+    per base, with target = sum_i h_i*bases[i]; None when there are none.
 
-    # One known polynomial per (base, monomial); the unknown quaternion
-    # multiple of each is what the solver finds.
-    column_polys = [base.shift(mu) for base in bases for mu in monos]
+    The rational system is solved at degree d = d0, d0 + 1, ..., degbound
+    and the first consistent one answers.  Cofactors of degree d reach no
+    term above d plus the largest base degree, so d0 is the least d that
+    reaches the target's degree, and a target past degbound plus that
+    degree builds no system.  The system at d is a column subset of the
+    one at d + 1, so the last one tried decides whether any exists."""
+    top = max((sum(e) for base in bases for e in base.terms), default=0)
+    need = max((sum(e) for e in target.terms), default=0)
+    for d in range(max(0, need - top), degbound + 1):
+        monos = monomials_upto(nvars, d)
 
-    support: set[Exponents] = set(target.terms)
-    for poly in column_polys:
-        support.update(poly.terms)
-    ordered = sorted(support, key=grlex_key)
-    vectors = [[poly.terms.get(exps, ZERO) for exps in ordered] for poly in column_polys]
-    sol = solve_combination(
-        vectors, [target.terms.get(exps, ZERO) for exps in ordered], Centralizer.full()
-    )
-    if sol is None:
-        return None
-    size = len(monos)
-    return [MPoly(nvars, dict(zip(monos, sol[i : i + size]))) for i in range(0, len(sol), size)]
+        # One known polynomial per (base, monomial); the unknown quaternion
+        # multiple of each is what the solver finds.
+        column_polys = [base.shift(mu) for base in bases for mu in monos]
+
+        support: set[Exponents] = set(target.terms)
+        for poly in column_polys:
+            support.update(poly.terms)
+        ordered = sorted(support, key=grlex_key)
+        vectors = [[poly.terms.get(exps, ZERO) for exps in ordered] for poly in column_polys]
+        sol = solve_combination(
+            vectors, [target.terms.get(exps, ZERO) for exps in ordered], Centralizer.full()
+        )
+        if sol is not None:
+            size = len(monos)
+            return [MPoly(nvars, dict(zip(monos, sol[i : i + size]))) for i in range(0, len(sol), size)]
+    return None
 
 
 def _certificate(

@@ -10,7 +10,7 @@ import time
 import pytest
 from sympy import QQ, Poly, Rational, symbols
 
-from quatca import linalg
+from quatca import linalg, mpoly
 from quatca.errors import InvalidInput
 from quatca.mpoly import (
     CommutingPoint,
@@ -536,6 +536,33 @@ class TestGroebnerMembership:
         assert time.perf_counter() - start < 5
         assert type(out) is type(_bounded_certificate(ideal, bases, powers, degbound))
 
+    def test_a_first_power_outside_I_is_reduced_once(self, monkeypatch):
+        # At N = 1, (ap)^N is ap itself: once the basis of I leaves ap
+        # unreduced, it is not reduced again before the other bases join.
+        # p(i, 2i) = 1 + i, and a = j makes J_1 the whole ring.
+        ideal = point_ideal(CommutingPoint([I, Quat(0, 2)]))
+        p = x(0, 2) + const(ONE, 2)
+        ap = p.scale_left(J)
+        events = []
+        reduce, add = mpoly._LeftBasis.reduce, mpoly._LeftBasis.add
+
+        def spy_reduce(basis, terms):
+            terms = dict(terms)
+            events.append(terms == ap.terms)
+            return reduce(basis, terms)
+
+        def spy_add(basis, polys):
+            events.append("add")
+            return add(basis, polys)
+
+        monkeypatch.setattr(mpoly._LeftBasis, "reduce", spy_reduce)
+        monkeypatch.setattr(mpoly._LeftBasis, "add", spy_add)
+        assert isinstance(rabinowitsch_check(ideal, p, J, 1, 1), RabinowitschCertificate)
+        assert events.count("add") == 2
+        second = events.index("add", 1)
+        assert events[:second].count(True) == 1
+        assert events[second:].count(True) == 1
+
 
 def _point_instance(rng, nvars, degree):
     """A point ideal with p and a.  For a degree >= 0, p = sum_i q_i*(x_i - a_i)
@@ -616,16 +643,65 @@ class TestLiftedCertificates:
         ap = p.scale_left(a)
         assert _membership(list(gens), 2, [MPoly.constant(ONE, 2), ap], 10**9) == 1
         assert [_bounded_cofactors(2, list(gens), ap, d) is None for d in range(4)] == [True] * 3 + [False]
-        # At N = 1 the lift system is the system over the generators alone,
-        # so rref gets it once and then the system over every base.
-        shapes = []
+        # At N = 1 and degree bound 1, rref gets the lift systems over the
+        # two generators at degrees 0 and 1, then the systems over all four
+        # bases from degree 0 up, which is consistent at 1: four rational
+        # columns per (base, monomial of degree <= d).
+        columns = []
         rref = linalg.rref
-        monkeypatch.setattr(linalg, "rref", lambda rows, ncols: shapes.append(len(rows)) or rref(rows, ncols))
-        assert isinstance(rabinowitsch_check(ideal, p, a, 1, 1), RabinowitschCertificate)
-        assert len(shapes) == 2 and shapes[0] < shapes[1]
+        monkeypatch.setattr(linalg, "rref", lambda rows, ncols: columns.append(ncols) or rref(rows, ncols))
+        out = rabinowitsch_check(ideal, p, a, 1, 1)
+        assert isinstance(out, RabinowitschCertificate)
+        assert columns == [4 * 2 * 1, 4 * 2 * 3, 4 * 4 * 1, 4 * 4 * 3]
+        assert _largest_degree(h for row in out.cofactors for h in row) == 1
         for N in (1, 2, 3):
             assert isinstance(rabinowitsch_check(ideal, p, a, N, 0), NotFoundWithinBounds)
             for degbound in (1, 2):
                 out = rabinowitsch_check(ideal, p, a, N, degbound)
                 assert isinstance(out, RabinowitschCertificate) and _reconstructs(ideal, p, a, out)
                 assert any(h for h in out.cofactors[0])
+
+
+def _largest_degree(flat):
+    return max((sum(e) for h in flat for e in h.terms), default=0)
+
+
+class TestLeastDegreeCofactors:
+    """`_bounded_cofactors` solves its system from the least degree up, so
+    its cofactors have the least largest degree d*: the call at d* - 1
+    finds none, and every degree bound from d* up returns degree d*.  The
+    systems are those `rabinowitsch_check` builds: the lift of each power
+    (ap)^k over the generators, and (ap)^N over every g_j*(ap)^k."""
+
+    def test_no_cofactors_below_the_least_degree_and_the_same_degree_above(self):
+        rng = Random(47)
+        # Degree bound 2, N <= 2 and one intersection, whose system over
+        # every base at N = 2 has up to 30 bases, keep the systems small.
+        instances = [_point_instance(rng, 2, degree) for degree in (-1, 0, 1, 2)]
+        instances += [_point_instance(rng, 3, degree) for degree in (-1, 0, 1)]
+        for family in ("product", "linear-quadratic") * 2 + ("intersection",):
+            ring = QQ.old_poly_ring(*symbols(f"x1:{3 if family == 'intersection' else rng.choice((3, 4))}"))
+            instances.append(_non_point_instance(rng, family, ring)[:3])
+        analog = LeftIdeal((parse_mpoly("(x1 - i)^2", 2), parse_mpoly("x2", 2)))
+        instances.append((analog, parse_mpoly("x1 - i", 2), J))
+        top = 2
+        least = Counter()
+        for ideal, p, a in instances:
+            nvars = ideal.nvars
+            for N in (1, 2):
+                powers, bases = _powers_and_bases(ideal, p, a, N)
+                systems = [(list(ideal.gens), powers[k]) for k in range(1, N + 1)] + [(bases, powers[N])]
+                for system, target in systems:
+                    flat = _bounded_cofactors(nvars, system, target, top)
+                    if flat is None:
+                        least[None] += 1
+                        continue
+                    d = _largest_degree(flat)
+                    assert d <= top
+                    assert sum((h * base for h, base in zip(flat, system)), MPoly(nvars, {})) == target
+                    if d:
+                        assert _bounded_cofactors(nvars, system, target, d - 1) is None
+                    for degbound in range(d, top + 1):
+                        assert _largest_degree(_bounded_cofactors(nvars, system, target, degbound)) == d
+                    least[d] += 1
+        assert {None, 0, 1, 2} <= set(least)

@@ -205,27 +205,28 @@ def test_one_variable_membership_is_one_gcrd(rref_systems):
 
 def test_several_variables_hand_rref_only_the_system_that_holds_the_member(rref_systems):
     # A left Groebner basis decides membership first.  Here ap itself lies
-    # in the generators' ideal I, so rref gets one system over the
-    # generators alone, which lifts ap, at every power; the system over
-    # every g_j*(ap)^k is still what a direct call builds.
+    # in the generators' ideal I with a constant cofactor, so rref gets one
+    # system over the generators alone, at degree 0, whatever the power and
+    # the degree bound; the system over every g_j*(ap)^k, which a direct
+    # call builds, also stops at degree 0.
     gens = (
         MPoly.variable(0, 2) - MPoly.constant(I, 2),
         MPoly.variable(1, 2) - MPoly.constant(Quat(1, 1), 2),
     )
     ideal = LeftIdeal(gens)
-    out = rabinowitsch_check(ideal, gens[0], K, 2, 1)
-    assert isinstance(out, RabinowitschCertificate)
-    assert not any(h for k, row in enumerate(out.cofactors) if k != out.N - 1 for h in row)
-    assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(24, 24)]
-    rref_systems.clear()
-    assert isinstance(rabinowitsch_check(ideal, gens[0], K, 5, 1), RabinowitschCertificate)
-    assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(24, 24)]
+    for N, degbound in ((2, 1), (5, 1), (2, 3)):
+        rref_systems.clear()
+        out = rabinowitsch_check(ideal, gens[0], K, N, degbound)
+        assert isinstance(out, RabinowitschCertificate)
+        assert not any(h for k, row in enumerate(out.cofactors) if k != out.N - 1 for h in row)
+        assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(12, 8)]
     powers = [MPoly.constant(ONE, 2), gens[0].scale_left(K)]
     powers.append(powers[1] * powers[1])
     bases = [g * powers[k] for k in range(3) for g in gens]
-    rref_systems.clear()
-    _bounded_certificate(ideal, bases, powers, 1)
-    assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(48, 72)]
+    for degbound in (1, 3):
+        rref_systems.clear()
+        _bounded_certificate(ideal, bases, powers, degbound)
+        assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(28, 24)]
     # p = 1 is a non-member at every degree bound, decided without a system.
     rref_systems.clear()
     one = MPoly.constant(ONE, 2)
@@ -236,15 +237,20 @@ def test_several_variables_hand_rref_only_the_system_that_holds_the_member(rref_
 def test_the_least_power_in_the_ideal_is_lifted_whatever_the_power(rref_systems):
     # I = ((x1 - i)^2, x2) holds (ap)^3 for p = x1 - i and a = j, but not
     # (ap)^2.  One system over the generators lifts (ap)^3 at every power
-    # N >= 3; the system over every g_j*(ap)^k is (132, 288) at N = 5.
+    # N >= 3.  Its cofactors need degree 1, the least that reaches the
+    # degree of (ap)^3, so that is the one system built at every degree
+    # bound from 1 up (the system over every g_j*(ap)^k at N = 5 and
+    # degree 2 was (132, 288)).
     g = MPoly.variable(0, 2) - MPoly.constant(I, 2)
     ideal = LeftIdeal((g * g, MPoly.variable(1, 2)))
     for N in (3, 5):
-        rref_systems.clear()
-        out = rabinowitsch_check(ideal, g, J, N, 2)
-        assert isinstance(out, RabinowitschCertificate)
-        assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(52, 48)]
-        assert [k for k, row in enumerate(out.cofactors) if any(row)] == [N - 3]
+        for degbound in (1, 2, 5):
+            rref_systems.clear()
+            out = rabinowitsch_check(ideal, g, J, N, degbound)
+            assert isinstance(out, RabinowitschCertificate)
+            assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(32, 24)]
+            assert [k for k, row in enumerate(out.cofactors) if any(row)] == [N - 3]
+            assert max(sum(e) for row in out.cofactors for h in row for e in h.terms) == 1
 
 
 def test_a_target_of_too_high_degree_builds_no_system(rref_systems):
