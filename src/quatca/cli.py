@@ -285,7 +285,7 @@ def _cmd_rabinowitsch(args) -> Report:
         return Report(OK, {"N": n_found, "certificate": serde.certificate_to_json(cert)}, provenance)
     return Report(
         NOT_FOUND,
-        {"maxN": args.maxN, "degbound": args.degbound},
+        {"maxN": args.maxN, "degbound": args.degbound, "every_power": outcome.every_power},
         provenance,
     )
 

@@ -2,24 +2,33 @@
 pairwise-commuting variables; point ideals at commuting points; and the
 certificate search for one-sided ideal membership of powers.
 
-Coefficients collect on the left of monomials.  In one variable every left
-ideal is principal, so certificate membership is one extended gcrd and one
-right division, exact at every degree bound.  In several variables a left
+Coefficients collect on the left of monomials.  Certificates rest on one
+shift: membership of (a*p)^N in J_N = I + I*(a*p) + ... + I*(a*p)^N is
+upward closed in N, and the cofactors of the least member power m, moved
+up N - m rows, certify (a*p)^N, so a certificate need not grow with N.
+
+In one variable every left ideal is principal: I = H[x]*d_0 and, since
+J_(m+1) = I + J_m*(a*p), J_m = H[x]*d_m with d_(m+1) the gcrd of d_0 and
+d_m*(a*p).  That chain is stable within deg d_0 steps, membership at a
+power is one right division by d_m, exact at every degree bound, and no
+least member power exceeds max(1, deg d_0), so `find_certificate` also
+answers "no certificate at any power".  In several variables a left
 Groebner basis (Buchberger's algorithm in the solvable ring H[X]) decides
 membership, exact at every degree bound when it finishes within a budget
-of coefficient products no larger than the system it replaces.  Cofactors
-come from the gcrd when they fit within the degree bound, and otherwise
-from linear algebra over rational coordinates with the graded
-lexicographic monomial order, which is fixed so that certificates are
-reproducible.  Each such system is solved from the least degree that can
-reach its target up to the degree bound, so its cofactors have the least
-largest degree it admits, and a member with low-degree cofactors never
-builds the system at the full bound.  In several variables, when the
-basis shows some power (a*p)^k with k <= N in I, the least such power is
-lifted over the generators alone: (a*p)^N = (sum_j h_j*g_j)*(a*p)^(N-k).
-Any such lift also solves the system over every g_j*(a*p)^k at the same
-degree bound, and when none fits that system still runs, so the lift
-changes no outcome.
+of coefficient products no larger than the system it replaces; when it
+shows some power (a*p)^k with k <= N in I, the least such power is lifted
+over the generators alone, and the bases g_j*(a*p)^k with k >= 1 are
+formed only for the stages that read them: the basis of J_N when I holds
+no such power, and the full system.  Cofactors come from the chain or
+the lift when they fit within the degree bound, and otherwise from linear
+algebra over rational coordinates with the graded lexicographic monomial
+order, which is fixed so that certificates are reproducible.  Each such
+system is solved from the least degree that can reach its target up to
+the degree bound, so its cofactors have the least largest degree it
+admits, and a member with low-degree cofactors never builds the system at
+the full bound.  The shifted cofactors also solve the system over every
+g_j*(a*p)^k at the same degree bound, and when they do not fit that
+system still runs, so the shift changes no outcome.
 
 A one-variable polynomial passed to `upoly` holds one coefficient per
 degree, so the conversion refuses a degree above 1,000,000 with
@@ -31,7 +40,7 @@ bits, also with InvalidInput.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
@@ -344,10 +353,16 @@ class NotFoundWithinBounds:
     several variables when the left Groebner basis finished within its
     budget.  A member gets it only when no certificate fits within
     degbound, and so does a non-member whose basis ran past the budget; in
-    several variables the two cannot yet be told apart from outside."""
+    several variables the two cannot yet be told apart from outside.
+
+    every_power is set by `find_certificate` in one variable when no power
+    at all is a member, so no certificate exists at any power or degree
+    bound.  It takes no part in equality: the answer is still the one for
+    the bounds N and degbound."""
 
     N: int
     degbound: int
+    every_power: bool = field(default=False, compare=False)
 
 
 def monomials_upto(nvars: int, degbound: int) -> list[Exponents]:
@@ -373,30 +388,34 @@ def rabinowitsch_check(
     """Decide whether (a*p)^N lies in J_N = I + I*(a*p) + ... + I*(a*p)^N
     with cofactors of total degree at most degbound.
 
-    In one variable J_N is the left ideal H[x]*d for the gcrd d of the
-    g_j*(a*p)^k, so membership is one right division by d: a non-member
-    gets NotFoundWithinBounds at every degree bound, and a member whose
-    gcrd cofactors fit within degbound gets them.  Otherwise the cofactors
-    come from exact linear algebra over all monomials up to a degree d,
-    solved for d from the least that can reach (a*p)^N up to degbound:
-    the first consistent system answers, with least-degree cofactors.
+    Membership is upward closed: (a*p)^m in J_m puts (a*p)^(m+1) in
+    J_m*(a*p), inside J_(m+1).  So a member has a least power m <= N with
+    (a*p)^m = sum_k sum_j h[k][j]*g_j*(a*p)^k, and those cofactors moved up
+    N - m rows certify (a*p)^N, since right multiplication by (a*p)^(N-m)
+    turns each g_j*(a*p)^k into g_j*(a*p)^(k+N-m).  Such a certificate
+    does not grow with N.
 
-    In several variables a left Groebner basis decides membership first.
-    A non-member of J_N gets NotFoundWithinBounds at every degree bound
-    and no system is built.  When I holds a power (a*p)^k with k <= N, one
+    In one variable the chain of J_m decides it (`_least_member_power`):
+    a non-member gets NotFoundWithinBounds at every degree bound, and a
+    member whose chain cofactors fit within degbound gets them.  In
+    several variables a left Groebner basis decides membership first.  A
+    non-member of J_N gets NotFoundWithinBounds at every degree bound and
+    no system is built.  When I holds a power (a*p)^k with k <= N, one
     system over the generators alone lifts the least such power,
-    (a*p)^k = sum_j h_j*g_j with deg h_j <= degbound, and the certificate
-    is h in row N-k and zeros elsewhere, since
-    sum_j h_j*g_j*(a*p)^(N-k) = (a*p)^N.  It cannot change an outcome: the
-    same cofactors solve the system over every g_j*(a*p)^k at the same
-    degree bound.  A member of J_N only, or one whose lift does not fit,
-    takes its cofactors from that system.  Both systems are solved from
-    their least degree up, as in one variable, so each answers with the
-    least-degree cofactors it admits.  The basis may make at most as many
-    coefficient products as that system has quaternion entries at
-    degbound (`_groebner_budget`); past that the system alone decides,
-    and its NotFoundWithinBounds is exact only for the given degree
-    bound.
+    (a*p)^k = sum_j h_j*g_j with deg h_j <= degbound, and h goes in row
+    N - k.  The basis may make at most as many coefficient products as
+    the system over every g_j*(a*p)^k has quaternion entries at degbound
+    (`_groebner_budget`); past that the system alone decides, and its
+    NotFoundWithinBounds is exact only for the given degree bound.
+
+    Otherwise (a member of J_N only in several variables, or cofactors
+    that do not fit) the cofactors come from exact linear algebra over
+    every g_j*(a*p)^k and all monomials up to a degree d, solved for d
+    from the least that can reach (a*p)^N up to degbound: the first
+    consistent system answers, with least-degree cofactors.  The shifted
+    cofactors above solve that system at the same degree bound, so they
+    change no found/not-found outcome, and the bases g_j*(a*p)^k with
+    k >= 1 are formed only when a stage reads them.
 
     A found certificate is verified by reconstructing the identity before
     it is returned.
@@ -409,40 +428,103 @@ def rabinowitsch_check(
     if p.nvars != nvars:
         raise InvalidInput("polynomial and ideal live in different rings")
     ap = p.scale_left(a)
-    ap_powers = [MPoly.constant(ONE, nvars)]
-    for _ in range(N):
-        ap_powers.append(ap_powers[-1] * ap)
-    bases = [g * ap_powers[k] for k in range(N + 1) for g in ideal.gens]
+    zeros = [MPoly(nvars, {})] * len(ideal.gens)
     if nvars == 1:
-        # d = sum u_i * bases[i] generates the sum, so target = t*d is a
-        # member exactly when d right-divides it, with cofactors t*u_i.
-        d, u = _gcrd_combination([_to_upoly(base) for base in bases])
-        target = _to_upoly(ap_powers[N])
-        t, r = target.divmod_right(d) if d else (UPoly(), target)
-        if r:
+        least = _least_member_power(ideal.gens, ap, N)
+        if least is None:
             return NotFoundWithinBounds(N, degbound)
-        flat = [t * v for v in u]
-        if max(h.degree for h in flat) <= degbound:
-            return _certificate(ideal, ap_powers, [_from_upoly(h) for h in flat])
-        return _bounded_certificate(ideal, bases, ap_powers, degbound)
-    ngens = len(ideal.gens)
-    k = _membership(bases, ngens, ap_powers, _groebner_budget(bases, nvars, degbound))
+        m, rows = least
+        ap_powers = _powers(ap, N)
+        if max(h.degree for row in rows for h in row) <= degbound:
+            flat = zeros * (N - m) + [_from_upoly(h) for row in rows for h in row]
+            return _certificate(ideal, ap_powers, flat)
+        return _bounded_certificate(ideal, _bases(ideal.gens, ap_powers), ap_powers, degbound)
+    ap_powers = _powers(ap, N)
+    k = _membership(ideal.gens, ap_powers, _groebner_budget(ideal.gens, ap, N, degbound))
     if k == 0:
         return NotFoundWithinBounds(N, degbound)
     if k is not None and k <= N:
         lift = _bounded_cofactors(nvars, ideal.gens, ap_powers[k], degbound)
         if lift is not None:
-            zeros = [MPoly(nvars, {})] * ngens
             return _certificate(ideal, ap_powers, zeros * (N - k) + lift + zeros * k)
-    return _bounded_certificate(ideal, bases, ap_powers, degbound)
+    return _bounded_certificate(ideal, _bases(ideal.gens, ap_powers), ap_powers, degbound)
 
 
-def _groebner_budget(bases: list[MPoly], nvars: int, degbound: int) -> int:
+def _powers(ap: MPoly, N: int) -> list[MPoly]:
+    """(a*p)^k for k = 0..N."""
+    powers = [MPoly.constant(ONE, ap.nvars)]
+    for _ in range(N):
+        powers.append(powers[-1] * ap)
+    return powers
+
+
+def _bases(gens: tuple[MPoly, ...], ap_powers: list[MPoly]) -> list[MPoly]:
+    """Every base g_j*(a*p)^k of J_N, in (k, generator) order."""
+    return [g * power for power in ap_powers for g in gens]
+
+
+def _least_member_power(
+    gens: tuple[MPoly, ...], ap: MPoly, top: int | None = None
+) -> tuple[int, list[list[UPoly]]] | None:
+    """In one variable: the least m, at most top when given, with (a*p)^m
+    in J_m, and rows U[k][j], k = 0..m, with
+    (a*p)^m = sum_k sum_j U[k][j]*g_j*(a*p)^k; None when there is none.
+
+    I = H[x]*d_0 with d_0 = sum_j v_j*g_j the monic gcrd, so a*p is tried
+    against d_0 first: when I holds it, m = 1 and only row 0 is nonzero.
+    Then the chain: J_(k+1) = I + J_k*(a*p), so J_k = H[x]*d_k with
+    d_(k+1) = s*d_0 + t*d_k*(a*p) the monic gcrd of d_0 and d_k*(a*p).
+    The cofactors of d_(k+1) are s*v in row 0 and, in row i+1, t times
+    row i of d_k's.  Each strict step lowers the degree of d_k, so the
+    chain is stable from some N0 <= deg d_0 on, and (a*p)^m is in J_m
+    exactly when d_m right-divides it, with the quotient times d_m's
+    cofactors as the rows.
+
+    No member power exceeds N* = max(1, deg d_0), so the search stops
+    there.  On H[x]/J_inf, a left H-space of dimension deg d_inf, right
+    multiplication by a*p is left H-linear; when it sends 1 to zero after
+    some number of steps, it does so within deg d_inf steps, and
+    max(N0, deg d_inf) <= deg d_0."""
+    zeros = [UPoly()] * len(gens)
+    d0, v = _gcrd_combination([_to_upoly(g) for g in gens])
+    step = power = _to_upoly(ap)
+    if not d0:  # I = 0 holds only the powers of a*p = 0
+        return None if power else (1, [zeros, zeros])
+    q, r = power.divmod_right(d0)
+    if not r:
+        return 1, [[q * u for u in v], zeros]
+    last = d0.degree if top is None else min(top, d0.degree)
+    d, rows, stable = d0, [v], False
+    for m in range(1, last + 1):
+        if not stable:
+            d_next, (s, t) = _gcrd_combination([d0, d * step])
+            stable = d_next == d
+        if stable:
+            rows = rows + [zeros]
+        else:
+            d, rows = d_next, [[s * u for u in v]] + [[t * h for h in row] for row in rows]
+        q, r = power.divmod_right(d)
+        if not r:
+            return m, [[q * h for h in row] for row in rows]
+        power = power * step
+    return None
+
+
+def _groebner_budget(gens: tuple[MPoly, ...], ap: MPoly, N: int, degbound: int) -> int:
     """An upper bound on the quaternion entries of the system over all
-    bases: one column per (base, monomial up to degbound) and at most one
-    row per monomial up to degbound plus the largest base degree."""
-    top = max((sum(e) for base in bases for e in base.terms), default=0)
-    return len(bases) * comb(nvars + degbound, nvars) * comb(nvars + degbound + top, nvars)
+    bases g_j*(a*p)^k, k = 0..N: one column per (base, monomial up to
+    degbound) and at most one row per monomial up to degbound plus the
+    largest base degree.  H[X] is a domain, so a nonzero base has degree
+    deg g_j + k*deg(a*p), and no base is built to find the largest."""
+    nvars = ap.nvars
+    degrees = [_degree(g) for g in gens if g]
+    top = max(degrees, default=0) + (N * _degree(ap) if degrees and ap else 0)
+    return (N + 1) * len(gens) * comb(nvars + degbound, nvars) * comb(nvars + degbound + top, nvars)
+
+
+def _degree(p: MPoly) -> int:
+    """Total degree of a nonzero polynomial."""
+    return max(sum(e) for e in p.terms)
 
 
 class _OverBudget(Exception):
@@ -541,22 +623,24 @@ def _subtract(
             del f[key]
 
 
-def _membership(bases: list[MPoly], ngens: int, ap_powers: list[MPoly], budget: int) -> int | None:
+def _membership(gens: tuple[MPoly, ...], ap_powers: list[MPoly], budget: int) -> int | None:
     """From one left Groebner basis: the least k <= N with (a*p)^k =
     ap_powers[k] in the generators' left ideal I, else N + 1 when the sum
-    J_N of all bases holds (a*p)^N and 0 when it does not; None past the
-    budget.  I holds every left multiple of a member, so it holds every
-    power from the least one on: a*p and, when N > 1, (a*p)^N are reduced
-    first, and the powers between only when I holds (a*p)^N but not a*p."""
+    J_N of all bases g_j*(a*p)^k holds (a*p)^N and 0 when it does not;
+    None past the budget.  I holds every left multiple of a member, so it
+    holds every power from the least one on: a*p and, when N > 1, (a*p)^N
+    are reduced first, and the powers between only when I holds (a*p)^N
+    but not a*p.  The bases with k >= 1 are formed only when I holds no
+    power up to N."""
     N = len(ap_powers) - 1
     basis = _LeftBasis(budget)
     try:
-        basis.add(base.terms for base in bases[:ngens])
+        basis.add(g.terms for g in gens)
         if not basis.reduce(ap_powers[1].terms):
             return 1
         if N > 1 and not basis.reduce(ap_powers[N].terms):
             return next((k for k in range(2, N) if not basis.reduce(ap_powers[k].terms)), N)
-        basis.add(base.terms for base in bases[ngens:])
+        basis.add(base.terms for base in _bases(gens, ap_powers[1:]))
         return 0 if basis.reduce(ap_powers[N].terms) else N + 1
     except _OverBudget:
         return None
@@ -654,12 +738,29 @@ def find_certificate(
     ideal: LeftIdeal, p: MPoly, a: Quat, max_power: int, degbound: int
 ) -> tuple[int, RabinowitschCertificate] | NotFoundWithinBounds:
     """Smallest power N <= max_power admitting a certificate, with the
-    certificate; the search is a bounded semidecision."""
+    certificate.
+
+    In one variable membership is decided at every power first: no power
+    above N* = max(1, deg d_0), d_0 the monic gcrd of the generators, is
+    the least member power (`_least_member_power`).  When none up to N*
+    is a member, the answer is NotFoundWithinBounds with every_power set:
+    no certificate exists at any power or degree bound.  Otherwise the
+    search starts at the least member power m, since every power below it
+    is a non-member at every degree bound.  In several variables the
+    search starts at 1 and is a bounded semidecision."""
     if max_power < 1:
         raise InvalidInput("the largest power must be at least one")
     if degbound < 0:
         raise InvalidInput("negative degree bound")
-    for N in range(1, max_power + 1):
+    first = 1
+    if ideal.nvars == 1:
+        if p.nvars != 1:
+            raise InvalidInput("polynomial and ideal live in different rings")
+        least = _least_member_power(ideal.gens, p.scale_left(a))
+        if least is None:
+            return NotFoundWithinBounds(max_power, degbound, every_power=True)
+        first = least[0]
+    for N in range(first, max_power + 1):
         outcome = rabinowitsch_check(ideal, p, a, N, degbound)
         if isinstance(outcome, RabinowitschCertificate):
             return N, outcome

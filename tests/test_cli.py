@@ -129,6 +129,24 @@ class TestReports:
         # returned cofactors reconstruct exactly (checked kernel-side)
         assert report["payload"]["N"] == 1
 
+    def test_rabinowitsch_search_without_a_certificate_at_any_power(self, capsys):
+        # p = 1 does not vanish at i.  In one variable no least member power
+        # exceeds max(1, deg d_0) = 1, so the search answers at once for
+        # every power instead of trying a thousand.
+        start = time.perf_counter()
+        code, report, _ = run_json(
+            capsys, "rabinowitsch", "--ideal", "x - i", "--p", "1", "--a", "1", "--maxN", "1000", "--degbound", "1",
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 0 and report["status"] == "not-found"
+        assert report["payload"] == {"maxN": 1000, "degbound": 1, "every_power": True}
+        # With a = 1 the flagship's least member power is 2, above --maxN 1.
+        code, report, _ = run_json(
+            capsys, "rabinowitsch", "--ideal", "(x-i)^2", "--p", "x-i", "--a", "1", "--maxN", "1", "--degbound", "2",
+        )
+        assert code == 0 and report["status"] == "not-found"
+        assert report["payload"] == {"maxN": 1, "degbound": 2, "every_power": False}
+
     def test_rabinowitsch_single_power_not_found(self, capsys):
         code, report, _ = run_json(
             capsys,

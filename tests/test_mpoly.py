@@ -3,7 +3,7 @@ membership certificates."""
 
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from random import Random
 import time
 
@@ -21,7 +21,9 @@ from quatca.mpoly import (
     _bounded_certificate,
     _bounded_cofactors,
     _groebner_budget,
+    _least_member_power,
     _membership,
+    _to_upoly,
     eval_at_point,
     find_certificate,
     monomials_upto,
@@ -39,7 +41,7 @@ from quatca.randgen import (
 )
 from quatca.parsing import parse_mpoly, parse_quat
 from quatca.scalars import I, J, K, ONE, Quat, ZERO
-from quatca.upoly import UPoly
+from quatca.upoly import UPoly, _gcrd_combination
 
 
 def x(i, n):
@@ -352,9 +354,41 @@ def _one_variable_instance(rng):
     return LeftIdeal(tuple(_mp(g) for g in gens)), _mp(p), a
 
 
+def _repeated_root_instance(rng):
+    """Generators with the repeated right factor (x - b)^e, e = 2 or 3, and
+    p = c*(x - b) or a random multiple of x - b.  With a and c in Q(b)
+    every base lies in I and the least member power is e; with other a,
+    J_N can hold (ap)^N while I does not, as for the flagship."""
+    u = rand_pure_quat(rng, 2)
+
+    def field():
+        while True:
+            q = Quat(rng.randint(-2, 2)) + u * rng.randint(-2, 2)
+            if q:
+                return q
+
+    root = UPoly.linear(field())
+    power = root
+    for _ in range(rng.randint(1, 2)):
+        power = power * root
+    gens = [power] if rng.random() < 0.6 else [power, rand_upoly(rng, 1, 2) * power]
+    p = root.scale_left(field()) if rng.random() < 0.6 else rand_upoly(rng, 1, 2) * root
+    a = field() if rng.random() < 0.5 else rand_nonzero_quat(rng, 2)
+    return LeftIdeal(tuple(_mp(g) for g in gens)), _mp(p), a
+
+
+def _member_by_one_gcrd(ideal, p, a, N):
+    """Whether (ap)^N lies in J_N, by one gcrd of every base g_j*(ap)^k."""
+    powers, bases = _powers_and_bases(ideal, p, a, N)
+    d = _gcrd_combination([_to_upoly(base) for base in bases])[0]
+    target = _to_upoly(powers[N])
+    return not (target.divmod_right(d)[1] if d else target)
+
+
 class TestOneVariableMembership:
-    """One variable decides membership by one gcrd; the bounded rational
-    system is the oracle."""
+    """One variable decides membership by the chain of J_m = H[x]*d_m, one
+    gcrd per step, and takes its certificate from the least member power;
+    the bounded rational system is the oracle."""
 
     def test_agrees_with_the_bounded_system(self):
         rng = Random(13)
@@ -415,6 +449,106 @@ class TestOneVariableMembership:
                 assert type(out) is type(_bounded(ideal, p, a, N, degbound))
                 if member:
                     assert _reconstructs(ideal, p, a, out)
+
+    def test_the_chain_agrees_with_the_bounded_system(self, monkeypatch):
+        # Members of J_N only come from the repeated roots.  A certificate
+        # from the chain fills rows N - m .. N only, for the least member
+        # power m, and hands rref nothing; cofactors above degbound leave
+        # the answer to the system.
+        rng = Random(17)
+        systems = []
+        rref = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda rows, ncols: systems.append(ncols) or rref(rows, ncols))
+        seen = Counter()
+        for trial in range(60):
+            ideal, p, a = (_repeated_root_instance if trial % 2 else _one_variable_instance)(rng)
+            N, degbound = rng.randint(1, 5), rng.randint(0, 3)
+            least = _least_member_power(ideal.gens, p.scale_left(a), N)
+            systems.clear()
+            out = rabinowitsch_check(ideal, p, a, N, degbound)
+            from_chain = not systems
+            assert type(out) is type(_bounded(ideal, p, a, N, degbound))
+            assert (least is not None) == _member_by_one_gcrd(ideal, p, a, N)
+            if least is None:
+                assert out == NotFoundWithinBounds(N, degbound) and from_chain
+                seen["non-member"] += 1
+                continue
+            m, rows = least
+            assert 1 <= m <= N and len(rows) == m + 1
+            assert m == 1 or not _member_by_one_gcrd(ideal, p, a, m - 1)
+            fits = max(h.degree for row in rows for h in row) <= degbound
+            assert from_chain == fits
+            if fits:
+                assert out.N == N and _reconstructs(ideal, p, a, out)
+                assert not any(h for row in out.cofactors[: N - m] for h in row)
+                seen[f"chain, least power {min(m, 2)}{'+' if m > 1 else ''}"] += 1
+            else:
+                seen["system " + type(out).__name__] += 1
+        assert set(seen) == {
+            "non-member", "chain, least power 1", "chain, least power 2+",
+            "system RabinowitschCertificate", "system NotFoundWithinBounds",
+        }
+
+    def test_the_flagship_certificate_does_not_grow_with_the_power(self):
+        # I = ((x - i)^2), p = x - i, a = j: I + I*ap holds ap, so the
+        # cofactors of the first power, moved up N - 1 rows, certify every N.
+        g = x(0, 1) - const(I, 1)
+        ideal = LeftIdeal((g * g,))
+        degrees = set()
+        for N in range(1, 7):
+            out = rabinowitsch_check(ideal, g, J, N, 3)
+            assert [k for k, row in enumerate(out.cofactors) if any(row)] == [N - 1, N]
+            degrees.add(_largest_degree(h for row in out.cofactors for h in row))
+        assert degrees == {1}
+
+
+class TestEveryPower:
+    """`find_certificate` in one variable decides membership at every power
+    first: no least member power exceeds max(1, deg d_0).  The oracles are
+    one gcrd over every base at each power and the loop of
+    `rabinowitsch_check` over the powers, up to deg d_0 + 3."""
+
+    def test_agrees_with_the_loop_over_every_power(self):
+        rng = Random(19)
+        seen = Counter()
+        for trial in range(40):
+            ideal, p, a = (_repeated_root_instance if trial % 2 else _one_variable_instance)(rng)
+            degbound = rng.randint(0, 2)
+            d0 = _gcrd_combination([_to_upoly(g) for g in ideal.gens])[0]
+            top = max(d0.degree, 0) + 3
+            members = [N for N in range(1, top + 1) if _member_by_one_gcrd(ideal, p, a, N)]
+            loop = next(
+                (N for N in range(1, top + 1)
+                 if isinstance(rabinowitsch_check(ideal, p, a, N, degbound), RabinowitschCertificate)),
+                None,
+            )
+            out = find_certificate(ideal, p, a, top, degbound)
+            if loop is None:
+                assert out == NotFoundWithinBounds(top, degbound)
+                assert out.every_power == (not members)
+                seen["none at any power" if not members else "none within the degree bound"] += 1
+            else:
+                assert out[0] == loop and _reconstructs(ideal, p, a, out[1])
+                seen["found"] += 1
+            if members:
+                assert members[0] <= max(1, d0.degree)
+                assert members == list(range(members[0], top + 1))
+        assert set(seen) == {"none at any power", "none within the degree bound", "found"}
+
+    def test_a_non_member_at_every_power_is_answered_at_once(self):
+        # p = 1 does not vanish at i; the search used to try every power.
+        ideal = LeftIdeal((x(0, 1) - const(I, 1),))
+        start = time.perf_counter()
+        out = find_certificate(ideal, const(ONE, 1), ONE, 1000, 1)
+        assert time.perf_counter() - start < 5
+        assert out == NotFoundWithinBounds(1000, 1) and out.every_power
+        # The flag takes no part in equality, and a search that stops below
+        # the least member power does not set it.
+        assert NotFoundWithinBounds(1000, 1, every_power=True) == NotFoundWithinBounds(1000, 1)
+        g = x(0, 1) - const(I, 1)
+        out = find_certificate(LeftIdeal((g * g * g,)), g, ONE, 2, 5)
+        assert out == NotFoundWithinBounds(2, 5) and not out.every_power
+        assert find_certificate(LeftIdeal((g * g * g,)), g, ONE, 3, 5)[0] == 3
 
 
 def _coefficients(rng):
@@ -499,7 +633,7 @@ class TestGroebnerMembership:
             ring = QQ.old_poly_ring(*symbols(f"x1:{nvars + 1}"))
             ideal, p, a, N = _non_point_instance(rng, family, ring)
             powers, bases = _powers_and_bases(ideal, p, a, N)
-            k = _membership(bases, len(ideal.gens), powers, 10**9)
+            k = _membership(ideal.gens, powers, 10**9)
             module = _module(ideal.gens, ring)
             in_ideal = [module.contains(_vector(power, ring)) for power in powers[1:]]
             if any(in_ideal):
@@ -531,10 +665,30 @@ class TestGroebnerMembership:
         p, a = _random_mpoly(rng, coeff, 3, 1, 2), rand_nonzero_quat(rng, 2)
         powers, bases = _powers_and_bases(ideal, p, a, 1)
         start = time.perf_counter()
-        assert _membership(bases, 2, powers, _groebner_budget(bases, 3, degbound)) is None
+        assert _membership(ideal.gens, powers, _groebner_budget(ideal.gens, p.scale_left(a), 1, degbound)) is None
         out = rabinowitsch_check(ideal, p, a, 1, degbound)
         assert time.perf_counter() - start < 5
         assert type(out) is type(_bounded_certificate(ideal, bases, powers, degbound))
+
+    def test_the_budget_from_degrees_equals_the_one_from_the_bases(self):
+        # H[X] is a domain, so deg g*(ap)^k = deg g + k*deg ap and the
+        # budget needs no base built; a*p = 0 and a zero generator add no
+        # degree.
+        rng = Random(53)
+        instances = [_point_instance(rng, nvars, degree) for nvars in (2, 3) for degree in (-1, 0, 1)]
+        for family in ("product", "linear-quadratic", "intersection"):
+            ring = QQ.old_poly_ring(*symbols(f"x1:{3 if family == 'intersection' else rng.choice((3, 4))}"))
+            instances.append(_non_point_instance(rng, family, ring)[:3])
+        for ideal, p, a in instances:
+            nvars, zero = ideal.nvars, MPoly(ideal.nvars, {})
+            variants = [(ideal, a), (ideal, ZERO), (LeftIdeal(ideal.gens + (zero,)), a), (LeftIdeal((zero,)), a)]
+            for ideal, a in variants:
+                for N in (1, 2, 3):
+                    _, bases = _powers_and_bases(ideal, p, a, N)
+                    top = max((sum(e) for base in bases for e in base.terms), default=0)
+                    for degbound in range(4):
+                        built = len(bases) * comb(nvars + degbound, nvars) * comb(nvars + degbound + top, nvars)
+                        assert _groebner_budget(ideal.gens, p.scale_left(a), N, degbound) == built
 
     def test_a_first_power_outside_I_is_reduced_once(self, monkeypatch):
         # At N = 1, (ap)^N is ap itself: once the basis of I leaves ap
@@ -607,10 +761,9 @@ class TestLiftedCertificates:
         instances.append(((analog, parse_mpoly("x1 - i", 2), J), 5))
         seen = Counter()
         for (ideal, p, a), top in instances:
-            ngens = len(ideal.gens)
             for N in range(1, top + 1):
                 powers, bases = _powers_and_bases(ideal, p, a, N)
-                k = _membership(bases, ngens, powers, 10**9)
+                k = _membership(ideal.gens, powers, 10**9)
                 for degbound in range(3):
                     out = rabinowitsch_check(ideal, p, a, N, degbound)
                     assert type(out) is type(_bounded_certificate(ideal, bases, powers, degbound))
@@ -641,7 +794,7 @@ class TestLiftedCertificates:
         p = parse_mpoly("(-1/2 - 1/2i - 1/2j - k)x1 + (2 + i + 2j + k)x2", 2)
         a = parse_quat("1/2 - i - 1/2j + k")
         ap = p.scale_left(a)
-        assert _membership(list(gens), 2, [MPoly.constant(ONE, 2), ap], 10**9) == 1
+        assert _membership(gens, [MPoly.constant(ONE, 2), ap], 10**9) == 1
         assert [_bounded_cofactors(2, list(gens), ap, d) is None for d in range(4)] == [True] * 3 + [False]
         # At N = 1 and degree bound 1, rref gets the lift systems over the
         # two generators at degrees 0 and 1, then the systems over all four

@@ -186,8 +186,10 @@ def test_solve_and_nullspace_each_hand_one_system_to_rref(rref_systems):
 
 
 def test_one_variable_membership_is_one_gcrd(rref_systems):
-    # Left ideals of H[x] are principal, so a point-ideal check in one
-    # variable is decided by one gcrd and one right division.
+    # Left ideals of H[x] are principal, so a check in one variable is
+    # decided by the chain of J_m = H[x]*d_m, one gcrd per step and one
+    # right division per power, and a point ideal's chain takes at most
+    # one step.
     ideal = point_ideal(CommutingPoint([Quat(1, 2)]))
     found = MPoly.constant(Quat(1, 0, 1), 1) * ideal.gens[0]
     assert isinstance(rabinowitsch_check(ideal, found, Quat(1, 1, 0, 2), 2, 2), RabinowitschCertificate)
@@ -198,7 +200,7 @@ def test_one_variable_membership_is_one_gcrd(rref_systems):
     flagship = LeftIdeal((g * g,))
     assert find_certificate(flagship, g, J, 5, 2)[0] == 1
     assert rref_systems == []
-    # At degree 0 the gcrd cofactors do not fit, so the bounded system runs.
+    # At degree 0 the chain's cofactors do not fit, so the bounded system runs.
     assert rabinowitsch_check(flagship, g, J, 1, 0) == NotFoundWithinBounds(1, 0)
     assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(16, 8)]
 
@@ -251,6 +253,25 @@ def test_the_least_power_in_the_ideal_is_lifted_whatever_the_power(rref_systems)
             assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(32, 24)]
             assert [k for k, row in enumerate(out.cofactors) if any(row)] == [N - 3]
             assert max(sum(e) for row in out.cofactors for h in row for e in h.terms) == 1
+
+
+def test_a_member_held_by_the_generators_builds_no_base_past_them(mpoly_products):
+    # The bases g_j*(ap)^k with k >= 1 are formed only when a stage reads
+    # them.  ap = k*(g1 + j*g2) lies in I, so the lift of ap answers and no
+    # generator is multiplied by anything, at any power; the same holds
+    # for every found instance of the `certificates` benchmark.
+    ideal = point_ideal(CommutingPoint([I, Quat(0, 2)]))
+    gens = ideal.gens
+    held = gens[0] + MPoly.constant(J, 2) * gens[1]
+    for N in (1, 3):
+        mpoly_products.clear()
+        assert isinstance(rabinowitsch_check(ideal, held, K, N, 1), RabinowitschCertificate)
+        assert [right for left, right in mpoly_products if any(left is g for g in gens)] == []
+    # p(i, 2i) = 1 + i, so I does not hold ap, yet a = j makes J_1 the
+    # whole ring: the Groebner pass then needs g_j*ap.
+    p = MPoly.variable(0, 2) + MPoly.constant(ONE, 2)
+    assert isinstance(rabinowitsch_check(ideal, p, J, 1, 1), RabinowitschCertificate)
+    assert p.scale_left(J) in [right for left, right in mpoly_products if any(left is g for g in gens)]
 
 
 def test_a_target_of_too_high_degree_builds_no_system(rref_systems):
