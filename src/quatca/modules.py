@@ -7,6 +7,11 @@ The actions are checked to commute pairwise at construction, as the
 components of a commuting point are, so every presentation is valid.
 A common eigenvector with pairwise commuting eigenvalues realizes a
 one-dimensional submodule, i.e. a point ideal annihilator.
+
+Every action of a matrix on a vector, the commutation check, the Krylov
+iterates of `annihilator_minpoly` and `poly_action` included, is one
+`scalars._dot` per entry: a sum of quaternion products accumulated on
+integer numerators and reduced once.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Sequence
 
 from .errors import InternalError, InvalidInput
 from .mpoly import CommutingPoint
-from .scalars import Centralizer, ONE, Quat, ZERO, centralizer_of_set, first_dependence
+from .scalars import Centralizer, ONE, Quat, ZERO, _dot, centralizer_of_set, first_dependence
 from .upoly import RootSearchStatus, UPoly, roots_in_centralizer
 
 Matrix = tuple[tuple[Quat, ...], ...]
@@ -37,18 +42,11 @@ def mat_identity(n: int) -> Matrix:
 
 
 def vec_mat(v: Vector, a: Matrix) -> Vector:
-    m = len(a)
-    return tuple(
-        sum((v[r] * a[r][c] for r in range(m)), ZERO) for c in range(m)
-    )
+    return tuple(_dot(v, col) for col in zip(*a))
 
 
 def vec_scale(q: Quat, v: Vector) -> Vector:
     return tuple(q * c for c in v)
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_is_zero(v: Vector) -> bool:
@@ -91,15 +89,11 @@ class ModulePresentation:
         return vec_mat(v, self.mats[i])
 
     def poly_action(self, i: int, p: UPoly, v: Vector) -> Vector:
-        """Apply sum_k c_k * (v * A_i^k); coefficients act on the left."""
-        out = (ZERO,) * self.m
-        current = v
-        for k, c in enumerate(p.coeffs):
-            if k:
-                current = self.act(i, current)
-            if c:
-                out = vec_add(out, vec_scale(c, current))
-        return out
+        """Apply sum_k c_k * (v * A_i^k); coefficients act on the left.
+        Entry t is one dot product of the coefficients with entry t of the
+        iterates v * A_i^k."""
+        iterates = accumulate(repeat(self.mats[i], len(p.coeffs) - 1), vec_mat, initial=v)
+        return tuple(_dot(p.coeffs, entries) for entries in zip(*iterates))
 
     def __eq__(self, other):
         if not isinstance(other, ModulePresentation):

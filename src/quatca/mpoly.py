@@ -181,6 +181,15 @@ class MPoly:
         return f"MPoly({self.nvars}, {dict(self.sorted_terms())!r})"
 
 
+def _mpoly(nvars: int, terms: dict[Exponents, Quat]) -> MPoly:
+    """The MPoly of terms already keyed by tuples of nvars nonnegative ints,
+    unchecked; zero coefficients are dropped."""
+    p = object.__new__(MPoly)
+    object.__setattr__(p, "nvars", nvars)
+    object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+    return p
+
+
 def format_mpoly(p: MPoly) -> str:
     return _signed_sum(
         _term_text(c, "".join(f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in enumerate(exps, 1) if e))
@@ -746,22 +755,45 @@ def find_certificate(
     is a member, the answer is NotFoundWithinBounds with every_power set:
     no certificate exists at any power or degree bound.  Otherwise the
     search starts at the least member power m, since every power below it
-    is a non-member at every degree bound.  In several variables the
-    search starts at 1 and is a bounded semidecision."""
+    is a non-member at every degree bound.  When m has no certificate
+    within degbound, neither has any power up to max_power unless
+    max_power has one, and then the least is found by bisection over
+    (m, max_power]: at a fixed degree bound certificates are upward closed
+    in N too, since one at N moved up one row certifies N + 1.  Each power
+    is decided by the same `rabinowitsch_check` call as in a loop, so the
+    answer is the loop's.  In several variables the search starts at 1 and
+    is a bounded semidecision."""
     if max_power < 1:
         raise InvalidInput("the largest power must be at least one")
     if degbound < 0:
         raise InvalidInput("negative degree bound")
-    first = 1
+
+    def certified(N: int) -> RabinowitschCertificate | None:
+        outcome = rabinowitsch_check(ideal, p, a, N, degbound)
+        return outcome if isinstance(outcome, RabinowitschCertificate) else None
+
     if ideal.nvars == 1:
         if p.nvars != 1:
             raise InvalidInput("polynomial and ideal live in different rings")
         least = _least_member_power(ideal.gens, p.scale_left(a))
         if least is None:
             return NotFoundWithinBounds(max_power, degbound, every_power=True)
-        first = least[0]
-    for N in range(first, max_power + 1):
-        outcome = rabinowitsch_check(ideal, p, a, N, degbound)
-        if isinstance(outcome, RabinowitschCertificate):
-            return N, outcome
+        low = least[0]
+        if low > max_power:
+            return NotFoundWithinBounds(max_power, degbound)
+        if cert := certified(low):
+            return low, cert
+        if low == max_power or (cert := certified(max_power)) is None:
+            return NotFoundWithinBounds(max_power, degbound)
+        high = max_power  # low has no certificate, high has cert
+        while high - low > 1:
+            mid = (low + high) // 2
+            if found := certified(mid):
+                high, cert = mid, found
+            else:
+                low = mid
+        return high, cert
+    for N in range(1, max_power + 1):
+        if cert := certified(N):
+            return N, cert
     return NotFoundWithinBounds(max_power, degbound)

@@ -38,13 +38,12 @@ value.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import add
 
 from .errors import ParseError
-from .mpoly import MPoly, _to_upoly
-from .scalars import I, J, K, Quat, ZERO, _growth
+from .mpoly import MPoly, _mpoly, _to_upoly
+from .scalars import I, J, K, Quat, ZERO, _growth, _reduced
 from .upoly import UPoly
 
 _UNITS = {"i": I, "j": J, "k": K}
@@ -81,21 +80,24 @@ _TOKEN = re.compile(r"\s*(([0-9]+)(?:\s*/\s*([0-9]*))?|[ijk]|x([0-9]*)|[-+*^()]|
 
 def _tokenize(text: str) -> list[tuple]:
     """Tokens `(kind, text, pos, value)`, kind one of "rat", "unit", "var",
-    "op" and a closing "end"; a rational's value is an `int` for a whole
-    number and a `Fraction` otherwise, and a variable's its 0-based index."""
+    "op" and a closing "end"; a rational's value is its numerator and
+    positive denominator in lowest terms, and a variable's its 0-based
+    index."""
     tokens = []
     for m in _TOKEN.finditer(text):
         tok, num, den, index = m.groups()
         pos = m.start(1)
         if num is not None:
             if den is None:
-                value = int(num)
+                value = int(num), 1
             elif not den:
                 raise ParseError("expected denominator digits after '/'", m.start(3))
             elif not int(den):
                 raise ParseError("zero denominator", m.start(3))
             else:
-                value = Fraction(int(num), int(den))
+                n, d = int(num), int(den)
+                g = gcd(n, d)
+                value = n // g, d // g
             tokens.append(("rat", tok, pos, value))
         elif index is not None:
             if index and not int(index):
@@ -138,7 +140,7 @@ class _Parser:
             self.parse_term(terms, -1 if sign == "-" else 1)
             sign = self.peek()[1]
             if sign not in ("+", "-"):
-                return MPoly(self.nvars, terms)
+                return _mpoly(self.nvars, terms)
             self.take()
 
     def parse_term(self, terms: dict, r: int) -> None:
@@ -147,13 +149,18 @@ class _Parser:
         Rationals and variables are central, so the product is
         r * x^alpha * poly * q: `poly` is the product in order of everything
         up to the last non-constant parenthesized factor (None when there is
-        none) and `q` that of the units and constant parentheses after it."""
+        none) and `q` that of the units and constant parentheses after it.
+        r is kept as an integer numerator over a denominator, not reduced
+        until the coefficient is built."""
         alpha = [0] * self.nvars
+        rd = 1
         q = poly = None
         while True:
             kind, text, pos, value = self.take()
             if kind == "rat":
-                r *= value ** self.exponent(value)
+                n = self.exponent(value)
+                r *= value[0] ** n
+                rd *= value[1] ** n
             elif kind == "unit":
                 n = self.exponent()
                 u = _UNITS[text] if n == 1 else _UNITS[text] ** n
@@ -202,9 +209,12 @@ class _Parser:
             elif kind in ("op", "end") and text != "(":
                 break
         if q is None:
-            c = Quat.scalar(r)
+            c = _reduced(r, 0, 0, 0, rd)
+        elif r == rd:
+            c = q
         else:
-            c = q if r == 1 else q * r
+            (n0, n1, n2, n3), m = q._n, q._d
+            c = _reduced(n0 * r, n1 * r, n2 * r, n3 * r, m * rd)
         if poly is None:
             pairs = [(tuple(alpha), c)]
         else:
@@ -212,10 +222,11 @@ class _Parser:
         for e, term in pairs:
             terms[e] = terms[e] + term if e in terms else term
 
-    def exponent(self, base: MPoly | int | Fraction | None = None) -> int:
+    def exponent(self, base: MPoly | tuple[int, int] | None = None) -> int:
         """The `^n` after a factor, or 1 when there is none.
 
-        A base that can grow under the power, a rational or a parenthesized
+        A base that can grow under the power, a rational (numerator,
+        denominator) or a parenthesized
         polynomial, is checked against the size bounds before the power is
         taken: a ParseError at the exponent when n times the bits one more
         factor can add to a coefficient exceeds _MAX_POWER_BITS, or when
@@ -228,12 +239,12 @@ class _Parser:
             return 1
         self.take()
         kind, _, pos, value = self.take()
-        if kind != "rat" or value.denominator != 1:
+        if kind != "rat" or value[1] != 1:
             raise ParseError("exponent must be a nonnegative integer", pos)
-        n = int(value)
+        n = value[0]
         if base is None:
             return n
-        coeffs = base.terms.values() if isinstance(base, MPoly) else [Quat.scalar(base)]
+        coeffs = base.terms.values() if isinstance(base, MPoly) else [_reduced(base[0], 0, 0, 0, base[1])]
         growth = max(map(_growth, coeffs), default=0)
         if growth and n > _MAX_POWER_BITS / growth:
             raise ParseError(f"power of more than the bound of {_MAX_POWER_BITS} bits", pos)

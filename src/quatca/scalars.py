@@ -315,6 +315,27 @@ def _left_horner(coeffs: Sequence[Quat], a: Quat) -> Quat:
     return _reduced(w, x, y, z, scale // m)
 
 
+def _dot(left: Sequence[Quat], right: Sequence[Quat]) -> Quat:
+    """sum_r left[r] * right[r], each left entry left of its right one, in
+    integers and reduced once.  With the entries over the least common
+    denominators L of left and R of right, left[r] = A_r/L and
+    right[r] = B_r/R, the sum is (sum_r A_r*B_r)/(L*R)."""
+    dl = lcm(*(q._d for q in left))
+    dr = lcm(*(q._d for q in right))
+    w = x = y = z = 0
+    for p, q in zip(left, right):
+        (a, b, c, d), m = p._n, p._d
+        (e, f, g, h), n = q._n, q._d
+        if m != dl or n != dr:
+            s = dl // m * (dr // n)
+            a, b, c, d = a * s, b * s, c * s, d * s
+        w += a * e - b * f - c * g - d * h
+        x += a * f + b * e + c * h - d * g
+        y += a * g - b * h + c * e + d * f
+        z += a * h + b * g - c * f + d * e
+    return _reduced(w, x, y, z, dl * dr)
+
+
 def commutator(a: Quat, b: Quat) -> Quat:
     """a*b - b*a."""
     return a * b - b * a

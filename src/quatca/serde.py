@@ -3,54 +3,72 @@
 Rationals travel as decimal-free strings: `"3"`, `"-2/3"`.  Quaternions
 are objects over the fixed basis order, `{"w": ..., "x": ..., "y": ...,
 "z": ...}`.  Polynomial coefficient lists run low to high.
+
+A quaternion crosses this boundary as the integers a `Quat` keeps: each
+rational string is read as an integer numerator and denominator, the
+four become numerators over the lcm of their denominators and are reduced
+once to the canonical form, and each coordinate is written back from the
+canonical numerators with one gcd.  No `Fraction` is built either way.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InvalidInput
 from .modules import EigenTuple, ModulePresentation, RootNotFound
 from .mpoly import CommutingPoint, MPoly, RabinowitschCertificate
-from .scalars import Quat
+from .scalars import Quat, _reduced
 from .upoly import Isolated, RootClass, UPoly
+
+_KEYS = ("w", "x", "y", "z")
 
 
 def rat_to_json(r: Fraction) -> str:
     return str(r)
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def rat_from_json(text: str) -> Fraction:
+def _rational(text: str) -> tuple[int, int]:
+    """The numerator and positive denominator of a rational string, as
+    written: not reduced."""
     if not isinstance(text, str):
         raise InvalidInput(f"rational must be a string, got {text!r}")
-    if not _RATIONAL.fullmatch(text):
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
         raise InvalidInput(f"bad rational {text!r}: expected -?digits(/digits)?")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise InvalidInput(f"bad rational {text!r}") from exc
+    num, den = match.groups()
+    if den is None:
+        return int(num), 1
+    den = int(den)
+    if not den:
+        raise InvalidInput(f"bad rational {text!r}")
+    return int(num), den
+
+
+def _coordinate(v: int, m: int) -> str:
+    """The text of v/m in lowest terms, as `str` of that `Fraction` gives it."""
+    g = gcd(v, m)
+    return str(v // g) if g == m else f"{v // g}/{m // g}"
 
 
 def quat_to_json(q: Quat) -> dict:
-    return {
-        "w": rat_to_json(q.w),
-        "x": rat_to_json(q.x),
-        "y": rat_to_json(q.y),
-        "z": rat_to_json(q.z),
-    }
+    return {key: _coordinate(v, q._d) for key, v in zip(_KEYS, q._n)}
 
 
 def quat_from_json(obj: dict) -> Quat:
     if not isinstance(obj, dict):
         raise InvalidInput(f"quaternion must be an object, got {obj!r}")
     try:
-        return Quat(*(rat_from_json(obj[key]) for key in ("w", "x", "y", "z")))
+        (a, p), (b, q), (c, r), (d, s) = (_rational(obj[key]) for key in _KEYS)
     except KeyError as exc:
         raise InvalidInput(f"quaternion object missing field {exc}") from exc
+    m = lcm(p, q, r, s)
+    return _reduced(a * (m // p), b * (m // q), c * (m // r), d * (m // s), m)
 
 
 def upoly_to_json(p: UPoly) -> list:

@@ -319,6 +319,15 @@ def _class_roots(rows: list[list[int]], t: Fraction, n: Fraction) -> RootClass |
     return None
 
 
+# The root search takes time quadratic in the degree of s = p/x^k or worse
+# (the companion's square, its floats and its small-prime proofs), so a
+# degree of s past this bound is refused before the search starts.  On a
+# shared 2-core host `x^1000 - 1` took 37 s and `x^500 + x + 1` more than
+# 60 s, while `x^331213 - 2^100`, which the dense bound of `mpoly` admits,
+# did not finish in 30 s of one small-prime proof.
+_MAX_ROOT_DEGREE = 1_000
+
+
 def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     """All conjugacy classes of right roots discoverable over the rationals.
 
@@ -340,17 +349,28 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     (x - a)^2 for a central a and the class quadratic otherwise, which
     `factor_central` reports.  A leftover factor of c enters
     `leftover_degree` once, not squared as in N(p).
+
+    All of this runs on s with p = s*x^k and s(0) != 0: x is central, so
+    p(a) = s(a)*a^k, and p's roots are s's and, when k > 0, the root 0.
+    A degree of s above `_MAX_ROOT_DEGREE` is refused with InvalidInput.
     """
     if p.degree < 1:
         raise InvalidInput("root search needs a nonconstant polynomial")
-    rows = _integer_rows(p.coeffs)[0]
+    k = next(k for k, c in enumerate(p.coeffs) if c)
+    s = UPoly(p.coeffs[k:]) if k else p
+    if s.degree > _MAX_ROOT_DEGREE:
+        raise InvalidInput(
+            f"degree {s.degree} without the power of x above the bound of {_MAX_ROOT_DEGREE} for a root search"
+        )
+    rows = _integer_rows(s.coeffs)[0]
     content, norm_q = ratfactor._content_and_norm(rows)
     facs = [ratfactor.factor_central(f) for f in (content, norm_q) if len(f) > 1]
     classes: list[RootClass] = []
     incomplete = not all(fac.complete for fac in facs)
-    for root in sorted({root for fac in facs for root, _mult in fac.linear}):
+    roots = {root for fac in facs for root, _mult in fac.linear}
+    for root in sorted(roots | {Fraction(0)} if k else roots):
         cand = Quat.scalar(root)
-        if not p.eval_left(cand):
+        if not root or not s.eval_left(cand):  # 0 is in the set only as a root of x^k
             classes.append(Isolated(cand))
     for t, n in sorted({(t, n) for fac in facs for t, n, _mult in fac.quadratics}):
         if t * t - 4 * n > 0:

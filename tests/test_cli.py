@@ -6,8 +6,10 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -322,6 +324,20 @@ class TestExitCodes:
         if body == NONCOMMUTING_MODULE:
             assert err == "error: actions 1 and 2 do not commute\n"
 
+    def test_rational_actions_that_do_not_commute_are_named(self, capsys, tmp_path):
+        # A, B and A^2 over mixed denominators: B commutes with neither.
+        def q(w="0", x="0", y="0", z="0"):
+            return {"w": w, "x": x, "y": y, "z": z}
+
+        a = [[q(x="1"), q(w="1/2")], [q(), q(y="1")]]
+        b = [[q(z="1"), q()], [q(w="1/3"), q(w="1")]]
+        a_squared = [[q(w="-1"), q(x="1/2", y="1/2")], [q(), q(w="-1")]]
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps({"m": 2, "mats": [a, b, a_squared]}))
+        code, out, err = run(capsys, "--json", "eigen", "--module", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: actions 1 and 2 do not commute; actions 2 and 3 do not commute\n"
+
     def test_deeply_nested_module_on_stdin_is_usage(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(DEEP_MODULE))
         code, out, err = run(capsys, "--json", "eigen", "--module", "-")
@@ -440,3 +456,138 @@ class TestExitCodes:
     def test_json_flag_before_subcommand(self, capsys):
         code, report, _ = run_json(capsys, "degree", "--a", "i", "--b", "j")
         assert code == 0 and report["payload"]["left_degree"] == 2
+
+
+# The grammar's tokens, with a few integers; adjacent digits join into one
+# rational, exponent or variable index, as they would in typed input.
+_FUZZ_NUMBERS = ("0", "1", "2", "3", "12")
+_FUZZ_TOKENS = (*_FUZZ_NUMBERS, "/", "i", "j", "k", "x", "x1", "x2", "+", "-", "*", "^", "(", ")", " ")
+
+
+def _fuzz_text(rng, variables=("x",), depth=2) -> str:
+    """A well-formed expression from the grammar's tokens in the given
+    variables, or, one time in three, one with a token of the whole grammar
+    inserted, dropped or replaced."""
+    tokens = []
+
+    def atom(depth):
+        kind = rng.choice(["number", "unit"] + ["variable"] * bool(variables) + ["("] * (depth > 0))
+        if kind == "number":
+            tokens.append(rng.choice(_FUZZ_NUMBERS))
+            if rng.random() < 0.3:
+                tokens.extend(("/", rng.choice(_FUZZ_NUMBERS)))
+        elif kind == "unit":
+            tokens.append(rng.choice("ijk"))
+        elif kind == "variable":
+            tokens.append(rng.choice(variables))
+        else:
+            tokens.append("(")
+            expression(depth - 1)
+            tokens.append(")")
+        if rng.random() < 0.2:
+            tokens.extend(("^", rng.choice(_FUZZ_NUMBERS)))
+
+    def expression(depth):
+        if rng.random() < 0.3:
+            tokens.append(rng.choice("+-"))
+        for n in range(rng.randint(1, 3)):
+            if n:
+                tokens.append(rng.choice(("+", "-", " - ")))
+            atom(depth)
+            for _ in range(rng.randint(0, 2)):
+                tokens.append(rng.choice(("", " ", "*")))
+                atom(depth)
+
+    expression(depth)
+    if rng.random() < 1 / 3:
+        at = rng.randrange(len(tokens) + 1)
+        roll = rng.randrange(3)
+        if roll == 0:
+            tokens.insert(at, rng.choice(_FUZZ_TOKENS))
+        elif at < len(tokens):
+            tokens[at : at + 1] = [rng.choice(_FUZZ_TOKENS)] if roll == 1 else []
+    return "".join(tokens)
+
+
+def _fuzz_argv(rng) -> list[str]:
+    """One request; every value is passed as `--option=value`, so a value
+    that starts with `-` is not read as an option."""
+    command = rng.choice(("eval", "roots", "reduce", "minpoly", "rabinowitsch"))
+
+    def text(variables=("x",), depth=2):
+        return _fuzz_text(rng, variables, depth)
+
+    side = ["--side=right"] if rng.random() < 0.3 else []
+    if command == "eval":
+        return ["eval", f"--poly={text()}", f"--at={text(())}", *side]
+    if command == "roots":
+        return ["roots", f"--poly={text()}"]
+    if command == "minpoly":
+        element = text(())
+        over = ",".join(text(()) for _ in range(rng.randint(1, 2)))
+        return ["minpoly", f"--element={element}", f"--over={over}", *side]
+    nvars = rng.randint(1, 2)
+    variables = ("x", "x1", "x2")[: nvars + 1]
+    if command == "reduce":
+        point = "; ".join(text(()) for _ in range(nvars))
+        return ["reduce", f"--poly={text(variables)}", f"--point={point}"]
+    argv = ["rabinowitsch", *(f"--ideal={text(variables, 0)}" for _ in range(rng.randint(1, 2)))]
+    argv += [f"--p={text(variables, 0)}", f"--a={text((), 0)}", *(["--nvars=2"] if nvars == 2 else [])]
+    return argv + [f"{rng.choice(('--N', '--maxN'))}={rng.randint(0, 4)}", f"--degbound={rng.randint(0, 3)}"]
+
+
+def _fuzz_argvs(seed: int, count: int) -> list[list[str]]:
+    """count seeded requests of at most 80 characters in all."""
+    rng = Random(seed)
+    out = []
+    while len(out) < count:
+        argv = _fuzz_argv(rng)
+        if len(" ".join(argv)) <= 80:
+            out.append(argv)
+    return out
+
+
+class TestGrammarFuzz:
+    def test_short_requests_answer_or_are_refused(self, capsys):
+        # Seeded requests of at most 80 characters, from the grammar's
+        # tokens, for the text subcommands: each answers (exit 0) or is
+        # refused (exit 2), never raises, and none takes long.
+        argvs = _fuzz_argvs(1, 400)
+        codes = Counter()
+        start = time.perf_counter()
+        for argv in argvs:
+            begin = time.perf_counter()
+            code, out, err = run(capsys, "--json", *argv)
+            assert code in (0, 2), argv
+            assert (out and not err) if code == 0 else (err.startswith("error:") and not out), argv
+            assert time.perf_counter() - begin < 20, argv
+            codes[argv[0], code] += 1
+        assert time.perf_counter() - start < 120
+        assert {command for command, code in codes if code == 0} == {
+            "eval", "roots", "reduce", "minpoly", "rabinowitsch",
+        }
+
+    def test_a_root_search_past_the_degree_bound_is_refused(self, capsys):
+        # The dense bound admits x^331213, whose root search did not finish;
+        # a power of x costs linear time whatever its degree.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "roots", "--poly", "-2^100 - x x^331212")
+        assert time.perf_counter() - start < 10
+        assert code == 2 and out == ""
+        assert err == "error: degree 331213 without the power of x above the bound of 1000 for a root search\n"
+        code, _, err = run(capsys, "roots", "--poly", "x^1002 + x")
+        assert code == 2 and "degree 1001 without the power of x above the bound of 1000" in err
+        code, report, _ = run_json(capsys, "roots", "--poly", "x^1001 + x")
+        assert code == 0 and report["status"] == "possibly-incomplete"
+        code, report, _ = run_json(capsys, "roots", "--poly", "x^100000 - 3x^99999")
+        assert code == 0 and report["status"] == "ok"
+        assert [c["a"]["w"] for c in report["payload"]["classes"]] == ["0", "3"]
+
+    def test_sparse_high_degree_roots_answer_at_once(self, capsys):
+        # The companion of x^400 + i is x^800 + 1: the prime 7 proves it
+        # free of factors of degree <= 2 before any float runs.
+        start = time.perf_counter()
+        code, report, _ = run_json(capsys, "roots", "--poly", "x^400 + i")
+        assert time.perf_counter() - start < 10
+        assert code == 0 and report["status"] == "possibly-incomplete"
+        assert report["payload"]["classes"] == []

@@ -535,6 +535,57 @@ class TestEveryPower:
                 assert members == list(range(members[0], top + 1))
         assert set(seen) == {"none at any power", "none within the degree bound", "found"}
 
+    def test_bisection_agrees_with_the_loop_from_the_least_member_power(self, monkeypatch):
+        # When the least member power m has no certificate within the degree
+        # bound, the search checks max_power and bisects over (m, max_power];
+        # the loop over every power from m is the oracle.
+        rng = Random(31)
+        seen = Counter()
+        for trial in range(60):
+            ideal, p, a = (_repeated_root_instance if trial % 2 else _one_variable_instance)(rng)
+            degbound, top = rng.randint(0, 1), rng.randint(1, 8)
+            least = _least_member_power(ideal.gens, p.scale_left(a))
+            if least is None:
+                continue
+            m = least[0]
+            loop = next(
+                (N for N in range(m, top + 1)
+                 if isinstance(rabinowitsch_check(ideal, p, a, N, degbound), RabinowitschCertificate)),
+                None,
+            )
+            checked = []
+
+            def check(*args, original=rabinowitsch_check):
+                checked.append(args[3])
+                return original(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(mpoly, "rabinowitsch_check", check)
+                out = find_certificate(ideal, p, a, top, degbound)
+            if loop is None:
+                assert out == NotFoundWithinBounds(top, degbound) and not out.every_power
+                seen["none up to max_power" if m <= top else "least member power above max_power"] += 1
+            else:
+                assert out[0] == loop and out[1] == rabinowitsch_check(ideal, p, a, loop, degbound)
+                seen["at m" if loop == m else "between m and max_power" if loop < top else "at max_power"] += 1
+            assert len(checked) <= 2 + max(top - m, 1).bit_length()
+        assert {"at m", "between m and max_power", "none up to max_power"} <= set(seen)
+
+    def test_a_member_whose_certificates_never_fit_takes_few_checks(self, monkeypatch):
+        # The flagship at degree bound 0: no power up to 40 has a
+        # certificate, which the loop from m = 1 took 40 systems to say.
+        g = x(0, 1) - const(I, 1)
+        checked = []
+
+        def check(*args, original=rabinowitsch_check):
+            checked.append(args[3])
+            return original(*args)
+
+        monkeypatch.setattr(mpoly, "rabinowitsch_check", check)
+        out = find_certificate(LeftIdeal((g * g,)), g, J, 40, 0)
+        assert out == NotFoundWithinBounds(40, 0) and not out.every_power
+        assert checked == [1, 40]
+
     def test_a_non_member_at_every_power_is_answered_at_once(self):
         # p = 1 does not vanish at i; the search used to try every power.
         ideal = LeftIdeal((x(0, 1) - const(I, 1),))

@@ -342,7 +342,57 @@ class TestPrinting:
         assert str(value) == text
 
 
+def _boundary_quats(rng):
+    """Seeded quaternions with large, negative and zero coordinates over
+    mixed denominators."""
+    def coordinate():
+        roll = rng.random()
+        if roll < 0.25:
+            return 0
+        if roll < 0.5:
+            return F(rng.randint(-(10**40), 10**40), rng.randint(1, 10**20))
+        return F(rng.randint(-12, 12), rng.choice([1, 2, 3, 7, 12]))
+
+    return [Quat(*(coordinate() for _ in range(4))) for _ in range(300)]
+
+
 class TestJsonForms:
+    def test_quat_to_json_is_str_of_each_coordinate(self):
+        for q in _boundary_quats(Random(43)):
+            assert serde.quat_to_json(q) == {"w": str(q.w), "x": str(q.x), "y": str(q.y), "z": str(q.z)}
+
+    def test_quat_from_json_round_trips(self):
+        for q in _boundary_quats(Random(44)):
+            back = serde.quat_from_json(serde.quat_to_json(q))
+            assert back == q and (back._n, back._d) == (q._n, q._d)
+
+    def test_unreduced_rationals_read_as_their_value(self):
+        obj = {"w": "2/4", "x": "-6/3", "y": "0/5", "z": "007"}
+        assert serde.quat_from_json(obj) == Quat(F(1, 2), -2, 0, 7)
+        assert serde.quat_from_json({"w": "-0", "x": "0/1", "y": "-3/9", "z": "5/10"})._d == 6
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"w": "1/0", "x": "0", "y": "0", "z": "0"}, "bad rational '1/0'"),
+            ({"w": "+1", "x": "0", "y": "0", "z": "0"}, "bad rational '+1': expected -?digits(/digits)?"),
+            ({"w": "0", "x": "1.5", "y": "0", "z": "0"}, "bad rational '1.5': expected -?digits(/digits)?"),
+            ({"w": " 1", "x": "0", "y": "0", "z": "0"}, "bad rational ' 1': expected -?digits(/digits)?"),
+            ({"w": 1, "x": "0", "y": "0", "z": "0"}, "rational must be a string, got 1"),
+            ({"w": "1", "x": "0", "z": "0"}, "quaternion object missing field 'y'"),
+            (["1", "0", "0", "0"], "quaternion must be an object, got ['1', '0', '0', '0']"),
+        ],
+        ids=["zero-denominator", "plus-sign", "decimal", "space", "number", "missing-key", "list"],
+    )
+    def test_malformed_quaternions_keep_their_messages(self, obj, message):
+        with pytest.raises(InvalidInput) as info:
+            serde.quat_from_json(obj)
+        assert str(info.value) == message
+
+    def test_parse_quat_inverts_printing(self):
+        for q in _boundary_quats(Random(45)):
+            assert parse_quat(str(q)) == q
+
     def test_quat_object_shape(self):
         q = Quat(1, F(-2, 3), 1, -1)
         assert serde.quat_to_json(q) == {"w": "1", "x": "-2/3", "y": "1", "z": "-1"}

@@ -17,6 +17,7 @@ from quatca.scalars import (
     ONE,
     Quat,
     ZERO,
+    _dot,
     _expand,
     centralizer_of_set,
     commutator,
@@ -230,6 +231,33 @@ class TestQuatAgainstFractionReference:
             with pytest.raises(AttributeError):
                 setattr(q, name, 0)
         assert q == Quat(1, 2, 3, 4)
+
+
+class TestDot:
+    def test_equals_the_sum_of_products(self):
+        # Mixed denominators, zero entries and large numerators: one integer
+        # sum reduced once is the canonical sum of the products.
+        rng = Random(41)
+
+        def entry():
+            roll = rng.random()
+            if roll < 0.2:
+                return ZERO
+            if roll < 0.3:
+                return Quat(*(rng.randint(-(10**30), 10**30) for _ in range(4)))
+            return Quat(*(F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 4, 6, 35])) for _ in range(4)))
+
+        for _ in range(300):
+            n = rng.randint(0, 5)
+            left, right = [entry() for _ in range(n)], [entry() for _ in range(n)]
+            out = _dot(left, right)
+            _assert_canonical(out)
+            assert out == sum((p * q for p, q in zip(left, right)), ZERO)
+
+    def test_keeps_the_order_of_each_product(self):
+        assert _dot([I, J], [J, K]) == I * J + J * K == Quat(0, 1, 0, 1)
+        assert _dot([J, K], [I, J]) == Quat(0, -1, 0, -1)
+        assert _dot([], []) == ZERO
 
 
 class TestCommutator:

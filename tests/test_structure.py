@@ -3,6 +3,7 @@ only through `scalars`, so `linalg` has exactly one importer, and the
 systems handed to it stay as small and as few as the algorithms need."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -347,6 +348,59 @@ def test_powers_take_logarithmically_many_products(mpoly_products, monkeypatch):
         quat_products.clear()
         base**m
         assert len(quat_products) <= bin(m).count("1") + m.bit_length() - 1
+
+
+@pytest.fixture
+def fractions_and_quat_products(monkeypatch):
+    """Every `Fraction` built and every `Quat.__mul__` call while the test
+    runs, as ("Fraction", ...) and ("mul", ...) entries of one list."""
+    seen = []
+    new, mul = Fraction.__new__, Quat.__mul__
+
+    def fraction(cls, *args, **kwargs):
+        seen.append(("Fraction", args))
+        return new(cls, *args, **kwargs)
+
+    def product(self, other):
+        seen.append(("mul", self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Fraction, "__new__", fraction)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def from_coprime(cls, *args):
+            seen.append(("Fraction", args))
+            return coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(from_coprime))
+    monkeypatch.setattr(Quat, "__mul__", product)
+    return seen
+
+
+def test_module_files_and_actions_cross_as_integers(fractions_and_quat_products):
+    # A module file is read straight into canonical numerators, and its
+    # commutation check and every action are integer dot products: no
+    # Fraction and no quaternion product, for integer and for rational
+    # entries alike.
+    from quatca import serde
+    from quatca.modules import vec_mat
+
+    for text in (
+        '{"m": 2, "mats": [[[{"w": "1", "x": "2", "y": "0", "z": "-3"}, {"w": "0", "x": "0", "y": "0", "z": "0"}],'
+        ' [{"w": "4", "x": "0", "y": "1", "z": "0"}, {"w": "0", "x": "-1", "y": "0", "z": "0"}]]]}',
+        '{"m": 1, "mats": [[[{"w": "1/2", "x": "-2/4", "y": "0", "z": "3/7"}]], [[{"w": "5", "x": "0", "y": "0", "z": "0"}]]]}',
+    ):
+        blob = json.loads(text)
+        assert fractions_and_quat_products == []
+        module = serde.module_from_json(blob)
+        v = tuple(Quat(t + 1, -t, 2, 0) for t in range(module.m))
+        fractions_and_quat_products.clear()
+        for mat in module.mats:
+            vec_mat(v, mat)
+        assert fractions_and_quat_products == []
+        assert serde.module_to_json(module) == serde.module_to_json(serde.module_from_json(blob))
+        assert fractions_and_quat_products == []
 
 
 def test_quat_defines_every_method_the_tracer_wraps():

@@ -544,6 +544,22 @@ class TestContentFirstAgainstFullCompanion:
         sphere = UPoly.from_central([1, 0, 1])
         self._agree(sphere * sphere * UPoly.from_central([-3, 0, 1]))
 
+    def test_powers_of_x(self):
+        # p = s*x^k: the search runs on s and adds the root 0, so a power of x
+        # far past the bound on the degree of s costs linear time.
+        rng = Random(75)
+        for trial in range(24):
+            s = UPoly.constant(rand_nonzero_quat(rng, 3))
+            for _ in range(rng.randint(0, 2)):
+                s = s * UPoly.linear(rand_quat(rng, 3))
+            p = UPoly([ZERO] * (trial % 3 + 1) + list((s * _rand_central(rng, trial % 3)).coeffs))
+            self._agree(p)
+            assert Isolated(ZERO) in right_roots(p)[0]
+        p = UPoly([ZERO] * 100_000 + [Quat(-1, 1), ZERO, ONE])
+        assert right_roots(p) == ([Isolated(ZERO)], RootSearchStatus.POSSIBLY_INCOMPLETE)
+        with pytest.raises(InvalidInput, match="degree 1001 without the power of x above the bound of 1000"):
+            right_roots(UPoly([ZERO, ONE] + [ZERO] * 1000 + [J]))
+
     def test_non_monic_lead(self):
         rng = Random(74)
         for _ in range(16):
