@@ -8,9 +8,10 @@ algebraic degree over centralizers; and the multivariate layer of commuting
 points, point ideals, common-eigenvector extraction from commuting matrix
 actions, and power-membership certificates.
 
-Everything is exact: no floats, no tolerances.  Searches that can fail over
-rational scalars (root finding, certificate search) report failure as a
-distinct outcome instead of approximating.
+Every answer is exact, with no tolerances: floats only propose candidate
+factors of central polynomials, and exact arithmetic decides every answer.
+Searches that can fail over rational scalars (root finding, certificate
+search) report failure as a distinct outcome instead of approximating.
 """
 
 from .errors import InternalError, InvalidInput, ParseError

@@ -532,8 +532,8 @@ def _groebner_budget(gens: tuple[MPoly, ...], ap: MPoly, N: int, degbound: int) 
 
 
 def _degree(p: MPoly) -> int:
-    """Total degree of a nonzero polynomial."""
-    return max(sum(e) for e in p.terms)
+    """Total degree of p, and 0 for the zero polynomial."""
+    return max(map(sum, p.terms), default=0)
 
 
 class _OverBudget(Exception):
@@ -749,20 +749,18 @@ def find_certificate(
     """Smallest power N <= max_power admitting a certificate, with the
     certificate.
 
-    In one variable membership is decided at every power first: no power
-    above N* = max(1, deg d_0), d_0 the monic gcrd of the generators, is
-    the least member power (`_least_member_power`).  When none up to N*
-    is a member, the answer is NotFoundWithinBounds with every_power set:
-    no certificate exists at any power or degree bound.  Otherwise the
-    search starts at the least member power m, since every power below it
-    is a non-member at every degree bound.  When m has no certificate
-    within degbound, neither has any power up to max_power unless
-    max_power has one, and then the least is found by bisection over
-    (m, max_power]: at a fixed degree bound certificates are upward closed
-    in N too, since one at N moved up one row certifies N + 1.  Each power
-    is decided by the same `rabinowitsch_check` call as in a loop, so the
-    answer is the loop's.  In several variables the search starts at 1 and
-    is a bounded semidecision."""
+    At a fixed degree bound certificates are upward closed in N, in any
+    number of variables: one at N moved up one row certifies N + 1.  So
+    the search checks its least candidate power low, then max_power, and
+    bisects over (low, max_power]; each power is decided by the same
+    `rabinowitsch_check` call as in a loop over every power, so the answer
+    is the loop's.  In one variable low is the least member power m
+    (`_least_member_power`), since every power below it is a non-member
+    at every degree bound, and when no power up to N* = max(1, deg d_0),
+    d_0 the monic gcrd of the generators, is a member, the answer is
+    NotFoundWithinBounds with every_power set: no certificate exists at
+    any power or degree bound.  In several variables low is 1 and the
+    search is a bounded semidecision."""
     if max_power < 1:
         raise InvalidInput("the largest power must be at least one")
     if degbound < 0:
@@ -772,6 +770,7 @@ def find_certificate(
         outcome = rabinowitsch_check(ideal, p, a, N, degbound)
         return outcome if isinstance(outcome, RabinowitschCertificate) else None
 
+    low = 1
     if ideal.nvars == 1:
         if p.nvars != 1:
             raise InvalidInput("polynomial and ideal live in different rings")
@@ -781,19 +780,15 @@ def find_certificate(
         low = least[0]
         if low > max_power:
             return NotFoundWithinBounds(max_power, degbound)
-        if cert := certified(low):
-            return low, cert
-        if low == max_power or (cert := certified(max_power)) is None:
-            return NotFoundWithinBounds(max_power, degbound)
-        high = max_power  # low has no certificate, high has cert
-        while high - low > 1:
-            mid = (low + high) // 2
-            if found := certified(mid):
-                high, cert = mid, found
-            else:
-                low = mid
-        return high, cert
-    for N in range(1, max_power + 1):
-        if cert := certified(N):
-            return N, cert
-    return NotFoundWithinBounds(max_power, degbound)
+    if cert := certified(low):
+        return low, cert
+    if low == max_power or (cert := certified(max_power)) is None:
+        return NotFoundWithinBounds(max_power, degbound)
+    high = max_power  # low has no certificate, high has cert
+    while high - low > 1:
+        mid = (low + high) // 2
+        if found := certified(mid):
+            high, cert = mid, found
+        else:
+            low = mid
+    return high, cert

@@ -42,7 +42,7 @@ from math import comb, gcd
 from operator import add
 
 from .errors import ParseError
-from .mpoly import MPoly, _mpoly, _to_upoly
+from .mpoly import MPoly, _degree, _mpoly, _to_upoly
 from .scalars import I, J, K, Quat, ZERO, _growth, _reduced
 from .upoly import UPoly
 
@@ -255,10 +255,6 @@ class _Parser:
             t = len(base.terms)
             _bound_terms("power", comb(n + t - 1, t - 1), degree, base.terms, pos)
         return n
-
-
-def _degree(p: MPoly) -> int:
-    return max(map(sum, p.terms), default=0)
 
 
 def _bound_terms(what: str, count: int, degree: int, exponents, pos: int) -> None:

@@ -69,7 +69,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from math import cos, gcd, isfinite, lcm, pi, sin
 from typing import Iterable, Sequence
 
@@ -147,11 +146,17 @@ def _primitive_part(f: list[int]) -> list[int]:
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     """lc(b)^(deg a - deg b + 1) * a mod b with deg b coefficients, leading
-    zeros kept, for lc(b) nonzero; a itself when deg a < deg b."""
-    for _ in range(len(a) - len(b) + 1):
-        c = a[0]
-        a = [b[0] * v - c * w for v, w in zip_longest(a[1:], b[1:], fillvalue=0)]
-    return a
+    zeros kept, for lc(b) nonzero; a itself when deg a < deg b.  The
+    dividend is walked in place, so each step costs deg b products: a
+    coefficient is owed lc(b)^k when it enters the window at step k."""
+    f, lead, tail, n = list(a), b[0], b[1:], len(b) - 1
+    steps, owed = len(a) - n, 1
+    for k in range(steps):
+        f[k + n] *= owed
+        c = f[k]
+        f[k + 1 : k + n + 1] = [lead * v - c * w for v, w in zip(f[k + 1 : k + n + 1], tail)]
+        owed *= lead
+    return f[max(steps, 0) :]
 
 
 def _central_content(rows: Iterable[list[int]]) -> list[int]:

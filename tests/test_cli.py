@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from quatca import cli, linalg, selfcheck, serde
+from quatca import cli, linalg, mpoly, selfcheck, serde
 from quatca.cli import main
 from quatca.errors import InternalError
 from quatca.modules import ModulePresentation
@@ -148,6 +148,21 @@ class TestReports:
         )
         assert code == 0 and report["status"] == "not-found"
         assert report["payload"] == {"maxN": 1, "degbound": 2, "every_power": False}
+
+    def test_rabinowitsch_search_in_two_variables_bisects(self, capsys, monkeypatch):
+        # p(i, 2i) = 1 + i, and with a = 1 every power is a non-member.  In
+        # several variables the search starts at 1 and checks --maxN once,
+        # where a loop over every power took 40 checks.
+        checked = []
+        check = mpoly.rabinowitsch_check
+        monkeypatch.setattr(mpoly, "rabinowitsch_check", lambda *args: checked.append(args[3]) or check(*args))
+        code, report, _ = run_json(
+            capsys, "rabinowitsch", "--nvars", "2", "--ideal", "x1 - i", "--ideal", "x2 - 2i",
+            "--p", "x1 + 1", "--a", "1", "--maxN", "40", "--degbound", "1",
+        )
+        assert code == 0 and report["status"] == "not-found"
+        assert report["payload"] == {"maxN": 40, "degbound": 1, "every_power": False}
+        assert checked == [1, 40]
 
     def test_rabinowitsch_single_power_not_found(self, capsys):
         code, report, _ = run_json(

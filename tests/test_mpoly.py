@@ -571,6 +571,52 @@ class TestEveryPower:
             assert len(checked) <= 2 + max(top - m, 1).bit_length()
         assert {"at m", "between m and max_power", "none up to max_power"} <= set(seen)
 
+    def test_bisection_agrees_with_the_loop_in_several_variables(self, monkeypatch):
+        # In several variables the search starts at 1, checks max_power and
+        # bisects; the loop over every power from 1 is the oracle.  The
+        # families are point ideals holding a*p, non-members whose point, p
+        # and a lie in one subfield Q(u), the ideals that are not point
+        # ideals, and the two-variable flagship analog, whose I holds
+        # (ap)^3 but not (ap)^2.
+        rng = Random(59)
+        instances = [_point_instance(rng, nvars, degree) for nvars in (2, 3) for degree in (-1, -1, 0, 1) * 4]
+        for family in ("product", "linear-quadratic", "intersection") * 6:
+            ring = QQ.old_poly_ring(*symbols(f"x1:{3 if family == 'intersection' else rng.choice((3, 4))}"))
+            instances.append(_non_point_instance(rng, family, ring)[:3])
+        # Intersections have up to 10 generators, so their systems stay at
+        # powers up to 2.
+        instances = [
+            (ideal, p, a, rng.randint(1, 2 if len(ideal.gens) > 2 else 4), rng.randint(0, 2))
+            for ideal, p, a in instances
+        ]
+        # With a = 1 the analog's least certified power is 2.
+        analog = LeftIdeal((parse_mpoly("(x1 - i)^2", 2), parse_mpoly("x2", 2)))
+        instances += [(analog, parse_mpoly("x1 - i", 2), a, top, 1) for a in (ONE, J) for top in (2, 4)]
+        seen = Counter()
+        for ideal, p, a, top, degbound in instances:
+            loop = next(
+                (N for N in range(1, top + 1)
+                 if isinstance(rabinowitsch_check(ideal, p, a, N, degbound), RabinowitschCertificate)),
+                None,
+            )
+            checked = []
+
+            def check(*args, original=rabinowitsch_check):
+                checked.append(args[3])
+                return original(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(mpoly, "rabinowitsch_check", check)
+                out = find_certificate(ideal, p, a, top, degbound)
+            if loop is None:
+                assert out == NotFoundWithinBounds(top, degbound) and not out.every_power
+                seen["none up to max_power"] += 1
+            else:
+                assert out[0] == loop and out[1] == rabinowitsch_check(ideal, p, a, loop, degbound)
+                seen["at 1" if loop == 1 else "between 1 and max_power" if loop < top else "at max_power"] += 1
+            assert len(checked) <= 2 + (top - 1).bit_length()
+        assert set(seen) == {"at 1", "between 1 and max_power", "at max_power", "none up to max_power"}
+
     def test_a_member_whose_certificates_never_fit_takes_few_checks(self, monkeypatch):
         # The flagship at degree bound 0: no power up to 40 has a
         # certificate, which the loop from m = 1 took 40 systems to say.

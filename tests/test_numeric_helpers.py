@@ -3,6 +3,7 @@ factorizer."""
 
 import importlib
 from fractions import Fraction as F
+from itertools import zip_longest
 from math import gcd, isqrt
 from random import Random
 
@@ -206,6 +207,29 @@ class TestCentralContent:
     def test_zero_coordinates_and_constants(self):
         assert _content(UPoly([ZERO, Quat(0, F(1, 3), F(2, 3))])) == ([1, 0], [F(0), F(1)])
         assert _content(UPoly([Quat(0, 0, 1), I])) == ([1], [F(1)])
+
+
+def _reference_pseudo_remainder(a, b):
+    """lc(b)^(deg a - deg b + 1) * a mod b as first defined: every step
+    rebuilds the whole dividend."""
+    for _ in range(len(a) - len(b) + 1):
+        c = a[0]
+        a = [b[0] * v - c * w for v, w in zip_longest(a[1:], b[1:], fillvalue=0)]
+    return a
+
+
+class TestPseudoRemainder:
+    def test_equals_the_reference_on_seeded_pairs(self):
+        # Dividends shorter than, as long as and longer than the divisor,
+        # leading zeros, constant divisors and zero coefficients in either,
+        # and one long dividend by a quadratic.
+        rng = Random(61)
+        pairs = [([rng.randint(-99, 99) for _ in range(501)], [3, 1, -2])]
+        for _ in range(3000):
+            b = [rng.choice((-3, -2, -1, 1, 2, 5))] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+            pairs.append(([rng.randint(-9, 9) * (rng.random() < 0.8) for _ in range(rng.randint(0, 14))], b))
+        for a, b in pairs:
+            assert ratfactor._pseudo_remainder(a, b) == _reference_pseudo_remainder(a, b)
 
 
 class TestFactorCentral:
