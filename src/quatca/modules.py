@@ -11,7 +11,10 @@ one-dimensional submodule, i.e. a point ideal annihilator.
 Every action of a matrix on a vector, the commutation check, the Krylov
 iterates of `annihilator_minpoly` and `poly_action` included, is one
 `scalars._dot` per entry: a sum of quaternion products accumulated on
-integer numerators and reduced once.
+integer numerators and reduced once.  The first dependence among those
+iterates comes from elimination over the quaternions
+(`scalars.first_dependence`), so splitting a module builds no rational
+system.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 
 from .errors import InternalError, InvalidInput
 from .mpoly import CommutingPoint
-from .scalars import Centralizer, ONE, Quat, ZERO, _dot, centralizer_of_set, first_dependence
+from .scalars import ONE, Quat, ZERO, _dot, centralizer_of_set, first_dependence
 from .upoly import RootSearchStatus, UPoly, roots_in_centralizer
 
 Matrix = tuple[tuple[Quat, ...], ...]
@@ -127,12 +130,12 @@ def annihilator_minpoly(module: ModulePresentation, v: Vector, i: int) -> UPoly:
 
     The annihilators of v under the i-th action form a left ideal in the
     one-variable polynomial ring; its monic generator is found by looking
-    for the first linear dependence among v, v*A, v*A^2, ...
+    for the first left dependence among v, v*A, v*A^2, ...
     """
     if vec_is_zero(v):
         raise InvalidInput("annihilator of the zero vector is everything")
     iterates = accumulate(repeat(module.mats[i], module.m), vec_mat, initial=v)
-    sol = first_dependence(iterates, Centralizer.full())
+    sol = first_dependence(iterates)
     if sol is None:
         raise InternalError("no annihilator found within the module dimension")
     return UPoly([-c for c in sol] + [ONE])

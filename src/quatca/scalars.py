@@ -1,9 +1,11 @@
 """Exact quaternions over the rationals, centralizers, and linear solvers.
 
-This is the one module that turns quaternion-linear problems into rational
-matrices for `linalg`; every other module goes through `solve_combination`,
-`first_dependence` or `left_rank`, which call only `linalg.solve` and
-`linalg.rref`.  Right-handed problems are conjugates of left-handed ones.
+This is the one module that solves quaternion-linear problems.
+`solve_combination` and `left_rank` turn them into rational matrices for
+`linalg`, reached through `linalg.solve` and `linalg.rref` only;
+`first_dependence` eliminates over the quaternions themselves, a division
+ring, and builds no rational matrix.  Right-handed problems are conjugates
+of left-handed ones.
 
 Every value is immutable and every operation is a pure function, so values
 may be shared freely between threads.  Rationals at the surface
@@ -553,19 +555,33 @@ def left_linear_solve(
     return solve_combination([(v,) for v in vectors], (target,), c)
 
 
-def first_dependence(
-    vectors: Iterable[Sequence[Quat]], c: Centralizer
-) -> list[Quat] | None:
-    """Coefficients k_t in c with v_n = sum_t k_t * v_t for the first vector
-    v_n that is such a combination of the vectors before it, or None.  The
+def first_dependence(vectors: Iterable[Sequence[Quat]]) -> list[Quat] | None:
+    """Coefficients k_t with v_n = sum_t k_t * v_t for the first vector v_n
+    that is a left combination of the vectors before it, or None.  The
     vectors are read one at a time, so a generator is advanced only as far
-    as that v_n."""
-    before: list[Sequence[Quat]] = []
-    for v in vectors:
-        sol = solve_combination(before, v, c)
-        if sol is not None:
-            return sol
-        before.append(v)
+    as that v_n.
+
+    Elimination over H itself, a division ring (Cohn, Skew Fields, 1995),
+    with no rational expansion.  Each vector r is reduced by the pivot rows
+    kept so far, r <- r - r[p] * b, and carries its combination of the
+    vectors read.  The first one that reduces to zero gives the
+    coefficients, unique because the vectors before it are independent;
+    any other is scaled by the inverse of its first nonzero entry and kept
+    as a pivot row.
+    """
+    pivots: list[tuple[int, list[Quat], list[Quat]]] = []  # (p, b, its combination), b[p] = 1
+    for n, v in enumerate(vectors):
+        row, comb = list(v), [ZERO] * n + [ONE]
+        for p, b, cb in pivots:
+            f = row[p]
+            if f:
+                row = [x - f * y if y else x for x, y in zip(row, b)]
+                comb[: len(cb)] = [x - f * y if y else x for x, y in zip(comb, cb)]
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            return [-x for x in comb[:n]]
+        inv = row[p].inverse()
+        pivots.append((p, [inv * x for x in row], [inv * x for x in comb]))
     return None
 
 

@@ -42,7 +42,7 @@ from .scalars import (
     _signed_sum,
     _term_text,
     centralizer_of_set,
-    first_dependence,
+    solve_combination,
 )
 
 
@@ -253,18 +253,20 @@ def lclm(p: UPoly, q: UPoly) -> UPoly:
 
     u*p lies in the left ideal of q exactly when sum_k u_k * r_k = 0, where
     r_k is the right remainder of x^k * p by q; x is central, so r_{k+1} is
-    the remainder of x * r_k.  The remainders live in a left space of
-    dimension deg q, so the first left dependence among r_0, r_1, ... comes
-    by k = deg q and gives the u of least degree.
+    the remainder of x * r_k.  By Ore's formula the least such monic u has
+    degree d = deg q - deg gcrd(p, q), so r_0, ..., r_{d-1} are independent
+    and one solve of sum_{k<d} u_k * r_k = -r_d gives u.
     """
     if p.is_zero() or q.is_zero():
         raise InvalidInput("lclm requires nonzero polynomials")
-    rems = accumulate(range(q.degree), lambda r, _: r.shift(1).divmod_right(q)[1],
+    d = q.degree - gcrd(p, q).degree
+    rems = accumulate(range(d), lambda r, _: r.shift(1).divmod_right(q)[1],
                       initial=p.divmod_right(q)[1])
-    sol = first_dependence(([r.coeff(d) for d in range(q.degree)] for r in rems), Centralizer.full())
+    *lower, top = ([r.coeff(j) for j in range(q.degree)] for r in rems)
+    sol = solve_combination(lower, [-c for c in top], Centralizer.full())
     if sol is None:
         raise InternalError("least common left multiple search failed")  # pragma: no cover
-    return (UPoly([-k for k in sol] + [ONE]) * p).monic()
+    return (UPoly(sol + [ONE]) * p).monic()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -27,7 +28,9 @@ from quatca.mpoly import (
     point_ideal,
     rabinowitsch_check,
 )
+from quatca.modules import EigenTuple, find_eigen_tuple
 from quatca.parsing import parse_mpoly, parse_quat, parse_upoly
+from quatca.randgen import rand_module
 from quatca.scalars import Centralizer, I, J, K, ONE, Quat, ZERO, find_conjugator, left_rank
 from quatca.upoly import (
     Isolated,
@@ -99,6 +102,19 @@ def test_lclm_systems_are_no_taller_than_the_remainders(rref_systems):
     assert m.degree == 4
     assert rref_systems
     assert max(len(rows) for rows, _ in rref_systems) <= 4 * q.degree
+
+
+def test_eigen_hands_rref_no_system_and_lclm_one(rref_systems):
+    # Annihilators come from elimination over H itself, so a 4-dimensional
+    # module with 2 actions is split without a rational system; lclm, which
+    # knows its degree from gcrd, solves once.
+    module, _ = rand_module(Random(30), 2, 4)
+    assert isinstance(find_eigen_tuple(module), EigenTuple)
+    assert rref_systems == []
+    p = UPoly([Quat(1, 2), J, Quat(0, 1, 1, 2)])
+    q = UPoly([K, Quat(3, 0, 1), Quat(1, -1)])
+    assert lclm(p, q).degree == 4
+    assert len(rref_systems) == 1
 
 
 def test_closed_forms_hand_no_system_to_rref(rref_systems):

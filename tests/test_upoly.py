@@ -22,6 +22,7 @@ from quatca.scalars import (
     ZERO,
     _integer_rows,
     find_conjugator,
+    solve_combination,
 )
 from quatca.upoly import (
     Isolated,
@@ -218,6 +219,38 @@ class TestGcrdLclm:
         for _ in range(10):
             p = rand_upoly(rng, 3, 3)
             assert lclm(p, p) == p.monic()
+
+    def test_one_solve_matches_the_first_dependence_among_the_remainders(self):
+        # The reference: the first k at which x^k * p mod q is a left
+        # combination of the remainders before it, one solve per k.
+        def by_first_dependence(p, q):
+            rems = [p.divmod_right(q)[1]]
+            while len(rems) <= q.degree:
+                rems.append(rems[-1].shift(1).divmod_right(q)[1])
+            vecs = [[r.coeff(j) for j in range(q.degree)] for r in rems]
+            for k in range(len(vecs)):
+                sol = solve_combination(vecs[:k], vecs[k], Centralizer.full())
+                if sol is not None:
+                    return (UPoly([-c for c in sol] + [ONE]) * p).monic()
+
+        rng = Random(30)
+
+        def poly(lo, hi):
+            coeffs = [rand_quat(rng, 5) for _ in range(rng.randint(lo, hi))]
+            return UPoly(coeffs + [rand_nonzero_quat(rng, 5)])
+
+        pairs = [(poly(1, 5), poly(1, 5)) for _ in range(30)]
+        for _ in range(30):
+            shared = poly(1, 2)
+            pairs.append((poly(1, 3) * shared, poly(1, 3) * shared))
+        for _ in range(20):
+            q = poly(1, 3)
+            pairs.append((poly(1, 2) * q, q))
+            p = poly(1, 3)
+            pairs.append((p, poly(1, 2) * p))
+        pairs += [(poly(1, 5), UPoly.constant(rand_nonzero_quat(rng, 5))) for _ in range(10)]
+        for p, q in pairs:
+            assert lclm(p, q) == by_first_dependence(p, q)
 
 
 def _companion(p):
