@@ -8,6 +8,13 @@ parse errors, 3 for internal assertion failures, and 141 (128 + SIGPIPE, the
 status a shell gives a writer killed by a closed pipe) when the reader closes
 stdout before the report is written, as `quatca ... | head -1` may; that
 case prints no traceback.
+
+`build_parser()` is the only spec of the options and the only source of
+help, error messages and usage exit codes.  A request of `--json`, a
+subcommand and that subcommand's exact long options (`--opt=value` or
+`--opt value`) is read by `_read_argv` from the parser's own actions;
+anything else goes to argparse.  `--json` reports are written by
+`_dumps_indent2`, byte for byte what `json.dumps(..., indent=2)` writes.
 """
 
 from __future__ import annotations
@@ -79,7 +86,12 @@ class Report:
 
 def _emit(report: Report, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report.to_json(), indent=2))
+        obj = report.to_json()
+        try:
+            text = _dumps_indent2(obj)
+        except TypeError:
+            text = json.dumps(obj, indent=2)
+        print(text)
     else:
         print(f"status: {report.status}")
         for key, value in report.payload.items():
@@ -88,6 +100,59 @@ def _emit(report: Report, as_json: bool) -> None:
             else:
                 print(f"{key}: {value}")
         print(f"provenance: {report.provenance}")
+
+
+_quote = json.encoder.encode_basestring_ascii  # the C encoder's string writer
+
+
+def _dumps_indent2(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, for the shapes a report
+    holds: dicts with str keys, lists, tuples, str, int, bool and None.
+    Any other type raises TypeError.  A set indent sends `json` to its
+    pure-Python encoder; here strings go through the C function behind
+    `ensure_ascii` and ints through `int.__repr__`, as `json` writes them."""
+    out = []
+    _write_indent2(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_indent2(obj, newline: str, out: list) -> None:
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_indent2(value, inner, out)
+            sep = "," + inner
+        out += (newline, "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"key of type {type(key).__name__}")
+            out += (sep, _quote(key), ": ")
+            _write_indent2(value, inner, out)
+            sep = "," + inner
+        out += (newline, "}")
+    else:
+        raise TypeError(f"value of type {type(obj).__name__}")
 
 
 # -- handlers ----------------------------------------------------------------
@@ -296,7 +361,7 @@ def _cmd_selfcheck(args) -> Report:
     return Report(status, report, "property suites for the algebra kernel")
 
 
-@functools.cache  # building the parser costs far more than a parse; build it once
+@functools.cache  # one parser per process: `_argv_spec` reads its actions, argparse reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatca",
@@ -381,12 +446,102 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _argv_spec():
+    """What `_read_argv` needs of `build_parser()`, read once from the
+    parser's own actions: the top level's option table, the subcommand's
+    dest, and each subcommand's option table (`_option_table`)."""
+    parser = build_parser()
+    (subparsers,) = parser._subparsers._group_actions
+    commands = {name: _option_table(sub) for name, sub in subparsers.choices.items()}
+    return _option_table(parser), subparsers.dest, commands
+
+
+def _option_table(parser: argparse.ArgumentParser):
+    """(options, defaults, required) of one parser: its exact long option
+    strings of store, append and store-const actions that take one value or
+    none, the values it sets before reading any argument (the actions'
+    defaults, then `set_defaults`), and its required actions."""
+    options, defaults = {}, {}
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        one_value = isinstance(action, (argparse._StoreAction, argparse._AppendAction)) and action.nargs is None
+        if one_value or isinstance(action, argparse._StoreConstAction):
+            options.update((o, action) for o in action.option_strings if o.startswith("--"))
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    required = {a for a in parser._actions if a.required and not isinstance(a, argparse._SubParsersAction)}
+    return options, defaults, required
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, where argv
+    is `--json`, a known subcommand and that subcommand's exact long
+    options, each as `--opt=value` or `--opt value` with a value that does
+    not start with `-`.  Otherwise None, and argparse reads argv with its
+    own messages and exit codes: help, an unknown or abbreviated option, a
+    missing or repeated one, a failed type or choices check, `--`."""
+    top, dest, commands = _argv_spec()
+    read = _read_options(top, argv, 0)
+    if read is None or read[1] == len(argv) or argv[read[1]] not in commands:
+        return None
+    values, at = read
+    read = _read_options(commands[argv[at]], argv, at + 1)
+    if read is None or read[1] != len(argv):
+        return None
+    values[dest] = argv[at]
+    values.update(read[0])
+    return argparse.Namespace(**values)
+
+
+def _read_options(table, argv, at: int) -> tuple[dict, int] | None:
+    """The values one parser sets from argv[at:], up to the first argument
+    that does not start with `-`, and that argument's index (or len(argv));
+    None where argparse must decide."""
+    options, defaults, required = table
+    values = dict(defaults)
+    seen = set()
+    while at < len(argv) and argv[at][:1] == "-":
+        name, eq, value = argv[at].partition("=")
+        action = options.get(name)
+        if action is None or (action in seen and not isinstance(action, argparse._AppendAction)):
+            return None
+        seen.add(action)
+        at += 1
+        if isinstance(action, argparse._StoreConstAction):
+            if eq:
+                return None
+            values[action.dest] = action.const
+            continue
+        if not eq:
+            if at == len(argv) or argv[at][:1] == "-":
+                return None
+            value = argv[at]
+            at += 1
+        elif value == "--":  # argparse strips it and stores []
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if isinstance(action, argparse._AppendAction):
+            value = [*(values.get(action.dest) or ()), value]
+        values[action.dest] = value
+    return (values, at) if required <= seen else None
+
+
 def main(argv: list[str] | None = None) -> int:
     with _exact_integers():
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code else 0
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit as exc:
+                return EXIT_USAGE if exc.code else 0
         try:
             report = args.handler(args)
         except InternalError as exc:

@@ -244,7 +244,9 @@ def gcrd(p: UPoly, q: UPoly) -> UPoly:
     generated by p and q, via the right-division Euclidean algorithm."""
     if p.is_zero() and q.is_zero():
         raise InvalidInput("gcrd of two zero polynomials")
-    return _gcrd_combination([p, q])[0]
+    while not q.is_zero():
+        p, q = q, p.divmod_right(q)[1]
+    return p.monic()
 
 
 def lclm(p: UPoly, q: UPoly) -> UPoly:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -606,3 +607,146 @@ class TestGrammarFuzz:
         assert time.perf_counter() - start < 10
         assert code == 0 and report["status"] == "possibly-incomplete"
         assert report["payload"]["classes"] == []
+
+
+_README = Path(cli.__file__).parents[2] / "README.md"
+
+
+def _readme_argvs(module_path: str) -> list[list[str]]:
+    """The README's CLI examples, with `module.json` replaced by a file."""
+    lines = _README.read_text().split("## CLI", 1)[1].split("```")[1].splitlines()
+    return [
+        [module_path if word == "module.json" else word for word in shlex.split(line.split("#")[0])[1:]]
+        for line in lines
+        if line.startswith("quatca ")
+    ]
+
+
+@pytest.fixture
+def module_path(tmp_path):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(serde.module_to_json(ModulePresentation(2, [[[I, ZERO], [ZERO, J]]]))))
+    return str(path)
+
+
+def _equals_form(argv: list[str]) -> list[str]:
+    """argv with each `--opt value` pair joined as `--opt=value`."""
+    out = []
+    for word in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and not word.startswith("--"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
+def _space_form(argv: list[str]) -> list[str]:
+    """argv with each `--opt=value` split into `--opt value`."""
+    return [part for word in argv for part in (word.split("=", 1) if word.startswith("--") else [word])]
+
+
+class TestIndentEmitter:
+    # `_dumps_indent2` writes what json.dumps(obj, indent=2) writes.
+
+    def test_every_report_is_printed_as_json_would(self, capsys, monkeypatch, module_path):
+        reports = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda report, as_json: reports.append(report) or emit(report, as_json))
+        argvs = [["--json", *argv] for argv in _readme_argvs(module_path) + _fuzz_argvs(1, 400)]
+        argvs.append(["--json", "selfcheck", "--seed", "1" * 4400])  # an int past the digit cap
+        printed = 0
+        for argv in argvs:
+            count = len(reports)
+            code, out, _ = run(capsys, *argv)
+            if len(reports) > count:
+                with cli._exact_integers():
+                    assert out == json.dumps(reports[-1].to_json(), indent=2) + "\n", argv
+                printed += 1
+        assert printed > 150 and {type(r.payload["seed"]) for r in reports if "seed" in r.payload} == {int}
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [{}, [], [[]], {"d": {}}]},
+            [[], {}, [{"e": []}]],
+            ("t", 1, (2, [3])),
+            {"é中\U0001f600": "café   \U0001f600", "ctl\x00\x1f\t\n\"\\/": "\x7f\b\f\r"},
+            {"flags": [True, False, None], "ints": [0, -1, -10**30, 10**30]},
+        ],
+        ids=["empty-dict", "empty-list", "nested-empties", "nested-list", "tuple", "non-ascii-and-control", "leaves"],
+    )
+    def test_edge_shapes(self, obj):
+        assert cli._dumps_indent2(obj) == json.dumps(obj, indent=2)
+
+    def test_long_int(self):
+        with cli._exact_integers():
+            obj = {"n": [-(10**4400) - 7]}
+            assert cli._dumps_indent2(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize("payload", [{"x": 0.5}, {"x": [1, float("nan")]}, {1: "int key"}])
+    def test_other_types_take_json(self, capsys, payload):
+        with pytest.raises(TypeError):
+            cli._dumps_indent2(payload)
+        cli._emit(cli.Report(cli.OK, payload, "p"), True)
+        report = {"status": "ok", "payload": payload, "provenance": "p"}
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+
+def _argparse_only(capsys, monkeypatch, argv):
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_argv", lambda argv: None)
+        return run(capsys, *argv)
+
+
+class TestArgvReader:
+    # `_read_argv` gives argparse's namespace on the requests it reads and
+    # leaves every other request, with its message and exit code, to it.
+
+    def test_namespace_equals_argparse(self, module_path):
+        parser = cli.build_parser()
+        argvs = _readme_argvs(module_path) + _fuzz_argvs(1, 400)
+        fast = 0
+        for argv in argvs:
+            for form in (_equals_form(argv), _space_form(argv)):
+                for full in (["--json", *form], [*form, "--json"], form):
+                    args = cli._read_argv(full)
+                    if args is None:
+                        # only a separate value that starts with `-`
+                        assert any(w.startswith("-") and not w.startswith("--") for w in full), full
+                        continue
+                    assert args == parser.parse_args(full), full
+                    fast += 1
+        assert fast > 4 * len(argvs)
+        assert all(cli._read_argv(["--json", *_equals_form(argv)]) for argv in argvs)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-h"],
+            ["roots", "-h"],
+            ["--json", "roots", "--poly", "x", "--bogus", "1"],
+            ["roots", "--pol=x^2 + 1"],
+            ["--js", "roots", "--poly=x"],
+            ["roots"],
+            ["roots", "--poly", "x^2 - 2", "--poly", "x^2 + 1"],
+            ["eval", "--poly", "x", "--at", "-1"],
+            ["roots", "--json=1", "--poly", "x"],
+            ["--json=", "roots", "--poly", "x"],
+            ["reduce", "--poly", "x", "--point", "i", "--nvars", "x"],
+            ["eval", "--poly", "x", "--at", "i", "--side", "up"],
+            ["roots", "--", "--poly", "x"],
+            ["roots", "--poly", "x", "stray"],
+            ["frobnicate"],
+            [],
+        ],
+    )
+    def test_other_requests_are_argparse_s(self, capsys, monkeypatch, argv):
+        assert cli._read_argv(argv) is None
+        assert run(capsys, *argv) == _argparse_only(capsys, monkeypatch, argv)
+
+    def test_a_lone_double_dash_value_is_argparse_s(self):
+        # argparse strips `--` from `--poly=--` and stores [] as the value.
+        assert cli._read_argv(["roots", "--poly=--"]) is None
+        assert cli.build_parser().parse_args(["roots", "--poly=--"]).poly == []

@@ -562,6 +562,29 @@ with tempfile.TemporaryDirectory() as tmp:
     assert _imported_packages(code, ("sympy",)) == "[]"
 
 
+def test_requests_of_exact_long_options_skip_argparse(monkeypatch, capsys):
+    # The benchmark's requests and the README's forms are read from the
+    # parser's own actions; argparse's parse, about a quarter of a request,
+    # runs only for help and errors.
+    import argparse
+
+    from quatca import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a request of exact long options")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(sys, "argv", ["quatca", "--json", "degree", "--a=i", "--b=j"])
+    for argv in (
+        ["--json", "roots", "--poly=x^2-2"],
+        ["eval", "--poly", "x^2 + 1", "--at", "j", "--side", "right", "--json"],
+        ["--json", "rabinowitsch", "--ideal=x-i", "--ideal=x-i", "--p=1", "--a=j", "--N=1"],
+        None,
+    ):
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["status"] in ("ok", "possibly-incomplete", "not-found")
+
+
 def test_factoring_and_square_modules_expose_one_entry_point_each():
     # The tracer wraps every public function of these modules, so a public
     # helper would add spans and shift the per-layer metrics.

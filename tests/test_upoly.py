@@ -188,6 +188,25 @@ class TestGcrdLclm:
                 p, q = p * shared, q * shared
             assert _gcrd_combination([p, q])[0] == gcrd(p, q)
 
+    def test_remainder_loop_matches_the_cofactor_oracle(self):
+        # gcrd keeps no Bezout cofactors; _gcrd_combination, which does,
+        # is the oracle on a zero input, a shared right factor and
+        # generic (coprime) pairs, five pairs per degree.
+        rng = Random(33)
+
+        def poly(degree):
+            return UPoly([*(rand_quat(rng, 4) for _ in range(degree)), rand_nonzero_quat(rng, 4)])
+
+        for degree in (1, 2, 4):
+            for _ in range(5):
+                p, q, shared = poly(degree), poly(degree), poly(2)
+                assert gcrd(p, UPoly()) == _gcrd_combination([p, UPoly()])[0] == p.monic()
+                assert gcrd(UPoly(), q) == _gcrd_combination([UPoly(), q])[0] == q.monic()
+                assert gcrd(p, q) == _gcrd_combination([p, q])[0] == UPoly.constant(ONE)
+                # H[x]p + H[x]q = H[x], so the multiples generate H[x]·shared.
+                d = gcrd(p * shared, q * shared)
+                assert d == _gcrd_combination([p * shared, q * shared])[0] == shared.monic()
+
     def test_combination_of_one_input(self):
         p = UPoly([Quat(1, 2), J, Quat(0, 3)])
         d, u = _gcrd_combination([p])
