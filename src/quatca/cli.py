@@ -9,12 +9,14 @@ status a shell gives a writer killed by a closed pipe) when the reader closes
 stdout before the report is written, as `quatca ... | head -1` may; that
 case prints no traceback.
 
-`build_parser()` is the only spec of the options and the only source of
-help, error messages and usage exit codes.  A request of `--json`, a
-subcommand and that subcommand's exact long options (`--opt=value` or
-`--opt value`) is read by `_read_argv` from the parser's own actions;
-anything else goes to argparse.  `--json` reports are written by
-`_dumps_indent2`, byte for byte what `json.dumps(..., indent=2)` writes.
+`COMMANDS` is the only spec of the subcommands and their options.
+`build_parser()` turns it into the argparse parser, the only source of
+help, error messages and usage exit codes; it is built only when argparse
+must read argv.  A request of `--json`, a subcommand and that subcommand's
+exact long options (`--opt=value` or `--opt value`) is read by `_read_argv`
+straight from `COMMANDS`; anything else goes to argparse.  `--json` reports
+are written by `_dumps_indent2`, byte for byte what
+`json.dumps(..., indent=2)` writes.
 """
 
 from __future__ import annotations
@@ -361,177 +363,142 @@ def _cmd_selfcheck(args) -> Report:
     return Report(status, report, "property suites for the algebra kernel")
 
 
-@functools.cache  # one parser per process: `_argv_spec` reads its actions, argparse reuses it
+_JSON_HELP = "emit machine-readable reports"
+
+# The one spec of the command line: subcommand -> (help, handler, {long
+# option: the keyword arguments `add_argument` takes}).  `build_parser`
+# makes argparse's parser of it and `_read_argv` reads argv by it.
+COMMANDS = {
+    "eval": ("evaluate a polynomial at a quaternion", _cmd_eval, {
+        "--poly": {"required": True},
+        "--at": {"required": True},
+        "--side": {"choices": ("left", "right"), "default": "left"},
+    }),
+    "roots": ("conjugacy classes of right roots", _cmd_roots, {"--poly": {"required": True}}),
+    "minpoly": ("minimal one-sided polynomial over a centralizer", _cmd_minpoly, {
+        "--element": {"required": True},
+        "--over": {"required": True, "help": "comma-separated quaternions; their centralizer is the coefficient ring"},
+        "--side": {"choices": ("left", "right"), "default": "left"},
+    }),
+    "wedderburn": ("least common left multiple over a conjugation orbit", _cmd_wedderburn, {
+        "--element": {"required": True},
+        "--generators": {"required": True, "help": "comma-separated nonzero conjugators"},
+    }),
+    "espace": ("conjugation root space at a right root", _cmd_espace, {
+        "--poly": {"required": True}, "--root": {"required": True},
+    }),
+    "indep": ("left linear independence over a centralizer", _cmd_indep, {
+        "--a": {"required": True}, "--bs": {"required": True, "help": "comma-separated vectors"},
+    }),
+    "degree": ("left algebraic degree over a centralizer", _cmd_degree, {
+        "--a": {"required": True}, "--b": {"required": True},
+    }),
+    "witness": ("algebraicity witness coefficients", _cmd_witness, {
+        "--a": {"required": True}, "--b": {"required": True},
+    }),
+    "reduce": ("reduce a polynomial modulo a point ideal", _cmd_reduce, {
+        "--poly": {"required": True},
+        "--point": {"required": True, "help": "semicolon-separated commuting components"},
+        "--nvars": {"type": int, "default": None},
+    }),
+    "eigen": ("extract a common eigenvector from a module presentation", _cmd_eigen, {
+        "--module": {"required": True, "help": "JSON file, or - for stdin"},
+        "--seed": {"default": None, "help": "comma-separated seed vector"},
+    }),
+    "rabinowitsch": ("search for a power-membership certificate", _cmd_rabinowitsch, {
+        "--ideal": {"action": "append", "required": True, "help": "generator (repeatable)"},
+        "--p": {"required": True},
+        "--a": {"required": True},
+        "--maxN": {"type": int, "default": 5},
+        "--N": {"type": int, "default": None, "help": "check one power instead of searching"},
+        "--degbound": {"type": int, "default": 2},
+        "--nvars": {"type": int, "default": 1},
+    }),
+    "selfcheck": ("run the kernel property suites", _cmd_selfcheck, {
+        "--seed": {"type": int, "default": selfcheck.DEFAULT_SEED},
+    }),
+}
+
+
+@functools.cache  # one parser per process, built only when argparse reads argv
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatca",
         description="Exact computer algebra over the rational quaternions.",
     )
-    parser.add_argument("--json", action="store_true", help="emit machine-readable reports")
-    # The flag is accepted on either side of the subcommand; SUPPRESS keeps
-    # the subparser from clobbering a value parsed before it.
-    json_flag = argparse.ArgumentParser(add_help=False)
-    json_flag.add_argument(
-        "--json", action="store_true", default=argparse.SUPPRESS,
-        help="emit machine-readable reports",
-    )
+    parser.add_argument("--json", action="store_true", help=_JSON_HELP)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    cmd = sub.add_parser("eval", parents=[json_flag], help="evaluate a polynomial at a quaternion")
-    cmd.add_argument("--poly", required=True)
-    cmd.add_argument("--at", required=True)
-    cmd.add_argument("--side", choices=("left", "right"), default="left")
-    cmd.set_defaults(handler=_cmd_eval)
-
-    cmd = sub.add_parser("roots", parents=[json_flag], help="conjugacy classes of right roots")
-    cmd.add_argument("--poly", required=True)
-    cmd.set_defaults(handler=_cmd_roots)
-
-    cmd = sub.add_parser("minpoly", parents=[json_flag], help="minimal one-sided polynomial over a centralizer")
-    cmd.add_argument("--element", required=True)
-    cmd.add_argument("--over", required=True, help="comma-separated quaternions; their centralizer is the coefficient ring")
-    cmd.add_argument("--side", choices=("left", "right"), default="left")
-    cmd.set_defaults(handler=_cmd_minpoly)
-
-    cmd = sub.add_parser("wedderburn", parents=[json_flag], help="least common left multiple over a conjugation orbit")
-    cmd.add_argument("--element", required=True)
-    cmd.add_argument("--generators", required=True, help="comma-separated nonzero conjugators")
-    cmd.set_defaults(handler=_cmd_wedderburn)
-
-    cmd = sub.add_parser("espace", parents=[json_flag], help="conjugation root space at a right root")
-    cmd.add_argument("--poly", required=True)
-    cmd.add_argument("--root", required=True)
-    cmd.set_defaults(handler=_cmd_espace)
-
-    cmd = sub.add_parser("indep", parents=[json_flag], help="left linear independence over a centralizer")
-    cmd.add_argument("--a", required=True)
-    cmd.add_argument("--bs", required=True, help="comma-separated vectors")
-    cmd.set_defaults(handler=_cmd_indep)
-
-    cmd = sub.add_parser("degree", parents=[json_flag], help="left algebraic degree over a centralizer")
-    cmd.add_argument("--a", required=True)
-    cmd.add_argument("--b", required=True)
-    cmd.set_defaults(handler=_cmd_degree)
-
-    cmd = sub.add_parser("witness", parents=[json_flag], help="algebraicity witness coefficients")
-    cmd.add_argument("--a", required=True)
-    cmd.add_argument("--b", required=True)
-    cmd.set_defaults(handler=_cmd_witness)
-
-    cmd = sub.add_parser("reduce", parents=[json_flag], help="reduce a polynomial modulo a point ideal")
-    cmd.add_argument("--poly", required=True)
-    cmd.add_argument("--point", required=True, help="semicolon-separated commuting components")
-    cmd.add_argument("--nvars", type=int, default=None)
-    cmd.set_defaults(handler=_cmd_reduce)
-
-    cmd = sub.add_parser("eigen", parents=[json_flag], help="extract a common eigenvector from a module presentation")
-    cmd.add_argument("--module", required=True, help="JSON file, or - for stdin")
-    cmd.add_argument("--seed", default=None, help="comma-separated seed vector")
-    cmd.set_defaults(handler=_cmd_eigen)
-
-    cmd = sub.add_parser("rabinowitsch", parents=[json_flag], help="search for a power-membership certificate")
-    cmd.add_argument("--ideal", action="append", required=True, help="generator (repeatable)")
-    cmd.add_argument("--p", required=True)
-    cmd.add_argument("--a", required=True)
-    cmd.add_argument("--maxN", type=int, default=5)
-    cmd.add_argument("--N", type=int, default=None, help="check one power instead of searching")
-    cmd.add_argument("--degbound", type=int, default=2)
-    cmd.add_argument("--nvars", type=int, default=1)
-    cmd.set_defaults(handler=_cmd_rabinowitsch)
-
-    cmd = sub.add_parser("selfcheck", parents=[json_flag], help="run the kernel property suites")
-    cmd.add_argument("--seed", type=int, default=selfcheck.DEFAULT_SEED)
-    cmd.set_defaults(handler=_cmd_selfcheck)
-
+    for name, (help_text, handler, options) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        # The flag is accepted on either side of the subcommand; SUPPRESS
+        # keeps the subparser from clobbering a value parsed before it.
+        cmd.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help=_JSON_HELP)
+        for option, kwargs in options.items():
+            cmd.add_argument(option, **kwargs)
+        cmd.set_defaults(handler=handler)
     return parser
 
 
-@functools.cache
-def _argv_spec():
-    """What `_read_argv` needs of `build_parser()`, read once from the
-    parser's own actions: the top level's option table, the subcommand's
-    dest, and each subcommand's option table (`_option_table`)."""
-    parser = build_parser()
-    (subparsers,) = parser._subparsers._group_actions
-    commands = {name: _option_table(sub) for name, sub in subparsers.choices.items()}
-    return _option_table(parser), subparsers.dest, commands
-
-
-def _option_table(parser: argparse.ArgumentParser):
-    """(options, defaults, required) of one parser: its exact long option
-    strings of store, append and store-const actions that take one value or
-    none, the values it sets before reading any argument (the actions'
-    defaults, then `set_defaults`), and its required actions."""
-    options, defaults = {}, {}
-    for action in parser._actions:
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            defaults[action.dest] = action.default
-        one_value = isinstance(action, (argparse._StoreAction, argparse._AppendAction)) and action.nargs is None
-        if one_value or isinstance(action, argparse._StoreConstAction):
-            options.update((o, action) for o in action.option_strings if o.startswith("--"))
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    required = {a for a in parser._actions if a.required and not isinstance(a, argparse._SubParsersAction)}
-    return options, defaults, required
-
-
 def _read_argv(argv) -> argparse.Namespace | None:
-    """The namespace `build_parser().parse_args(argv)` returns, where argv
-    is `--json`, a known subcommand and that subcommand's exact long
-    options, each as `--opt=value` or `--opt value` with a value that does
-    not start with `-`.  Otherwise None, and argparse reads argv with its
-    own messages and exit codes: help, an unknown or abbreviated option, a
-    missing or repeated one, a failed type or choices check, `--`."""
-    top, dest, commands = _argv_spec()
-    read = _read_options(top, argv, 0)
-    if read is None or read[1] == len(argv) or argv[read[1]] not in commands:
+    """The namespace `build_parser().parse_args(argv)` returns, read from
+    COMMANDS, where argv is `--json`, a known subcommand and that
+    subcommand's exact long options, each as `--opt=value` or `--opt value`
+    with a value that does not start with `-`.  Otherwise None, and
+    argparse reads argv with its own messages and exit codes: help, an
+    unknown or abbreviated option, a missing or repeated one, a failed type
+    or choices check, `--`."""
+    at = 0
+    as_json = False
+    while at < len(argv) and argv[at] == "--json":
+        as_json, at = True, at + 1
+    if at == len(argv) or argv[at] not in COMMANDS:
         return None
-    values, at = read
-    read = _read_options(commands[argv[at]], argv, at + 1)
-    if read is None or read[1] != len(argv):
-        return None
-    values[dest] = argv[at]
-    values.update(read[0])
-    return argparse.Namespace(**values)
-
-
-def _read_options(table, argv, at: int) -> tuple[dict, int] | None:
-    """The values one parser sets from argv[at:], up to the first argument
-    that does not start with `-`, and that argument's index (or len(argv));
-    None where argparse must decide."""
-    options, defaults, required = table
-    values = dict(defaults)
+    command = argv[at]
+    _, handler, options = COMMANDS[command]
+    values = {option[2:]: kwargs.get("default") for option, kwargs in options.items()}
+    values.update(json=as_json, command=command, handler=handler)
     seen = set()
-    while at < len(argv) and argv[at][:1] == "-":
-        name, eq, value = argv[at].partition("=")
-        action = options.get(name)
-        if action is None or (action in seen and not isinstance(action, argparse._AppendAction)):
-            return None
-        seen.add(action)
+    at += 1
+    while at < len(argv):
+        option, eq, value = argv[at].partition("=")
         at += 1
-        if isinstance(action, argparse._StoreConstAction):
-            if eq:
-                return None
-            values[action.dest] = action.const
+        if option == "--json" and not eq:
+            values["json"] = True
             continue
+        kwargs = options.get(option)
+        if kwargs is None or (option in seen and kwargs.get("action") != "append"):
+            return None
+        seen.add(option)
         if not eq:
             if at == len(argv) or argv[at][:1] == "-":
                 return None
             value = argv[at]
             at += 1
-        elif value == "--":  # argparse strips it and stores []
+        elif value == "--":  # argparse strips it and stores [], by version
             return None
-        if action.type is not None:
+        if "type" in kwargs:
             try:
-                value = action.type(value)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                value = kwargs["type"](value)
+            except ValueError:
                 return None
-        if action.choices is not None and value not in action.choices:
+        if value not in kwargs.get("choices", (value,)):
             return None
-        if isinstance(action, argparse._AppendAction):
-            value = [*(values.get(action.dest) or ()), value]
-        values[action.dest] = value
-    return (values, at) if required <= seen else None
+        if kwargs.get("action") == "append":
+            value = [*(values[option[2:]] or ()), value]
+        values[option[2:]] = value
+    if any(kwargs.get("required") and option not in seen for option, kwargs in options.items()):
+        return None
+    return argparse.Namespace(**values)
+
+
+def _missing_value(args) -> str | None:
+    """The option that argparse gave no value, where `--opt=--` stored []
+    in place of one; some Python versions do, others keep the `--`."""
+    for option, kwargs in COMMANDS[args.command][2].items():
+        value = getattr(args, option[2:])
+        if [] in (value or () if kwargs.get("action") == "append" else [value]):
+            return option
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -542,6 +509,9 @@ def main(argv: list[str] | None = None) -> int:
                 args = build_parser().parse_args(argv)
             except SystemExit as exc:
                 return EXIT_USAGE if exc.code else 0
+            if option := _missing_value(args):
+                print(f"error: argument {option}: expected one argument", file=sys.stderr)
+                return EXIT_USAGE
         try:
             report = args.handler(args)
         except InternalError as exc:

@@ -35,7 +35,9 @@ degree, so the conversion refuses a degree above 1,000,000 with
 InvalidInput; `x^1000000000` is cheap as a sparse `MPoly` but not dense.
 Reduction modulo a point writes one quotient term per unit of exponent, so
 it refuses a term whose exponents times the point's growth exceed 2,000
-bits, also with InvalidInput.
+bits, also with InvalidInput.  A certificate system is estimated from
+degrees before it is built, at each degree it is solved at, and refused
+past 16,000 quaternion entries, also with InvalidInput.
 """
 
 from __future__ import annotations
@@ -426,6 +428,11 @@ def rabinowitsch_check(
     change no found/not-found outcome, and the bases g_j*(a*p)^k with
     k >= 1 are formed only when a stage reads them.
 
+    Each system is estimated from degrees alone, before it or the bases
+    it reads are built, at the degree about to be solved; past
+    _MAX_SYSTEM_ENTRIES quaternion entries the check raises InvalidInput
+    and names the bound.
+
     A found certificate is verified by reconstructing the identity before
     it is returned.
     """
@@ -443,10 +450,11 @@ def rabinowitsch_check(
         if least is None:
             return NotFoundWithinBounds(N, degbound)
         m, rows = least
-        ap_powers = _powers(ap, N)
         if max(h.degree for row in rows for h in row) <= degbound:
             flat = zeros * (N - m) + [_from_upoly(h) for row in rows for h in row]
-            return _certificate(ideal, ap_powers, flat)
+            return _certificate(ideal, _powers(ap, N), flat)
+        _bound_system(_groebner_budget(ideal.gens, ap, N, 0), 0)
+        ap_powers = _powers(ap, N)
         return _bounded_certificate(ideal, _bases(ideal.gens, ap_powers), ap_powers, degbound)
     ap_powers = _powers(ap, N)
     k = _membership(ideal.gens, ap_powers, _groebner_budget(ideal.gens, ap, N, degbound))
@@ -456,6 +464,7 @@ def rabinowitsch_check(
         lift = _bounded_cofactors(nvars, ideal.gens, ap_powers[k], degbound)
         if lift is not None:
             return _certificate(ideal, ap_powers, zeros * (N - k) + lift + zeros * k)
+    _bound_system(_groebner_budget(ideal.gens, ap, N, 0), 0)
     return _bounded_certificate(ideal, _bases(ideal.gens, ap_powers), ap_powers, degbound)
 
 
@@ -520,15 +529,39 @@ def _least_member_power(
 
 
 def _groebner_budget(gens: tuple[MPoly, ...], ap: MPoly, N: int, degbound: int) -> int:
-    """An upper bound on the quaternion entries of the system over all
-    bases g_j*(a*p)^k, k = 0..N: one column per (base, monomial up to
-    degbound) and at most one row per monomial up to degbound plus the
-    largest base degree.  H[X] is a domain, so a nonzero base has degree
-    deg g_j + k*deg(a*p), and no base is built to find the largest."""
-    nvars = ap.nvars
+    """`_system_entries` of the system over all bases g_j*(a*p)^k,
+    k = 0..N, at degree degbound: the Groebner pass's budget, and at
+    degree 0 the first system that `_bounded_certificate` solves.  H[X] is
+    a domain, so a nonzero base has degree deg g_j + k*deg(a*p), and no
+    base is built to find the largest."""
     degrees = [_degree(g) for g in gens if g]
     top = max(degrees, default=0) + (N * _degree(ap) if degrees and ap else 0)
-    return (N + 1) * len(gens) * comb(nvars + degbound, nvars) * comb(nvars + degbound + top, nvars)
+    return _system_entries(ap.nvars, (N + 1) * len(gens), top, degbound)
+
+
+def _system_entries(nvars: int, nbases: int, top: int, d: int) -> int:
+    """An upper bound on the quaternion entries of the system over nbases
+    bases of total degree at most top: one column per (base, monomial up
+    to d) and at most one row per monomial up to d + top."""
+    return nbases * comb(nvars + d, nvars) * comb(nvars + d + top, nvars)
+
+
+# The certificate system of I = H[x](x - i)^2, p = x - i, a = j at
+# N = 124 and degree 0, estimated at 15,875 quaternion entries (125
+# unknowns in 127 equations), is solved in about 1 s on a shared 2-core
+# host; the largest estimate of the test suite is 13,200, and of the
+# benchmark's instances 12.
+_MAX_SYSTEM_ENTRIES = 16_000
+
+
+def _bound_system(entries: int, d: int) -> None:
+    """Refuse a certificate system past _MAX_SYSTEM_ENTRIES before it is
+    built."""
+    if entries > _MAX_SYSTEM_ENTRIES:
+        raise InvalidInput(
+            f"certificate system of up to {entries} quaternion entries at cofactor degree {d}, "
+            f"above the bound of {_MAX_SYSTEM_ENTRIES}"
+        )
 
 
 def _degree(p: MPoly) -> int:
@@ -702,6 +735,7 @@ def _bounded_cofactors(
     top = max((sum(e) for base in bases for e in base.terms), default=0)
     need = max((sum(e) for e in target.terms), default=0)
     for d in range(max(0, need - top), degbound + 1):
+        _bound_system(_system_entries(nvars, len(bases), top, d), d)
         monos = monomials_upto(nvars, d)
 
         # One known polynomial per (base, monomial); the unknown quaternion
@@ -760,7 +794,10 @@ def find_certificate(
     d_0 the monic gcrd of the generators, is a member, the answer is
     NotFoundWithinBounds with every_power set: no certificate exists at
     any power or degree bound.  In several variables low is 1 and the
-    search is a bounded semidecision."""
+    search is a bounded semidecision.  A probe whose system is past the
+    bound (`rabinowitsch_check`) refuses the whole search with its
+    InvalidInput, also where a loop over the powers below it would have
+    found a certificate first."""
     if max_power < 1:
         raise InvalidInput("the largest power must be at least one")
     if degbound < 0:

@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import argparse
+
 import pytest
 
 from quatca import cli, linalg, mpoly, selfcheck, serde
@@ -164,6 +166,34 @@ class TestReports:
         assert code == 0 and report["status"] == "not-found"
         assert report["payload"] == {"maxN": 40, "degbound": 1, "every_power": False}
         assert checked == [1, 40]
+
+    def test_rabinowitsch_search_bisects_into_the_lower_half(self, capsys, monkeypatch):
+        # No certificate at 1 or 2 within degree 2, one from 3 on: after 1
+        # and 4 the search checks 2, moves its lower end up, and checks 3.
+        request = [
+            "rabinowitsch", "--ideal", "x^4 + (2i + 2j - 4k)x^3 + (-6 + 2i + 2j + 2k)x^2 - 3",
+            "--p", "x + (-2 + i + 2j + k)", "--a", "-i - j - 2k", "--degbound", "2",
+        ]
+        found = [run_json(capsys, *request, "--N", str(N))[1]["status"] for N in range(1, 5)]
+        assert found == ["not-found", "not-found", "ok", "ok"]
+        checked = []
+        check = mpoly.rabinowitsch_check
+        monkeypatch.setattr(mpoly, "rabinowitsch_check", lambda *args: checked.append(args[3]) or check(*args))
+        code, report, _ = run_json(capsys, *request, "--maxN", "4")
+        assert code == 0 and report["status"] == "ok" and report["payload"]["N"] == 3
+        assert checked == [1, 4, 2, 3]
+
+    def test_a_certificate_system_past_its_bound_is_refused_at_once(self):
+        # One-shot: the estimate precedes (j(x - i))^1000 and its bases.
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        request = [sys.executable, "-m", "quatca", "rabinowitsch", "--ideal", "(x-i)^2", "--p", "x-i", "--a", "j"]
+        start = time.perf_counter()
+        proc = subprocess.run([*request, "--maxN", "1000", "--degbound", "0"], capture_output=True, text=True, env=env)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: certificate system of up to") and "the bound of 16000" in proc.stderr
+        proc = subprocess.run([*request, "--maxN", "40", "--degbound", "0"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0 and proc.stdout.startswith("status: not-found\n")
 
     def test_rabinowitsch_single_power_not_found(self, capsys):
         code, report, _ = run_json(
@@ -387,10 +417,14 @@ class TestExitCodes:
             (("reduce", "--poly", "x1^10000", "--point", "1+2i"), "the bound of 2000 bits modulo"),
             (("reduce", "--poly", "(x1+x2+x3)^160", "--point", "i; i; i"), "the bound of 1000 (at"),
             (("reduce", "--poly", "(x1+x2+x3+x4)^16(x1+x2+x3+x4)^16", "--point", "i; i; i; i"), "the bound of 1000 (at"),
+            (
+                ("rabinowitsch", "--ideal", "(x-i)^2", "--p", "x-i", "--a", "j", "--maxN", "1000", "--degbound", "0"),
+                "certificate system of up to 1004003 quaternion entries at cofactor degree 0, above the bound of 16000",
+            ),
         ],
         ids=[
             "eval", "roots", "espace", "rabinowitsch", "polynomial-power", "quaternion-power", "reduce", "terms",
-            "product-terms",
+            "product-terms", "certificate-system",
         ],
     )
     def test_oversized_input_is_usage(self, capsys, argv, bound):
@@ -747,6 +781,44 @@ class TestArgvReader:
         assert run(capsys, *argv) == _argparse_only(capsys, monkeypatch, argv)
 
     def test_a_lone_double_dash_value_is_argparse_s(self):
-        # argparse strips `--` from `--poly=--` and stores [] as the value.
+        # argparse strips `--` from `--poly=--` and stores [] as the value
+        # (or keeps "--", by version); `main` refuses both.
         assert cli._read_argv(["roots", "--poly=--"]) is None
-        assert cli.build_parser().parse_args(["roots", "--poly=--"]).poly == []
+        assert cli.build_parser().parse_args(["roots", "--poly=--"]).poly in ([], "--")
+
+    def test_every_option_written_with_a_lone_double_dash_is_usage(self, capsys, module_path):
+        # Each request answers as written; with one option's value replaced
+        # by `--opt=--` it exits 2 with one error line and no traceback.
+        # Where argparse stores [], the line names the option; where it
+        # keeps "--", the grammar, `int`, `open` or `choices` refuses it.
+        probe = argparse.ArgumentParser()
+        probe.add_argument("--v")
+        stores_empty = probe.parse_args(["--v=--"]).v == []
+        requests = {
+            "eval": ["--poly=x", "--at=i", "--side=right"],
+            "roots": ["--poly=x"],
+            "minpoly": ["--element=j", "--over=i", "--side=right"],
+            "wedderburn": ["--element=j", "--generators=i"],
+            "espace": ["--poly=x^2 + 1", "--root=i"],
+            "indep": ["--a=i", "--bs=1,j"],
+            "degree": ["--a=i", "--b=j"],
+            "witness": ["--a=i", "--b=j"],
+            "reduce": ["--poly=x1", "--point=i", "--nvars=1"],
+            "eigen": [f"--module={module_path}", "--seed=1,1"],
+            "rabinowitsch": ["--ideal=x-i", "--p=x-i", "--a=j", "--maxN=2", "--N=1", "--degbound=1", "--nvars=1"],
+            "selfcheck": ["--seed=1"],
+        }
+        assert set(requests) == set(cli.COMMANDS)
+        for command, (_, _, options) in cli.COMMANDS.items():
+            if command != "selfcheck":  # its suites take seconds
+                assert main([command, *requests[command]]) == 0, command
+            capsys.readouterr()
+            for option in options:
+                written = [word for word in requests[command] if not word.startswith(option + "=")]
+                # the option only as `--`, and `--` after a value of its own
+                for argv in ([command, *written, option + "=--"], [command, *requests[command], option + "=--"]):
+                    code, out, err = run(capsys, *argv)
+                    assert code == 2 and out == "", argv
+                    assert sum("error:" in line for line in err.splitlines()) == 1, argv
+                    if stores_empty:
+                        assert err == f"error: argument {option}: expected one argument\n", argv

@@ -647,6 +647,82 @@ class TestEveryPower:
         assert out == NotFoundWithinBounds(2, 5) and not out.every_power
         assert find_certificate(LeftIdeal((g * g * g,)), g, ONE, 3, 5)[0] == 3
 
+    def test_the_bisection_takes_the_lower_half(self, monkeypatch):
+        # Least member power 1 with no certificate at degree bound 2, and
+        # certificates from N = 3 on: the search checks 1 and 4, then 2
+        # (none, so the lower end moves up) and 3.
+        ideal = LeftIdeal((parse_mpoly("x^4 + (2i + 2j - 4k)x^3 + (-6 + 2i + 2j + 2k)x^2 - 3", 1),))
+        p, a = parse_mpoly("x + (-2 + i + 2j + k)", 1), parse_quat("-i - j - 2k")
+        loop = [isinstance(rabinowitsch_check(ideal, p, a, N, 2), RabinowitschCertificate) for N in range(1, 5)]
+        assert loop == [False, False, True, True]
+        checked = []
+
+        def check(*args, original=rabinowitsch_check):
+            checked.append(args[3])
+            return original(*args)
+
+        monkeypatch.setattr(mpoly, "rabinowitsch_check", check)
+        out = find_certificate(ideal, p, a, 4, 2)
+        assert checked == [1, 4, 2, 3]
+        assert out[0] == 3 and _reconstructs(ideal, p, a, out[1])
+
+
+class TestSystemBound:
+    """A certificate system is estimated from degrees before it is built,
+    at each degree it is solved at, and refused with InvalidInput past
+    16,000 quaternion entries."""
+
+    def test_the_flagship_system_just_below_and_just_above_the_bound(self):
+        # I = H[x](x - i)^2, p = x - i, a = j: the least member power is 1
+        # with cofactors of degree 1, so at degree bound 0 the system over
+        # every base runs, with (N + 1)(N + 3) entries at degree 0.
+        assert mpoly._MAX_SYSTEM_ENTRIES == 16_000
+        g = x(0, 1) - const(I, 1)
+        ideal = LeftIdeal((g * g,))
+        assert rabinowitsch_check(ideal, g, J, 124, 0) == NotFoundWithinBounds(124, 0)  # 15,875
+        with pytest.raises(InvalidInput) as info:
+            rabinowitsch_check(ideal, g, J, 125, 0)
+        assert str(info.value) == (
+            "certificate system of up to 16128 quaternion entries at cofactor degree 0, above the bound of 16000"
+        )
+
+    def test_a_system_past_the_bound_forms_no_power(self, monkeypatch):
+        # The estimate reads degrees alone, so (j(x - i))^N is never formed
+        # for a power whose system is refused, in a check or in a search;
+        # where the chain's cofactors fit, no system runs and none is
+        # refused.
+        g = x(0, 1) - const(I, 1)
+        ideal = LeftIdeal((g * g,))
+        powers = mpoly._powers
+
+        def refuse(ap, N):
+            assert N <= 2, N
+            return powers(ap, N)
+
+        monkeypatch.setattr(mpoly, "_powers", refuse)
+        with pytest.raises(InvalidInput, match="above the bound of 16000"):
+            rabinowitsch_check(ideal, g, J, 10**6, 0)
+        with pytest.raises(InvalidInput, match="1004003 quaternion entries at cofactor degree 0"):
+            find_certificate(ideal, g, J, 1000, 0)
+        monkeypatch.setattr(mpoly, "_powers", powers)
+        assert find_certificate(ideal, g, J, 40, 0) == NotFoundWithinBounds(40, 0)
+        assert find_certificate(ideal, g, J, 1000, 1)[0] == 1
+
+    def test_the_bound_is_checked_at_each_degree(self):
+        # Over the bases x1, x2, x3 the system at degree d has up to
+        # 3 * C(d + 3, 3) * C(d + 4, 3) entries: 14,112 at d = 5 and 30,240
+        # at d = 6.  The constant 1 is in no degree's span, so every degree
+        # up to the bound is solved and degree 6 is refused; x1 is reached
+        # at degree 0, whatever the bound.
+        bases = [x(i, 3) for i in range(3)]
+        assert _bounded_cofactors(3, bases, const(ONE, 3), 5) is None
+        with pytest.raises(InvalidInput) as info:
+            _bounded_cofactors(3, bases, const(ONE, 3), 6)
+        assert str(info.value) == (
+            "certificate system of up to 30240 quaternion entries at cofactor degree 6, above the bound of 16000"
+        )
+        assert _bounded_cofactors(3, bases, x(0, 3), 20) == [const(ONE, 3), MPoly(3, {}), MPoly(3, {})]
+
 
 def _coefficients(rng):
     """Small random quaternions, or small elements of one subfield Q(u).

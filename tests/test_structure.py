@@ -5,6 +5,7 @@ systems handed to it stay as small and as few as the algorithms need."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -583,6 +584,37 @@ def test_requests_of_exact_long_options_skip_argparse(monkeypatch, capsys):
     ):
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["status"] in ("ok", "possibly-incomplete", "not-found")
+
+
+def test_the_cli_reads_no_argparse_internals():
+    # `cli.COMMANDS` is the one spec: argparse's parser is built from it,
+    # and the argv reader reads it instead of the parser's private state.
+    text = (SOURCE / "cli.py").read_text()
+    assert not re.findall(r"argparse\._|parser\._|_group_actions|\._actions|\._defaults", text)
+
+
+def test_a_request_the_reader_reads_builds_no_parser(monkeypatch, capsys):
+    # argparse's parser is built only for help, errors and the argvs the
+    # reader leaves to it.
+    import argparse
+
+    from quatca import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an argparse parser was built for a request of exact long options")
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for argv in (
+        ["--json", "roots", "--poly=x^2-2"],
+        ["eval", "--poly", "x^2 + 1", "--at", "j", "--side", "right", "--json"],
+        ["--json", "rabinowitsch", "--ideal=x-i", "--ideal=x-i", "--p=1", "--a=j", "--N=1"],
+        ["reduce", "--poly=x1x2", "--point=i; 1+i"],
+    ):
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+    with pytest.raises(AssertionError, match="parser was built"):
+        cli.main(["roots", "-h"])
 
 
 def test_factoring_and_square_modules_expose_one_entry_point_each():
