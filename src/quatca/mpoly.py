@@ -37,7 +37,8 @@ Reduction modulo a point writes one quotient term per unit of exponent, so
 it refuses a term whose exponents times the point's growth exceed 2,000
 bits, also with InvalidInput.  A certificate system is estimated from
 degrees before it is built, at each degree it is solved at, and refused
-past 16,000 quaternion entries, also with InvalidInput.
+past 16,000 quaternion entries, and in several variables (a*p)^N past
+1,000 terms, estimated before any power is formed, both with InvalidInput.
 """
 
 from __future__ import annotations
@@ -431,7 +432,11 @@ def rabinowitsch_check(
     Each system is estimated from degrees alone, before it or the bases
     it reads are built, at the degree about to be solved; past
     _MAX_SYSTEM_ENTRIES quaternion entries the check raises InvalidInput
-    and names the bound.
+    and names the bound.  In several variables the terms of (a*p)^N are
+    estimated the same way before any power is formed, and past
+    _MAX_POWER_TERMS the check raises InvalidInput too.  In one variable a
+    member whose chain cofactors fit forms only the powers N - m..N that
+    its rows read, the first by repeated squaring.
 
     A found certificate is verified by reconstructing the identity before
     it is returned.
@@ -452,10 +457,11 @@ def rabinowitsch_check(
         m, rows = least
         if max(h.degree for row in rows for h in row) <= degbound:
             flat = zeros * (N - m) + [_from_upoly(h) for row in rows for h in row]
-            return _certificate(ideal, _powers(ap, N), flat)
+            return _certificate(ideal, _powers(ap, N, N - m), flat)
         _bound_system(_groebner_budget(ideal.gens, ap, N, 0), 0)
         ap_powers = _powers(ap, N)
         return _bounded_certificate(ideal, _bases(ideal.gens, ap_powers), ap_powers, degbound)
+    _bound_power_terms(ap, N)
     ap_powers = _powers(ap, N)
     k = _membership(ideal.gens, ap_powers, _groebner_budget(ideal.gens, ap, N, degbound))
     if k == 0:
@@ -468,12 +474,22 @@ def rabinowitsch_check(
     return _bounded_certificate(ideal, _bases(ideal.gens, ap_powers), ap_powers, degbound)
 
 
-def _powers(ap: MPoly, N: int) -> list[MPoly]:
-    """(a*p)^k for k = 0..N."""
-    powers = [MPoly.constant(ONE, ap.nvars)]
-    for _ in range(N):
+def _powers(ap: MPoly, N: int, low: int = 0) -> list[MPoly | None]:
+    """(a*p)^k for k = low..N, after low entries None: (a*p)^low by
+    repeated squaring, then one multiplication per power."""
+    powers = [None] * low + [ap.pow(low)]
+    for _ in range(N - low):
         powers.append(powers[-1] * ap)
     return powers
+
+
+def _bound_power_terms(ap: MPoly, N: int) -> None:
+    """Refuse (a*p)^N past _MAX_POWER_TERMS terms, estimated from degrees
+    (`_max_terms`) before any power is formed."""
+    t = len(ap.terms)
+    terms = _max_terms(comb(N + t - 1, t - 1), N * _degree(ap), ap.terms) if t > 1 else t
+    if terms > _MAX_POWER_TERMS:
+        raise InvalidInput(f"power (a*p)^{N} of up to {terms} terms, above the bound of {_MAX_POWER_TERMS}")
 
 
 def _bases(gens: tuple[MPoly, ...], ap_powers: list[MPoly]) -> list[MPoly]:
@@ -552,6 +568,13 @@ def _system_entries(nvars: int, nbases: int, top: int, d: int) -> int:
 # host; the largest estimate of the test suite is 13,200, and of the
 # benchmark's instances 12.
 _MAX_SYSTEM_ENTRIES = 16_000
+# In several variables (a*p)^N is formed before the Groebner pass, one
+# multiplication per power.  For I = (x1 - i, x2 - 2i), p = x1 + x2 + 1,
+# a = 1 the search to max power 40 ((a*p)^40 of 861 terms) took 2.3 s on a
+# shared 2-core host, to 50 (1,326 terms) 6.9 s and to 60 (1,891) 12.3 s;
+# the largest estimate of the test suite is 45, and of the benchmark's
+# instances 10.  The parser bounds a power of a sum at the same 1,000 terms.
+_MAX_POWER_TERMS = 1_000
 
 
 def _bound_system(entries: int, d: int) -> None:
@@ -562,6 +585,14 @@ def _bound_system(entries: int, d: int) -> None:
             f"certificate system of up to {entries} quaternion entries at cofactor degree {d}, "
             f"above the bound of {_MAX_SYSTEM_ENTRIES}"
         )
+
+
+def _max_terms(count: int, degree: int, exponents: Iterable[Exponents]) -> int:
+    """A bound on the terms of a power or product: at most count, and at
+    most the number of monomials up to degree in the variables that the
+    exponent vectors of its factors use."""
+    used = sum(map(any, zip(*exponents)))
+    return min(count, comb(degree + used, used))
 
 
 def _degree(p: MPoly) -> int:
@@ -794,10 +825,10 @@ def find_certificate(
     d_0 the monic gcrd of the generators, is a member, the answer is
     NotFoundWithinBounds with every_power set: no certificate exists at
     any power or degree bound.  In several variables low is 1 and the
-    search is a bounded semidecision.  A probe whose system is past the
-    bound (`rabinowitsch_check`) refuses the whole search with its
-    InvalidInput, also where a loop over the powers below it would have
-    found a certificate first."""
+    search is a bounded semidecision.  A probe past a bound of
+    `rabinowitsch_check`, on its system or on the terms of (a*p)^N,
+    refuses the whole search with its InvalidInput, also where a loop over
+    the powers below it would have found a certificate first."""
     if max_power < 1:
         raise InvalidInput("the largest power must be at least one")
     if degbound < 0:

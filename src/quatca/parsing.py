@@ -3,33 +3,32 @@
 Quaternion literals look like `1 - 2/3i + j - k`; polynomials like
 `(1+i)x^2 - 2/3jx + k` with the variable `x`, or `x1x2 - k` in several
 variables.  Digits are ASCII 0-9.  Whitespace separates tokens and is
-allowed around the `/` of a rational, so `1 2` is the product 2 while `12`
-is twelve, and `x 2` is 2x1 while `x2` is the second variable.  Adjacent
-factors multiply in the order written, which matters because coefficients
-do not commute; general parenthesized subexpressions and powers such as
-`(x-i)^2` are allowed, with parentheses nested at most 100 deep.
+allowed around the `/` of a rational, so `1 2` is 2 while `12` is twelve,
+and `x 2` is 2x1 while `x2` is the second variable.  Adjacent factors
+multiply in the order written, since coefficients do not commute; powers
+such as `(x-i)^2` and parentheses nested at most 100 deep are allowed.
 
-A sum collects straight into one {exponents: coefficient} dict.  Rationals
+The text is scanned once, by one `findall`, into tokens that keep no
+position: a rational, unit, variable or `)` with its `^n`, or an operator.
+Only a ParseError scans the text again, with `finditer`, for the first
+lexical error in the text, which wins over any other error, and then for
+the position of its own token.  Each sum is read in one loop.  Rationals
 and variables are central, so a product of rationals, units, variables and
-constant parentheses such as `(1/2 - i)` is one coefficient times one
-monomial: the rationals multiply, the exponents add, and the units and
-constants multiply in the order written.  Only a parenthesized factor that
-is not constant, as in `(x-i)^2` or `(x-i)j`, is multiplied as a polynomial,
-between the factors to its left and those to its right.  A power of a
-rational, unit or constant is a scalar power, and that of a polynomial is
-taken by repeated squaring.
+constant parentheses such as `(1/2 - i)` is one coefficient, four integer
+numerators over one denominator, times one monomial; each monomial's
+coefficient is summed the same way and reduced once.  Only a parenthesized
+factor that is not constant, as in `(x-i)^2` or `(x-i)j`, is multiplied as
+a polynomial, and its power is taken by repeated squaring.
 
-Powers are bounded before they are taken, and a power past a bound is a
-ParseError at its exponent: the result may have at most 100,000 bits
-(`2^100000`, `(2x)^100000`), and the power of a parenthesized factor of
-several terms at most degree 500 (`(x - i)^500`) and at most 1,000 terms
-(`(x1 + x2 + x3)^43`).  Powers that cannot grow, of a unit, a variable,
--1 or a one-term factor such as `(jx)`, are not bounded.  The product of
-two parenthesized factors of t1 and t2 terms may have at most 1,000 terms
-too and may take at most 65,536 coefficient products t1*t2, a ParseError
-at the second factor's `(`, so `(x - i)^250(x - i)^250` is read and
-`(x - i)^500(x - i)^499` is not.  `parse_upoly` then keeps the degree
-within the dense bound of `mpoly`, 1,000,000.
+Powers are bounded before they are taken, as a ParseError at the exponent:
+at most 100,000 bits (`2^100000`, `(2x)^100000`), and for a parenthesized
+factor of several terms at most degree 500 (`(x - i)^500`) and 1,000 terms
+(`(x1 + x2 + x3)^43`).  Powers that cannot grow, of a unit, a variable, -1
+or a one-term factor such as `(jx)`, are not bounded.  The product of two
+parenthesized factors of t1 and t2 terms may have at most 1,000 terms and
+take at most 65,536 coefficient products t1*t2, a ParseError at the second
+`(`: `(x - i)^250(x - i)^250` is read and `(x - i)^500(x - i)^499` is not.
+`parse_upoly` then keeps the degree within `mpoly`'s dense bound, 1,000,000.
 
 Printing inverts parsing exactly: print(parse(t)) reparses to an equal
 value.
@@ -38,264 +37,265 @@ value.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from math import comb, gcd
 from operator import add
 
 from .errors import ParseError
-from .mpoly import MPoly, _degree, _mpoly, _to_upoly
-from .scalars import I, J, K, Quat, ZERO, _growth, _reduced
+from .mpoly import MPoly, _degree, _max_terms, _mpoly, _to_upoly
+from .scalars import Quat, ZERO, _growth, _quat, _reduced
 from .upoly import UPoly
 
-_UNITS = {"i": I, "j": J, "k": K}
 _MAX_NESTING = 100
 # Bounds on a power written in the text, so that a short input cannot ask
-# for a value too large to build.  Quaternion powers cost about the square
-# of their size: `(1+2i)^100000` (0.12 million bits) takes 0.15 s and
-# `(1+2i)^1000000` 10.4 s, so a power may have 100,000 bits; the largest
-# accepted powers of `1+2i` and `3/5+4/5i` take 0.15 s.  A power of a sum
-# of terms is taken by repeated squaring of a polynomial: `(x - i)^500`
-# takes 0.53 s and `(x - i)^1000` 2.7 s.  In several variables the terms
-# grow as a binomial in the exponent, so the power of a sum of t terms is
-# also bounded by its number of terms, at most C(n + t - 1, t - 1) and at
-# most the number of monomials up to its degree in the variables it uses:
-# `(x1 + x2 + x3)^43` (990 terms) takes 0.25 s, while `(x1 + x2 + x3)^60`
-# took 1.2 s and `^160` 58.7 s.  In one variable the degree bound is the
-# tighter one.  A product of two such factors is bounded the same way, by
-# at most t1 * t2 terms and the monomials up to the summed degree:
-# `(x1+x2+x3)^43*(x1+x2+x3)^43` took 4.6 s and
-# `(x1+x2+x3+x4)^16(x1+x2+x3+x4)^16` 5.5 s.  Its work is t1 * t2
-# coefficient products whatever the terms of the result: the largest
-# product inside `(x - i)^500` makes 62,965, `(x - i)^250(x - i)^250`
-# (63,001) takes 0.54 s, and `(x - i)^500(x - i)^499` (250,500) took 2.3 s
-# on a shared 2-core host, so a product may make at most 65,536.
+# for a value too large to build (timed on a shared 2-core host).  A
+# quaternion power costs about the square of its size: `(1+2i)^100000`
+# (0.12 million bits) takes 0.15 s and `(1+2i)^1000000` 10.4 s.  A power of
+# a sum is taken by repeated squaring: `(x - i)^500` takes 0.53 s and
+# `(x - i)^1000` 2.7 s.  In several variables its terms grow as a binomial
+# in the exponent, at most C(n + t - 1, t - 1) for t terms and at most the
+# monomials up to its degree in the variables it uses: `(x1 + x2 + x3)^43`
+# (990 terms) takes 0.25 s, `^60` 1.2 s and `^160` 58.7 s.  A product of
+# two factors is bounded the same way, by t1 * t2 terms and the monomials
+# up to the summed degree (`(x1+x2+x3)^43*(x1+x2+x3)^43` took 4.6 s), and
+# by its t1 * t2 coefficient products: `(x - i)^250(x - i)^250` (63,001)
+# takes 0.54 s and `(x - i)^500(x - i)^499` (250,500) 2.3 s.
 _MAX_POWER_BITS = 100_000
 _MAX_POWER_DEGREE = 500
 _MAX_TERMS = 1_000
 _MAX_PRODUCTS = 65_536
 
-# One token after optional whitespace: a rational `num` or `num/den`, a
-# unit, a variable `x` or `x<index>`, an operator, or any other character.
-_TOKEN = re.compile(r"\s*(([0-9]+)(?:\s*/\s*([0-9]*))?|[ijk]|x([0-9]*)|[-+*^()]|\S)")
+# One token after optional whitespace, as the groups (numerator,
+# denominator, name, exponent numerator, exponent denominator, other): a
+# rational `num` or `num/den` or a name (unit, `x`, `x<index>` or `)`), with
+# its optional `^n` or `^n/d`; any other character; or the end of the text,
+# every group empty, which `findall` returns last, so trailing whitespace
+# is read once.
+_TOKEN = re.compile(
+    r"\s*(?:(?:([0-9]+)(?:\s*/\s*([0-9]+))?|([ijk)]|x[0-9]*))"
+    r"(?:\s*\^\s*([0-9]+)(?:\s*/\s*([0-9]+))?)?|(\S)|\Z)"
+)
+_END = ("",) * 6
+# One lexeme after optional whitespace, as the groups (denominator, index,
+# other): the digits after the `/` of a rational, which may be missing; the
+# index digits of a variable; any character outside the grammar.
+_LEXEME = re.compile(r"\s*(?:[0-9]+(?:\s*/\s*([0-9]*))?|x([0-9]*)|[-+*^()ijk]|(\S)|\Z)")
+# The powers u^0..u^3 of each unit, as integer 4-tuples.
+_UNIT_POWERS = {
+    "i": ((1, 0, 0, 0), (0, 1, 0, 0), (-1, 0, 0, 0), (0, -1, 0, 0)),
+    "j": ((1, 0, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 0), (0, 0, -1, 0)),
+    "k": ((1, 0, 0, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, 0, 0, -1)),
+}
 
 
-def _tokenize(text: str) -> list[tuple]:
-    """Tokens `(kind, text, pos, value)`, kind one of "rat", "unit", "var",
-    "op" and a closing "end"; a rational's value is its numerator and
-    positive denominator in lowest terms, and a variable's its 0-based
-    index."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        tok, num, den, index = m.groups()
-        pos = m.start(1)
-        if num is not None:
-            if den is None:
-                value = int(num), 1
-            elif not den:
-                raise ParseError("expected denominator digits after '/'", m.start(3))
-            elif not int(den):
-                raise ParseError("zero denominator", m.start(3))
-            else:
-                n, d = int(num), int(den)
-                g = gcd(n, d)
-                value = n // g, d // g
-            tokens.append(("rat", tok, pos, value))
-        elif index is not None:
-            if index and not int(index):
-                raise ParseError("variable indices start at x1", pos)
-            tokens.append(("var", tok, pos, int(index) - 1 if index else 0))
-        elif tok in _UNITS:
-            tokens.append(("unit", tok, pos, None))
-        elif tok in "+-*^()":
-            tokens.append(("op", tok, pos, None))
-        else:
-            raise ParseError(f"unexpected character {tok!r}", pos)
-    tokens.append(("end", "", len(text), None))
-    return tokens
+def _fail(text: str, message: str, index: int, group: int = 0):
+    """Raise the first lexical error of text, in text order, and else the
+    ParseError message at token index, at its exponent when group is 4."""
+    for m in _LEXEME.finditer(text):
+        den, var, other = m.groups()
+        if den == "":
+            raise ParseError("expected denominator digits after '/'", m.start(1))
+        if den and not int(den):
+            raise ParseError("zero denominator", m.start(1))
+        if var and not int(var):
+            raise ParseError("variable indices start at x1", m.start(2) - 1)
+        if other:
+            raise ParseError(f"unexpected character {other!r}", m.start(3))
+    m = next(islice(_TOKEN.finditer(text), index, None))
+    starts = [m.start(g) for g in ((group,) if group else (1, 3, 6)) if m.start(g) >= 0]
+    raise ParseError(message, starts[0] if starts else len(text))
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple], nvars: int):
-        self.tokens = tokens
-        self.at = 0
-        self.nvars = nvars
-        self.depth = 0
-        self.origin = (0,) * nvars
+def _exponent(text: str, tokens: list, at: int) -> int:
+    """The exponent written on the factor that tokens[at - 1] ends."""
+    _, _, _, num, den, _ = tokens[at - 1]
+    n = int(num)
+    if not den:
+        return n
+    d = int(den)
+    if not d or n % d:
+        _fail(text, "exponent must be a nonnegative integer", at - 1, 4)
+    return n // d
 
-    def peek(self) -> tuple:
-        return self.tokens[self.at]
 
-    def take(self) -> tuple:
-        tok = self.tokens[self.at]
-        self.at += 1
-        return tok
+def _bound_power(text: str, at: int, n: int, base: dict) -> None:
+    """A ParseError at the exponent of tokens[at - 1] when n times the bits
+    one more factor can add to a coefficient of base, {exponents:
+    coefficient}, exceeds _MAX_POWER_BITS, or when base has several terms
+    and n times its degree exceeds _MAX_POWER_DEGREE or the power may have
+    more than _MAX_TERMS terms; a coefficient 0, -1, 1 or a unit adds none."""
+    growth = max(map(_growth, base.values()), default=0)
+    if growth and n > _MAX_POWER_BITS / growth:
+        _fail(text, f"power of more than the bound of {_MAX_POWER_BITS} bits", at - 1, 4)
+    if len(base) > 1:
+        degree = n * max(map(sum, base))
+        if degree > _MAX_POWER_DEGREE:
+            _fail(text, f"power of degree {degree}, above the bound of {_MAX_POWER_DEGREE}", at - 1, 4)
+        terms = _max_terms(comb(n + len(base) - 1, len(base) - 1), degree, base)
+        if terms > _MAX_TERMS:
+            _fail(text, f"power of up to {terms} terms, above the bound of {_MAX_TERMS}", at - 1, 4)
 
-    # Only operator tokens have the texts + - * ^ ( ), so a text names one.
 
-    def parse_expression(self) -> MPoly:
-        terms: dict = {}
-        sign = self.peek()[1]
-        if sign in ("+", "-"):
-            self.take()
-        while True:
-            self.parse_term(terms, -1 if sign == "-" else 1)
-            sign = self.peek()[1]
-            if sign not in ("+", "-"):
-                return _mpoly(self.nvars, terms)
-            self.take()
+def _qmul(x: tuple, y: tuple) -> tuple:
+    """The product of two quaternions given as integer 4-tuples."""
+    (a, b, c, d), (e, f, g, h) = x, y
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
-    def parse_term(self, terms: dict, r: int) -> None:
-        """Add the product of factors that comes next, times r, into terms.
 
-        Rationals and variables are central, so the product is
-        r * x^alpha * poly * q: `poly` is the product in order of everything
-        up to the last non-constant parenthesized factor (None when there is
-        none) and `q` that of the units and constant parentheses after it.
-        r is kept as an integer numerator over a denominator, not reduced
-        until the coefficient is built."""
-        alpha = [0] * self.nvars
+def _sum(text: str, tokens: list, at: int, nvars: int, depth: int) -> tuple[dict, int]:
+    """The sum that starts at tokens[at], as {exponents: (a, b, c, d, m)},
+    each coefficient as unreduced integer numerators over a denominator, and
+    the index of the token after it.  A term is r/rd * x^alpha * poly * q:
+    integers r and rd, where rd takes every denominator since rationals are
+    central, an integer 4-tuple q (None for 1), and poly, the product up to
+    the last non-constant parenthesized factor (None when there is none)."""
+    acc: dict = {}
+    sign = tokens[at][5]
+    r = -1 if sign == "-" else 1
+    if sign == "+" or sign == "-":
+        at += 1
+    while True:
         rd = 1
+        alpha = [0] * nvars
         q = poly = None
         while True:
-            kind, text, pos, value = self.take()
-            if kind == "rat":
-                n = self.exponent(value)
-                r *= value[0] ** n
-                rd *= value[1] ** n
-            elif kind == "unit":
-                n = self.exponent()
-                u = _UNITS[text] if n == 1 else _UNITS[text] ** n
-                q = u if q is None else q * u
-            elif kind == "var":
-                if not value < self.nvars:
-                    raise ParseError(f"variable {text} outside the {self.nvars}-variable ring", pos)
-                alpha[value] += self.exponent()
-            elif text == "(":
-                if self.depth == _MAX_NESTING:
-                    raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
-                self.depth += 1
-                inner = self.parse_expression()
-                self.depth -= 1
-                _, text, close, _ = self.take()
-                if text != ")":
-                    raise ParseError("expected ')'", close)
-                n = self.exponent(inner)
-                if inner.terms.keys() <= {self.origin}:
-                    c = inner.terms.get(self.origin, ZERO)
-                    c = c if n == 1 else c**n
-                    q = c if q is None else q * c
+            num, den, name, power, _, op = tokens[at]
+            at += 1
+            if num:
+                d = int(den) if den else 1
+                if not d:
+                    _fail(text, "zero denominator", at - 1)
+                if not power:
+                    r *= int(num)
+                    rd *= d
                 else:
-                    inner = inner.pow(n)
-                    if q is not None:
-                        inner, q = inner.scale_left(q), None
-                    if poly is None:
-                        poly = inner
-                    else:
-                        products = len(poly.terms) * len(inner.terms)
-                        _bound_terms(
-                            "product", products, _degree(poly) + _degree(inner),
-                            [*poly.terms, *inner.terms], pos,
-                        )
-                        if products > _MAX_PRODUCTS:
-                            raise ParseError(
-                                f"product of {products} coefficient products, above the bound of {_MAX_PRODUCTS}",
-                                pos,
-                            )
-                        poly = poly * inner
+                    n = _exponent(text, tokens, at)
+                    a = int(num)
+                    g = gcd(a, d)
+                    a, d = a // g, d // g
+                    _bound_power(text, at, n, {(): _reduced(a, 0, 0, 0, d)})
+                    r *= a**n
+                    rd *= d**n
+            elif name and name != ")":
+                if name[0] == "x":
+                    index = int(name[1:]) - 1 if len(name) > 1 else 0
+                    if not 0 <= index < nvars:
+                        _fail(text, f"variable {name} outside the {nvars}-variable ring", at - 1)
+                    alpha[index] += _exponent(text, tokens, at) if power else 1
+                else:
+                    u = _UNIT_POWERS[name][_exponent(text, tokens, at) % 4 if power else 1]
+                    q = u if q is None else _qmul(q, u)
+            elif op != "(":
+                _fail(text, f"unexpected {name or op!r}" if name or op else "unexpected end of input", at - 1)
             else:
-                raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
-            kind, text, _, _ = self.peek()
-            if text == "*":
-                self.take()
-            elif kind in ("op", "end") and text != "(":
+                if depth == _MAX_NESTING:
+                    _fail(text, f"parentheses nested deeper than {_MAX_NESTING}", at - 1)
+                opening = at - 1
+                inner, at = _sum(text, tokens, at, nvars, depth + 1)
+                _, _, name, power, _, _ = tokens[at]
+                if name != ")":
+                    _fail(text, "expected ')'", at)
+                at += 1
+                origin = (0,) * nvars
+                if not power and tokens[at][5] != "^" and inner.keys() <= {origin}:
+                    a, b, c, d, m = inner.get(origin) or (0, 0, 0, 0, 1)
+                    q = (a, b, c, d) if q is None else _qmul(q, (a, b, c, d))
+                    rd *= m
+                else:
+                    poly, q, rd = _factor(text, tokens, at, opening, _coefficients(inner), nvars, poly, q, rd)
+            num, _, name, _, _, op = tokens[at]
+            if op == "*":
+                at += 1
+            elif op == "^" and not power:
+                _fail(text, "exponent must be a nonnegative integer", at + 1)
+            elif not (num or op == "(" or name and name != ")"):
                 break
-        if q is None:
-            c = _reduced(r, 0, 0, 0, rd)
-        elif r == rd:
-            c = q
-        else:
-            (n0, n1, n2, n3), m = q._n, q._d
-            c = _reduced(n0 * r, n1 * r, n2 * r, n3 * r, m * rd)
-        if poly is None:
-            pairs = [(tuple(alpha), c)]
-        else:
-            pairs = [(tuple(map(add, e, alpha)), pc * c) for e, pc in poly.terms.items()]
-        for e, term in pairs:
-            terms[e] = terms[e] + term if e in terms else term
-
-    def exponent(self, base: MPoly | tuple[int, int] | None = None) -> int:
-        """The `^n` after a factor, or 1 when there is none.
-
-        A base that can grow under the power, a rational (numerator,
-        denominator) or a parenthesized
-        polynomial, is checked against the size bounds before the power is
-        taken: a ParseError at the exponent when n times the bits one more
-        factor can add to a coefficient exceeds _MAX_POWER_BITS, or when
-        the base has several terms and n times its degree exceeds
-        _MAX_POWER_DEGREE or the power may have more than _MAX_TERMS
-        terms.  Units, variables and one-term bases whose
-        coefficient is 0, -1, 1 or a signed unit, such as `(jx)`, add no
-        bits and stay unbounded."""
-        if self.peek()[1] != "^":
-            return 1
-        self.take()
-        kind, _, pos, value = self.take()
-        if kind != "rat" or value[1] != 1:
-            raise ParseError("exponent must be a nonnegative integer", pos)
-        n = value[0]
-        if base is None:
-            return n
-        coeffs = base.terms.values() if isinstance(base, MPoly) else [_reduced(base[0], 0, 0, 0, base[1])]
-        growth = max(map(_growth, coeffs), default=0)
-        if growth and n > _MAX_POWER_BITS / growth:
-            raise ParseError(f"power of more than the bound of {_MAX_POWER_BITS} bits", pos)
-        if isinstance(base, MPoly) and len(base.terms) > 1:
-            degree = n * _degree(base)
-            if degree > _MAX_POWER_DEGREE:
-                raise ParseError(f"power of degree {degree}, above the bound of {_MAX_POWER_DEGREE}", pos)
-            t = len(base.terms)
-            _bound_terms("power", comb(n + t - 1, t - 1), degree, base.terms, pos)
-        return n
+        parts = [(tuple(alpha), q, rd)] if poly is None else [
+            (tuple(map(add, e, alpha)), c._n if q is None else _qmul(c._n, q), c._d * rd) for e, c in poly.terms.items()
+        ]
+        for e, v, m in parts:
+            a, b, c, d = (r, 0, 0, 0) if v is None else (v[0] * r, v[1] * r, v[2] * r, v[3] * r)
+            s = acc.get(e)
+            if s is None:
+                acc[e] = (a, b, c, d, m)
+            else:
+                p = s[4]
+                acc[e] = (s[0] * m + a * p, s[1] * m + b * p, s[2] * m + c * p, s[3] * m + d * p, p * m)
+        sign = tokens[at][5]
+        if sign != "+" and sign != "-":
+            return acc, at
+        r = -1 if sign == "-" else 1
+        at += 1
 
 
-def _bound_terms(what: str, count: int, degree: int, exponents, pos: int) -> None:
-    """A ParseError at pos when the power or product may have more than
-    _MAX_TERMS terms: at most count, and at most the number of monomials up
-    to degree in the variables that the exponent vectors use."""
-    used = sum(map(any, zip(*exponents)))
-    terms = min(count, comb(degree + used, used))
+def _factor(text: str, tokens: list, at: int, opening: int, inner: dict, nvars: int, poly, q, rd: int) -> tuple:
+    """(poly, q, rd) of a term times the parenthesized factor from
+    tokens[opening] to tokens[at - 1], the `)` with its exponent, of value
+    inner, {exponents: coefficient}, before the power: a constant
+    multiplies q, and any other factor is a polynomial with q on its left,
+    its product with poly bounded, at the `(`, before it is taken."""
+    n = 1
+    if tokens[at - 1][3]:
+        n = _exponent(text, tokens, at)
+        _bound_power(text, at, n, inner)
+    elif tokens[at][5] == "^":
+        _fail(text, "exponent must be a nonnegative integer", at + 1)
+    origin = (0,) * nvars
+    if inner.keys() <= {origin}:
+        c = inner.get(origin, ZERO) ** n
+        return poly, c._n if q is None else _qmul(q, c._n), rd * c._d
+    inner = _mpoly(nvars, inner).pow(n)
+    if q is not None:
+        inner = inner.scale_left(_quat(q, 1))
+    if poly is None:
+        return inner, None, rd
+    products = len(poly.terms) * len(inner.terms)
+    terms = _max_terms(products, _degree(poly) + _degree(inner), [*poly.terms, *inner.terms])
     if terms > _MAX_TERMS:
-        raise ParseError(f"{what} of up to {terms} terms, above the bound of {_MAX_TERMS}", pos)
+        _fail(text, f"product of up to {terms} terms, above the bound of {_MAX_TERMS}", opening)
+    if products > _MAX_PRODUCTS:
+        _fail(text, f"product of {products} coefficient products, above the bound of {_MAX_PRODUCTS}", opening)
+    return poly * inner, None, rd
+
+
+def _coefficients(acc: dict) -> dict:
+    """The sums of acc as reduced coefficients, the zero ones dropped."""
+    return {e: c for e, s in acc.items() if (c := _reduced(*s))}
+
+
+def _terms(text: str, nvars: int) -> dict:
+    """The {exponents: coefficient} of the polynomial text in nvars
+    variables, with no zero coefficients."""
+    if nvars < 1:
+        raise ParseError("need at least one variable", 0)
+    tokens = _TOKEN.findall(text)
+    acc, at = _sum(text, tokens, 0, nvars, 0)
+    if tokens[at] != _END:
+        _, _, name, _, _, op = tokens[at]
+        _fail(text, f"unexpected trailing {name or op!r}", at)
+    return _coefficients(acc)
 
 
 def parse_mpoly(text: str, nvars: int) -> MPoly:
     """Parse a polynomial in variables x1..xn (plain `x` means x1)."""
-    if nvars < 1:
-        raise ParseError("need at least one variable", 0)
-    parser = _Parser(_tokenize(text), nvars)
-    result = parser.parse_expression()
-    kind, text, pos, _ = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing {text!r}", pos)
-    return result
+    return _mpoly(nvars, _terms(text, nvars))
 
 
 def parse_upoly(text: str) -> UPoly:
     """Parse a one-variable polynomial over the quaternions."""
-    return _to_upoly(parse_mpoly(text, 1))
+    return _to_upoly(_mpoly(1, _terms(text, 1)))
 
 
 def parse_quat(text: str) -> Quat:
     """Parse a quaternion literal such as `1 - 2/3i + j - k`."""
-    p = parse_mpoly(text, 1)
-    constant = Quat.scalar(0)
-    for exps, coeff in p.terms.items():
-        if any(exps):
-            # Checked on the value, not the tokens, so variables that
-            # cancel (`x - x`, `x^0`) still give a constant.
-            pos = next(pos for kind, _, pos, _ in _tokenize(text) if kind == "var")
-            raise ParseError("expected a constant quaternion, found a variable", pos)
-        constant = constant + coeff
-    return constant
+    terms = _terms(text, 1)
+    if terms.keys() <= {(0,)}:
+        return terms.get((0,), ZERO)
+    # Checked on the value, not the tokens, so variables that cancel
+    # (`x - x`, `x^0`) still give a constant.
+    index = next(t for t, token in enumerate(_TOKEN.findall(text)) if token[2][:1] == "x")
+    _fail(text, "expected a constant quaternion, found a variable", index)
 
 
 def parse_quat_list(text: str) -> list[Quat]:

@@ -421,10 +421,15 @@ class TestExitCodes:
                 ("rabinowitsch", "--ideal", "(x-i)^2", "--p", "x-i", "--a", "j", "--maxN", "1000", "--degbound", "0"),
                 "certificate system of up to 1004003 quaternion entries at cofactor degree 0, above the bound of 16000",
             ),
+            (
+                ("rabinowitsch", "--nvars", "2", "--ideal", "x1 - i", "--ideal", "x2 - 2i", "--p", "x1 + x2 + 1",
+                 "--a", "1", "--maxN", "200"),
+                "power (a*p)^200 of up to 20301 terms, above the bound of 1000",
+            ),
         ],
         ids=[
             "eval", "roots", "espace", "rabinowitsch", "polynomial-power", "quaternion-power", "reduce", "terms",
-            "product-terms", "certificate-system",
+            "product-terms", "certificate-system", "power-terms",
         ],
     )
     def test_oversized_input_is_usage(self, capsys, argv, bound):

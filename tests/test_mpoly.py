@@ -407,6 +407,24 @@ class TestOneVariableMembership:
                 kinds.add("not-found")
         assert kinds == {"found", "not-found"}
 
+    def test_a_fitting_chain_forms_only_the_powers_it_reads(self, monkeypatch):
+        # I = H[x](x - i)^2, p = x - i, a = j: the least member power is 1,
+        # with cofactors of degree 1, so at N = 1000 the certificate fills
+        # rows 999 and 1000 alone, and only (ap)^999 and (ap)^1000 are
+        # formed, the first by repeated squaring.
+        g = x(0, 1) - const(I, 1)
+        ideal = LeftIdeal((g * g,))
+        calls = []
+        powers = mpoly._powers
+        monkeypatch.setattr(mpoly, "_powers", lambda ap, N, low=0: calls.append((N, low)) or powers(ap, N, low))
+        cert = rabinowitsch_check(ideal, g, J, 1000, 2)
+        assert calls == [(1000, 999)]
+        assert cert.N == 1000 and not any(h for row in cert.cofactors[:999] for h in row)
+        # The rows that are read agree with the certificate at N = 1, moved up.
+        assert cert.cofactors[999:] == rabinowitsch_check(ideal, g, J, 1, 2).cofactors
+        ap = g.scale_left(J)
+        assert powers(ap, 5, 3) == [None, None, None, ap.pow(3), ap.pow(4), ap.pow(5)]
+
     def test_non_members_are_not_found_at_any_degree(self):
         rng = Random(14)
         checked = 0
@@ -722,6 +740,47 @@ class TestSystemBound:
             "certificate system of up to 30240 quaternion entries at cofactor degree 6, above the bound of 16000"
         )
         assert _bounded_cofactors(3, bases, x(0, 3), 20) == [const(ONE, 3), MPoly(3, {}), MPoly(3, {})]
+
+
+class TestPowerBound:
+    """In several variables the terms of (a*p)^N are estimated from degrees
+    before any power is formed, as the parser bounds a power, and refused
+    with InvalidInput past 1,000."""
+
+    IDEAL = LeftIdeal((x(0, 2) - const(I, 2), x(1, 2) - const(Quat(0, 2), 2)))
+    P = x(0, 2) + x(1, 2) + const(ONE, 2)
+
+    def test_the_power_just_below_and_just_above_the_bound(self):
+        # (x1 + x2 + 1)^N has C(N + 2, 2) terms: 990 at N = 43, 1,035 at 44.
+        assert mpoly._MAX_POWER_TERMS == 1_000
+        mpoly._bound_power_terms(self.P, 43)
+        with pytest.raises(InvalidInput) as info:
+            mpoly._bound_power_terms(self.P, 44)
+        assert str(info.value) == "power (a*p)^44 of up to 1035 terms, above the bound of 1000"
+        # One term, a unit times a monomial, or zero never grows.
+        mpoly._bound_power_terms(x(0, 2).scale_left(J), 10**6)
+        mpoly._bound_power_terms(MPoly(2, {}), 10**6)
+
+    def test_a_refused_probe_refuses_the_search_and_forms_no_power(self, monkeypatch):
+        # The search probes N = 1, then max_power; the probe at 200 is refused
+        # before (x1 + x2 + 1)^200 is formed.
+        powers = mpoly._powers
+
+        def refuse(ap, N, low=0):
+            assert N <= 2, N
+            return powers(ap, N, low)
+
+        monkeypatch.setattr(mpoly, "_powers", refuse)
+        start = time.perf_counter()
+        with pytest.raises(InvalidInput, match=r"power \(a\*p\)\^200 of up to 20301 terms, above the bound of 1000"):
+            find_certificate(self.IDEAL, self.P, ONE, 200, 0)
+        with pytest.raises(InvalidInput, match="of up to 1035 terms"):
+            rabinowitsch_check(self.IDEAL, self.P, ONE, 44, 0)
+        assert time.perf_counter() - start < 5
+
+    def test_a_search_within_the_bound_still_answers(self):
+        # (x1 + x2 + 1)^40 has 861 terms; the search answers not-found.
+        assert find_certificate(self.IDEAL, self.P, ONE, 40, 0) == NotFoundWithinBounds(40, 0)
 
 
 def _coefficients(rng):

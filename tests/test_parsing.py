@@ -1,8 +1,13 @@
 """Grammar round trips and JSON forms."""
 
+import re
+import sys
+import time
 from fractions import Fraction as F
-from functools import reduce
-from operator import mul
+from functools import cache, reduce
+from math import comb, gcd
+from operator import add, mul
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -10,11 +15,12 @@ import pytest
 from quatca import serde
 from quatca.errors import InvalidInput, ParseError
 from quatca.modules import ModulePresentation
-from quatca.mpoly import MPoly
+from quatca.mpoly import MPoly, _degree, _mpoly, _to_upoly
 from quatca.parsing import parse_mpoly, parse_quat, parse_quat_list, parse_upoly
 from quatca.randgen import rand_mpoly, rand_quat, rand_upoly
-from quatca.scalars import I, J, K, ONE, Quat, ZERO
+from quatca.scalars import I, J, K, ONE, Quat, ZERO, _growth, _reduced
 from quatca.upoly import UPoly
+from test_cli import _fuzz_argvs
 
 
 class TestQuatGrammar:
@@ -161,48 +167,48 @@ class TestGrammarOracle:
             assert parse_mpoly(text, nvars) == value, text
 
 
+_ERROR_CASES = [
+    (parse_upoly, "1/", "expected denominator digits after '/'", 2),
+    (parse_upoly, "1 / x", "expected denominator digits after '/'", 4),
+    (parse_upoly, "1/0", "zero denominator", 2),
+    (parse_upoly, "x0", "variable indices start at x1", 0),
+    (parse_upoly, "x00", "variable indices start at x1", 0),
+    (lambda t: parse_mpoly(t, 2), "x3", "variable x3 outside the 2-variable ring", 0),
+    (parse_upoly, "(1", "expected ')'", 2),
+    (parse_upoly, "1)", "unexpected trailing ')'", 1),
+    (parse_upoly, "x^i", "exponent must be a nonnegative integer", 2),
+    (parse_upoly, "x^1/2", "exponent must be a nonnegative integer", 2),
+    (parse_upoly, "", "unexpected end of input", 0),
+    (parse_upoly, "1 + $", "unexpected character '$'", 4),
+    (parse_quat, "x", "expected a constant quaternion, found a variable", 0),
+    (parse_quat, "1 + 2x", "expected a constant quaternion, found a variable", 5),
+    (lambda t: parse_mpoly(t, 0), "1", "need at least one variable", 0),
+    (parse_upoly, "i^x", "exponent must be a nonnegative integer", 2),
+    (parse_upoly, "2^-1", "exponent must be a nonnegative integer", 2),
+    (parse_upoly, "(1+i)^", "exponent must be a nonnegative integer", 6),
+    (parse_upoly, "ix2", "variable x2 outside the 1-variable ring", 1),
+    (parse_upoly, "i(x2)", "variable x2 outside the 1-variable ring", 2),
+    (parse_upoly, "i*)", "unexpected ')'", 2),
+    (parse_upoly, "x**2", "unexpected '*'", 2),
+    (parse_upoly, "i^2^2", "unexpected trailing '^'", 3),
+    (parse_upoly, "2*", "unexpected end of input", 2),
+    (parse_quat, "2^100001", "power of more than the bound of 100000 bits", 2),
+    (parse_quat, "(1/2)^100001", "power of more than the bound of 100000 bits", 6),
+    (parse_quat, "(1+2i)^86136", "power of more than the bound of 100000 bits", 7),
+    (parse_quat, "(3^60000)^2", "power of more than the bound of 100000 bits", 10),
+    (parse_upoly, "(2x)^100001", "power of more than the bound of 100000 bits", 5),
+    (parse_upoly, "(x^5 + 1)^101", "power of degree 505, above the bound of 500", 10),
+    (parse_quat, "3^1000000000", "power of more than the bound of 100000 bits", 2),
+    (parse_quat, "(1+2i)^1000000000", "power of more than the bound of 100000 bits", 7),
+    (parse_upoly, "(x - i)^1000000000", "power of degree 1000000000, above the bound of 500", 8),
+    (lambda t: parse_mpoly(t, 3), "(x1+x2+x3)^44", "power of up to 1035 terms, above the bound of 1000", 11),
+    (lambda t: parse_mpoly(t, 3), "(x1+x2+x3)^160", "power of up to 13041 terms, above the bound of 1000", 11),
+    (lambda t: parse_mpoly(t, 4), "(x1+x2+x3+x4)^17", "power of up to 1140 terms, above the bound of 1000", 14),
+]
+
+
 class TestParseErrors:
-    @pytest.mark.parametrize(
-        "parse, text, message, position",
-        [
-            (parse_upoly, "1/", "expected denominator digits after '/'", 2),
-            (parse_upoly, "1 / x", "expected denominator digits after '/'", 4),
-            (parse_upoly, "1/0", "zero denominator", 2),
-            (parse_upoly, "x0", "variable indices start at x1", 0),
-            (parse_upoly, "x00", "variable indices start at x1", 0),
-            (lambda t: parse_mpoly(t, 2), "x3", "variable x3 outside the 2-variable ring", 0),
-            (parse_upoly, "(1", "expected ')'", 2),
-            (parse_upoly, "1)", "unexpected trailing ')'", 1),
-            (parse_upoly, "x^i", "exponent must be a nonnegative integer", 2),
-            (parse_upoly, "x^1/2", "exponent must be a nonnegative integer", 2),
-            (parse_upoly, "", "unexpected end of input", 0),
-            (parse_upoly, "1 + $", "unexpected character '$'", 4),
-            (parse_quat, "x", "expected a constant quaternion, found a variable", 0),
-            (parse_quat, "1 + 2x", "expected a constant quaternion, found a variable", 5),
-            (lambda t: parse_mpoly(t, 0), "1", "need at least one variable", 0),
-            (parse_upoly, "i^x", "exponent must be a nonnegative integer", 2),
-            (parse_upoly, "2^-1", "exponent must be a nonnegative integer", 2),
-            (parse_upoly, "(1+i)^", "exponent must be a nonnegative integer", 6),
-            (parse_upoly, "ix2", "variable x2 outside the 1-variable ring", 1),
-            (parse_upoly, "i(x2)", "variable x2 outside the 1-variable ring", 2),
-            (parse_upoly, "i*)", "unexpected ')'", 2),
-            (parse_upoly, "x**2", "unexpected '*'", 2),
-            (parse_upoly, "i^2^2", "unexpected trailing '^'", 3),
-            (parse_upoly, "2*", "unexpected end of input", 2),
-            (parse_quat, "2^100001", "power of more than the bound of 100000 bits", 2),
-            (parse_quat, "(1/2)^100001", "power of more than the bound of 100000 bits", 6),
-            (parse_quat, "(1+2i)^86136", "power of more than the bound of 100000 bits", 7),
-            (parse_quat, "(3^60000)^2", "power of more than the bound of 100000 bits", 10),
-            (parse_upoly, "(2x)^100001", "power of more than the bound of 100000 bits", 5),
-            (parse_upoly, "(x^5 + 1)^101", "power of degree 505, above the bound of 500", 10),
-            (parse_quat, "3^1000000000", "power of more than the bound of 100000 bits", 2),
-            (parse_quat, "(1+2i)^1000000000", "power of more than the bound of 100000 bits", 7),
-            (parse_upoly, "(x - i)^1000000000", "power of degree 1000000000, above the bound of 500", 8),
-            (lambda t: parse_mpoly(t, 3), "(x1+x2+x3)^44", "power of up to 1035 terms, above the bound of 1000", 11),
-            (lambda t: parse_mpoly(t, 3), "(x1+x2+x3)^160", "power of up to 13041 terms, above the bound of 1000", 11),
-            (lambda t: parse_mpoly(t, 4), "(x1+x2+x3+x4)^17", "power of up to 1140 terms, above the bound of 1000", 14),
-        ],
-    )
+    @pytest.mark.parametrize("parse, text, message, position", _ERROR_CASES)
     def test_message_and_position(self, parse, text, message, position):
         with pytest.raises(ParseError) as info:
             parse(text)
@@ -426,3 +432,352 @@ class TestJsonForms:
             terms = {tuple(t["exps"]): serde.quat_from_json(t["coeff"]) for t in blob["terms"]}
             assert len(terms) == len(blob["terms"])
             assert MPoly(blob["nvars"], terms) == p
+
+# ---------------------------------------------------------------------------
+# Reference parser: the per-token tokenizer and recursive parser that the
+# one-scan parser replaced, kept verbatim as an oracle for values, errors
+# and their positions.
+# ---------------------------------------------------------------------------
+
+_UNITS = {"i": I, "j": J, "k": K}
+_MAX_NESTING = 100
+_MAX_POWER_BITS = 100_000
+_MAX_POWER_DEGREE = 500
+_MAX_TERMS = 1_000
+_MAX_PRODUCTS = 65_536
+
+# One token after optional whitespace: a rational `num` or `num/den`, a
+# unit, a variable `x` or `x<index>`, an operator, or any other character.
+_TOKEN = re.compile(r"\s*(([0-9]+)(?:\s*/\s*([0-9]*))?|[ijk]|x([0-9]*)|[-+*^()]|\S)")
+
+
+def _tokenize(text: str) -> list[tuple]:
+    """Tokens `(kind, text, pos, value)`, kind one of "rat", "unit", "var",
+    "op" and a closing "end"; a rational's value is its numerator and
+    positive denominator in lowest terms, and a variable's its 0-based
+    index."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        tok, num, den, index = m.groups()
+        pos = m.start(1)
+        if num is not None:
+            if den is None:
+                value = int(num), 1
+            elif not den:
+                raise ParseError("expected denominator digits after '/'", m.start(3))
+            elif not int(den):
+                raise ParseError("zero denominator", m.start(3))
+            else:
+                n, d = int(num), int(den)
+                g = gcd(n, d)
+                value = n // g, d // g
+            tokens.append(("rat", tok, pos, value))
+        elif index is not None:
+            if index and not int(index):
+                raise ParseError("variable indices start at x1", pos)
+            tokens.append(("var", tok, pos, int(index) - 1 if index else 0))
+        elif tok in _UNITS:
+            tokens.append(("unit", tok, pos, None))
+        elif tok in "+-*^()":
+            tokens.append(("op", tok, pos, None))
+        else:
+            raise ParseError(f"unexpected character {tok!r}", pos)
+    tokens.append(("end", "", len(text), None))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[tuple], nvars: int):
+        self.tokens = tokens
+        self.at = 0
+        self.nvars = nvars
+        self.depth = 0
+        self.origin = (0,) * nvars
+
+    def peek(self) -> tuple:
+        return self.tokens[self.at]
+
+    def take(self) -> tuple:
+        tok = self.tokens[self.at]
+        self.at += 1
+        return tok
+
+    # Only operator tokens have the texts + - * ^ ( ), so a text names one.
+
+    def parse_expression(self) -> MPoly:
+        terms: dict = {}
+        sign = self.peek()[1]
+        if sign in ("+", "-"):
+            self.take()
+        while True:
+            self.parse_term(terms, -1 if sign == "-" else 1)
+            sign = self.peek()[1]
+            if sign not in ("+", "-"):
+                return _mpoly(self.nvars, terms)
+            self.take()
+
+    def parse_term(self, terms: dict, r: int) -> None:
+        """Add the product of factors that comes next, times r, into terms.
+
+        Rationals and variables are central, so the product is
+        r * x^alpha * poly * q: `poly` is the product in order of everything
+        up to the last non-constant parenthesized factor (None when there is
+        none) and `q` that of the units and constant parentheses after it.
+        r is kept as an integer numerator over a denominator, not reduced
+        until the coefficient is built."""
+        alpha = [0] * self.nvars
+        rd = 1
+        q = poly = None
+        while True:
+            kind, text, pos, value = self.take()
+            if kind == "rat":
+                n = self.exponent(value)
+                r *= value[0] ** n
+                rd *= value[1] ** n
+            elif kind == "unit":
+                n = self.exponent()
+                u = _UNITS[text] if n == 1 else _UNITS[text] ** n
+                q = u if q is None else q * u
+            elif kind == "var":
+                if not value < self.nvars:
+                    raise ParseError(f"variable {text} outside the {self.nvars}-variable ring", pos)
+                alpha[value] += self.exponent()
+            elif text == "(":
+                if self.depth == _MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
+                self.depth += 1
+                inner = self.parse_expression()
+                self.depth -= 1
+                _, text, close, _ = self.take()
+                if text != ")":
+                    raise ParseError("expected ')'", close)
+                n = self.exponent(inner)
+                if inner.terms.keys() <= {self.origin}:
+                    c = inner.terms.get(self.origin, ZERO)
+                    c = c if n == 1 else c**n
+                    q = c if q is None else q * c
+                else:
+                    inner = inner.pow(n)
+                    if q is not None:
+                        inner, q = inner.scale_left(q), None
+                    if poly is None:
+                        poly = inner
+                    else:
+                        products = len(poly.terms) * len(inner.terms)
+                        _bound_terms(
+                            "product", products, _degree(poly) + _degree(inner),
+                            [*poly.terms, *inner.terms], pos,
+                        )
+                        if products > _MAX_PRODUCTS:
+                            raise ParseError(
+                                f"product of {products} coefficient products, above the bound of {_MAX_PRODUCTS}",
+                                pos,
+                            )
+                        poly = poly * inner
+            else:
+                raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+            kind, text, _, _ = self.peek()
+            if text == "*":
+                self.take()
+            elif kind in ("op", "end") and text != "(":
+                break
+        if q is None:
+            c = _reduced(r, 0, 0, 0, rd)
+        elif r == rd:
+            c = q
+        else:
+            (n0, n1, n2, n3), m = q._n, q._d
+            c = _reduced(n0 * r, n1 * r, n2 * r, n3 * r, m * rd)
+        if poly is None:
+            pairs = [(tuple(alpha), c)]
+        else:
+            pairs = [(tuple(map(add, e, alpha)), pc * c) for e, pc in poly.terms.items()]
+        for e, term in pairs:
+            terms[e] = terms[e] + term if e in terms else term
+
+    def exponent(self, base: MPoly | tuple[int, int] | None = None) -> int:
+        """The `^n` after a factor, or 1 when there is none.
+
+        A base that can grow under the power, a rational (numerator,
+        denominator) or a parenthesized
+        polynomial, is checked against the size bounds before the power is
+        taken: a ParseError at the exponent when n times the bits one more
+        factor can add to a coefficient exceeds _MAX_POWER_BITS, or when
+        the base has several terms and n times its degree exceeds
+        _MAX_POWER_DEGREE or the power may have more than _MAX_TERMS
+        terms.  Units, variables and one-term bases whose
+        coefficient is 0, -1, 1 or a signed unit, such as `(jx)`, add no
+        bits and stay unbounded."""
+        if self.peek()[1] != "^":
+            return 1
+        self.take()
+        kind, _, pos, value = self.take()
+        if kind != "rat" or value[1] != 1:
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        n = value[0]
+        if base is None:
+            return n
+        coeffs = base.terms.values() if isinstance(base, MPoly) else [_reduced(base[0], 0, 0, 0, base[1])]
+        growth = max(map(_growth, coeffs), default=0)
+        if growth and n > _MAX_POWER_BITS / growth:
+            raise ParseError(f"power of more than the bound of {_MAX_POWER_BITS} bits", pos)
+        if isinstance(base, MPoly) and len(base.terms) > 1:
+            degree = n * _degree(base)
+            if degree > _MAX_POWER_DEGREE:
+                raise ParseError(f"power of degree {degree}, above the bound of {_MAX_POWER_DEGREE}", pos)
+            t = len(base.terms)
+            _bound_terms("power", comb(n + t - 1, t - 1), degree, base.terms, pos)
+        return n
+
+
+def _bound_terms(what: str, count: int, degree: int, exponents, pos: int) -> None:
+    """A ParseError at pos when the power or product may have more than
+    _MAX_TERMS terms: at most count, and at most the number of monomials up
+    to degree in the variables that the exponent vectors use."""
+    used = sum(map(any, zip(*exponents)))
+    terms = min(count, comb(degree + used, used))
+    if terms > _MAX_TERMS:
+        raise ParseError(f"{what} of up to {terms} terms, above the bound of {_MAX_TERMS}", pos)
+
+
+def _reference_mpoly(text: str, nvars: int) -> MPoly:
+    if nvars < 1:
+        raise ParseError("need at least one variable", 0)
+    parser = _Parser(_tokenize(text), nvars)
+    result = parser.parse_expression()
+    kind, text, pos, _ = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing {text!r}", pos)
+    return result
+
+
+def _reference_quat(text: str) -> Quat:
+    p = _reference_mpoly(text, 1)
+    constant = Quat.scalar(0)
+    for exps, coeff in p.terms.items():
+        if any(exps):
+            pos = next(pos for kind, _, pos, _ in _tokenize(text) if kind == "var")
+            raise ParseError("expected a constant quaternion, found a variable", pos)
+        constant = constant + coeff
+    return constant
+
+
+def _pairs(nvars):
+    """(parser, reference) pairs: parse_quat, parse_upoly (parse_mpoly in
+    one variable turned dense), and parse_mpoly in each of nvars."""
+    return [
+        (parse_quat, _reference_quat),
+        (parse_upoly, lambda t: _to_upoly(_reference_mpoly(t, 1))),
+        *(((lambda t, n=n: parse_mpoly(t, n)), (lambda t, n=n: _reference_mpoly(t, n))) for n in nvars),
+    ]
+
+
+def _outcome(parse, text):
+    """What parse makes of text: the value's type, repr and term order, or
+    the error's type, message and position."""
+    try:
+        value = parse(text)
+    except InvalidInput as error:
+        return type(error).__name__, str(error), getattr(error, "position", None)
+    return type(value).__name__, repr(value), list(value.terms) if isinstance(value, MPoly) else None
+
+
+def _assert_agrees(texts, nvars=(1, 2, 3)):
+    pairs = _pairs(nvars)
+    for text in texts:
+        for parse, reference in pairs:
+            assert _outcome(parse, text) == _outcome(reference, text), text
+
+
+def _option_texts(argv):
+    """Every option value of argv, whole and split at ',' and ';'."""
+    values = [arg.split("=", 1)[1] for arg in argv if arg.startswith("--") and "=" in arg]
+    values += [value for flag, value in zip(argv, argv[1:]) if flag.startswith("--") and "=" not in flag]
+    texts = set(values)
+    for value in values:
+        texts.update(value.split(","), value.split(";"))
+    return texts
+
+
+@cache
+def _request_texts():
+    """The option texts of the seeded fuzz requests and of the benchmark's
+    `queries` requests, at seeds 1, 2 and 3."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.append(root)
+    from perfbench import gen
+
+    texts = set()
+    for seed in (1, 2, 3):
+        for argv in _fuzz_argvs(seed, 400):
+            texts |= _option_texts(argv)
+        for block in gen.generate("queries", seed):
+            for instance in block:
+                texts |= _option_texts(instance["data"]["argv"])
+    return sorted(texts)
+
+
+# The grammar's own characters, and one it refuses.
+_MUTATION_ALPHABET = "0123456789/ijkx+-*^() $"
+
+
+def _mutations(text):
+    """Every one-character deletion, insertion and substitution of text."""
+    out = set()
+    for at in range(len(text) + 1):
+        out.update(text[:at] + c + text[at:] for c in _MUTATION_ALPHABET)
+        if at < len(text):
+            out.add(text[:at] + text[at + 1 :])
+            out.update(text[:at] + c + text[at + 1 :] for c in _MUTATION_ALPHABET)
+    return sorted(out)
+
+
+class TestReferenceParser:
+    def test_request_texts_agree(self):
+        texts = _request_texts()
+        assert len(texts) > 10_000
+        _assert_agrees(texts, nvars=(2,))
+
+    def test_error_table_agrees(self):
+        _assert_agrees(sorted({text for _, text, _, _ in _ERROR_CASES}), nvars=(0, 1, 2, 3, 4))
+
+    def test_one_character_mutations_agree(self):
+        # Mutants of short request texts reach every error and most of the
+        # grammar's corners: a broken rational, exponent, index or nesting.
+        texts = [text for text in _request_texts() if len(text) <= 40]
+        for text in Random(33).sample(texts, 12):
+            _assert_agrees(_mutations(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x^4/2", "x^0/5", "x^2/3", "x^3/0", "x ^ 2 ^ 3", "(x)^2^3", "2/4^3", "(2/2)^1000000000",
+            "i^0", "i^2", "i^3", "i^4k", "(i)^7j", "j(1/2 - i)^3(x - k)^2k(1 + x)i", "(x - x + 1)^5",
+            "x01", "x10^2", "1 / 2 / 3", "((x))", "(0)^0", "0^0", "(x1 + x2)(x2 - i)(x1 + j)", "-(-(-x))",
+            "\u00a0x\u2003+ 1\u3000", "1\n+\tx", "(" * 100 + "x" + ")" * 100 + "^2", "x" * 50 + "1",
+        ],
+    )
+    def test_corners_agree(self, text):
+        _assert_agrees([text])
+
+    def test_a_lexical_error_comes_before_a_syntax_error(self):
+        # The first lexical error in the text wins, wherever it stands.
+        with pytest.raises(ParseError) as info:
+            parse_upoly(")) x^i (1/0")
+        assert str(info.value) == "zero denominator (at position 10)"
+        _assert_agrees([")) x^i (1/0", "1/0 + ))", "x00 $", "$ x00", "x^1/ + 1/0"])
+
+    def test_long_texts_are_scanned_in_linear_time(self):
+        # Each space is read once, also in trailing whitespace, which the
+        # reference scans once per space, and when the scan fails at the end
+        # of the text.
+        start = time.perf_counter()
+        assert parse_quat("1" + " " * 100_000) == ONE
+        assert time.perf_counter() - start < 2
+        texts = [" " * 100_000 + "$", "1 " * 50_000 + "$", "x1" * 30_000 + "x0", "i+" * 30_000 + "1/" + "0" * 4_000]
+        for text in texts + ["x 1/2 " * 20_000 + "/", "1" + " " * 100_000 + "/"]:
+            start = time.perf_counter()
+            with pytest.raises(ParseError):
+                parse_quat(text)
+            assert time.perf_counter() - start < 2, text[:10]
