@@ -1,5 +1,7 @@
 """Error types shared across the kernel."""
 
+import sys
+
 
 class InvalidInput(ValueError):
     """An operation was called outside its stated domain."""
@@ -15,3 +17,9 @@ class ParseError(InvalidInput):
 
 class InternalError(RuntimeError):
     """An internally guaranteed property failed; indicates a kernel bug."""
+
+
+def _digit_limit() -> int:
+    """The interpreter's int<->str digit limit (`sys.set_int_max_str_digits`),
+    0 where it has none or it is lifted."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import InternalError, InvalidInput
 from .mpoly import CommutingPoint
-from .scalars import ONE, Quat, ZERO, _dot, centralizer_of_set, first_dependence
+from .scalars import ONE, Quat, ZERO, _dot, _immutable, centralizer_of_set, first_dependence
 from .upoly import RootSearchStatus, UPoly, roots_in_centralizer
 
 Matrix = tuple[tuple[Quat, ...], ...]
@@ -81,8 +81,7 @@ class ModulePresentation:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "mats", fixed)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ModulePresentation is immutable")
+    __setattr__ = _immutable
 
     @property
     def nvars(self) -> int:

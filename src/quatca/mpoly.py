@@ -37,8 +37,10 @@ Reduction modulo a point writes one quotient term per unit of exponent, so
 it refuses a term whose exponents times the point's growth exceed 2,000
 bits, also with InvalidInput.  A certificate system is estimated from
 degrees before it is built, at each degree it is solved at, and refused
-past 16,000 quaternion entries, and in several variables (a*p)^N past
-1,000 terms, estimated before any power is formed, both with InvalidInput.
+past 16,000 quaternion entries; (a*p)^N is refused past 1,000 terms in
+several variables and, where the one-variable chain's cofactors fit, past
+1,250 dense coefficients, estimated before any power is formed; all with
+InvalidInput.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from typing import Iterable, Mapping
 
 from .errors import InternalError, InvalidInput
 from .scalars import (
-    Centralizer, ONE, Quat, ZERO, _growth, _signed_sum, _term_text, _words, solve_combination,
+    Centralizer, ONE, Quat, ZERO, _growth, _immutable, _power, _signed_sum, _term_text, _words,
+    solve_combination,
 )
 from .upoly import UPoly, _gcrd_combination
 
@@ -83,8 +86,7 @@ class MPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MPoly is immutable")
+    __setattr__ = _immutable
 
     # -- construction ---------------------------------------------------------
 
@@ -167,15 +169,7 @@ class MPoly:
 
     def pow(self, n: int) -> "MPoly":
         """self^n by repeated squaring: at most 2 * n.bit_length() products."""
-        result = MPoly.constant(ONE, self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, MPoly.constant(ONE, self.nvars))
 
     def __str__(self) -> str:
         return format_mpoly(self)
@@ -221,8 +215,7 @@ class CommutingPoint:
                 raise InvalidInput(f"components do not commute: {a} and {b}")
         object.__setattr__(self, "components", comps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CommutingPoint is immutable")
+    __setattr__ = _immutable
 
     def __len__(self):
         return len(self.components)
@@ -436,7 +429,9 @@ def rabinowitsch_check(
     estimated the same way before any power is formed, and past
     _MAX_POWER_TERMS the check raises InvalidInput too.  In one variable a
     member whose chain cofactors fit forms only the powers N - m..N that
-    its rows read, the first by repeated squaring.
+    its rows read, the first by repeated squaring, and past
+    _MAX_DENSE_POWER coefficients of (a*p)^N, N*deg(a*p) + 1, the check
+    raises InvalidInput before forming any.
 
     A found certificate is verified by reconstructing the identity before
     it is returned.
@@ -456,6 +451,7 @@ def rabinowitsch_check(
             return NotFoundWithinBounds(N, degbound)
         m, rows = least
         if max(h.degree for row in rows for h in row) <= degbound:
+            _bound_dense_power(ap, N)
             flat = zeros * (N - m) + [_from_upoly(h) for row in rows for h in row]
             return _certificate(ideal, _powers(ap, N, N - m), flat)
         _bound_system(_groebner_budget(ideal.gens, ap, N, 0), 0)
@@ -490,6 +486,16 @@ def _bound_power_terms(ap: MPoly, N: int) -> None:
     terms = _max_terms(comb(N + t - 1, t - 1), N * _degree(ap), ap.terms) if t > 1 else t
     if terms > _MAX_POWER_TERMS:
         raise InvalidInput(f"power (a*p)^{N} of up to {terms} terms, above the bound of {_MAX_POWER_TERMS}")
+
+
+def _bound_dense_power(ap: MPoly, N: int) -> None:
+    """In one variable, refuse (a*p)^N past _MAX_DENSE_POWER coefficients,
+    N*deg(a*p) + 1 when dense, before any power is formed."""
+    coeffs = N * _degree(ap) + 1
+    if coeffs > _MAX_DENSE_POWER:
+        raise InvalidInput(
+            f"power (a*p)^{N} of up to {coeffs} coefficients, above the bound of {_MAX_DENSE_POWER}"
+        )
 
 
 def _bases(gens: tuple[MPoly, ...], ap_powers: list[MPoly]) -> list[MPoly]:
@@ -575,6 +581,12 @@ _MAX_SYSTEM_ENTRIES = 16_000
 # the largest estimate of the test suite is 45, and of the benchmark's
 # instances 10.  The parser bounds a power of a sum at the same 1,000 terms.
 _MAX_POWER_TERMS = 1_000
+# In one variable a member whose chain cofactors fit forms (a*p)^(N-m) by
+# repeated squaring and the m powers above it, N*deg(a*p) + 1 coefficients
+# dense.  For I = H[x](x - i)^2, p = x - i, a = j one-shot
+# `quatca rabinowitsch` took 0.8 s at N = 1000, 0.9-1.5 s at 1,250,
+# 1.3-1.5 s at 1,400 and 3.2 s at 2,000 on a shared 2-core host.
+_MAX_DENSE_POWER = 1_250
 
 
 def _bound_system(entries: int, d: int) -> None:
@@ -826,7 +838,7 @@ def find_certificate(
     NotFoundWithinBounds with every_power set: no certificate exists at
     any power or degree bound.  In several variables low is 1 and the
     search is a bounded semidecision.  A probe past a bound of
-    `rabinowitsch_check`, on its system or on the terms of (a*p)^N,
+    `rabinowitsch_check`, on its system or on the size of (a*p)^N,
     refuses the whole search with its InvalidInput, also where a loop over
     the powers below it would have found a certificate first."""
     if max_power < 1:

@@ -29,6 +29,8 @@ parenthesized factors of t1 and t2 terms may have at most 1,000 terms and
 take at most 65,536 coefficient products t1*t2, a ParseError at the second
 `(`: `(x - i)^250(x - i)^250` is read and `(x - i)^500(x - i)^499` is not.
 `parse_upoly` then keeps the degree within `mpoly`'s dense bound, 1,000,000.
+A numeral longer than the interpreter's int<->str digit limit, where one
+is in force (`sys.set_int_max_str_digits`), is a ParseError at its digits.
 
 Printing inverts parsing exactly: print(parse(t)) reparses to an equal
 value.
@@ -41,7 +43,7 @@ from itertools import islice
 from math import comb, gcd
 from operator import add
 
-from .errors import ParseError
+from .errors import InvalidInput, ParseError, _digit_limit
 from .mpoly import MPoly, _degree, _max_terms, _mpoly, _to_upoly
 from .scalars import Quat, ZERO, _growth, _quat, _reduced
 from .upoly import UPoly
@@ -95,9 +97,9 @@ def _fail(text: str, message: str, index: int, group: int = 0):
         den, var, other = m.groups()
         if den == "":
             raise ParseError("expected denominator digits after '/'", m.start(1))
-        if den and not int(den):
+        if den and not den.strip("0"):
             raise ParseError("zero denominator", m.start(1))
-        if var and not int(var):
+        if var and not var.strip("0"):
             raise ParseError("variable indices start at x1", m.start(2) - 1)
         if other:
             raise ParseError(f"unexpected character {other!r}", m.start(3))
@@ -270,7 +272,17 @@ def _terms(text: str, nvars: int) -> dict:
     if nvars < 1:
         raise ParseError("need at least one variable", 0)
     tokens = _TOKEN.findall(text)
-    acc, at = _sum(text, tokens, 0, nvars, 0)
+    try:
+        acc, at = _sum(text, tokens, 0, nvars, 0)
+    except InvalidInput:
+        raise
+    except ValueError:
+        # int() of a numeral past the interpreter's digit limit, reached in
+        # text order, so the first such numeral is the one to name.
+        limit = _digit_limit()
+        if long := limit and re.search(f"[0-9]{{{limit + 1}}}", text):
+            raise ParseError(f"numeral of more than the interpreter's limit of {limit} digits", long.start()) from None
+        raise
     if tokens[at] != _END:
         _, _, name, _, _, op = tokens[at]
         _fail(text, f"unexpected trailing {name or op!r}", at)

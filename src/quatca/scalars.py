@@ -8,11 +8,14 @@ ring, and builds no rational matrix.  Right-handed problems are conjugates
 of left-handed ones.
 
 Every value is immutable and every operation is a pure function, so values
-may be shared freely between threads.  Rationals at the surface
-(coordinates, norms, solutions) are `fractions.Fraction`, always in lowest
-terms with a positive denominator.  Inside, a `Quat` keeps four integer
-numerators over one denominator, and the rational rows built here for
-`linalg` hold a plain `int` wherever that denominator is 1.
+may be shared freely between threads; the value types of `scalars`,
+`upoly`, `mpoly` and `modules` share one `__setattr__` guard, `_immutable`,
+and one repeated squaring, `_power`.  `fractions.Fraction` appears only at
+the surface (coordinates, norms, solutions), always in lowest terms with a
+positive denominator.  Inside, a `Quat` keeps four integer numerators over
+one denominator: centralizer membership and the growth of a power are read
+from those integers, and the rational rows built here for `linalg` hold a
+plain `int` wherever that denominator is 1.
 """
 
 from __future__ import annotations
@@ -26,6 +29,25 @@ from .errors import InvalidInput
 
 
 _UNIT_NAMES = ("", "i", "j", "k")
+
+
+def _immutable(self, name, value):
+    """The `__setattr__` of every value type, whose constructors set each
+    field once through `object.__setattr__`."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _power(base, n: int, one):
+    """base^n for n >= 0 by repeated squaring from one: at most
+    2 * n.bit_length() products, and no squaring after the last bit."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def _signed_sum(pairs) -> str:
@@ -80,8 +102,7 @@ class Quat:
         object.__setattr__(self, "_n", tuple(v.numerator * (m // v.denominator) for v in coords))
         object.__setattr__(self, "_d", m)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Quat is immutable")
+    __setattr__ = _immutable
 
     # -- structure ---------------------------------------------------------
 
@@ -216,15 +237,7 @@ class Quat:
     def __pow__(self, exp: int) -> "Quat":
         if exp < 0:
             return self.inverse() ** (-exp)
-        result = ONE
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return result
+        return _power(self, exp, ONE)
 
     def commutes_with(self, other: "Quat") -> bool:
         return self * other == other * self
@@ -349,8 +362,8 @@ def _growth(c: Quat) -> float:
     of c^n are at most |v|^n and its denominator at most m^n."""
     if not c:
         return 0.0
-    m = lcm(*(v.denominator for v in c.coords()))
-    return max(log2(int(c.norm() * m * m)) / 2, log2(m))
+    (a, b, e, f), m = c._n, c._d
+    return max(log2(a * a + b * b + e * e + f * f) / 2, log2(m))
 
 
 def _words(c: Quat) -> int:
@@ -389,8 +402,7 @@ class Centralizer:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "u", u)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Centralizer is immutable")
+    __setattr__ = _immutable
 
     @classmethod
     def full(cls) -> "Centralizer":
@@ -416,24 +428,9 @@ class Centralizer:
         """Dimension over the rationals."""
         return {FULL: 4, QUADRATIC: 2, CENTER: 1}[self.kind]
 
-    def coords(self, q: Quat) -> list[Fraction] | None:
-        """Coordinates of q in the basis of this subring, or None if q is outside."""
-        if self.kind == FULL:
-            return list(q.coords())
-        if self.kind == CENTER:
-            return [q.w] if q.is_central() else None
-        # q = p + s*u needs the pure part of q to be a rational multiple of
-        # u: every 2x2 minor of the two pure numerator triples vanishes.
-        (_, b, c, d), m = q._n, q._d
-        (_, e, f, g), n = self.u._n, self.u._d
-        if b * f != c * e or b * g != d * e or c * g != d * f:
-            return None
-        t, v = next((t, v) for t, v in ((b, e), (c, f), (d, g)) if v)
-        return [q.w, Fraction(t * n, v * m)]
-
     def element(self, coords: Sequence[Fraction]) -> Quat:
         """The member of this subring with the given coordinates in its
-        basis; the inverse of `coords`."""
+        basis."""
         if self.kind == FULL:
             return Quat(*coords)
         if self.kind == QUADRATIC:
@@ -441,7 +438,14 @@ class Centralizer:
         return Quat.scalar(coords[0])
 
     def contains(self, q: Quat) -> bool:
-        return self.coords(q) is not None
+        if self.kind == FULL:
+            return True
+        if self.kind == CENTER:
+            return q.is_central()
+        # q = p + s*u needs the pure part of q to be a rational multiple of
+        # u: every 2x2 minor of the two pure numerator triples vanishes.
+        (_, b, c, d), (_, e, f, g) = q._n, self.u._n
+        return b * f == c * e and b * g == d * e and c * g == d * f
 
     def __eq__(self, other):
         """Equal as subrings: quadratic ones when their generators are

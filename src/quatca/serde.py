@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _digit_limit
 from .modules import EigenTuple, ModulePresentation, RootNotFound
 from .mpoly import CommutingPoint, MPoly, RabinowitschCertificate
 from .scalars import Quat, _reduced
@@ -42,12 +42,13 @@ def _rational(text: str) -> tuple[int, int]:
     if match is None:
         raise InvalidInput(f"bad rational {text!r}: expected -?digits(/digits)?")
     num, den = match.groups()
-    if den is None:
-        return int(num), 1
-    den = int(den)
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:
+        raise InvalidInput(f"rational of more than the interpreter's limit of {_digit_limit()} digits") from None
     if not den:
         raise InvalidInput(f"bad rational {text!r}")
-    return int(num), den
+    return num, den
 
 
 def _coordinate(v: int, m: int) -> str:

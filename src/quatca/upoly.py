@@ -37,6 +37,7 @@ from .scalars import (
     QUADRATIC,
     Quat,
     ZERO,
+    _immutable,
     _integer_rows,
     _left_horner,
     _signed_sum,
@@ -57,8 +58,7 @@ class UPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UPoly is immutable")
+    __setattr__ = _immutable
 
     # -- construction --------------------------------------------------------
 

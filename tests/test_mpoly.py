@@ -783,6 +783,46 @@ class TestPowerBound:
         assert find_certificate(self.IDEAL, self.P, ONE, 40, 0) == NotFoundWithinBounds(40, 0)
 
 
+class TestDensePowerBound:
+    """In one variable, when the chain's cofactors fit, (a*p)^N is estimated
+    at N*deg(a*p) + 1 dense coefficients before any power is formed, and
+    refused with InvalidInput past 1,250."""
+
+    G = x(0, 1) - const(I, 1)
+    IDEAL = LeftIdeal((G * G,))
+
+    def test_the_power_just_below_and_just_above_the_bound(self):
+        assert mpoly._MAX_DENSE_POWER == 1_250
+        ap = self.G.scale_left(J)
+        mpoly._bound_dense_power(ap, 1249)
+        with pytest.raises(InvalidInput) as info:
+            mpoly._bound_dense_power(ap, 1250)
+        assert str(info.value) == "power (a*p)^1250 of up to 1251 coefficients, above the bound of 1250"
+        # Degree 2: 1,249 coefficients at N = 624 and 1,251 at 625.
+        mpoly._bound_dense_power(ap * ap, 624)
+        with pytest.raises(InvalidInput, match=r"power \(a\*p\)\^625 of up to 1251 coefficients"):
+            mpoly._bound_dense_power(ap * ap, 625)
+        # A constant has one coefficient at every power.
+        mpoly._bound_dense_power(const(J, 1), 10**6)
+
+    def test_a_refused_check_forms_no_power(self, monkeypatch):
+        def refuse(ap, N, low=0):
+            raise AssertionError(f"formed powers up to {N}")
+
+        monkeypatch.setattr(mpoly, "_powers", refuse)
+        start = time.perf_counter()
+        with pytest.raises(InvalidInput, match=r"power \(a\*p\)\^1000000 of up to 1000001 coefficients, above the bound of 1250"):
+            rabinowitsch_check(self.IDEAL, self.G, J, 10**6, 2)
+        with pytest.raises(InvalidInput, match="of up to 1251 coefficients"):
+            rabinowitsch_check(self.IDEAL, self.G, J, 1250, 2)
+        assert time.perf_counter() - start < 5
+
+    def test_a_search_that_finds_its_least_power_still_answers(self):
+        # The search checks the least member power, 1, first, and stops there.
+        N, cert = find_certificate(self.IDEAL, self.G, J, 10**6, 2)
+        assert N == 1 and cert == rabinowitsch_check(self.IDEAL, self.G, J, 1, 2)
+
+
 def _coefficients(rng):
     """Small random quaternions, or small elements of one subfield Q(u).
     In Q(u) the variables and coefficients commute, so every g*(ap)^k lies

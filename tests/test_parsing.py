@@ -319,6 +319,60 @@ class TestSizeBounds:
         assert parse_mpoly("x^1000000000", 1) == MPoly.monomial(ONE, (10**9,))
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit")
+class TestDigitLimit:
+    """Called as a library, where the interpreter's int<->str digit limit
+    stays in force, a longer numeral is a ParseError at its digits, or
+    InvalidInput from `serde`, naming the limit; lifted, it is read exactly."""
+
+    @pytest.fixture(autouse=True)
+    def cap(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    CASES = [
+        (parse_quat, "1" * 5000, 0),
+        (parse_upoly, "x + " + "2" * 5000, 4),
+        (lambda text: parse_mpoly(text, 2), "x2^" + "3" * 4400, 3),
+        (parse_quat, "1/" + "7" * 4400 + "i", 2),
+        (parse_quat, "-(1 + 2j)" + "8" * 4301, 9),
+        (lambda text: parse_mpoly(text, 2), "x" + "1" * 4400, 1),
+    ]
+
+    @pytest.mark.parametrize("parse, text, position", CASES)
+    def test_with_the_cap_in_force(self, parse, text, position):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"numeral of more than the interpreter's limit of 4300 digits (at position {position})"
+        assert info.value.position == position
+
+    def test_a_numeral_at_the_limit_and_an_earlier_error(self):
+        assert parse_quat("9" * 4300) == Quat(10**4300 - 1)
+        with pytest.raises(ParseError, match=r"unexpected character '@' \(at position 0\)"):
+            parse_quat("@" + "1" * 5000)
+        with pytest.raises(ParseError, match=r"unexpected '\+' \(at position 3\)"):
+            parse_quat("1 ++ 1/" + "3" * 5000)
+
+    def test_serde(self):
+        for value in ("1" * 5000, "-1/" + "3" * 4400):
+            with pytest.raises(InvalidInput) as info:
+                serde.quat_from_json({"w": value, "x": "0", "y": "0", "z": "1"})
+            assert type(info.value) is InvalidInput
+            assert str(info.value) == "rational of more than the interpreter's limit of 4300 digits"
+
+    def test_with_the_cap_lifted(self):
+        sys.set_int_max_str_digits(0)
+        assert parse_quat("1" * 5000) == Quat(int("1" * 5000))
+        assert parse_upoly("x + " + "2" * 5000) == UPoly([Quat(int("2" * 5000)), ONE])
+        assert parse_quat("1/" + "7" * 4400 + "i") == Quat(0, F(1, int("7" * 4400)))
+        big = int("1" * 5000)
+        assert serde.quat_from_json({"w": "1" * 5000, "x": "0", "y": "0", "z": "1"}) == Quat(big, 0, 0, 1)
+        with pytest.raises(ParseError, match=r"variable x1{4400} outside the 2-variable ring"):
+            parse_mpoly("x" + "1" * 4400, 2)
+
+
 class TestPrinting:
     @pytest.mark.parametrize(
         "value, text",

@@ -337,24 +337,33 @@ class TestCentralizer:
 
 
 class TestCoords:
+    # Membership is read from the numerators, and `element` builds a member
+    # from explicit coordinates in the subring's basis.
+
     def test_quadratic_readout(self):
-        assert Centralizer.quadratic(I).coords(Quat(1, 2)) == [1, 2]
-        # Unequal denominators, and a generator with no i part.
+        assert Centralizer.quadratic(I).contains(Quat(1, 2))
+        assert Centralizer.quadratic(I).element([1, 2]) == Quat(1, 2)
+        # Unequal denominators, and a generator with no i part:
+        # q = 1/2 + 3/14*u.
         c = Centralizer.quadratic(Quat(0, 0, F(2, 3), F(-1, 5)))
         q = Quat(F(1, 2), 0, F(1, 7), F(-3, 70))
-        assert c.coords(q) == [F(1, 2), F(3, 14)]
-        assert c.element(c.coords(q)) == q
+        assert c.contains(q)
+        assert c.element([F(1, 2), F(3, 14)]) == q
+        assert not c.contains(q + I) and not c.contains(Quat(0, 0, F(2, 3), F(1, 5)))
 
     def test_outside_quadratic(self):
-        assert Centralizer.quadratic(I).coords(J) is None
         assert not Centralizer.quadratic(I).contains(J)
+        assert not Centralizer.quadratic(I).contains(Quat(1, 1, 0, F(1, 9)))
 
     def test_full_readout(self):
-        assert Centralizer.full().coords(K) == [0, 0, 0, 1]
+        assert Centralizer.full().contains(K)
+        assert Centralizer.full().element([0, 0, 0, 1]) == K
+        assert Centralizer.full().element([F(1, 2), -1, 0, F(3, 4)]) == Quat(F(1, 2), -1, 0, F(3, 4))
 
     def test_center(self):
-        assert Centralizer.center().coords(Quat(F(5, 3))) == [F(5, 3)]
-        assert Centralizer.center().coords(I) is None
+        assert Centralizer.center().contains(Quat(F(5, 3)))
+        assert Centralizer.center().element([F(5, 3)]) == Quat(F(5, 3))
+        assert not Centralizer.center().contains(I)
 
 
 class TestLinearSolveRat:

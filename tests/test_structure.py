@@ -10,6 +10,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import lcm, log2
 from pathlib import Path
 from random import Random
 
@@ -29,7 +30,7 @@ from quatca.mpoly import (
     point_ideal,
     rabinowitsch_check,
 )
-from quatca.modules import EigenTuple, find_eigen_tuple
+from quatca.modules import EigenTuple, ModulePresentation, find_eigen_tuple
 from quatca.parsing import parse_mpoly, parse_quat, parse_upoly
 from quatca.randgen import rand_module
 from quatca.scalars import Centralizer, I, J, K, ONE, Quat, ZERO, find_conjugator, left_rank
@@ -440,6 +441,68 @@ def test_quat_defines_every_method_the_tracer_wraps():
     assert set(methods) == set(classes)
     for key, names in methods.items():
         assert all(callable(classes[key].__dict__.get(name)) for name in names)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Quat(1, 2, 3, 4),
+        Centralizer.quadratic(I),
+        UPoly([ONE, I]),
+        MPoly.constant(J, 2),
+        CommutingPoint([I, Quat(1, 2)]),
+        ModulePresentation(1, [[[K]]]),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_value_types_share_one_immutability_guard(value):
+    # One `__setattr__`, named after the class it refuses for.
+    assert type(value).__setattr__ is scalars._immutable
+    for name in (*type(value).__slots__, "other"):
+        with pytest.raises(AttributeError) as info:
+            setattr(value, name, None)
+        assert str(info.value) == f"{type(value).__name__} is immutable"
+
+
+def _mixed_quat(rng):
+    return Quat(*(Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(4)))
+
+
+def test_centralizer_membership_reads_the_numerators(fractions_and_quat_products):
+    # `contains` builds no Fraction and takes no product, and agrees with
+    # an oracle: everything is in the full ring, the center holds the
+    # central quaternions, and Q(u), the centralizer of a pure u, holds what
+    # commutes with u.  Members and outsiders have mixed denominators, and
+    # one generator has no i part.
+    rng = Random(34)
+    cases = []
+    generators = [I, Quat(0, 0, Fraction(2, 3), Fraction(-1, 5))] + [_mixed_quat(rng).pure_part() for _ in range(4)]
+    for u in generators:
+        members = [_mixed_quat(rng).w + u * _mixed_quat(rng).x for _ in range(5)]
+        for q in [*members, *(_mixed_quat(rng) for _ in range(5)), u * Fraction(1, 3) + I, ZERO]:
+            cases.append((Centralizer.quadratic(u), q, q.commutes_with(u)))
+            cases.append((Centralizer.center(), q, q.is_central()))
+            cases.append((Centralizer.full(), q, True))
+    assert {answer for _, _, answer in cases} == {True, False}
+    fractions_and_quat_products.clear()
+    assert [c.contains(q) for c, q, _ in cases] == [answer for _, _, answer in cases]
+    assert fractions_and_quat_products == []
+
+
+def test_growth_reads_the_integers(fractions_and_quat_products):
+    # `_growth` takes the sum of the squared numerators and the denominator
+    # straight from the Quat, and returns the float that the coordinates
+    # and the norm gave.
+    rng = Random(35)
+    quats = [_mixed_quat(rng) * rng.randint(1, 10**30) for _ in range(40)] + [Quat(1), -K, ZERO]
+    expected = [
+        max(log2(int(q.norm() * m * m)) / 2, log2(m)) if q else 0.0
+        for q in quats
+        for m in [lcm(*(v.denominator for v in q.coords()))]
+    ]
+    fractions_and_quat_products.clear()
+    assert [scalars._growth(q) for q in quats] == expected
+    assert fractions_and_quat_products == []
 
 
 def test_benchmark_micro_cases_run(monkeypatch):
