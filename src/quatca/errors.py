@@ -23,3 +23,9 @@ def _digit_limit() -> int:
     """The interpreter's int<->str digit limit (`sys.set_int_max_str_digits`),
     0 where it has none or it is lifted."""
     return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+def _too_many_digits(what: str) -> InvalidInput:
+    """The error for a number past the interpreter's int<->str digit limit,
+    which `str` and `int` signal with a bare ValueError."""
+    return InvalidInput(f"{what} of more than the interpreter's limit of {_digit_limit()} digits")

@@ -430,8 +430,9 @@ def rabinowitsch_check(
     _MAX_POWER_TERMS the check raises InvalidInput too.  In one variable a
     member whose chain cofactors fit forms only the powers N - m..N that
     its rows read, the first by repeated squaring, and past
-    _MAX_DENSE_POWER coefficients of (a*p)^N, N*deg(a*p) + 1, the check
-    raises InvalidInput before forming any.
+    _MAX_DENSE_POWER coefficient words of (a*p)^N (N*deg(a*p) + 1
+    coefficients, each counted at the 64-bit words that N factors of a*p
+    can fill) the check raises InvalidInput before forming any.
 
     A found certificate is verified by reconstructing the identity before
     it is returned.
@@ -489,12 +490,17 @@ def _bound_power_terms(ap: MPoly, N: int) -> None:
 
 
 def _bound_dense_power(ap: MPoly, N: int) -> None:
-    """In one variable, refuse (a*p)^N past _MAX_DENSE_POWER coefficients,
-    N*deg(a*p) + 1 when dense, before any power is formed."""
+    """In one variable, refuse (a*p)^N past _MAX_DENSE_POWER coefficient
+    words before any power is formed: N*deg(a*p) + 1 coefficients when
+    dense, each of about N times the bits a factor of a*p adds
+    (`scalars._growth`), in 64-bit words as the Groebner budget counts
+    them."""
     coeffs = N * _degree(ap) + 1
-    if coeffs > _MAX_DENSE_POWER:
+    words = 1 + int(N * max(map(_growth, ap.terms.values()), default=0.0)) // 64
+    if coeffs * words > _MAX_DENSE_POWER:
+        size = f" of {words} words each" if words > 1 else ""
         raise InvalidInput(
-            f"power (a*p)^{N} of up to {coeffs} coefficients, above the bound of {_MAX_DENSE_POWER}"
+            f"power (a*p)^{N} of up to {coeffs} coefficients{size}, above the bound of {_MAX_DENSE_POWER}"
         )
 
 
@@ -585,7 +591,11 @@ _MAX_POWER_TERMS = 1_000
 # repeated squaring and the m powers above it, N*deg(a*p) + 1 coefficients
 # dense.  For I = H[x](x - i)^2, p = x - i, a = j one-shot
 # `quatca rabinowitsch` took 0.8 s at N = 1000, 0.9-1.5 s at 1,250,
-# 1.3-1.5 s at 1,400 and 3.2 s at 2,000 on a shared 2-core host.
+# 1.3-1.5 s at 1,400 and 3.2 s at 2,000 on a shared 2-core host.  There a
+# factor adds no bits to a coefficient (`scalars._growth` of j and k is 0),
+# so each counts one word.  With a = 123456789j a factor adds 27 bits:
+# counted as one word, N = 1249 took 34.8 s; N = 53, the largest admitted
+# at 23 words, takes 0.2 s.
 _MAX_DENSE_POWER = 1_250
 
 

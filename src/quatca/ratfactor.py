@@ -19,10 +19,13 @@ that does not change it:
 - the companion p * conj(p), the sum of the squares of the rows over D^2
   (`_sum_of_squares`), since the cross terms cancel;
 - the central content c, the gcd over the rationals of the rows and so
-  the central c of greatest degree with p = q*c (`_central_content`), by a
-  primitive remainder sequence (Knuth, TAOCP vol. 2, 4.6.1; Collins 1967):
-  each pseudo-remainder lc(b)^k * a mod b is integral, and dividing it by
-  its content keeps the coefficients small;
+  the central c of greatest degree with p = q*c (`_central_content`), one
+  gcd of two primitive rows at a time by GCDHEU (`_gcd`; Char, Geddes &
+  Gonnet 1989): the integer gcd of the two rows' values at one large
+  integer, read back as a polynomial from its digits and accepted only
+  once it divides both rows exactly.  A primitive remainder sequence
+  decides only the rare pair GCDHEU gives up on, under a size bound whose
+  excess is InvalidInput (`_remainder_gcd`);
 - with it N(q) for q = p/c, from q's rows by exact division
   (`_content_and_norm`, `_exact_quotient`);
 - the remainder alpha*x + beta of p by a class quadratic, one
@@ -33,10 +36,11 @@ calls a leftover factor of the content counts once, not squared.
 
 Root-class extraction needs the rational roots and the monic quadratic
 factors of a central polynomial.  Degree 1 and 2 take a closed form (the
-discriminant and an exact rational square root).  Above degree 2, floats
+integer discriminant and its integer square root).  Above degree 2, floats
 propose and exact division confirms: the complex roots of the polynomial F
 in the one form, with leading coefficient L, are approximated by
-Aberth-Ehrlich iteration, and each near-real root and each
+Aberth-Ehrlich iteration (sweeping only the roots not yet settled), and
+each near-real root and each
 pair with near-real sum and product is rounded to a candidate factor over
 (1/L)Z, which by Gauss's lemma holds the coefficients of every monic
 rational factor of F.  A candidate counts only once it divides exactly, so
@@ -69,11 +73,10 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, gcd, isfinite, lcm, pi, sin
+from math import cos, gcd, isfinite, isqrt, lcm, pi, sin
 from typing import Iterable, Sequence
 
-from .errors import InternalError
-from .intmath import rational_sqrt
+from .errors import InternalError, InvalidInput
 
 # Primes tried, in order, to prove a cofactor free of factors of degree
 # <= 2: the odd primes below 100, those = 1 mod 3 first, since mod a prime
@@ -100,6 +103,16 @@ _MAX_SWEEPS = 100
 # errors of the evaluation, i.e. z is an exact root of a polynomial whose
 # coefficients differ from F's in the last bits.
 _SETTLED_ULPS = 8
+# Evaluation points GCDHEU tries before the remainder sequence decides a
+# gcd, as many as sympy's heuristic gcd tries.
+_HEURISTIC_TRIES = 6
+# The primitive remainder sequence decides a gcd only where GCDHEU gives
+# up, and refuses rows past this many estimated word products
+# (`_remainder_gcd`).  On a shared 2-core host coprime random rows took
+# 0.4-0.6 s at 1e8 with 30- to 4096-bit coefficients, and 7.2 s at 3.4e8
+# with 2-bit ones (degree 540), the costliest per word product, so the
+# bound admits about 1 s.
+_MAX_REMAINDER_WORK = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -122,18 +135,22 @@ class CentralFactorization:
 
 
 def _factor_low_degree(f: list[int]) -> CentralFactorization:
-    """The factorization of an integer polynomial of degree 1 or 2, in
-    closed form: a square discriminant splits a quadratic, zero gives a
-    double root."""
+    """The factorization of an integer polynomial [L, B] or [L, B, C],
+    L > 0, in closed form: for a quadratic the discriminant B^2 - 4LC is a
+    square s^2 exactly when it splits, into the roots (-B -+ s)/(2L), and a
+    zero one gives a double root."""
     if len(f) == 2:
         return CentralFactorization(((Fraction(-f[1], f[0]), 1),), (), 0)
-    t, n = Fraction(-f[1], f[0]), Fraction(f[2], f[0])
-    s = rational_sqrt(t * t - 4 * n)
-    if s is None:
-        return CentralFactorization((), ((t, n, 1),), 0)
+    lead, b, c = f
+    disc = b * b - 4 * lead * c
+    s = isqrt(disc) if disc >= 0 else -1
+    if s * s != disc:
+        return CentralFactorization((), ((Fraction(-b, lead), Fraction(c, lead), 1),), 0)
     if not s:
-        return CentralFactorization(((t / 2, 2),), (), 0)
-    return CentralFactorization((((t - s) / 2, 1), ((t + s) / 2, 1)), (), 0)
+        return CentralFactorization(((Fraction(-b, 2 * lead), 2),), (), 0)
+    return CentralFactorization(
+        ((Fraction(-b - s, 2 * lead), 1), (Fraction(-b + s, 2 * lead), 1)), (), 0
+    )
 
 
 def _primitive_part(f: list[int]) -> list[int]:
@@ -159,14 +176,75 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return f[max(steps, 0) :]
 
 
+def _evaluate(f: list[int], xi: int) -> int:
+    """f(xi) for an integer polynomial f, high to low."""
+    value = 0
+    for c in f:
+        value = value * xi + c
+    return value
+
+
+def _symmetric_digits(h: int, xi: int) -> list[int]:
+    """The polynomial, high to low, whose value at xi is h and whose
+    coefficients are the digits of h in base xi, each in (-xi/2, xi/2]."""
+    digits, half = [], xi // 2
+    while h:
+        d = h % xi
+        if d > half:
+            d -= xi
+        digits.append(d)
+        h = (h - d) // xi
+    return digits[::-1]
+
+
+def _remainder_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd(a, b) in the one form for a and b in it, by the primitive
+    remainder sequence (Knuth, TAOCP vol. 2, 4.6.1; Collins 1967).  It
+    makes about len(a) * len(b) coefficient steps on numbers of up to
+    (len(a) + len(b)) times the input's bits, each of W words costing W^2
+    word products; past _MAX_REMAINDER_WORK of those it raises InvalidInput
+    before the first step."""
+    bits = max(map(abs, a + b)).bit_length()
+    words = 1 + (len(a) + len(b)) * bits // 64
+    work = len(a) * len(b) * words * words
+    if work > _MAX_REMAINDER_WORK:
+        raise InvalidInput(
+            f"gcd by remainders of degrees {len(a) - 1} and {len(b) - 1} with {bits}-bit coefficients: "
+            f"about {work} word products, above the bound of {_MAX_REMAINDER_WORK}"
+        )
+    while b:
+        a, b = b, _primitive_part(_pseudo_remainder(a, b))
+    return a
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd(a, b) in the one form for a and b nonzero in it, by GCDHEU (Char,
+    Geddes & Gonnet, J. Symbolic Comput. 7, 1989): at an integer xi of at
+    least twice the smaller height plus 2, the primitive part g of the
+    polynomial read from the symmetric base-xi digits of gcd(a(xi), b(xi))
+    is the gcd exactly when it divides a and b, so a g that divides both
+    is returned and any other one only grows xi.  After _HEURISTIC_TRIES
+    values of xi the primitive remainder sequence decides
+    (`_remainder_gcd`)."""
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEURISTIC_TRIES):
+        g = _primitive_part(_symmetric_digits(gcd(_evaluate(a, xi), _evaluate(b, xi)), xi))
+        if g and _exact_quotient(a, g) is not None and _exact_quotient(b, g) is not None:
+            return g
+        xi = xi * 73794 // 27011  # about 2.73 times
+    return _remainder_gcd(a, b)
+
+
 def _central_content(rows: Iterable[list[int]]) -> list[int]:
     """The gcd over the rationals of the integer coordinate rows of a
     nonzero quaternion polynomial p (each high to low), in the one form: the
-    central c of greatest degree with p = q*c.  The sequence stops at gcd 1."""
+    central c of greatest degree with p = q*c.  The fold stops at gcd 1."""
     g: list[int] = []
     for f in map(_primitive_part, rows):
-        while f:
-            g, f = f, _primitive_part(_pseudo_remainder(g, f))
+        if f:
+            g = _gcd(g, f) if g else f
         if len(g) == 1:
             break
     return g
@@ -187,7 +265,7 @@ def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
         if q:
             for idx in range(1, len(g)):
                 f[k + idx] -= q * g[idx]
-    return None if any(f[steps:]) else quotient
+    return None if any(f[max(steps, 0) :]) else quotient
 
 
 def _sum_of_squares(rows: Sequence[list[int]]) -> list[int]:
@@ -236,35 +314,44 @@ def _approximate_roots(f: list[int]) -> list[complex] | None:
     """All complex roots of an integer polynomial of degree >= 1 with
     nonzero constant term, by Aberth-Ehrlich iteration in floats; None when
     the coefficients do not fit a float, a value stops being finite or the
-    sweeps run out."""
+    sweeps run out.  A settled root is never moved, and its test reads only
+    itself and F, so it stays settled: each sweep visits only the roots
+    still moving."""
     try:
         a = [c / f[0] for c in f]  # exact int quotients, correctly rounded
+        sizes = [abs(c) for c in a]
         n = len(a) - 1
-        radius = max(abs(a[k]) ** (1 / k) for k in range(1, n + 1))
+        radius = max(sizes[k] ** (1 / k) for k in range(1, n + 1))
         # Starts on a circle, turned so that none is real and no two conjugate.
         angles = [2 * pi * k / n + 0.4 for k in range(n)]
         z = [radius * complex(cos(t), sin(t)) for t in angles]
+        moving = range(n)
         for _ in range(_MAX_SWEEPS):
-            settled = True
-            for i, zi in enumerate(z):
+            still = []
+            for i in moving:
+                zi = z[i]
                 value = slope = 0j
                 bound, size = 0.0, abs(zi)
-                for c in a:
+                for c, c_size in zip(a, sizes):
                     slope = slope * zi + value
                     value = value * zi + c
-                    bound = bound * size + abs(c)
+                    bound = bound * size + c_size
                 if not isfinite(bound):
                     return None
                 if abs(value) <= _SETTLED_ULPS * sys.float_info.epsilon * bound:
                     continue
-                settled = False
+                still.append(i)
                 ratio = value / slope
-                repulsion = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+                repulsion = 0
+                for j, zj in enumerate(z):
+                    if j != i:
+                        repulsion += 1 / (zi - zj)
                 z[i] = zi - ratio / (1 - ratio * repulsion)
                 if not isfinite(abs(z[i])):
                     return None
-            if settled:
+            if not still:
                 return z
+            moving = still
     except (OverflowError, ZeroDivisionError):
         pass
     return None

@@ -25,7 +25,7 @@ from math import gcd, lcm, log2
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import InvalidInput
+from .errors import InvalidInput, _too_many_digits
 
 
 _UNIT_NAMES = ("", "i", "j", "k")
@@ -52,17 +52,21 @@ def _power(base, n: int, one):
 
 def _signed_sum(pairs) -> str:
     """The text `a - b + c` of (value, text) terms: zero values are skipped,
-    and a magnitude 1 is dropped before nonempty text."""
+    and a magnitude 1 is dropped before nonempty text.  A value past the
+    interpreter's int<->str digit limit is InvalidInput naming it."""
     parts = []
-    for value, text in pairs:
-        if not value:
-            continue
-        mag = -value if value < 0 else value
-        body = text if mag == 1 and text else f"{mag}{text}"
-        if parts:
-            parts.append(f"- {body}" if value < 0 else f"+ {body}")
-        else:
-            parts.append(f"-{body}" if value < 0 else body)
+    try:
+        for value, text in pairs:
+            if not value:
+                continue
+            mag = -value if value < 0 else value
+            body = text if mag == 1 and text else f"{mag}{text}"
+            if parts:
+                parts.append(f"- {body}" if value < 0 else f"+ {body}")
+            else:
+                parts.append(f"-{body}" if value < 0 else body)
+    except ValueError:
+        raise _too_many_digits("number") from None
     return " ".join(parts) if parts else "0"
 
 

@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InvalidInput, _digit_limit
+from .errors import InvalidInput, _too_many_digits
 from .modules import EigenTuple, ModulePresentation, RootNotFound
 from .mpoly import CommutingPoint, MPoly, RabinowitschCertificate
 from .scalars import Quat, _reduced
@@ -27,7 +27,10 @@ _KEYS = ("w", "x", "y", "z")
 
 
 def rat_to_json(r: Fraction) -> str:
-    return str(r)
+    try:
+        return str(r)
+    except ValueError:
+        raise _too_many_digits("number") from None
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -45,7 +48,7 @@ def _rational(text: str) -> tuple[int, int]:
     try:
         num, den = int(num), int(den or 1)
     except ValueError:
-        raise InvalidInput(f"rational of more than the interpreter's limit of {_digit_limit()} digits") from None
+        raise _too_many_digits("rational") from None
     if not den:
         raise InvalidInput(f"bad rational {text!r}")
     return num, den
@@ -58,7 +61,10 @@ def _coordinate(v: int, m: int) -> str:
 
 
 def quat_to_json(q: Quat) -> dict:
-    return {key: _coordinate(v, q._d) for key, v in zip(_KEYS, q._n)}
+    try:
+        return {key: _coordinate(v, q._d) for key, v in zip(_KEYS, q._n)}
+    except ValueError:
+        raise _too_many_digits("number") from None
 
 
 def quat_from_json(obj: dict) -> Quat:

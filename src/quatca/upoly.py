@@ -40,6 +40,7 @@ from .scalars import (
     _immutable,
     _integer_rows,
     _left_horner,
+    _reduced,
     _signed_sum,
     _term_text,
     centralizer_of_set,
@@ -309,18 +310,31 @@ def _class_roots(rows: list[list[int]], t: Fraction, n: Fraction) -> RootClass |
     By Gordon-Motzkin a class holds only roots or at most one.  With
     p = q*f + alpha*x + beta for the central f = x^2 - t*x + n, every member
     a has p(a) = alpha*a + beta: zero remainder makes the whole class roots,
-    and otherwise only -alpha^-1*beta can be one, if it lies on the class.
-    The remainder is taken row by row, up to one positive scalar, which
-    cancels in the candidate.
+    and otherwise only -alpha^-1*beta = -conj(alpha)*beta/N(alpha) can be
+    one, if it lies on the class.  The remainder is taken row by row as two
+    integer 4-tuples, up to one positive scalar, which cancels in the
+    candidate.  A quaternion lies on the class exactly when twice its real
+    part is t and its norm is n, so the test reads integers only:
+    -2<alpha, beta> = t*N(alpha) and N(beta) = n*N(alpha), with <,> the dot
+    product of the tuples.  Only a candidate that passes becomes a `Quat`.
     """
-    alpha, beta = (Quat(*v) for v in ratfactor._class_remainder(rows, t, n))
-    if not alpha and not beta:
-        return Sphere(t, n)
-    if alpha:
-        cand = -(alpha.inverse() * beta)
-        if not (cand * cand - cand * t + Quat.scalar(n)):
-            return Isolated(cand)
-    return None
+    (a, b, c, d), (e, f, g, h) = ratfactor._class_remainder(rows, t, n)
+    norm = a * a + b * b + c * c + d * d
+    if not norm:
+        return None if e or f or g or h else Sphere(t, n)
+    dot = a * e + b * f + c * g + d * h
+    if -2 * dot * t.denominator != t.numerator * norm:
+        return None
+    if (e * e + f * f + g * g + h * h) * n.denominator != n.numerator * norm:
+        return None
+    # -conj(alpha)*beta over N(alpha)
+    return Isolated(_reduced(
+        -dot,
+        -(a * f - b * e - c * h + d * g),
+        -(a * g + b * h - c * e - d * f),
+        -(a * h - b * g + c * f - d * e),
+        norm,
+    ))
 
 
 # The root search takes time quadratic in the degree of s = p/x^k or worse

@@ -602,25 +602,46 @@ def _fuzz_argvs(seed: int, count: int) -> list[list[str]]:
     return out
 
 
+# The long request of seed 5: its coordinate rows have degree 180 and
+# coefficients of up to 532 bits, and their central content, x, took more
+# than 120 s by a remainder sequence.
+_SEED_5_ROOTS = "-x*x+2/3^2 12^2 x-(k x+(xi^12)^12 (+k+x*x - j1/12^12)x)^12"
+
+
+def _run_fuzz(capsys, seed: int) -> None:
+    """Seeded requests of at most 80 characters, from the grammar's tokens,
+    for the text subcommands: each answers (exit 0) or is refused (exit 2),
+    never raises, and none takes long."""
+    argvs = _fuzz_argvs(seed, 400)
+    codes = Counter()
+    start = time.perf_counter()
+    for argv in argvs:
+        begin = time.perf_counter()
+        code, out, err = run(capsys, "--json", *argv)
+        assert code in (0, 2), argv
+        assert (out and not err) if code == 0 else (err.startswith("error:") and not out), argv
+        assert time.perf_counter() - begin < 20, argv
+        codes[argv[0], code] += 1
+    assert time.perf_counter() - start < 120
+    assert {command for command, code in codes if code == 0} == {
+        "eval", "roots", "reduce", "minpoly", "rabinowitsch",
+    }
+
+
 class TestGrammarFuzz:
     def test_short_requests_answer_or_are_refused(self, capsys):
-        # Seeded requests of at most 80 characters, from the grammar's
-        # tokens, for the text subcommands: each answers (exit 0) or is
-        # refused (exit 2), never raises, and none takes long.
-        argvs = _fuzz_argvs(1, 400)
-        codes = Counter()
+        _run_fuzz(capsys, 1)
+
+    def test_short_requests_of_seed_5_answer_or_are_refused(self, capsys):
+        assert ["roots", f"--poly={_SEED_5_ROOTS}"] in _fuzz_argvs(5, 400)
+        _run_fuzz(capsys, 5)
+
+    def test_the_long_central_content_request_answers(self, capsys):
         start = time.perf_counter()
-        for argv in argvs:
-            begin = time.perf_counter()
-            code, out, err = run(capsys, "--json", *argv)
-            assert code in (0, 2), argv
-            assert (out and not err) if code == 0 else (err.startswith("error:") and not out), argv
-            assert time.perf_counter() - begin < 20, argv
-            codes[argv[0], code] += 1
-        assert time.perf_counter() - start < 120
-        assert {command for command, code in codes if code == 0} == {
-            "eval", "roots", "reduce", "minpoly", "rabinowitsch",
-        }
+        code, report, _ = run_json(capsys, "roots", "--poly", _SEED_5_ROOTS)
+        assert time.perf_counter() - start < 20
+        assert code == 0 and report["status"] == "possibly-incomplete"
+        assert report["payload"]["classes"] == [{"kind": "isolated", "a": {"w": "0", "x": "0", "y": "0", "z": "0"}}]
 
     def test_a_root_search_past_the_degree_bound_is_refused(self, capsys):
         # The dense bound admits x^331213, whose root search did not finish;

@@ -805,6 +805,25 @@ class TestDensePowerBound:
         # A constant has one coefficient at every power.
         mpoly._bound_dense_power(const(J, 1), 10**6)
 
+    def test_coefficient_words_just_below_and_just_above_the_bound(self):
+        # With a = 123456789j a factor adds log2(123456789) = 26.9 bits to a
+        # coefficient: 53 factors fill 1 + 1424 // 64 = 23 words, and
+        # 54 * 23 = 1,242 coefficient words fit; 54 factors make 55 * 23.
+        # Unweighted, N = 1249 took 34.8 s one-shot.
+        ap = self.G.scale_left(Quat(0, 0, 123456789))
+        mpoly._bound_dense_power(ap, 53)
+        for N, message in [
+            (54, "power (a*p)^54 of up to 55 coefficients of 23 words each, above the bound of 1250"),
+            (1249, "power (a*p)^1249 of up to 1250 coefficients of 525 words each, above the bound of 1250"),
+        ]:
+            with pytest.raises(InvalidInput) as info:
+                mpoly._bound_dense_power(ap, N)
+            assert str(info.value) == message
+        start = time.perf_counter()
+        with pytest.raises(InvalidInput, match=r"\(a\*p\)\^1249 of up to 1250 coefficients of 525 words"):
+            rabinowitsch_check(self.IDEAL, self.G, Quat(0, 0, 123456789), 1249, 2)
+        assert time.perf_counter() - start < 1
+
     def test_a_refused_check_forms_no_power(self, monkeypatch):
         def refuse(ap, N, low=0):
             raise AssertionError(f"formed powers up to {N}")

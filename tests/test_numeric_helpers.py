@@ -2,19 +2,23 @@
 factorizer."""
 
 import importlib
+import sys
 from fractions import Fraction as F
 from itertools import zip_longest
-from math import gcd, isqrt
+from math import cos, gcd, isfinite, isqrt, pi, sin
 from random import Random
 
 import pytest
-from sympy import QQ, Poly, Symbol
+from sympy import QQ, ZZ, Poly, Symbol
 
 from quatca import intmath, ratfactor
+from quatca.errors import InvalidInput
 from quatca.intmath import rational_sqrt, three_squares
+from quatca.parsing import parse_upoly
 from quatca.ratfactor import factor_central
 from quatca.scalars import Centralizer, I, Quat, ZERO, _integer_rows
 from quatca.upoly import Sphere, UPoly, right_roots, sphere_member_in
+from test_cli import _SEED_5_ROOTS
 from test_upoly import _one_form, _sympy_factor
 
 
@@ -230,6 +234,225 @@ class TestPseudoRemainder:
             pairs.append(([rng.randint(-9, 9) * (rng.random() < 0.8) for _ in range(rng.randint(0, 14))], b))
         for a, b in pairs:
             assert ratfactor._pseudo_remainder(a, b) == _reference_pseudo_remainder(a, b)
+
+
+def _reference_remainder_gcd(a, b):
+    """The gcd of two rows in the one form by the primitive remainder
+    sequence, with no size bound: the content's algorithm before GCDHEU."""
+    while b:
+        a, b = b, ratfactor._primitive_part(ratfactor._pseudo_remainder(a, b))
+    return a
+
+
+def _reference_central_content(rows):
+    """`_central_content` as the remainder sequence folded over the rows."""
+    g = []
+    for f in map(ratfactor._primitive_part, rows):
+        g = _reference_remainder_gcd(g, f) if g and f else g or f
+        if len(g) == 1:
+            break
+    return g
+
+
+def _sympy_gcd(a, b):
+    g = Poly(a, Symbol("x"), domain=ZZ).gcd(Poly(b, Symbol("x"), domain=ZZ))
+    return ratfactor._primitive_part([int(c) for c in g.all_coeffs()])
+
+
+def _gcd_pairs(rng):
+    """Seeded pairs of rows in the one form with a planted common factor of
+    degree 0 to 6 (degree 0: coprime as drawn), some with coefficients of a
+    few hundred bits, and pairs with a constant row."""
+    def poly(degree, bits):
+        top = 2**bits
+        return [rng.randint(1, top)] + [rng.randint(-top, top) for _ in range(degree)]
+
+    pairs = []
+    for k in range(210):
+        bits = rng.choice((3, 3, 8, 40, 300))
+        common = poly(k % 7, min(bits, 8))
+        a, b = (_times(common, poly(rng.randint(0, 8), bits)) for _ in range(2))
+        pairs.append((ratfactor._primitive_part(a), ratfactor._primitive_part(b)))
+    pairs += [([1], ratfactor._primitive_part(poly(5, 8))), (ratfactor._primitive_part(poly(3, 3)), [1])]
+    return pairs
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, u in enumerate(f):
+        for j, v in enumerate(g):
+            out[i + j] += u * v
+    return out
+
+
+class TestHeuristicGcd:
+    """`ratfactor._gcd` (GCDHEU) against sympy's gcd and the remainder
+    sequence it replaced."""
+
+    def test_equals_sympy_and_the_remainder_sequence(self, monkeypatch):
+        def no_fallback(a, b):
+            raise AssertionError(f"the remainder sequence was reached on {a}, {b}")
+
+        pairs = _gcd_pairs(Random(90))
+        expected = [_reference_remainder_gcd(a, b) for a, b in pairs]
+        monkeypatch.setattr(ratfactor, "_remainder_gcd", no_fallback)
+        degrees = set()
+        for (a, b), want in zip(pairs, expected):
+            got = ratfactor._gcd(a, b)
+            assert got == want == _sympy_gcd(a, b), (a, b)
+            degrees.add(len(got) - 1)
+        assert degrees >= set(range(7))
+
+    def test_a_candidate_must_divide_both_rows(self):
+        # xi = 4: a(4) = 5 divides b(4) = 10, whose digits read x + 1, which
+        # divides a but not b; xi = 10 then gives gcd(11, 16) = 1.
+        assert ratfactor._gcd([1, 1], [1, 6]) == ratfactor._gcd([1, 6], [1, 1]) == [1]
+
+    def test_a_longer_divisor_never_divides(self):
+        # Its trailing zeros must not read as a zero remainder.
+        assert ratfactor._exact_quotient([1, 0, 0], [1, 0, 0, 0, 0]) is None
+
+    def test_the_forced_fallback_is_the_remainder_sequence(self, monkeypatch):
+        monkeypatch.setattr(ratfactor, "_HEURISTIC_TRIES", 0)
+        for a, b in _gcd_pairs(Random(91))[::7]:
+            assert ratfactor._gcd(a, b) == _reference_remainder_gcd(a, b) == _sympy_gcd(a, b)
+
+    def test_the_fallback_bound_just_below_and_just_above_its_edge(self, monkeypatch):
+        # A row of length 100 against x + 1: 100 * 2 coefficient steps on
+        # numbers of 1 + 102 * bits // 64 words, so 313 bits estimate
+        # 200 * 499^2 = 49,800,200 word products and 314 bits 50,200,200.
+        assert ratfactor._MAX_REMAINDER_WORK == 50_000_000
+        monkeypatch.setattr(ratfactor, "_HEURISTIC_TRIES", 0)
+        below = [2**312] + [1] * 99
+        assert ratfactor._gcd(below, [1, 1]) == _sympy_gcd(below, [1, 1])
+        with pytest.raises(InvalidInput) as info:
+            ratfactor._gcd([2**313] + [1] * 99, [1, 1])
+        assert str(info.value) == (
+            "gcd by remainders of degrees 99 and 1 with 314-bit coefficients: "
+            "about 50200200 word products, above the bound of 50000000"
+        )
+
+    def test_the_long_fuzz_request_has_content_x(self):
+        # Rows of degree 180 with coefficients of up to 532 bits, on which
+        # the remainder sequence ran for more than 120 s.
+        rows = _integer_rows(parse_upoly(_SEED_5_ROOTS).coeffs)[0]
+        assert (len(rows[0]), max(abs(c) for row in rows for c in row).bit_length()) == (181, 532)
+        assert ratfactor._central_content(rows) == [1, 0]
+
+    def test_central_content_of_zero_constant_and_leading_zero_rows(self):
+        rng = Random(92)
+        shapes = {"zero": 0, "constant": 0, "leading-zero": 0}
+        for _ in range(150):
+            common = [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+            rows = []
+            for _ in range(4):
+                roll = rng.random()
+                if roll < 0.2:
+                    row, shapes["zero"] = [], shapes["zero"] + 1
+                elif roll < 0.3:
+                    row, shapes["constant"] = [rng.randint(-9, 9) or 1], shapes["constant"] + 1
+                else:
+                    row = _times(common, [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))])
+                rows.append(row)
+            width = max(map(len, rows)) + rng.randint(0, 2)
+            shapes["leading-zero"] += any(len(row) < width for row in rows if row)
+            rows = [[0] * (width - len(row)) + row for row in rows]
+            if not any(map(any, rows)):
+                continue
+            want = _reference_central_content(rows)
+            assert ratfactor._central_content(rows) == want, rows
+            monic = Poly(0, Symbol("x"), domain=QQ)
+            for row in rows:
+                monic = monic.gcd(Poly(row, Symbol("x"), domain=QQ))
+            assert [F(c, want[0]) for c in want] == monic.monic().all_coeffs()
+        assert min(shapes.values()) >= 20
+
+
+def _reference_factor_low_degree(f):
+    """The closed form as first written: t, n and an exact rational square
+    root of t^2 - 4n."""
+    if len(f) == 2:
+        return ((F(-f[1], f[0]), 1),), ()
+    t, n = F(-f[1], f[0]), F(f[2], f[0])
+    s = rational_sqrt(t * t - 4 * n)
+    if s is None:
+        return (), ((t, n, 1),)
+    if not s:
+        return ((t / 2, 2),), ()
+    return (((t - s) / 2, 1), ((t + s) / 2, 1)), ()
+
+
+class TestLowDegreeClosedForm:
+    def test_the_integer_discriminant_agrees_with_the_rational_one(self):
+        rng = Random(93)
+        cases = [[1, 0, -4], [4, -4, 1], [2, -3], [9, 0, 1], [6, -5, 1], [1, 0, -2]]
+        for _ in range(400):
+            r, s = F(rng.randint(-30, 30), rng.randint(1, 9)), F(rng.randint(-30, 30), rng.randint(1, 9))
+            cases.append(_one_form([r * s, -(r + s), 1]))
+            cases.append([rng.randint(1, 40), rng.randint(-99, 99), rng.randint(-99, 99)])
+            cases.append([rng.randint(1, 40), rng.randint(-99, 99)])
+        for f in cases:
+            fac = ratfactor._factor_low_degree(f)
+            assert (fac.linear, fac.quadratics) == _reference_factor_low_degree(f), f
+
+
+def _reference_approximate_roots(f):
+    """`_approximate_roots` as first written: every sweep visits every
+    root, and a settled one is tested again."""
+    try:
+        a = [c / f[0] for c in f]
+        n = len(a) - 1
+        radius = max(abs(a[k]) ** (1 / k) for k in range(1, n + 1))
+        angles = [2 * pi * k / n + 0.4 for k in range(n)]
+        z = [radius * complex(cos(t), sin(t)) for t in angles]
+        for _ in range(ratfactor._MAX_SWEEPS):
+            settled = True
+            for i, zi in enumerate(z):
+                value = slope = 0j
+                bound, size = 0.0, abs(zi)
+                for c in a:
+                    slope = slope * zi + value
+                    value = value * zi + c
+                    bound = bound * size + abs(c)
+                if not isfinite(bound):
+                    return None
+                if abs(value) <= ratfactor._SETTLED_ULPS * sys.float_info.epsilon * bound:
+                    continue
+                settled = False
+                ratio = value / slope
+                repulsion = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+                z[i] = zi - ratio / (1 - ratio * repulsion)
+                if not isfinite(abs(z[i])):
+                    return None
+            if settled:
+                return z
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
+
+
+class TestActiveSetAberth:
+    def test_sweeping_only_unsettled_roots_changes_no_bit(self, monkeypatch):
+        # Planted products, random dense polynomials, clusters, and
+        # coefficients past a float; then the same under small sweep caps.
+        rng = Random(94)
+        polys = [[1, 0, 0, 0, 1], [1, -2, 1, -2, 1], [10**400, 1, 1, 1], [1, 0, 0, 10**300, 1]]
+        for _ in range(60):
+            factors = [[rng.randint(1, 6), rng.randint(-9, 9)] for _ in range(rng.randint(1, 4))]
+            factors += [[1, rng.randint(-4, 4), rng.randint(5, 20)] for _ in range(rng.randint(0, 3))]
+            f = [1]
+            for g in factors:
+                f = _times(f, g)
+            polys.append(f if f[-1] else f[:-1] + [1])
+            polys.append([rng.randint(1, 9)] + [rng.randint(-99, 99) for _ in range(rng.randint(2, 30))] + [rng.randint(1, 9)])
+        outcomes = set()
+        for sweeps in (ratfactor._MAX_SWEEPS, 1, 3, 6):
+            monkeypatch.setattr(ratfactor, "_MAX_SWEEPS", sweeps)
+            for f in polys:
+                got = ratfactor._approximate_roots(f)
+                assert repr(got) == repr(_reference_approximate_roots(f)), (sweeps, f)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
 
 
 class TestFactorCentral:

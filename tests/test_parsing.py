@@ -362,6 +362,23 @@ class TestDigitLimit:
             assert type(info.value) is InvalidInput
             assert str(info.value) == "rational of more than the interpreter's limit of 4300 digits"
 
+    def test_output_past_the_cap(self):
+        # Written out, a number past the limit is InvalidInput naming it too;
+        # one at the limit prints.
+        big = Quat(10**5000, 0, F(1, 3))
+        outputs = [
+            lambda: str(big), lambda: serde.quat_to_json(big), lambda: str(UPoly([ONE, big])),
+            lambda: serde.rat_to_json(F(1, 10**5000)), lambda: str(Quat(0, F(1, 10**5000))),
+        ]
+        for write in outputs:
+            with pytest.raises(InvalidInput) as info:
+                write()
+            assert type(info.value) is InvalidInput
+            assert str(info.value) == "number of more than the interpreter's limit of 4300 digits"
+        at_limit = Quat(10**4299, 0, F(1, 3))
+        assert str(at_limit) == "1" + "0" * 4299 + " + 1/3j"
+        assert serde.quat_to_json(at_limit)["w"] == "1" + "0" * 4299
+
     def test_with_the_cap_lifted(self):
         sys.set_int_max_str_digits(0)
         assert parse_quat("1" * 5000) == Quat(int("1" * 5000))

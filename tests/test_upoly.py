@@ -364,6 +364,51 @@ class TestIntegerRowsAgainstQuatArithmetic:
             assert (Quat(*alpha), Quat(*beta)) == (rem.coeff(1) * scale, rem.coeff(0) * scale)
 
 
+def _reference_class_roots(rows, t, n):
+    """`_class_roots` as first written: the candidate -alpha^-1*beta as a
+    `Quat`, tested on the class quadratic by `Quat` products."""
+    alpha, beta = (Quat(*v) for v in ratfactor._class_remainder(rows, t, n))
+    if not alpha and not beta:
+        return Sphere(t, n)
+    if alpha:
+        cand = -(alpha.inverse() * beta)
+        if not (cand * cand - cand * t + Quat.scalar(n)):
+            return Isolated(cand)
+    return None
+
+
+class TestIntegerClassTest:
+    def test_agrees_with_the_quat_class_quadratic(self):
+        # Seeded classes of planted right roots (p = q*(x - a)), planted
+        # spheres (p = q*f), right roots b next to the class (-conj(a):
+        # the norm without the trace; a with its pure part doubled: the
+        # trace without the norm), which are the candidate when q is
+        # constant, and random polynomials.
+        rng = Random(95)
+        kinds = {"isolated": 0, "sphere": 0, "none": 0}
+        for _ in range(300):
+            a = rand_pure_quat(rng, 6) + Quat(F(rng.randint(-6, 6), rng.randint(1, 3)))
+            if not a.pure_part():
+                continue
+            t, n = 2 * a.w, a.norm()
+            q = rand_upoly(rng, 3, 6)
+            roll = rng.random()
+            if roll < 0.35:
+                p = q * UPoly.linear(a)
+            elif roll < 0.5:
+                p = q * UPoly.from_central([n, -t, 1])
+            elif roll < 0.7:
+                b = -a.conjugate() if roll < 0.6 else a * 2 - a.w
+                p = (q if rng.random() < 0.5 else UPoly.constant(rand_nonzero_quat(rng, 6))) * UPoly.linear(b)
+            else:
+                p = rand_upoly(rng, 5, 6)
+            rows = _integer_rows(p.coeffs)[0]
+            got = _class_roots(rows, t, n)
+            assert got == _reference_class_roots(rows, t, n), (p, t, n)
+            kinds["none" if got is None else "sphere" if isinstance(got, Sphere) else "isolated"] += 1
+        assert min(kinds.values()) >= 20
+
+
 class TestRightRoots:
     def test_sphere(self):
         classes, status = right_roots(X2P1)
