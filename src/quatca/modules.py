@@ -140,32 +140,43 @@ def annihilator_minpoly(module: ModulePresentation, v: Vector, i: int) -> UPoly:
     return UPoly([-c for c in sol] + [ONE])
 
 
-def _extract_from_seed(module: ModulePresentation, seed: Vector) -> EigenTuple | RootNotFound:
-    v = seed
-    values: list[Quat] = []
-    for i in range(module.nvars):
-        p = annihilator_minpoly(module, v, i)
-        c = centralizer_of_set(values)
-        for coeff in p.coeffs:
-            if not c.contains(coeff):
-                raise InternalError(
-                    "annihilator coefficients escaped the centralizer of the "
-                    "eigenvalues found so far"
-                )
-        roots, status = roots_in_centralizer(p, c, side="left")
-        if not roots:
-            return RootNotFound(p, i, status is RootSearchStatus.COMPLETE)
-        a = roots[0]
+def _extract_from_seed(
+    module: ModulePresentation, v: Vector, values: tuple[Quat, ...] = ()
+) -> EigenTuple | RootNotFound:
+    """A common eigenvector reached from v, whose eigenvalues for the first
+    len(values) actions are `values`, by a depth-first search over every
+    left root class at each later variable.  The first branch takes the
+    first class each time; a branch that fails gives way to the next, and
+    RootNotFound, from the first branch that failed, is returned only when
+    every branch fails."""
+    i = len(values)
+    if i == module.nvars:
+        tup = EigenTuple(v, CommutingPoint(values))
+        _verify_eigen_tuple(module, tup)
+        return tup
+    p = annihilator_minpoly(module, v, i)
+    c = centralizer_of_set(values)
+    for coeff in p.coeffs:
+        if not c.contains(coeff):
+            raise InternalError(
+                "annihilator coefficients escaped the centralizer of the "
+                "eigenvalues found so far"
+            )
+    roots, status = roots_in_centralizer(p, c, side="left")
+    first_missing = None if roots else RootNotFound(p, i, status is RootSearchStatus.COMPLETE)
+    for a in roots:
         quotient, rem = p.divmod_left(UPoly.linear(a))
         if not rem.is_zero():
             raise InternalError("left root failed to split its polynomial")
-        v = module.poly_action(i, quotient, v)
-        if vec_is_zero(v):
+        w = module.poly_action(i, quotient, v)
+        if vec_is_zero(w):
             raise InternalError("eigenvector candidate collapsed to zero")
-        values.append(a)
-    tup = EigenTuple(v, CommutingPoint(values))
-    _verify_eigen_tuple(module, tup)
-    return tup
+        outcome = _extract_from_seed(module, w, (*values, a))
+        if isinstance(outcome, EigenTuple):
+            return outcome
+        if first_missing is None:
+            first_missing = outcome
+    return first_missing
 
 
 def _verify_eigen_tuple(module: ModulePresentation, tup: EigenTuple):
@@ -184,9 +195,11 @@ def find_eigen_tuple(
     Walks the variables in order: take the minimal annihilator of the
     current vector under the next action (its coefficients provably commute
     with the eigenvalues already found), split off a left root inside that
-    centralizer, and push the vector through the cofactor.  A missing root
-    is a genuine limitation of exact rational scalars and is reported as
-    RootNotFound with the offending polynomial, never fudged.
+    centralizer, and push the vector through the cofactor.  Every root
+    class is tried in turn, depth first, so a class whose branch meets a
+    polynomial without a root in the working field gives way to the next.
+    A missing root on every branch is reported as RootNotFound with the
+    first branch's offending polynomial, never fudged.
 
     Seeds are tried in order: the caller's, then the standard basis; the
     first RootNotFound is returned when no seed yields a tuple.  An

@@ -29,10 +29,16 @@ that does not change it:
 - with it N(q) for q = p/c, from q's rows by exact division
   (`_content_and_norm`, `_exact_quotient`);
 - the remainder alpha*x + beta of p by a class quadratic, one
-  pseudo-remainder per row with one multiplier for all four
-  (`_class_remainder`).
+  pseudo-remainder per row with one multiplier for all four, read by a
+  two-term recurrence (`_class_remainder`).
 `upoly.right_roots` factors c and N(q), not N(p) = c^2*N(q), so over its
 calls a leftover factor of the content counts once, not squared.
+
+N(q) has no real root.  q's rows have gcd 1 over the rationals, hence over
+the complex numbers too, so they share no root.  At a real x each row is
+real, and N(q)(x), the sum of their squares, vanishes only where all four
+do.  So N(q) is positive on the real line, and its roots are deg q
+conjugate pairs.  The content c can have real roots.
 
 Root-class extraction needs the rational roots and the monic quadratic
 factors of a central polynomial.  Degree 1 and 2 take a closed form (the
@@ -43,8 +49,13 @@ Aberth-Ehrlich iteration (sweeping only the roots not yet settled), and
 each near-real root and each
 pair with near-real sum and product is rounded to a candidate factor over
 (1/L)Z, which by Gauss's lemma holds the coefficients of every monic
-rational factor of F.  A candidate counts only once it divides exactly, so
-a bad float costs a trial division, never an answer.
+rational factor of F.  For N(q), which `right_roots` states has no real
+root (`factor_central(..., no_real_roots=True)`), the iteration is paired:
+it moves only deg F / 2 approximations, started in the upper half-plane,
+with each one's conjugate counted in the repulsion, and each approximation
+z proposes the one quadratic (2*Re z, |z|^2) rather than every pair.  A
+candidate counts only once it divides exactly, so a bad float costs a
+trial division, never an answer.
 
 The cofactor C that no confirmed candidate explains is proved rather than
 factored where possible.  Degree <= 2 takes the closed form.  Above it, a
@@ -97,7 +108,9 @@ _PROOF_PRIMES = (
 # of the `roots` benchmark has degree <= 8.
 _PROOF_FIRST_DEGREE = 32
 # Aberth-Ehrlich sweeps before the float stage gives up and hands the whole
-# polynomial to sympy; the `roots` benchmark's companions settle in 4 to 18.
+# polynomial to sympy.  On the `roots` benchmark's N(q) at seeds 1-3 the
+# paired sweeps take a median of 6, 6 and 8 at degree 4, 6 and 8, at most
+# 18; the unpaired ones 6, 7 and 8, also at most 18.
 _MAX_SWEEPS = 100
 # A root approximation has settled once |F(z)| is within this many rounding
 # errors of the evaluation, i.e. z is an exact root of a polynomial whose
@@ -300,30 +313,56 @@ def _class_remainder(
     rows: Iterable[list[int]], t: Fraction, n: Fraction
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(alpha, beta) with alpha_m*x + beta_m the pseudo-remainder of row m
-    (high to low) by the primitive f of x^2 - t*x + n.  Rows of one length
-    take one multiplier lc(f)^k > 0, so for the coordinate rows of a
-    quaternion polynomial p, alpha*x + beta is s times the remainder of p
-    by x^2 - t*x + n for one rational s > 0."""
+    (high to low) by the primitive f = L*x^2 - T*x + N of x^2 - t*x + n.
+    Rows of one length take one multiplier L^k > 0, so for the coordinate
+    rows of a quaternion polynomial p, alpha*x + beta is s times the
+    remainder of p by x^2 - t*x + n for one rational s > 0.
+
+    Each row is read by Horner's rule on its remainder u*x + v: appending
+    a coefficient c makes it u*x^2 + v*x + c, and L*x^2 = T*x - N mod f,
+    so L times it leaves (L*v + T*u)*x + (L*c - N*u).  Every step scales
+    the remainder by L, and c enters owing the L^k of the steps before
+    it, which is exactly `_pseudo_remainder`'s multiplier."""
     den = lcm(t.denominator, n.denominator)
-    f = [den, -t.numerator * (den // t.denominator), n.numerator * (den // n.denominator)]
-    rems = [([0, 0] + _pseudo_remainder(row, f))[-2:] for row in rows]
-    return tuple(r[0] for r in rems), tuple(r[1] for r in rems)
+    trace, norm = t.numerator * (den // t.denominator), n.numerator * (den // n.denominator)
+    alpha, beta = [], []
+    for row in rows:
+        u, v = ([0, 0] + row[:2])[-2:]
+        owed = den
+        for c in row[2:]:
+            u, v = den * v + trace * u, owed * c - norm * u
+            owed *= den
+        alpha.append(u)
+        beta.append(v)
+    return tuple(alpha), tuple(beta)
 
 
-def _approximate_roots(f: list[int]) -> list[complex] | None:
+def _approximate_roots(f: list[int], paired: bool = False) -> list[complex] | None:
     """All complex roots of an integer polynomial of degree >= 1 with
     nonzero constant term, by Aberth-Ehrlich iteration in floats; None when
     the coefficients do not fit a float, a value stops being finite or the
     sweeps run out.  A settled root is never moved, and its test reads only
     itself and F, so it stays settled: each sweep visits only the roots
-    still moving."""
+    still moving.
+
+    `paired` states that f has no real root, so that its roots are deg f / 2
+    conjugate pairs.  Then one root of each pair is iterated, started in the
+    upper half-plane, with both counting in the repulsion, and one root of
+    each pair is returned.  A conjugate settles with its partner, since F's
+    value there is the conjugate of F's value at it."""
     try:
         a = [c / f[0] for c in f]  # exact int quotients, correctly rounded
         sizes = [abs(c) for c in a]
         n = len(a) - 1
         radius = max(sizes[k] ** (1 / k) for k in range(1, n + 1))
-        # Starts on a circle, turned so that none is real and no two conjugate.
-        angles = [2 * pi * k / n + 0.4 for k in range(n)]
+        if paired:
+            # Starts on the upper half-circle, turned off its mirror image
+            # in the imaginary axis.
+            n //= 2
+            angles = [pi * (k + 0.4) / n for k in range(n)]
+        else:
+            # Starts on a circle, turned so that none is real and no two conjugate.
+            angles = [2 * pi * k / n + 0.4 for k in range(n)]
         z = [radius * complex(cos(t), sin(t)) for t in angles]
         moving = range(n)
         for _ in range(_MAX_SWEEPS):
@@ -346,6 +385,9 @@ def _approximate_roots(f: list[int]) -> list[complex] | None:
                 for j, zj in enumerate(z):
                     if j != i:
                         repulsion += 1 / (zi - zj)
+                if paired:
+                    for zj in z:
+                        repulsion += 1 / (zi - zj.conjugate())
                 z[i] = zi - ratio / (1 - ratio * repulsion)
                 if not isfinite(abs(z[i])):
                     return None
@@ -357,10 +399,13 @@ def _approximate_roots(f: list[int]) -> list[complex] | None:
     return None
 
 
-def _candidates(f: list[int]) -> list[list[int]]:
+def _candidates(f: list[int], paired: bool = False) -> list[list[int]]:
     """Primitive integer candidates for the factors of degree 1, then 2, of
-    f, rounded from its approximate roots; empty when floats fail."""
-    roots = _approximate_roots(f)
+    f, rounded from its approximate roots; empty when floats fail.  With
+    `paired` (f has no real root, `_approximate_roots`) each approximation
+    z proposes only the quadratic of z and its conjugate, (2*Re z, |z|^2):
+    every rational quadratic factor of f has a conjugate pair of roots."""
+    roots = _approximate_roots(f, paired)
     if roots is None:
         return []
     lead = f[0]
@@ -373,17 +418,20 @@ def _candidates(f: list[int]) -> list[list[int]]:
 
     linear, quadratic = {}, {}
     try:
-        for r in roots:
-            m = on_grid(r)
-            if m is not None:
-                g = gcd(lead, m)
-                linear[lead // g, -m // g] = None
-        for i, r in enumerate(roots):
-            for s in roots[i + 1:]:
-                t, n = on_grid(r + s), on_grid(r * s)
-                if t is not None and n is not None:
-                    g = gcd(lead, t, n)
-                    quadratic[lead // g, -t // g, n // g] = None
+        if paired:
+            pairs = ((2 * r.real, r.real * r.real + r.imag * r.imag) for r in roots)
+        else:
+            for r in roots:
+                m = on_grid(r)
+                if m is not None:
+                    g = gcd(lead, m)
+                    linear[lead // g, -m // g] = None
+            pairs = ((r + s, r * s) for i, r in enumerate(roots) for s in roots[i + 1:])
+        for total, product in pairs:
+            t, n = on_grid(total), on_grid(product)
+            if t is not None and n is not None:
+                g = gcd(lead, t, n)
+                quadratic[lead // g, -t // g, n // g] = None
     except OverflowError:
         pass  # a root too large to scale; the candidates so far still stand
     return [list(c) for c in (*linear, *quadratic)]
@@ -447,7 +495,7 @@ def _sympy_factors(f: list[int]) -> list[tuple[list[int], int]]:
     ]
 
 
-def factor_central(f: list[int]) -> CentralFactorization:
+def factor_central(f: list[int], *, no_real_roots: bool = False) -> CentralFactorization:
     """Split a nonconstant polynomial in the one form (a primitive integer
     list, high to low, with a positive leading coefficient) into rational
     roots, monic irreducible quadratics and a remainder of irreducible
@@ -457,7 +505,13 @@ def factor_central(f: list[int]) -> CentralFactorization:
     exact division, repeatedly for the multiplicity, and the cofactor they
     leave takes the closed form, a small-prime proof or sympy.  The floats
     and primes only choose which exact steps to take, so the answer is the
-    exact factorization."""
+    exact factorization.
+
+    `no_real_roots` states that f is positive at every real x, as N(q) of a
+    polynomial q without central content is (`upoly.right_roots`); the
+    floats then iterate one root of each conjugate pair (`_candidates`).
+    Were it false, a factor they miss would still be found by the proof or
+    sympy."""
     if len(f) < 2:
         raise ValueError("constant polynomial")
     rest = list(f)
@@ -476,7 +530,7 @@ def factor_central(f: list[int]) -> CentralFactorization:
     proved = None  # whether the small primes prove rest free, once asked
     if len(rest) > _PROOF_FIRST_DEGREE + 1:
         proved = _free_of_small_factors(rest)
-    for g in _candidates(rest) if len(rest) > 1 and not proved else []:
+    for g in _candidates(rest, no_real_roots) if len(rest) > 1 and not proved else []:
         mult = 0
         while len(rest) >= len(g) and (q := _exact_quotient(rest, g)) is not None:
             rest, mult, proved = q, mult + 1, None

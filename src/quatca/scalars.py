@@ -256,7 +256,10 @@ class Quat:
         )
 
     def __repr__(self) -> str:
-        return f"Quat({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+        try:
+            return f"Quat({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+        except ValueError:
+            raise _too_many_digits("number") from None
 
 
 _new_quat = object.__new__

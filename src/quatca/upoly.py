@@ -382,7 +382,11 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
         )
     rows = _integer_rows(s.coeffs)[0]
     content, norm_q = ratfactor._content_and_norm(rows)
-    facs = [ratfactor.factor_central(f) for f in (content, norm_q) if len(f) > 1]
+    # q's rows have no common root, so N(q), the sum of their squares, is
+    # positive at every real x.
+    facs = [ratfactor.factor_central(content)] if len(content) > 1 else []
+    if len(norm_q) > 1:
+        facs.append(ratfactor.factor_central(norm_q, no_real_roots=True))
     classes: list[RootClass] = []
     incomplete = not all(fac.complete for fac in facs)
     roots = {root for fac in facs for root, _mult in fac.linear}

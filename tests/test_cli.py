@@ -284,6 +284,19 @@ class TestEigenCommand:
         assert report["status"] == "not-found"
         assert report["payload"]["root_not_found"]["poly_text"] == "x^2 - 2"
 
+    def test_a_later_root_class_is_tried(self, capsys, tmp_path):
+        # Every standard seed first takes A1's root 1 into a block where A2
+        # has only the roots +-sqrt(2); the root 3 leads to the eigenvector.
+        mats = ([[3, 2, -2], [2, 3, -2], [2, 2, -1]], [[4, 5, -4], [5, 3, -3], [4, 3, -2]])
+        module = ModulePresentation(3, [[[Quat(v) for v in row] for row in mat] for mat in mats])
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps(serde.module_to_json(module)))
+        code, report, _ = run_json(capsys, "eigen", "--module", str(path))
+        assert code == 0 and report["status"] == "ok"
+        assert report["payload"]["eigen"]["point"]["components"] == [
+            serde.quat_to_json(Quat(3)), serde.quat_to_json(Quat(5))
+        ]
+
 
 class TestLongIntegers:
     # Integers past the interpreter's default 4,300-digit int<->str cap are

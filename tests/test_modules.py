@@ -1,6 +1,7 @@
 """Module presentations: commutation checked at construction, annihilators,
 and eigen-tuple extraction, including the honest root-not-found outcome."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -13,8 +14,10 @@ from quatca.modules import (
     RootNotFound,
     annihilator_minpoly,
     find_eigen_tuple,
+    mat_identity,
+    mat_mul,
 )
-from quatca.mpoly import MPoly, point_ideal
+from quatca.mpoly import CommutingPoint, MPoly, point_ideal
 from quatca.randgen import rand_mpoly, rand_module
 from quatca.scalars import I, J, K, ONE, Quat, ZERO
 from quatca.upoly import UPoly
@@ -95,6 +98,43 @@ class TestAnnihilator:
                 assert truncated.degree == p.degree
 
 
+def _mixed(rng, blocks):
+    """The module whose action i is P*(B_1 + B_2 + ...)*P^-1 on the block
+    diagonal sum of the blocks' i-th matrices, for a P made of rational
+    elementary matrices."""
+    m = sum(len(block[0]) for block in blocks)
+    p, p_inv = mat_identity(m), mat_identity(m)
+    for _ in range(2 * m):
+        r, c = rng.sample(range(m), 2)
+        lam = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+        plus = [list(row) for row in mat_identity(m)]
+        minus = [list(row) for row in mat_identity(m)]
+        plus[r][c], minus[r][c] = Quat(lam), Quat(-lam)
+        p, p_inv = mat_mul(p, plus), mat_mul(minus, p_inv)
+    mats = []
+    for i in range(len(blocks[0])):
+        diag = [[ZERO] * m for _ in range(m)]
+        offset = 0
+        for block in blocks:
+            for r, row in enumerate(block[i]):
+                diag[offset + r][offset : offset + len(row)] = row
+            offset += len(block[i])
+        mats.append(mat_mul(mat_mul(p, diag), p_inv))
+    return ModulePresentation(m, mats)
+
+
+MIXED_BLOCKS = ModulePresentation(
+    3,
+    [
+        [[Quat(v) for v in row] for row in mat]
+        for mat in (
+            [[3, 2, -2], [2, 3, -2], [2, 2, -1]],
+            [[4, 5, -4], [5, 3, -3], [4, 3, -2]],
+        )
+    ],
+)
+
+
 class TestEigenTuple:
     def test_already_an_eigenvector(self):
         out = find_eigen_tuple(DIAG_IJ, (ONE, ZERO))
@@ -128,6 +168,58 @@ class TestEigenTuple:
         out = find_eigen_tuple(mixed, (ONE, ZERO, ZERO))
         assert isinstance(out, EigenTuple)
         assert out.point[0] == I
+
+    def test_every_root_class_is_tried(self):
+        # P*(B + C)*P^-1 with P = [[1,0,1],[0,1,1],[1,1,1]]: on block B,
+        # A1 = I and A2 has the eigenvalues +-sqrt(2); on block C, A1 = 3
+        # and A2 = 5.  Every standard seed meets B, whose root 1 of A1
+        # comes first, so only the second class of A1 reaches C.
+        out = find_eigen_tuple(MIXED_BLOCKS)
+        assert isinstance(out, EigenTuple)
+        assert out.point == CommutingPoint([Quat(3), Quat(5)])
+        assert out.v == (Quat(2), Quat(2), Quat(-2))
+        # A seed that starts in C agrees.
+        assert find_eigen_tuple(MIXED_BLOCKS, (ONE, ONE, -ONE)).point == out.point
+
+    def test_the_first_failing_branch_is_reported(self):
+        # A1 = diag(1, 1, 2, 2); A2 is a companion of x^2 - 2 on the first
+        # block and of x^2 - 3 on the second.  From the seed (1, 0, 1, 0)
+        # the branch of A1's root 1 meets x^2 - 2, and that of 2 x^2 - 3.
+        a1 = [[Quat(v if r == c else 0) for c in range(4)] for r, v in enumerate((1, 1, 2, 2))]
+        a2 = [[Quat(v) for v in row] for row in ([0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 3, 0])]
+        out = find_eigen_tuple(ModulePresentation(4, [a1, a2]), (ONE, ZERO, ONE, ZERO))
+        assert isinstance(out, RootNotFound)
+        assert (out.poly, out.var_index) == (UPoly.from_central([-2, 0, 1]), 1)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_mixed_blocks(self, seed):
+        # Blocks without a common eigenvector over H_Q (A2 a companion of
+        # x^2 - 2 or x^3 - 2, A1 a scalar) beside 1x1 blocks with rational
+        # or quaternion values, mixed by a rational P.  A tuple exists
+        # exactly when a 1x1 block is planted.
+        rng = Random(seed)
+        blocks = []
+        for _ in range(rng.randint(1, 2)):
+            companion = rng.choice(([[0, 1], [2, 0]], [[0, 1, 0], [0, 0, 1], [2, 0, 0]]))
+            size, value = len(companion), rng.randint(-3, 3)
+            scalar = [[value if r == c else 0 for c in range(size)] for r in range(size)]
+            blocks.append([[[Quat(v) for v in row] for row in mat] for mat in (scalar, companion)])
+        good = []
+        for _ in range(rng.randint(0, 2)):
+            second = Quat(rng.randint(-3, 3)) if rng.random() < 0.5 else Quat(rng.randint(-3, 3), rng.randint(1, 3))
+            good.append([[[Quat(rng.randint(-3, 3))]], [[second]]])
+        blocks += good
+        rng.shuffle(blocks)
+        module = _mixed(rng, blocks)
+        out = find_eigen_tuple(module)
+        if good:
+            assert isinstance(out, EigenTuple), out
+            assert [[[out.point[0]]], [[out.point[1]]]] in good
+            for i in range(2):
+                assert module.act(i, out.v) == tuple(out.point[i] * c for c in out.v)
+        else:
+            assert isinstance(out, RootNotFound)
+            assert out.var_index == 1
 
     def test_internal_error_on_a_seed_propagates(self, monkeypatch):
         # A kernel fault on the first seed must not be hidden by a later

@@ -5,7 +5,7 @@ import importlib
 import sys
 from fractions import Fraction as F
 from itertools import zip_longest
-from math import cos, gcd, isfinite, isqrt, pi, sin
+from math import cos, gcd, isfinite, isqrt, lcm, pi, sin
 from random import Random
 
 import pytest
@@ -16,8 +16,8 @@ from quatca.errors import InvalidInput
 from quatca.intmath import rational_sqrt, three_squares
 from quatca.parsing import parse_upoly
 from quatca.ratfactor import factor_central
-from quatca.scalars import Centralizer, I, Quat, ZERO, _integer_rows
-from quatca.upoly import Sphere, UPoly, right_roots, sphere_member_in
+from quatca.scalars import Centralizer, I, ONE, Quat, ZERO, _integer_rows
+from quatca.upoly import Isolated, RootSearchStatus, Sphere, UPoly, right_roots, sphere_member_in
 from test_cli import _SEED_5_ROOTS
 from test_upoly import _one_form, _sympy_factor
 
@@ -234,6 +234,30 @@ class TestPseudoRemainder:
             pairs.append(([rng.randint(-9, 9) * (rng.random() < 0.8) for _ in range(rng.randint(0, 14))], b))
         for a, b in pairs:
             assert ratfactor._pseudo_remainder(a, b) == _reference_pseudo_remainder(a, b)
+
+
+def _reference_class_remainder(rows, t, n):
+    """`_class_remainder` as first written: one `_pseudo_remainder` per row
+    by the primitive quadratic of (t, n)."""
+    den = lcm(t.denominator, n.denominator)
+    f = [den, -t.numerator * (den // t.denominator), n.numerator * (den // n.denominator)]
+    rems = [([0, 0] + ratfactor._pseudo_remainder(row, f))[-2:] for row in rows]
+    return tuple(r[0] for r in rems), tuple(r[1] for r in rems)
+
+
+class TestClassRemainder:
+    def test_the_recurrence_equals_the_pseudo_remainder(self):
+        # Rows of every length from 0 to 12, zero and long coefficients, and
+        # classes whose t and n have denominators, together and apart.
+        rng = Random(62)
+        for _ in range(2000):
+            length = rng.randint(0, 12)
+            height = rng.choice((1, 9, 10**30))
+            rows = [[rng.randint(-height, height) * (rng.random() < 0.8) for _ in range(length)] for _ in range(4)]
+            t = F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6)))
+            n = F(rng.randint(1, 40), rng.choice((1, 1, 4, 5, 9)))
+            got = ratfactor._class_remainder(rows, t, n)
+            assert got == _reference_class_remainder(rows, t, n), (rows, t, n)
 
 
 def _reference_remainder_gcd(a, b):
@@ -547,6 +571,69 @@ class TestFactorCentral:
     def test_iteration_cap_falls_through_to_sympy(self, monkeypatch):
         monkeypatch.setattr(ratfactor, "_MAX_SWEEPS", 0)
         _agrees_with_sympy(_product([F(-1, 3), 1], [F(-1, 3), 1], [1, 1, 1], _IRREDUCIBLE[0]))
+
+
+def _planted_norm(rng):
+    """N(q) in the one form for q = p/c, c the central content of a seeded
+    product p of two to four linear factors, with integer roots or roots
+    with a coordinate in thirds, and sometimes one more factor whose root
+    repeats a class: the same root or a conjugate of it."""
+    roots = []
+    for _ in range(rng.randint(2, 4)):
+        dens = [1, 1, 1, rng.choice((1, 3))]
+        rng.shuffle(dens)
+        roots.append(Quat(*(F(rng.randint(-4, 4), d) for d in dens)))
+    if rng.random() < 0.5:
+        u = rng.choice((ONE, Quat(*(rng.randint(-2, 2) for _ in range(4))) or I))
+        roots.insert(rng.randint(0, len(roots)), u * rng.choice(roots) * u.inverse())
+    p = UPoly([ONE])
+    for root in roots:
+        p = p * UPoly.linear(root)
+    return ratfactor._content_and_norm(_integer_rows(p.coeffs)[0])[1]
+
+
+class TestPairedFloatStage:
+    """`factor_central(f, no_real_roots=True)` iterates one root of each
+    conjugate pair; its answers are the general path's and sympy's."""
+
+    def test_planted_norms_agree_and_never_reach_sympy(self, sympy_factors):
+        rng = Random(95)
+        norms = [f for f in (_planted_norm(rng) for _ in range(150)) if len(f) > 3]
+        assert len(norms) > 100
+        for f in norms:
+            paired = factor_central(f, no_real_roots=True)
+            assert sympy_factors == [], f
+            general = factor_central(f)
+            assert paired == general
+            linear, quadratics, leftover = _sympy_factor([F(c) for c in reversed(f)])
+            assert (paired.linear, paired.quadratics, paired.leftover_degree) == (linear, quadratics, leftover)
+
+    def test_one_candidate_per_approximation(self):
+        # (x^2 + 1)(x^2 + 2x + 5): two approximations, two quadratics.
+        f = [1, 2, 6, 2, 5]
+        roots = ratfactor._approximate_roots(f, paired=True)
+        assert len(roots) == 2
+        assert sorted(ratfactor._candidates(f, paired=True)) == [[1, 0, 1], [1, 2, 5]]
+
+    def test_a_content_with_real_roots_takes_the_general_path(self, monkeypatch):
+        # p = (x^2 - 2)(x - i) and (x - 1)(x - 2)(x + 3)(x - i): the content
+        # has real roots and N(q) = x^2 + 1.  Only N(q) is stated to have
+        # none.
+        calls, factor = [], ratfactor.factor_central
+
+        def spy(f, **flags):
+            calls.append((f, flags))
+            return factor(f, **flags)
+
+        monkeypatch.setattr(ratfactor, "factor_central", spy)
+        for content, rational in (([-2, 0, 1], []), ([6, -7, 0, 1], [-3, 1, 2])):
+            calls.clear()
+            p = UPoly.from_central(content) * UPoly.linear(I)
+            classes, status = right_roots(p)
+            expected = [Isolated(Quat(v)) for v in sorted(rational)] + [Isolated(I)]
+            assert classes == expected
+            assert (status is RootSearchStatus.COMPLETE) == bool(rational)
+            assert calls == [(content[::-1], {}), ([1, 0, 1], {"no_real_roots": True})]
 
 
 def _random_irreducible(rng, degree):

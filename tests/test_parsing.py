@@ -369,6 +369,7 @@ class TestDigitLimit:
         outputs = [
             lambda: str(big), lambda: serde.quat_to_json(big), lambda: str(UPoly([ONE, big])),
             lambda: serde.rat_to_json(F(1, 10**5000)), lambda: str(Quat(0, F(1, 10**5000))),
+            lambda: repr(Quat(10**5000)), lambda: repr(UPoly([ONE, big])),
         ]
         for write in outputs:
             with pytest.raises(InvalidInput) as info:
@@ -377,6 +378,7 @@ class TestDigitLimit:
             assert str(info.value) == "number of more than the interpreter's limit of 4300 digits"
         at_limit = Quat(10**4299, 0, F(1, 3))
         assert str(at_limit) == "1" + "0" * 4299 + " + 1/3j"
+        assert repr(at_limit) == f"Quat(Fraction({10**4299}, 1), Fraction(0, 1), Fraction(1, 3), Fraction(0, 1))"
         assert serde.quat_to_json(at_limit)["w"] == "1" + "0" * 4299
 
     def test_with_the_cap_lifted(self):
