@@ -45,15 +45,14 @@ from operator import add
 
 from .errors import InvalidInput, ParseError, _digit_limit
 from .mpoly import MPoly, _degree, _max_terms, _mpoly, _to_upoly
-from .scalars import Quat, ZERO, _growth, _quat, _reduced
+from .scalars import Quat, ZERO, _MAX_POWER_BITS, _growth, _quat, _reduced
 from .upoly import UPoly
 
 _MAX_NESTING = 100
 # Bounds on a power written in the text, so that a short input cannot ask
 # for a value too large to build (timed on a shared 2-core host).  A
-# quaternion power costs about the square of its size: `(1+2i)^100000`
-# (0.12 million bits) takes 0.15 s and `(1+2i)^1000000` 10.4 s.  A power of
-# a sum is taken by repeated squaring: `(x - i)^500` takes 0.53 s and
+# quaternion power is bounded in bits (`scalars._MAX_POWER_BITS`).  A power
+# of a sum is taken by repeated squaring: `(x - i)^500` takes 0.53 s and
 # `(x - i)^1000` 2.7 s.  In several variables its terms grow as a binomial
 # in the exponent, at most C(n + t - 1, t - 1) for t terms and at most the
 # monomials up to its degree in the variables it uses: `(x1 + x2 + x3)^43`
@@ -62,7 +61,6 @@ _MAX_NESTING = 100
 # up to the summed degree (`(x1+x2+x3)^43*(x1+x2+x3)^43` took 4.6 s), and
 # by its t1 * t2 coefficient products: `(x - i)^250(x - i)^250` (63,001)
 # takes 0.54 s and `(x - i)^500(x - i)^499` (250,500) 2.3 s.
-_MAX_POWER_BITS = 100_000
 _MAX_POWER_DEGREE = 500
 _MAX_TERMS = 1_000
 _MAX_PRODUCTS = 65_536

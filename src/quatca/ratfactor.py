@@ -6,8 +6,9 @@ A central polynomial here is in one form: a primitive integer coefficient
 list, highest degree first, with a positive leading coefficient ([] for
 zero).  By Gauss's lemma it loses nothing: a nonzero rational polynomial
 is a rational multiple of exactly one such list, and a product of
-primitive lists is primitive.  `factor_central` takes that form; only the
-roots and (t, n) pairs it reports are `Fraction`s.
+primitive lists is primitive.  `factor_central` takes that form and
+reports its factors in it, as tuples, from which `upoly.right_roots` reads
+the roots and class quadratics; no `Fraction` enters this module.
 
 A quaternion polynomial p reaches this module as its four coordinate rows
 (`scalars._integer_rows`): integer lists of one length, highest degree
@@ -28,7 +29,7 @@ that does not change it:
   excess is InvalidInput (`_remainder_gcd`);
 - with it N(q) for q = p/c, from q's rows by exact division
   (`_content_and_norm`, `_exact_quotient`);
-- the remainder alpha*x + beta of p by a class quadratic, one
+- the remainder alpha*x + beta of p by a class quadratic [L, -T, N], one
   pseudo-remainder per row with one multiplier for all four, read by a
   two-term recurrence (`_class_remainder`).
 `upoly.right_roots` factors c and N(q), not N(p) = c^2*N(q), so over its
@@ -40,15 +41,14 @@ real, and N(q)(x), the sum of their squares, vanishes only where all four
 do.  So N(q) is positive on the real line, and its roots are deg q
 conjugate pairs.  The content c can have real roots.
 
-Root-class extraction needs the rational roots and the monic quadratic
-factors of a central polynomial.  Degree 1 and 2 take a closed form (the
-integer discriminant and its integer square root).  Above degree 2, floats
-propose and exact division confirms: the complex roots of the polynomial F
-in the one form, with leading coefficient L, are approximated by
-Aberth-Ehrlich iteration (sweeping only the roots not yet settled), and
-each near-real root and each
-pair with near-real sum and product is rounded to a candidate factor over
-(1/L)Z, which by Gauss's lemma holds the coefficients of every monic
+Root-class extraction needs the linear and quadratic factors of a central
+polynomial.  Degree 1 and 2 take a closed form (the integer discriminant
+and its integer square root).  Above degree 2, floats propose and exact
+division confirms: the complex roots of the polynomial F in the one form,
+with leading coefficient L, are approximated by Aberth-Ehrlich iteration
+(sweeping only the roots not yet settled), and each near-real root and
+each pair with near-real sum and product is rounded to a candidate factor
+over (1/L)Z, which by Gauss's lemma holds the coefficients of every monic
 rational factor of F.  For N(q), which `right_roots` states has no real
 root (`factor_central(..., no_real_roots=True)`), the iteration is paired:
 it moves only deg F / 2 approximations, started in the upper half-plane,
@@ -63,19 +63,20 @@ few small primes p try the distinct-degree stage of Cantor & Zassenhaus
 (1981): if p does not divide L and C mod p is prime to x^(p^2) - x, C has
 no rational factor of degree 1 or 2, since one would keep its degree mod p
 and split there into factors of degree 1 or 2, each dividing x^(p^2) - x.
-C is then left over whole, which is all the factorization reports of it.
+C is then left over whole, as one factor, which may be a product of
+irreducible factors of degree > 2.
 Above degree 32 the primes try this proof on F before the floats run,
 since a proof then costs less than they do.
 Only a cofactor that no prime proves reaches sympy's exact `factor_list`
 (C is all of F when floats cannot hold it or the iteration does not
-settle); a bad prime costs time, never an answer.  Factorization over the rationals
-is unique, so the answer is the one sympy alone would give.
+settle); a bad prime costs time, never an answer.  Factorization over the
+rationals is unique, so the factors of degree <= 2 are the ones sympy
+alone would give, and the rest multiply to the product of its others.
 
 Every path runs to the end, so `complete = False` means only that some
-factor is irreducible over the rationals with degree > 2.  Quadratic
-factors are reported whatever their discriminant; one with real irrational
-roots cannot be split further either, and `upoly.right_roots` counts it as
-incomplete too.
+factor has degree > 2.  Quadratic factors are reported whatever their
+discriminant; one with real irrational roots cannot be split further
+either, and `upoly.right_roots` counts it as incomplete too.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from math import cos, gcd, isfinite, isqrt, lcm, pi, sin
+from math import cos, gcd, isfinite, isqrt, pi, sin
 from typing import Iterable, Sequence
 
 from .errors import InternalError, InvalidInput
@@ -130,40 +130,41 @@ _MAX_REMAINDER_WORK = 50_000_000
 
 @dataclass(frozen=True)
 class CentralFactorization:
-    """Outcome of the factorization of a rational polynomial.
-
-    linear: (root, multiplicity) pairs; quadratics: (t, n, multiplicity)
-    for irreducible monic factors x^2 - t*x + n; leftover_degree counts
-    the irreducible factors of degree > 2, with multiplicity in the input.
-    Both tuples are sorted.  `complete`: no factor of degree > 2 is left.
+    """factors: sorted, distinct (g, multiplicity) pairs whose product is
+    the polynomial, each g a tuple in the one form.  A g of degree <= 2 is
+    irreducible; one of degree > 2 has no factor of degree <= 2, and is
+    irreducible unless a small prime proved that (`_free_of_small_factors`).
+    `leftover_degree` sums the degrees of those of degree > 2 with their
+    multiplicities; `complete`: there is none.
     """
 
-    linear: tuple[tuple[Fraction, int], ...]
-    quadratics: tuple[tuple[Fraction, Fraction, int], ...]
-    leftover_degree: int
+    factors: tuple[tuple[tuple[int, ...], int], ...]
+
+    @property
+    def leftover_degree(self) -> int:
+        return sum((len(g) - 1) * mult for g, mult in self.factors if len(g) > 3)
 
     @property
     def complete(self) -> bool:
-        return self.leftover_degree == 0
+        return all(len(g) <= 3 for g, _mult in self.factors)
 
 
-def _factor_low_degree(f: list[int]) -> CentralFactorization:
-    """The factorization of an integer polynomial [L, B] or [L, B, C],
-    L > 0, in closed form: for a quadratic the discriminant B^2 - 4LC is a
-    square s^2 exactly when it splits, into the roots (-B -+ s)/(2L), and a
-    zero one gives a double root."""
+def _factor_low_degree(f: list[int]) -> list[tuple[list[int], int]]:
+    """The irreducible factors of f = [L, B] or [L, B, C] in the one form,
+    with their multiplicities, in closed form: a quadratic splits exactly
+    when its discriminant B^2 - 4LC is a square s^2, and then
+    4L*f = (2Lx + B + s)(2Lx + B - s), so its factors are the primitive
+    parts of those two, one double factor when s = 0."""
     if len(f) == 2:
-        return CentralFactorization(((Fraction(-f[1], f[0]), 1),), (), 0)
+        return [(f, 1)]
     lead, b, c = f
     disc = b * b - 4 * lead * c
     s = isqrt(disc) if disc >= 0 else -1
     if s * s != disc:
-        return CentralFactorization((), ((Fraction(-b, lead), Fraction(c, lead), 1),), 0)
+        return [(f, 1)]
     if not s:
-        return CentralFactorization(((Fraction(-b, 2 * lead), 2),), (), 0)
-    return CentralFactorization(
-        ((Fraction(-b - s, 2 * lead), 1), (Fraction(-b + s, 2 * lead), 1)), (), 0
-    )
+        return [(_primitive_part([2 * lead, b]), 2)]
+    return [(_primitive_part([2 * lead, b + s]), 1), (_primitive_part([2 * lead, b - s]), 1)]
 
 
 def _primitive_part(f: list[int]) -> list[int]:
@@ -310,28 +311,28 @@ def _content_and_norm(rows: Sequence[list[int]]) -> tuple[list[int], list[int]]:
 
 
 def _class_remainder(
-    rows: Iterable[list[int]], t: Fraction, n: Fraction
+    rows: Iterable[list[int]], quad: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(alpha, beta) with alpha_m*x + beta_m the pseudo-remainder of row m
-    (high to low) by the primitive f = L*x^2 - T*x + N of x^2 - t*x + n.
-    Rows of one length take one multiplier L^k > 0, so for the coordinate
-    rows of a quaternion polynomial p, alpha*x + beta is s times the
-    remainder of p by x^2 - t*x + n for one rational s > 0.
+    (high to low) by the integer quadratic quad = [L, -T, N], L > 0, of the
+    class x^2 - (T/L)*x + N/L.  Rows of one length take one multiplier
+    L^k > 0, so for the coordinate rows of a quaternion polynomial p,
+    alpha*x + beta is s times the remainder of p by the class quadratic
+    for one rational s > 0.
 
     Each row is read by Horner's rule on its remainder u*x + v: appending
-    a coefficient c makes it u*x^2 + v*x + c, and L*x^2 = T*x - N mod f,
+    a coefficient c makes it u*x^2 + v*x + c, and L*x^2 = T*x - N mod quad,
     so L times it leaves (L*v + T*u)*x + (L*c - N*u).  Every step scales
     the remainder by L, and c enters owing the L^k of the steps before
     it, which is exactly `_pseudo_remainder`'s multiplier."""
-    den = lcm(t.denominator, n.denominator)
-    trace, norm = t.numerator * (den // t.denominator), n.numerator * (den // n.denominator)
+    lead, neg_trace, norm = quad
     alpha, beta = [], []
     for row in rows:
         u, v = ([0, 0] + row[:2])[-2:]
-        owed = den
+        owed = lead
         for c in row[2:]:
-            u, v = den * v + trace * u, owed * c - norm * u
-            owed *= den
+            u, v = lead * v - neg_trace * u, owed * c - norm * u
+            owed *= lead
         alpha.append(u)
         beta.append(v)
     return tuple(alpha), tuple(beta)
@@ -496,16 +497,15 @@ def _sympy_factors(f: list[int]) -> list[tuple[list[int], int]]:
 
 
 def factor_central(f: list[int], *, no_real_roots: bool = False) -> CentralFactorization:
-    """Split a nonconstant polynomial in the one form (a primitive integer
-    list, high to low, with a positive leading coefficient) into rational
-    roots, monic irreducible quadratics and a remainder of irreducible
-    factors of degree > 2.
+    """The factors over the rationals (`CentralFactorization`), each in
+    the one form, of a nonconstant polynomial in that form (a primitive
+    integer list, high to low, with a positive leading coefficient).
 
     Candidate factors rounded from floating-point roots are confirmed by
     exact division, repeatedly for the multiplicity, and the cofactor they
     leave takes the closed form, a small-prime proof or sympy.  The floats
-    and primes only choose which exact steps to take, so the answer is the
-    exact factorization.
+    and primes only choose which exact steps to take, so the factors of
+    degree <= 2 are exactly the irreducible ones.
 
     `no_real_roots` states that f is positive at every real x, as N(q) of a
     polynomial q without central content is (`upoly.right_roots`); the
@@ -514,10 +514,7 @@ def factor_central(f: list[int], *, no_real_roots: bool = False) -> CentralFacto
     sympy."""
     if len(f) < 2:
         raise ValueError("constant polynomial")
-    rest = list(f)
-    if len(rest) <= 3:
-        return _factor_low_degree(rest)
-    found = []
+    rest, found = list(f), []
     # Divide out x exactly: the floats' settling test is relative to the
     # size of F's terms, which all vanish at 0, so approximations of the
     # root 0 never settle.
@@ -530,7 +527,7 @@ def factor_central(f: list[int], *, no_real_roots: bool = False) -> CentralFacto
     proved = None  # whether the small primes prove rest free, once asked
     if len(rest) > _PROOF_FIRST_DEGREE + 1:
         proved = _free_of_small_factors(rest)
-    for g in _candidates(rest, no_real_roots) if len(rest) > 1 and not proved else []:
+    for g in _candidates(rest, no_real_roots) if len(rest) > 3 and not proved else []:
         mult = 0
         while len(rest) >= len(g) and (q := _exact_quotient(rest, g)) is not None:
             rest, mult, proved = q, mult + 1, None
@@ -543,18 +540,8 @@ def factor_central(f: list[int], *, no_real_roots: bool = False) -> CentralFacto
             found.append((rest, 1))
         else:
             found += _sympy_factors(rest)
-    linear, quadratics, leftover = Counter(), Counter(), 0
+    factors = Counter()
     for g, mult in found:
-        if len(g) > 3:
-            leftover += (len(g) - 1) * mult
-            continue
-        low = _factor_low_degree(g)
-        for root, m in low.linear:
-            linear[root] += m * mult
-        for t, n, m in low.quadratics:
-            quadratics[t, n] += m * mult
-    return CentralFactorization(
-        tuple(sorted(linear.items())),
-        tuple(sorted((t, n, m) for (t, n), m in quadratics.items())),
-        leftover,
-    )
+        for h, m in _factor_low_degree(g) if len(g) <= 3 else [(g, 1)]:
+            factors[tuple(h)] += m * mult
+    return CentralFactorization(tuple(sorted(factors.items())))

@@ -37,6 +37,8 @@ from .scalars import (
     QUADRATIC,
     Quat,
     ZERO,
+    _MAX_POWER_BITS,
+    _growth,
     _immutable,
     _integer_rows,
     _left_horner,
@@ -95,9 +97,6 @@ class UPoly:
     def coeff(self, k: int) -> Quat:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
 
-    def is_central(self) -> bool:
-        return all(c.is_central() for c in self.coeffs)
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -149,15 +148,30 @@ class UPoly:
 
     # -- evaluation and division ------------------------------------------------
 
+    def _bound_evaluation(self, a: Quat) -> None:
+        """InvalidInput when a^deg may have more than
+        `scalars._MAX_POWER_BITS` bits, the bound on a power in the text."""
+        bits = self.degree * _growth(a)
+        if bits > _MAX_POWER_BITS:
+            raise InvalidInput(
+                f"evaluation at degree {self.degree} of up to {bits:.0f} bits, "
+                f"above the bound of {_MAX_POWER_BITS} bits"
+            )
+
     def eval_left(self, a: Quat) -> Quat:
         """Evaluation with coefficients kept on the left of the powers of a,
-        by a Horner sum in integers reduced once (`scalars._left_horner`)."""
+        by a Horner sum in integers reduced once (`scalars._left_horner`).
+        A point whose power at the degree may exceed the bits of the bound
+        on a power is refused (`_bound_evaluation`)."""
+        self._bound_evaluation(a)
         return _left_horner(self.coeffs, a)
 
     def eval_right(self, a: Quat) -> Quat:
         """Evaluation with the powers of a on the left of the coefficients:
-        the conjugate of the left evaluation of conj_poly() at conj(a)."""
-        return self.conj_poly().eval_left(a.conjugate()).conjugate()
+        the conjugate of the left evaluation of conj_poly() at conj(a),
+        under the same bound."""
+        self._bound_evaluation(a)
+        return _left_horner(self.conj_poly().coeffs, a.conjugate()).conjugate()
 
     def divmod_right(self, d: "UPoly") -> tuple["UPoly", "UPoly"]:
         """(q, r) with self = q*d + r and deg r < deg d.
@@ -303,29 +317,32 @@ class Sphere:
 RootClass = Isolated | Sphere
 
 
-def _class_roots(rows: list[list[int]], t: Fraction, n: Fraction) -> RootClass | None:
-    """The right roots in the class {a : a^2 - t*a + n = 0}, t^2 < 4n, of
-    the polynomial p with coordinate rows `rows` (`scalars._integer_rows`).
+def _class_roots(rows: list[list[int]], quad: Sequence[int]) -> RootClass | None:
+    """The right roots in the class {a : L*a^2 - T*a + N = 0} of quad =
+    [L, -T, N], L > 0 and T^2 < 4LN, of the polynomial p with coordinate
+    rows `rows` (`scalars._integer_rows`).
 
     By Gordon-Motzkin a class holds only roots or at most one.  With
-    p = q*f + alpha*x + beta for the central f = x^2 - t*x + n, every member
-    a has p(a) = alpha*a + beta: zero remainder makes the whole class roots,
-    and otherwise only -alpha^-1*beta = -conj(alpha)*beta/N(alpha) can be
-    one, if it lies on the class.  The remainder is taken row by row as two
-    integer 4-tuples, up to one positive scalar, which cancels in the
+    p = q*f + alpha*x + beta for the central f = x^2 - (T/L)*x + N/L, every
+    member a has p(a) = alpha*a + beta: zero remainder makes the whole class
+    roots, and otherwise only -alpha^-1*beta = -conj(alpha)*beta/N(alpha)
+    can be one, if it lies on the class.  The remainder is taken row by row
+    as two integer 4-tuples, up to one positive scalar, which cancels in the
     candidate.  A quaternion lies on the class exactly when twice its real
-    part is t and its norm is n, so the test reads integers only:
-    -2<alpha, beta> = t*N(alpha) and N(beta) = n*N(alpha), with <,> the dot
-    product of the tuples.  Only a candidate that passes becomes a `Quat`.
+    part is T/L and its norm is N/L, so the test reads integers only:
+    -2<alpha, beta>*L = T*N(alpha) and N(beta)*L = N*N(alpha), with <,> the
+    dot product of the tuples.  Only a class that passes becomes a `Quat`
+    or a `Sphere`.
     """
-    (a, b, c, d), (e, f, g, h) = ratfactor._class_remainder(rows, t, n)
+    (a, b, c, d), (e, f, g, h) = ratfactor._class_remainder(rows, quad)
+    lead, neg_trace, norm_class = quad
     norm = a * a + b * b + c * c + d * d
     if not norm:
-        return None if e or f or g or h else Sphere(t, n)
+        return None if e or f or g or h else Sphere(Fraction(-neg_trace, lead), Fraction(norm_class, lead))
     dot = a * e + b * f + c * g + d * h
-    if -2 * dot * t.denominator != t.numerator * norm:
+    if 2 * dot * lead != neg_trace * norm:
         return None
-    if (e * e + f * f + g * g + h * h) * n.denominator != n.numerator * norm:
+    if (e * e + f * f + g * g + h * h) * lead != norm_class * norm:
         return None
     # -conj(alpha)*beta over N(alpha)
     return Isolated(_reduced(
@@ -355,18 +372,18 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     integer coordinate rows (`ratfactor._content_and_norm`).  They are
     factored by `ratfactor.factor_central` (a closed form up to degree 2,
     then float-proposed factors confirmed by exact division, with sympy
-    only for what they leave).  Each rational root and each quadratic
-    factor with negative discriminant carries at most one candidate class,
-    checked exactly on p: rational roots ascending by left evaluation,
-    then classes by (t, n) ascending on p's rows.  The status is POSSIBLY_INCOMPLETE
-    only when the rationals cannot split a factor: an irreducible factor of
-    degree > 2, or a quadratic with real irrational roots.  Roots there may
-    exist over a larger scalar field but have no rational-quaternion
-    representative.  It never hides a rational-quaternion root: a root a
-    makes x - a a right factor, so N(x - a) divides N(p), and N(x - a) is
-    (x - a)^2 for a central a and the class quadratic otherwise, which
-    `factor_central` reports.  A leftover factor of c enters
-    `leftover_degree` once, not squared as in N(p).
+    only for what they leave), which reports its factors as primitive
+    integer tuples.  Each linear factor [L, B] and each quadratic factor
+    [L, B, C] with B^2 < 4LC carries at most one candidate class, checked
+    exactly on p: rational roots -B/L ascending by left evaluation, then
+    classes by (t, n) = (-B/L, C/L) ascending on p's rows.  The status is
+    POSSIBLY_INCOMPLETE only when the rationals cannot split a factor: one
+    of degree > 2, or a quadratic with real irrational roots (B^2 > 4LC).  Roots there may exist over a larger
+    scalar field but have no rational-quaternion representative.  It never
+    hides a rational-quaternion root: a root a makes x - a a right factor,
+    so N(x - a) divides N(p), and N(x - a) is (x - a)^2 for a central a and
+    the class quadratic otherwise, which `factor_central` reports.  A
+    `Fraction` is made only to report or order a root or class.
 
     All of this runs on s with p = s*x^k and s(0) != 0: x is central, so
     p(a) = s(a)*a^k, and p's roots are s's and, when k > 0, the root 0.
@@ -387,19 +404,23 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     facs = [ratfactor.factor_central(content)] if len(content) > 1 else []
     if len(norm_q) > 1:
         facs.append(ratfactor.factor_central(norm_q, no_real_roots=True))
-    classes: list[RootClass] = []
+    factors = {g for fac in facs for g, _mult in fac.factors}
     incomplete = not all(fac.complete for fac in facs)
-    roots = {root for fac in facs for root, _mult in fac.linear}
-    for root in sorted(roots | {Fraction(0)} if k else roots):
+    # s(0) != 0, so the factor x comes only from x^k.
+    linear = {g for g in factors if len(g) == 2} | ({(1, 0)} if k else set())
+    classes: list[RootClass] = []
+    for root in sorted(Fraction(-b, lead) for lead, b in linear):
         cand = Quat.scalar(root)
-        if not root or not s.eval_left(cand):  # 0 is in the set only as a root of x^k
+        if not root or not _left_horner(s.coeffs, cand):
             classes.append(Isolated(cand))
-    for t, n in sorted({(t, n) for fac in facs for t, n, _mult in fac.quadratics}):
-        if t * t - 4 * n > 0:
+    quadratics = (g for g in factors if len(g) == 3)
+    for quad in sorted(quadratics, key=lambda g: (Fraction(-g[1], g[0]), Fraction(g[2], g[0]))):
+        lead, b, c = quad
+        if b * b > 4 * lead * c:
             # Real irrational roots: representable only over a larger field.
             incomplete = True
             continue
-        cls = _class_roots(rows, t, n)
+        cls = _class_roots(rows, quad)
         if cls is not None:
             classes.append(cls)
     status = RootSearchStatus.POSSIBLY_INCOMPLETE if incomplete else RootSearchStatus.COMPLETE
@@ -514,7 +535,8 @@ def root_space_dim(p: UPoly, a: Quat) -> int:
     """
     if a.is_central():
         return 0 if p.eval_left(a) else 1
-    cls = _class_roots(_integer_rows(p.coeffs)[0], 2 * a.w, a.norm())
+    (w, x, y, z), m = a._n, a._d  # a's class quadratic from its numerators
+    cls = _class_roots(_integer_rows(p.coeffs)[0], (m * m, -2 * w * m, w * w + x * x + y * y + z * z))
     return 2 if isinstance(cls, Sphere) else 1 if cls else 0
 
 

@@ -427,6 +427,8 @@ class TestExitCodes:
             (("rabinowitsch", "--ideal", "x^1000000000", "--p", "x", "--a", "1"), "the bound of 1000000 for"),
             (("eval", "--poly", "(x - i)^1000000000", "--at", "i"), "the bound of 500 (at"),
             (("eval", "--poly", "x", "--at", "(1+2i)^1000000000"), "the bound of 100000 bits (at"),
+            (("eval", "--poly", "x^200000", "--at", "3/2+i"), "of up to 370044 bits, above the bound of 100000 bits"),
+            (("espace", "--poly", "x^200000", "--root", "3/2+i"), "of up to 370044 bits, above the bound of 100000 bits"),
             (("reduce", "--poly", "x1^10000", "--point", "1+2i"), "the bound of 2000 bits modulo"),
             (("reduce", "--poly", "(x1+x2+x3)^160", "--point", "i; i; i"), "the bound of 1000 (at"),
             (("reduce", "--poly", "(x1+x2+x3+x4)^16(x1+x2+x3+x4)^16", "--point", "i; i; i; i"), "the bound of 1000 (at"),
@@ -441,7 +443,8 @@ class TestExitCodes:
             ),
         ],
         ids=[
-            "eval", "roots", "espace", "rabinowitsch", "polynomial-power", "quaternion-power", "reduce", "terms",
+            "eval", "roots", "espace", "rabinowitsch", "polynomial-power", "quaternion-power",
+            "evaluation-bits", "espace-evaluation-bits", "reduce", "terms",
             "product-terms", "certificate-system", "power-terms",
         ],
     )

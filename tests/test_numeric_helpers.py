@@ -3,9 +3,10 @@ factorizer."""
 
 import importlib
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from itertools import zip_longest
-from math import cos, gcd, isfinite, isqrt, lcm, pi, sin
+from math import cos, gcd, isfinite, isqrt, pi, sin
 from random import Random
 
 import pytest
@@ -19,7 +20,7 @@ from quatca.ratfactor import factor_central
 from quatca.scalars import Centralizer, I, ONE, Quat, ZERO, _integer_rows
 from quatca.upoly import Isolated, RootSearchStatus, Sphere, UPoly, right_roots, sphere_member_in
 from test_cli import _SEED_5_ROOTS
-from test_upoly import _one_form, _sympy_factor
+from test_upoly import _class_quadratic, _one_form, _sympy_factor
 
 
 class TestRationalSqrt:
@@ -140,9 +141,22 @@ _IRREDUCIBLE = ([-2, 0, 0, 1], [1, 1, 0, 1], [5, 0, 0, 1, 1], [1, 1, 0, 0, 1], [
 
 
 def _agrees_with_sympy(coeffs):
+    # Every irreducible factor in the one form: those of degree <= 2 as
+    # reported, and those of degree > 2 as sympy splits the reported
+    # leftover factors, which a small-prime proof may keep whole.
     fac = factor_central(_one_form(coeffs))
-    linear, quadratics, leftover = _sympy_factor(coeffs)
-    assert (fac.linear, fac.quadratics, fac.leftover_degree) == (linear, quadratics, leftover)
+    factors = _sympy_factor(coeffs)
+    small = [(g, m) for g, m in factors if len(g) <= 3]
+    large = [(g, m) for g, m in factors if len(g) > 3]
+    assert [(g, m) for g, m in fac.factors if len(g) <= 3] == small
+    split = Counter()
+    for g, mult in fac.factors:
+        if len(g) > 3:
+            for h, m in _sympy_factor([F(c) for c in reversed(g)]):
+                split[h] += m * mult
+    assert sorted(split.items()) == large
+    leftover = sum((len(g) - 1) * mult for g, mult in large)
+    assert fac.leftover_degree == leftover
     assert fac.complete == (leftover == 0)
 
 
@@ -236,11 +250,9 @@ class TestPseudoRemainder:
             assert ratfactor._pseudo_remainder(a, b) == _reference_pseudo_remainder(a, b)
 
 
-def _reference_class_remainder(rows, t, n):
+def _reference_class_remainder(rows, f):
     """`_class_remainder` as first written: one `_pseudo_remainder` per row
-    by the primitive quadratic of (t, n)."""
-    den = lcm(t.denominator, n.denominator)
-    f = [den, -t.numerator * (den // t.denominator), n.numerator * (den // n.denominator)]
+    by the primitive quadratic f."""
     rems = [([0, 0] + ratfactor._pseudo_remainder(row, f))[-2:] for row in rows]
     return tuple(r[0] for r in rems), tuple(r[1] for r in rems)
 
@@ -256,8 +268,9 @@ class TestClassRemainder:
             rows = [[rng.randint(-height, height) * (rng.random() < 0.8) for _ in range(length)] for _ in range(4)]
             t = F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 6)))
             n = F(rng.randint(1, 40), rng.choice((1, 1, 4, 5, 9)))
-            got = ratfactor._class_remainder(rows, t, n)
-            assert got == _reference_class_remainder(rows, t, n), (rows, t, n)
+            f = _class_quadratic(t, n)
+            got = ratfactor._class_remainder(rows, f)
+            assert got == _reference_class_remainder(rows, f), (rows, t, n)
 
 
 def _reference_remainder_gcd(a, b):
@@ -416,8 +429,12 @@ class TestLowDegreeClosedForm:
             cases.append([rng.randint(1, 40), rng.randint(-99, 99), rng.randint(-99, 99)])
             cases.append([rng.randint(1, 40), rng.randint(-99, 99)])
         for f in cases:
-            fac = ratfactor._factor_low_degree(f)
-            assert (fac.linear, fac.quadratics) == _reference_factor_low_degree(f), f
+            factors = ratfactor._factor_low_degree(f)
+            for g, _ in factors:
+                assert g[0] > 0 and (gcd(*g) == 1 or gcd(*f) > 1), f
+            linear = tuple(sorted((F(-g[1], g[0]), m) for g, m in factors if len(g) == 2))
+            quadratics = tuple((F(-g[1], g[0]), F(g[2], g[0]), m) for g, m in factors if len(g) == 3)
+            assert (linear, quadratics) == _reference_factor_low_degree(f), f
 
 
 def _reference_approximate_roots(f):
@@ -484,15 +501,15 @@ class TestFactorCentral:
         poly = _product([F(-1, 3), 1], [1, 1, 1], [0, 1])  # x(x - 1/3)(x^2 + x + 1)
         fac = factor_central(_one_form(poly))
         assert fac.complete
-        assert dict(fac.linear) == {F(0): 1, F(1, 3): 1}
-        assert fac.quadratics == ((F(-1), F(1), 1),)
+        assert fac.factors == (((1, 0), 1), ((1, 1, 1), 1), ((3, -1), 1))
 
     def test_multiplicity(self):
         fac = factor_central([1, 0, 2, 0, 1])  # (x^2+1)^2
-        assert fac.quadratics == ((F(0), F(1), 2),)
+        assert fac.factors == (((1, 0, 1), 2),)
 
     def test_irreducible_quartic_is_left_over(self):
         fac = factor_central([1, 0, 0, 1, 1])
+        assert fac.factors == (((1, 0, 0, 1, 1), 1),)
         assert fac.leftover_degree == 4
         assert not fac.complete
 
@@ -564,9 +581,10 @@ class TestFactorCentral:
             raise AssertionError(f"sympy reached on {f}")
 
         monkeypatch.setattr(ratfactor, "_sympy_factors", no_sympy)
-        for coeffs, (linear, quadratics, leftover) in expected:
+        for coeffs, factors in expected:
             fac = factor_central(_one_form(coeffs))
-            assert (fac.linear, fac.quadratics, fac.leftover_degree) == (linear, quadratics, leftover)
+            assert fac.factors == factors
+            assert fac.complete
 
     def test_iteration_cap_falls_through_to_sympy(self, monkeypatch):
         monkeypatch.setattr(ratfactor, "_MAX_SWEEPS", 0)
@@ -605,8 +623,8 @@ class TestPairedFloatStage:
             assert sympy_factors == [], f
             general = factor_central(f)
             assert paired == general
-            linear, quadratics, leftover = _sympy_factor([F(c) for c in reversed(f)])
-            assert (paired.linear, paired.quadratics, paired.leftover_degree) == (linear, quadratics, leftover)
+            assert paired.factors == _sympy_factor([F(c) for c in reversed(f)])
+            assert paired.complete
 
     def test_one_candidate_per_approximation(self):
         # (x^2 + 1)(x^2 + 2x + 5): two approximations, two quadratics.
@@ -696,7 +714,8 @@ class TestSmallFactorProof:
         for d in range(-50, 51):
             if round(abs(d) ** (1 / 3)) ** 3 != abs(d):
                 fac = factor_central([1, 0, 0, -d])
-                assert (fac.linear, fac.quadratics, fac.leftover_degree) == ((), (), 3)
+                assert fac.factors == (((1, 0, 0, -d), 1),)
+                assert fac.leftover_degree == 3
         assert sympy_factors == []
 
     @pytest.mark.parametrize("e", [17, 25])
@@ -706,6 +725,63 @@ class TestSmallFactorProof:
         _agrees_with_sympy(_product([-(10**e) - 1, 1], [1, 0, 1], [-1, 3]))
         _agrees_with_sympy(_product([10**e + 1, 1, 1], [-2, 1], [-1, 3]))
         assert sympy_factors == []
+
+
+def _factored_back(f, **flags):
+    """`factor_central(f, **flags)` after checking that its factors are
+    distinct and sorted, each in the one form, and that each raised to its
+    multiplicity multiplies back to f exactly."""
+    fac = factor_central(f, **flags)
+    product = [1]
+    for g, mult in fac.factors:
+        assert len(g) > 1 and g[0] > 0 and gcd(*g) == 1 and mult > 0, (f, g)
+        for _ in range(mult):
+            product = _times(product, list(g))
+    assert product == f
+    assert list(fac.factors) == sorted(fac.factors)
+    assert len({g for g, _ in fac.factors}) == len(fac.factors)
+    return fac
+
+
+class TestFactorsMultiplyBack:
+    def test_planted_products(self):
+        # Linear factors, class quadratics, quadratics with real roots
+        # (rational or not) and irreducible cubics and quartics, each up to
+        # three times, under a power of x now and then.
+        rng = Random(96)
+        seen = Counter()
+        for _ in range(150):
+            f = [1]
+            for _ in range(rng.randint(1, 4)):
+                pick = rng.random()
+                if pick < 0.3:
+                    g = [rng.randint(1, 6), rng.randint(-9, 9)]
+                elif pick < 0.55:
+                    t = rng.randint(-4, 4)
+                    g = [1, -t, rng.randint(t * t // 4 + 1, 12)]
+                elif pick < 0.75:
+                    g = [rng.randint(1, 4), rng.randint(-6, 6), -rng.randint(1, 9)]
+                else:
+                    g = [int(c) for c in reversed(_random_irreducible(rng, rng.choice((3, 4))))]
+                for _ in range(rng.choice((1, 1, 2, 3))):
+                    f = _times(f, g)
+            fac = _factored_back(ratfactor._primitive_part(f))
+            for g, mult in fac.factors:
+                lead, b, c = (*g, 0)[:3]
+                seen["repeated"] += mult > 1
+                seen["real-roots"] += len(g) == 3 and b * b > 4 * lead * c
+                seen[f"degree-{len(g) - 1}"] += len(g) > 3
+        assert min(seen[k] for k in ("repeated", "real-roots", "degree-3", "degree-4")) >= 10, seen
+
+    def test_planted_norms(self):
+        # N(q) of seeded products of linear factors, some with a repeated
+        # class, through the paired float stage.
+        rng = Random(97)
+        repeated = 0
+        for _ in range(100):
+            fac = _factored_back(_planted_norm(rng), no_real_roots=True)
+            repeated += any(mult > 1 for _, mult in fac.factors)
+        assert repeated >= 10
 
 
 class TestEmptyRationalSpheres:

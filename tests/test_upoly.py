@@ -282,7 +282,7 @@ def _companion(p):
 def _scaled_product_with_conjugate(p, den):
     """D^2*p*conj(p), high to low, from plain `UPoly` arithmetic."""
     product = p * p.conj_poly()
-    assert product.is_central()
+    assert all(c.is_central() for c in product.coeffs)
     return [c.w * den * den for c in reversed(product.coeffs)]
 
 
@@ -358,7 +358,7 @@ class TestIntegerRowsAgainstQuatArithmetic:
             classes.append((F(k, rng.randint(1, 3)), F(k * k + rng.randint(1, 9), 2)))
         rows, den = _integer_rows(p.coeffs)
         for t, n in classes:
-            alpha, beta = ratfactor._class_remainder(rows, t, n)
+            alpha, beta = ratfactor._class_remainder(rows, _class_quadratic(t, n))
             rem = p.divmod_right(UPoly.from_central([n, -t, 1]))[1]
             scale = lcm(t.denominator, n.denominator) ** max(len(rows[0]) - 2, 0) * den
             assert (Quat(*alpha), Quat(*beta)) == (rem.coeff(1) * scale, rem.coeff(0) * scale)
@@ -367,7 +367,7 @@ class TestIntegerRowsAgainstQuatArithmetic:
 def _reference_class_roots(rows, t, n):
     """`_class_roots` as first written: the candidate -alpha^-1*beta as a
     `Quat`, tested on the class quadratic by `Quat` products."""
-    alpha, beta = (Quat(*v) for v in ratfactor._class_remainder(rows, t, n))
+    alpha, beta = (Quat(*v) for v in ratfactor._class_remainder(rows, _class_quadratic(t, n)))
     if not alpha and not beta:
         return Sphere(t, n)
     if alpha:
@@ -403,10 +403,50 @@ class TestIntegerClassTest:
             else:
                 p = rand_upoly(rng, 5, 6)
             rows = _integer_rows(p.coeffs)[0]
-            got = _class_roots(rows, t, n)
+            got = _class_roots(rows, _class_quadratic(t, n))
             assert got == _reference_class_roots(rows, t, n), (p, t, n)
             kinds["none" if got is None else "sphere" if isinstance(got, Sphere) else "isolated"] += 1
         assert min(kinds.values()) >= 20
+
+
+class TestEvaluationBound:
+    """An evaluation whose power of the point at the degree may pass the
+    bound on a power in the text, 100,000 bits, is refused; the root
+    search's own check of a rational root it found is not bounded."""
+
+    def test_at_the_edge(self):
+        # 2^1000 grows 1,000 bits a factor: degree 100 is at the bound,
+        # which is inclusive, and degree 101 past it.
+        a = Quat(2**1000)
+        assert UPoly.from_central([0] * 100 + [1]).eval_left(a) == Quat(2**100000)
+        with pytest.raises(InvalidInput, match="evaluation at degree 101 of up to 101000 bits, above the bound of 100000 bits"):
+            UPoly.from_central([0] * 101 + [1]).eval_left(a)
+        with pytest.raises(InvalidInput, match="above the bound of 100000 bits"):
+            UPoly.from_central([0] * 101 + [1]).eval_right(a)
+
+    def test_just_below_and_just_above_at_a_quaternion(self):
+        # 3/2 + i grows log2(13)/2 = 1.85 bits a factor: x^54000 takes
+        # 99,912 bits and x^54050 100,004.
+        a = Quat(F(3, 2), 1)
+        below, above = (UPoly([ZERO] * n + [ONE]) for n in (54000, 54050))
+        assert below.eval_left(a).norm() == F(13, 4) ** 54000
+        for evaluate in (above.eval_left, above.eval_right):
+            with pytest.raises(InvalidInput, match="evaluation at degree 54050 of up to 100004 bits"):
+                evaluate(a)
+
+    def test_points_that_cannot_grow_are_unbounded(self):
+        p = UPoly([ZERO] * 100_001 + [ONE])
+        for a in (J, -ONE):
+            assert p.eval_left(a) == p.eval_right(a) == a**100_001
+
+    def test_the_root_search_checks_its_rational_roots_unbounded(self, monkeypatch):
+        import quatca.upoly as upoly_module
+
+        monkeypatch.setattr(upoly_module, "_MAX_POWER_BITS", 0)
+        p = UPoly.from_central([-3, 2]) * UPoly.linear(Quat(2)) * UPoly.linear(I)
+        with pytest.raises(InvalidInput, match="above the bound of 0 bits"):
+            p.eval_left(Quat(2))
+        assert right_roots(p)[0] == [Isolated(Quat(F(3, 2))), Isolated(Quat(2)), Isolated(I)]
 
 
 class TestRightRoots:
@@ -498,21 +538,25 @@ class TestRightRoots:
 
 
 def _sympy_factor(coeffs):
-    """(rational roots, (t, n) of monic quadratics, leftover degree) of a
-    central polynomial, from sympy's `factor_list`."""
+    """The irreducible factors of a central polynomial given low to high,
+    with their multiplicities, from sympy's `factor_list`, in the form
+    `factor_central` reports: sorted (primitive integer tuple high to low
+    with a positive leading coefficient, multiplicity) pairs."""
     from sympy import Poly, QQ, Symbol
 
     poly = Poly([QQ(c.numerator, c.denominator) for c in reversed(coeffs)], Symbol("x"), domain=QQ)
-    linear, quadratics, leftover = [], [], 0
+    factors = []
     for factor, mult in poly.factor_list()[1]:
-        monic = [F(int(c.numerator), int(c.denominator)) for c in factor.monic().rep.to_list()]
-        if len(monic) == 2:
-            linear.append((-monic[1], mult))
-        elif len(monic) == 3:
-            quadratics.append((-monic[1], monic[2], mult))
-        else:
-            leftover += (len(monic) - 1) * mult
-    return tuple(sorted(linear)), tuple(sorted(quadratics)), leftover
+        low_to_high = [F(int(c.numerator), int(c.denominator)) for c in reversed(factor.rep.to_list())]
+        factors.append((tuple(_one_form(low_to_high)), mult))
+    return tuple(sorted(factors))
+
+
+def _class_quadratic(t, n):
+    """The primitive integer quadratic [L, -T, N] of x^2 - t*x + n, the
+    form in which `factor_central` reports it."""
+    den = lcm(t.denominator, n.denominator)
+    return [den, -t.numerator * (den // t.denominator), n.numerator * (den // n.denominator)]
 
 
 def _one_form(coeffs):
@@ -541,11 +585,13 @@ def _full_companion_right_roots(p):
     integer rows.  Each class is read from one right division by its
     quadratic, and each rational root from a `Quat` Horner sum."""
     norm = p * p.conj_poly()
-    assert norm.is_central()
-    linear, quadratics, leftover = _sympy_factor([c.w for c in norm.coeffs])
-    classes = [Isolated(Quat(root)) for root, _ in linear if not _quat_horner(p, Quat(root))]
-    incomplete = leftover > 0
-    for t, n, _ in quadratics:
+    assert all(c.is_central() for c in norm.coeffs)
+    factors = _sympy_factor([c.w for c in norm.coeffs])
+    roots = [F(-g[1], g[0]) for g, _ in factors if len(g) == 2]
+    classes = [Isolated(Quat(root)) for root in sorted(roots) if not _quat_horner(p, Quat(root))]
+    incomplete = any(len(g) > 3 for g, _ in factors)
+    quadratics = sorted((F(-g[1], g[0]), F(g[2], g[0])) for g, _ in factors if len(g) == 3)
+    for t, n in quadratics:
         if t * t - 4 * n > 0:
             incomplete = True
             continue
@@ -673,8 +719,8 @@ class TestLowDegreeFactorization:
             coeffs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(2, 3))]
             coeffs[-1] = coeffs[-1] or F(1)
             fac = factor_central(_one_form(coeffs))
-            assert (fac.linear, fac.quadratics, fac.leftover_degree) == _sympy_factor(coeffs)
-            assert fac.complete
+            assert fac.factors == _sympy_factor(coeffs)
+            assert fac.complete and fac.leftover_degree == 0
 
     def test_double_and_split_roots(self):
         rng = Random(76)
@@ -684,7 +730,8 @@ class TestLowDegreeFactorization:
             double, split = [lead * r * r, -2 * lead * r, lead], [lead * r * s, -lead * (r + s), lead]
             for coeffs in (double, split):
                 fac = factor_central(_one_form(coeffs))
-                assert (fac.linear, fac.quadratics, fac.leftover_degree) == _sympy_factor(coeffs)
+                assert fac.factors == _sympy_factor(coeffs)
+                assert fac.leftover_degree == 0
 
 
 class TestLeftRoots:
@@ -795,7 +842,7 @@ class TestRootSpace:
             p = UPoly.constant(ONE)
             for b in factors:
                 p = p * UPoly.linear(b)
-            verdict = _class_roots(_integer_rows(p.coeffs)[0], 2 * a.scalar_part(), a.norm())
+            verdict = _class_roots(_integer_rows(p.coeffs)[0], _class_quadratic(2 * a.scalar_part(), a.norm()))
             dim = root_space(p, a).dim
             assert dim == {Isolated: 1, Sphere: 2}[type(verdict)]
             seen.add(dim)
