@@ -41,9 +41,6 @@ from .parsing import (
 )
 from .ratexpr import (
     algebraicity_witness,
-    degree_criterion,
-    eval_expr,
-    independence_criterion,
     independent_via_criterion,
     independent_via_rank,
     left_degree_via_criterion,

@@ -36,7 +36,6 @@ from .mpoly import (
     CommutingPoint,
     LeftIdeal,
     RabinowitschCertificate,
-    eval_at_point,
     find_certificate,
     rabinowitsch_check,
     reduce_mod_point,
@@ -289,14 +288,15 @@ def _cmd_reduce(args) -> Report:
     nvars = len(point) if args.nvars is None else args.nvars
     poly = parse_mpoly(args.poly, nvars)
     remainder, quotients = reduce_mod_point(poly, point)
+    value = str(remainder)
     return Report(
         OK,
         {
-            "remainder": str(remainder),
+            "remainder": value,
             "remainder_json": serde.quat_to_json(remainder),
             "quotients": [str(q) for q in quotients],
             "in_point_ideal": not remainder,
-            "value_at_point": str(eval_at_point(poly, point)),
+            "value_at_point": value,
         },
         "division with exact remainder modulo a point ideal",
     )
@@ -307,10 +307,13 @@ def _cmd_eigen(args) -> Report:
         if args.module == "-":
             obj = json.load(sys.stdin)
         else:
-            with open(args.module) as fh:
+            with open(args.module, encoding="utf-8") as fh:
                 obj = json.load(fh)
     except RecursionError:
         raise InvalidInput("module file is nested too deeply") from None
+    except UnicodeDecodeError:
+        where = "on stdin" if args.module == "-" else f"file {args.module}"
+        raise InvalidInput(f"module {where} is not UTF-8") from None
     module = serde.module_from_json(obj)
     seed = tuple(parse_quat_list(args.seed)) if args.seed else None
     outcome = find_eigen_tuple(module, seed)

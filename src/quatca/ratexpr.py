@@ -1,143 +1,42 @@
-"""Rational expressions with prime-field constants, and the recursive
-criteria they encode for left linear independence and left algebraic degree
-over the centralizer of an element.
+"""The recursive criteria for left linear independence and left algebraic
+degree over the centralizer of an element, and the rank oracles that
+cross-check them.
 
-The nodes are the ones the criteria build: variables, rational constants,
-differences, products and inverses.  There is no sum node; a commutator
-is a difference of two products.
-
-Evaluation is strict: inverting zero anywhere makes the whole evaluation
-undefined, even if that subexpression is later multiplied by zero.  This is
-the standard semantics for rational expressions over a division ring and is
-what makes "defined" decidable bottom-up; the result type is `Quat | None`
-with None meaning undefined.
+The criterion for vectors b_1..b_n at a replaces each b_m, m < n, by the
+commutator [a, b_m * b_n^-1] and recurses on one fewer vector; what is left
+at the end is its value.  The criterion is a rational expression, evaluated
+strictly: inverting zero at any step leaves it undefined, whatever the
+later steps would multiply that inverse by.  That is the standard semantics
+of rational expressions over a division ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalError, InvalidInput
-from .scalars import Quat, centralizer_of_set, left_rank
+from .scalars import ONE, Quat, centralizer_of_set, commutator, left_rank
 from .upoly import minimal_left_poly, minimal_right_poly
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
-
-
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "RatExpr"
-    right: "RatExpr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "RatExpr"
-    right: "RatExpr"
-
-
-@dataclass(frozen=True)
-class Inv:
-    arg: "RatExpr"
-
-
-RatExpr = Var | Const | Sub | Mul | Inv
-
-
-def commutator_expr(a: RatExpr, b: RatExpr) -> RatExpr:
-    return Sub(Mul(a, b), Mul(b, a))
-
-
-def eval_expr(expr: RatExpr, assignment: Sequence[Quat]) -> Quat | None:
-    """Strict bottom-up evaluation; None signals an inversion of zero."""
-    cache: dict[int, Quat | None] = {}
-
-    def walk(e: RatExpr) -> Quat | None:
-        key = id(e)
-        if key in cache:
-            return cache[key]
-        if isinstance(e, Var):
-            if e.index >= len(assignment):
-                raise InvalidInput(f"assignment does not cover variable {e.index}")
-            out: Quat | None = assignment[e.index]
-        elif isinstance(e, Const):
-            out = Quat.scalar(e.value)
-        elif isinstance(e, Inv):
-            inner = walk(e.arg)
-            out = None if (inner is None or not inner) else inner.inverse()
-        else:
-            lhs, rhs = walk(e.left), walk(e.right)
-            if lhs is None or rhs is None:
-                out = None
-            elif isinstance(e, Sub):
-                out = lhs - rhs
-            else:
-                out = lhs * rhs
-        cache[key] = out
-        return out
-
-    return walk(expr)
-
-
-# ---------------------------------------------------------------------------
-# The recursive independence and degree criteria
-# ---------------------------------------------------------------------------
-
-def independence_criterion(n: int) -> RatExpr:
-    """Expression in x_0..x_n that is defined and nonzero at (a, b_1..b_n)
-    exactly when b_1..b_n are left linearly independent over the
-    centralizer of a.
-
-    Base case: the single-vector criterion is just x_1.  The step replaces
-    each b_m by the commutator of x_0 with b_m * b_n^-1 and recurses on one
-    fewer vector.
-    """
-    if n < 1:
-        raise InvalidInput("the criterion needs at least one vector")
-    return _commutator_steps([Var(m) for m in range(1, n + 1)])
-
-
-def degree_criterion(n: int) -> RatExpr:
-    """Two-variable expression vanishing at (a, b) exactly when b has left
-    algebraic degree n over the centralizer of a.
-
-    This instantiates the (n+1)-vector independence criterion at
-    (a, 1, b, ..., b^n): the literal n-vector form would be one argument
-    short of the powers it must consume.
-    """
-    if n < 1:
-        raise InvalidInput("degrees start at one")
-    powers: list[RatExpr] = [Const(Fraction(1)), Var(1)]
-    for _ in range(n - 1):
-        powers.append(Mul(powers[-1], Var(1)))
-    return _commutator_steps(powers)
-
-
-def _commutator_steps(exprs: list[RatExpr]) -> RatExpr:
-    """The criterion's step, applied until one expression is left: each
-    expression v but the last becomes [x_0, v * last^-1]."""
-    while len(exprs) > 1:
-        last_inv = Inv(exprs[-1])
-        exprs = [commutator_expr(Var(0), Mul(v, last_inv)) for v in exprs[:-1]]
-    return exprs[0]
+def _criterion(a: Quat, vectors: Sequence[Quat]) -> Quat | None:
+    """The recursive criterion at a over `vectors`; None when some step
+    inverts zero."""
+    while len(vectors) > 1:
+        last = vectors[-1]
+        if not last:
+            return None
+        last_inv = last.inverse()
+        vectors = [commutator(a, v * last_inv) for v in vectors[:-1]]
+    return vectors[0]
 
 
 def independent_via_criterion(a: Quat, bs: Sequence[Quat]) -> bool:
-    """Left linear independence over the centralizer of a, decided by
-    evaluating the recursive criterion: independent iff defined and nonzero."""
+    """Left linear independence over the centralizer of a, decided by the
+    recursive criterion: independent iff defined and nonzero."""
     if not bs:
         raise InvalidInput("empty vector list")
-    value = eval_expr(independence_criterion(len(bs)), [a, *bs])
+    value = _criterion(a, bs)
     return value is not None and bool(value)
 
 
@@ -149,8 +48,8 @@ def independent_via_rank(a: Quat, bs: Sequence[Quat]) -> bool:
 
 
 def left_degree_via_criterion(a: Quat, b: Quat) -> int:
-    """Left algebraic degree of b over the centralizer of a, via the first
-    n at which the degree criterion evaluates to a defined zero.  Only
+    """Left algebraic degree of b over the centralizer of a: the first n at
+    which the criterion over (1, b, ..., b^n) is a defined zero.  Only
     n = 1 and 2 are tried: the degree over a centralizer is at most 2 (the
     closed form in `minimal_left_poly`).
 
@@ -159,10 +58,10 @@ def left_degree_via_criterion(a: Quat, b: Quat) -> int:
     """
     if not b:
         return 1
-    for n in (1, 2):
-        value = eval_expr(degree_criterion(n), [a, b])
+    for powers in ([ONE, b], [ONE, b, b * b]):
+        value = _criterion(a, powers)
         if value is not None and not value:
-            return n
+            return len(powers) - 1
     raise InternalError("degree criterion exceeded the quaternion degree bound")
 
 

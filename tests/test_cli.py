@@ -117,6 +117,7 @@ class TestReports:
         )
         assert code == 0
         assert report["payload"]["remainder"] == "-1 + i"
+        assert report["payload"]["value_at_point"] == "-1 + i"
         assert report["payload"]["in_point_ideal"] is False
 
     def test_rabinowitsch_search(self, capsys):
@@ -402,6 +403,22 @@ class TestExitCodes:
         code, out, err = run(capsys, "--json", "eigen", "--module", "-")
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+    def test_module_file_that_is_not_utf8_is_usage(self, capsys, tmp_path):
+        path = tmp_path / "module.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "--json", "eigen", "--module", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: module file {path} is not UTF-8\n"
+
+    def test_module_on_stdin_that_is_not_utf8_is_usage(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), PYTHONIOENCODING="utf-8:strict")
+        proc = subprocess.run(
+            [sys.executable, "-m", "quatca", "--json", "eigen", "--module", "-"],
+            input=b"\xff\xfe{", capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr == b"error: module on stdin is not UTF-8\n"
 
     def test_parse_error_is_usage(self, capsys):
         code, out, err = run(capsys, "eval", "--poly", "x^2 $", "--at", "i")
