@@ -8,28 +8,37 @@ components of a commuting point are, so every presentation is valid.
 A common eigenvector with pairwise commuting eigenvalues realizes a
 one-dimensional submodule, i.e. a point ideal annihilator.
 
-Every action of a matrix on a vector, the commutation check, the Krylov
-iterates of `annihilator_minpoly` and `poly_action` included, is one
-`scalars._dot` per entry: a sum of quaternion products accumulated on
-integer numerators and reduced once.  The first dependence among those
-iterates comes from elimination over the quaternions
-(`scalars.first_dependence`), so splitting a module builds no rational
-system.
+A presentation also keeps each action as integers: the numerators of its
+entries over one denominator d, as columns, read once at construction.
+The commutation check compares the numerators of A*B and B*A, which share
+the denominator d_A*d_B, so it reduces nothing and builds no `Quat`.
+Every action on a vector (`act`, the Krylov iterates of
+`annihilator_minpoly` and of `poly_action`, the check of an eigen tuple)
+brings the vector to one denominator once and takes one integer dot per
+entry, reduced once.  The first dependence among those iterates comes
+from elimination over the quaternions (`scalars.first_dependence`), so
+splitting a module builds no rational system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, repeat
+from math import lcm
 from typing import Sequence
 
 from .errors import InternalError, InvalidInput
 from .mpoly import CommutingPoint
-from .scalars import ONE, Quat, ZERO, _dot, _immutable, centralizer_of_set, first_dependence
+from .scalars import ONE, Quat, ZERO, _dot, _immutable, _reduced, centralizer_of_set, first_dependence
 from .upoly import RootSearchStatus, UPoly, roots_in_centralizer
 
 Matrix = tuple[tuple[Quat, ...], ...]
 Vector = tuple[Quat, ...]
+# An action in integers: its columns, each a tuple of the entries' numerator
+# 4-tuples over the one denominator that follows.
+IntAction = tuple[tuple[tuple[tuple[int, int, int, int], ...], ...], int]
+
+_ZERO_NUMERATORS = (0, 0, 0, 0)
 
 
 def _as_matrix(rows) -> Matrix:
@@ -56,11 +65,59 @@ def vec_is_zero(v: Vector) -> bool:
     return not any(v)
 
 
+def _numerator_rows(mat: Matrix) -> tuple[list[list[tuple[int, int, int, int]]], int]:
+    """(rows, d): the numerators of every entry over the least common
+    denominator d of the matrix, row by row."""
+    d = lcm(*(q._d for row in mat for q in row))
+    return [[q._n if q._d == d else tuple(v * (d // q._d) for v in q._n) for q in row] for row in mat], d
+
+
+def _nonzero(row) -> list[tuple[int, tuple[int, int, int, int]]]:
+    """The (index, numerators) of the nonzero entries of an integer row."""
+    return [(t, n) for t, n in enumerate(row) if n != _ZERO_NUMERATORS]
+
+
+def _int_dot(row, col) -> tuple[int, int, int, int]:
+    """sum_t row[t] * col[t] on integer numerators, each row entry left of
+    its column entry, over the nonzero (index, numerators) of the row."""
+    w = x = y = z = 0
+    for t, (a, b, c, d) in row:
+        e, f, g, h = col[t]
+        w += a * e - b * f - c * g - d * h
+        x += a * f + b * e + c * h - d * g
+        y += a * g - b * h + c * e + d * f
+        z += a * h + b * g - c * f + d * e
+    return w, x, y, z
+
+
+def _products_agree(rows_a, cols_a, rows_b, cols_b) -> bool:
+    """A*B == B*A for integer matrices, from nonzero rows and columns; the
+    first entry that differs settles it."""
+    return all(
+        _int_dot(ra, cb) == _int_dot(rb, ca)
+        for ra, rb in zip(rows_a, rows_b)
+        for ca, cb in zip(cols_a, cols_b)
+    )
+
+
+def _act(v: Vector, action: IntAction) -> Vector:
+    """v*A for A given by its integer columns over d: v's entries are
+    brought to their least common denominator L once, and each entry of the
+    product is one integer dot over L*d, reduced once.  A vector of another
+    length than A's is InvalidInput."""
+    cols, d = action
+    if len(v) != len(cols):
+        raise InvalidInput(f"vector of length {len(v)} for a module of dimension {len(cols)}")
+    (row,), den = _numerator_rows((v,))
+    row, den = _nonzero(row), den * d
+    return tuple(_reduced(*_int_dot(row, col), den) for col in cols)
+
+
 class ModulePresentation:
     """m-dimensional row-vector module with n pairwise-commuting matrix
     actions; shapes and commutation are validated at construction."""
 
-    __slots__ = ("m", "mats")
+    __slots__ = ("m", "mats", "_actions")
 
     def __init__(self, m: int, mats: Sequence[Sequence[Sequence[Quat]]]):
         if m < 1:
@@ -71,15 +128,20 @@ class ModulePresentation:
         for mat in fixed:
             if len(mat) != m or any(len(row) != m for row in mat):
                 raise InvalidInput(f"action matrices must be {m}x{m}")
+        integer = [_numerator_rows(mat) for mat in fixed]
+        actions = tuple((tuple(zip(*rows)), d) for rows, d in integer)
+        # A*B and B*A share the denominator d_A*d_B: compare numerators.
+        rows = [[_nonzero(row) for row in rows] for rows, _ in integer]
         clashes = [
             f"actions {i + 1} and {j + 1} do not commute"
-            for (i, a), (j, b) in combinations(enumerate(fixed), 2)
-            if mat_mul(a, b) != mat_mul(b, a)
+            for i, j in combinations(range(len(fixed)), 2)
+            if not _products_agree(rows[i], actions[i][0], rows[j], actions[j][0])
         ]
         if clashes:
             raise InvalidInput("; ".join(clashes))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "mats", fixed)
+        object.__setattr__(self, "_actions", actions)
 
     __setattr__ = _immutable
 
@@ -88,13 +150,13 @@ class ModulePresentation:
         return len(self.mats)
 
     def act(self, i: int, v: Vector) -> Vector:
-        return vec_mat(v, self.mats[i])
+        return _act(v, self._actions[i])
 
     def poly_action(self, i: int, p: UPoly, v: Vector) -> Vector:
         """Apply sum_k c_k * (v * A_i^k); coefficients act on the left.
         Entry t is one dot product of the coefficients with entry t of the
         iterates v * A_i^k."""
-        iterates = accumulate(repeat(self.mats[i], len(p.coeffs) - 1), vec_mat, initial=v)
+        iterates = accumulate(repeat(self._actions[i], len(p.coeffs) - 1), _act, initial=v)
         return tuple(_dot(p.coeffs, entries) for entries in zip(*iterates))
 
     def __eq__(self, other):
@@ -133,7 +195,7 @@ def annihilator_minpoly(module: ModulePresentation, v: Vector, i: int) -> UPoly:
     """
     if vec_is_zero(v):
         raise InvalidInput("annihilator of the zero vector is everything")
-    iterates = accumulate(repeat(module.mats[i], module.m), vec_mat, initial=v)
+    iterates = accumulate(repeat(module._actions[i], module.m), _act, initial=v)
     sol = first_dependence(iterates)
     if sol is None:
         raise InternalError("no annihilator found within the module dimension")

@@ -4,10 +4,14 @@ Rationals travel as decimal-free strings: `"3"`, `"-2/3"`.  Quaternions
 are objects over the fixed basis order, `{"w": ..., "x": ..., "y": ...,
 "z": ...}`.  Polynomial coefficient lists run low to high.
 
-A quaternion crosses this boundary as the integers a `Quat` keeps: each
-rational string is read as an integer numerator and denominator, the
-four become numerators over the lcm of their denominators and are reduced
-once to the canonical form, and each coordinate is written back from the
+A quaternion crosses this boundary as the integers a `Quat` keeps: its
+four rational strings are joined by a comma, which no rational contains,
+and read by one match of a four-rational pattern into integer numerators
+and denominators; the four become numerators over the lcm of their
+denominators and are reduced once to the canonical form.  Only an object
+that does not match (or holds a zero denominator or a numeral past the
+interpreter's digit cap) is re-read field by field, for the message that
+names its first bad field.  Each coordinate is written back from the
 canonical numerators with one gcd.  No `Fraction` is built either way.
 """
 
@@ -34,6 +38,9 @@ def rat_to_json(r: Fraction) -> str:
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# Four rationals joined by commas.  Kept as text, so that `re` compiles it
+# at its first use rather than at import.
+_QUATERNION = ",".join([_RATIONAL.pattern] * 4)
 
 
 def _rational(text: str) -> tuple[int, int]:
@@ -68,6 +75,20 @@ def quat_to_json(q: Quat) -> dict:
 
 
 def quat_from_json(obj: dict) -> Quat:
+    if isinstance(obj, dict):
+        try:
+            match = re.fullmatch(_QUATERNION, ",".join([obj["w"], obj["x"], obj["y"], obj["z"]]))
+            if match is not None:
+                a, p, b, q, c, r, d, s = map(int, match.groups("1"))
+                if p and q and r and s:
+                    m = lcm(p, q, r, s)
+                    return _reduced(a * (m // p), b * (m // q), c * (m // r), d * (m // s), m)
+        except (KeyError, TypeError, ValueError):
+            pass  # the field-by-field reading below names the fault
+    return _quat_by_field(obj)
+
+
+def _quat_by_field(obj) -> Quat:
     if not isinstance(obj, dict):
         raise InvalidInput(f"quaternion must be an object, got {obj!r}")
     try:

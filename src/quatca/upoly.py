@@ -339,19 +339,24 @@ def _class_roots(rows: list[list[int]], quad: Sequence[int]) -> RootClass | None
     norm = a * a + b * b + c * c + d * d
     if not norm:
         return None if e or f or g or h else Sphere(Fraction(-neg_trace, lead), Fraction(norm_class, lead))
-    dot = a * e + b * f + c * g + d * h
-    if 2 * dot * lead != neg_trace * norm:
+    if 2 * (a * e + b * f + c * g + d * h) * lead != neg_trace * norm:
         return None
     if (e * e + f * f + g * g + h * h) * lead != norm_class * norm:
         return None
-    # -conj(alpha)*beta over N(alpha)
-    return Isolated(_reduced(
-        -dot,
+    return Isolated(_root_of_linear((a, b, c, d), (e, f, g, h)))
+
+
+def _root_of_linear(alpha: Sequence[int], beta: Sequence[int]) -> Quat:
+    """-alpha^-1*beta = -conj(alpha)*beta/N(alpha), the one right root of
+    alpha*x + beta, for integer 4-tuples alpha != 0 and beta."""
+    (a, b, c, d), (e, f, g, h) = alpha, beta
+    return _reduced(
+        -(a * e + b * f + c * g + d * h),
         -(a * f - b * e - c * h + d * g),
         -(a * g + b * h - c * e - d * f),
         -(a * h - b * g + c * f - d * e),
-        norm,
-    ))
+        a * a + b * b + c * c + d * d,
+    )
 
 
 # The root search takes time quadratic in the degree of s = p/x^k or worse
@@ -388,9 +393,19 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     All of this runs on s with p = s*x^k and s(0) != 0: x is central, so
     p(a) = s(a)*a^k, and p's roots are s's and, when k > 0, the root 0.
     A degree of s above `_MAX_ROOT_DEGREE` is refused with InvalidInput.
+
+    A linear c1*x + c0 takes none of this: its one right root -c1^-1*c0 is
+    returned as an `Isolated` class with status COMPLETE, the class the
+    search above finds for it (the central content x - r for a central
+    root r, otherwise the class quadratic N(x - a) with B^2 < 4LC).
     """
     if p.degree < 1:
         raise InvalidInput("root search needs a nonconstant polynomial")
+    if p.degree == 1:
+        (beta, m), (alpha, n) = ((c._n, c._d) for c in p.coeffs)
+        # c1 = alpha/n and c0 = beta/m over the common denominator m*n.
+        root = _root_of_linear([v * m for v in alpha], [v * n for v in beta])
+        return [Isolated(root)], RootSearchStatus.COMPLETE
     k = next(k for k, c in enumerate(p.coeffs) if c)
     s = UPoly(p.coeffs[k:]) if k else p
     if s.degree > _MAX_ROOT_DEGREE:

@@ -18,7 +18,7 @@ from quatca.modules import (
     mat_mul,
 )
 from quatca.mpoly import CommutingPoint, MPoly, point_ideal
-from quatca.randgen import rand_mpoly, rand_module
+from quatca.randgen import rand_mpoly, rand_module, rand_unimodular
 from quatca.scalars import I, J, K, ONE, Quat, ZERO
 from quatca.upoly import UPoly
 
@@ -61,6 +61,111 @@ class TestPresentation:
     def test_shape_validation(self):
         with pytest.raises(InvalidInput):
             ModulePresentation(2, [[[I]]])
+
+    def test_vectors_of_another_length_are_refused(self):
+        module = ModulePresentation(2, [[[I, ZERO], [ZERO, ONE]]])
+        for v in ((ONE,), (ONE, ONE, ONE)):
+            for act in (
+                lambda: module.act(0, v),
+                lambda: module.poly_action(0, UPoly([ONE, ONE]), v),
+                lambda: annihilator_minpoly(module, v, 0),
+            ):
+                with pytest.raises(InvalidInput) as err:
+                    act()
+                assert str(err.value) == f"vector of length {len(v)} for a module of dimension 2"
+
+
+def _oracle_product(a, b):
+    """The quaternion matrix product, entry by entry through `Quat`."""
+    m = len(a)
+    return tuple(
+        tuple(sum((a[r][t] * b[t][c] for t in range(m)), ZERO) for c in range(m))
+        for r in range(m)
+    )
+
+
+def _rational_quat(rng):
+    return Quat(*(Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 12])) for _ in range(4)))
+
+
+def _commuting_pairs(rng):
+    """Seeded pairs (A1, A2) that commute by construction, with rational
+    entries over mixed denominators: A2 a rational polynomial in A1, and
+    conjugated diagonal sums over points of Q(i)."""
+    for _ in range(30):
+        m = rng.randint(1, 5)
+        a1 = tuple(
+            tuple(_rational_quat(rng) if rng.random() < 0.7 else ZERO for _ in range(m))
+            for _ in range(m)
+        )
+        c0 = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+        a2 = tuple(tuple(c0 * ONE if r == c else ZERO for c in range(m)) for r in range(m))
+        power = mat_identity(m)
+        for _ in range(rng.randint(1, 3)):
+            power = mat_mul(power, a1)
+            coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 9))
+            a2 = tuple(tuple(x + coeff * y for x, y in zip(r2, rp)) for r2, rp in zip(a2, power))
+        yield a1, a2
+    for _ in range(30):
+        m = rng.randint(1, 5)
+        u, u_inv = rand_unimodular(rng, m)
+        values = [
+            [Quat(Fraction(rng.randint(-4, 4), rng.randint(1, 6)), Fraction(rng.randint(-4, 4), rng.randint(1, 6))) for _ in range(2)]
+            for _ in range(m)
+        ]
+        a1, a2 = (
+            mat_mul(mat_mul(u, tuple(tuple(values[r][i] if r == c else ZERO for c in range(m)) for r in range(m))), u_inv)
+            for i in range(2)
+        )
+        yield a1, a2
+
+
+class TestCommutationCheck:
+    def test_accepts_and_rejects_as_the_quaternion_product(self):
+        # Each pair commutes by construction; 1/7 added to one entry of A2
+        # usually breaks it.  The check agrees with the oracle either way.
+        rng = Random(29)
+        broken = 0
+        for a1, a2 in _commuting_pairs(rng):
+            m = len(a1)
+            r, c = rng.randrange(m), rng.randrange(m)
+            bumped = tuple(
+                tuple(x + Fraction(1, 7) if (s, t) == (r, c) else x for t, x in enumerate(row))
+                for s, row in enumerate(a2)
+            )
+            for b in (a2, bumped):
+                commute = _oracle_product(a1, b) == _oracle_product(b, a1)
+                if commute:
+                    module = ModulePresentation(m, [a1, b])
+                    assert module.mats == (a1, b)
+                    continue
+                broken += 1
+                with pytest.raises(InvalidInput) as err:
+                    ModulePresentation(m, [a1, b])
+                assert str(err.value) == "actions 1 and 2 do not commute"
+            assert _oracle_product(a1, a2) == _oracle_product(a2, a1)
+        assert broken >= 40
+
+    def test_a_broken_pair_among_three(self):
+        rng = Random(31)
+        for a1, a2 in _commuting_pairs(rng):
+            m = len(a1)
+            a3 = mat_mul(a1, a2)
+            bumped = tuple(
+                tuple(x + Fraction(1, 7) if (s, t) == (m - 1, 0) else x for t, x in enumerate(row))
+                for s, row in enumerate(a3)
+            )
+            expected = [
+                f"actions {i} and {j} do not commute"
+                for i, j, x, y in ((1, 2, a1, a2), (1, 3, a1, bumped), (2, 3, a2, bumped))
+                if _oracle_product(x, y) != _oracle_product(y, x)
+            ]
+            if not expected:
+                ModulePresentation(m, [a1, a2, bumped])
+                continue
+            with pytest.raises(InvalidInput) as err:
+                ModulePresentation(m, [a1, a2, bumped])
+            assert str(err.value) == "; ".join(expected)
 
 
 class TestAnnihilator:

@@ -506,6 +506,101 @@ class TestJsonForms:
             assert len(terms) == len(blob["terms"])
             assert MPoly(blob["nvars"], terms) == p
 
+_FIELD = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _read_by_field(obj) -> Quat:
+    """The reference reader: each field on its own, through `Fraction`."""
+    coords = []
+    for key in "wxyz":
+        num, den = _FIELD.fullmatch(obj[key]).groups()
+        coords.append(F(int(num), int(den or 1)))
+    return Quat(*coords)
+
+
+def _seeded_field(rng) -> str:
+    roll = rng.random()
+    if roll < 0.15:
+        return rng.choice(["0", "-0", "0/5", "-0/7", "2/4", "-6/3", "007", "-1/1"])
+    num = rng.randint(-(10**rng.randint(1, 30)), 10**rng.randint(1, 30))
+    if roll < 0.4:
+        return str(num)
+    den = rng.randint(1, 10**rng.randint(1, 6))
+    return f"{num}/{den}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit")
+class TestOneMatchReader:
+    """`quat_from_json` reads the four fields with one match and re-reads
+    field by field only what fails: values agree with the field-by-field
+    reference, and every fault keeps its message."""
+
+    @pytest.fixture(autouse=True)
+    def cap(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    def test_seeded_objects_read_as_the_reference(self):
+        rng = Random(71)
+        for _ in range(2000):
+            obj = {key: _seeded_field(rng) for key in "wxyz"}
+            got, want = serde.quat_from_json(obj), _read_by_field(obj)
+            assert (got._n, got._d) == (want._n, want._d), obj
+
+    def test_pinned_values(self):
+        cases = [
+            ({"w": "-0", "x": "0/5", "y": "2/4", "z": "-3"}, ((0, 0, 1, -6), 2)),
+            ({"w": "1/1000000", "x": "-1/999999", "y": "0", "z": "0"}, ((999999, -1000000, 0, 0), 999999000000)),
+            ({"w": "6/4", "x": "9/6", "y": "-3/2", "z": "0/9"}, ((3, 3, -3, 0), 2)),
+            ({"w": "0", "x": "0", "y": "0", "z": "0"}, ((0, 0, 0, 0), 1)),
+        ]
+        for obj, (n, d) in cases:
+            q = serde.quat_from_json(obj)
+            assert (q._n, q._d) == (n, d)
+
+    def test_a_long_numerator_with_the_cap_lifted(self):
+        sys.set_int_max_str_digits(0)
+        obj = {"w": "-" + "7" * 5000, "x": "1/3", "y": "0", "z": "2/6"}
+        got = serde.quat_from_json(obj)
+        assert (got._n, got._d) == ((-3 * int("7" * 5000), 1, 0, 1), 3)
+        assert got == _read_by_field(obj)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (["1", "0", "0", "0"], "quaternion must be an object, got ['1', '0', '0', '0']"),
+            ("w", "quaternion must be an object, got 'w'"),
+            (None, "quaternion must be an object, got None"),
+            ({"w": "1", "x": "0", "y": "0"}, "quaternion object missing field 'z'"),
+            ({"x": "0"}, "quaternion object missing field 'w'"),
+            ({"w": "1", "x": "0", "y": "0", "z": 2.5}, "rational must be a string, got 2.5"),
+            ({"w": 3, "x": "0", "y": "0", "z": "0"}, "rational must be a string, got 3"),
+            ({"w": "1 2", "x": "0", "y": "0", "z": "0"}, "bad rational '1 2': expected -?digits(/digits)?"),
+            ({"w": "1", "x": "1/0", "y": "0", "z": "0"}, "bad rational '1/0'"),
+            ({"w": "1", "x": "0", "y": "0", "z": "0/0"}, "bad rational '0/0'"),
+            ({"w": "1,2", "x": "0", "y": "0", "z": "0"}, "bad rational '1,2': expected -?digits(/digits)?"),
+            ({"w": "1", "x": "0", "y": "0", "z": "1,2,3"}, "bad rational '1,2,3': expected -?digits(/digits)?"),
+            ({"w": "1", "x": "2,", "y": "0", "z": "0"}, "bad rational '2,': expected -?digits(/digits)?"),
+            ({"w": "", "x": "0", "y": "0", "z": "0"}, "bad rational '': expected -?digits(/digits)?"),
+            ({"w": "1" * 5000, "x": "0", "y": "0", "z": "0"}, "rational of more than the interpreter's limit of 4300 digits"),
+            ({"w": "9" * 5000, "x": "1/0", "y": "0", "z": "0"}, "rational of more than the interpreter's limit of 4300 digits"),
+            ({"w": "1", "x": "1/0", "y": "9" * 5000, "z": "0"}, "bad rational '1/0'"),
+        ],
+        ids=[
+            "list", "string", "null", "missing-z", "missing-w", "float", "number", "space",
+            "zero-denominator", "zero-over-zero", "separator", "separators", "trailing-separator",
+            "empty", "digit-cap", "digit-cap-first", "zero-denominator-first",
+        ],
+    )
+    def test_faults_keep_the_messages_of_the_field_reader(self, obj, message):
+        with pytest.raises(InvalidInput) as info:
+            serde.quat_from_json(obj)
+        assert type(info.value) is InvalidInput
+        assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Reference parser: the per-token tokenizer and recursive parser that the
 # one-scan parser replaced, kept verbatim as an oracle for values, errors

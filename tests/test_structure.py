@@ -398,9 +398,9 @@ def fractions_and_quat_products(monkeypatch):
 
 def test_module_files_and_actions_cross_as_integers(fractions_and_quat_products):
     # A module file is read straight into canonical numerators, and its
-    # commutation check and every action are integer dot products: no
-    # Fraction and no quaternion product, for integer and for rational
-    # entries alike.
+    # construction (the commutation check on integer numerators), `act` and
+    # `poly_action` are integer dot products: no Fraction and no quaternion
+    # product, for integer and for rational entries alike.
     from quatca import serde
     from quatca.modules import vec_mat
 
@@ -413,12 +413,24 @@ def test_module_files_and_actions_cross_as_integers(fractions_and_quat_products)
         assert fractions_and_quat_products == []
         module = serde.module_from_json(blob)
         v = tuple(Quat(t + 1, -t, 2, 0) for t in range(module.m))
+        p = UPoly([Quat(1, 2), ZERO, Quat(0, Fraction(1, 3), 0, -1)])
         fractions_and_quat_products.clear()
-        for mat in module.mats:
-            vec_mat(v, mat)
+        acted = [(module.act(i, v), module.poly_action(i, p, v)) for i in range(module.nvars)]
         assert fractions_and_quat_products == []
+        for i, (once, by_p) in enumerate(acted):
+            mat = module.mats[i]
+            assert once == vec_mat(v, mat)
+            twice = vec_mat(once, mat)
+            assert by_p == tuple(p.coeffs[0] * a + p.coeffs[2] * c for a, c in zip(v, twice))
+        fractions_and_quat_products.clear()
         assert serde.module_to_json(module) == serde.module_to_json(serde.module_from_json(blob))
         assert fractions_and_quat_products == []
+    # A larger two-action module over mixed denominators.
+    module, _ = rand_module(Random(3), 2, 4)
+    mats = [[[q * Fraction(1, 3 + i) for q in row] for row in mat] for i, mat in enumerate(module.mats)]
+    fractions_and_quat_products.clear()
+    ModulePresentation(4, mats)
+    assert fractions_and_quat_products == []
 
 
 def test_quat_defines_every_method_the_tracer_wraps():

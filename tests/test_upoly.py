@@ -734,6 +734,66 @@ class TestLowDegreeFactorization:
                 assert fac.leftover_degree == 0
 
 
+def _linear_cases(rng):
+    """Seeded (c1, c0) with a central, a noncentral or a zero root and a
+    non-unit rational c1."""
+    for k in range(300):
+        c1 = rand_nonzero_quat(rng, 12)
+        while c1 == ONE:
+            c1 = rand_nonzero_quat(rng, 12)
+        kind = k % 3
+        if kind == 0:
+            root = Quat(F(rng.randint(-9, 9), rng.randint(1, 9)))
+        elif kind == 1:
+            root = Quat(F(rng.randint(-9, 9), rng.randint(1, 9))) + rand_pure_quat(rng, 9)
+        else:
+            root = ZERO
+        yield c1, -(c1 * root), root
+
+
+class TestLinearRoots:
+    """c1*x + c0 has the one right root -c1^-1*c0, found without a
+    factorization."""
+
+    def test_one_isolated_root_found_without_factoring(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a linear root search factored")
+
+        monkeypatch.setattr(ratfactor, "factor_central", refuse)
+        for c1, c0, root in _linear_cases(Random(37)):
+            p = UPoly([c0, c1])
+            assert -(c1.inverse() * c0) == root
+            assert right_roots(p) == ([Isolated(root)], RootSearchStatus.COMPLETE)
+            assert p.eval_left(root) == ZERO
+            left = -(c0 * c1.inverse())
+            assert left_roots(p) == ([Isolated(left)], RootSearchStatus.COMPLETE)
+            assert p.eval_right(left) == ZERO
+            for c in (Centralizer.full(), Centralizer.center(), Centralizer.quadratic(I)):
+                members = [left] if c.contains(left) else []
+                assert roots_in_centralizer(p, c, side="left") == (members, RootSearchStatus.COMPLETE)
+                members = [root] if c.contains(root) else []
+                assert roots_in_centralizer(p, c, side="right") == (members, RootSearchStatus.COMPLETE)
+
+    def test_pinned_cases(self):
+        complete = RootSearchStatus.COMPLETE
+        cases = [
+            (UPoly([Quat(1, 2, 3, 4), Quat(F(2, 3))]), Quat(F(-3, 2), -3, F(-9, 2), -6), Quat(F(-3, 2), -3, F(-9, 2), -6)),
+            (UPoly([Quat(-3), Quat(F(5, 2))]), Quat(F(6, 5)), Quat(F(6, 5))),
+            (UPoly([ZERO, Quat(1, 1, 0, F(1, 2))]), ZERO, ZERO),
+            (UPoly([J, I]), K, -K),
+            (
+                UPoly([Quat(F(1, 2), -1, F(3, 7)), Quat(2, F(-1, 3), 0, 5)]),
+                Quat(F(-6, 131), F(-39, 3668), F(-369, 1834), F(297, 3668)),
+                Quat(F(-6, 131), F(501, 3668), F(261, 1834), F(333, 3668)),
+            ),
+        ]
+        for p, right, left in cases:
+            assert right_roots(p) == ([Isolated(right)], complete)
+            assert left_roots(p) == ([Isolated(left)], complete)
+        assert roots_in_centralizer(cases[1][0], Centralizer.quadratic(I)) == ([Quat(F(6, 5))], complete)
+        assert roots_in_centralizer(cases[0][0], Centralizer.quadratic(I)) == ([], complete)
+
+
 class TestLeftRoots:
     def test_left_root_is_conjugate_transform(self):
         p = UPoly([K, -(I + J), ONE])
