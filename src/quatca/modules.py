@@ -57,10 +57,6 @@ def vec_mat(v: Vector, a: Matrix) -> Vector:
     return tuple(_dot(v, col) for col in zip(*a))
 
 
-def vec_scale(q: Quat, v: Vector) -> Vector:
-    return tuple(q * c for c in v)
-
-
 def vec_is_zero(v: Vector) -> bool:
     return not any(v)
 
@@ -245,7 +241,7 @@ def _verify_eigen_tuple(module: ModulePresentation, tup: EigenTuple):
     if vec_is_zero(tup.v):
         raise InternalError("eigen tuple has a zero vector")
     for i in range(module.nvars):
-        if module.act(i, tup.v) != vec_scale(tup.point[i], tup.v):
+        if module.act(i, tup.v) != tuple(tup.point[i] * c for c in tup.v):
             raise InternalError(f"eigen identity fails for action {i + 1}")
 
 

@@ -172,7 +172,10 @@ class MPoly:
         return _power(self, n, MPoly.constant(ONE, self.nvars))
 
     def __str__(self) -> str:
-        return format_mpoly(self)
+        return _signed_sum(
+            _term_text(c, "".join(f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in enumerate(exps, 1) if e))
+            for exps, c in reversed(self.sorted_terms())
+        )
 
     def __repr__(self) -> str:
         return f"MPoly({self.nvars}, {dict(self.sorted_terms())!r})"
@@ -185,13 +188,6 @@ def _mpoly(nvars: int, terms: dict[Exponents, Quat]) -> MPoly:
     object.__setattr__(p, "nvars", nvars)
     object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
     return p
-
-
-def format_mpoly(p: MPoly) -> str:
-    return _signed_sum(
-        _term_text(c, "".join(f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in enumerate(exps, 1) if e))
-        for exps, c in reversed(p.sorted_terms())
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +581,7 @@ _MAX_SYSTEM_ENTRIES = 16_000
 # a = 1 the search to max power 40 ((a*p)^40 of 861 terms) took 2.3 s on a
 # shared 2-core host, to 50 (1,326 terms) 6.9 s and to 60 (1,891) 12.3 s;
 # the largest estimate of the test suite is 45, and of the benchmark's
-# instances 10.  The parser bounds a power of a sum at the same 1,000 terms.
+# instances 10.  The parser bounds its powers and products by this constant.
 _MAX_POWER_TERMS = 1_000
 # In one variable a member whose chain cofactors fit forms (a*p)^(N-m) by
 # repeated squaring and the m powers above it, N*deg(a*p) + 1 coefficients

@@ -44,8 +44,8 @@ from math import comb, gcd
 from operator import add
 
 from .errors import InvalidInput, ParseError, _digit_limit
-from .mpoly import MPoly, _degree, _max_terms, _mpoly, _to_upoly
-from .scalars import Quat, ZERO, _MAX_POWER_BITS, _growth, _quat, _reduced
+from .mpoly import MPoly, _MAX_POWER_TERMS, _degree, _max_terms, _mpoly, _to_upoly
+from .scalars import Quat, ZERO, _MAX_POWER_BITS, _growth, _qmul, _quat, _reduced
 from .upoly import UPoly
 
 _MAX_NESTING = 100
@@ -60,9 +60,9 @@ _MAX_NESTING = 100
 # two factors is bounded the same way, by t1 * t2 terms and the monomials
 # up to the summed degree (`(x1+x2+x3)^43*(x1+x2+x3)^43` took 4.6 s), and
 # by its t1 * t2 coefficient products: `(x - i)^250(x - i)^250` (63,001)
-# takes 0.54 s and `(x - i)^500(x - i)^499` (250,500) 2.3 s.
+# takes 0.54 s and `(x - i)^500(x - i)^499` (250,500) 2.3 s.  The term
+# bound on both is `mpoly._MAX_POWER_TERMS`, the one on (a*p)^N.
 _MAX_POWER_DEGREE = 500
-_MAX_TERMS = 1_000
 _MAX_PRODUCTS = 65_536
 
 # One token after optional whitespace, as the groups (numerator,
@@ -123,7 +123,8 @@ def _bound_power(text: str, at: int, n: int, base: dict) -> None:
     one more factor can add to a coefficient of base, {exponents:
     coefficient}, exceeds _MAX_POWER_BITS, or when base has several terms
     and n times its degree exceeds _MAX_POWER_DEGREE or the power may have
-    more than _MAX_TERMS terms; a coefficient 0, -1, 1 or a unit adds none."""
+    more than _MAX_POWER_TERMS terms; a coefficient 0, -1, 1 or a unit adds
+    none."""
     growth = max(map(_growth, base.values()), default=0)
     if growth and n > _MAX_POWER_BITS / growth:
         _fail(text, f"power of more than the bound of {_MAX_POWER_BITS} bits", at - 1, 4)
@@ -132,15 +133,8 @@ def _bound_power(text: str, at: int, n: int, base: dict) -> None:
         if degree > _MAX_POWER_DEGREE:
             _fail(text, f"power of degree {degree}, above the bound of {_MAX_POWER_DEGREE}", at - 1, 4)
         terms = _max_terms(comb(n + len(base) - 1, len(base) - 1), degree, base)
-        if terms > _MAX_TERMS:
-            _fail(text, f"power of up to {terms} terms, above the bound of {_MAX_TERMS}", at - 1, 4)
-
-
-def _qmul(x: tuple, y: tuple) -> tuple:
-    """The product of two quaternions given as integer 4-tuples."""
-    (a, b, c, d), (e, f, g, h) = x, y
-    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+        if terms > _MAX_POWER_TERMS:
+            _fail(text, f"power of up to {terms} terms, above the bound of {_MAX_POWER_TERMS}", at - 1, 4)
 
 
 def _sum(text: str, tokens: list, at: int, nvars: int, depth: int) -> tuple[dict, int]:
@@ -252,8 +246,8 @@ def _factor(text: str, tokens: list, at: int, opening: int, inner: dict, nvars: 
         return inner, None, rd
     products = len(poly.terms) * len(inner.terms)
     terms = _max_terms(products, _degree(poly) + _degree(inner), [*poly.terms, *inner.terms])
-    if terms > _MAX_TERMS:
-        _fail(text, f"product of up to {terms} terms, above the bound of {_MAX_TERMS}", opening)
+    if terms > _MAX_POWER_TERMS:
+        _fail(text, f"product of up to {terms} terms, above the bound of {_MAX_POWER_TERMS}", opening)
     if products > _MAX_PRODUCTS:
         _fail(text, f"product of {products} coefficient products, above the bound of {_MAX_PRODUCTS}", opening)
     return poly * inner, None, rd

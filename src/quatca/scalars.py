@@ -15,7 +15,10 @@ the surface (coordinates, norms, solutions), always in lowest terms with a
 positive denominator.  Inside, a `Quat` keeps four integer numerators over
 one denominator: centralizer membership and the growth of a power are read
 from those integers, and the rational rows built here for `linalg` hold a
-plain `int` wherever that denominator is 1.
+plain `int` wherever that denominator is 1.  The product of two such
+integer 4-tuples, `_qmul`, is shared by the parser and the linear root
+search; `Quat.__mul__` and the integer sums (`_left_horner`, `_dot`)
+keep the same product inline, since a call per product slows them.
 """
 
 from __future__ import annotations
@@ -308,6 +311,13 @@ def _integer_rows(coeffs: Sequence[Quat]) -> tuple[list[list[int]], int]:
     den = lcm(*(c._d for c in coeffs))
     scaled = [c._n if c._d == den else tuple(v * (den // c._d) for v in c._n) for c in reversed(coeffs)]
     return [list(row) for row in zip(*scaled)] or [[], [], [], []], den
+
+
+def _qmul(x: tuple, y: tuple) -> tuple:
+    """The product of two quaternions given as integer 4-tuples."""
+    (a, b, c, d), (e, f, g, h) = x, y
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
 
 def _left_horner(coeffs: Sequence[Quat], a: Quat) -> Quat:

@@ -42,6 +42,7 @@ from .scalars import (
     _immutable,
     _integer_rows,
     _left_horner,
+    _qmul,
     _reduced,
     _signed_sum,
     _term_text,
@@ -212,22 +213,14 @@ class UPoly:
         return UPoly([ZERO] * k + list(self.coeffs))
 
     def __str__(self) -> str:
-        return format_upoly(self)
+        return _signed_sum(
+            _term_text(c, "" if k == 0 else "x" if k == 1 else f"x^{k}")
+            for k, c in reversed(list(enumerate(self.coeffs)))
+            if c
+        )
 
     def __repr__(self) -> str:
         return f"UPoly({list(self.coeffs)!r})"
-
-
-# ---------------------------------------------------------------------------
-# Display (shared with the CLI grammar)
-# ---------------------------------------------------------------------------
-
-def format_upoly(p: UPoly) -> str:
-    return _signed_sum(
-        _term_text(c, "" if k == 0 else "x" if k == 1 else f"x^{k}")
-        for k, c in reversed(list(enumerate(p.coeffs)))
-        if c
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +342,8 @@ def _class_roots(rows: list[list[int]], quad: Sequence[int]) -> RootClass | None
 def _root_of_linear(alpha: Sequence[int], beta: Sequence[int]) -> Quat:
     """-alpha^-1*beta = -conj(alpha)*beta/N(alpha), the one right root of
     alpha*x + beta, for integer 4-tuples alpha != 0 and beta."""
-    (a, b, c, d), (e, f, g, h) = alpha, beta
-    return _reduced(
-        -(a * e + b * f + c * g + d * h),
-        -(a * f - b * e - c * h + d * g),
-        -(a * g + b * h - c * e - d * f),
-        -(a * h - b * g + c * f - d * e),
-        a * a + b * b + c * c + d * d,
-    )
+    a, b, c, d = alpha
+    return _reduced(*_qmul((-a, b, c, d), beta), a * a + b * b + c * c + d * d)
 
 
 # The root search takes time quadratic in the degree of s = p/x^k or worse

@@ -19,6 +19,7 @@ from quatca.scalars import (
     ZERO,
     _dot,
     _expand,
+    _qmul,
     centralizer_of_set,
     commutator,
     find_conjugator,
@@ -260,6 +261,31 @@ class TestDot:
         assert _dot([I, J], [J, K]) == I * J + J * K == Quat(0, 1, 0, 1)
         assert _dot([J, K], [I, J]) == Quat(0, -1, 0, -1)
         assert _dot([], []) == ZERO
+
+
+class TestQmul:
+    def test_equals_the_numerators_of_the_quat_product(self):
+        # Integer 4-tuples with zeros, negatives and 200-bit entries: the
+        # shared product is Quat.__mul__'s, whose denominator stays 1.
+        rng = Random(43)
+
+        def entry():
+            roll = rng.random()
+            if roll < 0.25:
+                return 0
+            if roll < 0.5:
+                return rng.randint(-(2**200), 2**200)
+            return rng.randint(-9, 9)
+
+        for _ in range(500):
+            x, y = tuple(entry() for _ in range(4)), tuple(entry() for _ in range(4))
+            product = Quat(*x) * Quat(*y)
+            assert product._d == 1
+            assert _qmul(x, y) == product._n
+
+    def test_keeps_the_order_of_the_factors(self):
+        assert _qmul((0, 1, 0, 0), (0, 0, 1, 0)) == (0, 0, 0, 1)
+        assert _qmul((0, 0, 1, 0), (0, 1, 0, 0)) == (0, 0, 0, -1)
 
 
 class TestCommutator:
