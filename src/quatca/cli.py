@@ -87,12 +87,7 @@ class Report:
 
 def _emit(report: Report, as_json: bool) -> None:
     if as_json:
-        obj = report.to_json()
-        try:
-            text = _dumps_indent2(obj)
-        except TypeError:
-            text = json.dumps(obj, indent=2)
-        print(text)
+        print(_dumps_indent2(report.to_json()))
     else:
         print(f"status: {report.status}")
         for key, value in report.payload.items():

@@ -12,24 +12,24 @@ A presentation also keeps each action as integers: the numerators of its
 entries over one denominator d, as columns, read once at construction.
 The commutation check compares the numerators of A*B and B*A, which share
 the denominator d_A*d_B, so it reduces nothing and builds no `Quat`.
-Every action on a vector (`act`, the Krylov iterates of
-`annihilator_minpoly` and of `poly_action`, the check of an eigen tuple)
-brings the vector to one denominator once and takes one integer dot per
-entry, reduced once.  The first dependence among those iterates comes
-from elimination over the quaternions (`scalars.first_dependence`), so
-splitting a module builds no rational system.
+Every action on a vector (`act`, the iterates of `poly_action`, the
+check of an eigen tuple) brings the vector to one denominator once and
+takes one integer dot per entry, reduced once.  `annihilator_minpoly`
+stays on those integers: it eliminates each Krylov row over the
+quaternions, fraction-free, as the row is acted on, and builds a `Quat`
+only for its answer, so splitting a module builds no rational system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, repeat
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InternalError, InvalidInput
 from .mpoly import CommutingPoint
-from .scalars import ONE, Quat, ZERO, _dot, _immutable, _reduced, centralizer_of_set, first_dependence
+from .scalars import ONE, Quat, ZERO, _dot, _immutable, _qmul, _reduced, centralizer_of_set
 from .upoly import RootSearchStatus, UPoly, roots_in_centralizer
 
 Matrix = tuple[tuple[Quat, ...], ...]
@@ -96,15 +96,21 @@ def _products_agree(rows_a, cols_a, rows_b, cols_b) -> bool:
     )
 
 
+def _vector_numerators(v: Vector, m: int) -> tuple[list[tuple[int, int, int, int]], int]:
+    """(numerators, L) of v's entries over their least common denominator L;
+    a vector of another length than m is InvalidInput."""
+    if len(v) != m:
+        raise InvalidInput(f"vector of length {len(v)} for a module of dimension {m}")
+    (row,), den = _numerator_rows((v,))
+    return row, den
+
+
 def _act(v: Vector, action: IntAction) -> Vector:
     """v*A for A given by its integer columns over d: v's entries are
     brought to their least common denominator L once, and each entry of the
-    product is one integer dot over L*d, reduced once.  A vector of another
-    length than A's is InvalidInput."""
+    product is one integer dot over L*d, reduced once."""
     cols, d = action
-    if len(v) != len(cols):
-        raise InvalidInput(f"vector of length {len(v)} for a module of dimension {len(cols)}")
-    (row,), den = _numerator_rows((v,))
+    row, den = _vector_numerators(v, len(cols))
     row, den = _nonzero(row), den * d
     return tuple(_reduced(*_int_dot(row, col), den) for col in cols)
 
@@ -183,19 +189,40 @@ class RootNotFound:
 
 
 def annihilator_minpoly(module: ModulePresentation, v: Vector, i: int) -> UPoly:
-    """Minimal monic p with sum_k c_k * (v * A_i^k) = 0.
-
-    The annihilators of v under the i-th action form a left ideal in the
-    one-variable polynomial ring; its monic generator is found by looking
-    for the first left dependence among v, v*A, v*A^2, ...
-    """
+    """Minimal monic p with sum_k c_k * (v * A_i^k) = 0, from the first left
+    dependence among v, v*A, v*A^2, ..., found in integers: fraction-free
+    elimination over H (Bareiss 1968) of the Krylov rows acted on in
+    reduced form (Keller-Gehrig 1985).  With A = C/d, a row holds the
+    numerators of a positive multiple of r = v*c(A), then those of c.  It is
+    reduced by each pivot row b kept so far, r <- N(pi)*r - (f*conj(pi))*b
+    for pi = b[p] and f = r[p] at b's pivot p, and divided by its content.
+    A row left nonzero is kept, and the next is r*C with c shifted and times
+    d.  The first row to vanish gives p = c/T, T its top coefficient, a
+    positive integer."""
     if vec_is_zero(v):
         raise InvalidInput("annihilator of the zero vector is everything")
-    iterates = accumulate(repeat(module._actions[i], module.m), _act, initial=v)
-    sol = first_dependence(iterates)
-    if sol is None:
-        raise InternalError("no annihilator found within the module dimension")
-    return UPoly([-c for c in sol] + [ONE])
+    m = module.m
+    cols, d = module._actions[i]
+    row, _ = _vector_numerators(v, m)
+    row += [(1, 0, 0, 0)] + [_ZERO_NUMERATORS] * m
+    pivots = []  # (p, N(pi), conj(pi), b)
+    while True:
+        for p, norm, conj, b in pivots:
+            if row[p] != _ZERO_NUMERATORS:
+                g = _qmul(row[p], conj)
+                row = [tuple(norm * s - t for s, t in zip(x, _qmul(g, y))) for x, y in zip(row, b)]
+        content = gcd(*(s for x in row for s in x))
+        if content > 1:
+            row = [tuple(s // content for s in x) for x in row]
+        p = next((t for t in range(m) if row[t] != _ZERO_NUMERATORS), None)
+        if p is None:
+            comb = row[m : m + len(pivots) + 1]
+            return UPoly([_reduced(*c, comb[-1][0]) for c in comb])
+        w, x, y, z = row[p]
+        pivots.append((p, w * w + x * x + y * y + z * z, (w, -x, -y, -z), row))
+        shifted = [tuple(d * s for s in x) for x in row[m:-1]]
+        nonzero = _nonzero(row[:m])
+        row = [_int_dot(nonzero, col) for col in cols] + [_ZERO_NUMERATORS] + shifted
 
 
 def _extract_from_seed(

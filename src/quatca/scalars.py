@@ -1,11 +1,9 @@
 """Exact quaternions over the rationals, centralizers, and linear solvers.
 
-This is the one module that solves quaternion-linear problems.
-`solve_combination` and `left_rank` turn them into rational matrices for
-`linalg`, reached through `linalg.solve` and `linalg.rref` only;
-`first_dependence` eliminates over the quaternions themselves, a division
-ring, and builds no rational matrix.  Right-handed problems are conjugates
-of left-handed ones.
+`solve_combination` and `left_rank` turn quaternion-linear problems into
+rational matrices for `linalg`, reached through `linalg.solve` and
+`linalg.rref` only.  Right-handed problems are conjugates of left-handed
+ones.
 
 Every value is immutable and every operation is a pure function, so values
 may be shared freely between threads; the value types of `scalars`,
@@ -16,8 +14,8 @@ positive denominator.  Inside, a `Quat` keeps four integer numerators over
 one denominator: centralizer membership and the growth of a power are read
 from those integers, and the rational rows built here for `linalg` hold a
 plain `int` wherever that denominator is 1.  The product of two such
-integer 4-tuples, `_qmul`, is shared by the parser and the linear root
-search; `Quat.__mul__` and the integer sums (`_left_horner`, `_dot`)
+integer 4-tuples, `_qmul`, is shared by the parser, the linear root
+search and the elimination of `modules.annihilator_minpoly`; `Quat.__mul__` and the integer sums (`_left_horner`, `_dot`)
 keep the same product inline, since a call per product slows them.
 """
 
@@ -585,36 +583,6 @@ def left_linear_solve(
 ) -> list[Quat] | None:
     """Coefficients k_i in the subring c with sum k_i * v_i = target, or None."""
     return solve_combination([(v,) for v in vectors], (target,), c)
-
-
-def first_dependence(vectors: Iterable[Sequence[Quat]]) -> list[Quat] | None:
-    """Coefficients k_t with v_n = sum_t k_t * v_t for the first vector v_n
-    that is a left combination of the vectors before it, or None.  The
-    vectors are read one at a time, so a generator is advanced only as far
-    as that v_n.
-
-    Elimination over H itself, a division ring (Cohn, Skew Fields, 1995),
-    with no rational expansion.  Each vector r is reduced by the pivot rows
-    kept so far, r <- r - r[p] * b, and carries its combination of the
-    vectors read.  The first one that reduces to zero gives the
-    coefficients, unique because the vectors before it are independent;
-    any other is scaled by the inverse of its first nonzero entry and kept
-    as a pivot row.
-    """
-    pivots: list[tuple[int, list[Quat], list[Quat]]] = []  # (p, b, its combination), b[p] = 1
-    for n, v in enumerate(vectors):
-        row, comb = list(v), [ZERO] * n + [ONE]
-        for p, b, cb in pivots:
-            f = row[p]
-            if f:
-                row = [x - f * y if y else x for x, y in zip(row, b)]
-                comb[: len(cb)] = [x - f * y if y else x for x, y in zip(comb, cb)]
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None:
-            return [-x for x in comb[:n]]
-        inv = row[p].inverse()
-        pivots.append((p, [inv * x for x in row], [inv * x for x in comb]))
-    return None
 
 
 def left_rank(vectors: Sequence[Quat], c: Centralizer) -> int:

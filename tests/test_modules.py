@@ -18,8 +18,8 @@ from quatca.modules import (
     mat_mul,
 )
 from quatca.mpoly import CommutingPoint, MPoly, point_ideal
-from quatca.randgen import rand_mpoly, rand_module, rand_unimodular
-from quatca.scalars import I, J, K, ONE, Quat, ZERO
+from quatca.randgen import rand_mpoly, rand_module, rand_quat, rand_unimodular
+from quatca.scalars import Centralizer, I, J, K, ONE, Quat, ZERO, solve_combination
 from quatca.upoly import UPoly
 
 ROTATION = ModulePresentation(2, [[[ZERO, -ONE], [ONE, ZERO]]])  # squares to -1
@@ -238,6 +238,142 @@ MIXED_BLOCKS = ModulePresentation(
         )
     ],
 )
+
+
+def _first_dependence_by_prefixes(vectors):
+    """The rational reference: one solve over the full ring for each prefix."""
+    before = []
+    for v in vectors:
+        sol = solve_combination(before, v, Centralizer.full())
+        if sol is not None:
+            return sol
+        before.append(v)
+    return None
+
+
+def _check_annihilator(module, v):
+    """annihilator_minpoly for each action equals the reference built from
+    the `module.act` iterates v, v*A, ..., v*A^m; returns the degrees."""
+    degrees = []
+    for i in range(module.nvars):
+        iterates = [v]
+        for _ in range(module.m):
+            iterates.append(module.act(i, iterates[-1]))
+        sol = _first_dependence_by_prefixes(iterates)
+        p = annihilator_minpoly(module, v, i)
+        assert p == UPoly([-c for c in sol] + [ONE])
+        degrees.append(p.degree)
+    return degrees
+
+
+def _rational_vector(rng, m, height=6, dens=(1, 2, 3, 5, 12)):
+    while True:
+        v = tuple(
+            Quat(*(Fraction(rng.randint(-height, height), rng.choice(dens)) for _ in range(4)))
+            if rng.random() < 0.8
+            else ZERO
+            for _ in range(m)
+        )
+        if any(v):
+            return v
+
+
+def _triangular(rng, m):
+    """A1 upper triangular with integer quaternions of height 2 on and above
+    the diagonal, and A2 = A1^2 - A1."""
+    a1 = tuple(
+        tuple(rand_quat(rng, 2, integer=True) if c >= r else ZERO for c in range(m))
+        for r in range(m)
+    )
+    square = mat_mul(a1, a1)
+    a2 = tuple(tuple(x - y for x, y in zip(rs, r1)) for rs, r1 in zip(square, a1))
+    return ModulePresentation(m, [a1, a2])
+
+
+COMPANIONS = ([[0, 1], [2, 0]], [[0, 1, 0], [0, 0, 1], [2, 0, 0]])
+
+
+class TestAnnihilatorAgainstPrefixSolves:
+    # The integer Krylov elimination against one rational solve per prefix
+    # of the iterates.
+
+    def test_seeded_random_modules(self):
+        rng = Random(30)
+        degrees = []
+        for _ in range(60):
+            module, _ = rand_module(rng, rng.randint(1, 3), rng.randint(1, 6))
+            v = tuple(rand_quat(rng, 3, integer=rng.random() < 0.5) for _ in range(module.m))
+            if any(v):
+                degrees += _check_annihilator(module, v)
+        assert len(set(degrees)) >= 4
+
+    def test_rational_entries_over_mixed_denominators(self):
+        # The integer action is d*A, and most modules here have some d > 1.
+        rng = Random(31)
+        scaled = 0
+        for a1, a2 in _commuting_pairs(rng):
+            module = ModulePresentation(len(a1), [a1, a2])
+            scaled += any(d > 1 for _, d in module._actions)
+            _check_annihilator(module, _rational_vector(rng, module.m))
+        assert scaled >= 40
+
+    def test_thirty_digit_numerators(self):
+        rng = Random(32)
+        big = 10**30
+        for _ in range(15):
+            m = rng.randint(1, 4)
+            a1 = [[_rational_vector(rng, 1, big, (1, big - 1))[0] for _ in range(m)] for _ in range(m)]
+            module = ModulePresentation(m, [a1])
+            _check_annihilator(module, _rational_vector(rng, m, big, (1, big - 1)))
+
+    def test_mixed_blocks(self):
+        rng = Random(33)
+        for _ in range(20):
+            blocks = []
+            for n in range(rng.randint(1, 3)):
+                # The first block has 2 or 3 rows, so that P mixes rows.
+                companion = rng.choice(COMPANIONS if n == 0 else COMPANIONS + ([[1]],))
+                size, value = len(companion), rng.randint(-3, 3)
+                scalar = [[value if r == c else 0 for c in range(size)] for r in range(size)]
+                blocks.append([[[Quat(v) for v in row] for row in mat] for mat in (scalar, companion)])
+            module = _mixed(rng, blocks)
+            _check_annihilator(module, _rational_vector(rng, module.m))
+        for v in ((ONE, ZERO, ZERO), (ONE, I, J), (Quat(2, 0, 1), ZERO, K)):
+            _check_annihilator(MIXED_BLOCKS, v)
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+    def test_triangular_family(self, m):
+        rng = Random(m)
+        module = _triangular(rng, m)
+        first = tuple(ONE if c == 0 else ZERO for c in range(m))
+        _check_annihilator(module, first)
+        _check_annihilator(module, _rational_vector(rng, m))
+
+    def test_degree_one_at_an_eigenvector(self):
+        rng = Random(34)
+        for _ in range(20):
+            module, _ = rand_module(rng, 2, rng.randint(1, 5))
+            out = find_eigen_tuple(module)
+            q = rand_quat(rng, 3)
+            if not q:
+                continue
+            v = tuple(q * c for c in out.v)
+            assert _check_annihilator(module, v) == [1, 1]
+            for i in range(2):
+                assert annihilator_minpoly(module, v, i) == UPoly.linear(q * out.point[i] * q.inverse())
+
+    def test_degree_m_at_a_cyclic_vector(self):
+        # e_0 is cyclic for the companion matrix of a monic p, whose
+        # annihilator is p itself, quaternion coefficients included.
+        rng = Random(35)
+        for m in range(1, 7):
+            coeffs = [rand_quat(rng, 4, integer=m % 2 == 0) for _ in range(m)]
+            companion = [[ONE if c == r + 1 else ZERO for c in range(m)] for r in range(m - 1)]
+            companion.append([-c for c in coeffs])
+            module = ModulePresentation(m, [companion])
+            first = tuple(ONE if c == 0 else ZERO for c in range(m))
+            assert _check_annihilator(module, first) == [m]
+            assert annihilator_minpoly(module, first, 0) == UPoly(coeffs + [ONE])
 
 
 class TestEigenTuple:

@@ -23,10 +23,8 @@ from quatca.scalars import (
     centralizer_of_set,
     commutator,
     find_conjugator,
-    first_dependence,
     left_linear_solve,
     left_rank,
-    solve_combination,
 )
 from quatca.upoly import UPoly, root_space
 
@@ -564,101 +562,6 @@ class TestSolveOverCentralizer:
             else:
                 assert sum((k * v for k, v in zip(sol, vectors)), ZERO) == target
                 assert all(c.contains(k) for k in sol)
-
-
-def _first_dependence_by_prefixes(vectors):
-    """The rational reference: one solve over the full ring for each prefix."""
-    before = []
-    for v in vectors:
-        sol = solve_combination(before, v, Centralizer.full())
-        if sol is not None:
-            return sol
-        before.append(v)
-    return None
-
-
-class TestFirstDependence:
-    @staticmethod
-    def _quat(rng, height, dens):
-        return Quat(*(F(rng.randint(-height, height), rng.choice(dens)) for _ in range(4)))
-
-    def _sequence(self, rng, height=5, dens=(1,)):
-        """Width 1-5, length 1-6: each vector is new, or a left combination
-        of some of the earlier ones, or zero."""
-        width = rng.randint(1, 5)
-        seq = []
-        for _ in range(rng.randint(1, 6)):
-            roll = rng.random()
-            if seq and roll < 0.3:
-                coeffs = [self._quat(rng, 3, (1, 2)) if rng.random() < 0.7 else ZERO for _ in seq]
-                seq.append(tuple(sum((k * v[j] for k, v in zip(coeffs, seq)), ZERO) for j in range(width)))
-            elif roll < 0.35:
-                seq.append((ZERO,) * width)
-            else:
-                seq.append(tuple(self._quat(rng, height, dens) for _ in range(width)))
-        return seq
-
-    def _check(self, seq):
-        expected = _first_dependence_by_prefixes(seq)
-        assert first_dependence(seq) == expected
-        if expected is not None:
-            n = len(expected)
-            assert all(
-                sum((k * v[j] for k, v in zip(expected, seq)), ZERO) == seq[n][j]
-                for j in range(len(seq[n]))
-            )
-        return expected
-
-    def test_matches_the_rational_solve_on_seeded_sequences(self):
-        rng = Random(30)
-        outcomes = [self._check(self._sequence(rng)) for _ in range(300)]
-        assert sum(out is None for out in outcomes) >= 30
-        assert sum(out is not None and len(out) >= 2 for out in outcomes) >= 30
-
-    def test_mixed_denominators(self):
-        rng = Random(31)
-        for _ in range(100):
-            self._check(self._sequence(rng, 9, (1, 2, 3, 7, 12)))
-
-    def test_thirty_digit_numerators(self):
-        rng = Random(32)
-        big = 10**30
-        for _ in range(40):
-            self._check(self._sequence(rng, big, (1, big - 1)))
-
-    def test_zero_first_vector(self):
-        assert first_dependence([(ZERO, ZERO), (ONE, I)]) == []
-        assert first_dependence([()]) == []
-
-    def test_repeated_vector(self):
-        a, b = (Quat(1, 2), F(1, 3) * J), (K, Quat(0, 1, 1))
-        assert first_dependence([a, a]) == [ONE]
-        assert first_dependence([a, b, a]) == [ONE, ZERO]
-        assert first_dependence([a, b, b]) == [ZERO, ONE]
-
-    def test_independent_sets_have_none(self):
-        assert first_dependence([]) is None
-        assert first_dependence([(ONE, ZERO), (ZERO, ONE)]) is None
-        # i*(1, j) = (i, k), so (i, k) depends on (1, j) over H and (i, -k)
-        # does not.
-        assert first_dependence([(ONE, J), (I, K)]) == [I]
-        assert first_dependence([(ONE, J), (I, -K)]) is None
-        rng = Random(33)
-        for width in range(1, 6):
-            seq = [tuple(self._quat(rng, 5, (1, 2)) for _ in range(width)) for _ in range(width)]
-            assert self._check(seq) is None
-
-    def test_a_generator_is_read_up_to_the_first_dependent_vector(self):
-        a, b = (Quat(1, 2), J), (K, Quat(0, 1, 1))
-        read = []
-
-        def vectors():
-            for v in (a, b, (ZERO, ZERO), a, b):
-                read.append(v)
-                yield v
-
-        assert first_dependence(vectors()) == [ZERO, ZERO]
-        assert len(read) == 3
 
 
 @pytest.mark.parametrize(

@@ -433,6 +433,37 @@ def test_module_files_and_actions_cross_as_integers(fractions_and_quat_products)
     assert fractions_and_quat_products == []
 
 
+def test_annihilators_eliminate_on_integers(fractions_and_quat_products, monkeypatch):
+    # The Krylov rows are reduced on integer numerators: no Fraction, no
+    # quaternion product or inverse, and one reduced `Quat` per coefficient
+    # of the answer, for integer and for rational actions alike.
+    from quatca import modules
+
+    built = []
+    reduced = modules._reduced
+
+    def counted(*args):
+        built.append(args)
+        return reduced(*args)
+
+    def refused(self):
+        raise AssertionError("Quat.inverse called")
+
+    monkeypatch.setattr(modules, "_reduced", counted)
+    monkeypatch.setattr(Quat, "inverse", refused)
+    integer, _ = rand_module(Random(3), 2, 4)
+    mats = [[[q * Fraction(1, 3 + i) for q in row] for row in mat] for i, mat in enumerate(integer.mats)]
+    rational = ModulePresentation(4, mats)
+    for module in (integer, rational):
+        for v in (*modules.mat_identity(4), (Quat(1, 2), ZERO, Quat(0, Fraction(1, 3)), Quat(-1))):
+            for i in range(2):
+                built.clear()
+                fractions_and_quat_products.clear()
+                p = modules.annihilator_minpoly(module, v, i)
+                assert fractions_and_quat_products == []
+                assert len(built) == len(p.coeffs)
+
+
 def test_quat_defines_every_method_the_tracer_wraps():
     # A traced benchmark run rebinds each of these through
     # cls.__dict__[name]; an inherited or renamed method would crash it.
