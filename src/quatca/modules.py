@@ -22,14 +22,13 @@ only for its answer, so splitting a module builds no rational system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, repeat
 from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InternalError, InvalidInput
 from .mpoly import CommutingPoint
-from .scalars import ONE, Quat, ZERO, _dot, _immutable, _qmul, _reduced, centralizer_of_set
+from .scalars import ONE, Quat, ZERO, _Record, _dot, _immutable, _qmul, _reduced, centralizer_of_set
 from .upoly import RootSearchStatus, UPoly, roots_in_centralizer
 
 Matrix = tuple[tuple[Quat, ...], ...]
@@ -170,22 +169,26 @@ class ModulePresentation:
         return f"ModulePresentation(m={self.m}, nvars={self.nvars})"
 
 
-@dataclass(frozen=True)
-class EigenTuple:
+class EigenTuple(_Record):
     """Nonzero v with v*A_i = a_i*v for every action; the a_i commute."""
 
-    v: Vector
-    point: CommutingPoint
+    __slots__ = ("v", "point")
+
+    def __init__(self, v: Vector, point: CommutingPoint):
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "point", point)
 
 
-@dataclass(frozen=True)
-class RootNotFound:
+class RootNotFound(_Record):
     """The working scalar field has no root of the polynomial that the
     extraction needed to split; carries the offending polynomial."""
 
-    poly: UPoly
-    var_index: int
-    search_exhaustive: bool
+    __slots__ = ("poly", "var_index", "search_exhaustive")
+
+    def __init__(self, poly: UPoly, var_index: int, search_exhaustive: bool):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "var_index", var_index)
+        object.__setattr__(self, "search_exhaustive", search_exhaustive)
 
 
 def annihilator_minpoly(module: ModulePresentation, v: Vector, i: int) -> UPoly:

@@ -45,7 +45,6 @@ InvalidInput.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
@@ -54,8 +53,8 @@ from typing import Iterable, Mapping
 
 from .errors import InternalError, InvalidInput
 from .scalars import (
-    Centralizer, ONE, Quat, ZERO, _growth, _immutable, _power, _signed_sum, _term_text, _words,
-    solve_combination,
+    Centralizer, ONE, Quat, ZERO, _Record, _growth, _immutable, _power, _signed_sum, _term_text,
+    _words, solve_combination,
 )
 from .upoly import UPoly, _gcrd_combination
 
@@ -237,18 +236,18 @@ class CommutingPoint:
         return "(" + "; ".join(str(c) for c in self.components) + ")"
 
 
-@dataclass(frozen=True)
-class LeftIdeal:
+class LeftIdeal(_Record):
     """Finitely many generators of a left ideal, all in the same ring."""
 
-    gens: tuple[MPoly, ...]
+    __slots__ = ("gens",)
 
-    def __post_init__(self):
-        if not self.gens:
+    def __init__(self, gens: tuple[MPoly, ...]):
+        if not gens:
             raise InvalidInput("a left ideal needs at least one generator")
-        nvars = self.gens[0].nvars
-        if any(g.nvars != nvars for g in self.gens):
+        nvars = gens[0].nvars
+        if any(g.nvars != nvars for g in gens):
             raise InvalidInput("ideal generators live in different rings")
+        object.__setattr__(self, "gens", gens)
 
     @property
     def nvars(self) -> int:
@@ -337,17 +336,18 @@ def reduce_mod_point(p: MPoly, pt: CommutingPoint) -> tuple[Quat, list[MPoly]]:
 # Membership certificates for powers (Rabinowitsch-style search)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RabinowitschCertificate:
+class RabinowitschCertificate(_Record):
     """Cofactors h[k][j] witnessing
     (a*p)^N = sum_k sum_j h[k][j] * g_j * (a*p)^k, k = 0..N."""
 
-    N: int
-    cofactors: tuple[tuple[MPoly, ...], ...]
+    __slots__ = ("N", "cofactors")
+
+    def __init__(self, N: int, cofactors: tuple[tuple[MPoly, ...], ...]):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "cofactors", cofactors)
 
 
-@dataclass(frozen=True)
-class NotFoundWithinBounds:
+class NotFoundWithinBounds(_Record):
     """No certificate exists within the given power and degree bounds.
 
     A non-member gets it at every degree bound: in one variable always, in
@@ -358,12 +358,18 @@ class NotFoundWithinBounds:
 
     every_power is set by `find_certificate` in one variable when no power
     at all is a member, so no certificate exists at any power or degree
-    bound.  It takes no part in equality: the answer is still the one for
-    the bounds N and degbound."""
+    bound.  It takes no part in equality or the hash: the answer is still
+    the one for the bounds N and degbound."""
 
-    N: int
-    degbound: int
-    every_power: bool = field(default=False, compare=False)
+    __slots__ = ("N", "degbound", "every_power")
+
+    def __init__(self, N: int, degbound: int, every_power: bool = False):
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "degbound", degbound)
+        object.__setattr__(self, "every_power", every_power)
+
+    def _key(self) -> tuple:
+        return (self.N, self.degbound)
 
 
 def monomials_upto(nvars: int, degbound: int) -> list[Exponents]:

@@ -83,11 +83,11 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from math import cos, gcd, isfinite, isqrt, pi, sin
 from typing import Iterable, Sequence
 
 from .errors import InternalError, InvalidInput
+from .scalars import _Record
 
 # Primes tried, in order, to prove a cofactor free of factors of degree
 # <= 2: the odd primes below 100, those = 1 mod 3 first, since mod a prime
@@ -128,8 +128,7 @@ _HEURISTIC_TRIES = 6
 _MAX_REMAINDER_WORK = 50_000_000
 
 
-@dataclass(frozen=True)
-class CentralFactorization:
+class CentralFactorization(_Record):
     """factors: sorted, distinct (g, multiplicity) pairs whose product is
     the polynomial, each g a tuple in the one form.  A g of degree <= 2 is
     irreducible; one of degree > 2 has no factor of degree <= 2, and is
@@ -138,7 +137,10 @@ class CentralFactorization:
     multiplicities; `complete`: there is none.
     """
 
-    factors: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[tuple[int, ...], int], ...]):
+        object.__setattr__(self, "factors", factors)
 
     @property
     def leftover_degree(self) -> int:

@@ -6,17 +6,21 @@ rational matrices for `linalg`, reached through `linalg.solve` and
 ones.
 
 Every value is immutable and every operation is a pure function, so values
-may be shared freely between threads; the value types of `scalars`,
-`upoly`, `mpoly` and `modules` share one `__setattr__` guard, `_immutable`,
-and one repeated squaring, `_power`.  `fractions.Fraction` appears only at
-the surface (coordinates, norms, solutions), always in lowest terms with a
-positive denominator.  Inside, a `Quat` keeps four integer numerators over
-one denominator: centralizer membership and the growth of a power are read
-from those integers, and the rational rows built here for `linalg` hold a
-plain `int` wherever that denominator is 1.  The product of two such
-integer 4-tuples, `_qmul`, is shared by the parser, the linear root
-search and the elimination of `modules.annihilator_minpoly`; `Quat.__mul__` and the integer sums (`_left_horner`, `_dot`)
-keep the same product inline, since a call per product slows them.
+may be shared freely between threads.  The value types of `scalars`,
+`upoly`, `mpoly` and `modules`, and the result records of `upoly`,
+`ratfactor`, `mpoly`, `modules` and `cli`, share one `__setattr__` guard,
+`_immutable`; the records take their equality, hash and repr from
+`_Record`.  `Quat` and `MPoly` share one repeated squaring, `_power`.
+`fractions.Fraction` appears only at the surface (coordinates, norms,
+solutions), always in lowest terms with a positive denominator.  Inside, a
+`Quat` keeps four integer numerators over one denominator: centralizer
+membership and the growth of a power are read from those integers, and the
+rational rows built here for `linalg` hold a plain `int` wherever that
+denominator is 1.  The product of two such integer 4-tuples, `_qmul`, is
+shared by the parser, the linear root search and the elimination of
+`modules.annihilator_minpoly`; `Quat.__mul__` and the integer sums
+(`_left_horner`, `_dot`) keep the same product inline, since a call per
+product slows them.
 """
 
 from __future__ import annotations
@@ -36,6 +40,38 @@ def _immutable(self, name, value):
     """The `__setattr__` of every value type, whose constructors set each
     field once through `object.__setattr__`."""
     raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Record:
+    """A result record: the fields named in its class's `__slots__`, each
+    set once by the class's own `__init__` through `object.__setattr__`.
+    Two records of one class are equal when their `_key`s are, all fields
+    unless the class narrows it; the hash is that of `_key`, and the repr
+    is `Name(field=value, ...)` over every field.
+    """
+
+    __slots__ = ()
+    __setattr__ = _immutable
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # `copy` and `pickle` rebuild a record through its `__init__`: the
+        # guard refuses the slot-by-slot restore they would make.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 def _power(base, n: int, one):

@@ -20,7 +20,6 @@ evaluation is one Horner sum in integers, reduced once
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -38,6 +37,7 @@ from .scalars import (
     Quat,
     ZERO,
     _MAX_POWER_BITS,
+    _Record,
     _growth,
     _immutable,
     _integer_rows,
@@ -288,23 +288,27 @@ class RootSearchStatus(Enum):
     POSSIBLY_INCOMPLETE = "possibly-incomplete"
 
 
-@dataclass(frozen=True)
-class Isolated:
+class Isolated(_Record):
     """A single right root, the only one in its conjugacy class."""
 
-    a: Quat
+    __slots__ = ("a",)
+
+    def __init__(self, a: Quat):
+        object.__setattr__(self, "a", a)
 
 
-@dataclass(frozen=True)
-class Sphere:
+class Sphere(_Record):
     """A full conjugacy class {a : a^2 - t*a + n = 0} of right roots.
 
     Requires t^2 - 4n < 0.  The class may contain no point with rational
     coordinates; `sphere_member_in` decides that exactly.
     """
 
-    t: Fraction
-    n: Fraction
+    __slots__ = ("t", "n")
+
+    def __init__(self, t: Fraction, n: Fraction):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "n", n)
 
 
 RootClass = Isolated | Sphere
@@ -495,13 +499,15 @@ def roots_in_centralizer(p: UPoly, c: Centralizer, side: str = "left") -> tuple[
 # Root spaces E = {r : p(r a r^-1) = 0} + {0}
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootSpaceBasis:
+class RootSpaceBasis(_Record):
     """Basis of the conjugation root space of (p, a), a right vector space
     over the centralizer of a."""
 
-    basis: tuple[Quat, ...]
-    over: Centralizer
+    __slots__ = ("basis", "over")
+
+    def __init__(self, basis: tuple[Quat, ...], over: Centralizer):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "over", over)
 
     @property
     def dim(self) -> int:

@@ -197,10 +197,12 @@ class TestAnnihilator:
             p = annihilator_minpoly(module, v, 0)
             assert not any(module.poly_action(0, p, v))
             assert p.lead == ONE
-            # nothing of smaller degree annihilates
-            for smaller in range(1, p.degree):
-                truncated = annihilator_minpoly(module, v, 0)
-                assert truncated.degree == p.degree
+            # nothing of smaller degree annihilates: for d < deg p, v*A^d is
+            # no left combination over H of v, ..., v*A^(d-1)
+            iterates = [v]
+            for _ in range(1, p.degree):
+                iterates.append(module.act(0, iterates[-1]))
+                assert solve_combination(iterates[:-1], iterates[-1], Centralizer.full()) is None
 
 
 def _mixed(rng, blocks):

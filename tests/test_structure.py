@@ -18,6 +18,7 @@ import pytest
 
 import quatca
 from quatca import linalg, scalars
+from quatca.cli import Report
 from quatca.mpoly import (
     CommutingPoint,
     LeftIdeal,
@@ -30,13 +31,16 @@ from quatca.mpoly import (
     point_ideal,
     rabinowitsch_check,
 )
-from quatca.modules import EigenTuple, ModulePresentation, find_eigen_tuple
+from quatca.modules import EigenTuple, ModulePresentation, RootNotFound, find_eigen_tuple
 from quatca.parsing import parse_mpoly, parse_quat, parse_upoly
 from quatca.randgen import rand_module
+from quatca.ratfactor import CentralFactorization
 from quatca.scalars import Centralizer, I, J, K, ONE, Quat, ZERO, find_conjugator, left_rank
 from quatca.upoly import (
     Isolated,
     RootSearchStatus,
+    RootSpaceBasis,
+    Sphere,
     UPoly,
     lclm,
     minimal_left_poly,
@@ -495,6 +499,16 @@ def test_quat_defines_every_method_the_tracer_wraps():
         MPoly.constant(J, 2),
         CommutingPoint([I, Quat(1, 2)]),
         ModulePresentation(1, [[[K]]]),
+        Isolated(I),
+        Sphere(Fraction(0), Fraction(1)),
+        RootSpaceBasis((ONE,), Centralizer.full()),
+        CentralFactorization((((1, 0, 1), 1),)),
+        LeftIdeal((MPoly.variable(0, 1),)),
+        RabinowitschCertificate(0, ()),
+        NotFoundWithinBounds(1, 1, every_power=True),
+        EigenTuple((ONE,), CommutingPoint([K])),
+        RootNotFound(UPoly([ONE, ZERO, ONE]), 0, True),
+        Report("ok", {}, "test"),
     ],
     ids=lambda value: type(value).__name__,
 )
@@ -624,6 +638,22 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["--json", "roots", "--poly", "x^2 - 2"]) == 0
 """
     assert _imported_packages(code, ("sympy",)) == "[]"
+
+
+def test_one_shot_requests_load_neither_dataclasses_nor_the_selfcheck_suites():
+    # `dataclasses` brings `inspect`, `ast` and `tokenize` with it, and the
+    # suites bring `randgen`: about half of the import of `quatca.cli`,
+    # which a request other than `selfcheck` never uses.
+    code = """
+import contextlib, io, sys
+import quatca, quatca.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert quatca.cli.main(["--json", "roots", "--poly", "x^2 - 2"]) == 0
+"""
+    loaded = _imported_packages(code, ("dataclasses", "inspect", "quatca"))
+    assert "'quatca.cli'" in loaded
+    for name in ("dataclasses", "inspect", "quatca.selfcheck", "quatca.randgen"):
+        assert f"'{name}'" not in loaded
 
 
 def test_planted_linear_products_import_neither_sympy_nor_numpy():
