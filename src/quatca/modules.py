@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations, repeat
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalError, InvalidInput
 from .mpoly import CommutingPoint
-from .scalars import ONE, Quat, ZERO, _Record, _dot, _immutable, _qmul, _reduced, centralizer_of_set
+from .scalars import ONE, Quat, ZERO, _Record, _dot, _qmul, _reduced, centralizer_of_set
 from .upoly import RootSearchStatus, UPoly, roots_in_centralizer
 
 Matrix = tuple[tuple[Quat, ...], ...]
@@ -114,7 +114,7 @@ def _act(v: Vector, action: IntAction) -> Vector:
     return tuple(_reduced(*_int_dot(row, col), den) for col in cols)
 
 
-class ModulePresentation:
+class ModulePresentation(_Record):
     """m-dimensional row-vector module with n pairwise-commuting matrix
     actions; shapes and commutation are validated at construction."""
 
@@ -144,8 +144,6 @@ class ModulePresentation:
         object.__setattr__(self, "mats", fixed)
         object.__setattr__(self, "_actions", actions)
 
-    __setattr__ = _immutable
-
     @property
     def nvars(self) -> int:
         return len(self.mats)
@@ -160,10 +158,9 @@ class ModulePresentation:
         iterates = accumulate(repeat(self._actions[i], len(p.coeffs) - 1), _act, initial=v)
         return tuple(_dot(p.coeffs, entries) for entries in zip(*iterates))
 
-    def __eq__(self, other):
-        if not isinstance(other, ModulePresentation):
-            return NotImplemented
-        return self.m == other.m and self.mats == other.mats
+    def _key(self) -> tuple:
+        # `_actions` is read from `mats`.
+        return (self.m, self.mats)
 
     def __repr__(self):
         return f"ModulePresentation(m={self.m}, nvars={self.nvars})"
@@ -251,15 +248,27 @@ def _extract_from_seed(
                 "eigenvalues found so far"
             )
     roots, status = roots_in_centralizer(p, c, side="left")
-    first_missing = None if roots else RootNotFound(p, i, status is RootSearchStatus.COMPLETE)
-    for a in roots:
-        quotient, rem = p.divmod_left(UPoly.linear(a))
-        if not rem.is_zero():
-            raise InternalError("left root failed to split its polynomial")
-        w = module.poly_action(i, quotient, v)
-        if vec_is_zero(w):
-            raise InternalError("eigenvector candidate collapsed to zero")
-        outcome = _extract_from_seed(module, w, (*values, a))
+    if not roots:
+        return RootNotFound(p, i, status is RootSearchStatus.COMPLETE)
+
+    def branches():
+        for a in roots:
+            quotient, rem = p.divmod_left(UPoly.linear(a))
+            if not rem.is_zero():
+                raise InternalError("left root failed to split its polynomial")
+            w = module.poly_action(i, quotient, v)
+            if vec_is_zero(w):
+                raise InternalError("eigenvector candidate collapsed to zero")
+            yield _extract_from_seed(module, w, (*values, a))
+
+    return _first_tuple(branches())
+
+
+def _first_tuple(outcomes: Iterable[EigenTuple | RootNotFound]) -> EigenTuple | RootNotFound:
+    """The first EigenTuple of outcomes, drawn one at a time, else the first
+    RootNotFound: an InternalError while drawing one propagates at once."""
+    first_missing = None
+    for outcome in outcomes:
         if isinstance(outcome, EigenTuple):
             return outcome
         if first_missing is None:
@@ -305,11 +314,4 @@ def find_eigen_tuple(
     for e in mat_identity(module.m):
         if e not in seeds:
             seeds.append(e)
-    first_missing: RootNotFound | None = None
-    for s in seeds:
-        outcome = _extract_from_seed(module, s)
-        if isinstance(outcome, EigenTuple):
-            return outcome
-        if first_missing is None:
-            first_missing = outcome
-    return first_missing
+    return _first_tuple(_extract_from_seed(module, s) for s in seeds)

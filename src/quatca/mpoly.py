@@ -49,11 +49,11 @@ from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
 from operator import add, sub
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import InternalError, InvalidInput
 from .scalars import (
-    Centralizer, ONE, Quat, ZERO, _Record, _growth, _immutable, _power, _signed_sum, _term_text,
+    Centralizer, ONE, Quat, ZERO, _Record, _growth, _power, _signed_sum, _term_text,
     _words, solve_combination,
 )
 from .upoly import UPoly, _gcrd_combination
@@ -65,7 +65,7 @@ def grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), exps)
 
 
-class MPoly:
+class MPoly(_Record):
     """Finite sum of coeff * x^alpha over exponent vectors alpha."""
 
     __slots__ = ("nvars", "terms")
@@ -84,8 +84,6 @@ class MPoly:
                 clean[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-
-    __setattr__ = _immutable
 
     # -- construction ---------------------------------------------------------
 
@@ -116,10 +114,8 @@ class MPoly:
     def sorted_terms(self) -> list[tuple[Exponents, Quat]]:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
-    def __eq__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+    def _key(self) -> tuple:
+        return (self.nvars, self.terms)
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -193,7 +189,7 @@ def _mpoly(nvars: int, terms: dict[Exponents, Quat]) -> MPoly:
 # Commuting points and point ideals
 # ---------------------------------------------------------------------------
 
-class CommutingPoint:
+class CommutingPoint(_Record):
     """Tuple of pairwise commuting quaternions; the commutation is validated
     at construction so downstream evaluation is order-independent."""
 
@@ -210,8 +206,6 @@ class CommutingPoint:
                 raise InvalidInput(f"components do not commute: {a} and {b}")
         object.__setattr__(self, "components", comps)
 
-    __setattr__ = _immutable
-
     def __len__(self):
         return len(self.components)
 
@@ -221,13 +215,8 @@ class CommutingPoint:
     def __getitem__(self, idx):
         return self.components[idx]
 
-    def __eq__(self, other):
-        if not isinstance(other, CommutingPoint):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
+    def _key(self) -> tuple:
+        return (self.components,)
 
     def __repr__(self):
         return f"CommutingPoint({list(self.components)!r})"
@@ -484,9 +473,8 @@ def _powers(ap: MPoly, N: int, low: int = 0) -> list[MPoly | None]:
 
 def _bound_power_terms(ap: MPoly, N: int) -> None:
     """Refuse (a*p)^N past _MAX_POWER_TERMS terms, estimated from degrees
-    (`_max_terms`) before any power is formed."""
-    t = len(ap.terms)
-    terms = _max_terms(comb(N + t - 1, t - 1), N * _degree(ap), ap.terms) if t > 1 else t
+    (`_power_terms`) before any power is formed."""
+    terms = _power_terms(ap.terms, N)
     if terms > _MAX_POWER_TERMS:
         raise InvalidInput(f"power (a*p)^{N} of up to {terms} terms, above the bound of {_MAX_POWER_TERMS}")
 
@@ -617,6 +605,13 @@ def _max_terms(count: int, degree: int, exponents: Iterable[Exponents]) -> int:
     exponent vectors of its factors use."""
     used = sum(map(any, zip(*exponents)))
     return min(count, comb(degree + used, used))
+
+
+def _power_terms(exponents: Collection[Exponents], n: int) -> int:
+    """`_max_terms` of the n-th power of a sum of t terms with these
+    exponent vectors, at most C(n + t - 1, t - 1) of them."""
+    t = len(exponents)
+    return _max_terms(comb(n + t - 1, t - 1), n * max(map(sum, exponents)), exponents) if t > 1 else t
 
 
 def _degree(p: MPoly) -> int:
@@ -787,8 +782,8 @@ def _bounded_cofactors(
     reaches the target's degree, and a target past degbound plus that
     degree builds no system.  The system at d is a column subset of the
     one at d + 1, so the last one tried decides whether any exists."""
-    top = max((sum(e) for base in bases for e in base.terms), default=0)
-    need = max((sum(e) for e in target.terms), default=0)
+    top = max(map(_degree, bases), default=0)
+    need = _degree(target)
     for d in range(max(0, need - top), degbound + 1):
         _bound_system(_system_entries(nvars, len(bases), top, d), d)
         monos = monomials_upto(nvars, d)

@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from math import comb, gcd
+from math import gcd
 from operator import add
 
 from .errors import InvalidInput, ParseError, _digit_limit
-from .mpoly import MPoly, _MAX_POWER_TERMS, _degree, _max_terms, _mpoly, _to_upoly
+from .mpoly import MPoly, _MAX_POWER_TERMS, _degree, _max_terms, _mpoly, _power_terms, _to_upoly
 from .scalars import Quat, ZERO, _MAX_POWER_BITS, _growth, _qmul, _quat, _reduced
 from .upoly import UPoly
 
@@ -132,7 +132,7 @@ def _bound_power(text: str, at: int, n: int, base: dict) -> None:
         degree = n * max(map(sum, base))
         if degree > _MAX_POWER_DEGREE:
             _fail(text, f"power of degree {degree}, above the bound of {_MAX_POWER_DEGREE}", at - 1, 4)
-        terms = _max_terms(comb(n + len(base) - 1, len(base) - 1), degree, base)
+        terms = _power_terms(base, n)
         if terms > _MAX_POWER_TERMS:
             _fail(text, f"power of up to {terms} terms, above the bound of {_MAX_POWER_TERMS}", at - 1, 4)
 

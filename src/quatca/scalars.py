@@ -6,11 +6,12 @@ rational matrices for `linalg`, reached through `linalg.solve` and
 ones.
 
 Every value is immutable and every operation is a pure function, so values
-may be shared freely between threads.  The value types of `scalars`,
-`upoly`, `mpoly` and `modules`, and the result records of `upoly`,
-`ratfactor`, `mpoly`, `modules` and `cli`, share one `__setattr__` guard,
-`_immutable`; the records take their equality, hash and repr from
-`_Record`.  `Quat` and `MPoly` share one repeated squaring, `_power`.
+may be shared freely between threads.  Every value type and result record
+is a `_Record`, with one `__setattr__` guard, `_immutable`, one copy rule
+(`copy` and `pickle` restore the saved slots past the guard) and one
+equality and hash unless it states its own; equal values hash equal, so a
+central `Quat` hashes as its rational.  `Quat` and `MPoly` share one
+repeated squaring, `_power`.
 `fractions.Fraction` appears only at the surface (coordinates, norms,
 solutions), always in lowest terms with a positive denominator.  Inside, a
 `Quat` keeps four integer numerators over one denominator: centralizer
@@ -37,17 +38,18 @@ _UNIT_NAMES = ("", "i", "j", "k")
 
 
 def _immutable(self, name, value):
-    """The `__setattr__` of every value type, whose constructors set each
+    """The `__setattr__` of every `_Record`, whose constructors set each
     field once through `object.__setattr__`."""
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class _Record:
-    """A result record: the fields named in its class's `__slots__`, each
-    set once by the class's own `__init__` through `object.__setattr__`.
-    Two records of one class are equal when their `_key`s are, all fields
-    unless the class narrows it; the hash is that of `_key`, and the repr
-    is `Name(field=value, ...)` over every field.
+    """A value or result record: the fields named in its class's
+    `__slots__`, each set once by its constructor through
+    `object.__setattr__`.  Two records of one class are equal when their
+    `_key`s are: every field, unless the class narrows it or states it in
+    one line where equality is hot.  The hash is that of `_key`, the repr
+    is `Name(field=value, ...)`, and `copy` and `pickle` restore every slot.
     """
 
     __slots__ = ()
@@ -69,9 +71,12 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        # `copy` and `pickle` rebuild a record through its `__init__`: the
-        # guard refuses the slot-by-slot restore they would make.
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        # Every slot, not only what `_key` compares, set past the guard.
+        return object.__new__, (type(self),), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
 
 def _power(base, n: int, one):
@@ -117,7 +122,7 @@ def _term_text(c: Quat, monomial: str) -> tuple:
     return (v if m == 1 else Fraction(v, m)), unit + monomial
 
 
-class Quat:
+class Quat(_Record):
     """A quaternion w + x*i + y*j + z*k with exact rational coordinates.
 
     The basis multiplication follows i*j = k, j*k = i, k*i = j and
@@ -142,8 +147,6 @@ class Quat:
         m = lcm(*(v.denominator for v in coords))
         object.__setattr__(self, "_n", tuple(v.numerator * (m // v.denominator) for v in coords))
         object.__setattr__(self, "_d", m)
-
-    __setattr__ = _immutable
 
     # -- structure ---------------------------------------------------------
 
@@ -198,7 +201,11 @@ class Quat:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._n, self._d))
+        # A central quaternion equals its rational, so it hashes as one.
+        n, m = self._n, self._d
+        if n[1] or n[2] or n[3]:
+            return hash((n, m))
+        return hash(n[0]) if m == 1 else hash(Fraction(n[0], m))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -443,7 +450,7 @@ QUADRATIC = "quadratic"
 CENTER = "center"
 
 
-class Centralizer:
+class Centralizer(_Record):
     """Description of a centralizer subring of the rational quaternions.
 
     Exactly three shapes occur: the whole ring, a quadratic subfield
@@ -463,8 +470,6 @@ class Centralizer:
             raise InvalidInput(f"{kind} centralizer takes no generator")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "u", u)
-
-    __setattr__ = _immutable
 
     @classmethod
     def full(cls) -> "Centralizer":

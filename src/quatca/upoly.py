@@ -39,7 +39,6 @@ from .scalars import (
     _MAX_POWER_BITS,
     _Record,
     _growth,
-    _immutable,
     _integer_rows,
     _left_horner,
     _qmul,
@@ -51,7 +50,7 @@ from .scalars import (
 )
 
 
-class UPoly:
+class UPoly(_Record):
     """Polynomial sum of coeff_k * x^k; coeffs run low to high, no trailing zeros."""
 
     __slots__ = ("coeffs",)
@@ -61,8 +60,6 @@ class UPoly:
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    __setattr__ = _immutable
 
     # -- construction --------------------------------------------------------
 
@@ -101,13 +98,8 @@ class UPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __eq__(self, other):
-        if not isinstance(other, UPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    def _key(self) -> tuple:
+        return (self.coeffs,)
 
     # -- ring operations -------------------------------------------------------
 

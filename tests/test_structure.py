@@ -521,6 +521,18 @@ def test_value_types_share_one_immutability_guard(value):
         assert str(info.value) == f"{type(value).__name__} is immutable"
 
 
+@pytest.mark.parametrize(
+    "cls", [Quat, Centralizer, UPoly, MPoly, CommutingPoint, ModulePresentation], ids=lambda cls: cls.__name__
+)
+def test_value_types_take_the_guard_and_slot_equality_from_the_record_base(cls):
+    # The guard, `copy`/`pickle` and, where no field needs a rule of its
+    # own, equality are `_Record`'s: stated once, not per class.
+    assert issubclass(cls, scalars._Record)
+    assert "__setattr__" not in cls.__dict__ and "__reduce__" not in cls.__dict__
+    if cls in (UPoly, MPoly, CommutingPoint, ModulePresentation):
+        assert "__eq__" not in cls.__dict__
+
+
 def _mixed_quat(rng):
     return Quat(*(Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(4)))
 
