@@ -9,10 +9,13 @@ up N - m rows, certify (a*p)^N, so a certificate need not grow with N.
 
 In one variable every left ideal is principal: I = H[x]*d_0 and, since
 J_(m+1) = I + J_m*(a*p), J_m = H[x]*d_m with d_(m+1) the gcrd of d_0 and
-d_m*(a*p).  That chain is stable within deg d_0 steps, membership at a
-power is one right division by d_m, exact at every degree bound, and no
-least member power exceeds max(1, deg d_0), so `find_certificate` also
-answers "no certificate at any power".  In several variables a left
+d_m*(a*p).  A step leaves the chain where it is exactly when d_m
+right-divides d_m*(a*p), so one division tests each step and the gcrd
+runs only when the chain moves.  The chain is stable within deg d_0
+steps, membership at a power is one right division by d_m, exact at every
+degree bound, and no least member power exceeds max(1, deg d_0), so
+`find_certificate`, which walks the chain once, also answers "no
+certificate at any power".  In several variables a left
 Groebner basis (Buchberger's algorithm in the solvable ring H[X]) decides
 membership, exact at every degree bound when it finishes within a budget
 of coefficient products no larger than the system it replaces; when it
@@ -49,7 +52,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
 from operator import add, sub
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import InternalError, InvalidInput
 from .scalars import (
@@ -163,7 +166,8 @@ class MPoly(_Record):
         )
 
     def pow(self, n: int) -> "MPoly":
-        """self^n by repeated squaring: at most 2 * n.bit_length() products."""
+        """self^n by repeated squaring (`scalars._power`): at most
+        2 * n.bit_length() - 1 products, none by one."""
         return _power(self, n, MPoly.constant(ONE, self.nvars))
 
     def __str__(self) -> str:
@@ -391,15 +395,15 @@ def rabinowitsch_check(
     turns each g_j*(a*p)^k into g_j*(a*p)^(k+N-m).  Such a certificate
     does not grow with N.
 
-    In one variable the chain of J_m decides it (`_least_member_power`):
-    a non-member gets NotFoundWithinBounds at every degree bound, and a
-    member whose chain cofactors fit within degbound gets them.  In
-    several variables a left Groebner basis decides membership first.  A
-    non-member of J_N gets NotFoundWithinBounds at every degree bound and
-    no system is built.  When I holds a power (a*p)^k with k <= N, one
-    system over the generators alone lifts the least such power,
-    (a*p)^k = sum_j h_j*g_j with deg h_j <= degbound, and h goes in row
-    N - k.  The basis may make at most as many coefficient products as
+    In one variable the chain of J_m decides it (`_least_member_power`,
+    then `_one_variable_check`): a non-member gets NotFoundWithinBounds at
+    every degree bound, and a member whose chain cofactors fit within
+    degbound gets them.  In several variables a left Groebner basis
+    decides membership first.  A non-member of J_N gets
+    NotFoundWithinBounds at every degree bound and no system is built.
+    When I holds a power (a*p)^k with k <= N, one system over the
+    generators alone lifts the least such power, (a*p)^k = sum_j h_j*g_j
+    with deg h_j <= degbound, and h goes in row N - k.  The basis may make at most as many coefficient products as
     the system over every g_j*(a*p)^k has quaternion entries at degbound
     (`_groebner_budget`); past that the system alone decides, and its
     NotFoundWithinBounds is exact only for the given degree bound.
@@ -420,13 +424,14 @@ def rabinowitsch_check(
     estimated the same way before any power is formed, and past
     _MAX_POWER_TERMS the check raises InvalidInput too.  In one variable a
     member whose chain cofactors fit forms only the powers N - m..N that
-    its rows read, the first by repeated squaring, and past
-    _MAX_DENSE_POWER coefficient words of (a*p)^N (N*deg(a*p) + 1
+    its rows read, as dense UPolys, the first by repeated squaring, and
+    past _MAX_DENSE_POWER coefficient words of (a*p)^N (N*deg(a*p) + 1
     coefficients, each counted at the 64-bit words that N factors of a*p
     can fill) the check raises InvalidInput before forming any.
 
     A found certificate is verified by reconstructing the identity before
-    it is returned.
+    it is returned; in one variable from the chain, in dense form before
+    its MPoly cofactors are built (`_dense_certificate`).
     """
     if N < 1:
         raise InvalidInput("the power must be at least one")
@@ -436,19 +441,10 @@ def rabinowitsch_check(
     if p.nvars != nvars:
         raise InvalidInput("polynomial and ideal live in different rings")
     ap = p.scale_left(a)
-    zeros = [MPoly(nvars, {})] * len(ideal.gens)
     if nvars == 1:
-        least = _least_member_power(ideal.gens, ap, N)
-        if least is None:
-            return NotFoundWithinBounds(N, degbound)
-        m, rows = least
-        if max(h.degree for row in rows for h in row) <= degbound:
-            _bound_dense_power(ap, N)
-            flat = zeros * (N - m) + [_from_upoly(h) for row in rows for h in row]
-            return _certificate(ideal, _powers(ap, N, N - m), flat)
-        _bound_system(_groebner_budget(ideal.gens, ap, N, 0), 0)
-        ap_powers = _powers(ap, N)
-        return _bounded_certificate(ideal, _bases(ideal.gens, ap_powers), ap_powers, degbound)
+        dense = tuple(map(_to_upoly, ideal.gens)), _to_upoly(ap)
+        return _one_variable_check(ideal, ap, dense, _least_member_power(*dense, N), N, degbound)
+    zeros = [MPoly(nvars, {})] * len(ideal.gens)
     _bound_power_terms(ap, N)
     ap_powers = _powers(ap, N)
     k = _membership(ideal.gens, ap_powers, _groebner_budget(ideal.gens, ap, N, degbound))
@@ -500,21 +496,27 @@ def _bases(gens: tuple[MPoly, ...], ap_powers: list[MPoly]) -> list[MPoly]:
 
 
 def _least_member_power(
-    gens: tuple[MPoly, ...], ap: MPoly, top: int | None = None
+    gens: Sequence[UPoly], ap: UPoly, top: int | None = None
 ) -> tuple[int, list[list[UPoly]]] | None:
-    """In one variable: the least m, at most top when given, with (a*p)^m
-    in J_m, and rows U[k][j], k = 0..m, with
-    (a*p)^m = sum_k sum_j U[k][j]*g_j*(a*p)^k; None when there is none.
+    """In one variable, from the generators g_j and a*p as UPolys: the
+    least m, at most top when given, with (a*p)^m in J_m, and rows U[k][j],
+    k = 0..m, with (a*p)^m = sum_k sum_j U[k][j]*g_j*(a*p)^k; None when
+    there is none.
 
     I = H[x]*d_0 with d_0 = sum_j v_j*g_j the monic gcrd, so a*p is tried
     against d_0 first: when I holds it, m = 1 and only row 0 is nonzero.
     Then the chain: J_(k+1) = I + J_k*(a*p), so J_k = H[x]*d_k with
     d_(k+1) = s*d_0 + t*d_k*(a*p) the monic gcrd of d_0 and d_k*(a*p).
+    J_k holds I and J_(k+1) holds J_k, so the step leaves J_k as it is
+    exactly when d_k right-divides d_k*(a*p): one division tests it, and
+    the gcrd with its Bezout cofactors runs only when the chain moves.
     The cofactors of d_(k+1) are s*v in row 0 and, in row i+1, t times
-    row i of d_k's.  Each strict step lowers the degree of d_k, so the
-    chain is stable from some N0 <= deg d_0 on, and (a*p)^m is in J_m
-    exactly when d_m right-divides it, with the quotient times d_m's
-    cofactors as the rows.
+    row i of d_k's; a step that does not move adds a zero row.  Each strict
+    step lowers the degree of d_k, so the chain is stable from some
+    N0 <= deg d_0 on, and (a*p)^m is in J_m exactly when d_m right-divides
+    it, with the quotient times d_m's cofactors as the rows.  Each power
+    is divided once: at m = 1 a chain still at d_0 has had a*p tried
+    already, and no power is formed past the last one tried.
 
     No member power exceeds N* = max(1, deg d_0), so the search stops
     there.  On H[x]/J_inf, a left H-space of dimension deg d_inf, right
@@ -522,28 +524,78 @@ def _least_member_power(
     some number of steps, it does so within deg d_inf steps, and
     max(N0, deg d_inf) <= deg d_0."""
     zeros = [UPoly()] * len(gens)
-    d0, v = _gcrd_combination([_to_upoly(g) for g in gens])
-    step = power = _to_upoly(ap)
+    d0, v = _gcrd_combination(gens)
     if not d0:  # I = 0 holds only the powers of a*p = 0
-        return None if power else (1, [zeros, zeros])
-    q, r = power.divmod_right(d0)
+        return None if ap else (1, [zeros, zeros])
+    q, r = ap.divmod_right(d0)
     if not r:
         return 1, [[q * u for u in v], zeros]
     last = d0.degree if top is None else min(top, d0.degree)
-    d, rows, stable = d0, [v], False
+    d, rows, power, moving = d0, [v], ap, True
     for m in range(1, last + 1):
-        if not stable:
-            d_next, (s, t) = _gcrd_combination([d0, d * step])
-            stable = d_next == d
-        if stable:
-            rows = rows + [zeros]
+        if m > 1:
+            power = power * ap
+        if moving:
+            shifted = d * ap
+            moving = bool(shifted.divmod_right(d)[1])
+        if moving:
+            d, (s, t) = _gcrd_combination([d0, shifted])
+            rows = [[s * u for u in v]] + [[t * h for h in row] for row in rows]
         else:
-            d, rows = d_next, [[s * u for u in v]] + [[t * h for h in row] for row in rows]
+            rows = rows + [zeros]
+            if m == 1:
+                continue
         q, r = power.divmod_right(d)
         if not r:
             return m, [[q * h for h in row] for row in rows]
-        power = power * step
     return None
+
+
+def _one_variable_check(
+    ideal: LeftIdeal,
+    ap: MPoly,
+    dense: tuple[tuple[UPoly, ...], UPoly],
+    least: tuple[int, list[list[UPoly]]] | None,
+    N: int,
+    degbound: int,
+) -> RabinowitschCertificate | NotFoundWithinBounds:
+    """`rabinowitsch_check` in one variable at N, from the chain's least
+    member power m and its rows, `least` (`_least_member_power`, None when
+    no power up to N is a member), and the generators and a*p as UPolys,
+    `dense`.  A power below m is a non-member at every degree bound.  Rows
+    that fit within degbound certify N once (a*p)^N passes
+    `_bound_dense_power` (`_dense_certificate`); rows that do not leave the
+    answer to the system over every base, under `_bound_system`.  So
+    `find_certificate` walks the chain once and asks this for each power it
+    probes, with the answer and the InvalidInput of the check at that
+    power."""
+    if least is None or least[0] > N:
+        return NotFoundWithinBounds(N, degbound)
+    rows = least[1]
+    if max(h.degree for row in rows for h in row) <= degbound:
+        _bound_dense_power(ap, N)
+        return _dense_certificate(*dense, N, rows)
+    _bound_system(_groebner_budget(ideal.gens, ap, N, 0), 0)
+    ap_powers = _powers(ap, N)
+    return _bounded_certificate(ideal, _bases(ideal.gens, ap_powers), ap_powers, degbound)
+
+
+def _dense_certificate(
+    gens: Sequence[UPoly], ap: UPoly, N: int, rows: list[list[UPoly]]
+) -> RabinowitschCertificate:
+    """The certificate at N from the chain's rows for its least member
+    power m = len(rows) - 1, moved up N - m rows below which every row is
+    zero.  The identity is checked on UPolys before any MPoly cofactor is
+    built: (a*p)^(N-m) by repeated squaring and one product per row above
+    it, then sum_k (sum_j h_kj*g_j)*(a*p)^(N-m+k) must equal (a*p)^N."""
+    m = len(rows) - 1
+    powers = [_power(ap, N - m, None)]  # None stands for (a*p)^0 = 1
+    for _ in range(m):
+        powers.append(ap if powers[-1] is None else powers[-1] * ap)
+    if _rebuilt(gens, rows, powers, UPoly()) != powers[-1]:
+        raise InternalError("certificate failed to reconstruct its identity")
+    zeros = (MPoly(1, {}),) * len(gens)
+    return RabinowitschCertificate(N, (zeros,) * (N - m) + tuple(tuple(map(_from_upoly, row)) for row in rows))
 
 
 def _groebner_budget(gens: tuple[MPoly, ...], ap: MPoly, N: int, degbound: int) -> int:
@@ -816,15 +868,24 @@ def _certificate(
     if len(flat) != (N + 1) * ngens:
         raise InternalError(f"{len(flat)} cofactors for {N + 1} rows of {ngens} generators")
     cofactors = [flat[k * ngens : (k + 1) * ngens] for k in range(N + 1)]
-
-    rebuilt = MPoly(nvars, {})
-    for k in range(N + 1):
-        for h, g in zip(cofactors[k], ideal.gens):
-            if h:
-                rebuilt = rebuilt + h * g * ap_powers[k]
-    if rebuilt != ap_powers[N]:
+    if _rebuilt(ideal.gens, cofactors, [None] + ap_powers[1:], MPoly(nvars, {})) != ap_powers[N]:
         raise InternalError("certificate failed to reconstruct its identity")
     return RabinowitschCertificate(N, tuple(tuple(row) for row in cofactors))
+
+
+def _rebuilt(gens: Sequence, rows: Sequence[Sequence], powers: Sequence, zero):
+    """sum_k (sum_j rows[k][j]*gens[j])*powers[k] over MPolys or UPolys,
+    with None in powers for (a*p)^0 = 1: each row's combination is summed
+    before its one product, and a row of zero cofactors makes none."""
+    total = zero
+    for row, power in zip(rows, powers):
+        combo = zero
+        for h, g in zip(row, gens):
+            if h:
+                combo = combo + h * g
+        if combo:
+            total = total + (combo if power is None else combo * power)
+    return total
 
 
 def find_certificate(
@@ -836,14 +897,16 @@ def find_certificate(
     At a fixed degree bound certificates are upward closed in N, in any
     number of variables: one at N moved up one row certifies N + 1.  So
     the search checks its least candidate power low, then max_power, and
-    bisects over (low, max_power]; each power is decided by the same
-    `rabinowitsch_check` call as in a loop over every power, so the answer
-    is the loop's.  In one variable low is the least member power m
-    (`_least_member_power`), since every power below it is a non-member
-    at every degree bound, and when no power up to N* = max(1, deg d_0),
-    d_0 the monic gcrd of the generators, is a member, the answer is
-    NotFoundWithinBounds with every_power set: no certificate exists at
-    any power or degree bound.  In several variables low is 1 and the
+    bisects over (low, max_power]; each power is decided as
+    `rabinowitsch_check` decides it, so the answer is a loop's over every
+    power.  In one variable the chain is walked once
+    (`_least_member_power`), and each probe reads its least member power
+    m and rows (`_one_variable_check`).  low is m, since every power below
+    it is a non-member at every degree bound, and when no power up to
+    N* = max(1, deg d_0), d_0 the monic gcrd of the generators, is a
+    member, the answer is NotFoundWithinBounds with every_power set: no
+    certificate exists at any power or degree bound.  In several
+    variables each probe is one `rabinowitsch_check`, low is 1 and the
     search is a bounded semidecision.  A probe past a bound of
     `rabinowitsch_check`, on its system or on the size of (a*p)^N,
     refuses the whole search with its InvalidInput, also where a loop over
@@ -854,14 +917,19 @@ def find_certificate(
         raise InvalidInput("negative degree bound")
 
     def certified(N: int) -> RabinowitschCertificate | None:
-        outcome = rabinowitsch_check(ideal, p, a, N, degbound)
+        if least is None:
+            outcome = rabinowitsch_check(ideal, p, a, N, degbound)
+        else:
+            outcome = _one_variable_check(ideal, ap, dense, least, N, degbound)
         return outcome if isinstance(outcome, RabinowitschCertificate) else None
 
-    low = 1
+    low, least = 1, None
     if ideal.nvars == 1:
         if p.nvars != 1:
             raise InvalidInput("polynomial and ideal live in different rings")
-        least = _least_member_power(ideal.gens, p.scale_left(a))
+        ap = p.scale_left(a)
+        dense = tuple(map(_to_upoly, ideal.gens)), _to_upoly(ap)
+        least = _least_member_power(*dense)
         if least is None:
             return NotFoundWithinBounds(max_power, degbound, every_power=True)
         low = least[0]

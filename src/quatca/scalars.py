@@ -10,8 +10,8 @@ may be shared freely between threads.  Every value type and result record
 is a `_Record`, with one `__setattr__` guard, `_immutable`, one copy rule
 (`copy` and `pickle` restore the saved slots past the guard) and one
 equality and hash unless it states its own; equal values hash equal, so a
-central `Quat` hashes as its rational.  `Quat` and `MPoly` share one
-repeated squaring, `_power`.
+central `Quat` hashes as its rational.  `Quat`, `MPoly` and `UPoly`
+powers share one repeated squaring, `_power`.
 `fractions.Fraction` appears only at the surface (coordinates, norms,
 solutions), always in lowest terms with a positive denominator.  Inside, a
 `Quat` keeps four integer numerators over one denominator: centralizer
@@ -80,15 +80,22 @@ class _Record:
 
 
 def _power(base, n: int, one):
-    """base^n for n >= 0 by repeated squaring from one: at most
-    2 * n.bit_length() products, and no squaring after the last bit."""
-    result = one
+    """base^n for n >= 0 by repeated squaring, and one for n = 0: the
+    result starts from the power of the lowest set bit, so it takes
+    n.bit_length() - 1 squarings and one product per further set bit, at
+    most 2 * n.bit_length() - 1 products and none by one."""
+    if not n:
+        return one
+    while not n & 1:
+        base = base * base
+        n >>= 1
+    result = base
+    n >>= 1
     while n:
+        base = base * base
         if n & 1:
             result = result * base
         n >>= 1
-        if n:
-            base = base * base
     return result
 
 

@@ -224,13 +224,18 @@ def _gcrd_combination(polys: Sequence[UPoly]) -> tuple[UPoly, list[UPoly]]:
     of the left ideal the polys generate, or zero if every input is zero.
 
     The right-division Euclidean algorithm, folded over the inputs, with
-    left Bezout cofactors: a remainder r = a - q*b carries u_a - q*u_b.
+    left Bezout cofactors: a remainder r = a - q*b carries u_a - q*u_b.  A
+    dividend of lower degree than its divisor is its own remainder (q = 0),
+    so the two swap without a division.
     """
     zeros = [UPoly()] * len(polys)
     a, ua = UPoly(), zeros
     for i, p in enumerate(polys):
         b, ub = p, zeros[:i] + [UPoly.constant(ONE)] + zeros[i + 1 :]
         while not b.is_zero():
+            if a.degree < b.degree:
+                a, ua, b, ub = b, ub, a, ua
+                continue
             q, r = a.divmod_right(b)
             a, ua, b, ub = b, ub, r, [x - q * y for x, y in zip(ua, ub)]
     if a.is_zero():
@@ -531,10 +536,13 @@ def root_space_dim(p: UPoly, a: Quat) -> int:
     centralizer of a; zero when no conjugate of a is a root.
 
     A central a gives 1 or 0.  Otherwise, by Gordon-Motzkin, the class of a
-    holds only roots (2), exactly one root (1) or none (0).
+    holds only roots (2), exactly one root (1) or none (0).  As in
+    `root_space`, an a whose power at the degree may pass the bound on a
+    power is refused (`_bound_evaluation`) before the class remainder.
     """
     if a.is_central():
         return 0 if p.eval_left(a) else 1
+    p._bound_evaluation(a)
     (w, x, y, z), m = a._n, a._d  # a's class quadratic from its numerators
     cls = _class_roots(_integer_rows(p.coeffs)[0], (m * m, -2 * w * m, w * w + x * x + y * y + z * z))
     return 2 if isinstance(cls, Sphere) else 1 if cls else 0

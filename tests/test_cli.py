@@ -178,8 +178,8 @@ class TestReports:
         found = [run_json(capsys, *request, "--N", str(N))[1]["status"] for N in range(1, 5)]
         assert found == ["not-found", "not-found", "ok", "ok"]
         checked = []
-        check = mpoly.rabinowitsch_check
-        monkeypatch.setattr(mpoly, "rabinowitsch_check", lambda *args: checked.append(args[3]) or check(*args))
+        check = mpoly._one_variable_check
+        monkeypatch.setattr(mpoly, "_one_variable_check", lambda *args: checked.append(args[4]) or check(*args))
         code, report, _ = run_json(capsys, *request, "--maxN", "4")
         assert code == 0 and report["status"] == "ok" and report["payload"]["N"] == 3
         assert checked == [1, 4, 2, 3]

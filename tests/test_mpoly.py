@@ -377,6 +377,11 @@ def _repeated_root_instance(rng):
     return LeftIdeal(tuple(_mp(g) for g in gens)), _mp(p), a
 
 
+def _least(ideal, p, a, top=None):
+    """`_least_member_power` on the generators and a*p as UPolys."""
+    return _least_member_power([_to_upoly(g) for g in ideal.gens], _to_upoly(p.scale_left(a)), top)
+
+
 def _member_by_one_gcrd(ideal, p, a, N):
     """Whether (ap)^N lies in J_N, by one gcrd of every base g_j*(ap)^k."""
     powers, bases = _powers_and_bases(ideal, p, a, N)
@@ -411,14 +416,16 @@ class TestOneVariableMembership:
         # I = H[x](x - i)^2, p = x - i, a = j: the least member power is 1,
         # with cofactors of degree 1, so at N = 1000 the certificate fills
         # rows 999 and 1000 alone, and only (ap)^999 and (ap)^1000 are
-        # formed, the first by repeated squaring.
+        # formed, in dense form: the first by one repeated squaring, the
+        # second by one product, and no MPoly power list.
         g = x(0, 1) - const(I, 1)
         ideal = LeftIdeal((g * g,))
-        calls = []
-        powers = mpoly._powers
-        monkeypatch.setattr(mpoly, "_powers", lambda ap, N, low=0: calls.append((N, low)) or powers(ap, N, low))
+        exponents, lists = [], []
+        power, powers = mpoly._power, mpoly._powers
+        monkeypatch.setattr(mpoly, "_power", lambda base, n, one: exponents.append(n) or power(base, n, one))
+        monkeypatch.setattr(mpoly, "_powers", lambda *args: lists.append(args) or powers(*args))
         cert = rabinowitsch_check(ideal, g, J, 1000, 2)
-        assert calls == [(1000, 999)]
+        assert exponents == [999] and lists == []
         assert cert.N == 1000 and not any(h for row in cert.cofactors[:999] for h in row)
         # The rows that are read agree with the certificate at N = 1, moved up.
         assert cert.cofactors[999:] == rabinowitsch_check(ideal, g, J, 1, 2).cofactors
@@ -481,7 +488,7 @@ class TestOneVariableMembership:
         for trial in range(60):
             ideal, p, a = (_repeated_root_instance if trial % 2 else _one_variable_instance)(rng)
             N, degbound = rng.randint(1, 5), rng.randint(0, 3)
-            least = _least_member_power(ideal.gens, p.scale_left(a), N)
+            least = _least(ideal, p, a, N)
             systems.clear()
             out = rabinowitsch_check(ideal, p, a, N, degbound)
             from_chain = not systems
@@ -518,6 +525,62 @@ class TestOneVariableMembership:
             assert [k for k, row in enumerate(out.cofactors) if any(row)] == [N - 1, N]
             degrees.add(_largest_degree(h for row in out.cofactors for h in row))
         assert degrees == {1}
+
+
+def _loop_least_member_power(gens, ap, top=None):
+    """The chain as a loop that runs a gcrd with Bezout cofactors at every
+    step, stable once the gcrd stops moving, and a right division at every
+    power: the oracle for `_least_member_power`."""
+    zeros = [UPoly()] * len(gens)
+    d0, v = _gcrd_combination(gens)
+    step = power = ap
+    if not d0:
+        return None if power else (1, [zeros, zeros])
+    q, r = power.divmod_right(d0)
+    if not r:
+        return 1, [[q * u for u in v], zeros]
+    last = d0.degree if top is None else min(top, d0.degree)
+    d, rows, stable = d0, [v], False
+    for m in range(1, last + 1):
+        if not stable:
+            d_next, (s, t) = _gcrd_combination([d0, d * step])
+            stable = d_next == d
+        if stable:
+            rows = rows + [zeros]
+        else:
+            d, rows = d_next, [[s * u for u in v]] + [[t * h for h in row] for row in rows]
+        q, r = power.divmod_right(d)
+        if not r:
+            return m, [[q * h for h in row] for row in rows]
+        power = power * step
+    return None
+
+
+class TestChainAgainstTheLoop:
+    """`_least_member_power` tests each step by one division and runs the
+    gcrd only when the chain moves; the loop with a gcrd at every step
+    gives the same least power and rows at every top."""
+
+    def test_same_least_power_and_rows_at_every_top(self):
+        rng = Random(47)
+        instances = [(_repeated_root_instance if trial % 2 else _one_variable_instance)(rng) for trial in range(80)]
+        # (x - i)^k with p = x - i: with a = j the chain moves to x - i, and
+        # with a = 1 it stays at (x - i)^k, whose least member power is k.
+        g = x(0, 1) - const(I, 1)
+        instances += [(LeftIdeal((g.pow(k),)), g, a) for k in range(1, 7) for a in (J, ONE)]
+        seen = Counter()
+        for ideal, p, a in instances:
+            gens, ap = [_to_upoly(g) for g in ideal.gens], _to_upoly(p.scale_left(a))
+            d0 = _gcrd_combination(gens)[0]
+            for top in [*range(1, d0.degree + 1), None]:
+                assert _least_member_power(gens, ap, top) == _loop_least_member_power(gens, ap, top)
+            least = _least_member_power(gens, ap)
+            moves = d0.degree > 0 and _gcrd_combination([d0, d0 * ap])[0] != d0
+            seen[("moves" if moves else "stays", "member" if least else "non-member")] += 1
+            if least:
+                seen[f"least power {min(least[0], 3)}"] += 1
+        assert {("moves", "member"), ("stays", "member"), ("stays", "non-member")} <= set(seen)
+        assert {"least power 1", "least power 2", "least power 3"} <= set(seen)
 
 
 class TestEveryPower:
@@ -562,7 +625,7 @@ class TestEveryPower:
         for trial in range(60):
             ideal, p, a = (_repeated_root_instance if trial % 2 else _one_variable_instance)(rng)
             degbound, top = rng.randint(0, 1), rng.randint(1, 8)
-            least = _least_member_power(ideal.gens, p.scale_left(a))
+            least = _least(ideal, p, a)
             if least is None:
                 continue
             m = least[0]
@@ -573,12 +636,12 @@ class TestEveryPower:
             )
             checked = []
 
-            def check(*args, original=rabinowitsch_check):
-                checked.append(args[3])
+            def check(*args, original=mpoly._one_variable_check):
+                checked.append(args[4])
                 return original(*args)
 
             with monkeypatch.context() as patch:
-                patch.setattr(mpoly, "rabinowitsch_check", check)
+                patch.setattr(mpoly, "_one_variable_check", check)
                 out = find_certificate(ideal, p, a, top, degbound)
             if loop is None:
                 assert out == NotFoundWithinBounds(top, degbound) and not out.every_power
@@ -635,17 +698,36 @@ class TestEveryPower:
             assert len(checked) <= 2 + (top - 1).bit_length()
         assert set(seen) == {"at 1", "between 1 and max_power", "at max_power", "none up to max_power"}
 
+    def test_the_chain_is_walked_once_per_search(self, monkeypatch):
+        # Every probe reads the least member power and rows of the one walk.
+        rng = Random(53)
+        walks = []
+        walk = mpoly._least_member_power
+        monkeypatch.setattr(mpoly, "_least_member_power", lambda *args: walks.append(args) or walk(*args))
+        g = x(0, 1) - const(I, 1)
+        instances = [(LeftIdeal((g * g,)), g, J, 40, 0), (LeftIdeal((g * g,)), g, ONE, 8, 1)]
+        for trial in range(40):
+            ideal, p, a = (_repeated_root_instance if trial % 2 else _one_variable_instance)(rng)
+            instances.append((ideal, p, a, rng.randint(1, 8), rng.randint(0, 2)))
+        found = 0
+        for ideal, p, a, top, degbound in instances:
+            walks.clear()
+            out = find_certificate(ideal, p, a, top, degbound)
+            assert len(walks) == 1
+            found += isinstance(out, tuple)
+        assert found >= 5
+
     def test_a_member_whose_certificates_never_fit_takes_few_checks(self, monkeypatch):
         # The flagship at degree bound 0: no power up to 40 has a
         # certificate, which the loop from m = 1 took 40 systems to say.
         g = x(0, 1) - const(I, 1)
         checked = []
 
-        def check(*args, original=rabinowitsch_check):
-            checked.append(args[3])
+        def check(*args, original=mpoly._one_variable_check):
+            checked.append(args[4])
             return original(*args)
 
-        monkeypatch.setattr(mpoly, "rabinowitsch_check", check)
+        monkeypatch.setattr(mpoly, "_one_variable_check", check)
         out = find_certificate(LeftIdeal((g * g,)), g, J, 40, 0)
         assert out == NotFoundWithinBounds(40, 0) and not out.every_power
         assert checked == [1, 40]
@@ -675,11 +757,11 @@ class TestEveryPower:
         assert loop == [False, False, True, True]
         checked = []
 
-        def check(*args, original=rabinowitsch_check):
-            checked.append(args[3])
+        def check(*args, original=mpoly._one_variable_check):
+            checked.append(args[4])
             return original(*args)
 
-        monkeypatch.setattr(mpoly, "rabinowitsch_check", check)
+        monkeypatch.setattr(mpoly, "_one_variable_check", check)
         out = find_certificate(ideal, p, a, 4, 2)
         assert checked == [1, 4, 2, 3]
         assert out[0] == 3 and _reconstructs(ideal, p, a, out[1])

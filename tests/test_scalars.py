@@ -19,6 +19,7 @@ from quatca.scalars import (
     ZERO,
     _dot,
     _expand,
+    _power,
     _qmul,
     centralizer_of_set,
     commutator,
@@ -77,6 +78,30 @@ class TestQuatArithmetic:
         assert I**3 == -I
         assert Quat(1, 1) ** 0 == ONE
         assert Quat(1, 1) ** -1 == Quat(1, 1).inverse()
+
+    def test_repeated_squaring_counts_its_products(self):
+        # The power starts from the lowest set bit's power, so n >= 1 takes
+        # bit_length(n) - 1 squarings and popcount(n) - 1 other products,
+        # none by one, and n = 0 returns one untouched.
+        class Counted:
+            def __init__(self, exponent, log):
+                self.exponent, self.log = exponent, log
+
+            def __mul__(self, other):
+                self.log.append("square" if other is self else "multiply")
+                return Counted(self.exponent + other.exponent, self.log)
+
+        for n in range(300):
+            log = []
+            one = Counted(0, log)
+            out = _power(Counted(1, log), n, one)
+            if n == 0:
+                assert out is one and log == []
+                continue
+            assert out.exponent == n
+            assert log.count("square") == n.bit_length() - 1
+            assert log.count("multiply") == bin(n).count("1") - 1
+        assert Quat(1, 1) ** 5 == Quat(1, 1) * Quat(1, 1) * Quat(1, 1) * Quat(1, 1) * Quat(1, 1)
 
 
 # An independent reference: quaternions as 4-tuples of Fraction.

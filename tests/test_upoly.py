@@ -434,6 +434,24 @@ class TestEvaluationBound:
             with pytest.raises(InvalidInput, match="evaluation at degree 54050 of up to 100004 bits"):
                 evaluate(a)
 
+    def test_a_root_space_dimension_just_below_and_just_above(self):
+        # 123456789j grows log2(123456789) = 26.88 bits a factor: degree
+        # 3,720 takes 99,992 bits and 3,721 100,018.  The class quadratic
+        # x^2 + 123456789^2 divides p, so its whole class are roots.
+        a = Quat(0, 0, 123456789)
+        quadratic = UPoly.from_central([123456789**2, 0, 1])
+        below, above, far = (quadratic * UPoly([ZERO] * (n - 2) + [ONE]) for n in (3720, 3721, 8000))
+        assert root_space_dim(below, a) == 2
+        for p, message in [
+            (above, "evaluation at degree 3721 of up to 100018 bits, above the bound of 100000 bits"),
+            (far, "evaluation at degree 8000 of up to 215035 bits, above the bound of 100000 bits"),
+        ]:
+            with pytest.raises(InvalidInput) as info:
+                root_space_dim(p, a)
+            assert str(info.value) == message
+            with pytest.raises(InvalidInput, match="above the bound of 100000 bits"):
+                root_space(p, a)
+
     def test_points_that_cannot_grow_are_unbounded(self):
         p = UPoly([ZERO] * 100_001 + [ONE])
         for a in (J, -ONE):
