@@ -33,17 +33,13 @@ the full bound.  The shifted cofactors also solve the system over every
 g_j*(a*p)^k at the same degree bound, and when they do not fit that
 system still runs, so the shift changes no outcome.
 
-A one-variable polynomial passed to `upoly` holds one coefficient per
-degree, so the conversion refuses a degree above 1,000,000 with
-InvalidInput; `x^1000000000` is cheap as a sparse `MPoly` but not dense.
-Reduction modulo a point writes one quotient term per unit of exponent, so
-it refuses a term whose exponents times the point's growth exceed 2,000
-bits, also with InvalidInput.  A certificate system is estimated from
-degrees before it is built, at each degree it is solved at, and refused
-past 16,000 quaternion entries; (a*p)^N is refused past 1,000 terms in
-several variables and, where the one-variable chain's cofactors fit, past
-1,250 dense coefficients, estimated before any power is formed; all with
-InvalidInput.
+Sizes are estimated before the work they bound and refused with
+InvalidInput past their rows of `errors.BOUNDS`: the degree of a
+one-variable polynomial passed to `upoly` (`x^1000000000` is cheap as a
+sparse `MPoly` but not dense), the bits of a reduction modulo a point, a
+certificate system's entries at each degree it is solved at, and the
+terms of (a*p)^N or, where the one-variable chain's cofactors fit, its
+dense coefficient words.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from math import comb
 from operator import add, sub
 from typing import Collection, Iterable, Mapping, Sequence
 
-from .errors import InternalError, InvalidInput
+from .errors import BOUNDS, InternalError, InvalidInput, refusal
 from .scalars import (
     Centralizer, ONE, Quat, ZERO, _Record, _growth, _power, _signed_sum, _term_text,
     _words, solve_combination,
@@ -271,31 +267,20 @@ def eval_at_point(p: MPoly, pt: CommutingPoint) -> Quat:
     return total
 
 
-# Reducing a term c*x^e modulo a point writes one quotient term per unit of
-# exponent, with coefficients c*a^s for s < e, so the work grows as e times
-# the bits of a^e.  The bound is on e times the point's growth per factor
-# (`scalars._growth`), at least one bit per unit of exponent, summed over
-# the variables of each term.  The largest accepted power at `1+2i`,
-# `x1^1722`, takes 0.08 s on a shared 2-core host, and `x1^10000` took 4.8 s.
-_MAX_REDUCE_BITS = 2_000
-
-
 def reduce_mod_point(p: MPoly, pt: CommutingPoint) -> tuple[Quat, list[MPoly]]:
     """Write p = sum_i q_i * (x_i - a_i) + r with r constant.
 
     Variables are eliminated from the highest index down by one-variable
     right division; the remainder always equals the left evaluation at the
     point, so membership in the point ideal is exactly r = 0.  A term whose
-    exponents times the point's growth exceed _MAX_REDUCE_BITS is refused
-    with InvalidInput before any work.
+    exponents times the point's growth pass the "reduce_bits" bound is
+    refused with InvalidInput before any work.
     """
     if p.nvars != len(pt):
         raise InvalidInput("point dimension does not match the ring")
     growth = [max(_growth(a), 1.0) for a in pt]
-    if any(sum(g * e for g, e in zip(growth, exps)) > _MAX_REDUCE_BITS for exps in p.terms):
-        raise InvalidInput(
-            f"reduction of a power of more than the bound of {_MAX_REDUCE_BITS} bits modulo the point"
-        )
+    if any(sum(g * e for g, e in zip(growth, exps)) > BOUNDS["reduce_bits"][0] for exps in p.terms):
+        raise InvalidInput(refusal("reduce_bits"))
     n = p.nvars
     quotients = [MPoly(n, {}) for _ in range(n)]
     rest = p
@@ -418,16 +403,12 @@ def rabinowitsch_check(
     k >= 1 are formed only when a stage reads them.
 
     Each system is estimated from degrees alone, before it or the bases
-    it reads are built, at the degree about to be solved; past
-    _MAX_SYSTEM_ENTRIES quaternion entries the check raises InvalidInput
-    and names the bound.  In several variables the terms of (a*p)^N are
-    estimated the same way before any power is formed, and past
-    _MAX_POWER_TERMS the check raises InvalidInput too.  In one variable a
-    member whose chain cofactors fit forms only the powers N - m..N that
-    its rows read, as dense UPolys, the first by repeated squaring, and
-    past _MAX_DENSE_POWER coefficient words of (a*p)^N (N*deg(a*p) + 1
-    coefficients, each counted at the 64-bit words that N factors of a*p
-    can fill) the check raises InvalidInput before forming any.
+    it reads are built, at the degree about to be solved, and refused with
+    InvalidInput past its bound; so is (a*p)^N before any power is formed,
+    by its terms in several variables.  In one variable a member whose
+    chain cofactors fit forms only the powers N - m..N that its rows read,
+    as dense UPolys, the first by repeated squaring, once they pass
+    `_bound_dense_power`.
 
     A found certificate is verified by reconstructing the identity before
     it is returned; in one variable from the chain, in dense form before
@@ -454,40 +435,48 @@ def rabinowitsch_check(
         lift = _bounded_cofactors(nvars, ideal.gens, ap_powers[k], degbound)
         if lift is not None:
             return _certificate(ideal, ap_powers, zeros * (N - k) + lift + zeros * k)
+    return _system_certificate(ideal, ap, N, degbound, ap_powers)
+
+
+def _system_certificate(
+    ideal: LeftIdeal, ap: MPoly, N: int, degbound: int, ap_powers: list[MPoly] | None = None
+) -> RabinowitschCertificate | NotFoundWithinBounds:
+    """The answer of the system over every base g_j*(a*p)^k of J_N
+    (`_bounded_certificate`), refused before any base is built and, unless
+    ap_powers holds them, before (a*p)^k is formed."""
     _bound_system(_groebner_budget(ideal.gens, ap, N, 0), 0)
+    if ap_powers is None:
+        ap_powers = _powers(ap, N)
     return _bounded_certificate(ideal, _bases(ideal.gens, ap_powers), ap_powers, degbound)
 
 
-def _powers(ap: MPoly, N: int, low: int = 0) -> list[MPoly | None]:
-    """(a*p)^k for k = low..N, after low entries None: (a*p)^low by
-    repeated squaring, then one multiplication per power."""
-    powers = [None] * low + [ap.pow(low)]
-    for _ in range(N - low):
+def _powers(ap: MPoly, N: int) -> list[MPoly]:
+    """(a*p)^k for k = 0..N, one multiplication per power."""
+    powers = [ap.pow(0)]
+    for _ in range(N):
         powers.append(powers[-1] * ap)
     return powers
 
 
 def _bound_power_terms(ap: MPoly, N: int) -> None:
-    """Refuse (a*p)^N past _MAX_POWER_TERMS terms, estimated from degrees
+    """Refuse (a*p)^N past the bound on terms, estimated from degrees
     (`_power_terms`) before any power is formed."""
     terms = _power_terms(ap.terms, N)
-    if terms > _MAX_POWER_TERMS:
-        raise InvalidInput(f"power (a*p)^{N} of up to {terms} terms, above the bound of {_MAX_POWER_TERMS}")
+    if terms > BOUNDS["terms"][0]:
+        raise InvalidInput(refusal("terms", "ap", N=N, terms=terms))
 
 
 def _bound_dense_power(ap: MPoly, N: int) -> None:
-    """In one variable, refuse (a*p)^N past _MAX_DENSE_POWER coefficient
-    words before any power is formed: N*deg(a*p) + 1 coefficients when
-    dense, each of about N times the bits a factor of a*p adds
+    """In one variable, refuse (a*p)^N past its bound on coefficient words
+    before any power is formed: N*deg(a*p) + 1 coefficients when dense,
+    each of about N times the bits a factor of a*p adds
     (`scalars._growth`), in 64-bit words as the Groebner budget counts
     them."""
     coeffs = N * _degree(ap) + 1
     words = 1 + int(N * max(map(_growth, ap.terms.values()), default=0.0)) // 64
-    if coeffs * words > _MAX_DENSE_POWER:
-        size = f" of {words} words each" if words > 1 else ""
-        raise InvalidInput(
-            f"power (a*p)^{N} of up to {coeffs} coefficients{size}, above the bound of {_MAX_DENSE_POWER}"
-        )
+    if coeffs * words > BOUNDS["dense_power"][0]:
+        kind = "words" if words > 1 else "word"
+        raise InvalidInput(refusal("dense_power", kind, N=N, coeffs=coeffs, words=words))
 
 
 def _bases(gens: tuple[MPoly, ...], ap_powers: list[MPoly]) -> list[MPoly]:
@@ -565,7 +554,7 @@ def _one_variable_check(
     `dense`.  A power below m is a non-member at every degree bound.  Rows
     that fit within degbound certify N once (a*p)^N passes
     `_bound_dense_power` (`_dense_certificate`); rows that do not leave the
-    answer to the system over every base, under `_bound_system`.  So
+    answer to the system over every base (`_system_certificate`).  So
     `find_certificate` walks the chain once and asks this for each power it
     probes, with the answer and the InvalidInput of the check at that
     power."""
@@ -575,9 +564,7 @@ def _one_variable_check(
     if max(h.degree for row in rows for h in row) <= degbound:
         _bound_dense_power(ap, N)
         return _dense_certificate(*dense, N, rows)
-    _bound_system(_groebner_budget(ideal.gens, ap, N, 0), 0)
-    ap_powers = _powers(ap, N)
-    return _bounded_certificate(ideal, _bases(ideal.gens, ap_powers), ap_powers, degbound)
+    return _system_certificate(ideal, ap, N, degbound)
 
 
 def _dense_certificate(
@@ -616,39 +603,11 @@ def _system_entries(nvars: int, nbases: int, top: int, d: int) -> int:
     return nbases * comb(nvars + d, nvars) * comb(nvars + d + top, nvars)
 
 
-# The certificate system of I = H[x](x - i)^2, p = x - i, a = j at
-# N = 124 and degree 0, estimated at 15,875 quaternion entries (125
-# unknowns in 127 equations), is solved in about 1 s on a shared 2-core
-# host; the largest estimate of the test suite is 13,200, and of the
-# benchmark's instances 12.
-_MAX_SYSTEM_ENTRIES = 16_000
-# In several variables (a*p)^N is formed before the Groebner pass, one
-# multiplication per power.  For I = (x1 - i, x2 - 2i), p = x1 + x2 + 1,
-# a = 1 the search to max power 40 ((a*p)^40 of 861 terms) took 2.3 s on a
-# shared 2-core host, to 50 (1,326 terms) 6.9 s and to 60 (1,891) 12.3 s;
-# the largest estimate of the test suite is 45, and of the benchmark's
-# instances 10.  The parser bounds its powers and products by this constant.
-_MAX_POWER_TERMS = 1_000
-# In one variable a member whose chain cofactors fit forms (a*p)^(N-m) by
-# repeated squaring and the m powers above it, N*deg(a*p) + 1 coefficients
-# dense.  For I = H[x](x - i)^2, p = x - i, a = j one-shot
-# `quatca rabinowitsch` took 0.8 s at N = 1000, 0.9-1.5 s at 1,250,
-# 1.3-1.5 s at 1,400 and 3.2 s at 2,000 on a shared 2-core host.  There a
-# factor adds no bits to a coefficient (`scalars._growth` of j and k is 0),
-# so each counts one word.  With a = 123456789j a factor adds 27 bits:
-# counted as one word, N = 1249 took 34.8 s; N = 53, the largest admitted
-# at 23 words, takes 0.2 s.
-_MAX_DENSE_POWER = 1_250
-
-
 def _bound_system(entries: int, d: int) -> None:
-    """Refuse a certificate system past _MAX_SYSTEM_ENTRIES before it is
-    built."""
-    if entries > _MAX_SYSTEM_ENTRIES:
-        raise InvalidInput(
-            f"certificate system of up to {entries} quaternion entries at cofactor degree {d}, "
-            f"above the bound of {_MAX_SYSTEM_ENTRIES}"
-        )
+    """Refuse a certificate system of this many entries at cofactor degree d
+    before it is built."""
+    if entries > BOUNDS["system_entries"][0]:
+        raise InvalidInput(refusal("system_entries", entries=entries, d=d))
 
 
 def _max_terms(count: int, degree: int, exponents: Iterable[Exponents]) -> int:
@@ -790,18 +749,10 @@ def _membership(gens: tuple[MPoly, ...], ap_powers: list[MPoly], budget: int) ->
         return None
 
 
-# The dense coefficient list of a one-variable polynomial holds one entry
-# per degree, so a sparse x^1000000000 would take 10^9 of them;
-# parse_upoly("x^1000000") takes 0.20 s.
-_MAX_DENSE_DEGREE = 1_000_000
-
-
 def _to_upoly(p: MPoly) -> UPoly:
     top = max((e for (e,) in p.terms), default=-1)
-    if top > _MAX_DENSE_DEGREE:
-        raise InvalidInput(
-            f"degree {top} above the bound of {_MAX_DENSE_DEGREE} for a one-variable polynomial"
-        )
+    if top > BOUNDS["dense_degree"][0]:
+        raise InvalidInput(refusal("dense_degree", degree=top))
     return UPoly([p.terms.get((e,), ZERO) for e in range(top + 1)])
 
 

@@ -6,7 +6,7 @@ variables.  Digits are ASCII 0-9.  Whitespace separates tokens and is
 allowed around the `/` of a rational, so `1 2` is 2 while `12` is twelve,
 and `x 2` is 2x1 while `x2` is the second variable.  Adjacent factors
 multiply in the order written, since coefficients do not commute; powers
-such as `(x-i)^2` and parentheses nested at most 100 deep are allowed.
+such as `(x-i)^2` and nested parentheses are allowed.
 
 The text is scanned once, by one `findall`, into tokens that keep no
 position: a rational, unit, variable or `)` with its `^n`, or an operator.
@@ -20,15 +20,15 @@ coefficient is summed the same way and reduced once.  Only a parenthesized
 factor that is not constant, as in `(x-i)^2` or `(x-i)j`, is multiplied as
 a polynomial, and its power is taken by repeated squaring.
 
-Powers are bounded before they are taken, as a ParseError at the exponent:
-at most 100,000 bits (`2^100000`, `(2x)^100000`), and for a parenthesized
-factor of several terms at most degree 500 (`(x - i)^500`) and 1,000 terms
-(`(x1 + x2 + x3)^43`).  Powers that cannot grow, of a unit, a variable, -1
-or a one-term factor such as `(jx)`, are not bounded.  The product of two
-parenthesized factors of t1 and t2 terms may have at most 1,000 terms and
-take at most 65,536 coefficient products t1*t2, a ParseError at the second
-`(`: `(x - i)^250(x - i)^250` is read and `(x - i)^500(x - i)^499` is not.
-`parse_upoly` then keeps the degree within `mpoly`'s dense bound, 1,000,000.
+Powers are bounded (`errors.BOUNDS`) before they are taken, as a
+ParseError at the exponent: in bits (`2^100000`, `(2x)^100000`), and for
+a parenthesized factor of several terms in degree (`(x - i)^500`) and
+terms (`(x1 + x2 + x3)^43`); a power of a unit, a variable, -1 or a
+one-term factor such as `(jx)` cannot grow and is not bounded.  A
+product of two parenthesized factors is bounded in terms and in
+coefficient products, a ParseError at the second `(`:
+`(x - i)^250(x - i)^250` is read and `(x - i)^500(x - i)^499` is not.
+`parse_upoly` keeps the dense bound.
 A numeral longer than the interpreter's int<->str digit limit, where one
 is in force (`sys.set_int_max_str_digits`), is a ParseError at its digits.
 
@@ -43,27 +43,10 @@ from itertools import islice
 from math import gcd
 from operator import add
 
-from .errors import InvalidInput, ParseError, _digit_limit
-from .mpoly import MPoly, _MAX_POWER_TERMS, _degree, _max_terms, _mpoly, _power_terms, _to_upoly
-from .scalars import Quat, ZERO, _MAX_POWER_BITS, _growth, _qmul, _quat, _reduced
+from .errors import BOUNDS, InvalidInput, ParseError, _digit_limit, refusal
+from .mpoly import MPoly, _degree, _max_terms, _mpoly, _power_terms, _to_upoly
+from .scalars import Quat, ZERO, _growth, _qmul, _quat, _reduced
 from .upoly import UPoly
-
-_MAX_NESTING = 100
-# Bounds on a power written in the text, so that a short input cannot ask
-# for a value too large to build (timed on a shared 2-core host).  A
-# quaternion power is bounded in bits (`scalars._MAX_POWER_BITS`).  A power
-# of a sum is taken by repeated squaring: `(x - i)^500` takes 0.53 s and
-# `(x - i)^1000` 2.7 s.  In several variables its terms grow as a binomial
-# in the exponent, at most C(n + t - 1, t - 1) for t terms and at most the
-# monomials up to its degree in the variables it uses: `(x1 + x2 + x3)^43`
-# (990 terms) takes 0.25 s, `^60` 1.2 s and `^160` 58.7 s.  A product of
-# two factors is bounded the same way, by t1 * t2 terms and the monomials
-# up to the summed degree (`(x1+x2+x3)^43*(x1+x2+x3)^43` took 4.6 s), and
-# by its t1 * t2 coefficient products: `(x - i)^250(x - i)^250` (63,001)
-# takes 0.54 s and `(x - i)^500(x - i)^499` (250,500) 2.3 s.  The term
-# bound on both is `mpoly._MAX_POWER_TERMS`, the one on (a*p)^N.
-_MAX_POWER_DEGREE = 500
-_MAX_PRODUCTS = 65_536
 
 # One token after optional whitespace, as the groups (numerator,
 # denominator, name, exponent numerator, exponent denominator, other): a
@@ -121,20 +104,19 @@ def _exponent(text: str, tokens: list, at: int) -> int:
 def _bound_power(text: str, at: int, n: int, base: dict) -> None:
     """A ParseError at the exponent of tokens[at - 1] when n times the bits
     one more factor can add to a coefficient of base, {exponents:
-    coefficient}, exceeds _MAX_POWER_BITS, or when base has several terms
-    and n times its degree exceeds _MAX_POWER_DEGREE or the power may have
-    more than _MAX_POWER_TERMS terms; a coefficient 0, -1, 1 or a unit adds
-    none."""
+    coefficient}, passes its bound in bits, or when base has several terms
+    and the power's degree or terms pass theirs (`errors.BOUNDS`); a
+    coefficient 0, -1, 1 or a unit adds none."""
     growth = max(map(_growth, base.values()), default=0)
-    if growth and n > _MAX_POWER_BITS / growth:
-        _fail(text, f"power of more than the bound of {_MAX_POWER_BITS} bits", at - 1, 4)
+    if growth and n > BOUNDS["power_bits"][0] / growth:
+        _fail(text, refusal("power_bits", "text"), at - 1, 4)
     if len(base) > 1:
         degree = n * max(map(sum, base))
-        if degree > _MAX_POWER_DEGREE:
-            _fail(text, f"power of degree {degree}, above the bound of {_MAX_POWER_DEGREE}", at - 1, 4)
+        if degree > BOUNDS["power_degree"][0]:
+            _fail(text, refusal("power_degree", degree=degree), at - 1, 4)
         terms = _power_terms(base, n)
-        if terms > _MAX_POWER_TERMS:
-            _fail(text, f"power of up to {terms} terms, above the bound of {_MAX_POWER_TERMS}", at - 1, 4)
+        if terms > BOUNDS["terms"][0]:
+            _fail(text, refusal("terms", "power", terms=terms), at - 1, 4)
 
 
 def _sum(text: str, tokens: list, at: int, nvars: int, depth: int) -> tuple[dict, int]:
@@ -183,8 +165,8 @@ def _sum(text: str, tokens: list, at: int, nvars: int, depth: int) -> tuple[dict
             elif op != "(":
                 _fail(text, f"unexpected {name or op!r}" if name or op else "unexpected end of input", at - 1)
             else:
-                if depth == _MAX_NESTING:
-                    _fail(text, f"parentheses nested deeper than {_MAX_NESTING}", at - 1)
+                if depth == BOUNDS["nesting"][0]:
+                    _fail(text, refusal("nesting"), at - 1)
                 opening = at - 1
                 inner, at = _sum(text, tokens, at, nvars, depth + 1)
                 _, _, name, power, _, _ = tokens[at]
@@ -246,10 +228,10 @@ def _factor(text: str, tokens: list, at: int, opening: int, inner: dict, nvars: 
         return inner, None, rd
     products = len(poly.terms) * len(inner.terms)
     terms = _max_terms(products, _degree(poly) + _degree(inner), [*poly.terms, *inner.terms])
-    if terms > _MAX_POWER_TERMS:
-        _fail(text, f"product of up to {terms} terms, above the bound of {_MAX_POWER_TERMS}", opening)
-    if products > _MAX_PRODUCTS:
-        _fail(text, f"product of {products} coefficient products, above the bound of {_MAX_PRODUCTS}", opening)
+    if terms > BOUNDS["terms"][0]:
+        _fail(text, refusal("terms", "product", terms=terms), opening)
+    if products > BOUNDS["products"][0]:
+        _fail(text, refusal("products", products=products), opening)
     return poly * inner, None, rd
 
 

@@ -86,7 +86,7 @@ from collections import Counter
 from math import cos, gcd, isfinite, isqrt, pi, sin
 from typing import Iterable, Sequence
 
-from .errors import InternalError, InvalidInput
+from .errors import BOUNDS, InternalError, InvalidInput, refusal
 from .scalars import _Record
 
 # Primes tried, in order, to prove a cofactor free of factors of degree
@@ -119,13 +119,6 @@ _SETTLED_ULPS = 8
 # Evaluation points GCDHEU tries before the remainder sequence decides a
 # gcd, as many as sympy's heuristic gcd tries.
 _HEURISTIC_TRIES = 6
-# The primitive remainder sequence decides a gcd only where GCDHEU gives
-# up, and refuses rows past this many estimated word products
-# (`_remainder_gcd`).  On a shared 2-core host coprime random rows took
-# 0.4-0.6 s at 1e8 with 30- to 4096-bit coefficients, and 7.2 s at 3.4e8
-# with 2-bit ones (degree 540), the costliest per word product, so the
-# bound admits about 1 s.
-_MAX_REMAINDER_WORK = 50_000_000
 
 
 class CentralFactorization(_Record):
@@ -218,16 +211,13 @@ def _remainder_gcd(a: list[int], b: list[int]) -> list[int]:
     remainder sequence (Knuth, TAOCP vol. 2, 4.6.1; Collins 1967).  It
     makes about len(a) * len(b) coefficient steps on numbers of up to
     (len(a) + len(b)) times the input's bits, each of W words costing W^2
-    word products; past _MAX_REMAINDER_WORK of those it raises InvalidInput
+    word products; past the "remainder_work" bound it raises InvalidInput
     before the first step."""
     bits = max(map(abs, a + b)).bit_length()
     words = 1 + (len(a) + len(b)) * bits // 64
     work = len(a) * len(b) * words * words
-    if work > _MAX_REMAINDER_WORK:
-        raise InvalidInput(
-            f"gcd by remainders of degrees {len(a) - 1} and {len(b) - 1} with {bits}-bit coefficients: "
-            f"about {work} word products, above the bound of {_MAX_REMAINDER_WORK}"
-        )
+    if work > BOUNDS["remainder_work"][0]:
+        raise InvalidInput(refusal("remainder_work", degrees=(len(a) - 1, len(b) - 1), bits=bits, work=work))
     while b:
         a, b = b, _primitive_part(_pseudo_remainder(a, b))
     return a

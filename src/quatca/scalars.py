@@ -421,17 +421,6 @@ def commutator(a: Quat, b: Quat) -> Quat:
     return a * b - b * a
 
 
-# The bits a power of a quaternion may grow to before it is built: a power
-# written in the text (`parsing._bound_power`) and an evaluation at a
-# caller's point (`upoly.UPoly.eval_left`), which takes powers up to the
-# degree, are refused past it.  A quaternion power costs about the square
-# of its size (timed on a shared 2-core host): `(1+2i)^100000` (0.12
-# million bits) takes 0.15 s and `(1+2i)^1000000` 10.4 s, and a Horner
-# sum, one product per degree, about its square times the degree:
-# `x^50000` at 3/2 + i (92,500 bits) takes 1.4 s and `x^200000` 16 s.
-_MAX_POWER_BITS = 100_000
-
-
 def _growth(c: Quat) -> float:
     """The bits one more factor of c can add to a power of it: with c = v/m
     for an integer vector v over the common denominator m, the numerators

@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from . import ratfactor
-from .errors import InternalError, InvalidInput
+from .errors import BOUNDS, InternalError, InvalidInput, refusal
 from .intmath import rational_sqrt, three_squares
 from .scalars import (
     BASIS,
@@ -36,7 +36,6 @@ from .scalars import (
     QUADRATIC,
     Quat,
     ZERO,
-    _MAX_POWER_BITS,
     _Record,
     _growth,
     _integer_rows,
@@ -142,14 +141,11 @@ class UPoly(_Record):
     # -- evaluation and division ------------------------------------------------
 
     def _bound_evaluation(self, a: Quat) -> None:
-        """InvalidInput when a^deg may have more than
-        `scalars._MAX_POWER_BITS` bits, the bound on a power in the text."""
+        """InvalidInput when a^deg may have more bits than the bound on a
+        power in the text."""
         bits = self.degree * _growth(a)
-        if bits > _MAX_POWER_BITS:
-            raise InvalidInput(
-                f"evaluation at degree {self.degree} of up to {bits:.0f} bits, "
-                f"above the bound of {_MAX_POWER_BITS} bits"
-            )
+        if bits > BOUNDS["power_bits"][0]:
+            raise InvalidInput(refusal("power_bits", "evaluation", degree=self.degree, bits=bits))
 
     def eval_left(self, a: Quat) -> Quat:
         """Evaluation with coefficients kept on the left of the powers of a,
@@ -347,15 +343,6 @@ def _root_of_linear(alpha: Sequence[int], beta: Sequence[int]) -> Quat:
     return _reduced(*_qmul((-a, b, c, d), beta), a * a + b * b + c * c + d * d)
 
 
-# The root search takes time quadratic in the degree of s = p/x^k or worse
-# (the companion's square, its floats and its small-prime proofs), so a
-# degree of s past this bound is refused before the search starts.  On a
-# shared 2-core host `x^1000 - 1` took 37 s and `x^500 + x + 1` more than
-# 60 s, while `x^331213 - 2^100`, which the dense bound of `mpoly` admits,
-# did not finish in 30 s of one small-prime proof.
-_MAX_ROOT_DEGREE = 1_000
-
-
 def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
     """All conjugacy classes of right roots discoverable over the rationals.
 
@@ -380,7 +367,8 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
 
     All of this runs on s with p = s*x^k and s(0) != 0: x is central, so
     p(a) = s(a)*a^k, and p's roots are s's and, when k > 0, the root 0.
-    A degree of s above `_MAX_ROOT_DEGREE` is refused with InvalidInput.
+    A degree of s past the "root_degree" bound is refused with InvalidInput
+    before the search starts.
 
     A linear c1*x + c0 takes none of this: its one right root -c1^-1*c0 is
     returned as an `Isolated` class with status COMPLETE, the class the
@@ -396,10 +384,8 @@ def right_roots(p: UPoly) -> tuple[list[RootClass], RootSearchStatus]:
         return [Isolated(root)], RootSearchStatus.COMPLETE
     k = next(k for k, c in enumerate(p.coeffs) if c)
     s = UPoly(p.coeffs[k:]) if k else p
-    if s.degree > _MAX_ROOT_DEGREE:
-        raise InvalidInput(
-            f"degree {s.degree} without the power of x above the bound of {_MAX_ROOT_DEGREE} for a root search"
-        )
+    if s.degree > BOUNDS["root_degree"][0]:
+        raise InvalidInput(refusal("root_degree", degree=s.degree))
     rows = _integer_rows(s.coeffs)[0]
     content, norm_q = ratfactor._content_and_norm(rows)
     # q's rows have no common root, so N(q), the sum of their squares, is

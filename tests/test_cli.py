@@ -18,7 +18,7 @@ import pytest
 
 from quatca import cli, linalg, mpoly, selfcheck, serde
 from quatca.cli import main
-from quatca.errors import InternalError
+from quatca.errors import BOUNDS, InternalError
 from quatca.modules import ModulePresentation
 from quatca.scalars import I, J, ONE, Quat, ZERO
 
@@ -355,6 +355,75 @@ class TestLongIntegers:
         assert elapsed < 10
 
 
+# Inputs past each bound: (argv, a part of the refusal, its row of BOUNDS).
+# Every row has a case but "remainder_work", which only a pair GCDHEU gives
+# up on reaches; `TestHeuristicGcd` forces that with no tries.
+_OVERSIZED = {
+    "eval": (("eval", "--poly", "x^1000000000", "--at", "i"), "the bound of 1000000 for", "dense_degree"),
+    "roots": (("roots", "--poly", "x^1000000000"), "the bound of 1000000 for", "dense_degree"),
+    "espace": (("espace", "--poly", "x^1000000000", "--root", "0"), "the bound of 1000000 for", "dense_degree"),
+    "rabinowitsch": (
+        ("rabinowitsch", "--ideal", "x^1000000000", "--p", "x", "--a", "1"),
+        "the bound of 1000000 for",
+        "dense_degree",
+    ),
+    "polynomial-power": (("eval", "--poly", "(x - i)^1000000000", "--at", "i"), "the bound of 500 (at", "power_degree"),
+    "quaternion-power": (
+        ("eval", "--poly", "x", "--at", "(1+2i)^1000000000"),
+        "the bound of 100000 bits (at",
+        "power_bits",
+    ),
+    "evaluation-bits": (
+        ("eval", "--poly", "x^200000", "--at", "3/2+i"),
+        "of up to 370044 bits, above the bound of 100000 bits",
+        "power_bits",
+    ),
+    "espace-evaluation-bits": (
+        ("espace", "--poly", "x^200000", "--root", "3/2+i"),
+        "of up to 370044 bits, above the bound of 100000 bits",
+        "power_bits",
+    ),
+    "reduce": (("reduce", "--poly", "x1^10000", "--point", "1+2i"), "the bound of 2000 bits modulo", "reduce_bits"),
+    "terms": (("reduce", "--poly", "(x1+x2+x3)^160", "--point", "i; i; i"), "the bound of 1000 (at", "terms"),
+    "product-terms": (
+        ("reduce", "--poly", "(x1+x2+x3+x4)^16(x1+x2+x3+x4)^16", "--point", "i; i; i; i"),
+        "the bound of 1000 (at",
+        "terms",
+    ),
+    "certificate-system": (
+        ("rabinowitsch", "--ideal", "(x-i)^2", "--p", "x-i", "--a", "j", "--maxN", "1000", "--degbound", "0"),
+        "certificate system of up to 1004003 quaternion entries at cofactor degree 0, above the bound of 16000",
+        "system_entries",
+    ),
+    "power-terms": (
+        ("rabinowitsch", "--nvars", "2", "--ideal", "x1 - i", "--ideal", "x2 - 2i", "--p", "x1 + x2 + 1",
+         "--a", "1", "--maxN", "200"),
+        "power (a*p)^200 of up to 20301 terms, above the bound of 1000",
+        "terms",
+    ),
+    "coefficient-products": (
+        ("eval", "--poly", "(x - i)^500(x - i)^499", "--at", "i"),
+        "product of 250500 coefficient products, above the bound of 65536",
+        "products",
+    ),
+    "nesting": (
+        ("eval", "--poly", "(" * 101 + "x" + ")" * 101, "--at", "1"),
+        "nested deeper than 100 (at position 100)",
+        "nesting",
+    ),
+    "dense-power": (
+        ("rabinowitsch", "--ideal", "(x-i)^2", "--p", "x-i", "--a", "j", "--N", "1250", "--degbound", "1"),
+        "power (a*p)^1250 of up to 1251 coefficients, above the bound of 1250",
+        "dense_power",
+    ),
+    "root-degree": (
+        ("roots", "--poly", "x^1002 + x"),
+        "degree 1001 without the power of x above the bound of 1000",
+        "root_degree",
+    ),
+}
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "body",
@@ -435,40 +504,13 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
-    @pytest.mark.parametrize(
-        "argv, bound",
-        [
-            (("eval", "--poly", "x^1000000000", "--at", "i"), "the bound of 1000000 for"),
-            (("roots", "--poly", "x^1000000000"), "the bound of 1000000 for"),
-            (("espace", "--poly", "x^1000000000", "--root", "0"), "the bound of 1000000 for"),
-            (("rabinowitsch", "--ideal", "x^1000000000", "--p", "x", "--a", "1"), "the bound of 1000000 for"),
-            (("eval", "--poly", "(x - i)^1000000000", "--at", "i"), "the bound of 500 (at"),
-            (("eval", "--poly", "x", "--at", "(1+2i)^1000000000"), "the bound of 100000 bits (at"),
-            (("eval", "--poly", "x^200000", "--at", "3/2+i"), "of up to 370044 bits, above the bound of 100000 bits"),
-            (("espace", "--poly", "x^200000", "--root", "3/2+i"), "of up to 370044 bits, above the bound of 100000 bits"),
-            (("reduce", "--poly", "x1^10000", "--point", "1+2i"), "the bound of 2000 bits modulo"),
-            (("reduce", "--poly", "(x1+x2+x3)^160", "--point", "i; i; i"), "the bound of 1000 (at"),
-            (("reduce", "--poly", "(x1+x2+x3+x4)^16(x1+x2+x3+x4)^16", "--point", "i; i; i; i"), "the bound of 1000 (at"),
-            (
-                ("rabinowitsch", "--ideal", "(x-i)^2", "--p", "x-i", "--a", "j", "--maxN", "1000", "--degbound", "0"),
-                "certificate system of up to 1004003 quaternion entries at cofactor degree 0, above the bound of 16000",
-            ),
-            (
-                ("rabinowitsch", "--nvars", "2", "--ideal", "x1 - i", "--ideal", "x2 - 2i", "--p", "x1 + x2 + 1",
-                 "--a", "1", "--maxN", "200"),
-                "power (a*p)^200 of up to 20301 terms, above the bound of 1000",
-            ),
-        ],
-        ids=[
-            "eval", "roots", "espace", "rabinowitsch", "polynomial-power", "quaternion-power",
-            "evaluation-bits", "espace-evaluation-bits", "reduce", "terms",
-            "product-terms", "certificate-system", "power-terms",
-        ],
-    )
-    def test_oversized_input_is_usage(self, capsys, argv, bound):
+    @pytest.mark.parametrize("argv, bound, row", _OVERSIZED.values(), ids=list(_OVERSIZED))
+    def test_oversized_input_is_usage(self, capsys, argv, bound, row):
+        assert {case[2] for case in _OVERSIZED.values()} == BOUNDS.keys() - {"remainder_work"}
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and err.startswith("error:") and bound in err
+        assert str(BOUNDS[row][0]) in bound
 
     @pytest.mark.parametrize(
         "argv",

@@ -11,7 +11,7 @@ import pytest
 from sympy import QQ, Poly, Rational, symbols
 
 from quatca import linalg, mpoly
-from quatca.errors import InvalidInput
+from quatca.errors import BOUNDS, InvalidInput
 from quatca.mpoly import (
     CommutingPoint,
     LeftIdeal,
@@ -429,8 +429,6 @@ class TestOneVariableMembership:
         assert cert.N == 1000 and not any(h for row in cert.cofactors[:999] for h in row)
         # The rows that are read agree with the certificate at N = 1, moved up.
         assert cert.cofactors[999:] == rabinowitsch_check(ideal, g, J, 1, 2).cofactors
-        ap = g.scale_left(J)
-        assert powers(ap, 5, 3) == [None, None, None, ap.pow(3), ap.pow(4), ap.pow(5)]
 
     def test_non_members_are_not_found_at_any_degree(self):
         rng = Random(14)
@@ -776,7 +774,7 @@ class TestSystemBound:
         # I = H[x](x - i)^2, p = x - i, a = j: the least member power is 1
         # with cofactors of degree 1, so at degree bound 0 the system over
         # every base runs, with (N + 1)(N + 3) entries at degree 0.
-        assert mpoly._MAX_SYSTEM_ENTRIES == 16_000
+        assert BOUNDS["system_entries"][0] == 16_000
         g = x(0, 1) - const(I, 1)
         ideal = LeftIdeal((g * g,))
         assert rabinowitsch_check(ideal, g, J, 124, 0) == NotFoundWithinBounds(124, 0)  # 15,875
@@ -834,7 +832,7 @@ class TestPowerBound:
 
     def test_the_power_just_below_and_just_above_the_bound(self):
         # (x1 + x2 + 1)^N has C(N + 2, 2) terms: 990 at N = 43, 1,035 at 44.
-        assert mpoly._MAX_POWER_TERMS == 1_000
+        assert BOUNDS["terms"][0] == 1_000
         mpoly._bound_power_terms(self.P, 43)
         with pytest.raises(InvalidInput) as info:
             mpoly._bound_power_terms(self.P, 44)
@@ -848,9 +846,9 @@ class TestPowerBound:
         # before (x1 + x2 + 1)^200 is formed.
         powers = mpoly._powers
 
-        def refuse(ap, N, low=0):
+        def refuse(ap, N):
             assert N <= 2, N
-            return powers(ap, N, low)
+            return powers(ap, N)
 
         monkeypatch.setattr(mpoly, "_powers", refuse)
         start = time.perf_counter()
@@ -874,7 +872,7 @@ class TestDensePowerBound:
     IDEAL = LeftIdeal((G * G,))
 
     def test_the_power_just_below_and_just_above_the_bound(self):
-        assert mpoly._MAX_DENSE_POWER == 1_250
+        assert BOUNDS["dense_power"][0] == 1_250
         ap = self.G.scale_left(J)
         mpoly._bound_dense_power(ap, 1249)
         with pytest.raises(InvalidInput) as info:
@@ -907,7 +905,7 @@ class TestDensePowerBound:
         assert time.perf_counter() - start < 1
 
     def test_a_refused_check_forms_no_power(self, monkeypatch):
-        def refuse(ap, N, low=0):
+        def refuse(ap, N):
             raise AssertionError(f"formed powers up to {N}")
 
         monkeypatch.setattr(mpoly, "_powers", refuse)

@@ -13,7 +13,7 @@ import pytest
 from sympy import QQ, ZZ, Poly, Symbol
 
 from quatca import intmath, ratfactor
-from quatca.errors import InvalidInput
+from quatca.errors import BOUNDS, InvalidInput
 from quatca.intmath import rational_sqrt, three_squares
 from quatca.parsing import parse_upoly
 from quatca.ratfactor import factor_central
@@ -358,7 +358,7 @@ class TestHeuristicGcd:
         # A row of length 100 against x + 1: 100 * 2 coefficient steps on
         # numbers of 1 + 102 * bits // 64 words, so 313 bits estimate
         # 200 * 499^2 = 49,800,200 word products and 314 bits 50,200,200.
-        assert ratfactor._MAX_REMAINDER_WORK == 50_000_000
+        assert BOUNDS["remainder_work"][0] == 50_000_000
         monkeypatch.setattr(ratfactor, "_HEURISTIC_TRIES", 0)
         below = [2**312] + [1] * 99
         assert ratfactor._gcd(below, [1, 1]) == _sympy_gcd(below, [1, 1])

@@ -19,6 +19,7 @@ import pytest
 import quatca
 from quatca import linalg, scalars
 from quatca.cli import Report
+from quatca.errors import BOUNDS
 from quatca.mpoly import (
     CommutingPoint,
     LeftIdeal,
@@ -819,3 +820,16 @@ def test_every_public_definition_is_used_outside_the_tests():
         and uses[node.name] == _names_in(node)[node.name]
     )
     assert unused == []
+
+
+def test_every_refusal_bound_is_a_row_of_one_table_that_the_readme_states():
+    # Limits and refusal messages live in `errors.BOUNDS` alone, and the
+    # README's bounds paragraph states each limit as it writes numbers.
+    for path in SOURCE.glob("*.py"):
+        if path.name != "errors.py":
+            assert not re.search("the bound of|deeper than", path.read_text()), path.name
+    readme = (SOURCE.parents[1] / "README.md").read_text()
+    start = readme.index("Bounds keep a short input")
+    paragraph = readme[start : readme.index("\n\n", start)]
+    for row, (limit, _) in BOUNDS.items():
+        assert re.search(rf"(?<![\d,]){limit:,}(?!,?\d)", paragraph), row

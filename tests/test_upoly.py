@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from quatca import ratfactor
-from quatca.errors import InvalidInput
+from quatca.errors import BOUNDS, InvalidInput
 from quatca.ratfactor import factor_central
 from quatca.randgen import rand_nonzero_quat, rand_pure_quat, rand_quat, rand_upoly
 from quatca.scalars import (
@@ -458,9 +458,7 @@ class TestEvaluationBound:
             assert p.eval_left(a) == p.eval_right(a) == a**100_001
 
     def test_the_root_search_checks_its_rational_roots_unbounded(self, monkeypatch):
-        import quatca.upoly as upoly_module
-
-        monkeypatch.setattr(upoly_module, "_MAX_POWER_BITS", 0)
+        monkeypatch.setitem(BOUNDS, "power_bits", (0, BOUNDS["power_bits"][1]))
         p = UPoly.from_central([-3, 2]) * UPoly.linear(Quat(2)) * UPoly.linear(I)
         with pytest.raises(InvalidInput, match="above the bound of 0 bits"):
             p.eval_left(Quat(2))
