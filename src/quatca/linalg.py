@@ -25,33 +25,39 @@ _ONE = Fraction(1)
 
 def _integer_row(row: Row) -> dict[int, int]:
     """The nonzero entries of a rational row scaled to coprime integers."""
-    nonzero = [(j, v.numerator, v.denominator) for j, v in enumerate(row) if v]
-    scale = lcm(*(d for _, _, d in nonzero))
-    return _primitive({j: n * (scale // d) for j, n, d in nonzero})
+    out = {j: v for j, v in enumerate(row) if v}
+    if any(type(v) is not int for v in out.values()):
+        scale = lcm(*(v.denominator for v in out.values()))
+        out = {j: v.numerator * (scale // v.denominator) for j, v in out.items()}
+    _divide_content(out)
+    return out
 
 
-def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """The row divided by the gcd of its entries."""
+def _divide_content(row: dict[int, int]) -> None:
+    """Divide the row by the gcd of its entries, in place."""
     g = gcd(*row.values())
     if g > 1:
-        return {j: v // g for j, v in row.items()}
-    return row
+        for j in row:
+            row[j] //= g
 
 
-def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
-    """p*row - f*pivot_row (p, f the two entries in column c, over their
-    gcd), which is zero in column c, divided by the gcd of its entries."""
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> None:
+    """row <- p*row - f*pivot_row in place (p, f the two entries in column
+    c, over their gcd), which is zero in column c, then divided by the gcd
+    of its entries."""
     p, f = pivot_row[c], row[c]
     g = gcd(p, f)
     p, f = p // g, f // g
-    out = {j: p * v for j, v in row.items()}
+    if p != 1:
+        for j in row:
+            row[j] *= p
     for j, v in pivot_row.items():
-        value = out.get(j, 0) - f * v
+        value = row.get(j, 0) - f * v
         if value:
-            out[j] = value
+            row[j] = value
         else:
-            del out[j]
-    return _primitive(out)
+            del row[j]
+    _divide_content(row)
 
 
 def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
@@ -63,21 +69,23 @@ def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
     in pivot order, and the pivot column indices.  The pivot columns and
     the reduced first `ncols` columns are unique, and so are the extra
     columns when every row past the pivots is zero in them (a consistent
-    augmented system).
+    augmented system).  Each step eliminates the rows in place.
     """
     width = len(rows[0]) if rows else 0
     pending = [_integer_row(row) for row in rows]
     reduced: list[tuple[int, dict[int, int]]] = []
     for c in range(ncols):
-        candidates = [k for k, row in enumerate(pending) if c in row]
+        # Any row nonzero in column c may pivot; the sparsest keeps fill low.
+        candidates = [(len(row), k) for k, row in enumerate(pending) if c in row]
         if not candidates:
             continue
-        # Any row nonzero in column c may pivot; the sparsest keeps fill low.
-        pivot_row = pending.pop(min(candidates, key=lambda k: len(pending[k])))
-        pending = [_eliminate(row, pivot_row, c) if c in row else row for row in pending]
-        reduced = [
-            (pc, _eliminate(row, pivot_row, c) if c in row else row) for pc, row in reduced
-        ]
+        pivot_row = pending.pop(min(candidates)[1])
+        for row in pending:
+            if c in row:
+                _eliminate(row, pivot_row, c)
+        for _, row in reduced:
+            if c in row:
+                _eliminate(row, pivot_row, c)
         reduced.append((c, pivot_row))
         if not pending:
             break

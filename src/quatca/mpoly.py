@@ -16,7 +16,9 @@ steps, membership at a power is one right division by d_m, exact at every
 degree bound, and no least member power exceeds max(1, deg d_0), so
 `find_certificate`, which walks the chain once, also answers "no
 certificate at any power".  In several variables a left
-Groebner basis (Buchberger's algorithm in the solvable ring H[X]) decides
+Groebner basis (Buchberger's algorithm in the solvable ring H[X], on
+packed monomials with heap-ordered reduction, dropping a pair by the
+first criterion only when its coefficients commute) decides
 membership, exact at every degree bound when it finishes within a budget
 of coefficient products no larger than the system it replaces; when it
 shows some power (a*p)^k with k <= N in I, the least such power is lifted
@@ -44,16 +46,16 @@ dense coefficient words.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import comb
-from operator import add, sub
+from math import comb, lcm
+from operator import add
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import BOUNDS, InternalError, InvalidInput, refusal
 from .scalars import (
     Centralizer, ONE, Quat, ZERO, _Record, _growth, _power, _signed_sum, _term_text,
-    _words, solve_combination,
+    _reduced, _words, centralizer_of_set, solve_combination,
 )
 from .upoly import UPoly, _gcrd_combination
 
@@ -129,37 +131,46 @@ class MPoly(_Record):
         self._check_compatible(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            out[exps] = out.get(exps, ZERO) + coeff
-        return MPoly(self.nvars, out)
+            out[exps] = out[exps] + coeff if exps in out else coeff
+        return _mpoly(self.nvars, out)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _mpoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "MPoly") -> "MPoly":
+        """Each output term summed on integer numerators, over the least
+        common denominators L of self's coefficients and R of other's, and
+        reduced once, as `scalars._dot` does: (sum A*B)/(L*R)."""
         self._check_compatible(other)
-        out: dict[Exponents, Quat] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if key in out:
-                    out[key] = out[key] + prod
+        (left, dl), (right, dr) = _numerators(self.terms), _numerators(other.terms)
+        sums: dict[Exponents, list[int]] = {}
+        for e1, (a, b, c, d) in left:
+            for e2, (e, f, g, h) in right:
+                key = tuple(map(add, e1, e2))
+                w = a * e - b * f - c * g - d * h
+                x = a * f + b * e + c * h - d * g
+                y = a * g - b * h + c * e + d * f
+                z = a * h + b * g - c * f + d * e
+                if key in sums:
+                    acc = sums[key]
+                    acc[0] += w
+                    acc[1] += x
+                    acc[2] += y
+                    acc[3] += z
                 else:
-                    out[key] = prod
-        return MPoly(self.nvars, out)
+                    sums[key] = [w, x, y, z]
+        den = dl * dr
+        return _mpoly(self.nvars, {e: _reduced(w, x, y, z, den) for e, (w, x, y, z) in sums.items()})
 
     def scale_left(self, q: Quat) -> "MPoly":
-        return MPoly(self.nvars, {e: q * c for e, c in self.terms.items()})
+        return _mpoly(self.nvars, {e: q * c for e, c in self.terms.items()})
 
     def shift(self, exps: Exponents) -> "MPoly":
         """Multiply by the (central) monomial x^exps."""
-        return MPoly(
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
-        )
+        return _mpoly(self.nvars, {tuple(map(add, e, exps)): c for e, c in self.terms.items()})
 
     def pow(self, n: int) -> "MPoly":
         """self^n by repeated squaring (`scalars._power`): at most
@@ -174,6 +185,13 @@ class MPoly(_Record):
 
     def __repr__(self) -> str:
         return f"MPoly({self.nvars}, {dict(self.sorted_terms())!r})"
+
+
+def _numerators(terms: dict[Exponents, Quat]) -> tuple[list[tuple[Exponents, tuple]], int]:
+    """The terms' coefficients as integer numerators over their least
+    common denominator, with that denominator."""
+    den = lcm(*(c._d for c in terms.values()))
+    return [(e, c._n if c._d == den else tuple(v * (den // c._d) for v in c._n)) for e, c in terms.items()], den
 
 
 def _mpoly(nvars: int, terms: dict[Exponents, Quat]) -> MPoly:
@@ -644,86 +662,181 @@ class _LeftBasis:
     left multiplication with the inverse of its leading coefficient; the
     S-polynomial of f and g with leading monomials x^alpha and x^beta and
     lcm x^L is x^(L-alpha)*f - x^(L-beta)*g; a reduction step subtracts
-    c*x^gamma*g.  Buchberger's product criterion is not used, since its
-    proof commutes the coefficients.  Pairs are taken smallest lcm first,
-    and a constant in the basis ends the pass: the ideal is the whole ring.
+    c*x^gamma*g.  Pairs are taken smallest lcm first, and a constant in
+    the basis ends the pass: the ideal is the whole ring.
 
-    Polynomials are {exponents: coefficient} dicts.  Every coefficient
-    product counts against the budget, times the 64-bit words of each of
-    its two factors (`scalars._words`), since coefficients can grow far
-    beyond those of the inputs; _OverBudget is raised once it is spent."""
+    Buchberger's first criterion drops the pair of f and g when alpha and
+    beta are coprime and every coefficient of f commutes with every
+    coefficient of g.  Then f*g = g*f, and with f = x^alpha + f' and
+    g = x^beta + g' the S-polynomial x^beta*f - x^alpha*g is f'*g - g'*f,
+    whose two products lead below x^L.  Without the commuting condition
+    the criterion fails: the S-polynomial of x1 - i and x2 - j reduces
+    to j*i - i*j = -2k, and the ideal is the whole ring.  Every point
+    ideal of a commuting point gives only such pairs.
 
-    def __init__(self, budget: int):
+    Monomials are packed into one int each (Monagan & Pearce, J. Symbolic
+    Comput. 46, 2011): the total degree in the top field, then one field
+    per exponent, each with a guard bit above it, so that comparing two
+    keys is comparing their `grlex_key`s, x^gamma*x^beta is one addition,
+    and x^beta divides x^alpha exactly when alpha - beta sets no guard
+    bit.  The fields hold twice the largest degree the pass is built for,
+    and widen when an lcm needs more.  A reduction takes each leading
+    term from a heap of f's monomials with lazy deletion: a monomial that
+    cancels stays in the heap until it reaches the top.
+
+    `add` and `reduce` take {exponents: coefficient} mappings; `reduce`
+    returns the remainder keyed by packed monomials (`_unpack` reads
+    them).  Every coefficient product counts against the budget, times the
+    64-bit words of each of its two factors (`scalars._words`), since
+    coefficients can grow far beyond those of the inputs; _OverBudget is
+    raised once it is spent."""
+
+    def __init__(self, budget: int, nvars: int, degree: int):
         self.budget = budget
-        # (monic element, its leading monomial, its coefficients' words)
-        self.elements: list[tuple[dict[Exponents, Quat], Exponents, int]] = []
-        self.pairs: list[tuple] = []
+        self.nvars = nvars
+        # (packed leading monomial, the other terms as (packed monomial,
+        # coefficient) pairs, its coefficients' words, its leading
+        # exponents, the centralizer of its coefficients)
+        self.elements: list[tuple[int, list[tuple[int, Quat]], int, Exponents, Centralizer]] = []
+        self.pairs: list[tuple[int, int, int]] = []
         self.whole = False
+        self._fit(2 * degree)
+
+    def _fit(self, degree: int) -> None:
+        """Fields wide enough for every monomial of total degree <= degree,
+        and a guard bit above each exponent field."""
+        width = degree.bit_length() + 1
+        self.width = width
+        self.top = (1 << (width - 1)) - 1  # the largest total degree packed
+        self.shifts = range(width * (self.nvars - 1), -1, -width)
+        self.guards = sum(1 << (shift + width - 1) for shift in self.shifts)
+
+    def _pack(self, exps: Exponents) -> int:
+        """The key of x^exps; InternalError when its degree passes the
+        fields, which every caller sizes beforehand."""
+        degree = sum(exps)
+        if degree > self.top:
+            raise InternalError(f"a monomial of degree {degree} does not fit fields of {self.width} bits")
+        key = degree
+        for e in exps:
+            key = key << self.width | e
+        return key
+
+    def _unpack(self, key: int) -> Exponents:
+        """The exponents of a key."""
+        field = (1 << self.width) - 1
+        return tuple(key >> shift & field for shift in self.shifts)
 
     def _spend(self, products: int) -> None:
         self.budget -= products
         if self.budget < 0:
             raise _OverBudget
 
-    def reduce(self, terms: Mapping[Exponents, Quat]) -> dict[Exponents, Quat]:
+    def reduce(self, terms: Mapping[Exponents, Quat]) -> dict[int, Quat]:
         """terms less left multiples of the basis until no leading monomial
-        of the basis divides its leading monomial; empty exactly when
-        terms lies in the ideal."""
+        of the basis divides its leading monomial, keyed by packed
+        monomials; empty exactly when terms lies in the ideal."""
+        f = {self._pack(e): c for e, c in terms.items()}
+        self._reduce(f)
+        return f
+
+    def _reduce(self, f: dict[int, Quat]) -> int | None:
+        """`reduce` on packed f in place; f's leading monomial after, None
+        when f is zero."""
         if self.whole:
-            return {}
-        f = dict(terms)
-        while f:
-            lead = max(f, key=grlex_key)
-            for g, beta, words in self.elements:
-                if all(e >= b for e, b in zip(lead, beta)):
+            f.clear()
+            return None
+        heap = [-e for e in f]
+        heapify(heap)
+        guards = self.guards
+        while heap:
+            lead = -heap[0]
+            if lead not in f:
+                heappop(heap)
+                continue
+            for beta, tail, words, _, _ in self.elements:
+                gamma = lead - beta
+                if not gamma & guards:
                     break
             else:
-                return f
+                return lead
             c = f[lead]
-            self._spend(len(g) * words * _words(c))
-            _subtract(f, tuple(map(sub, lead, beta)), g, c)
-        return f
+            self._spend((len(tail) + 1) * words * _words(c))
+            del f[lead]
+            heappop(heap)
+            for e in _subtract(f, gamma, tail, c):
+                heappush(heap, -e)
+        return None
 
     def add(self, polys: Iterable[Mapping[Exponents, Quat]]) -> None:
         """Extend the basis to one of the ideal with polys added."""
-        for f in polys:
-            self._insert(self.reduce(f))
+        for terms in polys:
+            f = {self._pack(e): c for e, c in terms.items()}
+            self._insert(f, self._reduce(f))
         while self.pairs and not self.whole:
-            _, i, j = heappop(self.pairs)
-            (f, alpha, _), (g, beta, _) = self.elements[i], self.elements[j]
-            lcm = tuple(map(max, alpha, beta))
-            gamma = tuple(map(sub, lcm, alpha))
-            s = {tuple(map(add, e, gamma)): c for e, c in f.items()}
-            _subtract(s, tuple(map(sub, lcm, beta)), g)
-            self._insert(self.reduce(s))
+            lcm, i, j = heappop(self.pairs)
+            (alpha, f_tail, *_), (beta, g_tail, *_) = self.elements[i], self.elements[j]
+            gamma = lcm - alpha
+            s = {e + gamma: c for e, c in f_tail}
+            _subtract(s, lcm - beta, g_tail)
+            self._insert(s, self._reduce(s))
 
-    def _insert(self, f: dict[Exponents, Quat]) -> None:
-        if not f:
+    def _insert(self, f: dict[int, Quat], lead: int | None) -> None:
+        if lead is None:
             return
-        lead = max(f, key=grlex_key)
-        if not any(lead):
-            self.elements, self.pairs, self.whole = [({lead: ONE}, lead, 1)], [], True
+        if not lead:
+            self.elements, self.pairs, self.whole = [(0, [], 1, (0,) * self.nvars, Centralizer.full())], [], True
             return
         inv = f[lead].inverse()
         self._spend(len(f) * _words(inv) * max(map(_words, f.values())))
-        for i, (_, beta, _) in enumerate(self.elements):
-            heappush(self.pairs, (grlex_key(tuple(map(max, beta, lead))), i, len(self.elements)))
-        monic = {e: inv * c for e, c in f.items()}
-        self.elements.append((monic, lead, max(map(_words, monic.values()))))
+        alpha = self._unpack(lead)
+        tail = [(e, inv * c) for e, c in f.items() if e != lead]
+        centralizer = centralizer_of_set(c for _, c in tail)
+        lcms = []
+        for i, (_, other, _, beta, _) in enumerate(self.elements):
+            lcm = tuple(map(max, alpha, beta))
+            if sum(lcm) < sum(alpha) + sum(beta) or not all(centralizer.contains(c) for _, c in other):
+                lcms.append((lcm, i))
+        new = len(self.elements)
+        self.elements.append((lead, tail, max((_words(c) for _, c in tail), default=1), alpha, centralizer))
+        degree = max((sum(lcm) for lcm, _ in lcms), default=0)
+        if degree > self.top:
+            self._widen(degree)
+        for lcm, i in lcms:
+            heappush(self.pairs, (self._pack(lcm), i, new))
+
+    def _widen(self, degree: int) -> None:
+        """Refit the fields to twice degree and repack the basis and the
+        pairs; packing keeps the order, so the pairs stay a heap."""
+        field, shifts = (1 << self.width) - 1, self.shifts
+        self._fit(2 * degree)
+
+        def repack(key: int) -> int:
+            return self._pack(tuple(key >> shift & field for shift in shifts))
+
+        self.elements = [
+            (repack(beta), [(repack(e), c) for e, c in tail], *rest) for beta, tail, *rest in self.elements
+        ]
+        self.pairs = [(repack(lcm), i, j) for lcm, i, j in self.pairs]
 
 
-def _subtract(
-    f: dict[Exponents, Quat], gamma: Exponents, g: Mapping[Exponents, Quat], c: Quat | None = None
-) -> None:
-    """f -= c * x^gamma * g in place, with c = 1 when None."""
-    for e, q in g.items():
-        key = tuple(map(add, e, gamma))
+def _subtract(f: dict[int, Quat], gamma: int, terms: list[tuple[int, Quat]], c: Quat | None = None) -> list[int]:
+    """f -= c * x^gamma * terms in place, on packed monomials, with c = 1
+    when None; the monomials it adds to f."""
+    added = []
+    for e, q in terms:
+        key = e + gamma
         term = q if c is None else c * q
-        value = f[key] - term if key in f else -term
-        if value:
-            f[key] = value
+        if key in f:
+            value = f[key] - term
+            if value:
+                f[key] = value
+            else:
+                del f[key]
         else:
-            del f[key]
+            f[key] = -term
+            added.append(key)
+    return added
 
 
 def _membership(gens: tuple[MPoly, ...], ap_powers: list[MPoly], budget: int) -> int | None:
@@ -736,7 +849,7 @@ def _membership(gens: tuple[MPoly, ...], ap_powers: list[MPoly], budget: int) ->
     but not a*p.  The bases with k >= 1 are formed only when I holds no
     power up to N."""
     N = len(ap_powers) - 1
-    basis = _LeftBasis(budget)
+    basis = _LeftBasis(budget, ap_powers[0].nvars, max(map(_degree, gens)) + N * _degree(ap_powers[1]))
     try:
         basis.add(g.terms for g in gens)
         if not basis.reduce(ap_powers[1].terms):
@@ -757,7 +870,7 @@ def _to_upoly(p: MPoly) -> UPoly:
 
 
 def _from_upoly(p: UPoly) -> MPoly:
-    return MPoly(1, {(e,): c for e, c in enumerate(p.coeffs)})
+    return _mpoly(1, {(e,): c for e, c in enumerate(p.coeffs)})
 
 
 def _bounded_certificate(

@@ -433,8 +433,10 @@ def _growth(c: Quat) -> float:
 
 def _words(c: Quat) -> int:
     """The 64-bit words of the largest of c's five integers: about the
-    factor by which a product with c costs more than one of small ones."""
-    return 1 + max(c._d.bit_length(), *(v.bit_length() for v in c._n)) // 64
+    factor by which a product with c costs more than one of small ones.
+    The largest bit length of nonnegative integers is that of their or."""
+    a, b, e, f = c._n
+    return 1 + (c._d | abs(a) | abs(b) | abs(e) | abs(f)).bit_length() // 64
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ membership certificates."""
 
 from collections import Counter
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import comb, prod
+from operator import add, sub
 from random import Random
 import time
 
@@ -11,7 +13,7 @@ import pytest
 from sympy import QQ, Poly, Rational, symbols
 
 from quatca import linalg, mpoly
-from quatca.errors import BOUNDS, InvalidInput
+from quatca.errors import BOUNDS, InternalError, InvalidInput
 from quatca.mpoly import (
     CommutingPoint,
     LeftIdeal,
@@ -26,6 +28,7 @@ from quatca.mpoly import (
     _to_upoly,
     eval_at_point,
     find_certificate,
+    grlex_key,
     monomials_upto,
     point_ideal,
     rabinowitsch_check,
@@ -40,7 +43,7 @@ from quatca.randgen import (
     rand_upoly,
 )
 from quatca.parsing import parse_mpoly, parse_quat
-from quatca.scalars import I, J, K, ONE, Quat, ZERO
+from quatca.scalars import I, J, K, ONE, Quat, ZERO, _words
 from quatca.upoly import UPoly, _gcrd_combination
 
 
@@ -1229,3 +1232,242 @@ class TestLeastDegreeCofactors:
                         assert _largest_degree(_bounded_cofactors(nvars, system, target, degbound)) == d
                     least[d] += 1
         assert {None, 0, 1, 2} <= set(least)
+
+
+class _MaxLoopBasis:
+    """The left Groebner pass before packed monomials, kept as the oracle:
+    tuple exponents, each leading term found by `max` over all of f's
+    terms, and every pair reduced.  It counts the pairs that the first
+    criterion drops: coprime leading monomials and pairwise commuting
+    coefficients."""
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.elements = []
+        self.pairs = []
+        self.whole = False
+        self.droppable = 0
+
+    def _spend(self, products):
+        self.budget -= products
+        if self.budget < 0:
+            raise mpoly._OverBudget
+
+    def reduce(self, terms):
+        if self.whole:
+            return {}
+        f = dict(terms)
+        while f:
+            lead = max(f, key=grlex_key)
+            for g, beta, words in self.elements:
+                if all(e >= b for e, b in zip(lead, beta)):
+                    break
+            else:
+                return f
+            c = f[lead]
+            self._spend(len(g) * words * _words(c))
+            _tuple_subtract(f, tuple(map(sub, lead, beta)), g, c)
+        return f
+
+    def add(self, polys):
+        for f in polys:
+            self._insert(self.reduce(f))
+        while self.pairs and not self.whole:
+            _, i, j = heappop(self.pairs)
+            (f, alpha, _), (g, beta, _) = self.elements[i], self.elements[j]
+            lcm = tuple(map(max, alpha, beta))
+            gamma = tuple(map(sub, lcm, alpha))
+            s = {tuple(map(add, e, gamma)): c for e, c in f.items()}
+            _tuple_subtract(s, tuple(map(sub, lcm, beta)), g)
+            self._insert(self.reduce(s))
+
+    def _insert(self, f):
+        if not f:
+            return
+        lead = max(f, key=grlex_key)
+        if not any(lead):
+            self.elements, self.pairs, self.whole = [({lead: ONE}, lead, 1)], [], True
+            return
+        inv = f[lead].inverse()
+        self._spend(len(f) * _words(inv) * max(map(_words, f.values())))
+        monic = {e: inv * c for e, c in f.items()}
+        for i, (g, beta, _) in enumerate(self.elements):
+            lcm = tuple(map(max, beta, lead))
+            if sum(lcm) == sum(beta) + sum(lead) and all(p.commutes_with(q) for p in g.values() for q in monic.values()):
+                self.droppable += 1
+            heappush(self.pairs, (grlex_key(lcm), i, len(self.elements)))
+        self.elements.append((monic, lead, max(map(_words, monic.values()))))
+
+
+def _tuple_subtract(f, gamma, g, c=None):
+    for e, q in g.items():
+        key = tuple(map(add, e, gamma))
+        term = q if c is None else c * q
+        value = f[key] - term if key in f else -term
+        if value:
+            f[key] = value
+        else:
+            del f[key]
+
+
+def _run_membership(basis, gens, powers):
+    """The steps of `_membership` on a given pass: its answer and the
+    budget left."""
+    N = len(powers) - 1
+    try:
+        basis.add(g.terms for g in gens)
+        if not basis.reduce(powers[1].terms):
+            return 1, basis.budget
+        if N > 1 and not basis.reduce(powers[N].terms):
+            return next((k for k in range(2, N) if not basis.reduce(powers[k].terms)), N), basis.budget
+        basis.add((g * power).terms for power in powers[1:] for g in gens)
+        return (0 if basis.reduce(powers[N].terms) else N + 1), basis.budget
+    except mpoly._OverBudget:
+        return None, basis.budget
+
+
+def _pass_degree(gens, powers):
+    """The degree `_membership` builds its pass for."""
+    return max(map(mpoly._degree, gens)) + (len(powers) - 1) * mpoly._degree(powers[1])
+
+
+def _unpacked(basis, remainder):
+    return {basis._unpack(e): c for e, c in remainder.items()}
+
+
+def _elements(basis):
+    """The packed pass's monic elements as {exponents: coefficient}."""
+    return [
+        {basis._unpack(beta): ONE, **{basis._unpack(e): c for e, c in tail}} for beta, tail, *_ in basis.elements
+    ]
+
+
+class TestPackedBasisAgainstTheMaxLoop:
+    """The packed, heap-ordered pass with the first criterion against the
+    max loop it replaced, on the seeded families of
+    `TestGroebnerMembership` and `TestLiftedCertificates`: the same
+    membership, the same remainder of every power at each stage of
+    `_membership`, and, where the criterion drops no pair, the same budget
+    left."""
+
+    def test_same_membership_remainders_and_budget(self):
+        rng = Random(59)
+        instances = [(_point_instance(rng, 2, degree), 3) for degree in (-1, -1, 0, 1)]
+        instances += [(_point_instance(rng, 3, degree), 2) for degree in (-1, 0, 1)]
+        for family in ("product", "linear-quadratic", "intersection") * 2:
+            ring = QQ.old_poly_ring(*symbols(f"x1:{3 if family == 'intersection' else rng.choice((3, 4))}"))
+            ideal, p, a, N = _non_point_instance(rng, family, ring)
+            instances.append(((ideal, p, a), N))
+        analog = LeftIdeal((parse_mpoly("(x1 - i)^2", 2), parse_mpoly("x2", 2)))
+        instances.append(((analog, parse_mpoly("x1 - i", 2), J), 3))
+        seen = Counter()
+        for (ideal, p, a), N in instances:
+            powers, bases = _powers_and_bases(ideal, p, a, N)
+            k = _membership(ideal.gens, powers, 10**9)
+            assert k == _run_membership(_MaxLoopBasis(10**9), ideal.gens, powers)[0]
+            packed = mpoly._LeftBasis(10**9, ideal.nvars, _pass_degree(ideal.gens, powers))
+            oracle = _MaxLoopBasis(10**9)
+            for stage in (ideal.gens, bases[len(ideal.gens):]):
+                packed.add(g.terms for g in stage)
+                oracle.add(g.terms for g in stage)
+                for power in powers[1:]:
+                    assert _unpacked(packed, packed.reduce(power.terms)) == oracle.reduce(power.terms)
+                if not oracle.droppable:
+                    assert _elements(packed) == [g for g, _, _ in oracle.elements]
+                    assert packed.budget == oracle.budget
+            seen["dropped" if oracle.droppable else "kept", "I" if 1 <= k <= N else "J_N" if k else "none"] += 1
+        assert {"dropped", "kept"} == {kind for kind, _ in seen}
+        assert {"I", "J_N", "none"} == {held for _, held in seen}
+
+    @pytest.mark.parametrize("seed, degbound", [(0, 0), (1, 0), (0, 3)])
+    def test_a_pass_past_its_budget_stops_where_the_max_loop_stops(self, seed, degbound):
+        # The generators of `test_a_pass_past_its_budget_gives_the_system_
+        # outcome`, whose coefficients do not commute: no pair is dropped,
+        # so every budget runs out at the same product.
+        rng = Random(seed)
+        coeff = lambda: rand_nonzero_quat(rng, 2)  # noqa: E731
+        ideal = LeftIdeal(tuple(_random_mpoly(rng, coeff, 3, 4, 4) for _ in range(2)))
+        p, a = _random_mpoly(rng, coeff, 3, 1, 2), rand_nonzero_quat(rng, 2)
+        powers, _ = _powers_and_bases(ideal, p, a, 1)
+        budget = _groebner_budget(ideal.gens, p.scale_left(a), 1, degbound)
+        for spend in (budget // 7, budget // 2, budget):
+            oracle = _MaxLoopBasis(spend)
+            expected = _run_membership(oracle, ideal.gens, powers)
+            assert expected[0] is None and not oracle.droppable
+            packed = mpoly._LeftBasis(spend, 3, _pass_degree(ideal.gens, powers))
+            assert _run_membership(packed, ideal.gens, powers) == expected
+
+    def test_fields_widen_when_an_lcm_needs_more(self):
+        # Packed for degree 1, the fields hold total degree 3; generators of
+        # degree 3 whose leading monomials share a variable have an lcm of
+        # degree 4 or more, and the pass widens its fields and goes on.
+        rng = Random(61)
+        widened = 0
+        for _ in range(8):
+            coeff = lambda: rand_nonzero_quat(rng, 2)  # noqa: E731
+            gens = [_random_mpoly(rng, coeff, 2, 3, 3) for _ in range(2)]
+            probes = [_random_mpoly(rng, coeff, 2, 3, 4) for _ in range(3)]
+            packed, oracle = mpoly._LeftBasis(10**9, 2, 1), _MaxLoopBasis(10**9)
+            assert packed.top == 3
+            packed.add(g.terms for g in gens)
+            oracle.add(g.terms for g in gens)
+            widened += packed.top > 3
+            assert packed.whole == oracle.whole
+            for probe in probes:
+                assert _unpacked(packed, packed.reduce(probe.terms)) == oracle.reduce(probe.terms)
+            if not oracle.droppable:
+                assert _elements(packed) == [g for g, _, _ in oracle.elements]
+                assert packed.budget == oracle.budget
+        assert widened
+
+    @pytest.mark.parametrize("nvars, degree", [(1, 0), (1, 3), (2, 1), (2, 3), (3, 2)])
+    def test_packed_keys_sort_and_divide_like_the_exponents(self, nvars, degree):
+        basis = mpoly._LeftBasis(0, nvars, degree)
+        top = basis.top
+        assert top >= 2 * degree
+        # Every monomial the fields hold: exponent 0 and the widest, top.
+        monos = monomials_upto(nvars, top)
+        keys = [basis._pack(m) for m in monos]
+        assert sorted(monos, key=basis._pack) == sorted(monos, key=grlex_key)
+        assert len(set(keys)) == len(keys)
+        assert [basis._unpack(k) for k in keys] == monos
+        for m, k in zip(monos, keys):
+            for n, l in zip(monos, keys):
+                divides = all(e >= b for e, b in zip(m, n))
+                assert (not (k - l) & basis.guards) == divides
+                if divides:
+                    assert k - l == basis._pack(tuple(map(sub, m, n)))
+                    assert (k - l) + l == k
+        for v in range(nvars):
+            past = [0] * nvars
+            past[v] = top + 1
+            with pytest.raises(InternalError):
+                basis._pack(tuple(past))
+
+
+class TestFirstCriterion:
+    """Buchberger's first criterion drops a pair only when its leading
+    monomials are coprime and its coefficients commute."""
+
+    def test_a_coprime_pair_that_does_not_commute_is_still_reduced(self):
+        # The S-polynomial of x1 - i and x2 - j reduces to j*i - i*j = -2k,
+        # so the ideal is the whole ring and 1 has a certificate.  A
+        # criterion that skipped this pair would report 1 outside it.
+        ideal = LeftIdeal((x(0, 2) - const(I, 2), x(1, 2) - const(J, 2)))
+        one = const(ONE, 2)
+        out = rabinowitsch_check(ideal, one, ONE, 1, 1)
+        assert isinstance(out, RabinowitschCertificate) and _reconstructs(ideal, one, ONE, out)
+        basis = mpoly._LeftBasis(10**9, 2, 1)
+        basis.add(g.terms for g in ideal.gens)
+        assert basis.whole
+
+    def test_a_commuting_point_ideal_finishes_with_the_max_loop_basis(self):
+        rng = Random(67)
+        for nvars in (2, 3, 4):
+            ideal = point_ideal(rand_commuting_point(rng, nvars, 3))
+            packed, oracle = mpoly._LeftBasis(10**9, nvars, 1), _MaxLoopBasis(10**9)
+            packed.add(g.terms for g in ideal.gens)
+            oracle.add(g.terms for g in ideal.gens)
+            assert oracle.droppable == comb(nvars, 2)
+            assert packed.pairs == []
+            assert _elements(packed) == [g for g, _, _ in oracle.elements]

@@ -492,6 +492,72 @@ def _mixed(rows, rng):
     ]
 
 
+def _copying_rref(rows, ncols):
+    """`linalg.rref` before it eliminated in place, kept as the oracle: every
+    step builds new row dicts, with the same pivot choice, cross-
+    multiplication and content division."""
+
+    def primitive(row):
+        g = gcd(*row.values())
+        return {j: v // g for j, v in row.items()} if g > 1 else row
+
+    def integer_row(row):
+        nonzero = [(j, v.numerator, v.denominator) for j, v in enumerate(row) if v]
+        scale = lcm(*(d for _, _, d in nonzero))
+        return primitive({j: n * (scale // d) for j, n, d in nonzero})
+
+    def eliminate(row, pivot_row, c):
+        p, f = pivot_row[c], row[c]
+        g = gcd(p, f)
+        p, f = p // g, f // g
+        out = {j: p * v for j, v in row.items()}
+        for j, v in pivot_row.items():
+            value = out.get(j, 0) - f * v
+            if value:
+                out[j] = value
+            else:
+                del out[j]
+        return primitive(out)
+
+    width = len(rows[0]) if rows else 0
+    pending = [integer_row(row) for row in rows]
+    reduced = []
+    for c in range(ncols):
+        candidates = [k for k, row in enumerate(pending) if c in row]
+        if not candidates:
+            continue
+        pivot_row = pending.pop(min(candidates, key=lambda k: len(pending[k])))
+        pending = [eliminate(row, pivot_row, c) if c in row else row for row in pending]
+        reduced = [(pc, eliminate(row, pivot_row, c) if c in row else row) for pc, row in reduced]
+        reduced.append((c, pivot_row))
+        if not pending:
+            break
+    out = [[F(row[j], row[c]) if j in row else F(0) for j in range(width)] for c, row in reduced]
+    out += [[F(row[j]) if j in row else F(0) for j in range(width)] for row in pending]
+    return out, [c for c, _ in reduced]
+
+
+def _sparse_integer_cases():
+    """Taller, sparse systems like the certificate lifts: integer entries
+    up to 40, augmented by a consistent or a random column, with repeated
+    rows making some rank-deficient."""
+    rng = Random(2026)
+    cases = []
+    for _ in range(12):
+        nrows, ncols = rng.randint(8, 20), rng.randint(6, 16)
+        rows = [[rng.randint(-40, 40) if rng.random() < 0.3 else 0 for _ in range(ncols)] for _ in range(nrows)]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.randrange(nrows), rng.randrange(nrows)
+            rows[a] = [x + 3 * y for x, y in zip(rows[a], rows[b])] if a != b else rows[a]
+        if rng.random() < 0.5:
+            x0 = [rng.randint(-3, 3) for _ in range(ncols)]
+            target = [sum(v * x for v, x in zip(row, x0)) for row in rows]
+        else:
+            target = [rng.randint(-9, 9) for _ in rows]
+        cases.append(([row + [t] for row, t in zip(rows, target)], ncols))
+    return cases
+
+
 class TestRrefOracle:
     """`linalg.rref`, `solve` and `nullspace` against sympy's `Matrix.rref`."""
 
@@ -536,6 +602,13 @@ class TestRrefOracle:
         assert linalg.rref(scaled, ncols) == scaled_expected
         for red, _ in (expected, scaled_expected):
             assert all(type(v) is F for row in red for v in row)
+
+    @pytest.mark.parametrize("rows, ncols", _oracle_cases() + _sparse_integer_cases())
+    def test_the_whole_output_equals_the_copying_eliminator(self, rows, ncols):
+        # Every row, the rows past the pivots too: those are left scaled
+        # as elimination leaves them, so they depend on each content
+        # division.
+        assert linalg.rref(rows, ncols) == _copying_rref(rows, ncols)
 
     def test_row_reducing_to_zero_with_a_nonzero_augmented_entry(self):
         # x + 2y = 3 and 2x + 4y = 7: the second row's A-part vanishes, 7 - 6 does not.
