@@ -76,9 +76,7 @@ class MPoly(_Record):
             raise InvalidInput("need at least one variable")
         clean: dict[Exponents, Quat] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise InvalidInput(f"bad exponent vector {exps} for {nvars} variables")
+            exps = _exponents(exps, nvars)
             if not isinstance(coeff, Quat):
                 coeff = Quat.scalar(coeff)
             if coeff:
@@ -170,6 +168,7 @@ class MPoly(_Record):
 
     def shift(self, exps: Exponents) -> "MPoly":
         """Multiply by the (central) monomial x^exps."""
+        exps = _exponents(exps, self.nvars)
         return _mpoly(self.nvars, {tuple(map(add, e, exps)): c for e, c in self.terms.items()})
 
     def pow(self, n: int) -> "MPoly":
@@ -185,6 +184,14 @@ class MPoly(_Record):
 
     def __repr__(self) -> str:
         return f"MPoly({self.nvars}, {dict(self.sorted_terms())!r})"
+
+
+def _exponents(exps: Iterable[int], nvars: int) -> Exponents:
+    """exps as a tuple, once it is a vector of nvars nonnegative ints."""
+    exps = tuple(exps)
+    if len(exps) != nvars or min(exps) < 0:
+        raise InvalidInput(f"bad exponent vector {exps} for {nvars} variables")
+    return exps
 
 
 def _numerators(terms: dict[Exponents, Quat]) -> tuple[list[tuple[Exponents, tuple]], int]:
@@ -371,16 +378,9 @@ class NotFoundWithinBounds(_Record):
 def monomials_upto(nvars: int, degbound: int) -> list[Exponents]:
     """All exponent vectors of total degree <= degbound, in graded
     lexicographic order."""
-    out: list[Exponents] = []
-
-    def rec(prefix: list[int], remaining: int, budget: int):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    rec([], nvars, degbound)
+    out: list[Exponents] = [()]
+    for _ in range(nvars):
+        out = [e + (k,) for e in out for k in range(degbound + 1 - sum(e))]
     out.sort(key=grlex_key)
     return out
 
@@ -459,13 +459,16 @@ def rabinowitsch_check(
 def _system_certificate(
     ideal: LeftIdeal, ap: MPoly, N: int, degbound: int, ap_powers: list[MPoly] | None = None
 ) -> RabinowitschCertificate | NotFoundWithinBounds:
-    """The answer of the system over every base g_j*(a*p)^k of J_N
-    (`_bounded_certificate`), refused before any base is built and, unless
-    ap_powers holds them, before (a*p)^k is formed."""
+    """The answer of one system over every base g_j*(a*p)^k of J_N in
+    (k, generator) order (`_bounded_cofactors`), refused before any base is
+    built and, unless ap_powers holds them, before (a*p)^k is formed."""
     _bound_system(_groebner_budget(ideal.gens, ap, N, 0), 0)
     if ap_powers is None:
         ap_powers = _powers(ap, N)
-    return _bounded_certificate(ideal, _bases(ideal.gens, ap_powers), ap_powers, degbound)
+    flat = _bounded_cofactors(ideal.nvars, _bases(ideal.gens, ap_powers), ap_powers[N], degbound)
+    if flat is None:
+        return NotFoundWithinBounds(N, degbound)
+    return _certificate(ideal, ap_powers, flat)
 
 
 def _powers(ap: MPoly, N: int) -> list[MPoly]:
@@ -597,8 +600,7 @@ def _dense_certificate(
     powers = [_power(ap, N - m, None)]  # None stands for (a*p)^0 = 1
     for _ in range(m):
         powers.append(ap if powers[-1] is None else powers[-1] * ap)
-    if _rebuilt(gens, rows, powers, UPoly()) != powers[-1]:
-        raise InternalError("certificate failed to reconstruct its identity")
+    _rebuilt(gens, rows, powers, UPoly(), powers[-1])
     zeros = (MPoly(1, {}),) * len(gens)
     return RabinowitschCertificate(N, (zeros,) * (N - m) + tuple(tuple(map(_from_upoly, row)) for row in rows))
 
@@ -606,7 +608,7 @@ def _dense_certificate(
 def _groebner_budget(gens: tuple[MPoly, ...], ap: MPoly, N: int, degbound: int) -> int:
     """`_system_entries` of the system over all bases g_j*(a*p)^k,
     k = 0..N, at degree degbound: the Groebner pass's budget, and at
-    degree 0 the first system that `_bounded_certificate` solves.  H[X] is
+    degree 0 the first system that `_system_certificate` solves.  H[X] is
     a domain, so a nonzero base has degree deg g_j + k*deg(a*p), and no
     base is built to find the largest."""
     degrees = [_degree(g) for g in gens if g]
@@ -873,19 +875,6 @@ def _from_upoly(p: UPoly) -> MPoly:
     return _mpoly(1, {(e,): c for e, c in enumerate(p.coeffs)})
 
 
-def _bounded_certificate(
-    ideal: LeftIdeal, bases: list[MPoly], ap_powers: list[MPoly], degbound: int
-) -> RabinowitschCertificate | NotFoundWithinBounds:
-    """The certificate for (a*p)^N = ap_powers[N] with cofactors of total
-    degree at most degbound, or NotFoundWithinBounds, from one rational
-    system over every base g_j*(a*p)^k in (k, generator) order."""
-    N = len(ap_powers) - 1
-    flat = _bounded_cofactors(ideal.nvars, bases, ap_powers[N], degbound)
-    if flat is None:
-        return NotFoundWithinBounds(N, degbound)
-    return _certificate(ideal, ap_powers, flat)
-
-
 def _bounded_cofactors(
     nvars: int, bases: list[MPoly], target: MPoly, degbound: int
 ) -> list[MPoly] | None:
@@ -932,15 +921,15 @@ def _certificate(
     if len(flat) != (N + 1) * ngens:
         raise InternalError(f"{len(flat)} cofactors for {N + 1} rows of {ngens} generators")
     cofactors = [flat[k * ngens : (k + 1) * ngens] for k in range(N + 1)]
-    if _rebuilt(ideal.gens, cofactors, [None] + ap_powers[1:], MPoly(nvars, {})) != ap_powers[N]:
-        raise InternalError("certificate failed to reconstruct its identity")
+    _rebuilt(ideal.gens, cofactors, [None] + ap_powers[1:], MPoly(nvars, {}), ap_powers[N])
     return RabinowitschCertificate(N, tuple(tuple(row) for row in cofactors))
 
 
-def _rebuilt(gens: Sequence, rows: Sequence[Sequence], powers: Sequence, zero):
-    """sum_k (sum_j rows[k][j]*gens[j])*powers[k] over MPolys or UPolys,
-    with None in powers for (a*p)^0 = 1: each row's combination is summed
-    before its one product, and a row of zero cofactors makes none."""
+def _rebuilt(gens: Sequence, rows: Sequence[Sequence], powers: Sequence, zero, target) -> None:
+    """Raise InternalError unless sum_k (sum_j rows[k][j]*gens[j])*powers[k]
+    equals target, over MPolys or UPolys, with None in powers for
+    (a*p)^0 = 1: each row's combination is summed before its one product,
+    and a row of zero cofactors makes none."""
     total = zero
     for row, power in zip(rows, powers):
         combo = zero
@@ -949,7 +938,8 @@ def _rebuilt(gens: Sequence, rows: Sequence[Sequence], powers: Sequence, zero):
                 combo = combo + h * g
         if combo:
             total = total + (combo if power is None else combo * power)
-    return total
+    if total != target:
+        raise InternalError("certificate failed to reconstruct its identity")
 
 
 def find_certificate(

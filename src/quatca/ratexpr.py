@@ -1,6 +1,7 @@
 """The recursive criteria for left linear independence and left algebraic
-degree over the centralizer of an element, and the rank oracles that
-cross-check them.
+degree over the centralizer of an element, and the oracles that
+cross-check them: a rank for independence, and the closed-form minimal
+polynomial for the degree.
 
 The criterion for vectors b_1..b_n at a replaces each b_m, m < n, by the
 commutator [a, b_m * b_n^-1] and recurses on one fewer vector; what is left
@@ -66,7 +67,9 @@ def left_degree_via_criterion(a: Quat, b: Quat) -> int:
 
 
 def left_degree_via_rank(a: Quat, b: Quat) -> int:
-    """Degree of the minimal left polynomial of b over the centralizer of a."""
+    """Degree of the minimal left polynomial of b over the centralizer of a,
+    read from `minimal_left_poly`'s closed form (x - b, or the class
+    quadratic); no rank is computed."""
     return minimal_left_poly(b, centralizer_of_set([a])).degree
 
 

@@ -196,6 +196,8 @@ class UPoly(_Record):
         return UPoly([c.conjugate() for c in self.coeffs])
 
     def shift(self, k: int) -> "UPoly":
+        if k < 0:
+            raise InvalidInput(f"negative shift {k}")
         if self.is_zero():
             return self
         return UPoly([ZERO] * k + list(self.coeffs))

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -218,6 +219,19 @@ class TestReports:
         )
         assert code == 0 and report["status"] == "ok"
         assert report["payload"]["N"] == 5
+
+    def test_rabinowitsch_lifts_in_thirty_variables_at_once(self, capsys):
+        # x1*x2 lies in (x1), and its lift at degree 1 ranges over the 31
+        # monomials of degree <= 1 in 30 variables, not over all 2^30
+        # vectors with entries <= 1.
+        start = time.perf_counter()
+        code, report, _ = run_json(
+            capsys, "rabinowitsch", "--nvars", "30", "--ideal", "x1", "--p", "x1*x2", "--a", "1",
+            "--N", "1", "--degbound", "1",
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 0 and report["status"] == "ok"
+        assert report["payload"]["N"] == 1
 
     @pytest.mark.parametrize("degbound", ["10", "20"])
     def test_a_high_degree_bound_costs_only_the_least_degree(self, capsys, degbound):
@@ -578,6 +592,21 @@ class TestExitCodes:
         assert code == 3
         assert out == "" and "internal error: planted fault" in err
 
+    def test_certificate_that_does_not_rebuild_is_internal(self, capsys, monkeypatch):
+        least = mpoly._least_member_power
+
+        def perturbed(*args):
+            m, rows = least(*args)
+            rows[0][0] = -rows[0][0]
+            return m, rows
+
+        request = ["rabinowitsch", "--ideal", "(x-i)^2", "--p", "x-i", "--a", "j", "--N", "1"]
+        assert run_json(capsys, *request)[1]["status"] == "ok"
+        monkeypatch.setattr(mpoly, "_least_member_power", perturbed)
+        code, out, err = run(capsys, *request)
+        assert code == 3
+        assert out == "" and "internal error: certificate failed to reconstruct its identity" in err
+
     def test_text_mode_default(self, capsys):
         code, out, err = run(capsys, "minpoly", "--element", "j", "--over", "i")
         assert code == 0
@@ -745,6 +774,20 @@ class TestGrammarFuzz:
 
 
 _README = Path(cli.__file__).parents[2] / "README.md"
+
+
+def test_readme_names_every_subcommand_and_option():
+    # README's CLI section, with its grammar and JSON forms, up to the
+    # design notes.
+    section = _README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])(--\w+|\w+)(?![\w-])", section))
+    missing = [
+        word
+        for name, (_, _, options) in cli.COMMANDS.items()
+        for word in (name, *options)
+        if word not in named
+    ]
+    assert missing == []
 
 
 def _readme_argvs(module_path: str) -> list[list[str]]:

@@ -20,7 +20,6 @@ from quatca.mpoly import (
     MPoly,
     NotFoundWithinBounds,
     RabinowitschCertificate,
-    _bounded_certificate,
     _bounded_cofactors,
     _groebner_budget,
     _least_member_power,
@@ -72,6 +71,17 @@ class TestArithmetic:
     def test_nvars_mismatch(self):
         with pytest.raises(InvalidInput):
             x(0, 1) + x(0, 2)
+
+    def test_shift_multiplies_by_the_monomial(self):
+        assert MPoly(2, {(1, 0): I}).shift((1, 2)) == MPoly(2, {(2, 2): I})
+
+    @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (-3, 0), (0, -1)])
+    @pytest.mark.parametrize("terms", [{(1, 0): ONE}, {}])
+    def test_shift_refuses_a_bad_exponent_vector(self, terms, exps):
+        # The vector is checked once per call, also for the zero polynomial,
+        # since the product is built unchecked.
+        with pytest.raises(InvalidInput, match=r"^bad exponent vector .* for 2 variables$"):
+            MPoly(2, terms).shift(exps)
 
 
 class TestCommutingPoint:
@@ -214,6 +224,19 @@ class TestMonomials:
         monos = monomials_upto(2, 2)
         assert monos == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
+    @pytest.mark.parametrize("nvars, degbound", [(1, 0), (1, 5), (2, 2), (2, 3), (3, 0), (3, 4), (4, 2), (30, 1)])
+    def test_every_vector_once_in_graded_order(self, nvars, degbound):
+        # (30, 1) builds its 31 vectors, not a filter over the 2^30 vectors
+        # with entries <= 1.
+        start = time.perf_counter()
+        monos = monomials_upto(nvars, degbound)
+        assert time.perf_counter() - start < 1
+        assert len(monos) == len(set(monos)) == comb(nvars + degbound, nvars)
+        keys = list(map(grlex_key, monos))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        # C(n + d, n) distinct vectors, each of total degree <= d, are all of them.
+        assert all(len(e) == nvars and min(e) >= 0 and sum(e) <= degbound for e in monos)
+
 
 class TestCertificates:
     def test_member_of_the_ideal_itself(self):
@@ -324,8 +347,15 @@ def _powers_and_bases(ideal, p, a, N):
 
 def _bounded(ideal, p, a, N, degbound):
     """The answer of the bounded rational system alone."""
-    powers, bases = _powers_and_bases(ideal, p, a, N)
-    return _bounded_certificate(ideal, bases, powers, degbound)
+    return _system_alone(ideal, *_powers_and_bases(ideal, p, a, N), degbound)
+
+
+def _system_alone(ideal, powers, bases, degbound):
+    """The answer of one rational system over these bases, built here and
+    not by `mpoly._bases`, for (ap)^N = powers[-1]."""
+    N = len(powers) - 1
+    flat = _bounded_cofactors(ideal.nvars, bases, powers[N], degbound)
+    return NotFoundWithinBounds(N, degbound) if flat is None else mpoly._certificate(ideal, powers, flat)
 
 
 def _mp(p):
@@ -1020,7 +1050,7 @@ class TestGroebnerMembership:
             # A certificate from the system always means a member.
             if not k:
                 for degbound in range(3):
-                    found = _bounded_certificate(ideal, bases, powers, degbound)
+                    found = _system_alone(ideal, powers, bases, degbound)
                     assert isinstance(found, NotFoundWithinBounds)
         assert set(held_by) == {"I", "J_N", "none"}
 
@@ -1042,7 +1072,7 @@ class TestGroebnerMembership:
         assert _membership(ideal.gens, powers, _groebner_budget(ideal.gens, p.scale_left(a), 1, degbound)) is None
         out = rabinowitsch_check(ideal, p, a, 1, degbound)
         assert time.perf_counter() - start < 5
-        assert type(out) is type(_bounded_certificate(ideal, bases, powers, degbound))
+        assert type(out) is type(_system_alone(ideal, powers, bases, degbound))
 
     def test_the_budget_from_degrees_equals_the_one_from_the_bases(self):
         # H[X] is a domain, so deg g*(ap)^k = deg g + k*deg ap and the
@@ -1140,7 +1170,7 @@ class TestLiftedCertificates:
                 k = _membership(ideal.gens, powers, 10**9)
                 for degbound in range(3):
                     out = rabinowitsch_check(ideal, p, a, N, degbound)
-                    assert type(out) is type(_bounded_certificate(ideal, bases, powers, degbound))
+                    assert type(out) is type(_system_alone(ideal, powers, bases, degbound))
                     if isinstance(out, NotFoundWithinBounds):
                         seen["not-found"] += 1
                         continue
@@ -1187,6 +1217,43 @@ class TestLiftedCertificates:
                 out = rabinowitsch_check(ideal, p, a, N, degbound)
                 assert isinstance(out, RabinowitschCertificate) and _reconstructs(ideal, p, a, out)
                 assert any(h for h in out.cofactors[0])
+
+
+class TestIdentityCheck:
+    """A certificate is rebuilt before it is returned, on both paths; a
+    perturbed cofactor raises InternalError instead of a wrong answer."""
+
+    def test_one_variable_rows_that_fit_but_do_not_rebuild(self, monkeypatch):
+        g = x(0, 1) - const(I, 1)
+        ideal = LeftIdeal((g * g,))
+        assert isinstance(rabinowitsch_check(ideal, g, J, 1, 2), RabinowitschCertificate)
+        least = mpoly._least_member_power
+
+        def perturbed(*args):
+            m, rows = least(*args)
+            rows[0][0] = rows[0][0] + UPoly([ONE])
+            return m, rows
+
+        monkeypatch.setattr(mpoly, "_least_member_power", perturbed)
+        with pytest.raises(InternalError, match="^certificate failed to reconstruct its identity$"):
+            rabinowitsch_check(ideal, g, J, 1, 2)
+
+    def test_several_variables_lift_that_does_not_rebuild(self, monkeypatch):
+        gens = (x(0, 2) - const(I, 2), x(1, 2) - const(Quat(1, 1), 2))
+        ideal = LeftIdeal(gens)
+        assert isinstance(rabinowitsch_check(ideal, gens[0], K, 2, 1), RabinowitschCertificate)
+        cofactors = mpoly._bounded_cofactors
+        lifts = []
+
+        def perturbed(nvars, bases, target, degbound):
+            lifts.append(list(bases) == list(gens))
+            flat = cofactors(nvars, bases, target, degbound)
+            return [flat[0] + const(ONE, nvars)] + flat[1:]
+
+        monkeypatch.setattr(mpoly, "_bounded_cofactors", perturbed)
+        with pytest.raises(InternalError, match="^certificate failed to reconstruct its identity$"):
+            rabinowitsch_check(ideal, gens[0], K, 2, 1)
+        assert lifts == [True]
 
 
 def _largest_degree(flat):

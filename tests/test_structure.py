@@ -26,7 +26,6 @@ from quatca.mpoly import (
     MPoly,
     NotFoundWithinBounds,
     RabinowitschCertificate,
-    _bounded_certificate,
     _bounded_cofactors,
     find_certificate,
     point_ideal,
@@ -251,7 +250,7 @@ def test_several_variables_hand_rref_only_the_system_that_holds_the_member(rref_
     bases = [g * powers[k] for k in range(3) for g in gens]
     for degbound in (1, 3):
         rref_systems.clear()
-        _bounded_certificate(ideal, bases, powers, degbound)
+        _bounded_cofactors(ideal.nvars, bases, powers[2], degbound)
         assert [(len(rows), ncols) for rows, ncols in rref_systems] == [(28, 24)]
     # p = 1 is a non-member at every degree bound, decided without a system.
     rref_systems.clear()

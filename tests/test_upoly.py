@@ -85,6 +85,13 @@ class TestEvaluation:
         assert p.eval_left(J) != p.eval_right(J)
 
 
+class TestShift:
+    @pytest.mark.parametrize("p", [X2P1, UPoly()])
+    def test_negative_shift_is_refused(self, p):
+        with pytest.raises(InvalidInput, match="^negative shift -1$"):
+            p.shift(-1)
+
+
 class TestDivision:
     def test_right_division_splits_x2_plus_1(self):
         q, r = X2P1.divmod_right(UPoly.linear(I))
